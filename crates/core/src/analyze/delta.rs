@@ -1,7 +1,7 @@
 //! Delta-eligibility explain: DESIGN.md's fallback matrix as
 //! compile-time diagnostics.
 //!
-//! The delta drivers ([`crate::delta`]) decide at runtime whether an
+//! The Qq source ([`crate::delta`]) decides at runtime whether an
 //! iteration takes the delta scan, the pipeline, or falls back to the
 //! sequential plan. Under `DeltaPolicy::Auto` the fallback is silent;
 //! under `Forced` it is an error — raised only after Qs has already run.
@@ -37,7 +37,7 @@ pub enum PredictedPath {
 pub struct DeltaExplain {
     /// Policy the program requested.
     pub policy: DeltaPolicy,
-    /// Whether the mechanism has a delta driver at all.
+    /// Whether the mechanism has a delta source at all.
     pub mechanism_supported: bool,
     /// Single-table scan shape (`DeltaSelectRunner::eligible_shape`).
     pub shape_eligible: bool,

@@ -31,7 +31,6 @@ use rql_sqlengine::{
     Value,
 };
 
-use crate::aggregate::{parse_col_func_pairs, AggOp};
 use crate::analyze::dataflow::{self, DfNode, DfStmt, MechNode, PlainNode};
 use crate::analyze::delta::DeltaExplain;
 use crate::analyze::diag::{dedupe, Applicability, Code, Diagnostic, Fix, Severity, SourceKind};
@@ -40,6 +39,7 @@ use crate::analyze::mechspec::{MechanismCall, MechanismKind};
 use crate::analyze::resolve::check_select;
 use crate::analyze::rewrite_safety;
 use crate::delta::DeltaPolicy;
+use crate::mechanism::MechSpec;
 use crate::report::RqlReport;
 use crate::rewrite::render_select;
 use crate::session::RqlSession;
@@ -555,30 +555,7 @@ fn dispatch_mechanism_parts(
     spec: Option<&str>,
     policy: Option<DeltaPolicy>,
 ) -> Result<RqlReport> {
-    match kind {
-        MechanismKind::Collate => match policy {
-            Some(p) => session.collate_data_with_policy(qs, qq, table, p),
-            None => session.collate_data(qs, qq, table),
-        },
-        MechanismKind::AggVar => {
-            let func = AggOp::parse(spec.unwrap_or_default())?;
-            match policy {
-                Some(p) => session.aggregate_data_in_variable_with_policy(qs, qq, table, func, p),
-                None => session.aggregate_data_in_variable(qs, qq, table, func),
-            }
-        }
-        MechanismKind::AggTable => {
-            let pairs = parse_col_func_pairs(spec.unwrap_or_default())?;
-            match policy {
-                Some(p) => session.aggregate_data_in_table_with_policy(qs, qq, table, &pairs, p),
-                None => session.aggregate_data_in_table(qs, qq, table, &pairs),
-            }
-        }
-        MechanismKind::Intervals => match policy {
-            Some(p) => session.collate_data_into_intervals_with_policy(qs, qq, table, p),
-            None => session.collate_data_into_intervals(qs, qq, table),
-        },
-    }
+    session.run_mechanism(MechSpec::parse(kind, spec)?, qs, qq, table, policy)
 }
 
 /// A mechanism call's textual arguments, extracted from one statement —

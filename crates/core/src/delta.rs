@@ -1,27 +1,37 @@
-//! Delta-driven snapshot iteration — the perf extension to the paper's
-//! mechanisms (§3) for closely-spaced snapshot sets.
+//! The per-snapshot Qq source: where one snapshot's Qq output comes from.
 //!
-//! The sequential mechanisms re-execute Qq from scratch per snapshot, so
-//! an iteration's cost is proportional to the *table* size even when the
-//! snapshots differ by a handful of rows. The delta drivers here open the
-//! whole snapshot set as a chain
-//! ([`rql_retro::RetroStore::open_snapshot_chain`]), build each SPT
-//! incrementally from its predecessor, and evaluate Qq through the
-//! engine's delta-aware scan ([`rql_sqlengine::DeltaSelectRunner`]),
-//! which re-reads only the heap pages in the changed set between
-//! consecutive snapshots.
+//! Every mechanism is "for each snapshot in Qs, run Qq, fold its rows
+//! into T" (paper §2–§3). The fold lives in [`crate::mechanism`]; this
+//! module is the other half — [`QqSource`], the only per-snapshot Qq
+//! evaluator in the crate. [`DeltaPolicy`] picks the *source* of a
+//! snapshot's output and never the algorithm that folds it:
 //!
-//! Two evaluation modes, both byte-identical to the sequential result:
-//!
-//! * **pipeline** — re-run Qq's post-scan stages (the same
+//! * **sequential** — rewrite Qq (`AS OF` + `current_snapshot()`) and run
+//!   the ordinary plan; cost proportional to the *table* size.
+//! * **chain delta** — open the snapshot set as a chain
+//!   ([`rql_retro::RetroStore::open_snapshot_chain`]), build each SPT
+//!   incrementally from its predecessor, and evaluate Qq through the
+//!   engine's delta-aware scan ([`rql_sqlengine::DeltaSelectRunner`]),
+//!   which re-reads only the heap pages in the changed set between
+//!   consecutive snapshots and re-runs Qq's post-scan stages (the same
 //!   `finish_select` code the ordinary plan uses) over the cached
 //!   filtered base rows. Saves the page I/O, pays O(rows) CPU.
-//!   `CollateData` always uses this mode.
-//! * **incremental** — for `AggregateDataInVariable` whose Qq is a bare
-//!   inner aggregate (`SELECT SUM(x) FROM t [WHERE …]`), maintain the
-//!   inner aggregate across iterations and fold only the added/removed
-//!   rows: O(delta) CPU. Exactness guards (below) degrade permanently to
-//!   pipeline mode whenever bit-identical output cannot be proven.
+//! * **memo hit** — a [`QqMemo`] entry for `(Qq, snapshot)` skips the
+//!   execution; on a chain the runner is re-primed from the memoized
+//!   scanner seed, so the next snapshot still scans only changed pages.
+//! * **pruned / unchanged skip** — a chain scan that fetched zero pages
+//!   and produced no row delta reuses the previous output outright.
+//! * **incremental inner aggregate** — when Qq is a bare inner aggregate
+//!   (`SELECT SUM(x) FROM t [WHERE …]`) feeding
+//!   `AggregateDataInVariable`, maintain it across the chain and fold
+//!   only the added/removed rows: O(delta) CPU, yielding the one-row
+//!   result a fresh evaluation would. Exactness guards (below) degrade
+//!   permanently to the pipeline whenever bit-identical output cannot be
+//!   proven.
+//!
+//! Every source is byte-identical to the sequential result
+//! (snapshot-reducibility: the fold's state after snapshot *s* equals Qq
+//! evaluated at *s* folded over the prefix).
 //!
 //! Exactness guards for the incremental inner aggregate:
 //!
@@ -43,46 +53,35 @@
 //! A schema change invalidates the compiled aggregate argument, but this
 //! dialect has no `ALTER TABLE`: a schema can only change via
 //! `DROP`+`CREATE`, which allocates a fresh root page, which the scanner
-//! detects (root moved → rebuild) and the driver answers by re-seeding
+//! detects (root moved → rebuild) and the source answers by re-seeding
 //! from the rebuilt row set.
-//!
-//! `AggregateDataInTable` adds a third mode on top of the pipeline scan:
-//! a **write-skipping in-table fold** ([`AggTableFold`]). The fold state
-//! remembers each group's record sublist and whether its last fold pass
-//! wrote anything; a group that is stable *and* was write-free is
-//! skipped without even a probe (provably a no-op — see the type's
-//! byte-identity argument), which eliminates the per-record index probes
-//! for the stable majority of groups while keeping the result table
-//! byte-identical to the sequential mechanism.
 //!
 //! Shapes the delta scan cannot reproduce byte-for-byte (joins, indexed
 //! probes, UDFs in WHERE, `current_snapshot()` in WHERE) fall back to
 //! the ordinary plan per [`DeltaPolicy`]: `Auto` silently, `Forced` with
-//! an error. `CollateDataIntoIntervals` still runs sequentially under
-//! `Auto` (lifetime extension probes the result table per record —
-//! extending deltas to it remains a ROADMAP open item).
+//! an error. `CollateDataIntoIntervals` keeps the sequential source
+//! under `Auto` (its delta source is a ROADMAP open item).
 
 use std::cmp::Ordering;
-use std::time::Instant;
 
 use rql_retro::SnapshotReader;
 use rql_sqlengine::ast::{Expr, SelectItem, Stmt};
 use rql_sqlengine::cexpr::{compile, eval, CExpr, Scope};
 use rql_sqlengine::{
-    parse_select, Catalog, Database, DeltaScan, DeltaSelectRunner, ExecStats, QueryResult, Result,
-    Row, SelectStmt, SkipReason, SqlError, UdfRegistry, Value,
+    parse_select, Catalog, Database, DeltaScan, DeltaSelectRunner, QueryResult, Result, Row,
+    SelectStmt, SkipReason, SqlError, UdfRegistry, Value,
 };
 
 use crate::aggregate::AggOp;
-use crate::mechanism::{self, MemoHandle};
+use crate::analyze::MechanismKind;
+use crate::mechanism::MemoHandle;
 use crate::memoize::QqMemo;
-use crate::report::{IterationReport, RqlReport};
 use crate::rewrite::{rewrite_select, uses_current_snapshot};
 
 /// When to take the delta-aware iteration path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeltaPolicy {
-    /// Never: delegate to the sequential mechanism unconditionally.
+    /// Never: evaluate Qq through the ordinary plan unconditionally.
     Off,
     /// Delta when the Qq shape allows it, sequential fallback otherwise
     /// (per computation *and* per iteration).
@@ -91,17 +90,6 @@ pub enum DeltaPolicy {
     /// Delta or error — for tests and benchmarks that must not silently
     /// measure the ordinary path.
     Forced,
-}
-
-/// Parse Qq and reject `AS OF` (same contract as the sequential loop).
-fn parse_qq(qq: &str) -> Result<SelectStmt> {
-    let parsed = parse_select(qq)?;
-    if parsed.as_of.is_some() {
-        return Err(SqlError::Invalid(
-            "Qq must not contain AS OF; RQL binds the snapshot per iteration".into(),
-        ));
-    }
-    Ok(parsed)
 }
 
 /// Static (per-computation) eligibility: a single-table scan shape whose
@@ -117,84 +105,134 @@ fn shape_eligible(parsed: &SelectStmt) -> bool {
 }
 
 /// Analyzer mirror of [`inner_agg_shape`]: whether Qq is the bare inner
-/// aggregate the incremental `AggregateDataInVariable` path maintains.
+/// aggregate the incremental `AggregateDataInVariable` source maintains.
 pub(crate) fn has_inner_agg_shape(parsed: &SelectStmt) -> bool {
     inner_agg_shape(parsed).is_some()
 }
 
-fn forced_shape_error() -> SqlError {
-    SqlError::Invalid(
-        "DeltaPolicy::Forced requires a delta-eligible Qq: a single FROM table, \
-         no joins, and no current_snapshot() in WHERE"
-            .into(),
-    )
-}
-
-fn forced_runtime_error(sid: u64) -> SqlError {
-    SqlError::Invalid(format!(
-        "DeltaPolicy::Forced, but snapshot {sid} requires the ordinary plan \
-         (indexed equality probe or UDF in WHERE)"
-    ))
-}
-
-fn table_exists_error(table: &str) -> SqlError {
-    SqlError::Constraint(format!("result table {table} already exists"))
-}
-
-// ======================================================================
-// DeltaQqStream — shared per-snapshot Qq evaluation
-// ======================================================================
-
-/// Per-snapshot Qq evaluation over a delta chain: runner state, memo
-/// lookups, output reuse on whole-snapshot skips, and the
-/// `DeltaPolicy::Forced` contract, factored out so `CollateData`,
-/// `AggregateDataInTable`, and the standing-query maintainer drive one
-/// implementation. Call [`advance`](Self::advance) once per snapshot in
-/// chain order, then read [`current`](Self::current).
-pub(crate) struct DeltaQqStream {
+/// Per-snapshot Qq evaluation: the source choice made once from the
+/// policy and the Qq shape, the delta runner, memo lookups, output reuse
+/// on whole-snapshot skips, the incremental inner aggregate and the
+/// `DeltaPolicy::Forced` contract. Batch runs, the per-row UDF form, the
+/// standing-query maintainer and the parallel pool's workers all drive
+/// this one implementation: [`open_chain`](Self::open_chain) for a run of
+/// snapshot ids, then [`advance`](Self::advance) once per id in order
+/// and read [`current`](Self::current).
+pub(crate) struct QqSource {
     parsed: SelectStmt,
     memo: Option<QqMemo>,
+    /// Snapshots are read through a delta chain; `false` runs the
+    /// ordinary plan per snapshot without opening one.
+    chain: bool,
+    forced: bool,
     runner: DeltaSelectRunner,
-    policy: DeltaPolicy,
     /// Whether a whole-snapshot skip may reuse the previous output
     /// outright (deterministic, snapshot-invariant post-scan stages).
     reusable: bool,
-    /// Shape-ineligible Qq (joins, or `current_snapshot()` in WHERE —
-    /// the scanner's cached filter would be wrong): never attempt the
-    /// delta scan, evaluate sequentially every snapshot. The batch
-    /// drivers pre-check and route to the sequential mechanism instead;
-    /// this guard keeps the stream correct for callers that cannot
-    /// (the standing-query maintainer takes whatever Qq was registered).
-    seq_only: bool,
+    /// The incremental shape, until exactness is lost.
+    inner_spec: Option<InnerSpec>,
+    /// Running inner aggregate; `None` = stale, re-seed from the next
+    /// live scan's row set.
+    inner: Option<InnerAgg>,
+    /// Outputs evaluated ahead of time, served in order instead.
+    preloaded: Option<std::vec::IntoIter<QueryResult>>,
     current: Option<QueryResult>,
+    /// The last snapshot evaluated: where the next chain continues from.
+    last_sid: Option<u64>,
 }
 
-impl DeltaQqStream {
+impl QqSource {
+    /// Parse Qq and choose its source under `policy` (`None` = `Off`).
     pub(crate) fn new(
         snap: &Database,
-        parsed: SelectStmt,
-        policy: DeltaPolicy,
+        qq: &str,
+        kind: MechanismKind,
+        policy: Option<DeltaPolicy>,
         memo: MemoHandle,
-    ) -> Self {
-        let memo = QqMemo::attach(memo, snap, &parsed);
+    ) -> Result<Self> {
+        let parsed = parse_select(qq)?;
+        if parsed.as_of.is_some() {
+            return Err(SqlError::Invalid(
+                "Qq must not contain AS OF; RQL binds the snapshot per iteration".into(),
+            ));
+        }
+        let forced = policy == Some(DeltaPolicy::Forced);
+        let chain = match policy {
+            None | Some(DeltaPolicy::Off) => false,
+            // Lifetime extension has no delta source yet.
+            Some(_) if kind == MechanismKind::Intervals => {
+                if forced {
+                    return Err(SqlError::Invalid(
+                        "DeltaPolicy::Forced is not supported for CollateDataIntoIntervals \
+                         (no delta path yet; see ROADMAP open items)"
+                            .into(),
+                    ));
+                }
+                false
+            }
+            // Joins, or `current_snapshot()` in WHERE — the scanner's
+            // cached filter would be wrong.
+            Some(_) if !shape_eligible(&parsed) => {
+                if forced {
+                    return Err(SqlError::Invalid(
+                        "DeltaPolicy::Forced requires a delta-eligible Qq: a single FROM \
+                         table, no joins, and no current_snapshot() in WHERE"
+                            .into(),
+                    ));
+                }
+                false
+            }
+            Some(_) => true,
+        };
         // A snapshot whose scan fetched zero pages and produced no row
         // delta may reuse the previous iteration's output outright — but
         // only when the post-scan stages are deterministic (no UDF
         // anywhere) and snapshot-invariant (no current_snapshot() outside
         // WHERE; the rewrite probe differs between two sids exactly when
         // the substituted literal appears somewhere).
-        let reusable = crate::memoize::memo_eligible(&parsed)
+        let reusable = chain
+            && crate::memoize::memo_eligible(&parsed)
             && rewrite_select(&parsed, 0) == rewrite_select(&parsed, 1);
-        let seq_only = !shape_eligible(&parsed);
-        DeltaQqStream {
+        let inner_spec = (chain && kind == MechanismKind::AggVar)
+            .then(|| inner_agg_shape(&parsed))
+            .flatten();
+        Ok(QqSource {
+            memo: QqMemo::attach(memo, snap, &parsed),
             parsed,
-            memo,
+            chain,
+            forced,
             runner: DeltaSelectRunner::new(),
-            policy,
             reusable,
-            seq_only,
+            inner_spec,
+            inner: None,
+            preloaded: None,
             current: None,
+            last_sid: None,
+        })
+    }
+
+    /// Serve `results` (one per upcoming [`advance`](Self::advance), in
+    /// order) instead of evaluating — the parallel pool's hand-over.
+    pub(crate) fn preload(&mut self, results: Vec<QueryResult>) {
+        self.preloaded = Some(results.into_iter());
+    }
+
+    /// Readers for the upcoming run over `ids`, aligned with it; empty
+    /// when this source does not read through a chain. The chain starts
+    /// at the last snapshot evaluated, so a source kept alive across
+    /// runs (a standing query) builds its SPT incrementally and scans
+    /// only the pages changed since.
+    pub(crate) fn open_chain(&self, snap: &Database, ids: &[u64]) -> Result<Vec<SnapshotReader>> {
+        if !self.chain || self.preloaded.is_some() {
+            return Ok(Vec::new());
         }
+        let Some(last) = self.last_sid else {
+            return Ok(snap.store().open_snapshot_chain(ids)?);
+        };
+        let chain: Vec<u64> = std::iter::once(last).chain(ids.iter().copied()).collect();
+        let mut readers = snap.store().open_snapshot_chain(&chain)?;
+        readers.remove(0);
+        Ok(readers)
     }
 
     /// This snapshot's Qq output (valid after [`advance`](Self::advance)).
@@ -202,199 +240,194 @@ impl DeltaQqStream {
         self.current.as_ref().expect("advance() before current()")
     }
 
-    /// Evaluate Qq at `sid` through the delta-aware scan, consuming the
-    /// chain delta carried by `reader`. Returns whether the memo served
-    /// the result.
+    /// Move the current output out (a pool worker handing it over).
+    pub(crate) fn take_current(&mut self) -> QueryResult {
+        self.current
+            .take()
+            .expect("advance() before take_current()")
+    }
+
+    /// Evaluate Qq at `sid` — through `reader`'s chain delta when one was
+    /// opened for it, else the ordinary plan. Returns whether the memo
+    /// served the result.
     pub(crate) fn advance(
         &mut self,
         snap: &Database,
-        reader: &SnapshotReader,
+        reader: Option<&SnapshotReader>,
         sid: u64,
     ) -> Result<bool> {
+        // Cancellation checkpoint between snapshots: a `CANCEL` that
+        // lands mid-loop stops before the next Qq opens its snapshot
+        // (row-batch checkpoints inside the executor cover the rest).
         snap.cancel_token().check()?;
-        let rewritten = rewrite_select(&self.parsed, sid);
+        if let Some(results) = &mut self.preloaded {
+            self.current = results.next();
+            return Ok(false);
+        }
+        // Snapshots are immutable, so a memoized Qq result at `sid` is
+        // byte-identical to re-execution; hits skip the executor (and
+        // report zeroed Qq stats — no pages read, nothing evaluated).
         let cached = self
             .memo
             .as_ref()
-            .and_then(|m| m.lookup_result(reader, &self.parsed, sid));
+            .and_then(|m| m.lookup_result(snap, reader, &self.parsed, sid));
         let memo_hit = cached.is_some();
         if memo_hit {
             rql_trace::instant_arg(rql_trace::SpanId::MemoHit, sid);
         } else if self.memo.is_some() {
             rql_trace::instant_arg(rql_trace::SpanId::MemoMiss, sid);
         }
-        let result = match cached {
-            Some(r) => {
-                // Keep the chain delta across the skipped execution: the
-                // memoized seed is the scanner state as of `sid`, so the
-                // next iteration's changed-set (relative to `sid`) still
-                // applies. No seed → invalidate and let it rebuild.
-                match self
-                    .memo
-                    .as_ref()
-                    .and_then(|m| m.lookup_seed(reader, &self.parsed, sid))
-                {
-                    Some(seed) => self.runner.import_seed(seed),
-                    None => self.runner.invalidate(),
+        let result = match (cached, reader) {
+            (Some(r), reader) => {
+                if let Some(reader) = reader {
+                    // Keep the chain delta across the skipped execution:
+                    // the memoized seed is the scanner state as of `sid`,
+                    // so the next iteration's changed-set (relative to
+                    // `sid`) still applies. No seed → invalidate and let
+                    // it rebuild. The running inner aggregate cannot
+                    // absorb a skipped iteration, so it goes stale.
+                    match self
+                        .memo
+                        .as_ref()
+                        .and_then(|m| m.lookup_seed(reader, &self.parsed, sid))
+                    {
+                        Some(seed) => self.runner.import_seed(seed),
+                        None => self.runner.invalidate(),
+                    }
+                    self.inner = None;
                 }
                 r
             }
-            None => match if self.seq_only {
-                None
-            } else {
-                snap.delta_scan(reader, &rewritten, &mut self.runner)?
-            } {
-                Some((scan, mut stats)) => {
-                    rql_trace::instant_arg(rql_trace::SpanId::DeltaPath, sid);
-                    let skip = scan.snapshot_skip();
-                    if skip == Some(SkipReason::Pruned) {
-                        // The store-level counter feeds METRICS; the local
-                        // snapshot was taken inside delta_scan, before this
-                        // decision, so the iteration's stats need the bump
-                        // too or the report under-counts.
-                        snap.io_stats().count_snapshot_pruned();
-                        stats.io.snapshots_pruned += 1;
-                        rql_trace::instant_arg(rql_trace::SpanId::SnapshotPruned, sid);
-                    }
-                    let r = match &self.current {
-                        Some(prev) if self.reusable && skip.is_some() => {
-                            // Zero heap fetches and an empty row delta:
-                            // the filtered base rows are byte-identical to
-                            // the previous iteration's, so its output is
-                            // this iteration's output — skip the post-scan
-                            // stages entirely.
-                            stats.rows = prev.rows.len() as u64;
-                            QueryResult {
-                                columns: prev.columns.clone(),
-                                rows: prev.rows.clone(),
-                                stats,
-                                plan: vec![format!(
-                                    "{}: delta seq scan (output reused)",
-                                    rewritten.from[0].name
-                                )],
-                            }
-                        }
-                        _ => {
-                            let fin = snap.delta_finish(reader, &rewritten, scan.rows)?;
-                            stats.eval += fin.stats.eval;
-                            stats.io.accumulate(&fin.stats.io);
-                            stats.rows = fin.stats.rows;
-                            QueryResult { stats, ..fin }
-                        }
-                    };
-                    if let Some(m) = &self.memo {
-                        m.record_result(reader, &self.parsed, sid, &r);
-                        if let Some(seed) = self.runner.export_seed() {
-                            m.record_seed(reader, &self.parsed, sid, seed);
-                        }
-                    }
-                    r
-                }
-                None => {
-                    if self.policy == DeltaPolicy::Forced {
-                        return Err(forced_runtime_error(sid));
-                    }
-                    rql_trace::instant_arg(rql_trace::SpanId::SeqPath, sid);
-                    let outcome = snap.execute_stmt(&Stmt::Select(rewritten))?;
-                    let r = outcome.rows().expect("SELECT yields rows");
-                    if let Some(m) = &self.memo {
-                        m.record_result(reader, &self.parsed, sid, &r);
-                    }
-                    r
-                }
-            },
+            (None, Some(reader)) => self.scan(snap, reader, sid)?,
+            (None, None) => self.execute(snap, None, sid)?,
         };
         self.current = Some(result);
+        self.last_sid = Some(sid);
         Ok(memo_hit)
     }
-}
 
-// ======================================================================
-// CollateData
-// ======================================================================
-
-/// Delta-driven `CollateData(Qs, Qq, T)`: identical folding to
-/// [`mechanism::collate_data`], but Qq runs through the delta-aware scan
-/// when `policy` and the Qq shape allow it.
-pub fn collate_data_delta(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    policy: DeltaPolicy,
-) -> Result<RqlReport> {
-    collate_data_delta_with_memo(snap, aux, qs, qq, table, policy, None)
-}
-
-/// [`collate_data_delta`] with an optional memo store attached. A memo
-/// hit at snapshot `i` skips both the page reads *and* the chain break:
-/// the runner is re-primed from the memoized scanner seed, so snapshot
-/// `i+1` still scans only its changed pages.
-pub(crate) fn collate_data_delta_with_memo(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    policy: DeltaPolicy,
-    memo: MemoHandle,
-) -> Result<RqlReport> {
-    if policy == DeltaPolicy::Off {
-        return mechanism::collate_data_with_memo(snap, aux, qs, qq, table, memo);
-    }
-    if aux.table_row_count(table).is_ok() {
-        return Err(SqlError::Constraint(format!(
-            "result table {table} already exists (CollateData creates it)"
-        )));
-    }
-    let parsed = parse_qq(qq)?;
-    if !shape_eligible(&parsed) {
-        return match policy {
-            DeltaPolicy::Forced => Err(forced_shape_error()),
-            _ => mechanism::collate_data_with_memo(snap, aux, qs, qq, table, memo),
-        };
-    }
-    let (ids, qs_time) = mechanism::snapshot_set(aux, qs)?;
-    let readers = snap.store().open_snapshot_chain(&ids)?;
-    let mut stream = DeltaQqStream::new(snap, parsed, policy, memo);
-    let mut report = RqlReport {
-        qs_time,
-        ..Default::default()
-    };
-    let mut exists = false;
-    for (&sid, reader) in ids.iter().zip(readers.iter()) {
-        let _qq_span = rql_trace::span_arg(rql_trace::SpanId::QqIteration, sid);
-        let iter_started = Instant::now();
-        let memo_hit = stream.advance(snap, reader, sid)?;
-        let result = stream.current();
-        let udf_started = Instant::now();
-        if !exists {
-            mechanism::create_result_table_pub(aux, table, &result.columns)?;
-            exists = true;
+    /// The ordinary plan at `sid`.
+    fn execute(
+        &self,
+        snap: &Database,
+        reader: Option<&SnapshotReader>,
+        sid: u64,
+    ) -> Result<QueryResult> {
+        let rewritten = rewrite_select(&self.parsed, sid);
+        let outcome = snap.execute_stmt(&Stmt::Select(rewritten))?;
+        let result = outcome.rows().expect("SELECT yields rows");
+        if let Some(m) = &self.memo {
+            m.record_result(snap, reader, &self.parsed, sid, &result);
         }
-        let (inserts, updates) = aux.with_table_writer(table, |w| {
-            for row in &result.rows {
-                w.insert(row.clone())?;
-            }
-            Ok((w.inserted(), w.updated()))
-        })?;
-        report.iterations.push(IterationReport {
-            snap_id: sid,
-            qq_stats: result.stats,
-            udf_time: udf_started.elapsed(),
-            qq_rows: result.rows.len() as u64,
-            result_inserts: inserts,
-            result_updates: updates,
-            memo_hit,
-            wall: iter_started.elapsed(),
-        });
+        Ok(result)
     }
-    Ok(report)
+
+    /// The incremental inner aggregate's value at this scan, when it is
+    /// live and still exact.
+    fn incremental(&mut self, scan: &DeltaScan) -> Result<Option<Value>> {
+        if scan.rebuilt {
+            return Ok(None);
+        }
+        let Some(agg) = &mut self.inner else {
+            return Ok(None);
+        };
+        let value = agg.apply(scan)?;
+        if value.is_none() {
+            // Exactness lost: stay on the pipeline for good.
+            self.inner = None;
+            self.inner_spec = None;
+        }
+        Ok(value)
+    }
+
+    /// The delta-aware scan at `sid`, consuming the chain delta carried
+    /// by `reader`.
+    fn scan(&mut self, snap: &Database, reader: &SnapshotReader, sid: u64) -> Result<QueryResult> {
+        let rewritten = rewrite_select(&self.parsed, sid);
+        let Some((scan, mut stats)) = snap.delta_scan(reader, &rewritten, &mut self.runner)? else {
+            if self.forced {
+                return Err(SqlError::Invalid(format!(
+                    "DeltaPolicy::Forced, but snapshot {sid} requires the ordinary plan \
+                     (indexed equality probe or UDF in WHERE)"
+                )));
+            }
+            // The runner has self-invalidated, so the next successful
+            // scan rebuilds and re-seeds.
+            rql_trace::instant_arg(rql_trace::SpanId::SeqPath, sid);
+            self.inner = None;
+            return self.execute(snap, Some(reader), sid);
+        };
+        rql_trace::instant_arg(rql_trace::SpanId::DeltaPath, sid);
+        let skip = scan.snapshot_skip();
+        if skip == Some(SkipReason::Pruned) {
+            // The store-level counter feeds METRICS; the local snapshot
+            // was taken inside delta_scan, before this decision, so the
+            // iteration's stats need the bump too or the report
+            // under-counts.
+            snap.io_stats().count_snapshot_pruned();
+            stats.io.snapshots_pruned += 1;
+            rql_trace::instant_arg(rql_trace::SpanId::SnapshotPruned, sid);
+        }
+        let result = match (self.incremental(&scan)?, &self.current) {
+            (Some(v), Some(prev)) => {
+                // The value a fresh execution would return is exactly
+                // this one row, under the column the pipeline named.
+                stats.rows = 1;
+                QueryResult {
+                    columns: prev.columns.clone(),
+                    rows: vec![vec![v]],
+                    stats,
+                    plan: Vec::new(),
+                }
+            }
+            (None, Some(prev)) if self.reusable && skip.is_some() => {
+                // Zero heap fetches and an empty row delta: the filtered
+                // base rows are byte-identical to the previous
+                // iteration's, so its output is this iteration's output —
+                // skip the post-scan stages entirely.
+                stats.rows = prev.rows.len() as u64;
+                QueryResult {
+                    columns: prev.columns.clone(),
+                    rows: prev.rows.clone(),
+                    stats,
+                    plan: vec![format!(
+                        "{}: delta seq scan (output reused)",
+                        rewritten.from[0].name
+                    )],
+                }
+            }
+            _ => {
+                // Pipeline: same post-scan stages as the ordinary plan
+                // over the cached base rows. An incremental aggregate
+                // that is stale (or just lost exactness) re-seeds here.
+                self.inner = match &self.inner_spec {
+                    Some(spec) => {
+                        InnerAgg::seed(spec, &self.parsed, &Catalog::load(reader)?, &scan.rows)?
+                    }
+                    None => None,
+                };
+                if self.inner.is_none() {
+                    self.inner_spec = None;
+                }
+                let fin = snap.delta_finish(reader, &rewritten, scan.rows)?;
+                stats.eval += fin.stats.eval;
+                stats.io.accumulate(&fin.stats.io);
+                stats.rows = fin.stats.rows;
+                QueryResult { stats, ..fin }
+            }
+        };
+        if let Some(m) = &self.memo {
+            m.record_result(snap, Some(reader), &self.parsed, sid, &result);
+            if let Some(seed) = self.runner.export_seed() {
+                m.record_seed(reader, &self.parsed, sid, seed);
+            }
+        }
+        Ok(result)
+    }
 }
 
 // ======================================================================
-// AggregateDataInVariable — incremental inner aggregate
+// Incremental inner aggregate
 // ======================================================================
 
 /// The recognized incremental shape: `SELECT <agg>(<arg>|*) FROM t
@@ -452,32 +485,34 @@ const MAX_EXACT_F64: i128 = 1 << 53;
 
 /// Running inner-aggregate value with its exactness bookkeeping.
 enum InnerAcc {
-    Count { n: i64 },
-    SumInt { sum: i128, abs: i128, nonnull: i64 },
-    AvgInt { sum: i128, abs: i128, count: i64 },
-    MinMax { max: bool, best: Option<Value> },
+    Count {
+        n: i64,
+    },
+    /// SUM (or, with `avg`, AVG) over all-`Integer` input.
+    IntSum {
+        avg: bool,
+        sum: i128,
+        abs: i128,
+        nonnull: i64,
+    },
+    MinMax {
+        max: bool,
+        best: Option<Value>,
+    },
 }
 
 impl InnerAcc {
     fn new(op: AggOp) -> InnerAcc {
         match op {
             AggOp::Count => InnerAcc::Count { n: 0 },
-            AggOp::Sum => InnerAcc::SumInt {
+            AggOp::Sum | AggOp::Avg => InnerAcc::IntSum {
+                avg: op == AggOp::Avg,
                 sum: 0,
                 abs: 0,
                 nonnull: 0,
             },
-            AggOp::Avg => InnerAcc::AvgInt {
-                sum: 0,
-                abs: 0,
-                count: 0,
-            },
-            AggOp::Min => InnerAcc::MinMax {
-                max: false,
-                best: None,
-            },
-            AggOp::Max => InnerAcc::MinMax {
-                max: true,
+            AggOp::Min | AggOp::Max => InnerAcc::MinMax {
+                max: op == AggOp::Max,
                 best: None,
             },
         }
@@ -489,75 +524,45 @@ impl InnerAcc {
     ///
     /// [`AggAcc::update`]: rql_sqlengine::exec
     fn fold(&mut self, v: Option<Value>) -> bool {
-        match self {
-            InnerAcc::Count { n } => {
-                if v.as_ref().is_none_or(|v| !v.is_null()) {
-                    *n += 1;
-                }
-                true
-            }
-            InnerAcc::SumInt { sum, abs, nonnull } => match v {
-                Some(Value::Null) => true,
-                Some(Value::Integer(i)) => {
-                    *sum += i128::from(i);
-                    *abs += i128::from(i).abs();
-                    *nonnull += 1;
-                    true
-                }
-                _ => false,
-            },
-            InnerAcc::AvgInt { sum, abs, count } => match v {
-                Some(Value::Null) => true,
-                Some(Value::Integer(i)) => {
-                    *sum += i128::from(i);
-                    *abs += i128::from(i).abs();
-                    *count += 1;
-                    true
-                }
-                _ => false,
-            },
-            InnerAcc::MinMax { max, best } => {
-                let Some(v) = v else { return false };
-                if !v.is_null() {
-                    let better = best.as_ref().is_none_or(|b| {
-                        let ord = v.total_cmp(b);
-                        ord != Ordering::Equal && (ord == Ordering::Greater) == *max
-                    });
-                    if better {
-                        *best = Some(v);
-                    }
-                }
-                true
+        let InnerAcc::MinMax { max, best } = self else {
+            return self.shift(v, 1);
+        };
+        let Some(v) = v else { return false };
+        if !v.is_null() {
+            let better = best.as_ref().is_none_or(|b| {
+                let ord = v.total_cmp(b);
+                ord != Ordering::Equal && (ord == Ordering::Greater) == *max
+            });
+            if better {
+                *best = Some(v);
             }
         }
+        true
     }
 
     /// Subtract one removed value. MIN/MAX removals are handled by the
     /// caller's re-fold, never here.
     fn unfold(&mut self, v: Option<Value>) -> bool {
+        self.shift(v, -1)
+    }
+
+    /// Add (`sign` 1) or subtract (`sign` -1) one value's contribution.
+    fn shift(&mut self, v: Option<Value>, sign: i64) -> bool {
         match self {
             InnerAcc::Count { n } => {
                 if v.as_ref().is_none_or(|v| !v.is_null()) {
-                    *n -= 1;
+                    *n += sign;
                 }
                 true
             }
-            InnerAcc::SumInt { sum, abs, nonnull } => match v {
+            InnerAcc::IntSum {
+                sum, abs, nonnull, ..
+            } => match v {
                 Some(Value::Null) => true,
                 Some(Value::Integer(i)) => {
-                    *sum -= i128::from(i);
-                    *abs -= i128::from(i).abs();
-                    *nonnull -= 1;
-                    true
-                }
-                _ => false,
-            },
-            InnerAcc::AvgInt { sum, abs, count } => match v {
-                Some(Value::Null) => true,
-                Some(Value::Integer(i)) => {
-                    *sum -= i128::from(i);
-                    *abs -= i128::from(i).abs();
-                    *count -= 1;
+                    *sum += i128::from(sign) * i128::from(i);
+                    *abs += i128::from(sign) * i128::from(i).abs();
+                    *nonnull += sign;
                     true
                 }
                 _ => false,
@@ -569,8 +574,8 @@ impl InnerAcc {
     /// Whether the exactness guard still holds after the latest folds.
     fn guard_ok(&self) -> bool {
         match self {
-            InnerAcc::SumInt { abs, .. } => *abs <= i128::from(i64::MAX),
-            InnerAcc::AvgInt { abs, .. } => *abs <= MAX_EXACT_F64,
+            InnerAcc::IntSum { avg: true, abs, .. } => *abs <= MAX_EXACT_F64,
+            InnerAcc::IntSum { abs, .. } => *abs <= i128::from(i64::MAX),
             _ => true,
         }
     }
@@ -579,20 +584,14 @@ impl InnerAcc {
     fn finish(&self) -> Value {
         match self {
             InnerAcc::Count { n } => Value::Integer(*n),
-            InnerAcc::SumInt { sum, nonnull, .. } => {
-                if *nonnull == 0 {
-                    Value::Null
-                } else {
-                    Value::Integer(*sum as i64)
-                }
-            }
-            InnerAcc::AvgInt { sum, count, .. } => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    Value::Real(*sum as f64 / *count as f64)
-                }
-            }
+            InnerAcc::IntSum { nonnull: 0, .. } => Value::Null,
+            InnerAcc::IntSum {
+                avg: true,
+                sum,
+                nonnull,
+                ..
+            } => Value::Real(*sum as f64 / *nonnull as f64),
+            InnerAcc::IntSum { sum, .. } => Value::Integer(*sum as i64),
             InnerAcc::MinMax { best, .. } => best.clone().unwrap_or(Value::Null),
         }
     }
@@ -603,15 +602,6 @@ fn arg_value(arg: &Option<CExpr>, row: &Row) -> Result<Option<Value>> {
         None => Ok(None),
         Some(c) => eval(c, row, &[]).map(Some),
     }
-}
-
-/// Outcome of folding one iteration's delta into the running aggregate.
-enum Applied {
-    /// The iteration's Qq value, bit-identical to a fresh evaluation.
-    Value(Value),
-    /// Exactness lost — the caller must recompute via the pipeline and
-    /// stay there.
-    Degrade,
 }
 
 /// Incremental inner-aggregate state: the compiled argument plus the
@@ -656,20 +646,24 @@ impl InnerAgg {
             arg,
             acc: InnerAcc::new(spec.op),
         };
-        for row in rows {
-            let v = arg_value(&agg.arg, row)?;
-            if !agg.acc.fold(v) {
-                return Ok(None);
-            }
-        }
-        if !agg.acc.guard_ok() {
-            return Ok(None);
-        }
-        Ok(Some(agg))
+        Ok(agg.refold(rows)?.then_some(agg))
     }
 
-    /// Fold one non-rebuilt scan's delta and return the iteration value.
-    fn apply(&mut self, scan: &DeltaScan) -> Result<Applied> {
+    /// Fold `rows` (a full scan, in scan order) on top of the
+    /// accumulator; `false` = exactness lost.
+    fn refold(&mut self, rows: &[Row]) -> Result<bool> {
+        for row in rows {
+            if !self.acc.fold(arg_value(&self.arg, row)?) {
+                return Ok(false);
+            }
+        }
+        Ok(self.acc.guard_ok())
+    }
+
+    /// Fold one non-rebuilt scan's delta and return the iteration's Qq
+    /// value, bit-identical to a fresh evaluation. `None` = exactness
+    /// lost: the caller must recompute via the pipeline.
+    fn apply(&mut self, scan: &DeltaScan) -> Result<Option<Value>> {
         let arg = &self.arg;
         if let InnerAcc::MinMax { max, best } = &mut self.acc {
             let max = *max;
@@ -679,663 +673,63 @@ impl InnerAgg {
                     refold = true;
                     break;
                 };
-                if v.is_null() {
-                    continue;
-                }
                 // Safe only when the removed value is strictly worse than
                 // the running best; anything else could displace it or
                 // tie its representative.
-                let strictly_worse = best.as_ref().is_some_and(|b| {
-                    let ord = v.total_cmp(b);
-                    if max {
-                        ord == Ordering::Less
-                    } else {
-                        ord == Ordering::Greater
-                    }
-                });
-                if !strictly_worse {
+                let worse = if max {
+                    Ordering::Less
+                } else {
+                    Ordering::Greater
+                };
+                if !v.is_null() && best.as_ref().is_none_or(|b| v.total_cmp(b) != worse) {
                     refold = true;
                     break;
                 }
             }
-            if !refold {
-                for row in &scan.added {
-                    let Some(v) = arg_value(arg, row)? else {
-                        refold = true;
-                        break;
-                    };
-                    if v.is_null() {
-                        continue;
-                    }
-                    match best.as_ref() {
-                        None => *best = Some(v),
-                        Some(b) => match v.total_cmp(b) {
-                            // A tie-in-value may precede the running best
-                            // in scan order with a different
-                            // representation; the sequential fold keeps
-                            // the first, so re-derive it.
-                            Ordering::Equal => {
-                                refold = true;
-                                break;
-                            }
-                            ord => {
-                                if (ord == Ordering::Greater) == max {
-                                    *best = Some(v);
-                                }
-                            }
-                        },
+            for row in &scan.added {
+                if refold {
+                    break;
+                }
+                let Some(v) = arg_value(arg, row)? else {
+                    refold = true;
+                    break;
+                };
+                if v.is_null() {
+                    continue;
+                }
+                match best.as_ref().map(|b| v.total_cmp(b)) {
+                    None => *best = Some(v),
+                    // A tie-in-value may precede the running best in scan
+                    // order with a different representation; the
+                    // sequential fold keeps the first, so re-derive it.
+                    Some(Ordering::Equal) => refold = true,
+                    Some(ord) => {
+                        if (ord == Ordering::Greater) == max {
+                            *best = Some(v);
+                        }
                     }
                 }
             }
             if refold {
                 *best = None;
-                for row in &scan.rows {
-                    let Some(v) = arg_value(arg, row)? else {
-                        return Ok(Applied::Degrade);
-                    };
-                    if v.is_null() {
-                        continue;
-                    }
-                    let better = best.as_ref().is_none_or(|b| {
-                        let ord = v.total_cmp(b);
-                        ord != Ordering::Equal && (ord == Ordering::Greater) == max
-                    });
-                    if better {
-                        *best = Some(v);
-                    }
+                if !self.refold(&scan.rows)? {
+                    return Ok(None);
                 }
             }
-            return Ok(Applied::Value(self.acc.finish()));
+            return Ok(Some(self.acc.finish()));
         }
         for row in &scan.added {
-            let v = arg_value(arg, row)?;
-            if !self.acc.fold(v) {
-                return Ok(Applied::Degrade);
+            if !self.acc.fold(arg_value(arg, row)?) {
+                return Ok(None);
             }
         }
         for row in &scan.removed {
-            let v = arg_value(arg, row)?;
-            if !self.acc.unfold(v) {
-                return Ok(Applied::Degrade);
+            if !self.acc.unfold(arg_value(arg, row)?) {
+                return Ok(None);
             }
         }
-        if !self.acc.guard_ok() {
-            return Ok(Applied::Degrade);
-        }
-        Ok(Applied::Value(self.acc.finish()))
+        Ok(self.acc.guard_ok().then(|| self.acc.finish()))
     }
-}
-
-/// Extract the single value of an AggregateDataInVariable Qq result —
-/// mirrors the sequential mechanism's contract.
-fn single_value(result: &QueryResult) -> Result<Option<Value>> {
-    if result.columns.len() != 1 {
-        return Err(SqlError::Invalid(format!(
-            "AggregateDataInVariable expects Qq to return one column, got {}",
-            result.columns.len()
-        )));
-    }
-    match result.rows.len() {
-        0 => Ok(None),
-        1 => Ok(Some(result.rows[0][0].clone())),
-        n => Err(SqlError::Invalid(format!(
-            "AggregateDataInVariable expects Qq to return at most one row, got {n}"
-        ))),
-    }
-}
-
-/// Delta-driven `AggregateDataInVariable(Qs, Qq, T, AggFunc)`.
-///
-/// When Qq is a bare inner aggregate the per-iteration work after the
-/// first snapshot is O(changed rows); otherwise the pipeline mode still
-/// saves the page reads of unchanged heap pages.
-pub fn aggregate_data_in_variable_delta(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    func: AggOp,
-    policy: DeltaPolicy,
-) -> Result<RqlReport> {
-    aggregate_data_in_variable_delta_with_memo(snap, aux, qs, qq, table, func, policy, None)
-}
-
-/// [`aggregate_data_in_variable_delta`] with an optional memo store. A
-/// memo hit yields the iteration's Qq value directly; the runner is
-/// re-primed from the memoized seed (keeping the chain delta) and the
-/// running inner aggregate — stale after the skip — re-seeds from the
-/// next live scan's row set.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn aggregate_data_in_variable_delta_with_memo(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    func: AggOp,
-    policy: DeltaPolicy,
-    memo: MemoHandle,
-) -> Result<RqlReport> {
-    if policy == DeltaPolicy::Off {
-        return mechanism::aggregate_data_in_variable_with_memo(
-            snap, aux, qs, qq, table, func, memo,
-        );
-    }
-    if aux.table_row_count(table).is_ok() {
-        return Err(table_exists_error(table));
-    }
-    let parsed = parse_qq(qq)?;
-    if !shape_eligible(&parsed) {
-        return match policy {
-            DeltaPolicy::Forced => Err(forced_shape_error()),
-            _ => mechanism::aggregate_data_in_variable_with_memo(
-                snap, aux, qs, qq, table, func, memo,
-            ),
-        };
-    }
-    let memo = QqMemo::attach(memo, snap, &parsed);
-    let (ids, qs_time) = mechanism::snapshot_set(aux, qs)?;
-    let readers = snap.store().open_snapshot_chain(&ids)?;
-    let mut runner = DeltaSelectRunner::new();
-    let inner_spec = inner_agg_shape(&parsed);
-    let mut inner: Option<InnerAgg> = None;
-    let mut degraded = inner_spec.is_none();
-    let mut state = func.init();
-    let mut column: Option<String> = None;
-    let mut report = RqlReport {
-        qs_time,
-        ..Default::default()
-    };
-    for (&sid, reader) in ids.iter().zip(readers.iter()) {
-        let _qq_span = rql_trace::span_arg(rql_trace::SpanId::QqIteration, sid);
-        let iter_started = Instant::now();
-        snap.cancel_token().check()?;
-        let rewritten = rewrite_select(&parsed, sid);
-        if let Some(result) = memo
-            .as_ref()
-            .and_then(|m| m.lookup_result(reader, &parsed, sid))
-        {
-            rql_trace::instant_arg(rql_trace::SpanId::MemoHit, sid);
-            // Memo hit: chain continuity as in CollateData — re-prime the
-            // runner from the memoized seed. The running inner aggregate
-            // cannot absorb a skipped iteration, so it goes stale and
-            // re-seeds from the next live scan's row set.
-            match memo
-                .as_ref()
-                .and_then(|m| m.lookup_seed(reader, &parsed, sid))
-            {
-                Some(seed) => runner.import_seed(seed),
-                None => runner.invalidate(),
-            }
-            inner = None;
-            if column.is_none() {
-                column = Some(result.columns.first().cloned().unwrap_or_default());
-            }
-            let v = single_value(&result)?;
-            let udf_started = Instant::now();
-            if let Some(v) = &v {
-                func.absorb(&mut state, v);
-            }
-            report.iterations.push(IterationReport {
-                snap_id: sid,
-                qq_stats: result.stats,
-                udf_time: udf_started.elapsed(),
-                qq_rows: result.rows.len() as u64,
-                result_inserts: 0,
-                result_updates: 0,
-                memo_hit: true,
-                wall: iter_started.elapsed(),
-            });
-            continue;
-        }
-        if memo.is_some() {
-            rql_trace::instant_arg(rql_trace::SpanId::MemoMiss, sid);
-        }
-        let (value, qq_stats, qq_rows) = match snap.delta_scan(reader, &rewritten, &mut runner)? {
-            None => {
-                if policy == DeltaPolicy::Forced {
-                    return Err(forced_runtime_error(sid));
-                }
-                // Ordinary plan; the runner has self-invalidated, so the
-                // next successful scan rebuilds and re-seeds.
-                rql_trace::instant_arg(rql_trace::SpanId::SeqPath, sid);
-                inner = None;
-                let outcome = snap.execute_stmt(&Stmt::Select(rewritten))?;
-                let result = outcome.rows().expect("SELECT yields rows");
-                if let Some(m) = &memo {
-                    m.record_result(reader, &parsed, sid, &result);
-                }
-                if column.is_none() {
-                    column = Some(result.columns.first().cloned().unwrap_or_default());
-                }
-                let v = single_value(&result)?;
-                (v, result.stats, result.rows.len() as u64)
-            }
-            Some((scan, mut stats)) => {
-                rql_trace::instant_arg(rql_trace::SpanId::DeltaPath, sid);
-                if scan.snapshot_skip() == Some(SkipReason::Pruned) {
-                    snap.io_stats().count_snapshot_pruned();
-                    stats.io.snapshots_pruned += 1;
-                    rql_trace::instant_arg(rql_trace::SpanId::SnapshotPruned, sid);
-                }
-                let incremental = !degraded && !scan.rebuilt && inner.is_some();
-                let mut applied = None;
-                if incremental {
-                    match inner.as_mut().expect("checked").apply(&scan)? {
-                        Applied::Value(v) => applied = Some(v),
-                        Applied::Degrade => {
-                            degraded = true;
-                            inner = None;
-                        }
-                    }
-                }
-                match applied {
-                    Some(v) => {
-                        stats.rows = 1;
-                        if let Some(m) = &memo {
-                            // The value a fresh execution would return is
-                            // exactly this one row; memoize it in that
-                            // shape so hits feed `single_value` unchanged.
-                            let col = column.clone().unwrap_or_else(|| "value".to_owned());
-                            m.record_result(
-                                reader,
-                                &parsed,
-                                sid,
-                                &QueryResult {
-                                    columns: vec![col],
-                                    rows: vec![vec![v.clone()]],
-                                    stats: ExecStats::default(),
-                                    plan: Vec::new(),
-                                },
-                            );
-                            if let Some(seed) = runner.export_seed() {
-                                m.record_seed(reader, &parsed, sid, seed);
-                            }
-                        }
-                        (Some(v), stats, 1)
-                    }
-                    None => {
-                        // Pipeline: same post-scan stages as the ordinary
-                        // plan over the cached base rows.
-                        let result = snap.delta_finish(reader, &rewritten, scan.rows.clone())?;
-                        stats.eval += result.stats.eval;
-                        stats.io.accumulate(&result.stats.io);
-                        stats.rows = result.stats.rows;
-                        if column.is_none() {
-                            column = Some(result.columns.first().cloned().unwrap_or_default());
-                        }
-                        if !degraded {
-                            let catalog = Catalog::load(reader)?;
-                            match InnerAgg::seed(
-                                inner_spec.as_ref().expect("degraded is false"),
-                                &parsed,
-                                &catalog,
-                                &scan.rows,
-                            )? {
-                                Some(agg) => inner = Some(agg),
-                                None => {
-                                    degraded = true;
-                                    inner = None;
-                                }
-                            }
-                        }
-                        if let Some(m) = &memo {
-                            m.record_result(reader, &parsed, sid, &result);
-                            if let Some(seed) = runner.export_seed() {
-                                m.record_seed(reader, &parsed, sid, seed);
-                            }
-                        }
-                        let v = single_value(&result)?;
-                        (v, stats, result.rows.len() as u64)
-                    }
-                }
-            }
-        };
-        let udf_started = Instant::now();
-        if let Some(v) = &value {
-            func.absorb(&mut state, v);
-        }
-        report.iterations.push(IterationReport {
-            snap_id: sid,
-            qq_stats,
-            udf_time: udf_started.elapsed(),
-            qq_rows,
-            result_inserts: 0,
-            result_updates: 0,
-            memo_hit: false,
-            wall: iter_started.elapsed(),
-        });
-    }
-    let _fin_span = rql_trace::span(rql_trace::SpanId::Finalize);
-    let finalize_started = Instant::now();
-    let column = column.unwrap_or_else(|| "value".to_owned());
-    mechanism::create_result_table_pub(aux, table, &[column])?;
-    aux.with_table_writer(table, |w| {
-        w.insert(vec![func.finish(&state)])?;
-        Ok(())
-    })?;
-    report.finalize_time = finalize_started.elapsed();
-    Ok(report)
-}
-
-// ======================================================================
-// AggregateDataInTable — write-skipping in-table fold
-// ======================================================================
-
-/// Grouping key under result-table probe equivalence: two keys are equal
-/// iff [`TableWriter::probe`](rql_sqlengine::TableWriter) would land
-/// them on the same result row (`total_cmp == Equal`, so `2` ≡ `2.0`
-/// and NULL ≡ NULL).
-#[derive(Clone)]
-pub(crate) struct GroupKey(pub(crate) Vec<Value>);
-
-impl GroupKey {
-    fn of(layout: &mechanism::AggTableLayout, record: &Row) -> GroupKey {
-        GroupKey(
-            layout
-                .group_positions
-                .iter()
-                .map(|&p| record[p].clone())
-                .collect(),
-        )
-    }
-}
-
-impl PartialEq for GroupKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for GroupKey {}
-impl PartialOrd for GroupKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for GroupKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0
-            .iter()
-            .zip(other.0.iter())
-            .map(|(a, b)| a.total_cmp(b))
-            .find(|o| *o != Ordering::Equal)
-            .unwrap_or_else(|| self.0.len().cmp(&other.0.len()))
-    }
-}
-
-struct GroupState {
-    /// The group's record sublist, in Qq output order.
-    records: Vec<Row>,
-    /// Whether this group's last fold pass provably wrote nothing.
-    noop: bool,
-    /// Whether this pass's fold wrote (insert or update).
-    wrote: bool,
-}
-
-/// One fold pass's outcome — writer counters plus the row-level effects
-/// the standing-query maintainer turns into push frames.
-pub(crate) struct FoldReport {
-    pub(crate) inserts: u64,
-    pub(crate) updates: u64,
-    /// Groups skipped without even a probe (stable records, proven
-    /// write-free by the previous pass).
-    pub(crate) groups_skipped: u64,
-    /// Row-level effects, populated only when requested.
-    pub(crate) effects: Vec<mechanism::FoldEffect>,
-}
-
-/// Incremental `AggregateDataInTable` fold state, persistent across
-/// iterations (and, for standing queries, across commits).
-///
-/// Byte-identity argument: the result table's bytes depend only on the
-/// *write* sequence against it (probes are read-only, and
-/// `heap.update` = delete+insert relocates on every write). A group
-/// whose record sublist is unchanged since the previous pass AND whose
-/// previous pass wrote nothing would fold to the same no-op again — the
-/// fold is deterministic in (stored row, records), and no other group's
-/// writes touch its stored row. Skipping exactly those groups therefore
-/// preserves the sequential mechanism's write sequence byte-for-byte
-/// while eliminating the probes for the stable majority (MAX groups in
-/// Figure 13's hot iterations). Everything else replays
-/// [`AggTableLayout::fold`](mechanism::AggTableLayout) per record in Qq
-/// output order, exactly like the sequential loop.
-pub(crate) struct AggTableFold {
-    table: String,
-    pairs: Vec<(String, AggOp)>,
-    layout: Option<mechanism::AggTableLayout>,
-    /// Next pass blind-inserts (the table was just created; the paper's
-    /// first iteration over a fresh table skips the probes).
-    blind_next: bool,
-    prev: std::collections::BTreeMap<GroupKey, GroupState>,
-}
-
-impl AggTableFold {
-    pub(crate) fn new(table: &str, pairs: &[(String, AggOp)]) -> Self {
-        AggTableFold {
-            table: table.to_string(),
-            pairs: pairs.to_vec(),
-            layout: None,
-            blind_next: false,
-            prev: std::collections::BTreeMap::new(),
-        }
-    }
-
-    /// Fold one iteration's Qq output into the result table, creating
-    /// table + grouping index on first use (same DDL as the sequential
-    /// step form).
-    pub(crate) fn apply(
-        &mut self,
-        aux: &Database,
-        result: &QueryResult,
-        collect_effects: bool,
-    ) -> Result<FoldReport> {
-        if self.layout.is_none() {
-            let l = mechanism::agg_table_layout(&result.columns, &self.pairs)?;
-            if !mechanism::table_exists(aux, &self.table) {
-                mechanism::create_result_table_pub(aux, &self.table, &l.table_columns)?;
-                // Paper §3: "we also create an index on Result using as
-                // key the values in non-aggregating columns".
-                let group_cols: Vec<String> = l
-                    .group_positions
-                    .iter()
-                    .map(|&p| format!("\"{}\"", result.columns[p].to_ascii_lowercase()))
-                    .collect();
-                aux.execute(&format!(
-                    "CREATE INDEX __rql_idx_{} ON {} ({})",
-                    self.table.to_ascii_lowercase(),
-                    self.table,
-                    group_cols.join(", ")
-                ))?;
-                self.blind_next = true;
-            }
-            self.layout = Some(l);
-        }
-        let layout = self.layout.as_ref().expect("layout initialized");
-        let blind = self.blind_next;
-        self.blind_next = false;
-
-        // Group this iteration's records under probe equivalence.
-        let mut cur: std::collections::BTreeMap<GroupKey, GroupState> =
-            std::collections::BTreeMap::new();
-        for record in &result.rows {
-            cur.entry(GroupKey::of(layout, record))
-                .or_insert_with(|| GroupState {
-                    records: Vec::new(),
-                    noop: false,
-                    wrote: false,
-                })
-                .records
-                .push(record.clone());
-        }
-        // Decide skips against the previous pass.
-        let mut groups_skipped = 0u64;
-        if !blind {
-            for (key, state) in cur.iter_mut() {
-                if let Some(prev) = self.prev.get(key) {
-                    if prev.noop && prev.records == state.records {
-                        state.noop = true;
-                        groups_skipped += 1;
-                    }
-                }
-            }
-        }
-
-        let mut effects = Vec::new();
-        let (inserts, updates) = aux.with_table_writer(&self.table, |w| {
-            if blind {
-                // First pass over a fresh table inserts blindly (the Qq
-                // output is unique on the grouping columns).
-                for record in &result.rows {
-                    let fresh = layout.fresh_row(record);
-                    if collect_effects {
-                        effects.push(mechanism::FoldEffect::Inserted(fresh.clone()));
-                    }
-                    w.insert(fresh)?;
-                }
-            } else {
-                for record in &result.rows {
-                    let key = GroupKey::of(layout, record);
-                    let state = cur.get_mut(&key).expect("record grouped above");
-                    if state.noop {
-                        continue;
-                    }
-                    match layout.fold(w, record)? {
-                        mechanism::FoldEffect::Unchanged => {}
-                        effect => {
-                            state.wrote = true;
-                            if collect_effects {
-                                effects.push(effect);
-                            }
-                        }
-                    }
-                }
-            }
-            Ok((w.inserted(), w.updated()))
-        })?;
-
-        for state in cur.values_mut() {
-            if blind {
-                state.noop = false;
-            } else if !state.noop {
-                state.noop = !state.wrote;
-            }
-            state.wrote = false;
-        }
-        self.prev = cur;
-        Ok(FoldReport {
-            inserts,
-            updates,
-            groups_skipped,
-            effects,
-        })
-    }
-}
-
-/// Delta-driven `AggregateDataInTable(Qs, Qq, T, pairs)`: identical
-/// result-table bytes to [`mechanism::aggregate_data_in_table`], but Qq
-/// runs through the delta-aware scan and the in-table fold skips probes
-/// for groups proven write-free by the previous iteration.
-pub fn aggregate_data_in_table_delta(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    pairs: &[(String, AggOp)],
-    policy: DeltaPolicy,
-) -> Result<RqlReport> {
-    aggregate_data_in_table_delta_with_memo(snap, aux, qs, qq, table, pairs, policy, None)
-}
-
-/// [`aggregate_data_in_table_delta`] with an optional memo store.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn aggregate_data_in_table_delta_with_memo(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    pairs: &[(String, AggOp)],
-    policy: DeltaPolicy,
-    memo: MemoHandle,
-) -> Result<RqlReport> {
-    if policy == DeltaPolicy::Off {
-        return mechanism::aggregate_data_in_table_with_memo(snap, aux, qs, qq, table, pairs, memo);
-    }
-    if mechanism::table_exists(aux, table) {
-        return Err(table_exists_error(table));
-    }
-    let parsed = parse_qq(qq)?;
-    if !shape_eligible(&parsed) {
-        return match policy {
-            DeltaPolicy::Forced => Err(forced_shape_error()),
-            _ => {
-                mechanism::aggregate_data_in_table_with_memo(snap, aux, qs, qq, table, pairs, memo)
-            }
-        };
-    }
-    let (ids, qs_time) = mechanism::snapshot_set(aux, qs)?;
-    let readers = snap.store().open_snapshot_chain(&ids)?;
-    let mut stream = DeltaQqStream::new(snap, parsed, policy, memo);
-    let mut fold = AggTableFold::new(table, pairs);
-    let mut report = RqlReport {
-        qs_time,
-        ..Default::default()
-    };
-    for (&sid, reader) in ids.iter().zip(readers.iter()) {
-        let _qq_span = rql_trace::span_arg(rql_trace::SpanId::QqIteration, sid);
-        let iter_started = Instant::now();
-        let memo_hit = stream.advance(snap, reader, sid)?;
-        let result = stream.current();
-        let udf_started = Instant::now();
-        let folded = fold.apply(aux, result, false)?;
-        report.iterations.push(IterationReport {
-            snap_id: sid,
-            qq_stats: result.stats,
-            udf_time: udf_started.elapsed(),
-            qq_rows: result.rows.len() as u64,
-            result_inserts: folded.inserts,
-            result_updates: folded.updates,
-            memo_hit,
-            wall: iter_started.elapsed(),
-        });
-    }
-    Ok(report)
-}
-
-/// `CollateDataIntoIntervals` has no delta path yet (lifetime extension
-/// probes the result table per record); `Auto`/`Off` run the sequential
-/// mechanism, `Forced` errors.
-pub fn collate_data_into_intervals_delta(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    policy: DeltaPolicy,
-) -> Result<RqlReport> {
-    collate_data_into_intervals_delta_with_memo(snap, aux, qs, qq, table, policy, None)
-}
-
-/// [`collate_data_into_intervals_delta`] with an optional memo store.
-pub(crate) fn collate_data_into_intervals_delta_with_memo(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    policy: DeltaPolicy,
-    memo: MemoHandle,
-) -> Result<RqlReport> {
-    if policy == DeltaPolicy::Forced {
-        return Err(SqlError::Invalid(
-            "DeltaPolicy::Forced is not supported for CollateDataIntoIntervals \
-             (no delta path yet; see ROADMAP open items)"
-                .into(),
-        ));
-    }
-    mechanism::collate_data_into_intervals_with_memo(snap, aux, qs, qq, table, memo)
 }
 
 #[cfg(test)]

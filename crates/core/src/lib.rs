@@ -9,15 +9,15 @@
 //! snapshots with four mechanisms, each a composition of familiar
 //! relational constructs:
 //!
-//! * [`mechanism::collate_data`] — `CollateData(Qs, Qq, T)`: run Qq on
+//! * [`RqlSession::collate_data`] — `CollateData(Qs, Qq, T)`: run Qq on
 //!   every snapshot in the set Qs selects, collecting all rows in `T`;
-//! * [`mechanism::aggregate_data_in_variable`] —
+//! * [`RqlSession::aggregate_data_in_variable`] —
 //!   `AggregateDataInVariable(Qs, Qq, T, AggFunc)`: fold Qq's single
 //!   value across snapshots;
-//! * [`mechanism::aggregate_data_in_table`] —
+//! * [`RqlSession::aggregate_data_in_table`] —
 //!   `AggregateDataInTable(Qs, Qq, T, ListOfColFuncPairs)`: an
 //!   across-time GROUP BY with per-column aggregate functions;
-//! * [`mechanism::collate_data_into_intervals`] —
+//! * [`RqlSession::collate_data_into_intervals`] —
 //!   `CollateDataIntoIntervals(Qs, Qq, T)`: the compact record-lifetime
 //!   representation with `start_snapshot`/`end_snapshot`.
 //!
@@ -25,7 +25,13 @@
 //! snapshotable application database and the auxiliary database holding
 //! the [`snapids`] table and result tables, maintains `SnapIds` on every
 //! `COMMIT WITH SNAPSHOT`, and exposes the mechanisms both as a Rust API
-//! and as SQL UDFs (`SELECT CollateData(snap_id, …) FROM SnapIds`).
+//! (each also `*_with_policy`, under a [`DeltaPolicy`]) and as SQL UDFs
+//! (`SELECT CollateData(snap_id, …) FROM SnapIds`).
+//!
+//! Underneath, every form — batch, per-row UDF, standing `MAINTAIN
+//! QUERY` ([`maintain`]), [`parallel`] — is one loop in [`mechanism`]
+//! driving one per-snapshot Qq source ([`delta`]) into one fold per
+//! mechanism.
 //!
 //! # Quick start
 //!
@@ -79,10 +85,7 @@ pub use analyze::{
     Code, DeltaExplain, Diagnostic, Fix, FixOutcome, MechanismCall, MechanismKind, PredictedPath,
     Program, ProgramAnalysis, ProgramRun, SarifFile, SchemaEnv, Severity, SourceKind,
 };
-pub use delta::{
-    aggregate_data_in_table_delta, aggregate_data_in_variable_delta, collate_data_delta,
-    collate_data_into_intervals_delta, DeltaPolicy,
-};
+pub use delta::DeltaPolicy;
 pub use maintain::{
     maintain_ineligibility, maintain_prefix, parse_maintain, MaintainSpec, MaintainStats,
     Maintainer, ResultDelta,

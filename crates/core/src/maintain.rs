@@ -11,14 +11,14 @@
 //! `tests/standing_differential.rs` asserts exactly that.
 //!
 //! Per-commit cost is proportional to changed pages, not database size:
-//! the [`Maintainer`] keeps the delta machinery alive across commits —
-//! a [`DeltaQqStream`] whose scanner cache holds the previous snapshot's
-//! filtered rows, plus the mechanism's fold state
-//! ([`AggTableFold`](crate::delta) for `AggregateDataInTable`, the
-//! running [`AggState`] for `AggregateDataInVariable`, the previous
-//! snapshot id for `CollateDataIntoIntervals`). On each commit it opens
-//! the two-snapshot chain `[last, new]`, so the SPT is built
-//! incrementally and the scan touches only the pages that changed.
+//! the [`Maintainer`] keeps the batch run's own (source, fold) pair alive
+//! across commits — the [`QqSource`] whose scanner cache holds the
+//! previous snapshot's filtered rows and the mechanism's [`Fold`] — and
+//! drives it through the shared loop ([`mechanism::drive`]) one snapshot
+//! at a time. The source continues its chain from the last snapshot it
+//! evaluated, so the SPT is built incrementally and the scan touches
+//! only the pages that changed; the fold reports each result-table write
+//! as a row effect, which is the [`ResultDelta`] pushed to subscribers.
 //!
 //! Statement form:
 //!
@@ -35,17 +35,14 @@
 //! result deltas must be reproducible from the snapshot stream alone.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use rql_memo::MemoStore;
 use rql_sqlengine::lexer::Token;
 use rql_sqlengine::{parse_select, tokenize_spanned, Database, QueryResult, Result, Row, SqlError};
 
-use crate::aggregate::{parse_col_func_pairs, AggOp, AggState};
 use crate::analyze::program::extract_call_texts;
 use crate::analyze::MechanismKind;
-use crate::delta::{AggTableFold, DeltaPolicy, DeltaQqStream, GroupKey};
-use crate::mechanism::{self, FoldEffect};
+use crate::delta::{DeltaPolicy, QqSource};
+use crate::mechanism::{self, Fold, MechSpec};
 use crate::report::RqlReport;
 use crate::session::RqlSession;
 
@@ -174,29 +171,6 @@ pub struct MaintainStats {
     pub groups_skipped: u64,
 }
 
-/// Per-mechanism maintenance state.
-enum MechState {
-    Collate {
-        stream: DeltaQqStream,
-        table_created: bool,
-    },
-    AggTable {
-        stream: DeltaQqStream,
-        fold: AggTableFold,
-    },
-    AggVar {
-        stream: DeltaQqStream,
-        func: AggOp,
-        state: AggState,
-        column: Option<String>,
-        /// The single result row as last written (for delta frames).
-        last_row: Option<Row>,
-    },
-    Intervals {
-        prev_sid: Option<u64>,
-    },
-}
-
 /// One registered standing query's live maintenance state.
 ///
 /// Not `Sync`: a maintainer belongs to whoever processes commits for it
@@ -204,9 +178,9 @@ enum MechState {
 pub struct Maintainer {
     snap: Arc<Database>,
     aux: Arc<Database>,
-    memo: Option<Arc<MemoStore>>,
     spec: MaintainSpec,
-    state: MechState,
+    source: QqSource,
+    fold: Fold,
     last_sid: Option<u64>,
     stats: MaintainStats,
 }
@@ -244,17 +218,27 @@ impl Maintainer {
                 spec.table
             )));
         }
-        let memo = session.memo();
+        let policy = Some(DeltaPolicy::Auto);
+        let source = QqSource::new(&snap, &spec.qq, spec.kind, policy, session.memo())?;
+        let fold = Fold::new(
+            MechSpec::parse(spec.kind, spec.spec.as_deref())?,
+            &spec.table,
+        );
         let mut maintainer = Maintainer {
             snap,
             aux,
-            memo,
             spec,
-            state: MechState::Intervals { prev_sid: None }, // replaced below
+            source,
+            fold,
             last_sid: None,
             stats: MaintainStats::default(),
         };
-        let report = maintainer.seed()?;
+        // The registration batch pass: fold the backlog, leaving the
+        // source primed at the last seeded snapshot.
+        let (ids, qs_time) = mechanism::snapshot_set(&maintainer.aux, &maintainer.spec.qs)?;
+        let mut report = maintainer.fold_in(&ids, None)?;
+        report.qs_time = qs_time;
+        maintainer.stats.snapshots_seeded = report.iterations.len() as u64;
         Ok((maintainer, report))
     }
 
@@ -280,366 +264,43 @@ impl Maintainer {
             .query(&format!("SELECT * FROM {}", self.spec.table))
     }
 
-    fn parsed_qq(&self) -> Result<rql_sqlengine::SelectStmt> {
-        let parsed = parse_select(&self.spec.qq)?;
-        if parsed.as_of.is_some() {
-            return Err(SqlError::Invalid(
-                "Qq must not contain AS OF; RQL binds the snapshot per iteration".into(),
-            ));
-        }
-        Ok(parsed)
-    }
-
-    fn pairs(&self) -> Result<Vec<(String, AggOp)>> {
-        parse_col_func_pairs(self.spec.spec.as_deref().unwrap_or_default())
-    }
-
-    /// The registration batch pass: fold the backlog, leaving the delta
-    /// machinery primed at the last seeded snapshot.
-    fn seed(&mut self) -> Result<RqlReport> {
-        let (ids, qs_time) = mechanism::snapshot_set(&self.aux, &self.spec.qs)?;
-        let mut report = RqlReport {
-            qs_time,
-            ..Default::default()
-        };
-        self.state = match self.spec.kind {
-            MechanismKind::Collate => MechState::Collate {
-                stream: DeltaQqStream::new(
-                    &self.snap,
-                    self.parsed_qq()?,
-                    DeltaPolicy::Auto,
-                    self.memo.clone(),
-                ),
-                table_created: false,
-            },
-            MechanismKind::AggTable => MechState::AggTable {
-                stream: DeltaQqStream::new(
-                    &self.snap,
-                    self.parsed_qq()?,
-                    DeltaPolicy::Auto,
-                    self.memo.clone(),
-                ),
-                fold: AggTableFold::new(&self.spec.table, &self.pairs()?),
-            },
-            MechanismKind::AggVar => {
-                let func = AggOp::parse(self.spec.spec.as_deref().unwrap_or_default())?;
-                MechState::AggVar {
-                    stream: DeltaQqStream::new(
-                        &self.snap,
-                        self.parsed_qq()?,
-                        DeltaPolicy::Auto,
-                        self.memo.clone(),
-                    ),
-                    state: func.init(),
-                    func,
-                    column: None,
-                    last_row: None,
-                }
-            }
-            MechanismKind::Intervals => MechState::Intervals { prev_sid: None },
-        };
-        if let MechState::Intervals { prev_sid } = &mut self.state {
-            // The interval fold is inherently sequential (it probes the
-            // result table per record); seed via the step mechanism and
-            // remember where it left off.
-            let (rep, last) = mechanism::collate_data_into_intervals_step_with_memo(
-                &self.snap,
-                &self.aux,
-                &self.spec.qs,
-                &self.spec.qq,
-                &self.spec.table,
-                None,
-                self.memo.clone(),
-            )?;
-            *prev_sid = last;
-            self.last_sid = ids.last().copied();
-            self.account(&rep);
-            self.stats.snapshots_seeded = rep.iterations.len() as u64;
-            return Ok(rep);
-        }
-        let readers = self.snap.store().open_snapshot_chain(&ids)?;
-        for (&sid, reader) in ids.iter().zip(readers.iter()) {
-            let _qq_span = rql_trace::span_arg(rql_trace::SpanId::QqIteration, sid);
-            let iter_started = Instant::now();
-            let (memo_hit, delta) = self.fold_one(sid, reader)?;
-            let _ = delta;
-            let result_stats = self.current_stream_stats();
-            report.iterations.push(crate::report::IterationReport {
-                snap_id: sid,
-                qq_stats: result_stats,
-                udf_time: std::time::Duration::ZERO,
-                qq_rows: result_stats.rows,
-                result_inserts: 0,
-                result_updates: 0,
-                memo_hit,
-                wall: iter_started.elapsed(),
-            });
-            self.last_sid = Some(sid);
-        }
-        // AggVar materializes its single-row table only at the end of
-        // the batch pass — and the maintainer re-materializes it per
-        // commit, so the table always equals the batch-final state.
-        if let MechState::AggVar { .. } = &self.state {
-            self.rewrite_aggvar_table()?;
-        }
-        self.account(&report);
-        self.stats.snapshots_seeded = report.iterations.len() as u64;
-        Ok(report)
-    }
-
     /// Fold one committed snapshot into the result table and return the
     /// result-table delta it caused. Out-of-order or duplicate commits
     /// (sid ≤ last maintained) are ignored.
     pub fn advance(&mut self, sid: u64) -> Result<ResultDelta> {
         let _span = rql_trace::span_arg(rql_trace::SpanId::StandingMaintain, sid);
-        if self.last_sid.is_some_and(|last| sid <= last) {
-            return Ok(ResultDelta {
-                snap_id: sid,
-                ..Default::default()
-            });
-        }
-        let delta = if let MechState::Intervals { prev_sid } = &mut self.state {
-            let before = self
-                .aux
-                .query(&format!("SELECT * FROM {}", self.spec.table));
-            let prev = *prev_sid;
-            let (rep, last) = mechanism::collate_data_into_intervals_step_with_memo(
-                &self.snap,
-                &self.aux,
-                &format!("SELECT {sid}"),
-                &self.spec.qq,
-                &self.spec.table,
-                prev,
-                self.memo.clone(),
-            )?;
-            if let MechState::Intervals { prev_sid } = &mut self.state {
-                *prev_sid = last;
-            }
-            self.account(&rep);
-            let after = self
-                .aux
-                .query(&format!("SELECT * FROM {}", self.spec.table))?;
-            let before_rows = before.map(|r| r.rows).unwrap_or_default();
-            let (added, removed) = diff_multiset(&before_rows, &after.rows);
-            ResultDelta {
-                snap_id: sid,
-                added,
-                removed,
-            }
-        } else {
-            let chain: Vec<u64> = match self.last_sid {
-                Some(last) => vec![last, sid],
-                None => vec![sid],
-            };
-            let readers = self.snap.store().open_snapshot_chain(&chain)?;
-            let reader = readers.last().expect("chain is non-empty");
-            let (_, delta) = self.fold_one(sid, reader)?;
-            let stats = self.current_stream_stats();
-            self.stats.pages_scanned += stats.io.pagelog_reads + stats.io.db_reads;
-            self.stats.pages_skipped += stats.pages_skipped_delta + stats.pages_pruned_filter;
-            delta
+        let mut delta = ResultDelta {
+            snap_id: sid,
+            ..Default::default()
         };
-        self.last_sid = Some(sid);
+        if self.last_sid.is_some_and(|last| sid <= last) {
+            return Ok(delta);
+        }
+        self.fold_in(&[sid], Some(&mut delta))?;
         self.stats.snapshots_maintained += 1;
         self.stats.rows_pushed += (delta.added.len() + delta.removed.len()) as u64;
         Ok(delta)
     }
 
-    /// Fold the Qq output at `sid` (read through `reader`) into the
-    /// result table. Shared by the seed pass and `advance`.
-    fn fold_one(
-        &mut self,
-        sid: u64,
-        reader: &rql_retro::SnapshotReader,
-    ) -> Result<(bool, ResultDelta)> {
-        let snap = Arc::clone(&self.snap);
-        let aux = Arc::clone(&self.aux);
-        let table = self.spec.table.clone();
-        match &mut self.state {
-            MechState::Collate {
-                stream,
-                table_created,
-            } => {
-                let memo_hit = stream.advance(&snap, reader, sid)?;
-                let result = stream.current();
-                if !*table_created {
-                    mechanism::create_result_table_pub(&aux, &table, &result.columns)?;
-                    *table_created = true;
-                }
-                aux.with_table_writer(&table, |w| {
-                    for row in &result.rows {
-                        w.insert(row.clone())?;
-                    }
-                    Ok(())
-                })?;
-                Ok((
-                    memo_hit,
-                    ResultDelta {
-                        snap_id: sid,
-                        added: result.rows.clone(),
-                        removed: Vec::new(),
-                    },
-                ))
-            }
-            MechState::AggTable { stream, fold } => {
-                let memo_hit = stream.advance(&snap, reader, sid)?;
-                let folded = fold.apply(&aux, stream.current(), true)?;
-                self.stats.groups_skipped += folded.groups_skipped;
-                let mut delta = ResultDelta {
-                    snap_id: sid,
-                    ..Default::default()
-                };
-                for effect in folded.effects {
-                    match effect {
-                        FoldEffect::Inserted(row) => delta.added.push(row),
-                        FoldEffect::Updated { old, new } => {
-                            delta.removed.push(old);
-                            delta.added.push(new);
-                        }
-                        FoldEffect::Unchanged => {}
-                    }
-                }
-                Ok((memo_hit, delta))
-            }
-            MechState::AggVar {
-                stream,
-                func,
-                state,
-                column,
-                ..
-            } => {
-                let memo_hit = stream.advance(&snap, reader, sid)?;
-                let result = stream.current();
-                if column.is_none() {
-                    column.replace(result.columns.first().cloned().unwrap_or_default());
-                }
-                if result.columns.len() != 1 {
-                    return Err(SqlError::Invalid(format!(
-                        "AggregateDataInVariable expects Qq to return one column, got {}",
-                        result.columns.len()
-                    )));
-                }
-                let value = match result.rows.len() {
-                    0 => None,
-                    1 => Some(result.rows[0][0].clone()),
-                    n => {
-                        return Err(SqlError::Invalid(format!(
-                            "AggregateDataInVariable expects Qq to return at most one row, got {n}"
-                        )))
-                    }
-                };
-                if let Some(v) = value {
-                    func.absorb(state, &v);
-                }
-                // During seeding the table is rewritten once at the end;
-                // advance() rewrites per commit.
-                let delta = if self.last_sid.is_some() {
-                    let old = match &self.state {
-                        MechState::AggVar { last_row, .. } => last_row.clone(),
-                        _ => unreachable!(),
-                    };
-                    self.rewrite_aggvar_table()?;
-                    let new = match &self.state {
-                        MechState::AggVar { last_row, .. } => last_row.clone(),
-                        _ => unreachable!(),
-                    };
-                    ResultDelta {
-                        snap_id: sid,
-                        added: new.into_iter().collect(),
-                        removed: old.into_iter().collect(),
-                    }
-                } else {
-                    ResultDelta {
-                        snap_id: sid,
-                        ..Default::default()
-                    }
-                };
-                Ok((memo_hit, delta))
-            }
-            MechState::Intervals { .. } => unreachable!("intervals fold via step mechanism"),
-        }
-    }
-
-    /// Drop and re-materialize the AggVar single-row result table from
-    /// the running state — byte-identical to what a fresh batch run's
-    /// finalize would create.
-    fn rewrite_aggvar_table(&mut self) -> Result<()> {
-        let MechState::AggVar {
-            func,
-            state,
-            column,
-            last_row,
-            ..
-        } = &mut self.state
-        else {
-            unreachable!("rewrite_aggvar_table on non-AggVar state");
-        };
-        let column = column.clone().unwrap_or_else(|| "value".to_owned());
-        self.aux
-            .execute(&format!("DROP TABLE IF EXISTS {}", self.spec.table))?;
-        mechanism::create_result_table_pub(&self.aux, &self.spec.table, &[column])?;
-        let row = vec![func.finish(state)];
-        *last_row = Some(row.clone());
-        self.aux.with_table_writer(&self.spec.table, |w| {
-            w.insert(row.clone())?;
-            Ok(())
-        })?;
-        Ok(())
-    }
-
-    fn current_stream_stats(&self) -> rql_sqlengine::ExecStats {
-        match &self.state {
-            MechState::Collate { stream, .. }
-            | MechState::AggTable { stream, .. }
-            | MechState::AggVar { stream, .. } => stream.current().stats,
-            MechState::Intervals { .. } => rql_sqlengine::ExecStats::default(),
-        }
-    }
-
-    fn account(&mut self, report: &RqlReport) {
+    /// Drive the kept (source, fold) pair over `ids` — the same loop as
+    /// a batch run — and account the pass.
+    fn fold_in(&mut self, ids: &[u64], sink: Option<&mut ResultDelta>) -> Result<RqlReport> {
+        let (snap, aux) = (&self.snap, &self.aux);
+        let report = mechanism::drive(snap, aux, &mut self.source, &mut self.fold, ids, sink)?;
         for it in &report.iterations {
             self.stats.pages_scanned += it.qq_stats.io.pagelog_reads + it.qq_stats.io.db_reads;
             self.stats.pages_skipped +=
                 it.qq_stats.pages_skipped_delta + it.qq_stats.pages_pruned_filter;
         }
+        self.stats.groups_skipped = self.fold.groups_skipped();
+        self.last_sid = ids.last().copied().or(self.last_sid);
+        Ok(report)
     }
-}
-
-/// Multiset difference between two row lists under [`GroupKey`]
-/// equivalence: `(in b but not a, in a but not b)`.
-fn diff_multiset(a: &[Row], b: &[Row]) -> (Vec<Row>, Vec<Row>) {
-    use std::collections::BTreeMap;
-    let mut counts: BTreeMap<GroupKey, i64> = BTreeMap::new();
-    for row in b {
-        *counts.entry(GroupKey(row.clone())).or_insert(0) += 1;
-    }
-    for row in a {
-        *counts.entry(GroupKey(row.clone())).or_insert(0) -= 1;
-    }
-    let mut added = Vec::new();
-    let mut removed = Vec::new();
-    for row in b {
-        let c = counts.get_mut(&GroupKey(row.clone())).expect("counted");
-        if *c > 0 {
-            added.push(row.clone());
-            *c -= 1;
-        }
-    }
-    // Reset positives consumed; negatives mark removals.
-    for row in a {
-        let c = counts.get_mut(&GroupKey(row.clone())).expect("counted");
-        if *c < 0 {
-            removed.push(row.clone());
-            *c += 1;
-        }
-    }
-    (added, removed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rql_sqlengine::Value;
 
     #[test]
     fn maintain_prefix_detection() {
@@ -683,14 +344,5 @@ mod tests {
         assert_eq!(spec.kind, MechanismKind::AggTable);
         assert_eq!(spec.table, "Result");
         assert_eq!(spec.spec.as_deref(), Some("(v,max)"));
-    }
-
-    #[test]
-    fn diff_multiset_basics() {
-        let a = vec![vec![Value::Integer(1)], vec![Value::Integer(2)]];
-        let b = vec![vec![Value::Integer(2)], vec![Value::Integer(3)]];
-        let (added, removed) = diff_multiset(&a, &b);
-        assert_eq!(added, vec![vec![Value::Integer(3)]]);
-        assert_eq!(removed, vec![vec![Value::Integer(1)]]);
     }
 }

@@ -1,43 +1,45 @@
 //! The four RQL mechanisms (paper §2), implemented operationally as
-//! described in §3.
+//! described in §3 — each exactly once.
 //!
 //! Every mechanism is the same loop: run Qs on the auxiliary database
-//! to obtain the snapshot set, then for each snapshot id rewrite Qq
-//! (`AS OF` plus `current_snapshot()` substitution), execute it on the
-//! snapshotable database, and fold its rows into the result table `T`
-//! in the auxiliary database: blind inserts for `CollateData`; a
-//! running variable for `AggregateDataInVariable`; probe-then-update
-//! for `AggregateDataInTable`; lifetime maintenance for
-//! `CollateDataIntoIntervals`.
+//! to obtain the snapshot set, then for each snapshot id evaluate Qq on
+//! the snapshotable database and fold its rows into the result table `T`
+//! in the auxiliary database. The loop is [`drive`]; where a snapshot's
+//! Qq output comes from is [`QqSource`]'s business (sequential plan,
+//! chain delta, memo, …); what happens to it is a [`Fold`]: blind inserts
+//! for `CollateData`; a running variable for `AggregateDataInVariable`;
+//! probe-then-update for `AggregateDataInTable`; lifetime maintenance
+//! for `CollateDataIntoIntervals`.
 //!
-//! Each mechanism exists in two forms with identical folding logic:
+//! The callers differ only in how long they keep the (source, fold) pair:
 //!
-//! * the **whole-computation form** (e.g. [`collate_data`]) drives the
-//!   full Qs loop in one call — what the experiment harness uses;
-//! * the **step form** (e.g. [`collate_data_step`]) performs the
-//!   iterations for whatever Qs returns *against a possibly pre-existing
-//!   result table*, detecting "first iteration" by the table's absence.
-//!   The session's SQL UDFs (`SELECT CollateData(snap_id, …) FROM
-//!   SnapIds`) call it once per `SnapIds` row, which is exactly how the
-//!   paper's SQLite UDF callback gets invoked.
+//! * a batch run ([`run`]) drives a fresh pair over everything Qs
+//!   returns and refuses a pre-existing `T`;
+//! * the session's SQL UDFs (`SELECT CollateData(snap_id, …) FROM
+//!   SnapIds`) drive one snapshot per `SnapIds` row — exactly how the
+//!   paper's SQLite UDF callback gets invoked — with a fold that
+//!   [`Fold::resume`]s from whatever `T` already holds;
+//! * a standing query ([`crate::maintain`]) keeps the pair alive across
+//!   commits and collects the fold's row effects as a [`ResultDelta`];
+//! * [`crate::parallel`] pre-evaluates Qq on a thread pool and hands the
+//!   outputs to the same loop.
 
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rql_memo::MemoStore;
-use rql_sqlengine::ast::Stmt;
-use rql_sqlengine::{
-    parse_select, ColumnType, Database, QueryResult, Result, Row, SelectStmt, SqlError,
-    TableSchema, TableWriter, Value,
-};
+use rql_sqlengine::{Database, QueryResult, Result, Row, SqlError, TableWriter, Value};
 
-use crate::aggregate::{AggOp, AggState};
-use crate::memoize::QqMemo;
+use crate::aggregate::{parse_col_func_pairs, AggOp, AggState};
+use crate::analyze::MechanismKind;
+use crate::delta::{DeltaPolicy, QqSource};
+use crate::maintain::ResultDelta;
 use crate::report::{IterationReport, RqlReport};
-use crate::rewrite::rewrite_select;
 
 /// Optional shared memo store threaded from the session into the
-/// mechanism loops (`None` = memoization off).
+/// Qq source (`None` = memoization off).
 pub(crate) type MemoHandle = Option<Arc<MemoStore>>;
 
 /// Start-of-lifetime column added by `CollateDataIntoIntervals`.
@@ -46,7 +48,7 @@ pub const START_SNAPSHOT_COL: &str = "start_snapshot";
 pub const END_SNAPSHOT_COL: &str = "end_snapshot";
 
 /// Run Qs on the auxiliary database and return the snapshot ids.
-pub(crate) fn snapshot_set(aux: &Database, qs: &str) -> Result<(Vec<u64>, std::time::Duration)> {
+pub(crate) fn snapshot_set(aux: &Database, qs: &str) -> Result<(Vec<u64>, Duration)> {
     let started = Instant::now();
     let result = aux.query(qs)?;
     let elapsed = started.elapsed();
@@ -69,390 +71,421 @@ pub(crate) fn snapshot_set(aux: &Database, qs: &str) -> Result<(Vec<u64>, std::t
     Ok((ids, elapsed))
 }
 
-/// Shared iteration driver: parse Qq once, then per snapshot rewrite,
-/// execute, and hand the result to `body` (whose time is the "RQL UDF"
-/// component of the paper's cost breakdowns).
-fn run_loop(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    memo: MemoHandle,
-    mut body: impl FnMut(usize, u64, &QueryResult) -> Result<(u64, u64)>,
-) -> Result<RqlReport> {
-    let _qs_span = rql_trace::span(rql_trace::SpanId::QsLoop);
-    let (ids, qs_time) = snapshot_set(aux, qs)?;
-    let parsed: SelectStmt = parse_select(qq)?;
-    if parsed.as_of.is_some() {
-        return Err(SqlError::Invalid(
-            "Qq must not contain AS OF; RQL binds the snapshot per iteration".into(),
-        ));
-    }
-    let memo = QqMemo::attach(memo, snap, &parsed);
-    let mut report = RqlReport {
-        qs_time,
-        ..Default::default()
-    };
-    for (i, &sid) in ids.iter().enumerate() {
-        let _qq_span = rql_trace::span_arg(rql_trace::SpanId::QqIteration, sid);
-        let iter_started = Instant::now();
-        // Cancellation checkpoint between snapshots: a `CANCEL` that
-        // lands mid-loop stops before the next Qq opens its snapshot
-        // (row-batch checkpoints inside the executor cover the rest).
-        snap.cancel_token().check()?;
-        // Snapshots are immutable, so a memoized Qq result at `sid` is
-        // byte-identical to re-execution; hits skip the executor (and
-        // report zeroed Qq stats — no pages read, nothing evaluated).
-        let (result, memo_hit) = match memo
-            .as_ref()
-            .and_then(|m| m.lookup_result_seq(snap, &parsed, sid))
-        {
-            Some(cached) => {
-                rql_trace::instant_arg(rql_trace::SpanId::MemoHit, sid);
-                (cached, true)
-            }
-            None => {
-                if memo.is_some() {
-                    rql_trace::instant_arg(rql_trace::SpanId::MemoMiss, sid);
-                }
-                let rewritten = rewrite_select(&parsed, sid);
-                let outcome = snap.execute_stmt(&Stmt::Select(rewritten))?;
-                let result = outcome.rows().expect("SELECT yields rows");
-                if let Some(m) = &memo {
-                    m.record_result_seq(snap, &parsed, sid, &result);
-                }
-                (result, false)
-            }
-        };
-        let udf_started = Instant::now();
-        let (result_inserts, result_updates) = body(i, sid, &result)?;
-        rql_trace::instant_arg(rql_trace::SpanId::RowsFolded, result.rows.len() as u64);
-        report.iterations.push(IterationReport {
-            snap_id: sid,
-            qq_stats: result.stats,
-            udf_time: udf_started.elapsed(),
-            qq_rows: result.rows.len() as u64,
-            result_inserts,
-            result_updates,
-            memo_hit,
-            wall: iter_started.elapsed(),
-        });
-    }
-    Ok(report)
-}
-
 /// Whether `table` exists in the auxiliary database.
 pub(crate) fn table_exists(aux: &Database, table: &str) -> bool {
     aux.table_row_count(table).is_ok()
 }
 
-fn create_result_table(aux: &Database, table: &str, columns: &[String]) -> Result<()> {
-    let schema = TableSchema::new(
-        table,
-        columns
-            .iter()
-            .map(|c| (c.clone(), ColumnType::Any))
-            .collect(),
-    );
-    for (i, c) in schema.columns.iter().enumerate() {
-        if schema.columns[..i].iter().any(|o| o.name == c.name) {
+/// Create the result table, plus — paper §3: "we also create an index on
+/// Result using as key the values in non-aggregating columns" — an index
+/// over `index_on` when non-empty.
+fn create_result_table(
+    aux: &Database,
+    table: &str,
+    columns: &[String],
+    index_on: &[String],
+) -> Result<()> {
+    for (i, c) in columns.iter().enumerate() {
+        if columns[..i].iter().any(|o| o.eq_ignore_ascii_case(c)) {
             return Err(SqlError::Invalid(format!(
-                "Qq output has duplicate column name {}",
-                c.name
+                "Qq output has duplicate column name {c}"
             )));
         }
     }
     // Quote names so literal-derived columns ("SELECT DISTINCT 1 …"
     // yields a column named "1", as in the paper's §2.2 example) parse.
-    let cols_sql: Vec<String> = schema
-        .columns
-        .iter()
-        .map(|c| format!("\"{}\" ANY", c.name))
-        .collect();
+    let quoted = |cols: &[String], suffix: &str| -> String {
+        let cols = cols.iter().map(|c| c.to_ascii_lowercase());
+        let cols: Vec<String> = cols.map(|c| format!("\"{c}\"{suffix}")).collect();
+        cols.join(", ")
+    };
     aux.execute(&format!(
-        "CREATE TABLE {} ({})",
-        schema.name,
-        cols_sql.join(", ")
+        "CREATE TABLE {table} ({})",
+        quoted(columns, " ANY")
     ))?;
+    if !index_on.is_empty() {
+        aux.execute(&format!(
+            "CREATE INDEX __rql_idx_{} ON {table} ({})",
+            table.to_ascii_lowercase(),
+            quoted(index_on, "")
+        ))?;
+    }
     Ok(())
 }
 
-/// Public wrapper for [`create_result_table`] used by the parallel
-/// extension module.
-pub(crate) fn create_result_table_pub(
-    aux: &Database,
-    table: &str,
-    columns: &[String],
-) -> Result<()> {
-    create_result_table(aux, table, columns)
+/// Which mechanism a call names, with its aggregate argument parsed.
+#[derive(Debug, Clone)]
+pub(crate) enum MechSpec {
+    /// `CollateData(Qs, Qq, T)`.
+    Collate,
+    /// `AggregateDataInVariable(Qs, Qq, T, AggFunc)`.
+    AggVar(AggOp),
+    /// `AggregateDataInTable(Qs, Qq, T, ListOfColFuncPairs)`.
+    AggTable(Vec<(String, AggOp)>),
+    /// `CollateDataIntoIntervals(Qs, Qq, T)`.
+    Intervals,
 }
 
-// ======================================================================
-// CollateData
-// ======================================================================
-
-/// `CollateData(Qs, Qq, T)` — collect records from multiple snapshots
-/// into a table (paper §2.1): first iteration `CREATE TABLE T AS Qq`,
-/// subsequent iterations `INSERT INTO T Qq`.
-pub fn collate_data(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-) -> Result<RqlReport> {
-    collate_data_with_memo(snap, aux, qs, qq, table, None)
-}
-
-/// [`collate_data`] with an optional memo store attached.
-pub(crate) fn collate_data_with_memo(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    memo: MemoHandle,
-) -> Result<RqlReport> {
-    if table_exists(aux, table) {
-        return Err(SqlError::Constraint(format!(
-            "result table {table} already exists (CollateData creates it)"
-        )));
+impl MechSpec {
+    /// From a call's mechanism kind and textual aggregate argument.
+    pub(crate) fn parse(kind: MechanismKind, spec: Option<&str>) -> Result<MechSpec> {
+        let spec = spec.unwrap_or_default();
+        Ok(match kind {
+            MechanismKind::Collate => MechSpec::Collate,
+            MechanismKind::AggVar => MechSpec::AggVar(AggOp::parse(spec)?),
+            MechanismKind::AggTable => MechSpec::AggTable(parse_col_func_pairs(spec)?),
+            MechanismKind::Intervals => MechSpec::Intervals,
+        })
     }
-    collate_data_step_with_memo(snap, aux, qs, qq, table, memo)
-}
 
-/// Step form of [`collate_data`]: appends to `T` if it already exists.
-pub fn collate_data_step(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-) -> Result<RqlReport> {
-    collate_data_step_with_memo(snap, aux, qs, qq, table, None)
-}
-
-/// [`collate_data_step`] with an optional memo store attached.
-pub(crate) fn collate_data_step_with_memo(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    memo: MemoHandle,
-) -> Result<RqlReport> {
-    let mut exists = table_exists(aux, table);
-    run_loop(snap, aux, qs, qq, memo, |_i, _sid, result| {
-        if !exists {
-            create_result_table(aux, table, &result.columns)?;
-            exists = true;
+    pub(crate) fn kind(&self) -> MechanismKind {
+        match self {
+            MechSpec::Collate => MechanismKind::Collate,
+            MechSpec::AggVar(_) => MechanismKind::AggVar,
+            MechSpec::AggTable(_) => MechanismKind::AggTable,
+            MechSpec::Intervals => MechanismKind::Intervals,
         }
-        aux.with_table_writer(table, |w| {
-            for row in &result.rows {
-                w.insert(row.clone())?;
+    }
+}
+
+/// What one [`Fold::apply`] wrote to the result table.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Applied {
+    pub(crate) inserts: u64,
+    pub(crate) updates: u64,
+}
+
+/// Report one result-table write to the row-effect sink, if any.
+fn emit(sink: &mut Option<&mut ResultDelta>, removed: Option<&Row>, added: &Row) {
+    if let Some(delta) = sink {
+        delta.removed.extend(removed.cloned());
+        delta.added.push(added.clone());
+    }
+}
+
+/// One mechanism's fold of per-snapshot Qq outputs into `T`.
+pub(crate) struct Fold {
+    table: String,
+    /// Whether `T` exists yet; whichever write comes first creates it.
+    exists: bool,
+    state: FoldState,
+}
+
+enum FoldState {
+    Collate,
+    AggVar(VarFold),
+    AggTable(AggTableFold),
+    Intervals {
+        /// The snapshot id of the previous iteration.
+        prev: Option<u64>,
+    },
+}
+
+impl Fold {
+    /// The empty fold: `T` does not exist yet.
+    pub(crate) fn new(spec: MechSpec, table: &str) -> Fold {
+        let state = match spec {
+            MechSpec::Collate => FoldState::Collate,
+            MechSpec::AggVar(func) => FoldState::AggVar(VarFold {
+                func,
+                state: func.init(),
+                column: None,
+                in_table: false,
+                unnamed: false,
+            }),
+            MechSpec::AggTable(pairs) => FoldState::AggTable(AggTableFold {
+                pairs,
+                layout: None,
+                prev: BTreeMap::new(),
+                skipped: 0,
+            }),
+            MechSpec::Intervals => FoldState::Intervals { prev: None },
+        };
+        Fold {
+            table: table.to_owned(),
+            exists: false,
+            state,
+        }
+    }
+
+    /// The fold as the per-row UDF form left it: whatever an earlier
+    /// invocation wrote to `T` is the state to continue from. `prev_sid`
+    /// is the snapshot of the invocation that preceded this one (the
+    /// session threads it; `T` alone cannot tell an empty iteration).
+    pub(crate) fn resume(
+        spec: MechSpec,
+        aux: &Database,
+        table: &str,
+        prev_sid: Option<u64>,
+    ) -> Result<Fold> {
+        let mut fold = Fold::new(spec, table);
+        fold.exists = table_exists(aux, table);
+        match &mut fold.state {
+            FoldState::AggVar(var) => {
+                var.in_table = true;
+                if fold.exists {
+                    let stored = aux.query(&format!("SELECT * FROM {table}"))?;
+                    var.column = stored.columns.first().cloned();
+                    if let Some(row) = stored.rows.first() {
+                        var.state = match var.func {
+                            AggOp::Avg => AggState::Avg {
+                                sum: row.get(1).and_then(Value::as_f64).unwrap_or(0.0),
+                                count: row.get(2).and_then(Value::as_i64).unwrap_or(0),
+                            },
+                            AggOp::Count => AggState::Count(row[0].as_i64().unwrap_or(0)),
+                            _ => AggState::Simple((!row[0].is_null()).then(|| row[0].clone())),
+                        };
+                    }
+                }
+            }
+            FoldState::Intervals { prev } => *prev = prev_sid,
+            FoldState::Collate | FoldState::AggTable(_) => {}
+        }
+        Ok(fold)
+    }
+
+    /// The last snapshot a `CollateDataIntoIntervals` fold saw.
+    pub(crate) fn prev_sid(&self) -> Option<u64> {
+        match self.state {
+            FoldState::Intervals { prev } => prev,
+            _ => None,
+        }
+    }
+
+    /// `AggregateDataInTable` groups skipped so far without even a probe
+    /// (stable records, proven write-free by the previous pass).
+    pub(crate) fn groups_skipped(&self) -> u64 {
+        match &self.state {
+            FoldState::AggTable(fold) => fold.skipped,
+            _ => 0,
+        }
+    }
+
+    /// Fold Qq's output at `sid` into `T`, creating it (and its probe
+    /// index) on first use. Row-level effects go to `sink`.
+    pub(crate) fn apply(
+        &mut self,
+        aux: &Database,
+        sid: u64,
+        result: &QueryResult,
+        mut sink: Option<&mut ResultDelta>,
+    ) -> Result<Applied> {
+        let fresh = !self.exists;
+        match &mut self.state {
+            FoldState::AggVar(var) => {
+                return var.apply(aux, &self.table, &mut self.exists, result, sink)
+            }
+            FoldState::AggTable(fold) => fold.init_layout(&result.columns)?,
+            FoldState::Collate | FoldState::Intervals { .. } => {}
+        }
+        if fresh {
+            let (columns, index_on) = match &self.state {
+                FoldState::AggTable(AggTableFold {
+                    layout: Some(layout),
+                    ..
+                }) => {
+                    let group_columns = layout.group_positions.iter();
+                    (
+                        layout.table_columns.clone(),
+                        group_columns.map(|&p| result.columns[p].clone()).collect(),
+                    )
+                }
+                FoldState::Intervals { .. } => {
+                    let mut columns = result.columns.clone();
+                    columns.push(START_SNAPSHOT_COL.to_owned());
+                    columns.push(END_SNAPSHOT_COL.to_owned());
+                    (columns, result.columns.clone())
+                }
+                _ => (result.columns.clone(), Vec::new()),
+            };
+            create_result_table(aux, &self.table, &columns, &index_on)?;
+            self.exists = true;
+        }
+        let state = &mut self.state;
+        let (inserts, updates) = aux.with_table_writer(&self.table, |w| {
+            match state {
+                FoldState::Collate => {
+                    if let Some(delta) = &mut sink {
+                        delta.added.extend_from_slice(&result.rows);
+                    }
+                    for row in &result.rows {
+                        w.insert(row.clone())?;
+                    }
+                }
+                FoldState::AggTable(fold) => fold.apply(w, result, fresh, &mut sink)?,
+                FoldState::Intervals { prev } => {
+                    let end = result.columns.len() + 1;
+                    for record in &result.rows {
+                        // The lifetime row that ended exactly at the
+                        // previous iteration's snapshot, if any (a fresh
+                        // table has none to probe for).
+                        let extend = match *prev {
+                            Some(p) if !fresh => w
+                                .probe(0, record)?
+                                .into_iter()
+                                .find(|(_, row)| row[end].as_i64() == Some(p as i64)),
+                            _ => None,
+                        };
+                        match extend {
+                            Some((rid, old)) => {
+                                let mut new_row = old.clone();
+                                new_row[end] = Value::Integer(sid as i64);
+                                emit(&mut sink, Some(&old), &new_row);
+                                w.update(rid, &old, new_row)?;
+                            }
+                            None => {
+                                let mut row = record.clone();
+                                row.push(Value::Integer(sid as i64));
+                                row.push(Value::Integer(sid as i64));
+                                emit(&mut sink, None, &row);
+                                w.insert(row)?;
+                            }
+                        }
+                    }
+                    *prev = Some(sid);
+                }
+                FoldState::AggVar(_) => unreachable!("returned above"),
             }
             Ok((w.inserted(), w.updated()))
-        })
-    })
-}
-
-// ======================================================================
-// AggregateDataInVariable
-// ======================================================================
-
-/// Extract the single value of an `AggregateDataInVariable` Qq result
-/// (`None` when the snapshot contributed nothing).
-fn single_value(result: &QueryResult) -> Result<Option<&Value>> {
-    if result.columns.len() != 1 {
-        return Err(SqlError::Invalid(format!(
-            "AggregateDataInVariable expects Qq to return one column, got {}",
-            result.columns.len()
-        )));
+        })?;
+        Ok(Applied { inserts, updates })
     }
-    match result.rows.len() {
-        0 => Ok(None),
-        1 => Ok(Some(&result.rows[0][0])),
-        n => Err(SqlError::Invalid(format!(
-            "AggregateDataInVariable expects Qq to return at most one row, got {n}"
-        ))),
-    }
-}
 
-/// `AggregateDataInVariable(Qs, Qq, T, AggFunc)` — fold a single value
-/// across snapshots in a variable, storing the result in `T` at the end
-/// (paper §2.2).
-pub fn aggregate_data_in_variable(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    func: AggOp,
-) -> Result<RqlReport> {
-    aggregate_data_in_variable_with_memo(snap, aux, qs, qq, table, func, None)
-}
-
-/// [`aggregate_data_in_variable`] with an optional memo store attached.
-pub(crate) fn aggregate_data_in_variable_with_memo(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    func: AggOp,
-    memo: MemoHandle,
-) -> Result<RqlReport> {
-    if table_exists(aux, table) {
-        return Err(SqlError::Constraint(format!(
-            "result table {table} already exists"
-        )));
-    }
-    let mut state: AggState = func.init();
-    let mut column: Option<String> = None;
-    let mut report = run_loop(snap, aux, qs, qq, memo, |_i, _sid, result| {
-        if column.is_none() {
-            column = Some(result.columns.first().cloned().unwrap_or_default());
+    /// Whatever the fold owes `T` after the last snapshot of a run:
+    /// `AggregateDataInVariable` stores its variable (paper §2.2).
+    pub(crate) fn finish(&mut self, aux: &Database, sink: Option<&mut ResultDelta>) -> Result<()> {
+        if let FoldState::AggVar(var) = &mut self.state {
+            if !var.in_table {
+                let _fin_span = rql_trace::span(rql_trace::SpanId::Finalize);
+                var.write(aux, &self.table, &mut self.exists, sink)?;
+            }
         }
-        if let Some(v) = single_value(result)? {
-            func.absorb(&mut state, v);
-        }
-        Ok((0, 0))
-    })?;
-    let _fin_span = rql_trace::span(rql_trace::SpanId::Finalize);
-    let finalize_started = Instant::now();
-    let column = column.unwrap_or_else(|| "value".to_owned());
-    create_result_table(aux, table, &[column])?;
-    aux.with_table_writer(table, |w| {
-        w.insert(vec![func.finish(&state)])?;
         Ok(())
-    })?;
-    report.finalize_time = finalize_started.elapsed();
-    Ok(report)
-}
-
-/// Step form of [`aggregate_data_in_variable`]: the running variable is
-/// persisted as `T`'s single row (with `(sum, count)` companions for the
-/// AVG special case), so independent per-snapshot invocations — the UDF
-/// calling pattern — accumulate correctly.
-pub fn aggregate_data_in_variable_step(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    func: AggOp,
-) -> Result<RqlReport> {
-    aggregate_data_in_variable_step_with_memo(snap, aux, qs, qq, table, func, None)
-}
-
-/// [`aggregate_data_in_variable_step`] with an optional memo store.
-pub(crate) fn aggregate_data_in_variable_step_with_memo(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    func: AggOp,
-    memo: MemoHandle,
-) -> Result<RqlReport> {
-    run_loop(snap, aux, qs, qq, memo, |_i, _sid, result| {
-        let v = single_value(result)?.cloned();
-        let column = result.columns.first().cloned().unwrap_or_default();
-        if !table_exists(aux, table) {
-            let mut cols = vec![column.clone()];
-            if func.needs_companions() {
-                cols.push(format!("{column}__avg_sum"));
-                cols.push(format!("{column}__avg_cnt"));
-            }
-            create_result_table(aux, table, &cols)?;
-            aux.with_table_writer(table, |w| {
-                let mut state = func.init();
-                if let Some(v) = &v {
-                    func.absorb(&mut state, v);
-                }
-                let mut row = vec![func.finish(&state)];
-                if func.needs_companions() {
-                    let (sum, cnt) = match state {
-                        AggState::Avg { sum, count } => (sum, count),
-                        _ => (0.0, 0),
-                    };
-                    row.push(Value::Real(sum));
-                    row.push(Value::Integer(cnt));
-                }
-                w.insert(row)?;
-                Ok(())
-            })?;
-            return Ok((1, 0));
-        }
-        let Some(v) = v else { return Ok((0, 0)) };
-        aux.with_table_writer(table, |w| {
-            // T has exactly one row: read, combine, write back.
-            let existing = w.probe_all()?;
-            let Some((rid, old)) = existing.into_iter().next() else {
-                return Err(SqlError::Invalid(format!(
-                    "result table {table} unexpectedly empty"
-                )));
-            };
-            let mut new_row = old.clone();
-            if func.needs_companions() {
-                let mut sum = old[1].as_f64().unwrap_or(0.0);
-                let mut cnt = old[2].as_i64().unwrap_or(0);
-                if let Some(x) = v.as_f64() {
-                    sum += x;
-                    cnt += 1;
-                }
-                new_row[0] = if cnt == 0 {
-                    Value::Null
-                } else {
-                    Value::Real(sum / cnt as f64)
-                };
-                new_row[1] = Value::Real(sum);
-                new_row[2] = Value::Integer(cnt);
-            } else {
-                new_row[0] = func.combine(&old[0], &v);
-            }
-            w.update(rid, &old, new_row)?;
-            Ok((0, 1))
-        })
-    })
+    }
 }
 
 // ======================================================================
-// AggregateDataInTable
+// AggregateDataInVariable — the running variable
+// ======================================================================
+
+struct VarFold {
+    func: AggOp,
+    state: AggState,
+    column: Option<String>,
+    /// The per-row UDF form keeps the variable in `T` between
+    /// invocations (with `(sum, count)` companions for the AVG special
+    /// case) and writes it through on every contribution; otherwise `T`
+    /// is materialized by [`Fold::finish`].
+    in_table: bool,
+    /// `T` was created before any Qq output named its column (an empty
+    /// snapshot set); the next write re-creates it properly.
+    unnamed: bool,
+}
+
+impl VarFold {
+    /// Absorb Qq's single value.
+    fn apply(
+        &mut self,
+        aux: &Database,
+        table: &str,
+        exists: &mut bool,
+        result: &QueryResult,
+        sink: Option<&mut ResultDelta>,
+    ) -> Result<Applied> {
+        if result.columns.len() != 1 {
+            return Err(SqlError::Invalid(format!(
+                "AggregateDataInVariable expects Qq to return one column, got {}",
+                result.columns.len()
+            )));
+        }
+        let value = match result.rows.as_slice() {
+            [] => None,
+            [row] => Some(&row[0]),
+            rows => {
+                return Err(SqlError::Invalid(format!(
+                    "AggregateDataInVariable expects Qq to return at most one row, got {}",
+                    rows.len()
+                )))
+            }
+        };
+        self.column.get_or_insert_with(|| result.columns[0].clone());
+        if let Some(v) = value {
+            self.func.absorb(&mut self.state, v);
+        }
+        if self.in_table && (!*exists || value.is_some()) {
+            return self.write(aux, table, exists, sink);
+        }
+        Ok(Applied::default())
+    }
+
+    /// Store the variable as `T`'s single row.
+    fn write(
+        &mut self,
+        aux: &Database,
+        table: &str,
+        exists: &mut bool,
+        mut sink: Option<&mut ResultDelta>,
+    ) -> Result<Applied> {
+        let mut row = vec![self.func.finish(&self.state)];
+        let companions = self.in_table && self.func.needs_companions();
+        if let (true, AggState::Avg { sum, count }) = (companions, &self.state) {
+            row.push(Value::Real(*sum));
+            row.push(Value::Integer(*count));
+        }
+        if self.unnamed && self.column.is_some() {
+            let placeholder = aux.query(&format!("SELECT * FROM {table}"))?;
+            if let Some(delta) = &mut sink {
+                delta.removed.extend(placeholder.rows);
+            }
+            aux.execute(&format!("DROP TABLE {table}"))?;
+            *exists = false;
+        }
+        if !*exists {
+            self.unnamed = self.column.is_none();
+            let column = self.column.clone().unwrap_or_else(|| "value".to_owned());
+            let mut columns = vec![column.clone()];
+            if companions {
+                columns.push(format!("{column}__avg_sum"));
+                columns.push(format!("{column}__avg_cnt"));
+            }
+            create_result_table(aux, table, &columns, &[])?;
+            *exists = true;
+        }
+        aux.with_table_writer(table, |w| {
+            match w.probe_all()?.pop() {
+                Some((rid, old)) => {
+                    emit(&mut sink, Some(&old), &row);
+                    w.update(rid, &old, row)?;
+                }
+                None => {
+                    emit(&mut sink, None, &row);
+                    w.insert(row)?;
+                }
+            }
+            Ok(Applied {
+                inserts: w.inserted(),
+                updates: w.updated(),
+            })
+        })
+    }
+}
+
+// ======================================================================
+// AggregateDataInTable — write-skipping in-table fold
 // ======================================================================
 
 /// Internal layout of an `AggregateDataInTable` result table.
-pub(crate) struct AggTableLayout {
+struct AggTableLayout {
     /// Positions of grouping columns within the Qq output.
-    pub(crate) group_positions: Vec<usize>,
+    group_positions: Vec<usize>,
     /// `(qq_position, op, companion_base)` per aggregated column;
     /// `companion_base` indexes the `(sum, count)` pair for AVG columns.
-    pub(crate) agg_columns: Vec<(usize, AggOp, Option<usize>)>,
+    agg_columns: Vec<(usize, AggOp, Option<usize>)>,
     /// All result-table column names (Qq columns + AVG companions).
-    pub(crate) table_columns: Vec<String>,
+    table_columns: Vec<String>,
 }
 
-/// What one [`AggTableLayout::fold`] did to the result table — consumed
-/// by the delta driver (write-skipping) and the standing-query
-/// maintainer (result-delta frames).
-pub(crate) enum FoldEffect {
-    /// A fresh row was inserted for a new grouping key.
-    Inserted(Row),
-    /// The group's row was rewritten.
-    Updated {
-        /// The row before the fold.
-        old: Row,
-        /// The row after the fold.
-        new: Row,
-    },
-    /// The aggregate did not change; nothing was written.
-    Unchanged,
-}
-
-pub(crate) fn agg_table_layout(
-    qq_columns: &[String],
-    pairs: &[(String, AggOp)],
-) -> Result<AggTableLayout> {
+fn agg_table_layout(qq_columns: &[String], pairs: &[(String, AggOp)]) -> Result<AggTableLayout> {
     let mut agg_columns = Vec::new();
     let mut table_columns: Vec<String> = qq_columns.to_vec();
     for (col, op) in pairs {
@@ -489,11 +522,11 @@ pub(crate) fn agg_table_layout(
 
 impl AggTableLayout {
     /// Result-table row for a record's first appearance.
-    pub(crate) fn fresh_row(&self, record: &Row) -> Row {
+    fn fresh_row(&self, record: &Row) -> Row {
         let mut row = Vec::with_capacity(self.table_columns.len());
         row.extend(record.iter().cloned());
-        for (pos, op, companion) in &self.agg_columns {
-            if companion.is_some() && *op == AggOp::Avg {
+        for (pos, _, companion) in &self.agg_columns {
+            if companion.is_some() {
                 let x = record[*pos].as_f64().unwrap_or(0.0);
                 let present = !record[*pos].is_null();
                 row.push(Value::Real(x));
@@ -504,368 +537,253 @@ impl AggTableLayout {
     }
 
     /// Fold one record into the result table: probe on the grouping
-    /// columns, then update the hit or insert fresh (paper §3).
-    pub(crate) fn fold(&self, w: &mut TableWriter, record: &Row) -> Result<FoldEffect> {
+    /// columns, then update the hit or insert fresh (paper §3). Returns
+    /// whether anything was written.
+    fn fold(
+        &self,
+        w: &mut TableWriter,
+        record: &Row,
+        sink: &mut Option<&mut ResultDelta>,
+    ) -> Result<bool> {
         let key: Vec<Value> = self
             .group_positions
             .iter()
             .map(|&p| record[p].clone())
             .collect();
         let mut hits = w.probe(0, &key)?;
-        match hits.len() {
-            0 => {
-                let fresh = self.fresh_row(record);
-                w.insert(fresh.clone())?;
-                Ok(FoldEffect::Inserted(fresh))
-            }
-            1 => {
-                let (rid, old) = hits.pop().unwrap();
-                let mut new_row = old.clone();
-                for (pos, op, companion) in &self.agg_columns {
-                    match companion {
-                        Some(base) => {
-                            let mut sum = old[*base].as_f64().unwrap_or(0.0);
-                            let mut cnt = old[*base + 1].as_i64().unwrap_or(0);
-                            if let Some(x) = record[*pos].as_f64() {
-                                sum += x;
-                                cnt += 1;
-                            }
-                            new_row[*base] = Value::Real(sum);
-                            new_row[*base + 1] = Value::Integer(cnt);
-                            new_row[*pos] = if cnt == 0 {
-                                Value::Null
-                            } else {
-                                Value::Real(sum / cnt as f64)
-                            };
-                        }
-                        None => {
-                            new_row[*pos] = op.combine(&old[*pos], &record[*pos]);
-                        }
-                    }
-                }
-                // Skip the write when the aggregate did not change (MAX
-                // rarely changes; SUM changes on every contribution —
-                // the asymmetry of Figure 13's hot iterations).
-                if new_row != old {
-                    w.update(rid, &old, new_row.clone())?;
-                    Ok(FoldEffect::Updated { old, new: new_row })
-                } else {
-                    Ok(FoldEffect::Unchanged)
-                }
-            }
-            n => Err(SqlError::Invalid(format!(
-                "aggregation ill-defined: {n} result rows share one grouping key \
-                 (Qq must be unique on its grouping columns)"
-            ))),
-        }
-    }
-}
-
-/// `AggregateDataInTable(Qs, Qq, T, ListOfColFuncPairs)` — an
-/// across-time GROUP BY (paper §2.3): group on the Qq columns *not*
-/// listed in the pairs, combining the listed columns across snapshots.
-pub fn aggregate_data_in_table(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    pairs: &[(String, AggOp)],
-) -> Result<RqlReport> {
-    aggregate_data_in_table_with_memo(snap, aux, qs, qq, table, pairs, None)
-}
-
-/// [`aggregate_data_in_table`] with an optional memo store attached.
-pub(crate) fn aggregate_data_in_table_with_memo(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    pairs: &[(String, AggOp)],
-    memo: MemoHandle,
-) -> Result<RqlReport> {
-    if table_exists(aux, table) {
-        return Err(SqlError::Constraint(format!(
-            "result table {table} already exists"
-        )));
-    }
-    aggregate_data_in_table_step_with_memo(snap, aux, qs, qq, table, pairs, memo)
-}
-
-/// Step form of [`aggregate_data_in_table`]: folds into a pre-existing
-/// result table (probing from the first record) or creates it.
-pub fn aggregate_data_in_table_step(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    pairs: &[(String, AggOp)],
-) -> Result<RqlReport> {
-    aggregate_data_in_table_step_with_memo(snap, aux, qs, qq, table, pairs, None)
-}
-
-/// [`aggregate_data_in_table_step`] with an optional memo store.
-pub(crate) fn aggregate_data_in_table_step_with_memo(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    pairs: &[(String, AggOp)],
-    memo: MemoHandle,
-) -> Result<RqlReport> {
-    let mut layout: Option<AggTableLayout> = None;
-    let mut blind_first = false;
-    run_loop(snap, aux, qs, qq, memo, |i, _sid, result| {
-        if layout.is_none() {
-            let l = agg_table_layout(&result.columns, pairs)?;
-            if !table_exists(aux, table) {
-                create_result_table(aux, table, &l.table_columns)?;
-                // Paper §3: "we also create an index on Result using as
-                // key the values in non-aggregating columns".
-                let group_cols: Vec<String> = l
-                    .group_positions
-                    .iter()
-                    .map(|&p| format!("\"{}\"", result.columns[p].to_ascii_lowercase()))
-                    .collect();
-                aux.execute(&format!(
-                    "CREATE INDEX __rql_idx_{} ON {} ({})",
-                    table.to_ascii_lowercase(),
-                    table,
-                    group_cols.join(", ")
-                ))?;
-                blind_first = true;
-            }
-            layout = Some(l);
-        }
-        let layout = layout.as_ref().expect("layout initialized");
-        aux.with_table_writer(table, |w| {
-            for record in &result.rows {
-                if blind_first && i == 0 {
-                    // First iteration over a fresh table inserts blindly
-                    // (the Qq output is unique on the grouping columns).
-                    w.insert(layout.fresh_row(record))?;
-                } else {
-                    layout.fold(w, record)?;
-                }
-            }
-            Ok((w.inserted(), w.updated()))
-        })
-    })
-}
-
-/// Sort-merge variant of [`aggregate_data_in_table`] — the alternative
-/// the paper's authors "experimented with … that turned out to be
-/// costlier" (§3), kept here as an ablation.
-///
-/// Instead of probing the result-table index per record, each iteration
-/// sorts the Qq output by grouping key and merges it against a full
-/// key-ordered scan of the result table. The merge touches every result
-/// row every iteration, which is what makes it lose to the index-probe
-/// plan whenever the result table outgrows the per-snapshot output.
-pub fn aggregate_data_in_table_sortmerge(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    pairs: &[(String, AggOp)],
-) -> Result<RqlReport> {
-    if table_exists(aux, table) {
-        return Err(SqlError::Constraint(format!(
-            "result table {table} already exists"
-        )));
-    }
-    let mut layout: Option<AggTableLayout> = None;
-    // The sort-merge ablation stays memo-free: it exists to measure the
-    // paper's costlier alternative, and a cache would mask that cost.
-    run_loop(snap, aux, qs, qq, None, |_i, _sid, result| {
-        if layout.is_none() {
-            let l = agg_table_layout(&result.columns, pairs)?;
-            create_result_table(aux, table, &l.table_columns)?;
-            layout = Some(l);
-        }
-        let layout = layout.as_ref().expect("layout initialized");
-        // Sort this iteration's records by grouping key.
-        let mut records: Vec<&Row> = result.rows.iter().collect();
-        let positions = &layout.group_positions;
-        let cmp_keys = move |a: &Row, b: &Row| {
-            positions
-                .iter()
-                .map(|&p| a[p].total_cmp(&b[p]))
-                .find(|o| *o != std::cmp::Ordering::Equal)
-                .unwrap_or(std::cmp::Ordering::Equal)
+        let Some((rid, old)) = hits.pop() else {
+            let fresh = self.fresh_row(record);
+            emit(sink, None, &fresh);
+            w.insert(fresh)?;
+            return Ok(true);
         };
-        records.sort_by(|a, b| cmp_keys(a, b));
-        aux.with_table_writer(table, |w| {
-            // Full scan of the result table, sorted the same way.
-            let mut existing = w.probe_all()?;
-            existing.sort_by(|(_, a), (_, b)| cmp_keys(a, b));
-            let mut e = existing.iter();
-            let mut cursor = e.next();
-            for record in records {
-                // Advance the merge cursor to the record's key.
-                while let Some((_, row)) = cursor {
-                    if cmp_keys(row, record) == std::cmp::Ordering::Less {
-                        cursor = e.next();
+        if !hits.is_empty() {
+            return Err(SqlError::Invalid(format!(
+                "aggregation ill-defined: {} result rows share one grouping key \
+                 (Qq must be unique on its grouping columns)",
+                hits.len() + 1
+            )));
+        }
+        let mut new_row = old.clone();
+        for (pos, op, companion) in &self.agg_columns {
+            match companion {
+                Some(base) => {
+                    let mut sum = old[*base].as_f64().unwrap_or(0.0);
+                    let mut cnt = old[*base + 1].as_i64().unwrap_or(0);
+                    if let Some(x) = record[*pos].as_f64() {
+                        sum += x;
+                        cnt += 1;
+                    }
+                    new_row[*base] = Value::Real(sum);
+                    new_row[*base + 1] = Value::Integer(cnt);
+                    new_row[*pos] = if cnt == 0 {
+                        Value::Null
                     } else {
-                        break;
-                    }
+                        Value::Real(sum / cnt as f64)
+                    };
                 }
-                match cursor {
-                    Some((rid, old)) if cmp_keys(old, record) == std::cmp::Ordering::Equal => {
-                        let mut new_row = old.clone();
-                        for (pos, op, companion) in &layout.agg_columns {
-                            match companion {
-                                Some(base) => {
-                                    let mut sum = old[*base].as_f64().unwrap_or(0.0);
-                                    let mut cnt = old[*base + 1].as_i64().unwrap_or(0);
-                                    if let Some(x) = record[*pos].as_f64() {
-                                        sum += x;
-                                        cnt += 1;
-                                    }
-                                    new_row[*base] = Value::Real(sum);
-                                    new_row[*base + 1] = Value::Integer(cnt);
-                                    new_row[*pos] = if cnt == 0 {
-                                        Value::Null
-                                    } else {
-                                        Value::Real(sum / cnt as f64)
-                                    };
-                                }
-                                None => {
-                                    new_row[*pos] = op.combine(&old[*pos], &record[*pos]);
-                                }
-                            }
-                        }
-                        if new_row != *old {
-                            w.update(*rid, old, new_row)?;
-                        }
-                        cursor = e.next();
-                    }
-                    _ => {
-                        w.insert(layout.fresh_row(record))?;
-                    }
-                }
+                None => new_row[*pos] = op.combine(&old[*pos], &record[*pos]),
             }
-            Ok((w.inserted(), w.updated()))
-        })
-    })
+        }
+        // Skip the write when the aggregate did not change (MAX rarely
+        // changes; SUM changes on every contribution — the asymmetry of
+        // Figure 13's hot iterations).
+        if new_row == old {
+            return Ok(false);
+        }
+        emit(sink, Some(&old), &new_row);
+        w.update(rid, &old, new_row)?;
+        Ok(true)
+    }
+}
+
+/// Grouping key under result-table probe equivalence: two keys are equal
+/// iff [`TableWriter::probe`] would land them on the same result row
+/// (`total_cmp == Equal`, so `2` ≡ `2.0` and NULL ≡ NULL).
+struct GroupKey(Vec<Value>);
+
+impl PartialEq for GroupKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for GroupKey {}
+impl PartialOrd for GroupKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for GroupKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0
+            .iter()
+            .zip(other.0.iter())
+            .map(|(a, b)| a.total_cmp(b))
+            .find(|o| *o != Ordering::Equal)
+            .unwrap_or_else(|| self.0.len().cmp(&other.0.len()))
+    }
+}
+
+/// One grouping key's share of a fold pass.
+#[derive(Default)]
+struct GroupPass {
+    /// The group's record sublist, in Qq output order.
+    records: Vec<Row>,
+    /// Skipped: same records as a previous pass that wrote nothing.
+    skip: bool,
+    /// Whether this pass's fold wrote (insert or update).
+    wrote: bool,
+}
+
+/// `AggregateDataInTable` fold state, persistent across iterations (and,
+/// for standing queries, across commits).
+///
+/// Byte-identity argument for the write-skipping: the result table's
+/// bytes depend only on the *write* sequence against it (probes are
+/// read-only, and `heap.update` = delete+insert relocates on every
+/// write). A group whose record sublist is unchanged since the previous
+/// pass AND whose previous pass wrote nothing would fold to the same
+/// no-op again — the fold is deterministic in (stored row, records), and
+/// no other group's writes touch its stored row. Skipping exactly those
+/// groups therefore preserves the plain per-record write sequence
+/// byte-for-byte while eliminating the probes for the stable majority
+/// (MAX groups in Figure 13's hot iterations). Everything else replays
+/// [`AggTableLayout::fold`] per record in Qq output order.
+struct AggTableFold {
+    pairs: Vec<(String, AggOp)>,
+    layout: Option<AggTableLayout>,
+    /// The groups the last pass provably wrote nothing for, with their
+    /// record sublists.
+    prev: BTreeMap<GroupKey, Vec<Row>>,
+    /// Groups skipped so far.
+    skipped: u64,
+}
+
+impl AggTableFold {
+    /// Derive the layout from the first Qq output seen.
+    fn init_layout(&mut self, qq_columns: &[String]) -> Result<()> {
+        if self.layout.is_none() {
+            self.layout = Some(agg_table_layout(qq_columns, &self.pairs)?);
+        }
+        Ok(())
+    }
+
+    /// Fold one iteration's Qq output. `blind`: `T` was just created, so
+    /// the pass inserts without probing (the Qq output is unique on the
+    /// grouping columns).
+    fn apply(
+        &mut self,
+        w: &mut TableWriter,
+        result: &QueryResult,
+        blind: bool,
+        sink: &mut Option<&mut ResultDelta>,
+    ) -> Result<()> {
+        let layout = self.layout.as_ref().expect("init_layout() before apply()");
+        if blind {
+            for record in &result.rows {
+                let fresh = layout.fresh_row(record);
+                emit(sink, None, &fresh);
+                w.insert(fresh)?;
+            }
+            // Every group just wrote, so the next pass can skip none of
+            // them: there is nothing worth remembering.
+            self.prev.clear();
+            return Ok(());
+        }
+        let key_of = |record: &Row| {
+            let key = layout.group_positions.iter();
+            GroupKey(key.map(|&p| record[p].clone()).collect())
+        };
+        // Group this iteration's records under probe equivalence.
+        let mut cur: BTreeMap<GroupKey, GroupPass> = BTreeMap::new();
+        for record in &result.rows {
+            let group = cur.entry(key_of(record)).or_default();
+            group.records.push(record.clone());
+        }
+        // Decide skips against the previous pass.
+        for (key, group) in &mut cur {
+            group.skip = self.prev.get(key) == Some(&group.records);
+            self.skipped += u64::from(group.skip);
+        }
+        for record in &result.rows {
+            let group = cur.get_mut(&key_of(record)).expect("record grouped above");
+            if !group.skip {
+                group.wrote |= layout.fold(w, record, sink)?;
+            }
+        }
+        let write_free = cur.into_iter().filter(|(_, group)| !group.wrote);
+        self.prev = write_free
+            .map(|(key, group)| (key, group.records))
+            .collect();
+        Ok(())
+    }
 }
 
 // ======================================================================
-// CollateDataIntoIntervals
+// The loop
 // ======================================================================
 
-/// `CollateDataIntoIntervals(Qs, Qq, T)` — the record-lifetime
-/// representation (paper §2.4): `T` carries `start_snapshot` /
-/// `end_snapshot`; a record also present in the previous iteration has
-/// its lifetime extended, otherwise a new lifetime row starts.
-pub fn collate_data_into_intervals(
+/// Shared iteration driver: per snapshot in `ids`, take Qq's output from
+/// `source` and hand it to `fold` (whose time is the "RQL UDF" component
+/// of the paper's cost breakdowns), then let the fold finish.
+pub(crate) fn drive(
     snap: &Database,
     aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
+    source: &mut QqSource,
+    fold: &mut Fold,
+    ids: &[u64],
+    mut sink: Option<&mut ResultDelta>,
 ) -> Result<RqlReport> {
-    collate_data_into_intervals_with_memo(snap, aux, qs, qq, table, None)
+    let readers = source.open_chain(snap, ids)?;
+    let mut report = RqlReport::default();
+    for (i, &sid) in ids.iter().enumerate() {
+        let _qq_span = rql_trace::span_arg(rql_trace::SpanId::QqIteration, sid);
+        let iter_started = Instant::now();
+        let memo_hit = source.advance(snap, readers.get(i), sid)?;
+        let result = source.current();
+        let udf_started = Instant::now();
+        let applied = fold.apply(aux, sid, result, sink.as_deref_mut())?;
+        rql_trace::instant_arg(rql_trace::SpanId::RowsFolded, result.rows.len() as u64);
+        report.iterations.push(IterationReport {
+            snap_id: sid,
+            qq_stats: result.stats,
+            udf_time: udf_started.elapsed(),
+            qq_rows: result.rows.len() as u64,
+            result_inserts: applied.inserts,
+            result_updates: applied.updates,
+            memo_hit,
+            wall: iter_started.elapsed(),
+        });
+    }
+    let finalize_started = Instant::now();
+    fold.finish(aux, sink)?;
+    report.finalize_time = finalize_started.elapsed();
+    Ok(report)
 }
 
-/// [`collate_data_into_intervals`] with an optional memo store.
-pub(crate) fn collate_data_into_intervals_with_memo(
+/// One batch mechanism call: Qs once, then [`drive`] a fresh source and
+/// an empty fold over the snapshot set it returned.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run(
     snap: &Database,
     aux: &Database,
     qs: &str,
     qq: &str,
     table: &str,
+    spec: MechSpec,
+    policy: Option<DeltaPolicy>,
     memo: MemoHandle,
 ) -> Result<RqlReport> {
+    let _qs_span = rql_trace::span(rql_trace::SpanId::QsLoop);
     if table_exists(aux, table) {
         return Err(SqlError::Constraint(format!(
-            "result table {table} already exists"
+            "result table {table} already exists (the mechanism creates it)"
         )));
     }
-    collate_data_into_intervals_step_with_memo(snap, aux, qs, qq, table, None, memo).map(|(r, _)| r)
-}
-
-/// Step form of [`collate_data_into_intervals`]. `prev_sid` is the
-/// snapshot id of the iteration that preceded this call (the UDF driver
-/// threads it between invocations); returns the report and the last
-/// snapshot id processed.
-pub fn collate_data_into_intervals_step(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    prev_sid: Option<u64>,
-) -> Result<(RqlReport, Option<u64>)> {
-    collate_data_into_intervals_step_with_memo(snap, aux, qs, qq, table, prev_sid, None)
-}
-
-/// [`collate_data_into_intervals_step`] with an optional memo store.
-pub(crate) fn collate_data_into_intervals_step_with_memo(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    prev_sid: Option<u64>,
-    memo: MemoHandle,
-) -> Result<(RqlReport, Option<u64>)> {
-    let mut prev = prev_sid;
-    let mut qq_arity = 0usize;
-    let report = run_loop(snap, aux, qs, qq, memo, |_i, sid, result| {
-        qq_arity = result.columns.len();
-        let first = !table_exists(aux, table);
-        if first {
-            let mut columns = result.columns.clone();
-            columns.push(START_SNAPSHOT_COL.to_owned());
-            columns.push(END_SNAPSHOT_COL.to_owned());
-            create_result_table(aux, table, &columns)?;
-            let key_cols: Vec<String> = result
-                .columns
-                .iter()
-                .map(|c| format!("\"{}\"", c.to_ascii_lowercase()))
-                .collect();
-            aux.execute(&format!(
-                "CREATE INDEX __rql_idx_{} ON {} ({})",
-                table.to_ascii_lowercase(),
-                table,
-                key_cols.join(", ")
-            ))?;
-        }
-        let prev_here = prev;
-        let counts = aux.with_table_writer(table, |w| {
-            for record in &result.rows {
-                let extend = if first {
-                    None
-                } else {
-                    // Find the lifetime row that ended exactly at the
-                    // previous iteration's snapshot.
-                    w.probe(0, record)?.into_iter().find(|(_, row)| {
-                        prev_here.is_some_and(|p| row[qq_arity + 1].as_i64() == Some(p as i64))
-                    })
-                };
-                match extend {
-                    Some((rid, old)) => {
-                        let mut new_row = old.clone();
-                        new_row[qq_arity + 1] = Value::Integer(sid as i64);
-                        w.update(rid, &old, new_row)?;
-                    }
-                    None => {
-                        let mut row = record.clone();
-                        row.push(Value::Integer(sid as i64));
-                        row.push(Value::Integer(sid as i64));
-                        w.insert(row)?;
-                    }
-                }
-            }
-            Ok((w.inserted(), w.updated()))
-        })?;
-        prev = Some(sid);
-        Ok(counts)
-    })?;
-    Ok((report, prev))
+    let mut source = QqSource::new(snap, qq, spec.kind(), policy, memo)?;
+    let (ids, qs_time) = snapshot_set(aux, qs)?;
+    let mut fold = Fold::new(spec, table);
+    let mut report = drive(snap, aux, &mut source, &mut fold, &ids, None)?;
+    report.qs_time = qs_time;
+    Ok(report)
 }

@@ -214,30 +214,43 @@ impl QqMemo {
     }
 
     /// Look up the memoized Qq result at `sid`, verifying the page
-    /// version through an already-open snapshot reader (the delta path
-    /// has one at hand, so verification is nearly free).
+    /// version through `reader` when the caller has the snapshot open
+    /// (the chain source does, so verification is nearly free). Without
+    /// one the snapshot is opened only inside the verification closure,
+    /// so a cold miss never builds an SPT.
     pub(crate) fn lookup_result(
         &self,
-        reader: &SnapshotReader,
+        snap: &Database,
+        reader: Option<&SnapshotReader>,
         parsed: &SelectStmt,
         sid: u64,
     ) -> Option<QueryResult> {
         let key = self.key(sid, EntryKind::Result);
-        match self.store.lookup(&key, || self.pvv(reader, parsed)) {
+        let pvv = || match reader {
+            Some(reader) => self.pvv(reader, parsed),
+            None => self.pvv(&snap.store().open_snapshot(sid).ok()?, parsed),
+        };
+        match self.store.lookup(&key, pvv) {
             Some(MemoValue::Result { columns, rows }) => Some(Self::hit_result(columns, rows)),
             _ => None,
         }
     }
 
-    /// Record a Qq result computed at `sid` (delta path).
+    /// Record a Qq result computed at `sid` (`reader` as in
+    /// [`Self::lookup_result`]).
     pub(crate) fn record_result(
         &self,
-        reader: &SnapshotReader,
+        snap: &Database,
+        reader: Option<&SnapshotReader>,
         parsed: &SelectStmt,
         sid: u64,
         result: &QueryResult,
     ) {
-        if let Some(pvv) = self.pvv(reader, parsed) {
+        let pvv = match reader {
+            Some(reader) => self.pvv(reader, parsed),
+            None => (snap.store().open_snapshot(sid).ok()).and_then(|r| self.pvv(&r, parsed)),
+        };
+        if let Some(pvv) = pvv {
             self.store.insert(
                 self.key(sid, EntryKind::Result),
                 pvv,
@@ -276,40 +289,6 @@ impl QqMemo {
             self.store
                 .insert(self.key(sid, EntryKind::Seed), pvv, MemoValue::Seed(seed));
         }
-    }
-
-    /// Sequential-loop variant of [`Self::lookup_result`]: opens the
-    /// snapshot only inside the verification closure, so a cold miss
-    /// never builds an SPT.
-    pub(crate) fn lookup_result_seq(
-        &self,
-        snap: &Database,
-        parsed: &SelectStmt,
-        sid: u64,
-    ) -> Option<QueryResult> {
-        let key = self.key(sid, EntryKind::Result);
-        let pvv = || {
-            let reader = snap.store().open_snapshot(sid).ok()?;
-            self.pvv(&reader, parsed)
-        };
-        match self.store.lookup(&key, pvv) {
-            Some(MemoValue::Result { columns, rows }) => Some(Self::hit_result(columns, rows)),
-            _ => None,
-        }
-    }
-
-    /// Sequential-loop variant of [`Self::record_result`].
-    pub(crate) fn record_result_seq(
-        &self,
-        snap: &Database,
-        parsed: &SelectStmt,
-        sid: u64,
-        result: &QueryResult,
-    ) {
-        let Ok(reader) = snap.store().open_snapshot(sid) else {
-            return;
-        };
-        self.record_result(&reader, parsed, sid, result);
     }
 }
 

@@ -9,77 +9,55 @@
 //! pages, so any number of iterations can execute Qq concurrently. Only
 //! the fold into the result table is serialized (the auxiliary store is
 //! single-writer). [`collate_data_parallel`] and
-//! [`aggregate_data_in_variable_parallel`] run the Qq phase on a thread
-//! pool and fold results in Qs order, so their output is byte-identical
-//! to the sequential mechanisms.
+//! [`aggregate_data_in_variable_parallel`] pre-evaluate Qq on a thread
+//! pool and hand the outputs, in Qs order, to the same loop and folds
+//! as every other form ([`mechanism::drive`]), so their result tables
+//! are byte-identical to the sequential mechanisms'.
 //!
 //! The shared buffer cache makes this *cooperative*: threads working on
 //! nearby snapshots warm each other's shared pre-states, so the total
 //! Pagelog I/O stays close to the sequential run's.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
-use rql_sqlengine::ast::Stmt;
-use rql_sqlengine::{parse_select, Database, QueryResult, Result, SqlError};
+use rql_sqlengine::{Database, QueryResult, Result, SqlError};
 
-use crate::aggregate::{AggOp, AggState};
-use crate::mechanism;
-use crate::report::{IterationReport, RqlReport};
-use crate::rewrite::rewrite_select;
+use crate::aggregate::AggOp;
+use crate::delta::QqSource;
+use crate::mechanism::{self, Fold, MechSpec};
+use crate::report::RqlReport;
 
-/// Run Qq over every snapshot in `qs` using `threads` worker threads,
-/// returning per-snapshot results in Qs order.
+/// Run Qq over every snapshot in `ids` on `threads` worker threads, each
+/// with a sequential [`QqSource`] of its own; outputs come back in `ids`
+/// order.
 fn parallel_qq(
     snap: &Database,
-    aux: &Database,
-    qs: &str,
     qq: &str,
+    spec: &MechSpec,
+    ids: &[u64],
     threads: usize,
-) -> Result<(Vec<(u64, QueryResult)>, std::time::Duration)> {
-    let qs_started = Instant::now();
-    let qs_result = aux.query(qs)?;
-    let qs_time = qs_started.elapsed();
-    if qs_result.columns.len() != 1 {
-        return Err(SqlError::Invalid(
-            "Qs must return a single snapshot-id column".into(),
-        ));
-    }
-    let ids: Vec<u64> = qs_result
-        .rows
-        .iter()
-        .filter_map(|r| r[0].as_i64())
-        .map(|i| i as u64)
-        .collect();
-    let parsed = parse_select(qq)?;
-    if parsed.as_of.is_some() {
-        return Err(SqlError::Invalid(
-            "Qq must not contain AS OF; RQL binds the snapshot per iteration".into(),
-        ));
-    }
+) -> Result<Vec<QueryResult>> {
     let threads = threads.max(1).min(ids.len().max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<QueryResult>>>> =
-        ids.iter().map(|_| Mutex::new(None)).collect();
+    let sources = (0..threads)
+        .map(|_| QqSource::new(snap, qq, spec.kind(), None, None))
+        .collect::<Result<Vec<_>>>()?;
+    let next = &AtomicUsize::new(0);
+    let slots: &Vec<Mutex<Option<Result<QueryResult>>>> =
+        &ids.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        for mut source in sources {
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&sid) = ids.get(i) else { break };
-                // Cancellation checkpoint between Qq executions: once the
-                // token trips, remaining snapshots fail fast instead of
-                // running their queries to completion.
-                if let Err(e) = snap.cancel_token().check() {
-                    *slots[i].lock().unwrap() = Some(Err(e));
-                    continue;
-                }
                 // A panic inside Qq execution must not poison the scope
                 // (which would abort the whole process via the scoped
                 // thread's unwind): surface it as a per-snapshot error.
+                // (`advance` is also the cancellation checkpoint: once
+                // the token trips, remaining snapshots fail fast.)
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let rewritten = rewrite_select(&parsed, sid);
-                    snap.execute_stmt(&Stmt::Select(rewritten))
-                        .map(|o| o.rows().expect("SELECT yields rows"))
+                    source.advance(snap, None, sid)?;
+                    Ok(source.take_current())
                 }))
                 .unwrap_or_else(|payload| {
                     let msg = payload
@@ -91,35 +69,41 @@ fn parallel_qq(
                         "Qq panicked on snapshot {sid}: {msg}"
                     )))
                 });
-                *slots[i].lock().unwrap() = Some(outcome);
+                *slots[i].lock().expect("no panic while a slot is locked") = Some(outcome);
             });
         }
     });
-    let mut out = Vec::with_capacity(ids.len());
-    for (sid, slot) in ids.iter().zip(slots) {
-        let result = slot
-            .into_inner()
-            .unwrap()
-            .expect("worker filled every slot")?;
-        out.push((*sid, result));
-    }
-    Ok((out, qs_time))
-}
-
-fn reports_from(results: &[(u64, QueryResult)]) -> Vec<IterationReport> {
-    results
+    slots
         .iter()
-        .map(|(sid, r)| IterationReport {
-            snap_id: *sid,
-            qq_stats: r.stats,
-            udf_time: std::time::Duration::ZERO,
-            qq_rows: r.rows.len() as u64,
-            result_inserts: 0,
-            result_updates: 0,
-            memo_hit: false,
-            wall: std::time::Duration::ZERO,
+        .map(|slot| {
+            let outcome = slot.lock().expect("no panic while a slot is locked").take();
+            outcome.expect("worker filled every slot")
         })
         .collect()
+}
+
+/// The shared batch shape with the Qq phase moved onto the pool.
+fn run_parallel(
+    snap: &Database,
+    aux: &Database,
+    qs: &str,
+    qq: &str,
+    table: &str,
+    spec: MechSpec,
+    threads: usize,
+) -> Result<RqlReport> {
+    if mechanism::table_exists(aux, table) {
+        return Err(SqlError::Constraint(format!(
+            "result table {table} already exists"
+        )));
+    }
+    let mut source = QqSource::new(snap, qq, spec.kind(), None, None)?;
+    let (ids, qs_time) = mechanism::snapshot_set(aux, qs)?;
+    source.preload(parallel_qq(snap, qq, &spec, &ids, threads)?);
+    let mut fold = Fold::new(spec, table);
+    let mut report = mechanism::drive(snap, aux, &mut source, &mut fold, &ids, None)?;
+    report.qs_time = qs_time;
+    Ok(report)
 }
 
 /// Parallel `CollateData`: Qq executes concurrently; results are folded
@@ -132,33 +116,7 @@ pub fn collate_data_parallel(
     table: &str,
     threads: usize,
 ) -> Result<RqlReport> {
-    if aux.table_row_count(table).is_ok() {
-        return Err(SqlError::Constraint(format!(
-            "result table {table} already exists"
-        )));
-    }
-    let (results, qs_time) = parallel_qq(snap, aux, qs, qq, threads)?;
-    let mut report = RqlReport {
-        qs_time,
-        iterations: reports_from(&results),
-        ..Default::default()
-    };
-    let fold_started = Instant::now();
-    for (i, (_, result)) in results.iter().enumerate() {
-        if i == 0 {
-            mechanism::create_result_table_pub(aux, table, &result.columns)?;
-        }
-        let (ins, upd) = aux.with_table_writer(table, |w| {
-            for row in &result.rows {
-                w.insert(row.clone())?;
-            }
-            Ok((w.inserted(), w.updated()))
-        })?;
-        report.iterations[i].result_inserts = ins;
-        report.iterations[i].result_updates = upd;
-    }
-    report.finalize_time = fold_started.elapsed();
-    Ok(report)
+    run_parallel(snap, aux, qs, qq, table, MechSpec::Collate, threads)
 }
 
 /// Parallel `AggregateDataInVariable`: Qq executes concurrently; the
@@ -173,45 +131,5 @@ pub fn aggregate_data_in_variable_parallel(
     func: AggOp,
     threads: usize,
 ) -> Result<RqlReport> {
-    if aux.table_row_count(table).is_ok() {
-        return Err(SqlError::Constraint(format!(
-            "result table {table} already exists"
-        )));
-    }
-    let (results, qs_time) = parallel_qq(snap, aux, qs, qq, threads)?;
-    let mut report = RqlReport {
-        qs_time,
-        iterations: reports_from(&results),
-        ..Default::default()
-    };
-    let fold_started = Instant::now();
-    let mut state: AggState = func.init();
-    let mut column: Option<String> = None;
-    for (_, result) in &results {
-        if result.columns.len() != 1 {
-            return Err(SqlError::Invalid(
-                "AggregateDataInVariable expects Qq to return one column".into(),
-            ));
-        }
-        if column.is_none() {
-            column = Some(result.columns[0].clone());
-        }
-        match result.rows.len() {
-            0 => {}
-            1 => func.absorb(&mut state, &result.rows[0][0]),
-            n => {
-                return Err(SqlError::Invalid(format!(
-                    "AggregateDataInVariable expects at most one row, got {n}"
-                )))
-            }
-        }
-    }
-    let column = column.unwrap_or_else(|| "value".to_owned());
-    mechanism::create_result_table_pub(aux, table, &[column])?;
-    aux.with_table_writer(table, |w| {
-        w.insert(vec![func.finish(&state)])?;
-        Ok(())
-    })?;
-    report.finalize_time = fold_started.elapsed();
-    Ok(report)
+    run_parallel(snap, aux, qs, qq, table, MechSpec::AggVar(func), threads)
 }

@@ -17,10 +17,10 @@ use rql_memo::MemoStore;
 use rql_retro::RetroConfig;
 use rql_sqlengine::{CancelCause, Database, ExecOutcome, QueryResult, Result, SqlError, Value};
 
-use crate::aggregate::{parse_col_func_pairs, AggOp};
+use crate::aggregate::AggOp;
 use crate::analyze::{self, MechanismCall, MechanismKind, SchemaEnv};
-use crate::delta::{self, DeltaPolicy};
-use crate::mechanism;
+use crate::delta::{DeltaPolicy, QqSource};
+use crate::mechanism::{self, Fold, MechSpec};
 use crate::report::RqlReport;
 use crate::snapids;
 
@@ -278,10 +278,30 @@ impl RqlSession {
 
     // ---- the four mechanisms, API form ---------------------------------
 
+    /// One batch mechanism call: pre-flight, then the shared loop
+    /// ([`mechanism::run`]) under `policy` (`None` = the paper's
+    /// sequential evaluation).
+    pub(crate) fn run_mechanism(
+        &self,
+        spec: MechSpec,
+        qs: &str,
+        qq: &str,
+        table: &str,
+        policy: Option<DeltaPolicy>,
+    ) -> Result<RqlReport> {
+        let spec_text = match &spec {
+            MechSpec::AggVar(func) => Some(func.to_string()),
+            MechSpec::AggTable(pairs) => Some(render_pairs(pairs)),
+            MechSpec::Collate | MechSpec::Intervals => None,
+        };
+        self.preflight_mechanism(spec.kind(), qs, qq, table, spec_text.as_deref(), policy)?;
+        let (snap, aux) = (&self.snap, &self.aux);
+        mechanism::run(snap, aux, qs, qq, table, spec, policy, self.memo())
+    }
+
     /// `CollateData(Qs, Qq, T)`.
     pub fn collate_data(&self, qs: &str, qq: &str, table: &str) -> Result<RqlReport> {
-        self.preflight_mechanism(MechanismKind::Collate, qs, qq, table, None, None)?;
-        mechanism::collate_data_with_memo(&self.snap, &self.aux, qs, qq, table, self.memo())
+        self.run_mechanism(MechSpec::Collate, qs, qq, table, None)
     }
 
     /// `AggregateDataInVariable(Qs, Qq, T, AggFunc)`.
@@ -292,17 +312,7 @@ impl RqlSession {
         table: &str,
         func: AggOp,
     ) -> Result<RqlReport> {
-        let spec = func.to_string();
-        self.preflight_mechanism(MechanismKind::AggVar, qs, qq, table, Some(&spec), None)?;
-        mechanism::aggregate_data_in_variable_with_memo(
-            &self.snap,
-            &self.aux,
-            qs,
-            qq,
-            table,
-            func,
-            self.memo(),
-        )
+        self.run_mechanism(MechSpec::AggVar(func), qs, qq, table, None)
     }
 
     /// `AggregateDataInTable(Qs, Qq, T, ListOfColFuncPairs)`.
@@ -313,31 +323,7 @@ impl RqlSession {
         table: &str,
         pairs: &[(String, AggOp)],
     ) -> Result<RqlReport> {
-        let spec = render_pairs(pairs);
-        self.preflight_mechanism(MechanismKind::AggTable, qs, qq, table, Some(&spec), None)?;
-        mechanism::aggregate_data_in_table_with_memo(
-            &self.snap,
-            &self.aux,
-            qs,
-            qq,
-            table,
-            pairs,
-            self.memo(),
-        )
-    }
-
-    /// Sort-merge ablation of `AggregateDataInTable` (paper §3: the
-    /// alternative that "turned out to be costlier").
-    pub fn aggregate_data_in_table_sortmerge(
-        &self,
-        qs: &str,
-        qq: &str,
-        table: &str,
-        pairs: &[(String, AggOp)],
-    ) -> Result<RqlReport> {
-        let spec = render_pairs(pairs);
-        self.preflight_mechanism(MechanismKind::AggTable, qs, qq, table, Some(&spec), None)?;
-        mechanism::aggregate_data_in_table_sortmerge(&self.snap, &self.aux, qs, qq, table, pairs)
+        self.run_mechanism(MechSpec::AggTable(pairs.to_vec()), qs, qq, table, None)
     }
 
     /// `CollateDataIntoIntervals(Qs, Qq, T)`.
@@ -347,18 +333,10 @@ impl RqlSession {
         qq: &str,
         table: &str,
     ) -> Result<RqlReport> {
-        self.preflight_mechanism(MechanismKind::Intervals, qs, qq, table, None, None)?;
-        mechanism::collate_data_into_intervals_with_memo(
-            &self.snap,
-            &self.aux,
-            qs,
-            qq,
-            table,
-            self.memo(),
-        )
+        self.run_mechanism(MechSpec::Intervals, qs, qq, table, None)
     }
 
-    // ---- delta-driven variants (see [`crate::delta`]) ------------------
+    // ---- under a delta policy (see [`crate::delta`]) -------------------
 
     /// `CollateData(Qs, Qq, T)` under a [`DeltaPolicy`]: unchanged heap
     /// pages between consecutive snapshots are served from the delta
@@ -370,16 +348,7 @@ impl RqlSession {
         table: &str,
         policy: DeltaPolicy,
     ) -> Result<RqlReport> {
-        self.preflight_mechanism(MechanismKind::Collate, qs, qq, table, None, Some(policy))?;
-        delta::collate_data_delta_with_memo(
-            &self.snap,
-            &self.aux,
-            qs,
-            qq,
-            table,
-            policy,
-            self.memo(),
-        )
+        self.run_mechanism(MechSpec::Collate, qs, qq, table, Some(policy))
     }
 
     /// `AggregateDataInVariable(Qs, Qq, T, AggFunc)` under a
@@ -393,30 +362,12 @@ impl RqlSession {
         func: AggOp,
         policy: DeltaPolicy,
     ) -> Result<RqlReport> {
-        let spec = func.to_string();
-        self.preflight_mechanism(
-            MechanismKind::AggVar,
-            qs,
-            qq,
-            table,
-            Some(&spec),
-            Some(policy),
-        )?;
-        delta::aggregate_data_in_variable_delta_with_memo(
-            &self.snap,
-            &self.aux,
-            qs,
-            qq,
-            table,
-            func,
-            policy,
-            self.memo(),
-        )
+        self.run_mechanism(MechSpec::AggVar(func), qs, qq, table, Some(policy))
     }
 
     /// `AggregateDataInTable(Qs, Qq, T, ListOfColFuncPairs)` under a
-    /// [`DeltaPolicy`]: the delta scan feeds a write-skipping in-table
-    /// fold that probes only the groups whose contribution changed.
+    /// [`DeltaPolicy`]: the delta scan feeds the write-skipping in-table
+    /// fold, which probes only the groups whose contribution changed.
     pub fn aggregate_data_in_table_with_policy(
         &self,
         qs: &str,
@@ -425,29 +376,17 @@ impl RqlSession {
         pairs: &[(String, AggOp)],
         policy: DeltaPolicy,
     ) -> Result<RqlReport> {
-        let spec = render_pairs(pairs);
-        self.preflight_mechanism(
-            MechanismKind::AggTable,
+        self.run_mechanism(
+            MechSpec::AggTable(pairs.to_vec()),
             qs,
             qq,
             table,
-            Some(&spec),
             Some(policy),
-        )?;
-        delta::aggregate_data_in_table_delta_with_memo(
-            &self.snap,
-            &self.aux,
-            qs,
-            qq,
-            table,
-            pairs,
-            policy,
-            self.memo(),
         )
     }
 
     /// `CollateDataIntoIntervals(Qs, Qq, T)` under a [`DeltaPolicy`]
-    /// (currently sequential unless `Forced`, which errors).
+    /// (sequential Qq evaluation unless `Forced`, which errors).
     pub fn collate_data_into_intervals_with_policy(
         &self,
         qs: &str,
@@ -455,16 +394,7 @@ impl RqlSession {
         table: &str,
         policy: DeltaPolicy,
     ) -> Result<RqlReport> {
-        self.preflight_mechanism(MechanismKind::Intervals, qs, qq, table, None, Some(policy))?;
-        delta::collate_data_into_intervals_delta_with_memo(
-            &self.snap,
-            &self.aux,
-            qs,
-            qq,
-            table,
-            policy,
-            self.memo(),
-        )
+        self.run_mechanism(MechSpec::Intervals, qs, qq, table, Some(policy))
     }
 
     /// Reports produced by mechanism UDFs since the last call (SQL-driven
@@ -515,97 +445,41 @@ impl RqlSession {
             });
     }
 
-    /// One UDF invocation = one loop iteration for the given snap_id.
+    /// One UDF invocation = the shared loop over the one given snap_id,
+    /// with a fold resumed from whatever earlier invocations left in `T`.
     fn mechanism_udf(&self, kind: MechanismKind, args: &[Value]) -> Result<Value> {
-        let expect = |n: usize| -> Result<()> {
-            if args.len() == n {
-                Ok(())
-            } else {
-                Err(SqlError::Udf(format!(
-                    "{kind:?} expects {n} arguments, got {}",
-                    args.len()
-                )))
-            }
+        let text = |i: usize, what: &str| -> Result<&str> {
+            args.get(i)
+                .and_then(Value::as_str)
+                .ok_or_else(|| SqlError::Udf(format!("argument {} must be {what}", i + 1)))
         };
         let sid = args
             .first()
             .and_then(Value::as_i64)
             .ok_or_else(|| SqlError::Udf("first argument must be snap_id".into()))?
             as u64;
-        let qq = args
-            .get(1)
-            .and_then(Value::as_str)
-            .ok_or_else(|| SqlError::Udf("second argument must be the Qq string".into()))?;
-        let table = args
-            .get(2)
-            .and_then(Value::as_str)
-            .ok_or_else(|| SqlError::Udf("third argument must be the result table".into()))?;
-        // Single-snapshot Qs driving the shared mechanism loop.
-        let qs = format!("SELECT snap_id FROM snapids WHERE snap_id = {sid}");
-        let report = match kind {
-            MechanismKind::Collate => {
-                expect(3)?;
-                mechanism::collate_data_step_with_memo(
-                    &self.snap,
-                    &self.aux,
-                    &qs,
-                    qq,
-                    table,
-                    self.memo(),
-                )?
-            }
-            MechanismKind::AggVar => {
-                expect(4)?;
-                let func = AggOp::parse(
-                    args[3]
-                        .as_str()
-                        .ok_or_else(|| SqlError::Udf("AggFunc must be text".into()))?,
-                )?;
-                mechanism::aggregate_data_in_variable_step_with_memo(
-                    &self.snap,
-                    &self.aux,
-                    &qs,
-                    qq,
-                    table,
-                    func,
-                    self.memo(),
-                )?
-            }
-            MechanismKind::AggTable => {
-                expect(4)?;
-                let pairs = parse_col_func_pairs(
-                    args[3]
-                        .as_str()
-                        .ok_or_else(|| SqlError::Udf("ListOfColFuncPairs must be text".into()))?,
-                )?;
-                mechanism::aggregate_data_in_table_step_with_memo(
-                    &self.snap,
-                    &self.aux,
-                    &qs,
-                    qq,
-                    table,
-                    &pairs,
-                    self.memo(),
-                )?
-            }
-            MechanismKind::Intervals => {
-                expect(3)?;
-                let prev = self.prev_sids.lock().get(table).copied();
-                let (report, last) = mechanism::collate_data_into_intervals_step_with_memo(
-                    &self.snap,
-                    &self.aux,
-                    &qs,
-                    qq,
-                    table,
-                    prev,
-                    self.memo(),
-                )?;
-                if let Some(last) = last {
-                    self.prev_sids.lock().insert(table.to_owned(), last);
-                }
-                report
-            }
+        let (qq, table) = (text(1, "the Qq string")?, text(2, "the result table")?);
+        let arity = match kind {
+            MechanismKind::Collate | MechanismKind::Intervals => 3,
+            MechanismKind::AggVar | MechanismKind::AggTable => 4,
         };
+        if args.len() != arity {
+            return Err(SqlError::Udf(format!(
+                "{kind:?} expects {arity} arguments, got {}",
+                args.len()
+            )));
+        }
+        let spec = (arity == 4)
+            .then(|| text(3, "the aggregate function text"))
+            .transpose()?;
+        let prev = self.prev_sids.lock().get(table).copied();
+        let mut fold = Fold::resume(MechSpec::parse(kind, spec)?, &self.aux, table, prev)?;
+        let mut source = QqSource::new(&self.snap, qq, kind, None, self.memo())?;
+        let (snap, aux) = (&self.snap, &self.aux);
+        let report = mechanism::drive(snap, aux, &mut source, &mut fold, &[sid], None)?;
+        if let Some(last) = fold.prev_sid() {
+            self.prev_sids.lock().insert(table.to_owned(), last);
+        }
         self.last_reports.lock().push((table.to_owned(), report));
         Ok(Value::Integer(1))
     }

@@ -1,6 +1,7 @@
-//! Tests for the mechanism variants beyond the paper's main line: the
-//! sort-merge `AggregateDataInTable` ablation (§3's "costlier"
-//! alternative) and the parallel iteration extension (§7's future work).
+//! Tests for the mechanism variant beyond the paper's main line: the
+//! parallel iteration extension (§7's future work). (The sort-merge
+//! `AggregateDataInTable` ablation and its tests live in the bench crate,
+//! `crates/bench/src/experiments/ablations.rs`.)
 
 use rql::{AggOp, RqlSession, Value};
 use std::sync::Arc;
@@ -23,34 +24,6 @@ fn history() -> Arc<RqlSession> {
         session.execute("BEGIN; COMMIT WITH SNAPSHOT;").unwrap();
     }
     session
-}
-
-#[test]
-fn sortmerge_matches_hash_probe_variant() {
-    let session = history();
-    let qq = "SELECT grp, v FROM m";
-    for pairs in [
-        vec![("v".to_string(), AggOp::Max)],
-        vec![("v".to_string(), AggOp::Sum)],
-        vec![("v".to_string(), AggOp::Min)],
-        vec![("v".to_string(), AggOp::Avg)],
-    ] {
-        session.drop_result_table("hash_r").unwrap();
-        session.drop_result_table("merge_r").unwrap();
-        session
-            .aggregate_data_in_table("SELECT snap_id FROM SnapIds", qq, "hash_r", &pairs)
-            .unwrap();
-        session
-            .aggregate_data_in_table_sortmerge("SELECT snap_id FROM SnapIds", qq, "merge_r", &pairs)
-            .unwrap();
-        let a = session
-            .query_aux("SELECT grp, v FROM hash_r ORDER BY grp, v")
-            .unwrap();
-        let b = session
-            .query_aux("SELECT grp, v FROM merge_r ORDER BY grp, v")
-            .unwrap();
-        assert_eq!(a.rows, b.rows, "pairs {pairs:?}");
-    }
 }
 
 #[test]
@@ -136,26 +109,6 @@ fn parallel_refuses_existing_table() {
 }
 
 #[test]
-fn sortmerge_reports_same_totals() {
-    let session = history();
-    let qq = "SELECT grp, v FROM m";
-    let pairs = vec![("v".to_string(), AggOp::Sum)];
-    let hash = session
-        .aggregate_data_in_table("SELECT snap_id FROM SnapIds", qq, "h2", &pairs)
-        .unwrap();
-    let merge = session
-        .aggregate_data_in_table_sortmerge("SELECT snap_id FROM SnapIds", qq, "m2", &pairs)
-        .unwrap();
-    assert_eq!(hash.total_qq_rows(), merge.total_qq_rows());
-    // SUM updates on every matched record in both variants.
-    assert_eq!(hash.total_result_updates(), merge.total_result_updates());
-    assert_eq!(hash.total_result_inserts(), merge.total_result_inserts());
-    let r = session.query_aux("SELECT COUNT(*) FROM h2").unwrap();
-    assert!(r.rows[0][0].as_i64().unwrap() > 0);
-    let _ = Value::Null;
-}
-
-#[test]
 fn parallel_qq_panic_becomes_error_with_snapshot_id() {
     let session = history();
     session.snap_db().register_udf("boom", |args| {
@@ -187,4 +140,31 @@ fn parallel_qq_panic_becomes_error_with_snapshot_id() {
         4,
     )
     .unwrap();
+}
+
+#[test]
+fn parallel_rejects_malformed_qs_like_sequential() {
+    let session = history();
+    // Pre-flight off: both forms must reach (and agree on) the runtime
+    // check of what Qs returned.
+    session.set_preflight(false);
+    for (qs, needle) in [
+        ("SELECT 'two'", "non-integer snapshot id: two"),
+        ("SELECT snap_id, snap_id FROM SnapIds", "got 2"),
+    ] {
+        let seq = session
+            .collate_data(qs, "SELECT grp FROM m", "bad_seq")
+            .unwrap_err();
+        let par = rql::collate_data_parallel(
+            session.snap_db(),
+            session.aux_db(),
+            qs,
+            "SELECT grp FROM m",
+            "bad_par",
+            2,
+        )
+        .unwrap_err();
+        assert_eq!(seq.to_string(), par.to_string(), "Qs: {qs}");
+        assert!(par.to_string().contains(needle), "{par}");
+    }
 }

@@ -775,7 +775,7 @@ mod tests {
     #[test]
     fn pred_summary_extraction_handles_shapes() {
         use CExpr::*;
-        let conjuncts = vec![
+        let conjuncts = [
             // col1 = 5
             Binary(
                 BinOp::Eq,

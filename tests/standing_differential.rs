@@ -7,6 +7,14 @@
 //! mechanism produces over the same snapshot history, for every
 //! mechanism and against batch runs under every `DeltaPolicy`.
 //!
+//! The same table must come out of every other way of running the
+//! mechanism over that history — the per-row UDF form
+//! (`SELECT Mech(snap_id, …) FROM SnapIds`) and the `*_parallel` form
+//! where one is defined — because all of them drive one fold from one
+//! Qq source. (The `AggregateDataInVariable` UDF form keeps its AVG
+//! `(sum, count)` pair in trailing `__avg_sum`/`__avg_cnt` columns — a
+//! documented layout difference — so it is compared on the value column.)
+//!
 //! On top of identity, the pushed [`ResultDelta`] frames must be
 //! *sound*: applying the add/remove stream to the seed-time table
 //! contents reproduces the final table as a multiset.
@@ -16,7 +24,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use rql::{parse_maintain, AggOp, DeltaPolicy, Maintainer, RqlSession};
+use rql::{parse_maintain, AggOp, DeltaPolicy, Maintainer, RqlReport, RqlSession};
 use rql_sqlengine::Row;
 
 const QS: &str = "SELECT snap_id FROM SnapIds";
@@ -82,40 +90,60 @@ fn session_with(prefix: &[Op]) -> Arc<RqlSession> {
     session
 }
 
-/// The standing-query registrations under test, paired with a closure
-/// running the equivalent batch mechanism into `table` under `policy`.
+/// The mechanism calls under test: the call text that both the
+/// standing-query registration and the per-row UDF form wrap, paired with
+/// closures running the equivalent batch mechanism into `table` under
+/// `policy` and (where defined) on the parallel pool.
 struct Mech {
     tag: &'static str,
-    maintain: String,
+    /// `Mech(snap_id, 'Qq', '{T}'[, 'spec'])`.
+    call: &'static str,
     /// Policies the *batch* comparison runs under. (The maintainer always
     /// uses `Auto`; identity must hold against every batch policy that
     /// supports the mechanism/shape.)
     batch_policies: &'static [DeltaPolicy],
-    batch: fn(&RqlSession, &str, DeltaPolicy),
+    batch: fn(&RqlSession, &str, DeltaPolicy) -> RqlReport,
+    parallel: Option<fn(&RqlSession, &str)>,
+}
+
+const ALL_POLICIES: &[DeltaPolicy] = &[DeltaPolicy::Off, DeltaPolicy::Auto, DeltaPolicy::Forced];
+
+const AGGVAR_QQ: &str = "SELECT SUM(v) FROM m";
+
+fn aggvar_batch(s: &RqlSession, t: &str, func: AggOp, p: DeltaPolicy) -> RqlReport {
+    s.aggregate_data_in_variable_with_policy(QS, AGGVAR_QQ, t, func, p)
+        .expect("batch aggvar")
+}
+
+fn aggvar_parallel(s: &RqlSession, t: &str, func: AggOp) {
+    let (snap, aux) = (s.snap_db(), s.aux_db());
+    rql::aggregate_data_in_variable_parallel(snap, aux, QS, AGGVAR_QQ, t, func, 3)
+        .expect("parallel aggvar");
 }
 
 fn mechanisms() -> Vec<Mech> {
     vec![
         Mech {
             tag: "collate",
-            maintain: "MAINTAIN QUERY w_collate AS SELECT CollateData(snap_id, \
-                       'SELECT grp, v FROM m', '{T}') FROM SnapIds"
-                .into(),
-            batch_policies: &[DeltaPolicy::Off, DeltaPolicy::Auto, DeltaPolicy::Forced],
+            call: "CollateData(snap_id, 'SELECT grp, v FROM m', '{T}')",
+            batch_policies: ALL_POLICIES,
             batch: |s, t, p| {
                 s.collate_data_with_policy(QS, "SELECT grp, v FROM m", t, p)
-                    .expect("batch collate");
+                    .expect("batch collate")
             },
+            parallel: Some(|s, t| {
+                let (snap, aux) = (s.snap_db(), s.aux_db());
+                rql::collate_data_parallel(snap, aux, QS, "SELECT grp, v FROM m", t, 3)
+                    .expect("parallel collate");
+            }),
         },
         Mech {
             tag: "aggtable",
             // Qq must be unique per grouping key within a snapshot, so
             // pre-aggregate per snapshot and fold the per-snapshot sums.
-            maintain: "MAINTAIN QUERY w_aggtable AS SELECT AggregateDataInTable(snap_id, \
-                       'SELECT grp, SUM(v) AS sv FROM m GROUP BY grp', '{T}', '(sv,sum)') \
-                       FROM SnapIds"
-                .into(),
-            batch_policies: &[DeltaPolicy::Off, DeltaPolicy::Auto, DeltaPolicy::Forced],
+            call: "AggregateDataInTable(snap_id, \
+                   'SELECT grp, SUM(v) AS sv FROM m GROUP BY grp', '{T}', '(sv,sum)')",
+            batch_policies: ALL_POLICIES,
             batch: |s, t, p| {
                 s.aggregate_data_in_table_with_policy(
                     QS,
@@ -124,48 +152,62 @@ fn mechanisms() -> Vec<Mech> {
                     &[("sv".to_string(), AggOp::Sum)],
                     p,
                 )
-                .expect("batch aggtable");
+                .expect("batch aggtable")
             },
+            parallel: None,
         },
         Mech {
             tag: "aggvar",
-            maintain: "MAINTAIN QUERY w_aggvar AS SELECT AggregateDataInVariable(snap_id, \
-                       'SELECT SUM(v) FROM m', '{T}', 'sum') FROM SnapIds"
-                .into(),
-            batch_policies: &[DeltaPolicy::Off, DeltaPolicy::Auto],
-            batch: |s, t, p| {
-                s.aggregate_data_in_variable_with_policy(
-                    QS,
-                    "SELECT SUM(v) FROM m",
-                    t,
-                    AggOp::Sum,
-                    p,
-                )
-                .expect("batch aggvar");
-            },
+            call: "AggregateDataInVariable(snap_id, 'SELECT SUM(v) FROM m', '{T}', 'sum')",
+            batch_policies: ALL_POLICIES,
+            batch: |s, t, p| aggvar_batch(s, t, AggOp::Sum, p),
+            parallel: Some(|s, t| aggvar_parallel(s, t, AggOp::Sum)),
+        },
+        // The AVG special case: its UDF form carries companion columns.
+        Mech {
+            tag: "aggvar_avg",
+            call: "AggregateDataInVariable(snap_id, 'SELECT SUM(v) FROM m', '{T}', 'avg')",
+            batch_policies: ALL_POLICIES,
+            batch: |s, t, p| aggvar_batch(s, t, AggOp::Avg, p),
+            parallel: Some(|s, t| aggvar_parallel(s, t, AggOp::Avg)),
         },
         Mech {
             tag: "intervals",
-            // Sequential-only mechanism: no delta path, never under Forced.
-            maintain: "MAINTAIN QUERY w_intervals AS SELECT CollateDataIntoIntervals(snap_id, \
-                       'SELECT grp FROM m', '{T}') FROM SnapIds"
-                .into(),
+            // Sequential Qq source only: never under Forced.
+            call: "CollateDataIntoIntervals(snap_id, 'SELECT grp FROM m', '{T}')",
             batch_policies: &[DeltaPolicy::Off, DeltaPolicy::Auto],
             batch: |s, t, p| {
                 s.collate_data_into_intervals_with_policy(QS, "SELECT grp FROM m", t, p)
-                    .expect("batch intervals");
+                    .expect("batch intervals")
             },
+            parallel: None,
         },
     ]
 }
 
-fn register(session: &RqlSession, mech: &Mech, table: &str) -> (Maintainer, Vec<Row>) {
-    let text = mech.maintain.replace("{T}", table);
-    let spec = parse_maintain(&text)
+fn maintain_text(mech: &Mech, table: &str) -> String {
+    let call = mech.call.replace("{T}", table);
+    format!(
+        "MAINTAIN QUERY w_{} AS SELECT {call} FROM SnapIds",
+        mech.tag
+    )
+}
+
+fn register_with_report(
+    session: &RqlSession,
+    mech: &Mech,
+    table: &str,
+) -> (Maintainer, Vec<Row>, RqlReport) {
+    let spec = parse_maintain(&maintain_text(mech, table))
         .expect("parse maintain")
         .expect("is a MAINTAIN statement");
-    let (maintainer, _report) = Maintainer::register(session, spec).expect("register");
+    let (maintainer, report) = Maintainer::register(session, spec).expect("register");
     let seeded = maintainer.current_result().expect("seed result").rows;
+    (maintainer, seeded, report)
+}
+
+fn register(session: &RqlSession, mech: &Mech, table: &str) -> (Maintainer, Vec<Row>) {
+    let (maintainer, seeded, _) = register_with_report(session, mech, table);
     (maintainer, seeded)
 }
 
@@ -225,22 +267,53 @@ fn drive(
 }
 
 /// The core differential: maintain incrementally through `suffix`, then
-/// batch-recompute over the full history and demand byte identity.
+/// recompute over the full history every other way — batch under each
+/// policy, the per-row UDF form, the parallel form — and demand byte
+/// identity of all result tables.
 fn check_differential(prefix: &[Op], suffix: &[Op]) {
-    for mech in mechanisms() {
-        let session = session_with(prefix);
+    check_differential_from(mechanisms(), || session_with(prefix), suffix);
+}
+
+fn check_differential_from(
+    mechanisms: Vec<Mech>,
+    history: impl Fn() -> Arc<RqlSession>,
+    suffix: &[Op],
+) {
+    for mech in mechanisms {
+        let session = history();
         let m_table = format!("m_{}", mech.tag);
         let (mut maintainer, seeded) = register(&session, &mech, &m_table);
         drive(&session, &mut maintainer, seeded, suffix);
         let (m_cols, m_rows) = table_contents(&session, &m_table);
+        // (path, table, compare on the maintained table's columns only)
+        let mut others: Vec<(String, String, bool)> = Vec::new();
         for &policy in mech.batch_policies {
-            let b_table = format!("b_{}_{policy:?}", mech.tag);
-            (mech.batch)(&session, &b_table, policy);
-            let (b_cols, b_rows) = table_contents(&session, &b_table);
-            assert_eq!(m_cols, b_cols, "{}: columns vs batch {policy:?}", mech.tag);
+            let table = format!("b_{}_{policy:?}", mech.tag);
+            (mech.batch)(&session, &table, policy);
+            others.push((format!("batch under {policy:?}"), table, false));
+        }
+        let u_table = format!("u_{}", mech.tag);
+        let call = mech.call.replace("{T}", &u_table);
+        session
+            .query_aux(&format!("SELECT {call} FROM SnapIds"))
+            .expect("per-row UDF form");
+        // The AggVar UDF form's AVG companions trail the value column.
+        others.push(("the per-row UDF form".to_string(), u_table, true));
+        if let Some(parallel) = mech.parallel {
+            let table = format!("p_{}", mech.tag);
+            parallel(&session, &table);
+            others.push(("the parallel form".to_string(), table, false));
+        }
+        for (path, table, leading_columns_only) in others {
+            let (mut cols, mut rows) = table_contents(&session, &table);
+            if leading_columns_only {
+                cols.truncate(m_cols.len());
+                rows.iter_mut().for_each(|r| r.truncate(m_cols.len()));
+            }
+            assert_eq!(m_cols, cols, "{}: columns vs {path}", mech.tag);
             assert_eq!(
-                m_rows, b_rows,
-                "{}: maintained table must be byte-identical to batch under {policy:?}",
+                m_rows, rows,
+                "{}: maintained table must be byte-identical to {path}",
                 mech.tag
             );
         }
@@ -291,6 +364,26 @@ fn maintained_equals_batch_with_empty_backlog() {
 }
 
 #[test]
+fn maintained_equals_batch_when_registered_before_any_snapshot() {
+    // A truly empty backlog: the seed pass folds nothing.
+    // `AggregateDataInVariable` still stores its (NULL) variable, under a
+    // placeholder column until the first Qq output names it; the other
+    // mechanisms create T at their first fold, so there is no table to
+    // read back before the first commit and they sit this one out.
+    let bare = || {
+        let session = RqlSession::with_defaults().expect("session");
+        session
+            .execute("CREATE TABLE m (grp INTEGER, v INTEGER)")
+            .expect("create");
+        session
+    };
+    let aggvars = mechanisms()
+        .into_iter()
+        .filter(|m| m.tag.starts_with("aggvar"));
+    check_differential_from(aggvars.collect(), bare, &churny_suffix());
+}
+
+#[test]
 fn out_of_order_and_duplicate_commits_are_ignored() {
     let session = session_with(&churny_prefix());
     let mech = &mechanisms()[0];
@@ -337,8 +430,9 @@ fn registration_rejects_existing_result_table() {
     let session = session_with(&churny_prefix());
     let mech = &mechanisms()[0];
     let (_first, _) = register(&session, mech, "taken");
-    let text = mech.maintain.replace("{T}", "taken");
-    let spec = parse_maintain(&text).unwrap().unwrap();
+    let spec = parse_maintain(&maintain_text(mech, "taken"))
+        .unwrap()
+        .unwrap();
     let Err(err) = Maintainer::register(&session, spec) else {
         panic!("second registration over an existing table must fail")
     };
@@ -355,6 +449,48 @@ fn maintenance_stats_accumulate() {
     let stats = maintainer.stats();
     assert_eq!(stats.snapshots_maintained, 4);
     assert!(stats.rows_pushed > 0);
+}
+
+/// Registration is the batch run kept alive: its seed report must equal
+/// the batch report for the same call under `Auto`, iteration by
+/// iteration, and it must leave the aux store as the batch run does.
+#[test]
+fn seed_pass_is_the_batch_pass() {
+    // Ten snapshots of backlog, every one changing the table.
+    let mut backlog = churny_prefix();
+    for i in 0..8 {
+        backlog.extend([Op::Insert(i % 5, 7 * i64::from(i)), Op::Snapshot]);
+    }
+    for mech in mechanisms() {
+        let seeded_session = session_with(&backlog);
+        let batch_session = session_with(&backlog);
+        let (_maintainer, _, seed) = register_with_report(&seeded_session, &mech, "t");
+        let batch = (mech.batch)(&batch_session, "t", DeltaPolicy::Auto);
+        let digest = |r: &RqlReport| -> Vec<(u64, u64, u64, u64, bool)> {
+            let it = r.iterations.iter();
+            it.map(|i| {
+                (
+                    i.snap_id,
+                    i.qq_rows,
+                    i.result_inserts,
+                    i.result_updates,
+                    i.memo_hit,
+                )
+            })
+            .collect()
+        };
+        assert_eq!(seed.iteration_count(), 10, "{}", mech.tag);
+        assert_eq!(digest(&seed), digest(&batch), "{}: seed report", mech.tag);
+        // T is created exactly once: no dropped-and-recreated tables left
+        // behind in the aux store (which never reclaims dropped pages).
+        let pages = |s: &RqlSession| s.aux_db().store().pager().page_count();
+        assert_eq!(
+            pages(&seeded_session),
+            pages(&batch_session),
+            "{}: aux store pages after seeding vs after the batch run",
+            mech.tag
+        );
+    }
 }
 
 // ---- randomized sweep -----------------------------------------------------
