@@ -3,8 +3,8 @@
 //!
 //! Snapshots are immutable, so a per-snapshot Qq result computed once is
 //! valid forever; the memo store (crate `rql-memo`) keys it by canonical
-//! Qq fingerprint × snapshot × page-version vector and serves replays
-//! without touching the execution layer. This experiment runs the four
+//! Qq fingerprint × snapshot (of this store incarnation) and serves
+//! replays without touching the execution layer. This experiment runs the four
 //! Table-1 mechanisms over a TPC-H snapshot history three times on one
 //! session — memo detached (the `--no-memo` ablation), memo attached
 //! cold (populating), memo attached warm (serving) — and reports the

@@ -17,8 +17,10 @@
 //!   `finish_select` code the ordinary plan uses) over the cached
 //!   filtered base rows. Saves the page I/O, pays O(rows) CPU.
 //! * **memo hit** — a [`QqMemo`] entry for `(Qq, snapshot)` skips the
-//!   execution; on a chain the runner is re-primed from the memoized
-//!   scanner seed, so the next snapshot still scans only changed pages.
+//!   execution and hands out the recorded rows by reference. On a chain,
+//!   the first scan after a run of hits re-primes the runner from the
+//!   last hit's memoized scanner seed, so it still reads only changed
+//!   pages; hits that no scan follows import nothing.
 //! * **pruned / unchanged skip** — a chain scan that fetched zero pages
 //!   and produced no row delta reuses the previous output outright.
 //! * **incremental inner aggregate** — when Qq is a bare inner aggregate
@@ -63,19 +65,21 @@
 //! under `Auto` (its delta source is a ROADMAP open item).
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
+use rql_memo::QqRows;
 use rql_retro::SnapshotReader;
 use rql_sqlengine::ast::{Expr, SelectItem, Stmt};
 use rql_sqlengine::cexpr::{compile, eval, CExpr, Scope};
 use rql_sqlengine::{
-    parse_select, Catalog, Database, DeltaScan, DeltaSelectRunner, QueryResult, Result, Row,
-    SelectStmt, SkipReason, SqlError, UdfRegistry, Value,
+    parse_select, Catalog, Database, DeltaScan, DeltaSelectRunner, ExecStats, QueryResult, Result,
+    Row, SelectStmt, SkipReason, SqlError, UdfRegistry, Value,
 };
 
 use crate::aggregate::AggOp;
 use crate::analyze::MechanismKind;
 use crate::mechanism::MemoHandle;
-use crate::memoize::QqMemo;
+use crate::memoize::{snapshot_version, QqMemo};
 use crate::rewrite::{rewrite_select, uses_current_snapshot};
 
 /// When to take the delta-aware iteration path.
@@ -110,6 +114,27 @@ pub(crate) fn has_inner_agg_shape(parsed: &SelectStmt) -> bool {
     inner_agg_shape(parsed).is_some()
 }
 
+/// One snapshot's Qq output. The columns and rows are shared by
+/// reference count: with the memo store (a miss records the very rows
+/// the fold reads, a hit hands them back) and with the next iteration
+/// when a whole-snapshot skip reuses them.
+pub(crate) struct QqOutput {
+    pub(crate) data: Arc<QqRows>,
+    pub(crate) stats: ExecStats,
+}
+
+impl From<QueryResult> for QqOutput {
+    fn from(result: QueryResult) -> Self {
+        QqOutput {
+            data: Arc::new(QqRows {
+                columns: result.columns,
+                rows: result.rows,
+            }),
+            stats: result.stats,
+        }
+    }
+}
+
 /// Per-snapshot Qq evaluation: the source choice made once from the
 /// policy and the Qq shape, the delta runner, memo lookups, output reuse
 /// on whole-snapshot skips, the incremental inner aggregate and the
@@ -135,16 +160,19 @@ pub(crate) struct QqSource {
     /// live scan's row set.
     inner: Option<InnerAgg>,
     /// Outputs evaluated ahead of time, served in order instead.
-    preloaded: Option<std::vec::IntoIter<QueryResult>>,
-    current: Option<QueryResult>,
+    preloaded: Option<std::vec::IntoIter<QqOutput>>,
+    current: Option<QqOutput>,
     /// The last snapshot evaluated: where the next chain continues from.
     last_sid: Option<u64>,
+    /// `(sid, version)` of a memo hit on the chain the runner has not
+    /// caught up with: its state predates `sid`, so the next scan must
+    /// first import the seed memoized there (or rebuild without one).
+    reprime: Option<(u64, u64)>,
 }
 
 impl QqSource {
     /// Parse Qq and choose its source under `policy` (`None` = `Off`).
     pub(crate) fn new(
-        snap: &Database,
         qq: &str,
         kind: MechanismKind,
         policy: Option<DeltaPolicy>,
@@ -197,7 +225,7 @@ impl QqSource {
             .then(|| inner_agg_shape(&parsed))
             .flatten();
         Ok(QqSource {
-            memo: QqMemo::attach(memo, snap, &parsed),
+            memo: QqMemo::attach(memo, &parsed),
             parsed,
             chain,
             forced,
@@ -208,12 +236,13 @@ impl QqSource {
             preloaded: None,
             current: None,
             last_sid: None,
+            reprime: None,
         })
     }
 
     /// Serve `results` (one per upcoming [`advance`](Self::advance), in
     /// order) instead of evaluating — the parallel pool's hand-over.
-    pub(crate) fn preload(&mut self, results: Vec<QueryResult>) {
+    pub(crate) fn preload(&mut self, results: Vec<QqOutput>) {
         self.preloaded = Some(results.into_iter());
     }
 
@@ -236,12 +265,12 @@ impl QqSource {
     }
 
     /// This snapshot's Qq output (valid after [`advance`](Self::advance)).
-    pub(crate) fn current(&self) -> &QueryResult {
+    pub(crate) fn current(&self) -> &QqOutput {
         self.current.as_ref().expect("advance() before current()")
     }
 
     /// Move the current output out (a pool worker handing it over).
-    pub(crate) fn take_current(&mut self) -> QueryResult {
+    pub(crate) fn take_current(&mut self) -> QqOutput {
         self.current
             .take()
             .expect("advance() before take_current()")
@@ -267,59 +296,53 @@ impl QqSource {
         // Snapshots are immutable, so a memoized Qq result at `sid` is
         // byte-identical to re-execution; hits skip the executor (and
         // report zeroed Qq stats — no pages read, nothing evaluated).
-        let cached = self
-            .memo
-            .as_ref()
-            .and_then(|m| m.lookup_result(snap, reader, &self.parsed, sid));
+        // The version is read once here and vouches for every lookup and
+        // record of this snapshot.
+        let version = (self.memo.as_ref()).and_then(|_| snapshot_version(snap.store(), sid));
+        let memo = self.memo.as_ref().zip(version);
+        let cached = memo.and_then(|(m, v)| m.lookup_result(sid, v));
         let memo_hit = cached.is_some();
         if memo_hit {
             rql_trace::instant_arg(rql_trace::SpanId::MemoHit, sid);
         } else if self.memo.is_some() {
             rql_trace::instant_arg(rql_trace::SpanId::MemoMiss, sid);
         }
-        let result = match (cached, reader) {
-            (Some(r), reader) => {
-                if let Some(reader) = reader {
-                    // Keep the chain delta across the skipped execution:
-                    // the memoized seed is the scanner state as of `sid`,
-                    // so the next iteration's changed-set (relative to
-                    // `sid`) still applies. No seed → invalidate and let
-                    // it rebuild. The running inner aggregate cannot
-                    // absorb a skipped iteration, so it goes stale.
-                    match self
-                        .memo
-                        .as_ref()
-                        .and_then(|m| m.lookup_seed(reader, &self.parsed, sid))
-                    {
-                        Some(seed) => self.runner.import_seed(seed),
-                        None => self.runner.invalidate(),
-                    }
+        let output = match (cached, reader) {
+            (Some(data), reader) => {
+                if reader.is_some() {
+                    // The chain moved past `sid` without the runner: the
+                    // seed memoized here is its state as of `sid`, which
+                    // only the next scan needs. The running inner
+                    // aggregate cannot absorb a skipped iteration, so it
+                    // goes stale.
+                    self.reprime = version.map(|v| (sid, v));
                     self.inner = None;
                 }
-                r
+                let stats = ExecStats::default();
+                QqOutput { data, stats }
             }
             (None, Some(reader)) => self.scan(snap, reader, sid)?,
-            (None, None) => self.execute(snap, None, sid)?,
+            (None, None) => self.execute(snap, sid)?,
         };
-        self.current = Some(result);
+        if let (false, Some((m, v))) = (memo_hit, self.memo.as_ref().zip(version)) {
+            // Share the rows the fold is about to read, and — when a scan
+            // just left the runner at `sid` — its state, so a future run
+            // whose chain passes through `sid` stays on the delta path.
+            m.record_result(sid, v, Arc::clone(&output.data));
+            if let Some(seed) = self.runner.export_seed() {
+                m.record_seed(sid, v, seed);
+            }
+        }
+        self.current = Some(output);
         self.last_sid = Some(sid);
         Ok(memo_hit)
     }
 
     /// The ordinary plan at `sid`.
-    fn execute(
-        &self,
-        snap: &Database,
-        reader: Option<&SnapshotReader>,
-        sid: u64,
-    ) -> Result<QueryResult> {
+    fn execute(&self, snap: &Database, sid: u64) -> Result<QqOutput> {
         let rewritten = rewrite_select(&self.parsed, sid);
         let outcome = snap.execute_stmt(&Stmt::Select(rewritten))?;
-        let result = outcome.rows().expect("SELECT yields rows");
-        if let Some(m) = &self.memo {
-            m.record_result(snap, reader, &self.parsed, sid, &result);
-        }
-        Ok(result)
+        Ok(outcome.rows().expect("SELECT yields rows").into())
     }
 
     /// The incremental inner aggregate's value at this scan, when it is
@@ -342,7 +365,14 @@ impl QqSource {
 
     /// The delta-aware scan at `sid`, consuming the chain delta carried
     /// by `reader`.
-    fn scan(&mut self, snap: &Database, reader: &SnapshotReader, sid: u64) -> Result<QueryResult> {
+    fn scan(&mut self, snap: &Database, reader: &SnapshotReader, sid: u64) -> Result<QqOutput> {
+        if let Some((hit_sid, hit_version)) = self.reprime.take() {
+            let seed = (self.memo.as_ref()).and_then(|m| m.lookup_seed(hit_sid, hit_version));
+            match seed {
+                Some(seed) => self.runner.import_seed(&seed),
+                None => self.runner.invalidate(),
+            }
+        }
         let rewritten = rewrite_select(&self.parsed, sid);
         let Some((scan, mut stats)) = snap.delta_scan(reader, &rewritten, &mut self.runner)? else {
             if self.forced {
@@ -355,7 +385,7 @@ impl QqSource {
             // scan rebuilds and re-seeds.
             rql_trace::instant_arg(rql_trace::SpanId::SeqPath, sid);
             self.inner = None;
-            return self.execute(snap, Some(reader), sid);
+            return self.execute(snap, sid);
         };
         rql_trace::instant_arg(rql_trace::SpanId::DeltaPath, sid);
         let skip = scan.snapshot_skip();
@@ -368,16 +398,16 @@ impl QqSource {
             stats.io.snapshots_pruned += 1;
             rql_trace::instant_arg(rql_trace::SpanId::SnapshotPruned, sid);
         }
-        let result = match (self.incremental(&scan)?, &self.current) {
+        Ok(match (self.incremental(&scan)?, &self.current) {
             (Some(v), Some(prev)) => {
                 // The value a fresh execution would return is exactly
                 // this one row, under the column the pipeline named.
                 stats.rows = 1;
-                QueryResult {
-                    columns: prev.columns.clone(),
-                    rows: vec![vec![v]],
+                let columns = prev.data.columns.clone();
+                let rows = vec![vec![v]];
+                QqOutput {
+                    data: Arc::new(QqRows { columns, rows }),
                     stats,
-                    plan: Vec::new(),
                 }
             }
             (None, Some(prev)) if self.reusable && skip.is_some() => {
@@ -385,15 +415,10 @@ impl QqSource {
                 // base rows are byte-identical to the previous
                 // iteration's, so its output is this iteration's output —
                 // skip the post-scan stages entirely.
-                stats.rows = prev.rows.len() as u64;
-                QueryResult {
-                    columns: prev.columns.clone(),
-                    rows: prev.rows.clone(),
+                stats.rows = prev.data.rows.len() as u64;
+                QqOutput {
+                    data: Arc::clone(&prev.data),
                     stats,
-                    plan: vec![format!(
-                        "{}: delta seq scan (output reused)",
-                        rewritten.from[0].name
-                    )],
                 }
             }
             _ => {
@@ -413,16 +438,9 @@ impl QqSource {
                 stats.eval += fin.stats.eval;
                 stats.io.accumulate(&fin.stats.io);
                 stats.rows = fin.stats.rows;
-                QueryResult { stats, ..fin }
+                QqOutput::from(QueryResult { stats, ..fin })
             }
-        };
-        if let Some(m) = &self.memo {
-            m.record_result(snap, Some(reader), &self.parsed, sid, &result);
-            if let Some(seed) = self.runner.export_seed() {
-                m.record_seed(reader, &self.parsed, sid, seed);
-            }
-        }
-        Ok(result)
+        })
     }
 }
 

@@ -91,7 +91,7 @@ pub use maintain::{
     Maintainer, ResultDelta,
 };
 pub use mechanism::{END_SNAPSHOT_COL, START_SNAPSHOT_COL};
-pub use memoize::{memo_eligible, page_version_vector, qq_fingerprint};
+pub use memoize::{memo_eligible, qq_fingerprint};
 pub use parallel::{aggregate_data_in_variable_parallel, collate_data_parallel};
 pub use profile::{MechanismProfile, QueryProfile, SnapshotCost};
 pub use report::{IterationReport, RqlReport};

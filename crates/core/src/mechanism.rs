@@ -29,8 +29,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rql_memo::MemoStore;
-use rql_sqlengine::{Database, QueryResult, Result, Row, SqlError, TableWriter, Value};
+use rql_memo::{MemoStore, QqRows};
+use rql_sqlengine::{Database, Result, Row, SqlError, TableWriter, Value};
 
 use crate::aggregate::{parse_col_func_pairs, AggOp, AggState};
 use crate::analyze::MechanismKind;
@@ -267,7 +267,7 @@ impl Fold {
         &mut self,
         aux: &Database,
         sid: u64,
-        result: &QueryResult,
+        result: &QqRows,
         mut sink: Option<&mut ResultDelta>,
     ) -> Result<Applied> {
         let fresh = !self.exists;
@@ -389,7 +389,7 @@ impl VarFold {
         aux: &Database,
         table: &str,
         exists: &mut bool,
-        result: &QueryResult,
+        result: &QqRows,
         sink: Option<&mut ResultDelta>,
     ) -> Result<Applied> {
         if result.columns.len() != 1 {
@@ -674,7 +674,7 @@ impl AggTableFold {
     fn apply(
         &mut self,
         w: &mut TableWriter,
-        result: &QueryResult,
+        result: &QqRows,
         blind: bool,
         sink: &mut Option<&mut ResultDelta>,
     ) -> Result<()> {
@@ -740,15 +740,16 @@ pub(crate) fn drive(
         let _qq_span = rql_trace::span_arg(rql_trace::SpanId::QqIteration, sid);
         let iter_started = Instant::now();
         let memo_hit = source.advance(snap, readers.get(i), sid)?;
-        let result = source.current();
+        let output = source.current();
+        let qq_rows = output.data.rows.len() as u64;
         let udf_started = Instant::now();
-        let applied = fold.apply(aux, sid, result, sink.as_deref_mut())?;
-        rql_trace::instant_arg(rql_trace::SpanId::RowsFolded, result.rows.len() as u64);
+        let applied = fold.apply(aux, sid, &output.data, sink.as_deref_mut())?;
+        rql_trace::instant_arg(rql_trace::SpanId::RowsFolded, qq_rows);
         report.iterations.push(IterationReport {
             snap_id: sid,
-            qq_stats: result.stats,
+            qq_stats: output.stats,
             udf_time: udf_started.elapsed(),
-            qq_rows: result.rows.len() as u64,
+            qq_rows,
             result_inserts: applied.inserts,
             result_updates: applied.updates,
             memo_hit,
@@ -780,7 +781,7 @@ pub(crate) fn run(
             "result table {table} already exists (the mechanism creates it)"
         )));
     }
-    let mut source = QqSource::new(snap, qq, spec.kind(), policy, memo)?;
+    let mut source = QqSource::new(qq, spec.kind(), policy, memo)?;
     let (ids, qs_time) = snapshot_set(aux, qs)?;
     let mut fold = Fold::new(spec, table);
     let mut report = drive(snap, aux, &mut source, &mut fold, &ids, None)?;

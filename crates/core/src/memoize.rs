@@ -17,32 +17,28 @@
 //!   is not memoizable (UDFs may close over external state); builtins,
 //!   aggregates and `current_snapshot()` are engine-evaluated and fine.
 //!   The rqlcheck diagnostic `RQL207` explains this statically.
-//! * [`page_version_vector`] — hash of the snapshot's SPT mapping plus
-//!   the touched tables' roots and index sets, verified on every cache
-//!   hit. Snapshot bytes are immutable, so this is defensive: it guards
-//!   ad-hoc index drift and page-archival movement at the cost of a
-//!   spurious miss, never a wrong answer.
-//! * [`QqMemo`] — the per-computation handle the mechanism loops use to
-//!   look up and record results ([`EntryKind::Result`]) and delta-chain
-//!   seeds ([`EntryKind::Seed`]).
+//! * [`snapshot_version`] — what tells apart two snapshots that share
+//!   an id: a hash of the snapshot's declaration record and the store
+//!   incarnation holding it. It is fixed for as long as the store stays
+//!   open, so an entry recorded by any session is a hit for every other
+//!   session and survives every later commit; it differs between two
+//!   stores behind one memo and across a reopen, where an id may have
+//!   been re-declared over a lost tail. It costs one metadata read: no
+//!   SPT is built and no catalog is loaded to vouch for a hit.
+//! * [`QqMemo`] — the per-computation handle the Qq source uses to look
+//!   up and record results and delta-chain seeds. Values travel as
+//!   `Arc`s: recording shares the rows the fold is about to read, and a
+//!   hit hands them back without copying.
 
 use std::sync::Arc;
 
-use rql_memo::{EntryKind, MemoKey, MemoStore, MemoValue};
-use rql_retro::SnapshotReader;
+use rql_memo::{EntryKind, MemoKey, MemoStore, MemoValue, QqRows};
+use rql_pagestore::fnv1a;
+use rql_retro::RetroStore;
 use rql_sqlengine::ast::{is_aggregate_name, Expr, SelectItem, SelectStmt};
-use rql_sqlengine::{Catalog, Database, ExecStats, QueryResult, ScannerSeed};
+use rql_sqlengine::ScannerSeed;
 
 use crate::rewrite::{render_select, CURRENT_SNAPSHOT};
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Content fingerprint of a Qq: FNV-1a of its canonical rendering
 /// *before* any per-iteration rewrite, so every snapshot of every
@@ -114,84 +110,34 @@ pub fn memo_eligible(parsed: &SelectStmt) -> bool {
         || parsed.limit.as_ref().is_some_and(expr_calls_udf))
 }
 
-/// Page-version vector of `parsed`'s footprint at one snapshot: the
-/// SPT's [`version_hash`](rql_retro::Spt::version_hash) combined with
-/// every touched table's name, heap root, and (sorted) index set.
-/// `None` when a touched table is absent from the snapshot's catalog —
-/// such an execution errors anyway, so nothing is memoized for it.
-pub fn page_version_vector(reader: &SnapshotReader, parsed: &SelectStmt) -> Option<u64> {
-    let catalog = Catalog::load(reader).ok()?;
-    let mut h = reader.spt().version_hash();
-    let mut fold = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    let mut names: Vec<String> = parsed
-        .from
-        .iter()
-        .map(|t| t.name.to_ascii_lowercase())
-        .chain(
-            parsed
-                .joins
-                .iter()
-                .map(|j| j.table.name.to_ascii_lowercase()),
-        )
-        .collect();
-    names.sort();
-    names.dedup();
-    for name in &names {
-        let info = catalog.require_table(name).ok()?;
-        fold(name.as_bytes());
-        fold(&info.root.0.to_le_bytes());
-        for idx in catalog.indexes_on(name) {
-            fold(idx.schema.name.as_bytes());
-            fold(&idx.root.0.to_le_bytes());
-        }
-    }
-    Some(h)
+/// The version of snapshot `sid` of `store`: FNV-1a over the store's
+/// [incarnation](RetroStore::incarnation) and the snapshot's declaration
+/// record. `None` for an undeclared id — executing there errors anyway,
+/// so nothing is memoized for it.
+pub(crate) fn snapshot_version(store: &RetroStore, sid: u64) -> Option<u64> {
+    let meta = store.snapshot_meta(sid)?;
+    let words = [store.incarnation(), meta.id, meta.page_count, meta.txn_id];
+    Some(fnv1a(&words.map(u64::to_le_bytes).concat()))
 }
 
 /// Per-computation memoization handle: one fingerprint, many snapshots.
 /// Constructed once per mechanism loop; `None` when no store is
 /// attached or the Qq is not memo-eligible, which callers treat as
-/// "memoization off" with zero overhead.
+/// "memoization off" with zero overhead. `version` arguments are the
+/// [`snapshot_version`] of `sid`.
 pub(crate) struct QqMemo {
     store: Arc<MemoStore>,
     fingerprint: u64,
-    /// The database's pruning-sidecar configuration hash
-    /// ([`Database::filter_config_hash`]), XOR-folded into every page
-    /// version vector. Sound pruning never changes a result, so this is
-    /// defensive versioning: changing the filter-column set (or the
-    /// sidecar format) invalidates entries recorded under the old
-    /// configuration instead of trusting them across the boundary.
-    config_salt: u64,
 }
 
 impl QqMemo {
-    /// Attach to `store` for one parsed Qq, if eligible. `snap` is the
-    /// snapshot-side database whose pruning configuration salts the page
-    /// version vectors.
-    pub(crate) fn attach(
-        store: Option<Arc<MemoStore>>,
-        snap: &Database,
-        parsed: &SelectStmt,
-    ) -> Option<QqMemo> {
+    /// Attach to `store` for one parsed Qq, if eligible.
+    pub(crate) fn attach(store: Option<Arc<MemoStore>>, parsed: &SelectStmt) -> Option<QqMemo> {
         let store = store?;
-        if !memo_eligible(parsed) {
-            return None;
-        }
-        Some(QqMemo {
+        memo_eligible(parsed).then(|| QqMemo {
             fingerprint: qq_fingerprint(parsed),
-            config_salt: snap.filter_config_hash(),
             store,
         })
-    }
-
-    /// Page version vector salted with the pruning configuration.
-    fn pvv(&self, reader: &SnapshotReader, parsed: &SelectStmt) -> Option<u64> {
-        page_version_vector(reader, parsed).map(|h| h ^ self.config_salt)
     }
 
     fn key(&self, sid: u64, kind: EntryKind) -> MemoKey {
@@ -202,75 +148,26 @@ impl QqMemo {
         }
     }
 
-    fn hit_result(columns: Vec<String>, rows: Vec<rql_sqlengine::Row>) -> QueryResult {
-        QueryResult {
-            columns,
-            rows,
-            // A hit costs no page reads and no evaluation; zeroed stats
-            // are what make the warm-path cost model reflect that.
-            stats: ExecStats::default(),
-            plan: vec!["memo hit".to_owned()],
-        }
-    }
-
-    /// Look up the memoized Qq result at `sid`, verifying the page
-    /// version through `reader` when the caller has the snapshot open
-    /// (the chain source does, so verification is nearly free). Without
-    /// one the snapshot is opened only inside the verification closure,
-    /// so a cold miss never builds an SPT.
-    pub(crate) fn lookup_result(
-        &self,
-        snap: &Database,
-        reader: Option<&SnapshotReader>,
-        parsed: &SelectStmt,
-        sid: u64,
-    ) -> Option<QueryResult> {
-        let key = self.key(sid, EntryKind::Result);
-        let pvv = || match reader {
-            Some(reader) => self.pvv(reader, parsed),
-            None => self.pvv(&snap.store().open_snapshot(sid).ok()?, parsed),
-        };
-        match self.store.lookup(&key, pvv) {
-            Some(MemoValue::Result { columns, rows }) => Some(Self::hit_result(columns, rows)),
+    /// The memoized Qq output at `sid`.
+    pub(crate) fn lookup_result(&self, sid: u64, version: u64) -> Option<Arc<QqRows>> {
+        match self
+            .store
+            .lookup(&self.key(sid, EntryKind::Result), version)
+        {
+            Some(MemoValue::Result(rows)) => Some(rows),
             _ => None,
         }
     }
 
-    /// Record a Qq result computed at `sid` (`reader` as in
-    /// [`Self::lookup_result`]).
-    pub(crate) fn record_result(
-        &self,
-        snap: &Database,
-        reader: Option<&SnapshotReader>,
-        parsed: &SelectStmt,
-        sid: u64,
-        result: &QueryResult,
-    ) {
-        let pvv = match reader {
-            Some(reader) => self.pvv(reader, parsed),
-            None => (snap.store().open_snapshot(sid).ok()).and_then(|r| self.pvv(&r, parsed)),
-        };
-        if let Some(pvv) = pvv {
-            self.store.insert(
-                self.key(sid, EntryKind::Result),
-                pvv,
-                MemoValue::Result {
-                    columns: result.columns.clone(),
-                    rows: result.rows.clone(),
-                },
-            );
-        }
+    /// Record the Qq output computed at `sid`.
+    pub(crate) fn record_result(&self, sid: u64, version: u64, rows: Arc<QqRows>) {
+        let key = self.key(sid, EntryKind::Result);
+        self.store.insert(key, version, MemoValue::Result(rows));
     }
 
-    /// Look up the delta-chain seed exported at `sid`.
-    pub(crate) fn lookup_seed(
-        &self,
-        reader: &SnapshotReader,
-        parsed: &SelectStmt,
-        sid: u64,
-    ) -> Option<ScannerSeed> {
-        let key = self.key(sid, EntryKind::Seed);
-        match self.store.lookup(&key, || self.pvv(reader, parsed)) {
+    /// The delta-chain seed exported at `sid`.
+    pub(crate) fn lookup_seed(&self, sid: u64, version: u64) -> Option<Arc<ScannerSeed>> {
+        match self.store.lookup(&self.key(sid, EntryKind::Seed), version) {
             Some(MemoValue::Seed(seed)) => Some(seed),
             _ => None,
         }
@@ -278,17 +175,10 @@ impl QqMemo {
 
     /// Record the delta scanner's post-scan state at `sid`, so a future
     /// run whose chain passes through `sid` stays on the delta path.
-    pub(crate) fn record_seed(
-        &self,
-        reader: &SnapshotReader,
-        parsed: &SelectStmt,
-        sid: u64,
-        seed: ScannerSeed,
-    ) {
-        if let Some(pvv) = self.pvv(reader, parsed) {
-            self.store
-                .insert(self.key(sid, EntryKind::Seed), pvv, MemoValue::Seed(seed));
-        }
+    pub(crate) fn record_seed(&self, sid: u64, version: u64, seed: ScannerSeed) {
+        let key = self.key(sid, EntryKind::Seed);
+        self.store
+            .insert(key, version, MemoValue::Seed(Arc::new(seed)));
     }
 }
 

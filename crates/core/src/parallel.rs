@@ -21,10 +21,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use rql_sqlengine::{Database, QueryResult, Result, SqlError};
+use rql_sqlengine::{Database, Result, SqlError};
 
 use crate::aggregate::AggOp;
-use crate::delta::QqSource;
+use crate::delta::{QqOutput, QqSource};
 use crate::mechanism::{self, Fold, MechSpec};
 use crate::report::RqlReport;
 
@@ -37,13 +37,13 @@ fn parallel_qq(
     spec: &MechSpec,
     ids: &[u64],
     threads: usize,
-) -> Result<Vec<QueryResult>> {
+) -> Result<Vec<QqOutput>> {
     let threads = threads.max(1).min(ids.len().max(1));
     let sources = (0..threads)
-        .map(|_| QqSource::new(snap, qq, spec.kind(), None, None))
+        .map(|_| QqSource::new(qq, spec.kind(), None, None))
         .collect::<Result<Vec<_>>>()?;
     let next = &AtomicUsize::new(0);
-    let slots: &Vec<Mutex<Option<Result<QueryResult>>>> =
+    let slots: &Vec<Mutex<Option<Result<QqOutput>>>> =
         &ids.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for mut source in sources {
@@ -97,7 +97,7 @@ fn run_parallel(
             "result table {table} already exists"
         )));
     }
-    let mut source = QqSource::new(snap, qq, spec.kind(), None, None)?;
+    let mut source = QqSource::new(qq, spec.kind(), None, None)?;
     let (ids, qs_time) = mechanism::snapshot_set(aux, qs)?;
     source.preload(parallel_qq(snap, qq, &spec, &ids, threads)?);
     let mut fold = Fold::new(spec, table);

@@ -3,38 +3,53 @@
 //! Content-addressed memoization store for retrospective computations.
 //!
 //! Retro snapshots are immutable, so the result of a per-snapshot query
-//! `Qq` evaluated at snapshot `S` can never change — yet the RQL loop
-//! recomputes it on every query, every session, every server client.
-//! This crate caches two kinds of per-snapshot artifacts:
+//! `Qq` evaluated at snapshot `S` is a function of `S` alone — no later
+//! commit can change it. This crate caches two kinds of per-snapshot
+//! artifacts so that every query, session and server client after the
+//! first reuses them:
 //!
-//! * [`EntryKind::Result`] — the full `Qq` result (columns + rows) for
+//! * [`MemoValue::Result`] — the full `Qq` result (columns + rows) for
 //!   one snapshot, foldable into any mechanism exactly like a live
 //!   execution;
-//! * [`EntryKind::Seed`] — an exported [`ScannerSeed`] capturing the
+//! * [`MemoValue::Seed`] — an exported [`ScannerSeed`] capturing the
 //!   delta scanner's post-scan state at one snapshot, so a memoized
 //!   iteration keeps the *next* iteration on the delta path.
 //!
-//! Keying is content-addressed: a fingerprint of the canonical
-//! *pre-rewrite* `Qq` text (so `AS OF` injection does not fragment
-//! keys), the snapshot id, and a page-version vector (`pvv`) covering
-//! the SPT mapping and the touched tables' roots and indexes. The `pvv`
-//! is verified on every hit; snapshot immutability makes mismatches
-//! rare (page archival, ad-hoc index drift) and a mismatch only costs a
-//! recompute, never a wrong answer.
+//! Keying is by identity: a fingerprint of the canonical *pre-rewrite*
+//! `Qq` text (so `AS OF` injection does not fragment keys) and the
+//! snapshot id. Each entry also carries the *version* of the snapshot it
+//! was computed at — an opaque number the caller derives from the
+//! snapshot's declaration record and the store incarnation that holds
+//! it. A snapshot's version never changes while its store stays open, so
+//! an entry is good across any number of commits and for every session
+//! of that store; the version only tells apart snapshots that happen to
+//! share an id — two stores behind one memo, or a reopened store. An
+//! entry under another version is dropped and the lookup misses.
 //!
-//! Storage is a sharded in-memory LRU with byte-budget accounting plus
-//! an optional disk-spill tier. The spill tier is strictly best-effort:
-//! every file carries a magic, key echo and checksum, and **any** IO or
-//! corruption failure degrades to a cache miss (the caller recomputes)
-//! — a cache fault never fails a query.
+//! Values are shared, not copied: an entry holds its value behind an
+//! `Arc` and a hit hands out another reference. Seeds go one level
+//! further — each page's filtered rows are an `Arc` the delta scanner
+//! built once, so seeds of consecutive snapshots share every unchanged
+//! page, and the byte budget charges a page once however many resident
+//! seeds hold it.
+//!
+//! Storage is a sharded in-memory map with one byte budget and
+//! least-recently-used eviction across all shards, plus an optional
+//! disk-spill tier. The spill tier is strictly best-effort: every file
+//! carries a magic, key echo and checksum, and **any** IO or corruption
+//! failure degrades to a cache miss (the caller recomputes) — a cache
+//! fault never fails a query. Spilled entries do not outlive the store
+//! incarnation that wrote them.
 
 #![warn(missing_docs)]
 
+use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rql_sqlengine::record::{decode_row, encode_row, encoded_len};
@@ -43,6 +58,8 @@ use rql_sqlengine::{Row, ScannerSeed, SeedPage};
 const MAGIC: &[u8; 8] = b"RQLMEMO1";
 /// Fixed per-entry bookkeeping overhead charged to the byte budget.
 const ENTRY_OVERHEAD: usize = 96;
+/// Per-page bookkeeping of a seed, charged to the entry that holds it.
+const SEED_PAGE_OVERHEAD: usize = 32;
 
 /// Configuration for a [`MemoStore`].
 #[derive(Debug, Clone)]
@@ -85,10 +102,10 @@ impl EntryKind {
     }
 }
 
-/// Cache key: query fingerprint × snapshot × artifact kind. The
-/// page-version vector is deliberately *not* part of the key — it is
-/// stored with the entry and verified on lookup, so true cold misses
-/// never pay for computing it.
+/// Cache key: query fingerprint × snapshot × artifact kind. The snapshot
+/// version is deliberately *not* part of the key — it is stored with the
+/// entry and compared on lookup, so an entry left by another store or
+/// incarnation is replaced instead of lingering beside the live one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemoKey {
     /// Fingerprint of the canonical pre-rewrite `Qq` text.
@@ -99,34 +116,40 @@ pub struct MemoKey {
     pub kind: EntryKind,
 }
 
-/// A cached artifact.
+/// Column names and rows of one `Qq` execution.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QqRows {
+    /// Output column names.
+    pub columns: Vec<String>,
+    /// Result rows, in execution order.
+    pub rows: Vec<Row>,
+}
+
+/// A cached artifact. Cloning copies a reference, never the rows.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MemoValue {
-    /// Column names and rows of a `Qq` execution.
-    Result {
-        /// Output column names.
-        columns: Vec<String>,
-        /// Result rows, in execution order.
-        rows: Vec<Row>,
-    },
+    /// The output of a `Qq` execution.
+    Result(Arc<QqRows>),
     /// Exported delta-scanner state.
-    Seed(ScannerSeed),
+    Seed(Arc<ScannerSeed>),
+}
+
+fn rows_bytes(rows: &[Row]) -> usize {
+    rows.iter().map(|r| encoded_len(r) + 16).sum()
 }
 
 impl MemoValue {
-    /// Approximate heap footprint, charged against the byte budget.
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            MemoValue::Result { columns, rows } => {
-                columns.iter().map(|c| c.len() + 24).sum::<usize>()
-                    + rows.iter().map(|r| encoded_len(r) + 16).sum::<usize>()
+    /// Approximate heap footprint charged to the entry itself. A seed's
+    /// page rows are not in it: they are charged once per distinct page
+    /// (see [`MemoStore`]), since other seeds may hold the same pages.
+    fn own_bytes(&self) -> usize {
+        ENTRY_OVERHEAD
+            + match self {
+                MemoValue::Result(r) => {
+                    r.columns.iter().map(|c| c.len() + 24).sum::<usize>() + rows_bytes(&r.rows)
+                }
+                MemoValue::Seed(seed) => SEED_PAGE_OVERHEAD * seed.pages.len(),
             }
-            MemoValue::Seed(seed) => seed
-                .pages
-                .iter()
-                .map(|p| 32 + p.rows.iter().map(|r| encoded_len(r) + 16).sum::<usize>())
-                .sum::<usize>(),
-        }
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
@@ -140,14 +163,14 @@ impl MemoValue {
             }
         }
         match self {
-            MemoValue::Result { columns, rows } => {
+            MemoValue::Result(r) => {
                 out.push(0);
-                out.extend_from_slice(&(columns.len() as u32).to_le_bytes());
-                for c in columns {
+                out.extend_from_slice(&(r.columns.len() as u32).to_le_bytes());
+                for c in &r.columns {
                     out.extend_from_slice(&(c.len() as u32).to_le_bytes());
                     out.extend_from_slice(c.as_bytes());
                 }
-                put_rows(rows, out);
+                put_rows(&r.rows, out);
             }
             MemoValue::Seed(seed) => {
                 out.push(1);
@@ -208,10 +231,8 @@ impl MemoValue {
                     let raw = cur.take(len)?;
                     columns.push(String::from_utf8(raw.to_vec()).ok()?);
                 }
-                MemoValue::Result {
-                    columns,
-                    rows: cur.rows()?,
-                }
+                let rows = cur.rows()?;
+                MemoValue::Result(Arc::new(QqRows { columns, rows }))
             }
             1 => {
                 let root = cur.u64()?;
@@ -224,10 +245,10 @@ impl MemoValue {
                     pages.push(SeedPage {
                         page,
                         next: has_next.then_some(next),
-                        rows: cur.rows()?,
+                        rows: Arc::new(cur.rows()?),
                     });
                 }
-                MemoValue::Seed(ScannerSeed { root, pages })
+                MemoValue::Seed(Arc::new(ScannerSeed { root, pages }))
             }
             _ => return None,
         };
@@ -299,25 +320,27 @@ struct MemoStats {
 }
 
 struct Entry {
-    pvv: u64,
+    /// Version of the snapshot the value was computed at.
+    version: u64,
     value: MemoValue,
+    /// [`MemoValue::own_bytes`] at insert.
     bytes: usize,
     tick: u64,
 }
 
-#[derive(Default)]
-struct Shard {
-    map: HashMap<MemoKey, Entry>,
-    bytes: usize,
-}
-
-/// The memoization store: a sharded, byte-budgeted LRU over
-/// [`MemoValue`] entries with page-version verification and an optional
+/// The memoization store: a sharded map of [`MemoValue`] entries under
+/// one byte budget, with snapshot-version verification and an optional
 /// disk-spill tier. All methods are `&self` and thread-safe; one store
 /// is meant to be shared across every session of a server.
 pub struct MemoStore {
-    shards: Vec<Mutex<Shard>>,
-    per_shard_budget: usize,
+    shards: Vec<Mutex<HashMap<MemoKey, Entry>>>,
+    /// The row vectors of every seed page held by a resident entry, by
+    /// allocation address: how many seed pages hold the vector, and its
+    /// bytes. Seeds of neighbouring snapshots share most pages, so each
+    /// vector is charged when its first holder arrives and released when
+    /// its last one leaves. Taken after a shard lock, never before one.
+    seed_pages: Mutex<HashMap<usize, (usize, usize)>>,
+    byte_budget: u64,
     tick: AtomicU64,
     spill_dir: Option<PathBuf>,
     stats: MemoStats,
@@ -327,7 +350,7 @@ impl std::fmt::Debug for MemoStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoStore")
             .field("shards", &self.shards.len())
-            .field("per_shard_budget", &self.per_shard_budget)
+            .field("byte_budget", &self.byte_budget)
             .field("spill_dir", &self.spill_dir)
             .finish()
     }
@@ -336,151 +359,153 @@ impl std::fmt::Debug for MemoStore {
 impl MemoStore {
     /// Create a store from `config`.
     pub fn new(config: MemoConfig) -> MemoStore {
-        let shards = config.shards.max(1);
         MemoStore {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard_budget: (config.byte_budget / shards).max(1),
+            shards: (0..config.shards.max(1))
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
+            seed_pages: Mutex::new(HashMap::new()),
+            byte_budget: config.byte_budget as u64,
             tick: AtomicU64::new(0),
             spill_dir: config.spill_dir,
             stats: MemoStats::default(),
         }
     }
 
-    fn shard_of(&self, key: &MemoKey) -> usize {
+    fn shard_of(&self, key: &MemoKey) -> &Mutex<HashMap<MemoKey, Entry>> {
         let mixed = key
             .fingerprint
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(key.snap_id)
             .wrapping_add(u64::from(key.kind.tag()));
-        (mixed % self.shards.len() as u64) as usize
+        &self.shards[(mixed % self.shards.len() as u64) as usize]
     }
 
     fn next_tick(&self) -> u64 {
         self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Look up `key`, verifying the stored page-version vector against
-    /// the one `pvv` computes. The closure is only invoked when an entry
-    /// (memory or spill) actually exists, so cold misses never pay for
-    /// it; `pvv` returning `None` means "unverifiable" and misses. A
-    /// stale entry (pvv mismatch) is dropped from both tiers.
-    pub fn lookup(&self, key: &MemoKey, pvv: impl FnOnce() -> Option<u64>) -> Option<MemoValue> {
+    /// Look up `key` as computed at snapshot version `version`. A hit
+    /// returns a reference to the stored value (memory tier) or to the
+    /// freshly decoded one (spill tier); nothing is copied. An entry
+    /// under another version belongs to another store or incarnation: it
+    /// is dropped from both tiers and the lookup misses.
+    pub fn lookup(&self, key: &MemoKey, version: u64) -> Option<MemoValue> {
         let _span = rql_trace::span(rql_trace::SpanId::MemoProbe);
-        let idx = self.shard_of(key);
-        let mem_pvv = self.shards[idx].lock().map.get(key).map(|e| e.pvv);
-        let spill_path = if mem_pvv.is_none() {
-            self.spill_path(key).filter(|p| p.exists())
-        } else {
-            None
-        };
-        if mem_pvv.is_none() && spill_path.is_none() {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let Some(current) = pvv() else {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-
-        if let Some(stored) = mem_pvv {
-            if stored == current {
-                let mut shard = self.shards[idx].lock();
-                if let Some(e) = shard.map.get_mut(key) {
-                    if e.pvv == current {
-                        e.tick = self.next_tick();
-                        let value = e.value.clone();
-                        drop(shard);
-                        self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                        return Some(value);
-                    }
+        let resident = {
+            let mut shard = self.shard_of(key).lock();
+            match shard.get_mut(key) {
+                Some(e) if e.version == version => {
+                    e.tick = self.next_tick();
+                    Some(Some(e.value.clone()))
                 }
-            } else {
-                let mut shard = self.shards[idx].lock();
-                if let Some(e) = shard.map.get(key) {
-                    if e.pvv == stored {
-                        Self::remove_entry(&mut shard, key, &self.stats);
-                    }
+                Some(_) => {
+                    let foreign = shard.remove(key);
+                    self.release(foreign);
+                    Some(None)
                 }
-                drop(shard);
+                None => None,
+            }
+        };
+        let value = match resident {
+            Some(Some(value)) => Some(value),
+            Some(None) => {
                 if let Some(p) = self.spill_path(key) {
                     let _ = fs::remove_file(p);
                 }
-            }
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-
-        // Spill tier: memory missed but a file exists.
-        let path = spill_path?;
-        match self.spill_read(key, &path) {
-            Some((stored, value)) if stored == current => {
-                self.insert_mem(*key, current, value.clone());
-                self.stats.spill_reads.fetch_add(1, Ordering::Relaxed);
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                Some(value)
-            }
-            Some(_) => {
-                let _ = fs::remove_file(&path);
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
-            None => {
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+            None => self.spill_lookup(key, version),
+        };
+        let counter = match value {
+            Some(_) => &self.stats.hits,
+            None => &self.stats.misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        value
     }
 
-    /// Insert an artifact computed at page-version `pvv`. Write-through
-    /// to the spill tier when configured; evicts least-recently-used
-    /// entries until the shard is back under budget.
-    pub fn insert(&self, key: MemoKey, pvv: u64, value: MemoValue) {
+    /// Insert an artifact computed at snapshot version `version`.
+    /// Write-through to the spill tier when configured; evicts
+    /// least-recently-used entries until the store is back under budget.
+    pub fn insert(&self, key: MemoKey, version: u64, value: MemoValue) {
         let _span = rql_trace::span(rql_trace::SpanId::MemoInsert);
         self.stats.inserts.fetch_add(1, Ordering::Relaxed);
-        self.spill_write(&key, pvv, &value);
-        self.insert_mem(key, pvv, value);
+        self.spill_write(&key, version, &value);
+        self.insert_mem(key, version, value);
     }
 
-    fn insert_mem(&self, key: MemoKey, pvv: u64, value: MemoValue) {
-        let bytes = value.approx_bytes() + ENTRY_OVERHEAD;
-        let tick = self.next_tick();
-        let mut shard = self.shards[self.shard_of(&key)].lock();
-        if let Some(old) = shard.map.insert(
-            key,
-            Entry {
-                pvv,
-                value,
-                bytes,
-                tick,
-            },
-        ) {
-            shard.bytes = shard.bytes.saturating_sub(old.bytes);
-            self.stats
-                .bytes
-                .fetch_sub(old.bytes as u64, Ordering::Relaxed);
-        }
-        shard.bytes += bytes;
-        self.stats.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        while shard.bytes > self.per_shard_budget {
-            let victim = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    Self::remove_entry(&mut shard, &k, &self.stats);
-                    self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
+    fn insert_mem(&self, key: MemoKey, version: u64, value: MemoValue) {
+        let bytes = value.own_bytes();
+        let mut charged = bytes;
+        if let MemoValue::Seed(seed) = &value {
+            // Only pages no resident seed holds yet are measured, so an
+            // insert walks the rows of changed pages, not of the table.
+            let mut ledger = self.seed_pages.lock();
+            for p in &seed.pages {
+                let slot = ledger
+                    .entry(Arc::as_ptr(&p.rows) as usize)
+                    .or_insert_with(|| {
+                        let page_bytes = rows_bytes(&p.rows);
+                        charged += page_bytes;
+                        (0, page_bytes)
+                    });
+                slot.0 += 1;
             }
         }
+        self.stats
+            .bytes
+            .fetch_add(charged as u64, Ordering::Relaxed);
+        let entry = Entry {
+            version,
+            value,
+            bytes,
+            tick: self.next_tick(),
+        };
+        let replaced = self.shard_of(&key).lock().insert(key, entry);
+        self.release(replaced);
+        self.evict_over_budget();
     }
 
-    fn remove_entry(shard: &mut Shard, key: &MemoKey, stats: &MemoStats) {
-        if let Some(old) = shard.map.remove(key) {
-            shard.bytes = shard.bytes.saturating_sub(old.bytes);
-            stats.bytes.fetch_sub(old.bytes as u64, Ordering::Relaxed);
+    /// Give back what a removed entry was charged: its own bytes, and
+    /// every seed page vector it was the last resident holder of.
+    fn release(&self, entry: Option<Entry>) {
+        let Some(entry) = entry else { return };
+        let mut freed = entry.bytes;
+        if let MemoValue::Seed(seed) = &entry.value {
+            let mut ledger = self.seed_pages.lock();
+            for p in &seed.pages {
+                if let MapEntry::Occupied(mut slot) = ledger.entry(Arc::as_ptr(&p.rows) as usize) {
+                    slot.get_mut().0 -= 1;
+                    if slot.get().0 == 0 {
+                        freed += slot.remove().1;
+                    }
+                }
+            }
+        }
+        self.stats.bytes.fetch_sub(freed as u64, Ordering::Relaxed);
+    }
+
+    /// Evict the least recently used entry of any shard until the
+    /// resident bytes fit the budget.
+    fn evict_over_budget(&self) {
+        while self.stats.bytes.load(Ordering::Relaxed) > self.byte_budget {
+            let oldest = self
+                .shards
+                .iter()
+                .filter_map(|shard| {
+                    let shard = shard.lock();
+                    let (key, e) = shard.iter().min_by_key(|(_, e)| e.tick)?;
+                    Some((e.tick, *key))
+                })
+                .min_by_key(|(tick, _)| *tick);
+            let Some((tick, key)) = oldest else { break };
+            let mut shard = self.shard_of(&key).lock();
+            // Touched or replaced since it was picked: pick again.
+            if shard.get(&key).is_some_and(|e| e.tick == tick) {
+                let evicted = shard.remove(&key);
+                self.release(evicted);
+                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 
@@ -511,7 +536,22 @@ impl MemoStore {
         })
     }
 
-    fn spill_write(&self, key: &MemoKey, pvv: u64, value: &MemoValue) {
+    /// The spill tier's answer after a memory miss: a file written under
+    /// the same version is promoted to memory and served; one written
+    /// under another version is deleted.
+    fn spill_lookup(&self, key: &MemoKey, version: u64) -> Option<MemoValue> {
+        let path = self.spill_path(key).filter(|p| p.exists())?;
+        let (stored, value) = self.spill_read(key, &path)?;
+        if stored != version {
+            let _ = fs::remove_file(&path);
+            return None;
+        }
+        self.insert_mem(*key, version, value.clone());
+        self.stats.spill_reads.fetch_add(1, Ordering::Relaxed);
+        Some(value)
+    }
+
+    fn spill_write(&self, key: &MemoKey, version: u64, value: &MemoValue) {
         let Some(path) = self.spill_path(key) else {
             return;
         };
@@ -523,7 +563,7 @@ impl MemoStore {
         frame.extend_from_slice(&key.fingerprint.to_le_bytes());
         frame.extend_from_slice(&key.snap_id.to_le_bytes());
         frame.push(key.kind.tag());
-        frame.extend_from_slice(&pvv.to_le_bytes());
+        frame.extend_from_slice(&version.to_le_bytes());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
@@ -553,7 +593,7 @@ impl MemoStore {
     }
 
     /// Read one spill file, verifying magic, key echo and checksum.
-    /// Returns `(stored_pvv, value)`; any fault counts a `spill_error`,
+    /// Returns `(stored_version, value)`; any fault counts a `spill_error`,
     /// removes the file and returns `None` (the caller recomputes).
     fn spill_read(&self, key: &MemoKey, path: &Path) -> Option<(u64, MemoValue)> {
         let _span = rql_trace::span(rql_trace::SpanId::MemoSpillRead);
@@ -581,14 +621,14 @@ impl MemoStore {
             {
                 return None;
             }
-            let pvv = u64_at(25);
+            let version = u64_at(25);
             let len = u32::from_le_bytes([bytes[33], bytes[34], bytes[35], bytes[36]]) as usize;
             let checksum = u64_at(37);
             let payload = bytes.get(header..)?;
             if payload.len() != len || fnv1a(payload) != checksum {
                 return None;
             }
-            Some((pvv, MemoValue::decode(payload)?))
+            Some((version, MemoValue::decode(payload)?))
         })();
         if parsed.is_none() {
             fault();
@@ -614,30 +654,40 @@ mod tests {
     }
 
     fn result_value(n: i64) -> MemoValue {
-        MemoValue::Result {
+        MemoValue::Result(Arc::new(QqRows {
             columns: vec!["a".into(), "b".into()],
             rows: (0..n)
                 .map(|i| vec![Value::Integer(i), Value::text(format!("row-{i}"))])
                 .collect(),
-        }
+        }))
+    }
+
+    fn page_rows(tag: i64) -> Arc<Vec<Row>> {
+        Arc::new(
+            (0..20)
+                .map(|i| vec![Value::Integer(tag), Value::text(format!("row-{i}"))])
+                .collect(),
+        )
+    }
+
+    /// A seed over `pages` as `(page id, rows)`, chained in order.
+    fn seed_of(pages: &[(u64, &Arc<Vec<Row>>)]) -> MemoValue {
+        let pages = pages
+            .iter()
+            .enumerate()
+            .map(|(i, (page, rows))| SeedPage {
+                page: *page,
+                next: pages.get(i + 1).map(|(next, _)| *next),
+                rows: Arc::clone(rows),
+            })
+            .collect();
+        MemoValue::Seed(Arc::new(ScannerSeed { root: 7, pages }))
     }
 
     fn seed_value() -> MemoValue {
-        MemoValue::Seed(ScannerSeed {
-            root: 7,
-            pages: vec![
-                SeedPage {
-                    page: 7,
-                    next: Some(9),
-                    rows: vec![vec![Value::Integer(1), Value::Real(2.5)]],
-                },
-                SeedPage {
-                    page: 9,
-                    next: None,
-                    rows: vec![vec![Value::Null, Value::text("x")]],
-                },
-            ],
-        })
+        let first = Arc::new(vec![vec![Value::Integer(1), Value::Real(2.5)]]);
+        let second = Arc::new(vec![vec![Value::Null, Value::text("x")]]);
+        seed_of(&[(7, &first), (9, &second)])
     }
 
     static TEST_DIR_SEQ: AtomicU32 = AtomicU32::new(0);
@@ -651,20 +701,39 @@ mod tests {
     }
 
     #[test]
-    fn hit_miss_and_pvv_verification() {
+    fn hit_miss_and_version_verification() {
         let store = MemoStore::new(MemoConfig::default());
         let k = key(1, 10, EntryKind::Result);
-        // Cold miss: the pvv closure must not even run.
-        assert!(store.lookup(&k, || panic!("pvv on cold miss")).is_none());
+        assert!(store.lookup(&k, 42).is_none());
         store.insert(k, 42, result_value(3));
-        assert_eq!(store.lookup(&k, || Some(42)), Some(result_value(3)));
-        // Stale pvv drops the entry; the next matching lookup misses.
-        assert!(store.lookup(&k, || Some(43)).is_none());
-        assert!(store
-            .lookup(&k, || panic!("entry should be gone"))
-            .is_none());
+        assert_eq!(store.lookup(&k, 42), Some(result_value(3)));
+        // Another store's snapshot 10: the entry cannot vouch for it and
+        // is dropped, so even its own version misses afterwards.
+        assert!(store.lookup(&k, 43).is_none());
+        assert!(store.lookup(&k, 42).is_none());
         let s = store.stats();
-        assert_eq!((s.hits, s.misses, s.inserts), (1, 3, 1));
+        assert_eq!((s.hits, s.misses, s.inserts, s.bytes), (1, 3, 1, 0));
+    }
+
+    #[test]
+    fn lookup_shares_storage_with_the_entry() {
+        let store = MemoStore::new(MemoConfig::default());
+        let (kr, ks) = (key(1, 1, EntryKind::Result), key(1, 1, EntryKind::Seed));
+        let (result, seed) = (result_value(50), seed_value());
+        store.insert(kr, 0, result.clone());
+        store.insert(ks, 0, seed.clone());
+        match (store.lookup(&kr, 0), result) {
+            (Some(MemoValue::Result(got)), MemoValue::Result(put)) => {
+                assert!(Arc::ptr_eq(&got, &put));
+            }
+            other => panic!("expected a result, got {other:?}"),
+        }
+        match (store.lookup(&ks, 0), store.lookup(&ks, 0), seed) {
+            (Some(MemoValue::Seed(a)), Some(MemoValue::Seed(b)), MemoValue::Seed(put)) => {
+                assert!(Arc::ptr_eq(&a, &put) && Arc::ptr_eq(&b, &put));
+            }
+            other => panic!("expected seeds, got {other:?}"),
+        }
     }
 
     #[test]
@@ -680,24 +749,66 @@ mod tests {
 
     #[test]
     fn byte_budget_evicts_lru() {
+        let one = result_value(50).own_bytes();
         let store = MemoStore::new(MemoConfig {
-            shards: 1,
-            byte_budget: 4 * (result_value(50).approx_bytes() + ENTRY_OVERHEAD),
-            spill_dir: None,
+            byte_budget: 4 * one,
+            ..MemoConfig::default()
         });
         for sid in 0..16 {
             store.insert(key(1, sid, EntryKind::Result), 0, result_value(50));
         }
         let s = store.stats();
-        assert!(s.evictions >= 10, "evictions={}", s.evictions);
-        assert!(s.bytes <= 4 * (result_value(50).approx_bytes() as u64 + 96));
+        assert_eq!(s.evictions, 12, "one budget across all shards");
+        assert_eq!(s.bytes, 4 * one as u64);
         // Newest entries survive, oldest are gone.
-        assert!(store
-            .lookup(&key(1, 15, EntryKind::Result), || Some(0))
-            .is_some());
-        assert!(store
-            .lookup(&key(1, 0, EntryKind::Result), || panic!("evicted"))
-            .is_none());
+        assert!(store.lookup(&key(1, 15, EntryKind::Result), 0).is_some());
+        assert!(store.lookup(&key(1, 11, EntryKind::Result), 0).is_none());
+    }
+
+    #[test]
+    fn seeds_sharing_pages_are_charged_once() {
+        let store = MemoStore::new(MemoConfig::default());
+        let (a, b, b2) = (page_rows(1), page_rows(2), page_rows(3));
+        let page = rows_bytes(&a) as u64;
+        let own = seed_of(&[(1, &a), (2, &b)]).own_bytes() as u64;
+        // Snapshot 1 and 2 differ in page 2 only.
+        store.insert(key(1, 1, EntryKind::Seed), 0, seed_of(&[(1, &a), (2, &b)]));
+        assert_eq!(store.stats().bytes, own + 2 * page);
+        store.insert(key(1, 2, EntryKind::Seed), 0, seed_of(&[(1, &a), (2, &b2)]));
+        assert_eq!(store.stats().bytes, 2 * own + 3 * page);
+        // Dropping the first seed gives back the one page only it held.
+        assert!(store.lookup(&key(1, 1, EntryKind::Seed), 9).is_none());
+        assert_eq!(store.stats().bytes, own + 2 * page);
+        assert!(store.lookup(&key(1, 2, EntryKind::Seed), 9).is_none());
+        assert_eq!(store.stats().bytes, 0);
+    }
+
+    #[test]
+    fn eviction_honours_the_budget_over_shared_pages() {
+        // 32 snapshots of a 16-page table, each changing one page: kept
+        // in full they would be 32 × 16 page vectors, shared they are 47.
+        let base: Vec<Arc<Vec<Row>>> = (0..16).map(page_rows).collect();
+        let page = rows_bytes(&base[0]);
+        let budget = 24 * page;
+        let store = MemoStore::new(MemoConfig {
+            byte_budget: budget,
+            ..MemoConfig::default()
+        });
+        let mut current = base;
+        for sid in 0..32u64 {
+            current[(sid % 16) as usize] = page_rows(100 + sid as i64);
+            let pages: Vec<(u64, &Arc<Vec<Row>>)> = (0u64..).zip(&current).collect();
+            store.insert(key(1, sid, EntryKind::Seed), 0, seed_of(&pages));
+            assert!(store.stats().bytes <= budget as u64, "{:?}", store.stats());
+        }
+        let s = store.stats();
+        assert!(
+            s.evictions > 0 && s.evictions < 31,
+            "evictions={}",
+            s.evictions
+        );
+        assert!(store.lookup(&key(1, 31, EntryKind::Seed), 0).is_some());
+        assert!(store.lookup(&key(1, 0, EntryKind::Seed), 0).is_none());
     }
 
     #[test]
@@ -710,13 +821,17 @@ mod tests {
         });
         let k = key(0xabcd, 3, EntryKind::Seed);
         store.insert(k, 7, seed_value());
-        let got = store.lookup(&k, || Some(7));
+        let got = store.lookup(&k, 7);
         assert_eq!(got, Some(seed_value()));
         let s = store.stats();
         assert_eq!(s.spill_writes, 1);
         assert_eq!(s.spill_reads, 1);
         assert_eq!(s.hits, 1);
         assert_eq!(s.spill_errors, 0);
+        // A file left by another incarnation is deleted, not served.
+        assert!(store.lookup(&k, 8).is_none());
+        assert!(store.lookup(&k, 7).is_none());
+        assert_eq!(store.stats().spill_reads, 1);
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -741,12 +856,13 @@ mod tests {
         bytes[last] ^= 0xff;
         fs::write(&file, bytes).unwrap();
 
-        assert!(store.lookup(&k, || Some(1)).is_none());
+        assert!(store.lookup(&k, 1).is_none());
         let s = store.stats();
         assert_eq!(s.spill_errors, 1);
         assert_eq!(s.hits, 0);
         // The corrupt file was deleted; the key is now a clean cold miss.
-        assert!(store.lookup(&k, || panic!("no tiers left")).is_none());
+        assert!(!file.exists());
+        assert!(store.lookup(&k, 1).is_none());
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -765,7 +881,7 @@ mod tests {
         store.insert(k, 0, result_value(2));
         assert!(store.stats().spill_errors >= 1);
         // The memory tier still works.
-        assert_eq!(store.lookup(&k, || Some(0)), Some(result_value(2)));
+        assert_eq!(store.lookup(&k, 0), Some(result_value(2)));
         let _ = fs::remove_dir_all(dir);
     }
 

@@ -322,10 +322,11 @@ mod tests {
         let plog: Arc<MemStorage> = Arc::new(MemStorage::new());
         let mlog: Arc<MemStorage> = Arc::new(MemStorage::new());
         let cfg = config(64, 16);
-        let (s1, s2);
+        let (s1, s2, first_open);
         {
             let store =
                 RetroStore::open(cfg.clone(), wal.clone(), plog.clone(), mlog.clone()).unwrap();
+            first_open = store.incarnation();
             write_page(&store, PageId(0), 1);
             s1 = declare(&store);
             write_page(&store, PageId(0), 2);
@@ -334,6 +335,13 @@ mod tests {
             store.flush().unwrap();
         }
         let store = RetroStore::open(cfg, wal, plog, mlog).unwrap();
+        // Same logs, same snapshot ids — but a new incarnation, so nothing
+        // cached about the first open's snapshots can be mistaken for these.
+        assert_ne!(store.incarnation(), first_open);
+        assert_ne!(
+            store.incarnation(),
+            RetroStore::in_memory(config(64, 16)).incarnation()
+        );
         assert_eq!(store.snapshot_count(), 2);
         assert_eq!(read_tag(&store, s1, PageId(0)), 1);
         assert_eq!(read_tag(&store, s2, PageId(0)), 2);

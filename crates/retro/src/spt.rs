@@ -97,35 +97,6 @@ impl Spt {
         self.page_count.min(other.page_count) - self.diff_within_common(other)
     }
 
-    /// A stable fingerprint of this SPT's full page mapping (FNV-1a over
-    /// snapshot id, page universe size and the sorted archived-page
-    /// entries). Two equal hashes mean the snapshot resolves every page
-    /// to the same location, so any computation over the snapshot's bytes
-    /// is reproducible — this is the page-version-vector component of
-    /// memoization keys. The hash *changes* when a still-shared page gets
-    /// archived, which is conservative: the bytes are identical either
-    /// way, and a changed hash only costs a spurious cache miss.
-    pub fn version_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut fold = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        fold(self.snap_id);
-        fold(self.page_count);
-        let mut entries: Vec<(u64, u64)> = self.map.iter().map(|(p, &o)| (p.0, o)).collect();
-        entries.sort_unstable();
-        for (page, offset) in entries {
-            fold(page);
-            fold(offset);
-        }
-        h
-    }
-
     fn diff_within_common(&self, other: &Spt) -> u64 {
         let common = self.page_count.min(other.page_count);
         let mut differing = 0u64;
@@ -186,27 +157,6 @@ mod tests {
         assert_eq!(s1.diff(&s2), 1); // only P2 differs
         assert_eq!(s1.shared_with(&s2), 2);
         assert_eq!(s1.diff(&s1), 0);
-    }
-
-    #[test]
-    fn version_hash_is_stable_and_sensitive() {
-        let a = spt(1, 4, &[(0, 100), (2, 200)]);
-        let b = spt(1, 4, &[(2, 200), (0, 100)]); // same mapping, other order
-        assert_eq!(a.version_hash(), b.version_hash());
-        // Any component change moves the hash.
-        assert_ne!(
-            a.version_hash(),
-            spt(2, 4, &[(0, 100), (2, 200)]).version_hash()
-        );
-        assert_ne!(
-            a.version_hash(),
-            spt(1, 5, &[(0, 100), (2, 200)]).version_hash()
-        );
-        assert_ne!(a.version_hash(), spt(1, 4, &[(0, 100)]).version_hash());
-        assert_ne!(
-            a.version_hash(),
-            spt(1, 4, &[(0, 101), (2, 200)]).version_hash()
-        );
     }
 
     #[test]

@@ -74,6 +74,8 @@ pub type SidecarMap = Arc<HashMap<u64, Arc<Vec<u8>>>>;
 /// The snapshot system.
 pub struct RetroStore {
     config: RetroConfig,
+    /// Identity of this open of the store (see [`RetroStore::incarnation`]).
+    incarnation: u64,
     pager: Arc<Pager>,
     pagelog: Pagelog,
     maplog: RwLock<Maplog>,
@@ -168,6 +170,7 @@ impl RetroStore {
         let format = config.pagelog_format;
         Arc::new(RetroStore {
             config,
+            incarnation: next_incarnation(),
             pager,
             pagelog: Pagelog::with_format(
                 Arc::new(rql_pagestore::MemStorage::new()),
@@ -235,6 +238,7 @@ impl RetroStore {
         };
         Ok(Arc::new(RetroStore {
             config,
+            incarnation: next_incarnation(),
             pager,
             pagelog: Pagelog::with_format(pagelog_storage, page_size, format),
             maplog: RwLock::new(maplog),
@@ -262,6 +266,16 @@ impl RetroStore {
     /// The configuration this store was opened with.
     pub fn config(&self) -> &RetroConfig {
         &self.config
+    }
+
+    /// A number drawn afresh every time a store is created or opened,
+    /// unique across stores and processes with overwhelming probability.
+    /// Snapshot ids restart at 1 in every store, and a reopened store may
+    /// re-declare an id whose first declaration was lost with an unsynced
+    /// tail; anything cached outside the store about "snapshot `sid`" must
+    /// therefore be tagged with the incarnation it was derived under.
+    pub fn incarnation(&self) -> u64 {
+        self.incarnation
     }
 
     /// The underlying pager.
@@ -830,6 +844,17 @@ impl RetroStore {
     pub fn skippy_entries(&self) -> usize {
         self.maplog.read().skippy_entries()
     }
+}
+
+/// A fresh [`RetroStore::incarnation`]: std's randomly keyed hasher (its
+/// keys come from the OS) over a process-wide counter, so two opens
+/// differ both within a process and across restarts.
+fn next_incarnation() -> u64 {
+    use std::hash::{BuildHasher, Hasher};
+    static OPENS: AtomicU64 = AtomicU64::new(0);
+    let mut hasher = std::collections::hash_map::RandomState::new().build_hasher();
+    hasher.write_u64(OPENS.fetch_add(1, Ordering::Relaxed));
+    hasher.finish()
 }
 
 /// Reconcile crash-torn tails across the WAL and the Maplog before

@@ -458,27 +458,6 @@ impl Database {
             .map(|f| f.cols.clone())
     }
 
-    /// Hash of the pruning configuration: sidecar format version plus
-    /// every table's filter columns. Folded into memoization keys so a
-    /// cached result is never matched across a configuration change
-    /// (results don't depend on sidecars, but the page-version vectors
-    /// compared for a hit are read under this configuration).
-    pub fn filter_config_hash(&self) -> u64 {
-        let reg = self.filter_cols.read();
-        let mut items: Vec<(&String, &FilterCols)> = reg.iter().collect();
-        items.sort_by(|a, b| a.0.cmp(b.0));
-        let mut buf = vec![crate::sidecar::SIDECAR_FORMAT_VERSION];
-        for (name, fc) in items {
-            buf.extend_from_slice(name.as_bytes());
-            buf.push(0);
-            for c in &fc.cols {
-                buf.extend_from_slice(&(*c as u64).to_le_bytes());
-            }
-            buf.push(u8::from(fc.declared));
-        }
-        rql_pagestore::fnv1a(&buf)
-    }
-
     /// Build and install sidecars for the current pages of every table
     /// with filter columns. The install is epoch-guarded inside
     /// [`RetroStore::install_current_sidecars`]: a commit racing this

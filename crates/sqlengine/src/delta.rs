@@ -28,6 +28,7 @@
 //! so consumers re-seed their incremental state.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use rql_pagestore::PageId;
 
@@ -164,8 +165,10 @@ impl DeltaScan {
 struct CachedPage {
     /// Chain successor as of the cached read.
     next: Option<PageId>,
-    /// Filtered rows of the page, in slot order.
-    rows: Vec<Row>,
+    /// Filtered rows of the page, in slot order. Immutable once built and
+    /// shared by reference count with every [`ScannerSeed`] exported
+    /// while the page stays unchanged.
+    rows: Arc<Vec<Row>>,
 }
 
 /// One page's worth of exported scanner state (see [`ScannerSeed`]).
@@ -175,8 +178,9 @@ pub struct SeedPage {
     pub page: u64,
     /// Chain successor as of the seeding scan.
     pub next: Option<u64>,
-    /// Filtered rows of the page, in slot order.
-    pub rows: Vec<Row>,
+    /// Filtered rows of the page, in slot order, shared with the scanner
+    /// that exported them and with every other seed the page appears in.
+    pub rows: Arc<Vec<Row>>,
 }
 
 /// A portable snapshot of a [`DeltaTableScanner`]'s cache, keyed by the
@@ -184,7 +188,9 @@ pub struct SeedPage {
 /// puts a scanner in exactly the state it had after scanning that
 /// snapshot, so the *next* scan in chain order stays on the delta path
 /// instead of rebuilding — this is what lets a memoized iteration keep
-/// the chain warm without re-reading any heap pages.
+/// the chain warm without re-reading any heap pages. Exporting and
+/// importing copy no rows: seeds of consecutive snapshots share the row
+/// vector of every page that did not change between them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScannerSeed {
     /// Heap root page the cache was built from.
@@ -242,7 +248,7 @@ impl DeltaTableScanner {
             .map(|(&page, entry)| SeedPage {
                 page,
                 next: entry.next.map(|p| p.0),
-                rows: entry.rows.clone(),
+                rows: Arc::clone(&entry.rows),
             })
             .collect();
         Some(ScannerSeed { root, pages })
@@ -252,15 +258,15 @@ impl DeltaTableScanner {
     /// must guarantee the seed was exported for the same table, the same
     /// filter, and the snapshot *preceding* the next scan in chain order
     /// — the scanner itself can only check the root.
-    pub fn import_seed(&mut self, seed: ScannerSeed) {
+    pub fn import_seed(&mut self, seed: &ScannerSeed) {
         self.cache.clear();
         self.root = Some(PageId(seed.root));
-        for p in seed.pages {
+        for p in &seed.pages {
             self.cache.insert(
                 p.page,
                 CachedPage {
                     next: p.next.map(PageId),
-                    rows: p.rows,
+                    rows: Arc::clone(&p.rows),
                 },
             );
         }
@@ -335,7 +341,7 @@ impl DeltaTableScanner {
                         pid.0,
                         CachedPage {
                             next,
-                            rows: Vec::new(),
+                            rows: Arc::default(),
                         },
                     );
                     match next {
@@ -361,7 +367,13 @@ impl DeltaTableScanner {
                     .map_or(&[][..], |c| c.rows.as_slice());
                 diff_rows(old_rows, &kept, &mut added, &mut removed);
                 rows.extend(kept.iter().cloned());
-                self.cache.insert(pid.0, CachedPage { next, rows: kept });
+                self.cache.insert(
+                    pid.0,
+                    CachedPage {
+                        next,
+                        rows: Arc::new(kept),
+                    },
+                );
                 next
             } else {
                 let entry = &self.cache[&pid.0];
@@ -385,7 +397,7 @@ impl DeltaTableScanner {
             .collect();
         for k in orphans {
             if let Some(entry) = self.cache.remove(&k) {
-                removed.extend(entry.rows);
+                removed.extend(entry.rows.iter().cloned());
             }
         }
         Ok(DeltaScan {
@@ -426,7 +438,7 @@ impl DeltaTableScanner {
                     pid.0,
                     CachedPage {
                         next,
-                        rows: Vec::new(),
+                        rows: Arc::default(),
                     },
                 );
                 match next {
@@ -447,7 +459,13 @@ impl DeltaTableScanner {
             }
             let next = page_next(&page);
             rows.extend(kept.iter().cloned());
-            self.cache.insert(pid.0, CachedPage { next, rows: kept });
+            self.cache.insert(
+                pid.0,
+                CachedPage {
+                    next,
+                    rows: Arc::new(kept),
+                },
+            );
             match next {
                 Some(n) => pid = n,
                 None => break,
@@ -548,7 +566,7 @@ impl DeltaSelectRunner {
 
     /// Import scanner state previously exported at the preceding
     /// snapshot of the chain (see [`DeltaTableScanner::import_seed`]).
-    pub fn import_seed(&mut self, seed: ScannerSeed) {
+    pub fn import_seed(&mut self, seed: &ScannerSeed) {
         self.scanner.import_seed(seed);
     }
 
@@ -829,7 +847,7 @@ mod tests {
 
         let mut fresh = DeltaSelectRunner::new();
         assert!(fresh.export_seed().is_none(), "fresh scanner has no seed");
-        fresh.import_seed(seed);
+        fresh.import_seed(&seed);
         let c2 = Catalog::load(&readers[1]).unwrap();
         let scan2 = fresh
             .scan(&select, &readers[1], &c2, &udfs)

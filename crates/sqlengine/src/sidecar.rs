@@ -38,9 +38,8 @@ use crate::cexpr::CExpr;
 use crate::record::Row;
 use crate::value::Value;
 
-/// Bump when the encoded layout changes; folded into the memo
-/// page-version key so cached results can never be served across a
-/// format change.
+/// Bump when the encoded layout changes: a sidecar under another
+/// version fails to decode, which means "don't prune".
 pub const SIDECAR_FORMAT_VERSION: u8 = 1;
 
 /// Most columns one sidecar will summarize (keeps sidecars small).
