@@ -16,6 +16,9 @@
 //! * a shared LRU [`cache::BufferCache`] that caches snapshot pages keyed
 //!   by Pagelog offset (the keying that produces the cross-snapshot page
 //!   sharing studied in the paper's §5);
+//! * [`wire`], the byte codec (payload reader/writer, bounded
+//!   length-prefixed frames) under both network protocols built on this
+//!   store, `rqld`'s and `rql-repl`'s;
 //! * [`stats::IoStats`] counters and a deterministic [`stats::IoCostModel`]
 //!   used by the experiment harness to reproduce the paper's figures.
 
@@ -28,10 +31,11 @@ pub mod pager;
 pub mod stats;
 pub mod storage;
 pub mod wal;
+pub mod wire;
 
 pub use cache::{BufferCache, CacheKey, CacheKeying};
 pub use error::{Result, StoreError};
-pub use page::{fnv1a, Page, PageId, SharedPage, DEFAULT_PAGE_SIZE};
+pub use page::{fnv1a, fnv1a_extend, Page, PageId, SharedPage, DEFAULT_PAGE_SIZE};
 pub use pager::{DbView, Pager, PagerConfig, WriteTxn};
 pub use stats::{IoCostModel, IoStats, IoStatsSnapshot};
 pub use storage::{FailingStorage, FileStorage, LogStorage, MemStorage};

@@ -144,7 +144,12 @@ impl fmt::Debug for Page {
 
 /// FNV-1a hash of a byte slice.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a hash over more bytes: `fnv1a(ab)` equals
+/// `fnv1a_extend(fnv1a(a), b)`, so split input needs no joining copy.
+pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x1000_0000_01b3);
@@ -191,6 +196,7 @@ mod tests {
     fn fnv_known_value() {
         // FNV-1a of empty input is the offset basis.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a_extend(fnv1a(b"ab"), b"cd"), fnv1a(b"abcd"));
     }
 
     #[test]

@@ -24,7 +24,7 @@ const KIND_COMMIT: u8 = 2;
 /// the exact span of this transaction's records on the log, so a follower
 /// that replays the segment with the same txn id regenerates an identical
 /// WAL and can resume by comparing raw lengths.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommittedSegment {
     /// Transaction id from the commit record.
     pub txn_id: u64,

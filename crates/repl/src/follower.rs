@@ -280,6 +280,9 @@ fn open_existing(cfg: &FollowerConfig) -> Result<Arc<RetroStore>> {
 /// stream breaks or shutdown. `Ok(())` means clean shutdown.
 fn session(shared: &Arc<FollowerShared>) -> Result<()> {
     let stream = TcpStream::connect(&shared.cfg.leader)?;
+    // One write per frame (see the leader): an ACK must not wait out the
+    // delayed ACK of the one before it.
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = stream.try_clone()?;
     *shared
@@ -316,8 +319,8 @@ fn session(shared: &Arc<FollowerShared>) -> Result<()> {
         if shared.shutdown.load(Ordering::SeqCst) {
             return Ok(());
         }
-        let frame = match read_frame(&mut reader) {
-            Ok(f) => f,
+        let (frame, wire) = match read_frame(&mut reader) {
+            Ok(read) => read,
             Err(e) => {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return Ok(());
@@ -326,18 +329,15 @@ fn session(shared: &Arc<FollowerShared>) -> Result<()> {
             }
         };
         match frame {
-            Frame::Segment { .. } => {
-                let wire = frame.wire_size();
-                let origin = frame.origin();
-                let seg = frame.into_segment()?;
+            Frame::Segment {
+                segment: seg,
+                origin,
+            } => {
                 {
                     // The apply span's arg is the originating txn id —
                     // the same value as the leader's `commit` span arg —
                     // so stitch_trace.py can draw the causal link.
-                    let _apply = rql_trace::span_arg(
-                        rql_trace::SpanId::ReplApply,
-                        origin.map_or(seg.txn_id, |o| o.span_id),
-                    );
+                    let _apply = rql_trace::span_arg(rql_trace::SpanId::ReplApply, origin.span_id);
                     let declared = store
                         .apply_replicated(&seg)
                         .map_err(|e| ReplError::Diverged(e.to_string()))?;
@@ -345,12 +345,10 @@ fn session(shared: &Arc<FollowerShared>) -> Result<()> {
                         store.flush()?;
                     }
                 }
-                if let Some(o) = origin {
-                    shared.metrics.lag_micros.store(
-                        rql_trace::unix_micros().saturating_sub(o.wall_micros),
-                        Ordering::Relaxed,
-                    );
-                }
+                shared.metrics.lag_micros.store(
+                    rql_trace::unix_micros().saturating_sub(origin.wall_micros),
+                    Ordering::Relaxed,
+                );
                 shared
                     .metrics
                     .segments_applied
@@ -409,15 +407,18 @@ fn send_ack(
     writer: &mut TcpStream,
     store: &Arc<RetroStore>,
 ) -> Result<()> {
-    let ack = Frame::Ack {
-        wal_len: store.wal_len(),
-        snapshot_count: store.snapshot_count(),
-    };
+    let size = write_frame(
+        writer,
+        &Frame::Ack {
+            wal_len: store.wal_len(),
+            snapshot_count: store.snapshot_count(),
+        },
+    )?;
     shared
         .metrics
         .bytes_applied
-        .fetch_add(ack.wire_size(), Ordering::Relaxed);
-    write_frame(writer, &ack)
+        .fetch_add(size, Ordering::Relaxed);
+    Ok(())
 }
 
 /// Receive a full seed into fresh log files, then open the store over
@@ -440,7 +441,7 @@ fn receive_seed(shared: &Arc<FollowerShared>, reader: &mut TcpStream) -> Result<
     let plog: Arc<FileStorage> = Arc::new(FileStorage::create(&plog_path)?);
     let mlog: Arc<FileStorage> = Arc::new(FileStorage::create(&mlog_path)?);
 
-    let start = read_frame(reader)?;
+    let (start, _) = read_frame(reader)?;
     let Frame::SeedStart {
         wal_len,
         pagelog_len,
@@ -451,7 +452,7 @@ fn receive_seed(shared: &Arc<FollowerShared>, reader: &mut TcpStream) -> Result<
         return Err(ReplError::Protocol("expected SEED_START".into()));
     };
     loop {
-        match read_frame(reader)? {
+        match read_frame(reader)?.0 {
             Frame::SeedChunk { log, offset, bytes } => {
                 let storage: &Arc<FileStorage> = match log {
                     log_id::WAL => &wal,

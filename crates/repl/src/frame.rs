@@ -1,10 +1,12 @@
-//! Length-prefixed, checksummed replication frames.
+//! Checksummed replication frames.
 //!
-//! Every frame is `[u32 len BE][u8 op][payload][u64 fnv1a LE]` where
-//! `len` counts everything after itself (op + payload + checksum) and
-//! the checksum covers the op byte and the payload. Multi-byte payload
-//! integers are little-endian, matching the store's on-disk logs, so a
-//! seed chunk or a segment page round-trips without re-encoding.
+//! Frames and payload primitives are [`rql_pagestore::wire`]'s: every
+//! frame is `[u32 len][u8 op][payload][u64 fnv1a]` where `len` counts
+//! everything after itself and the checksum covers the op byte and the
+//! payload; all integers are little-endian, matching the store's
+//! on-disk logs. This module adds the replication opcodes and the field
+//! list of each [`Frame`]; a payload is exactly its fields and a decode
+//! that leaves bytes over is an error.
 //!
 //! The checksum is not paranoia: the stream crosses process and machine
 //! boundaries, and a follower applies what it reads directly into its
@@ -13,18 +15,26 @@
 
 use std::io::{Read, Write};
 
-use rql_pagestore::{fnv1a, CommittedSegment, Page, PageId};
+use rql_pagestore::wire::{Framing, Reader, WireError, Writer};
+use rql_pagestore::{CommittedSegment, Page, PageId};
 
-use crate::{ReplError, Result};
+use crate::Result;
 
 /// Protocol version carried in [`Frame::Hello`]; bumped on any wire
-/// change.
-pub const PROTO_VERSION: u32 = 1;
+/// change. A leader refuses a follower that says another number; there
+/// is no negotiation.
+pub const PROTO_VERSION: u32 = 2;
 
 /// Upper bound on a single frame body. A segment frame carries one whole
 /// committed transaction, so this is generous; anything larger indicates
 /// a corrupt length prefix, not a real frame.
 pub const MAX_FRAME: u32 = 256 * 1024 * 1024;
+
+/// How replication frames travel: bounded and checksummed.
+pub const FRAMING: Framing = Framing {
+    max_len: MAX_FRAME,
+    checksum: true,
+};
 
 /// Seed sub-stream identifiers: which log a [`Frame::SeedChunk`] extends.
 pub mod log_id {
@@ -36,14 +46,9 @@ pub mod log_id {
     pub const MAPLOG: u8 = 2;
 }
 
-/// Optional provenance trailer on [`Frame::Segment`] and [`Frame::Spt`]:
-/// which leader commit produced the data and when, for cross-node trace
-/// stitching and time-lag measurement.
-///
-/// Encoded as 16 trailing payload bytes (`[u64 span_id][u64 wall_micros]`,
-/// little-endian). Decoders treat the trailer as optional, so a new
-/// follower accepts frames from an old leader; upgrade followers before
-/// leaders when rolling a cluster forward.
+/// Provenance of a [`Frame::Segment`] or [`Frame::Spt`]: which leader
+/// commit produced the data and when, for cross-node trace stitching and
+/// time-lag measurement. The leader stamps every such frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitOrigin {
     /// The leader's commit span identifier: the committing transaction
@@ -105,21 +110,14 @@ pub enum Frame {
     },
     /// Seed complete; live segments follow.
     SeedDone,
-    /// One committed transaction, exactly as parsed off the leader WAL.
+    /// One committed transaction.
     Segment {
-        /// Leader WAL offset of the segment's first record.
-        start: u64,
-        /// Leader WAL offset just past the commit record.
-        end: u64,
-        /// Transaction id to replay under (keeps WALs byte-identical).
-        txn_id: u64,
-        /// Declared snapshot id, if the commit declared one.
-        snapshot: Option<u64>,
-        /// Page after-images in log order.
-        pages: Vec<(u64, Vec<u8>)>,
-        /// Originating-commit trailer (absent on frames from leaders
-        /// that predate it).
-        origin: Option<CommitOrigin>,
+        /// The transaction exactly as parsed off the leader WAL: its log
+        /// span, the id to replay under (keeps WALs byte-identical), the
+        /// snapshot it declared and its page after-images in log order.
+        segment: CommittedSegment,
+        /// The commit this segment is.
+        origin: CommitOrigin,
     },
     /// Post-declaration verification: the follower must agree on the
     /// snapshot's page count before acking further work.
@@ -128,9 +126,8 @@ pub enum Frame {
         snapshot_id: u64,
         /// Universe size the SPT covers on the leader.
         page_count: u64,
-        /// Originating-commit trailer (absent on frames from leaders
-        /// that predate it).
-        origin: Option<CommitOrigin>,
+        /// The commit that declared the snapshot.
+        origin: CommitOrigin,
     },
     /// Leader → follower liveness + lag reference when no commits flow.
     Heartbeat {
@@ -148,96 +145,36 @@ pub enum Frame {
     },
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_origin(buf: &mut Vec<u8>, origin: &Option<CommitOrigin>) {
-    if let Some(o) = origin {
-        put_u64(buf, o.span_id);
-        put_u64(buf, o.wall_micros);
-    }
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(ReplError::Protocol("truncated frame payload".into()));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+impl CommitOrigin {
+    fn put(&self, w: &mut Writer) {
+        w.u64(self.span_id);
+        w.u64(self.wall_micros);
     }
 
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Read an optional [`CommitOrigin`] trailer: consumes the final 16
-    /// bytes when present, returns `None` on frames from peers that
-    /// predate it.
-    fn maybe_origin(&mut self) -> Result<Option<CommitOrigin>> {
-        if self.buf.len() - self.pos < 16 {
-            return Ok(None);
-        }
-        Ok(Some(CommitOrigin {
-            span_id: self.u64()?,
-            wall_micros: self.u64()?,
-        }))
-    }
-
-    fn done(&self) -> Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(ReplError::Protocol("trailing bytes in frame".into()));
-        }
-        Ok(())
+    fn get(r: &mut Reader<'_>) -> std::result::Result<CommitOrigin, WireError> {
+        Ok(CommitOrigin {
+            span_id: r.u64()?,
+            wall_micros: r.u64()?,
+        })
     }
 }
 
 impl Frame {
-    fn op(&self) -> u8 {
-        match self {
-            Frame::Hello { .. } => op::HELLO,
-            Frame::SeedStart { .. } => op::SEED_START,
-            Frame::SeedChunk { .. } => op::SEED_CHUNK,
-            Frame::SeedDone => op::SEED_DONE,
-            Frame::Segment { .. } => op::SEGMENT,
-            Frame::Spt { .. } => op::SPT,
-            Frame::Heartbeat { .. } => op::HEARTBEAT,
-            Frame::Ack { .. } => op::ACK,
-        }
-    }
-
-    fn payload(&self) -> Vec<u8> {
-        let mut p = Vec::new();
-        match self {
+    /// Encode to `(opcode, payload)`.
+    pub fn encode(&self) -> (u8, Vec<u8>) {
+        let mut w = Writer::new();
+        let opcode = match self {
             Frame::Hello {
                 proto,
                 wal_len,
                 page_size,
                 format,
             } => {
-                put_u32(&mut p, *proto);
-                put_u64(&mut p, *wal_len);
-                put_u32(&mut p, *page_size);
-                p.push(*format);
+                w.u32(*proto);
+                w.u64(*wal_len);
+                w.u32(*page_size);
+                w.u8(*format);
+                op::HELLO
             }
             Frame::SeedStart {
                 wal_len,
@@ -245,47 +182,40 @@ impl Frame {
                 maplog_len,
                 snapshot_count,
             } => {
-                put_u64(&mut p, *wal_len);
-                put_u64(&mut p, *pagelog_len);
-                put_u64(&mut p, *maplog_len);
-                put_u64(&mut p, *snapshot_count);
+                w.u64(*wal_len);
+                w.u64(*pagelog_len);
+                w.u64(*maplog_len);
+                w.u64(*snapshot_count);
+                op::SEED_START
             }
             Frame::SeedChunk { log, offset, bytes } => {
-                p.push(*log);
-                put_u64(&mut p, *offset);
-                put_u32(&mut p, bytes.len() as u32);
-                p.extend_from_slice(bytes);
+                w.u8(*log);
+                w.u64(*offset);
+                w.bytes(bytes);
+                op::SEED_CHUNK
             }
-            Frame::SeedDone => {}
-            Frame::Segment {
-                start,
-                end,
-                txn_id,
-                snapshot,
-                pages,
-                origin,
-            } => {
-                put_u64(&mut p, *start);
-                put_u64(&mut p, *end);
-                put_u64(&mut p, *txn_id);
-                p.push(u8::from(snapshot.is_some()));
-                put_u64(&mut p, snapshot.unwrap_or(0));
-                put_u32(&mut p, pages.len() as u32);
-                for (pid, bytes) in pages {
-                    put_u64(&mut p, *pid);
-                    put_u32(&mut p, bytes.len() as u32);
-                    p.extend_from_slice(bytes);
-                }
-                put_origin(&mut p, origin);
+            Frame::SeedDone => op::SEED_DONE,
+            Frame::Segment { segment, origin } => {
+                w.u64(segment.start);
+                w.u64(segment.end);
+                w.u64(segment.txn_id);
+                w.opt(segment.snapshot, Writer::u64);
+                w.list(&segment.pages, |w, (pid, page)| {
+                    w.u64(pid.0);
+                    w.bytes(page.bytes());
+                });
+                origin.put(&mut w);
+                op::SEGMENT
             }
             Frame::Spt {
                 snapshot_id,
                 page_count,
                 origin,
             } => {
-                put_u64(&mut p, *snapshot_id);
-                put_u64(&mut p, *page_count);
-                put_origin(&mut p, origin);
+                w.u64(*snapshot_id);
+                w.u64(*page_count);
+                origin.put(&mut w);
+                op::SPT
             }
             Frame::Heartbeat {
                 wal_len,
@@ -295,176 +225,91 @@ impl Frame {
                 wal_len,
                 snapshot_count,
             } => {
-                put_u64(&mut p, *wal_len);
-                put_u64(&mut p, *snapshot_count);
+                w.u64(*wal_len);
+                w.u64(*snapshot_count);
+                match self {
+                    Frame::Heartbeat { .. } => op::HEARTBEAT,
+                    _ => op::ACK,
+                }
             }
-        }
-        p
+        };
+        (opcode, w.into_bytes())
     }
 
-    fn parse(opcode: u8, payload: &[u8]) -> Result<Frame> {
-        let mut c = Cursor {
-            buf: payload,
-            pos: 0,
-        };
+    /// Decode from a received frame.
+    pub fn decode(opcode: u8, payload: &[u8]) -> std::result::Result<Frame, WireError> {
+        let mut r = Reader::new(payload);
         let frame = match opcode {
             op::HELLO => Frame::Hello {
-                proto: c.u32()?,
-                wal_len: c.u64()?,
-                page_size: c.u32()?,
-                format: c.u8()?,
+                proto: r.u32()?,
+                wal_len: r.u64()?,
+                page_size: r.u32()?,
+                format: r.u8()?,
             },
             op::SEED_START => Frame::SeedStart {
-                wal_len: c.u64()?,
-                pagelog_len: c.u64()?,
-                maplog_len: c.u64()?,
-                snapshot_count: c.u64()?,
+                wal_len: r.u64()?,
+                pagelog_len: r.u64()?,
+                maplog_len: r.u64()?,
+                snapshot_count: r.u64()?,
             },
-            op::SEED_CHUNK => {
-                let log = c.u8()?;
-                let offset = c.u64()?;
-                let n = c.u32()? as usize;
-                Frame::SeedChunk {
-                    log,
-                    offset,
-                    bytes: c.take(n)?.to_vec(),
-                }
-            }
+            op::SEED_CHUNK => Frame::SeedChunk {
+                log: r.u8()?,
+                offset: r.u64()?,
+                bytes: r.bytes()?.to_vec(),
+            },
             op::SEED_DONE => Frame::SeedDone,
             op::SEGMENT => {
-                let start = c.u64()?;
-                let end = c.u64()?;
-                let txn_id = c.u64()?;
-                let has_snap = c.u8()? == 1;
-                let sid = c.u64()?;
-                let n = c.u32()? as usize;
-                let mut pages = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let pid = c.u64()?;
-                    let plen = c.u32()? as usize;
-                    pages.push((pid, c.take(plen)?.to_vec()));
-                }
+                let start = r.u64()?;
+                let end = r.u64()?;
+                let txn_id = r.u64()?;
+                let snapshot = r.opt(Reader::u64)?;
+                // A page is at least its id and its length prefix.
+                let pages = r.list(12, |r| {
+                    Ok((PageId(r.u64()?), Page::from_bytes(r.bytes()?.to_vec())))
+                })?;
                 Frame::Segment {
-                    start,
-                    end,
-                    txn_id,
-                    snapshot: has_snap.then_some(sid),
-                    pages,
-                    origin: c.maybe_origin()?,
+                    segment: CommittedSegment {
+                        txn_id,
+                        snapshot,
+                        pages,
+                        start,
+                        end,
+                    },
+                    origin: CommitOrigin::get(&mut r)?,
                 }
             }
             op::SPT => Frame::Spt {
-                snapshot_id: c.u64()?,
-                page_count: c.u64()?,
-                origin: c.maybe_origin()?,
+                snapshot_id: r.u64()?,
+                page_count: r.u64()?,
+                origin: CommitOrigin::get(&mut r)?,
             },
             op::HEARTBEAT => Frame::Heartbeat {
-                wal_len: c.u64()?,
-                snapshot_count: c.u64()?,
+                wal_len: r.u64()?,
+                snapshot_count: r.u64()?,
             },
             op::ACK => Frame::Ack {
-                wal_len: c.u64()?,
-                snapshot_count: c.u64()?,
+                wal_len: r.u64()?,
+                snapshot_count: r.u64()?,
             },
-            other => {
-                return Err(ReplError::Protocol(format!(
-                    "unknown frame opcode 0x{other:02x}"
-                )))
-            }
+            t => return Err(WireError::BadTag(t)),
         };
-        c.done()?;
+        r.done()?;
         Ok(frame)
     }
-
-    /// Encoded size on the wire (length prefix included) — what the
-    /// shipped-bytes metrics count.
-    pub fn wire_size(&self) -> u64 {
-        (4 + 1 + self.payload().len() + 8) as u64
-    }
-
-    /// Build a segment frame from a parsed WAL segment, stamped with
-    /// its originating-commit trailer.
-    pub fn from_segment(seg: &CommittedSegment, origin: Option<CommitOrigin>) -> Frame {
-        Frame::Segment {
-            start: seg.start,
-            end: seg.end,
-            txn_id: seg.txn_id,
-            snapshot: seg.snapshot,
-            pages: seg
-                .pages
-                .iter()
-                .map(|(pid, page)| (pid.0, page.bytes().to_vec()))
-                .collect(),
-            origin,
-        }
-    }
-
-    /// The originating-commit trailer, when this frame carries one.
-    pub fn origin(&self) -> Option<CommitOrigin> {
-        match self {
-            Frame::Segment { origin, .. } | Frame::Spt { origin, .. } => *origin,
-            _ => None,
-        }
-    }
-
-    /// Recover the WAL segment a [`Frame::Segment`] carries.
-    pub fn into_segment(self) -> Result<CommittedSegment> {
-        let Frame::Segment {
-            start,
-            end,
-            txn_id,
-            snapshot,
-            pages,
-            origin: _,
-        } = self
-        else {
-            return Err(ReplError::Protocol("expected SEGMENT frame".into()));
-        };
-        Ok(CommittedSegment {
-            txn_id,
-            snapshot,
-            pages: pages
-                .into_iter()
-                .map(|(pid, bytes)| (PageId(pid), Page::from_bytes(bytes)))
-                .collect(),
-            start,
-            end,
-        })
-    }
 }
 
-/// Write one frame.
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<()> {
-    let payload = frame.payload();
-    let len = (1 + payload.len() + 8) as u32;
-    let mut buf = Vec::with_capacity(4 + len as usize);
-    buf.extend_from_slice(&len.to_be_bytes());
-    buf.push(frame.op());
-    buf.extend_from_slice(&payload);
-    let mut ck_input = Vec::with_capacity(1 + payload.len());
-    ck_input.push(frame.op());
-    ck_input.extend_from_slice(&payload);
-    buf.extend_from_slice(&fnv1a(&ck_input).to_le_bytes());
-    w.write_all(&buf)?;
-    Ok(())
+/// Write one frame; returns the bytes put on the wire — what the
+/// shipped-bytes metrics count.
+pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<u64> {
+    let (opcode, payload) = frame.encode();
+    Ok(FRAMING.write_frame(w, opcode, &payload)?)
 }
 
-/// Read one frame, verifying its checksum.
-pub fn read_frame(r: &mut impl Read) -> Result<Frame> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_be_bytes(len_buf);
-    if !(9..=MAX_FRAME).contains(&len) {
-        return Err(ReplError::Protocol(format!("bad frame length {len}")));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    let (head, ck_buf) = body.split_at(len as usize - 8);
-    let stored = u64::from_le_bytes(ck_buf.try_into().unwrap());
-    if fnv1a(head) != stored {
-        return Err(ReplError::Protocol("frame checksum mismatch".into()));
-    }
-    Frame::parse(head[0], &head[1..])
+/// Read one frame, verifying its checksum; returns it with the bytes it
+/// took off the wire.
+pub fn read_frame(r: &mut impl Read) -> Result<(Frame, u64)> {
+    let (opcode, payload, size) = FRAMING.read_frame(r)?;
+    Ok((Frame::decode(opcode, &payload)?, size))
 }
 
 #[cfg(test)]
@@ -472,13 +317,39 @@ mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
+    use crate::ReplError;
+
+    const ORIGIN: CommitOrigin = CommitOrigin {
+        span_id: 7,
+        wall_micros: 1_723_000_000_000_000,
+    };
+
+    /// A segment frame over 64-byte pages, each `(page id, fill byte)`.
+    fn segment(snapshot: Option<u64>, pages: &[(u64, u8)]) -> Frame {
+        Frame::Segment {
+            segment: CommittedSegment {
+                txn_id: 7,
+                snapshot,
+                pages: pages
+                    .iter()
+                    .map(|&(pid, fill)| (PageId(pid), Page::from_bytes(vec![fill; 64])))
+                    .collect(),
+                start: 10,
+                end: 99,
+            },
+            origin: ORIGIN,
+        }
+    }
 
     fn roundtrip(frame: Frame) {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &frame).unwrap();
-        assert_eq!(frame.wire_size(), buf.len() as u64);
-        let got = read_frame(&mut buf.as_slice()).unwrap();
-        assert_eq!(frame, got);
+        let wrote = write_frame(&mut buf, &frame).unwrap();
+        assert_eq!(wrote, buf.len() as u64);
+        buf.extend_from_slice(b"rest of the stream");
+        let mut stream = buf.as_slice();
+        let (got, read) = read_frame(&mut stream).unwrap();
+        assert_eq!((got, read), (frame, wrote));
+        assert_eq!(stream, b"rest of the stream");
     }
 
     #[test]
@@ -501,37 +372,12 @@ mod tests {
             bytes: vec![1, 2, 3, 4, 5],
         });
         roundtrip(Frame::SeedDone);
-        roundtrip(Frame::Segment {
-            start: 10,
-            end: 99,
-            txn_id: 7,
-            snapshot: Some(3),
-            pages: vec![(0, vec![0u8; 64]), (5, vec![9u8; 64])],
-            origin: Some(CommitOrigin {
-                span_id: 7,
-                wall_micros: 1_723_000_000_000_000,
-            }),
-        });
-        roundtrip(Frame::Segment {
-            start: 0,
-            end: 1,
-            txn_id: 1,
-            snapshot: None,
-            pages: vec![],
-            origin: None,
-        });
+        roundtrip(segment(Some(3), &[(0, 0), (5, 9)]));
+        roundtrip(segment(None, &[]));
         roundtrip(Frame::Spt {
             snapshot_id: 3,
             page_count: 40,
-            origin: Some(CommitOrigin {
-                span_id: 9,
-                wall_micros: 42,
-            }),
-        });
-        roundtrip(Frame::Spt {
-            snapshot_id: 3,
-            page_count: 40,
-            origin: None,
+            origin: ORIGIN,
         });
         roundtrip(Frame::Heartbeat {
             wal_len: 5,
@@ -566,7 +412,7 @@ mod tests {
         assert!(matches!(read_frame(&mut &short[..]), Err(ReplError::Io(_))));
         // Absurd length prefix.
         let mut huge = buf;
-        huge[0..4].copy_from_slice(&u32::MAX.to_be_bytes());
+        huge[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             read_frame(&mut huge.as_slice()),
             Err(ReplError::Protocol(_))
@@ -574,71 +420,52 @@ mod tests {
     }
 
     #[test]
-    fn segment_frame_converts_to_wal_segment() {
-        let frame = Frame::Segment {
-            start: 4,
-            end: 200,
-            txn_id: 9,
-            snapshot: Some(2),
-            pages: vec![(3, vec![7u8; 64])],
-            origin: None,
+    fn segment_frame_carries_the_wal_segment() {
+        let (opcode, payload) = segment(Some(2), &[(3, 7)]).encode();
+        let Frame::Segment { segment: seg, .. } = Frame::decode(opcode, &payload).unwrap() else {
+            panic!("not a segment");
         };
-        let seg = frame.clone().into_segment().unwrap();
-        assert_eq!(seg.txn_id, 9);
+        assert_eq!((seg.start, seg.end, seg.txn_id), (10, 99, 7));
         assert_eq!(seg.snapshot, Some(2));
         assert_eq!(seg.pages.len(), 1);
         assert_eq!(seg.pages[0].0 .0, 3);
-        assert_eq!(Frame::from_segment(&seg, None), frame);
+        assert_eq!(seg.pages[0].1.bytes(), [7u8; 64]);
     }
 
     #[test]
-    fn pre_trailer_segment_and_spt_payloads_still_decode() {
-        // A v0 peer encodes Segment/Spt without the 16-byte origin
-        // trailer; decoding must yield `origin: None`, not an error.
-        for frame in [
-            Frame::Segment {
-                start: 10,
-                end: 99,
-                txn_id: 7,
-                snapshot: Some(3),
-                pages: vec![(0, vec![0u8; 64])],
-                origin: Some(CommitOrigin {
-                    span_id: 7,
-                    wall_micros: 55,
-                }),
-            },
-            Frame::Spt {
-                snapshot_id: 3,
-                page_count: 40,
-                origin: Some(CommitOrigin {
-                    span_id: 7,
-                    wall_micros: 55,
-                }),
-            },
-        ] {
-            let mut buf = Vec::new();
-            write_frame(&mut buf, &frame).unwrap();
-            // Rebuild the frame body without the last 16 payload bytes,
-            // fixing up the length prefix and checksum — byte-identical
-            // to what a pre-trailer peer writes.
-            let body_len = u32::from_be_bytes(buf[0..4].try_into().unwrap()) as usize;
-            let head = &buf[4..4 + body_len - 8]; // op + payload
-            let stripped_head = &head[..head.len() - 16];
-            let mut legacy = Vec::new();
-            legacy.extend_from_slice(&((stripped_head.len() + 8) as u32).to_be_bytes());
-            legacy.extend_from_slice(stripped_head);
-            legacy.extend_from_slice(&rql_pagestore::fnv1a(stripped_head).to_le_bytes());
-            let got = read_frame(&mut legacy.as_slice()).unwrap();
-            assert_eq!(got.origin(), None);
-            match (&frame, &got) {
-                (Frame::Segment { txn_id: a, .. }, Frame::Segment { txn_id: b, .. }) => {
-                    assert_eq!(a, b);
-                }
-                (Frame::Spt { snapshot_id: a, .. }, Frame::Spt { snapshot_id: b, .. }) => {
-                    assert_eq!(a, b);
-                }
-                other => panic!("frame kind changed: {other:?}"),
-            }
+    fn short_long_and_overcounted_payloads_are_decode_errors() {
+        let spt = Frame::Spt {
+            snapshot_id: 3,
+            page_count: 40,
+            origin: ORIGIN,
+        };
+        for frame in [segment(Some(3), &[(0, 0)]), spt] {
+            let (opcode, payload) = frame.encode();
+            // What a proto-1 leader sent: the same fields without the
+            // origin. It used to decode as "no origin"; now it is short.
+            let without_origin = &payload[..payload.len() - 16];
+            assert!(matches!(
+                Frame::decode(opcode, without_origin),
+                Err(WireError::Truncated)
+            ));
+            let longer = [payload.as_slice(), &[0]].concat();
+            assert!(matches!(
+                Frame::decode(opcode, &longer),
+                Err(WireError::Trailing(1))
+            ));
         }
+        // A segment claiming four billion pages in a 45-byte payload:
+        // refused, not used to size a Vec.
+        let mut w = Writer::new();
+        for _ in 0..3 {
+            w.u64(1);
+        }
+        w.u8(0);
+        w.u32(u32::MAX);
+        ORIGIN.put(&mut w);
+        assert!(matches!(
+            Frame::decode(op::SEGMENT, &w.into_bytes()),
+            Err(WireError::Truncated)
+        ));
     }
 }

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use rql_pagestore::next_committed_segment;
 use rql_retro::{PagelogFormat, ReplLogs, RetroStore};
 
-use crate::frame::{log_id, read_frame, write_frame, Frame, PROTO_VERSION};
+use crate::frame::{log_id, read_frame, write_frame, CommitOrigin, Frame, PROTO_VERSION};
 use crate::metrics::{phase, role, ReplMetrics};
 use crate::{ReplError, Result};
 
@@ -247,12 +247,16 @@ fn accept_loop(shared: &Arc<LeaderShared>, listener: &TcpListener) {
 /// live segment stream. Any error tears the connection down; the
 /// follower reconnects and resumes.
 fn serve_follower(shared: &Arc<LeaderShared>, stream: TcpStream) -> Result<()> {
+    // Every frame leaves as one write, so Nagle has nothing to merge; it
+    // would only hold a frame back until the peer's delayed ACK of the
+    // one before, and that wait shows up as replication lag.
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = stream.try_clone()?;
     // A follower that stops draining its socket must not wedge the
     // sender forever: blocked writes time out like a full window does.
     writer.set_write_timeout(Some(shared.cfg.stall_timeout))?;
-    let hello = read_frame(&mut reader)?;
+    let (hello, _) = read_frame(&mut reader)?;
     let Frame::Hello {
         proto,
         wal_len: follower_wal,
@@ -301,7 +305,7 @@ fn serve_follower(shared: &Arc<LeaderShared>, stream: TcpStream) -> Result<()> {
     let ack_conn = Arc::clone(&conn);
     let ack_shared = Arc::clone(shared);
     let ack_reader = std::thread::spawn(move || {
-        while let Ok(frame) = read_frame(&mut reader) {
+        while let Ok((frame, _)) = read_frame(&mut reader) {
             if let Frame::Ack {
                 wal_len,
                 snapshot_count,
@@ -344,15 +348,15 @@ fn send_seed(shared: &Arc<LeaderShared>, writer: &mut TcpStream) -> Result<u64> 
         .phase
         .store(phase::SEEDING, Ordering::Relaxed);
     let ckpt = shared.store.repl_checkpoint()?;
-    let mut shipped = 0u64;
-    let start = Frame::SeedStart {
-        wal_len: ckpt.wal_len,
-        pagelog_len: ckpt.pagelog_len,
-        maplog_len: ckpt.maplog_len,
-        snapshot_count: ckpt.snapshot_count,
-    };
-    shipped += start.wire_size();
-    write_frame(writer, &start)?;
+    let mut shipped = write_frame(
+        writer,
+        &Frame::SeedStart {
+            wal_len: ckpt.wal_len,
+            pagelog_len: ckpt.pagelog_len,
+            maplog_len: ckpt.maplog_len,
+            snapshot_count: ckpt.snapshot_count,
+        },
+    )?;
     let logs = [
         (log_id::WAL, &shared.logs.wal, ckpt.wal_len),
         (log_id::PAGELOG, &shared.logs.pagelog, ckpt.pagelog_len),
@@ -364,14 +368,11 @@ fn send_seed(shared: &Arc<LeaderShared>, writer: &mut TcpStream) -> Result<u64> 
             let n = (shared.cfg.seed_chunk as u64).min(len - offset) as usize;
             let mut bytes = vec![0u8; n];
             storage.read_at(offset, &mut bytes)?;
-            let chunk = Frame::SeedChunk { log, offset, bytes };
-            shipped += chunk.wire_size();
-            write_frame(writer, &chunk)?;
+            shipped += write_frame(writer, &Frame::SeedChunk { log, offset, bytes })?;
             offset += n as u64;
         }
     }
-    write_frame(writer, &Frame::SeedDone)?;
-    shipped += Frame::SeedDone.wire_size();
+    shipped += write_frame(writer, &Frame::SeedDone)?;
     shared
         .metrics
         .bytes_shipped
@@ -420,18 +421,23 @@ fn stream_segments(
                 if conn.dead.load(Ordering::SeqCst) || shared.shutdown.load(Ordering::SeqCst) {
                     return Ok(());
                 }
-                // The origin trailer ties this frame to the commit that
-                // produced it: span_id is the txn id (the leader's
-                // `commit` span arg), wall_micros the ship-time clock
-                // followers subtract from to compute time lag.
-                let origin = Some(crate::frame::CommitOrigin {
+                // The origin ties this frame to the commit that produced
+                // it: span_id is the txn id (the leader's `commit` span
+                // arg), wall_micros the ship-time clock followers
+                // subtract from to compute time lag.
+                let origin = CommitOrigin {
                     span_id: seg.txn_id,
                     wall_micros: rql_trace::unix_micros(),
-                });
+                };
                 let ship = rql_trace::span_arg(rql_trace::SpanId::ReplShip, seg.txn_id);
-                let frame = Frame::from_segment(&seg, origin);
-                let size = frame.wire_size();
-                write_frame(writer, &frame)?;
+                let (end, declared) = (seg.end, seg.snapshot);
+                let size = write_frame(
+                    writer,
+                    &Frame::Segment {
+                        segment: seg,
+                        origin,
+                    },
+                )?;
                 shared
                     .metrics
                     .bytes_shipped
@@ -442,7 +448,7 @@ fn stream_segments(
                     .fetch_add(1, Ordering::Relaxed);
                 // After a declaring segment, ship the SPT verification
                 // frame so the follower can cross-check the snapshot.
-                if let Some(sid) = seg.snapshot {
+                if let Some(sid) = declared {
                     if let Some(meta) = shared.store.snapshot_meta(sid) {
                         write_frame(
                             writer,
@@ -455,7 +461,7 @@ fn stream_segments(
                     }
                 }
                 drop(ship);
-                *cursor = seg.end;
+                *cursor = end;
                 shared.update_lag();
             }
             None => {
@@ -472,15 +478,17 @@ fn stream_segments(
                         .wait_timeout(tail, shared.cfg.heartbeat)
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
                     if timeout.timed_out() {
-                        let hb = Frame::Heartbeat {
-                            wal_len: shared.store.wal_len(),
-                            snapshot_count: shared.store.snapshot_count(),
-                        };
+                        let size = write_frame(
+                            writer,
+                            &Frame::Heartbeat {
+                                wal_len: shared.store.wal_len(),
+                                snapshot_count: shared.store.snapshot_count(),
+                            },
+                        )?;
                         shared
                             .metrics
                             .bytes_shipped
-                            .fetch_add(hb.wire_size(), Ordering::Relaxed);
-                        write_frame(writer, &hb)?;
+                            .fetch_add(size, Ordering::Relaxed);
                     }
                 }
             }

@@ -73,6 +73,15 @@ impl From<std::io::Error> for ReplError {
     }
 }
 
+impl From<rql_pagestore::wire::WireError> for ReplError {
+    fn from(e: rql_pagestore::wire::WireError) -> Self {
+        match e {
+            rql_pagestore::wire::WireError::Io(e) => ReplError::Io(e),
+            malformed => ReplError::Protocol(malformed.to_string()),
+        }
+    }
+}
+
 impl From<rql_pagestore::StoreError> for ReplError {
     fn from(e: rql_pagestore::StoreError) -> Self {
         ReplError::Store(e)

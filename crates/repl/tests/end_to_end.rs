@@ -8,7 +8,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rql_pagestore::{FileStorage, LogStorage, PageId};
-use rql_repl::{FollowerConfig, LeaderConfig, ReplFollower, ReplLeader, ReplMetrics};
+use rql_repl::{
+    FollowerConfig, Frame, LeaderConfig, ReplFollower, ReplLeader, ReplMetrics, PROTO_VERSION,
+};
 use rql_retro::{RetroConfig, RetroStore};
 
 struct TempDir(std::path::PathBuf);
@@ -266,5 +268,42 @@ fn follower_reconnects_with_backoff_when_leader_restarts() {
         .snapshot_count()
         == 2));
     assert_eq!(read_tag(&fstore, s2, 0), 2);
+    leader.shutdown();
+}
+
+#[test]
+fn a_hello_in_another_protocol_version_is_refused() {
+    let leader_dir = TempDir::new("leader4");
+    let store = open_leader(&leader_dir.0);
+    write_page(&store, 0, 1);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let metrics = Arc::new(ReplMetrics::new());
+    let mut leader = ReplLeader::start(
+        Arc::clone(&store),
+        listener,
+        Arc::clone(&metrics),
+        LeaderConfig::default(),
+    )
+    .unwrap();
+
+    // A well-formed HELLO from a proto-1 follower asking for a seed: the
+    // leader must hang up without shipping a byte of one.
+    let mut stream = std::net::TcpStream::connect(leader.addr()).unwrap();
+    rql_repl::write_frame(
+        &mut stream,
+        &Frame::Hello {
+            proto: PROTO_VERSION - 1,
+            wal_len: 0,
+            page_size: config().pager.page_size as u32,
+            format: 0,
+        },
+    )
+    .unwrap();
+    assert!(matches!(
+        rql_repl::read_frame(&mut stream),
+        Err(rql_repl::ReplError::Io(_))
+    ));
+    assert_eq!(metrics.seeds_served.load(Ordering::Relaxed), 0);
+    assert_eq!(metrics.bytes_shipped.load(Ordering::Relaxed), 0);
     leader.shutdown();
 }

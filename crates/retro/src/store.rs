@@ -329,7 +329,7 @@ impl RetroStore {
     fn commit_inner(&self, txn: WriteTxn, declare: bool) -> Result<Option<u64>> {
         // The span covers the post-commit hooks too, so standing-query
         // maintenance and pushes nest inside the commit that caused
-        // them; its arg (the txn id) travels in replication trailers to
+        // them; its arg (the txn id) travels in replication frames to
         // link follower `repl_apply` spans back to this commit.
         let _span = rql_trace::span_arg(rql_trace::SpanId::Commit, txn.id());
         let declared = {

@@ -8,9 +8,11 @@
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 
+use rql_pagestore::wire::WireError;
+
 use crate::protocol::{
-    read_frame, write_frame, ProtoError, Request, Response, WireDelta, WireDiagnostic, WireProfile,
-    WireResult,
+    Request, Response, WireDelta, WireDiagnostic, WireProfile, WireResult, FRAMING,
+    PROTOCOL_VERSION,
 };
 
 /// One event on a subscribed connection (see [`Client::subscribe`]).
@@ -33,7 +35,7 @@ pub enum SubscriptionEvent {
 #[derive(Debug)]
 pub enum ClientError {
     /// Frame transport or decode failure.
-    Proto(ProtoError),
+    Proto(WireError),
     /// The server answered with an `ERROR` frame.
     Server {
         /// `[RQLxxx]`-style code.
@@ -43,6 +45,13 @@ pub enum ClientError {
     },
     /// The server answered with a frame the verb does not expect.
     Unexpected(&'static str),
+    /// The server's `HELLO` names a protocol this client does not speak.
+    Version {
+        /// This client's protocol number.
+        client: u32,
+        /// The number in the server's `HELLO`.
+        server: u32,
+    },
 }
 
 impl std::fmt::Display for ClientError {
@@ -51,26 +60,43 @@ impl std::fmt::Display for ClientError {
             ClientError::Proto(e) => write!(f, "protocol error: {e}"),
             ClientError::Server { code, message } => write!(f, "[{code}] {message}"),
             ClientError::Unexpected(what) => write!(f, "unexpected response frame: {what}"),
+            ClientError::Version { client, server } => write!(
+                f,
+                "protocol version mismatch: client speaks {client}, server speaks {server}"
+            ),
         }
     }
 }
 
 impl std::error::Error for ClientError {}
 
-impl From<ProtoError> for ClientError {
-    fn from(e: ProtoError) -> Self {
+impl From<WireError> for ClientError {
+    fn from(e: WireError) -> Self {
         ClientError::Proto(e)
     }
 }
 
 impl From<io::Error> for ClientError {
     fn from(e: io::Error) -> Self {
-        ClientError::Proto(ProtoError::Io(e))
+        ClientError::Proto(WireError::Io(e))
     }
 }
 
 /// Client-side result alias.
 pub type Result<T> = std::result::Result<T, ClientError>;
+
+/// What every verb does with its reply: the wanted arm(s) yield the
+/// value, an `ERROR` frame surfaces with its wire code, and any other
+/// frame is a protocol violation.
+macro_rules! expect {
+    ($reply:expr, $name:literal, $($wanted:pat => $value:expr),+) => {
+        match $reply {
+            $($wanted => Ok($value),)+
+            Response::Error { code, message } => Err(ClientError::Server { code, message }),
+            _ => Err(ClientError::Unexpected(concat!("expected ", $name))),
+        }
+    };
+}
 
 /// A connected `rqld` client.
 pub struct Client {
@@ -80,23 +106,26 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connect and consume the `HELLO` greeting.
+    /// Connect and consume the `HELLO` greeting, refusing a server that
+    /// speaks another protocol version.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client> {
-        let stream = TcpStream::connect(addr).map_err(ProtoError::Io)?;
+        let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
         let mut client = Client {
             stream,
             session: 0,
             trace_id: None,
         };
-        match client.read_response()? {
-            Response::Hello { session } => {
-                client.session = session;
-                Ok(client)
-            }
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected HELLO")),
+        let (server, session) = expect!(client.read_response()?, "HELLO",
+            Response::Hello { proto, session } => (proto, session))?;
+        if server != PROTOCOL_VERSION {
+            return Err(ClientError::Version {
+                client: PROTOCOL_VERSION,
+                server,
+            });
         }
+        client.session = session;
+        Ok(client)
     }
 
     /// This connection's server-side session id (the `CANCEL` handle).
@@ -114,25 +143,38 @@ impl Client {
 
     fn round_trip(&mut self, request: &Request) -> Result<Response> {
         let (opcode, payload) = request.encode();
-        write_frame(&mut self.stream, opcode, &payload)?;
+        FRAMING.write_frame(&mut self.stream, opcode, &payload)?;
         self.read_response()
     }
 
     fn read_response(&mut self) -> Result<Response> {
-        let (opcode, payload) = read_frame(&mut self.stream)?;
+        let (opcode, payload, _) = FRAMING.read_frame(&mut self.stream)?;
         Ok(Response::decode(opcode, &payload)?)
+    }
+
+    /// A verb answered by a `TEXT` frame.
+    fn text(&mut self, request: &Request) -> Result<String> {
+        expect!(self.round_trip(request)?, "TEXT", Response::Text(text) => text)
+    }
+
+    /// A verb answered by a bare `OK`.
+    fn ack(&mut self, request: &Request) -> Result<()> {
+        expect!(self.round_trip(request)?, "OK", Response::Ok => ())
+    }
+
+    /// A verb answered by a `RESULT` frame.
+    fn result(&mut self, request: &Request) -> Result<WireResult> {
+        expect!(self.round_trip(request)?, "RESULT", Response::Result(result) => result)
     }
 
     /// Lint a program server-side; returns diagnostics, executes nothing.
     pub fn prepare(&mut self, program: &str) -> Result<Vec<WireDiagnostic>> {
-        match self.round_trip(&Request::Prepare {
+        let request = Request::Prepare {
             program: program.into(),
             trace: self.trace_id,
-        })? {
-            Response::Diagnostics { diagnostics } => Ok(diagnostics),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected DIAGNOSTICS")),
-        }
+        };
+        expect!(self.round_trip(&request)?, "DIAGNOSTICS",
+            Response::Diagnostics { diagnostics } => diagnostics)
     }
 
     /// Execute a program; returns result tables, reports and snapshots.
@@ -144,99 +186,64 @@ impl Client {
     /// asks the server to bypass its shared memo store for this program
     /// (the `--no-memo` ablation switch).
     pub fn run_opts(&mut self, program: &str, no_memo: bool) -> Result<WireResult> {
-        match self.round_trip(&Request::Run {
+        self.result(&Request::Run {
             program: program.into(),
             no_memo,
             trace: self.trace_id,
-        })? {
-            Response::Result(result) => Ok(result),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected RESULT")),
-        }
+        })
     }
 
     /// Execute a program and ask for the per-snapshot cost profile along
     /// with the results (the wire form of `rql --profile`).
     pub fn profile(&mut self, program: &str, no_memo: bool) -> Result<WireProfile> {
-        match self.round_trip(&Request::Profile {
+        let request = Request::Profile {
             program: program.into(),
             no_memo,
             trace: self.trace_id,
-        })? {
-            Response::Profile(profile) => Ok(profile),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected PROFILE")),
-        }
+        };
+        expect!(self.round_trip(&request)?, "PROFILE", Response::Profile(profile) => profile)
     }
 
     /// Cancel another session's in-flight query by its `HELLO` id.
     pub fn cancel(&mut self, session: u64) -> Result<()> {
-        match self.round_trip(&Request::Cancel { session })? {
-            Response::Ok => Ok(()),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected OK")),
-        }
+        self.ack(&Request::Cancel { session })
     }
 
     /// One-line server status.
     pub fn status(&mut self) -> Result<String> {
-        match self.round_trip(&Request::Status { flight: false })? {
-            Response::Text(text) => Ok(text),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected TEXT")),
-        }
+        self.text(&Request::Status { flight: false })
     }
 
     /// Status plus the server's flight-recorder dump (live ring and the
     /// dump frozen at the last failed job, if any).
     pub fn status_flight(&mut self) -> Result<String> {
-        match self.round_trip(&Request::Status { flight: true })? {
-            Response::Text(text) => Ok(text),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected TEXT")),
-        }
+        self.text(&Request::Status { flight: true })
     }
 
     /// Metrics snapshot, human (`json = false`) or JSON.
     pub fn metrics(&mut self, json: bool) -> Result<String> {
-        match self.round_trip(&Request::Metrics { json })? {
-            Response::Text(text) => Ok(text),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected TEXT")),
-        }
+        self.text(&Request::Metrics { json })
     }
 
     /// Replication status snapshot, human (`json = false`) or JSON: the
     /// server's role, phase, lag gauges and shipping/applying counters.
     pub fn replstatus(&mut self, json: bool) -> Result<String> {
-        match self.round_trip(&Request::ReplStatus { json })? {
-            Response::Text(text) => Ok(text),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected TEXT")),
-        }
+        self.text(&Request::ReplStatus { json })
     }
 
     /// Register a standing query (`MAINTAIN QUERY name AS …`). Returns
     /// the server's confirmation line
     /// (`registered name=… table=… snapshots_seeded=…`).
     pub fn register(&mut self, statement: &str) -> Result<String> {
-        match self.round_trip(&Request::Register {
+        self.text(&Request::Register {
             statement: statement.into(),
-        })? {
-            Response::Text(text) => Ok(text),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected TEXT")),
-        }
+        })
     }
 
     /// Unregister a standing query by name. Its subscribers get a
     /// terminal `END` frame; the maintained table is left in place.
     pub fn unregister(&mut self, name: &str) -> Result<()> {
-        match self.round_trip(&Request::Unregister { name: name.into() })? {
-            Response::Ok => Ok(()),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected OK")),
-        }
+        self.ack(&Request::Unregister { name: name.into() })
     }
 
     /// Subscribe to a standing query. Returns the opening `RESULT` frame
@@ -244,29 +251,18 @@ impl Client {
     /// connection is then in push mode — call [`Client::next_event`]
     /// until it yields [`SubscriptionEvent::End`].
     pub fn subscribe(&mut self, name: &str) -> Result<WireResult> {
-        match self.round_trip(&Request::Subscribe { name: name.into() })? {
-            Response::Result(result) => Ok(result),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected RESULT")),
-        }
+        self.result(&Request::Subscribe { name: name.into() })
     }
 
     /// Block for the next pushed frame on a subscribed connection.
     pub fn next_event(&mut self) -> Result<SubscriptionEvent> {
-        match self.read_response()? {
-            Response::Delta(delta) => Ok(SubscriptionEvent::Delta(delta)),
-            Response::End { name, reason } => Ok(SubscriptionEvent::End { name, reason }),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected DELTA or END")),
-        }
+        expect!(self.read_response()?, "DELTA or END",
+            Response::Delta(delta) => SubscriptionEvent::Delta(delta),
+            Response::End { name, reason } => SubscriptionEvent::End { name, reason })
     }
 
     /// Ask the server to drain and stop.
     pub fn shutdown(&mut self) -> Result<()> {
-        match self.round_trip(&Request::Shutdown)? {
-            Response::Ok => Ok(()),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected OK")),
-        }
+        self.ack(&Request::Shutdown)
     }
 }

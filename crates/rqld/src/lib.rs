@@ -36,6 +36,6 @@ pub use metrics::{LatencyHistogram, Metrics, StandingSnapshot};
 pub use pool::{ServerSession, SharedStack, SnapEntry};
 pub use protocol::{
     Request, Response, WireDelta, WireDiagnostic, WireFix, WireReport, WireResult, WireTable,
-    MAX_FRAME,
+    MAX_FRAME, PROTOCOL_VERSION,
 };
 pub use server::{error_code, serve, ServerConfig, ServerHandle, ADMISSION_CODE};

@@ -307,7 +307,7 @@ mod tests {
         assert!(human.contains("io_pagelog_reads 7"));
         assert!(human.contains("memo_hits 5"));
         assert!(human.contains("memo_misses 2"));
-        assert!(human.contains("memo_spill_errors 0"));
+        assert!(human.contains("memo_bytes 0") && !human.contains("memo_spill"));
         assert!(human.contains("latency_p99_micros"));
         assert!(human.contains("standing_queries 2"));
         assert!(human.contains("standing_rows_pushed 9"));

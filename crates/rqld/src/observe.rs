@@ -33,7 +33,7 @@ const SERVER_GAUGES: &[&str] = &["connections_open", "queue_depth", "in_flight"]
 const IO_GAUGES: &[&str] = &["sidecar_bytes"];
 
 /// Gauge names in the memo store's `MemoStatsSnapshot::fields`.
-const MEMO_GAUGES: &[&str] = &["bytes", "spill_bytes"];
+const MEMO_GAUGES: &[&str] = &["bytes"];
 
 /// Gauge names in [`StandingSnapshot::fields`].
 const STANDING_GAUGES: &[&str] = &[

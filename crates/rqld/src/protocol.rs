@@ -1,62 +1,36 @@
-//! The `rqld` wire protocol (v0, AUTH-less).
+//! The `rqld` wire protocol (v1, AUTH-less).
 //!
-//! Every frame is `[u32 length (BE)] [u8 opcode] [payload]`, where
-//! `length` counts the opcode byte plus the payload. The server greets
-//! each connection with a `HELLO` frame carrying the session id — the
+//! Frames and payload primitives are [`rql_pagestore::wire`]'s: every
+//! frame is `[u32 length] [u8 opcode] [payload]`, `length` counting the
+//! opcode byte plus the payload, all integers little-endian, strings
+//! `u32`-length-prefixed UTF-8. This module adds what is `rqld`'s own:
+//! the opcodes, the field list of each verb and reply, and tagged
+//! [`Value`]s (0 = Null, 1 = Integer, 2 = Real, 3 = Text).
+//!
+//! The server greets each connection with a `HELLO` frame carrying
+//! [`PROTOCOL_VERSION`] — a client that speaks another version refuses
+//! the connection; there is no negotiation — and the session id, the
 //! out-of-band handle a *different* connection uses to `CANCEL` a query
 //! running on this one (the Postgres `BackendKeyData` shape).
 //!
-//! Payloads are hand-rolled big-endian primitives: strings are
-//! `u32`-length-prefixed UTF-8; [`Value`]s are tagged
-//! (0 = Null, 1 = Integer, 2 = Real, 3 = Text); options are a `u8`
-//! presence flag. No external serialization crates — the workspace
-//! builds offline.
+//! A payload is exactly its fields, in order, and a decode that leaves
+//! bytes over is an error.
 
-use std::fmt;
-use std::io::{self, Read, Write};
-
+use rql_pagestore::wire::{Framing, Reader, Result, WireError, Writer};
 use rql_sqlengine::Value;
+
+/// Protocol number carried in `HELLO`; bumped on any wire change.
+pub const PROTOCOL_VERSION: u32 = 1;
 
 /// Frames larger than this are rejected before allocation.
 pub const MAX_FRAME: u32 = 64 << 20;
 
-/// Protocol decode/transport errors.
-#[derive(Debug)]
-pub enum ProtoError {
-    /// Underlying socket/file error.
-    Io(io::Error),
-    /// Payload ended before a field was complete.
-    Truncated,
-    /// Unknown opcode or value tag.
-    BadTag(u8),
-    /// A string field was not UTF-8.
-    BadUtf8,
-    /// Declared frame length exceeds [`MAX_FRAME`] (or is zero).
-    BadLength(u32),
-}
-
-impl fmt::Display for ProtoError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProtoError::Io(e) => write!(f, "i/o error: {e}"),
-            ProtoError::Truncated => write!(f, "truncated frame"),
-            ProtoError::BadTag(t) => write!(f, "unknown tag {t:#04x}"),
-            ProtoError::BadUtf8 => write!(f, "invalid utf-8 in string field"),
-            ProtoError::BadLength(n) => write!(f, "bad frame length {n}"),
-        }
-    }
-}
-
-impl std::error::Error for ProtoError {}
-
-impl From<io::Error> for ProtoError {
-    fn from(e: io::Error) -> Self {
-        ProtoError::Io(e)
-    }
-}
-
-/// Result alias for protocol operations.
-pub type Result<T> = std::result::Result<T, ProtoError>;
+/// How `rqld` frames travel: bounded, no checksum (the replication
+/// stream, whose bytes land in a durable store, adds one).
+pub const FRAMING: Framing = Framing {
+    max_len: MAX_FRAME,
+    checksum: false,
+};
 
 // ---- opcodes ---------------------------------------------------------
 
@@ -114,165 +88,44 @@ pub mod resp {
     pub const END: u8 = 0x89;
 }
 
-// ---- frame I/O -------------------------------------------------------
+// ---- payload fields ---------------------------------------------------
 
-/// Write one `[len][op][payload]` frame.
-pub fn write_frame(w: &mut impl Write, opcode: u8, payload: &[u8]) -> io::Result<()> {
-    let len = payload.len() as u32 + 1;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(&[opcode])?;
-    w.write_all(payload)?;
-    w.flush()
-}
-
-/// Read one frame; returns `(opcode, payload)`.
-pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>)> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_be_bytes(len_buf);
-    if len == 0 || len > MAX_FRAME {
-        return Err(ProtoError::BadLength(len));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    let opcode = body[0];
-    body.remove(0);
-    Ok((opcode, body))
-}
-
-// ---- payload primitives ----------------------------------------------
-
-/// Append-only payload builder.
-#[derive(Default)]
-pub struct PayloadWriter {
-    buf: Vec<u8>,
-}
-
-impl PayloadWriter {
-    /// Fresh empty payload.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Finish, yielding the raw bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Append a `u8`.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Append a big-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Append a big-endian `u64`.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Append a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Append a raw 16-byte trace id (no length prefix — it rides as a
-    /// fixed-size trailer).
-    pub fn put_trace16(&mut self, id: &[u8; 16]) {
-        self.buf.extend_from_slice(id);
-    }
-
-    /// Append a tagged [`Value`].
-    pub fn put_value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.put_u8(0),
-            Value::Integer(i) => {
-                self.put_u8(1);
-                self.put_u64(*i as u64);
-            }
-            Value::Real(r) => {
-                self.put_u8(2);
-                self.put_u64(r.to_bits());
-            }
-            Value::Text(s) => {
-                self.put_u8(3);
-                self.put_str(s);
-            }
+fn put_value(w: &mut Writer, v: &Value) {
+    match v {
+        Value::Null => w.u8(0),
+        Value::Integer(i) => {
+            w.u8(1);
+            w.u64(*i as u64);
+        }
+        Value::Real(x) => {
+            w.u8(2);
+            w.u64(x.to_bits());
+        }
+        Value::Text(s) => {
+            w.u8(3);
+            w.str(s);
         }
     }
 }
 
-/// Cursor over a received payload.
-pub struct PayloadReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn get_value(r: &mut Reader<'_>) -> Result<Value> {
+    match r.u8()? {
+        0 => Ok(Value::Null),
+        1 => Ok(Value::Integer(r.u64()? as i64)),
+        2 => Ok(Value::Real(f64::from_bits(r.u64()?))),
+        3 => Ok(Value::Text(r.str()?)),
+        t => Err(WireError::BadTag(t)),
+    }
 }
 
-impl<'a> PayloadReader<'a> {
-    /// Wrap a payload.
-    pub fn new(buf: &'a [u8]) -> Self {
-        PayloadReader { buf, pos: 0 }
-    }
+/// A row list: a list of lists of values. A row is at least its count,
+/// a value at least its tag.
+fn put_rows(w: &mut Writer, rows: &[Vec<Value>]) {
+    w.list(rows, |w, row| w.list(row, put_value));
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).ok_or(ProtoError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(ProtoError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// Read a `u8`.
-    pub fn get_u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Read a big-endian `u32`.
-    pub fn get_u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Read a big-endian `u64`.
-    pub fn get_u64(&mut self) -> Result<u64> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_be_bytes(a))
-    }
-
-    /// Read a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String> {
-        let len = self.get_u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::BadUtf8)
-    }
-
-    /// Read an optional 16-byte trace-id trailer: `Some` when exactly a
-    /// trace id remains, `None` for frames from clients that omit it.
-    pub fn get_trace16(&mut self) -> Option<[u8; 16]> {
-        let bytes = self.take(16).ok()?;
-        let mut id = [0u8; 16];
-        id.copy_from_slice(bytes);
-        Some(id)
-    }
-
-    /// Read a tagged [`Value`].
-    pub fn get_value(&mut self) -> Result<Value> {
-        match self.get_u8()? {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Integer(self.get_u64()? as i64)),
-            2 => Ok(Value::Real(f64::from_bits(self.get_u64()?))),
-            3 => Ok(Value::Text(self.get_str()?)),
-            t => Err(ProtoError::BadTag(t)),
-        }
-    }
+fn get_rows(r: &mut Reader<'_>) -> Result<Vec<Vec<Value>>> {
+    r.list(4, |r| r.list(1, get_value))
 }
 
 // ---- requests --------------------------------------------------------
@@ -286,8 +139,7 @@ pub enum Request {
         program: String,
         /// Client-generated 16-byte trace id (`rql --trace-id`),
         /// recorded into the server's trace ring for cross-node
-        /// stitching. Encoded as an optional 16-byte trailer, so older
-        /// clients decode as `None`.
+        /// stitching.
         trace: Option<[u8; 16]>,
     },
     /// Execute a program.
@@ -295,11 +147,9 @@ pub enum Request {
         /// The `.rql` program text.
         program: String,
         /// Skip the server's shared memo store for this request (the
-        /// `--no-memo` ablation switch). Encoded as an optional trailing
-        /// byte, so v0 clients that omit it decode as `false`.
+        /// `--no-memo` ablation switch).
         no_memo: bool,
-        /// Optional 16-byte trace-id trailer (after the `no_memo` byte),
-        /// as on [`Request::Prepare`].
+        /// Trace id, as on [`Request::Prepare`].
         trace: Option<[u8; 16]>,
     },
     /// Cancel the in-flight query of session `session`.
@@ -309,8 +159,7 @@ pub enum Request {
     },
     /// One-line server status.
     Status {
-        /// Append a flight-recorder dump to the status line. Encoded as
-        /// an optional trailing byte, so v0 clients decode as `false`.
+        /// Append a flight-recorder dump to the status line.
         flight: bool,
     },
     /// Metrics snapshot.
@@ -326,7 +175,7 @@ pub enum Request {
         program: String,
         /// Skip the server's shared memo store (as in [`Request::Run`]).
         no_memo: bool,
-        /// Optional 16-byte trace-id trailer (as in [`Request::Run`]).
+        /// Trace id, as on [`Request::Prepare`].
         trace: Option<[u8; 16]>,
     },
     /// Register a standing query.
@@ -354,137 +203,103 @@ pub enum Request {
 impl Request {
     /// Encode to `(opcode, payload)`.
     pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut w = PayloadWriter::new();
-        match self {
+        let mut w = Writer::new();
+        let opcode = match self {
             Request::Prepare { program, trace } => {
-                w.put_str(program);
-                if let Some(id) = trace {
-                    w.put_trace16(id);
-                }
-                (op::PREPARE, w.into_bytes())
+                w.str(program);
+                w.opt(trace.as_ref(), |w, id| w.raw(id));
+                op::PREPARE
             }
             Request::Run {
                 program,
                 no_memo,
                 trace,
-            } => {
-                w.put_str(program);
-                w.put_u8(u8::from(*no_memo));
-                if let Some(id) = trace {
-                    w.put_trace16(id);
-                }
-                (op::RUN, w.into_bytes())
             }
-            Request::Cancel { session } => {
-                w.put_u64(*session);
-                (op::CANCEL, w.into_bytes())
-            }
-            Request::Status { flight } => {
-                // The flag is only written when set, keeping the plain
-                // STATUS frame byte-identical to v0.
-                if *flight {
-                    w.put_u8(1);
-                }
-                (op::STATUS, w.into_bytes())
-            }
-            Request::Metrics { json } => {
-                w.put_u8(u8::from(*json));
-                (op::METRICS, w.into_bytes())
-            }
-            Request::Shutdown => (op::SHUTDOWN, Vec::new()),
-            Request::Profile {
+            | Request::Profile {
                 program,
                 no_memo,
                 trace,
             } => {
-                w.put_str(program);
-                w.put_u8(u8::from(*no_memo));
-                if let Some(id) = trace {
-                    w.put_trace16(id);
+                w.str(program);
+                w.flag(*no_memo);
+                w.opt(trace.as_ref(), |w, id| w.raw(id));
+                match self {
+                    Request::Run { .. } => op::RUN,
+                    _ => op::PROFILE,
                 }
-                (op::PROFILE, w.into_bytes())
             }
+            Request::Cancel { session } => {
+                w.u64(*session);
+                op::CANCEL
+            }
+            Request::Status { flight } => {
+                w.flag(*flight);
+                op::STATUS
+            }
+            Request::Metrics { json } => {
+                w.flag(*json);
+                op::METRICS
+            }
+            Request::Shutdown => op::SHUTDOWN,
             Request::Register { statement } => {
-                w.put_str(statement);
-                (op::REGISTER, w.into_bytes())
+                w.str(statement);
+                op::REGISTER
             }
             Request::Unregister { name } => {
-                w.put_str(name);
-                (op::UNREGISTER, w.into_bytes())
+                w.str(name);
+                op::UNREGISTER
             }
             Request::Subscribe { name } => {
-                w.put_str(name);
-                (op::SUBSCRIBE, w.into_bytes())
+                w.str(name);
+                op::SUBSCRIBE
             }
             Request::ReplStatus { json } => {
-                w.put_u8(u8::from(*json));
-                (op::REPLSTATUS, w.into_bytes())
+                w.flag(*json);
+                op::REPLSTATUS
             }
-        }
+        };
+        (opcode, w.into_bytes())
     }
 
     /// Decode from a received frame.
     pub fn decode(opcode: u8, payload: &[u8]) -> Result<Request> {
-        let mut r = PayloadReader::new(payload);
-        match opcode {
-            op::PREPARE => {
-                let program = r.get_str()?;
-                let trace = r.get_trace16();
-                Ok(Request::Prepare { program, trace })
-            }
-            op::RUN => {
-                let program = r.get_str()?;
-                // Trailing flag is optional: a frame that ends right
-                // after the program string is an older encoding and
-                // means "use the memo". The trace id, when present,
-                // follows the flag.
-                let no_memo = r.get_u8().is_ok_and(|b| b != 0);
-                let trace = r.get_trace16();
-                Ok(Request::Run {
-                    program,
-                    no_memo,
-                    trace,
-                })
-            }
-            op::CANCEL => Ok(Request::Cancel {
-                session: r.get_u64()?,
-            }),
-            op::STATUS => Ok(Request::Status {
-                flight: r.get_u8().is_ok_and(|b| b != 0),
-            }),
-            op::METRICS => Ok(Request::Metrics {
-                json: r.get_u8()? != 0,
-            }),
-            op::SHUTDOWN => Ok(Request::Shutdown),
-            op::PROFILE => {
-                let program = r.get_str()?;
-                let no_memo = r.get_u8().is_ok_and(|b| b != 0);
-                let trace = r.get_trace16();
-                Ok(Request::Profile {
-                    program,
-                    no_memo,
-                    trace,
-                })
-            }
-            op::REGISTER => Ok(Request::Register {
-                statement: r.get_str()?,
-            }),
-            op::UNREGISTER => Ok(Request::Unregister { name: r.get_str()? }),
-            op::SUBSCRIBE => Ok(Request::Subscribe { name: r.get_str()? }),
-            op::REPLSTATUS => Ok(Request::ReplStatus {
-                json: r.get_u8()? != 0,
-            }),
-            t => Err(ProtoError::BadTag(t)),
-        }
+        let mut r = Reader::new(payload);
+        let request = match opcode {
+            op::PREPARE => Request::Prepare {
+                program: r.str()?,
+                trace: r.opt(Reader::array)?,
+            },
+            op::RUN => Request::Run {
+                program: r.str()?,
+                no_memo: r.flag()?,
+                trace: r.opt(Reader::array)?,
+            },
+            op::CANCEL => Request::Cancel { session: r.u64()? },
+            op::STATUS => Request::Status { flight: r.flag()? },
+            op::METRICS => Request::Metrics { json: r.flag()? },
+            op::SHUTDOWN => Request::Shutdown,
+            op::PROFILE => Request::Profile {
+                program: r.str()?,
+                no_memo: r.flag()?,
+                trace: r.opt(Reader::array)?,
+            },
+            op::REGISTER => Request::Register {
+                statement: r.str()?,
+            },
+            op::UNREGISTER => Request::Unregister { name: r.str()? },
+            op::SUBSCRIBE => Request::Subscribe { name: r.str()? },
+            op::REPLSTATUS => Request::ReplStatus { json: r.flag()? },
+            t => return Err(WireError::BadTag(t)),
+        };
+        r.done()?;
+        Ok(request)
     }
 }
 
 // ---- responses -------------------------------------------------------
 
-/// A structured fix as it travels over the wire. Fixes ride in a
-/// trailer *after* the diagnostics array (see [`Response::encode`]), so
-/// v0 clients — which stop reading at the end of the array — are
-/// oblivious to them, and new clients tolerate their absence.
+/// A structured fix as it travels over the wire, inline in the
+/// diagnostic it repairs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireFix {
     /// Byte range in the submitted program to replace.
@@ -509,8 +324,7 @@ pub struct WireDiagnostic {
     pub message: String,
     /// Byte range in the submitted program, when known.
     pub span: Option<(u32, u32)>,
-    /// Structured fix, when the analyzer derived one (wire trailer;
-    /// absent when talking to a v0 peer).
+    /// Structured fix, when the analyzer derived one.
     pub fix: Option<WireFix>,
 }
 
@@ -572,78 +386,50 @@ pub struct WireProfile {
 impl WireResult {
     /// Encode into an existing payload (shared by `RESULT` and
     /// `PROFILE`).
-    fn encode_into(&self, w: &mut PayloadWriter) {
-        w.put_u32(self.tables.len() as u32);
-        for t in &self.tables {
-            w.put_u32(t.columns.len() as u32);
-            for c in &t.columns {
-                w.put_str(c);
-            }
-            w.put_u32(t.rows.len() as u32);
-            for row in &t.rows {
-                w.put_u32(row.len() as u32);
-                for v in row {
-                    w.put_value(v);
-                }
-            }
-        }
-        w.put_u32(self.reports.len() as u32);
-        for r in &self.reports {
-            w.put_str(&r.table);
-            w.put_u64(r.iterations);
-            w.put_u64(r.qq_rows);
-            w.put_u64(r.pages_skipped_delta);
-            w.put_u64(r.pages_pruned_filter);
-            w.put_u64(r.pagelog_reads);
-            w.put_u64(r.cache_hits);
-        }
-        w.put_u32(self.snapshots.len() as u32);
-        for s in &self.snapshots {
-            w.put_u64(*s);
-        }
-        w.put_u64(self.elapsed_micros);
+    fn encode_into(&self, w: &mut Writer) {
+        w.list(&self.tables, |w, t| {
+            w.list(&t.columns, |w, c| w.str(c));
+            put_rows(w, &t.rows);
+        });
+        w.list(&self.reports, |w, r| {
+            w.str(&r.table);
+            w.u64(r.iterations);
+            w.u64(r.qq_rows);
+            w.u64(r.pages_skipped_delta);
+            w.u64(r.pages_pruned_filter);
+            w.u64(r.pagelog_reads);
+            w.u64(r.cache_hits);
+        });
+        w.list(&self.snapshots, |w, s| w.u64(*s));
+        w.u64(self.elapsed_micros);
     }
 
     /// Decode from a payload cursor (shared by `RESULT` and `PROFILE`).
-    fn decode_from(r: &mut PayloadReader<'_>) -> Result<WireResult> {
-        let mut res = WireResult::default();
-        let ntables = r.get_u32()?;
-        for _ in 0..ntables {
-            let ncols = r.get_u32()?;
-            let mut columns = Vec::with_capacity(ncols as usize);
-            for _ in 0..ncols {
-                columns.push(r.get_str()?);
-            }
-            let nrows = r.get_u32()?;
-            let mut rows = Vec::with_capacity(nrows as usize);
-            for _ in 0..nrows {
-                let nvals = r.get_u32()?;
-                let mut row = Vec::with_capacity(nvals as usize);
-                for _ in 0..nvals {
-                    row.push(r.get_value()?);
-                }
-                rows.push(row);
-            }
-            res.tables.push(WireTable { columns, rows });
-        }
-        let nreports = r.get_u32()?;
-        for _ in 0..nreports {
-            res.reports.push(WireReport {
-                table: r.get_str()?,
-                iterations: r.get_u64()?,
-                qq_rows: r.get_u64()?,
-                pages_skipped_delta: r.get_u64()?,
-                pages_pruned_filter: r.get_u64()?,
-                pagelog_reads: r.get_u64()?,
-                cache_hits: r.get_u64()?,
-            });
-        }
-        let nsnaps = r.get_u32()?;
-        for _ in 0..nsnaps {
-            res.snapshots.push(r.get_u64()?);
-        }
-        res.elapsed_micros = r.get_u64()?;
-        Ok(res)
+    /// Each list is checked against the smallest encoding of its
+    /// element: a table is two counts, a column name its length prefix,
+    /// a report a name prefix and six `u64`s.
+    fn decode_from(r: &mut Reader<'_>) -> Result<WireResult> {
+        Ok(WireResult {
+            tables: r.list(8, |r| {
+                Ok(WireTable {
+                    columns: r.list(4, Reader::str)?,
+                    rows: get_rows(r)?,
+                })
+            })?,
+            reports: r.list(52, |r| {
+                Ok(WireReport {
+                    table: r.str()?,
+                    iterations: r.u64()?,
+                    qq_rows: r.u64()?,
+                    pages_skipped_delta: r.u64()?,
+                    pages_pruned_filter: r.u64()?,
+                    pagelog_reads: r.u64()?,
+                    cache_hits: r.u64()?,
+                })
+            })?,
+            snapshots: r.list(8, Reader::u64)?,
+            elapsed_micros: r.u64()?,
+        })
     }
 }
 
@@ -665,8 +451,11 @@ pub struct WireDelta {
 /// A decoded server response.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// Greeting with this connection's session id.
+    /// Greeting: the protocol the server speaks and this connection's
+    /// session id.
     Hello {
+        /// The server's [`PROTOCOL_VERSION`].
+        proto: u32,
         /// Session id for out-of-band `CANCEL`.
         session: u64,
     },
@@ -704,185 +493,121 @@ pub enum Response {
 impl Response {
     /// Encode to `(opcode, payload)`.
     pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut w = PayloadWriter::new();
-        match self {
-            Response::Hello { session } => {
-                w.put_u64(*session);
-                (resp::HELLO, w.into_bytes())
+        let mut w = Writer::new();
+        let opcode = match self {
+            Response::Hello { proto, session } => {
+                w.u32(*proto);
+                w.u64(*session);
+                resp::HELLO
             }
             Response::Diagnostics { diagnostics } => {
-                w.put_u32(diagnostics.len() as u32);
-                for d in diagnostics {
-                    w.put_str(&d.code);
-                    w.put_u8(d.severity);
-                    w.put_str(&d.message);
-                    match d.span {
-                        Some((s, e)) => {
-                            w.put_u8(1);
-                            w.put_u32(s);
-                            w.put_u32(e);
-                        }
-                        None => w.put_u8(0),
-                    }
-                }
-                // Backward-compatible trailer: (diag index, fix) pairs.
-                // v0 decoders stop at the end of the array above and
-                // never see these bytes.
-                let fixes: Vec<(u32, &WireFix)> = diagnostics
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, d)| d.fix.as_ref().map(|f| (i as u32, f)))
-                    .collect();
-                w.put_u32(fixes.len() as u32);
-                for (idx, f) in fixes {
-                    w.put_u32(idx);
-                    w.put_u32(f.start);
-                    w.put_u32(f.end);
-                    w.put_u8(f.applicability);
-                    w.put_str(&f.replacement);
-                }
-                (resp::DIAGNOSTICS, w.into_bytes())
+                w.list(diagnostics, |w, d| {
+                    w.str(&d.code);
+                    w.u8(d.severity);
+                    w.str(&d.message);
+                    w.opt(d.span, |w, (start, end)| {
+                        w.u32(start);
+                        w.u32(end);
+                    });
+                    w.opt(d.fix.as_ref(), |w, f| {
+                        w.u32(f.start);
+                        w.u32(f.end);
+                        w.u8(f.applicability);
+                        w.str(&f.replacement);
+                    });
+                });
+                resp::DIAGNOSTICS
             }
             Response::Result(res) => {
                 res.encode_into(&mut w);
-                (resp::RESULT, w.into_bytes())
+                resp::RESULT
             }
             Response::Profile(p) => {
                 p.result.encode_into(&mut w);
-                w.put_str(&p.human);
-                w.put_str(&p.json);
-                (resp::PROFILE, w.into_bytes())
+                w.str(&p.human);
+                w.str(&p.json);
+                resp::PROFILE
             }
             Response::Error { code, message } => {
-                w.put_str(code);
-                w.put_str(message);
-                (resp::ERROR, w.into_bytes())
+                w.str(code);
+                w.str(message);
+                resp::ERROR
             }
             Response::Text(s) => {
-                w.put_str(s);
-                (resp::TEXT, w.into_bytes())
+                w.str(s);
+                resp::TEXT
             }
-            Response::Ok => (resp::OK, Vec::new()),
+            Response::Ok => resp::OK,
             Response::Delta(d) => {
-                w.put_str(&d.name);
-                w.put_u64(d.snap_id);
-                for rows in [&d.added, &d.removed] {
-                    w.put_u32(rows.len() as u32);
-                    for row in rows {
-                        w.put_u32(row.len() as u32);
-                        for v in row {
-                            w.put_value(v);
-                        }
-                    }
-                }
-                (resp::DELTA, w.into_bytes())
+                w.str(&d.name);
+                w.u64(d.snap_id);
+                put_rows(&mut w, &d.added);
+                put_rows(&mut w, &d.removed);
+                resp::DELTA
             }
             Response::End { name, reason } => {
-                w.put_str(name);
-                w.put_str(reason);
-                (resp::END, w.into_bytes())
+                w.str(name);
+                w.str(reason);
+                resp::END
             }
-        }
+        };
+        (opcode, w.into_bytes())
     }
 
     /// Decode from a received frame.
     pub fn decode(opcode: u8, payload: &[u8]) -> Result<Response> {
-        let mut r = PayloadReader::new(payload);
-        match opcode {
-            resp::HELLO => Ok(Response::Hello {
-                session: r.get_u64()?,
+        let mut r = Reader::new(payload);
+        let response = match opcode {
+            resp::HELLO => Response::Hello {
+                proto: r.u32()?,
+                session: r.u64()?,
+            },
+            // Smallest diagnostic: two empty strings, a severity and two
+            // absent options.
+            resp::DIAGNOSTICS => Response::Diagnostics {
+                diagnostics: r.list(11, |r| {
+                    Ok(WireDiagnostic {
+                        code: r.str()?,
+                        severity: r.u8()?,
+                        message: r.str()?,
+                        span: r.opt(|r| Ok((r.u32()?, r.u32()?)))?,
+                        fix: r.opt(|r| {
+                            Ok(WireFix {
+                                start: r.u32()?,
+                                end: r.u32()?,
+                                applicability: r.u8()?,
+                                replacement: r.str()?,
+                            })
+                        })?,
+                    })
+                })?,
+            },
+            resp::RESULT => Response::Result(WireResult::decode_from(&mut r)?),
+            resp::PROFILE => Response::Profile(WireProfile {
+                result: WireResult::decode_from(&mut r)?,
+                human: r.str()?,
+                json: r.str()?,
             }),
-            resp::DIAGNOSTICS => {
-                let n = r.get_u32()?;
-                let mut diagnostics = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    let code = r.get_str()?;
-                    let severity = r.get_u8()?;
-                    let message = r.get_str()?;
-                    let span = if r.get_u8()? == 1 {
-                        Some((r.get_u32()?, r.get_u32()?))
-                    } else {
-                        None
-                    };
-                    diagnostics.push(WireDiagnostic {
-                        code,
-                        severity,
-                        message,
-                        span,
-                        fix: None,
-                    });
-                }
-                // Fix trailer (absent from v0 peers: a truncated read
-                // here just leaves every fix as None).
-                if let Ok(fix_count) = r.get_u32() {
-                    for _ in 0..fix_count {
-                        let (Ok(idx), Ok(start), Ok(end), Ok(applicability), Ok(replacement)) = (
-                            r.get_u32(),
-                            r.get_u32(),
-                            r.get_u32(),
-                            r.get_u8(),
-                            r.get_str(),
-                        ) else {
-                            break;
-                        };
-                        if let Some(d) = diagnostics.get_mut(idx as usize) {
-                            d.fix = Some(WireFix {
-                                start,
-                                end,
-                                applicability,
-                                replacement,
-                            });
-                        }
-                    }
-                }
-                Ok(Response::Diagnostics { diagnostics })
-            }
-            resp::RESULT => Ok(Response::Result(WireResult::decode_from(&mut r)?)),
-            resp::PROFILE => {
-                let result = WireResult::decode_from(&mut r)?;
-                let human = r.get_str()?;
-                let json = r.get_str()?;
-                Ok(Response::Profile(WireProfile {
-                    result,
-                    human,
-                    json,
-                }))
-            }
-            resp::ERROR => Ok(Response::Error {
-                code: r.get_str()?,
-                message: r.get_str()?,
+            resp::ERROR => Response::Error {
+                code: r.str()?,
+                message: r.str()?,
+            },
+            resp::TEXT => Response::Text(r.str()?),
+            resp::OK => Response::Ok,
+            resp::DELTA => Response::Delta(WireDelta {
+                name: r.str()?,
+                snap_id: r.u64()?,
+                added: get_rows(&mut r)?,
+                removed: get_rows(&mut r)?,
             }),
-            resp::TEXT => Ok(Response::Text(r.get_str()?)),
-            resp::OK => Ok(Response::Ok),
-            resp::DELTA => {
-                let name = r.get_str()?;
-                let snap_id = r.get_u64()?;
-                let mut lists = [Vec::new(), Vec::new()];
-                for rows in &mut lists {
-                    let nrows = r.get_u32()?;
-                    for _ in 0..nrows {
-                        let nvals = r.get_u32()?;
-                        let mut row = Vec::with_capacity(nvals as usize);
-                        for _ in 0..nvals {
-                            row.push(r.get_value()?);
-                        }
-                        rows.push(row);
-                    }
-                }
-                let [added, removed] = lists;
-                Ok(Response::Delta(WireDelta {
-                    name,
-                    snap_id,
-                    added,
-                    removed,
-                }))
-            }
-            resp::END => Ok(Response::End {
-                name: r.get_str()?,
-                reason: r.get_str()?,
-            }),
-            t => Err(ProtoError::BadTag(t)),
-        }
+            resp::END => Response::End {
+                name: r.str()?,
+                reason: r.str()?,
+            },
+            t => return Err(WireError::BadTag(t)),
+        };
+        r.done()?;
+        Ok(response)
     }
 }
 
@@ -892,21 +617,40 @@ mod tests {
 
     use super::*;
 
-    fn roundtrip_request(req: Request) {
-        let (opc, payload) = req.encode();
+    /// Frame round trip, plus what v1 promises of every payload: one
+    /// byte more is refused and so is every proper prefix.
+    fn roundtrip<T: PartialEq + std::fmt::Debug>(
+        msg: &T,
+        (opc, payload): (u8, Vec<u8>),
+        decode: fn(u8, &[u8]) -> Result<T>,
+    ) {
         let mut wire = Vec::new();
-        write_frame(&mut wire, opc, &payload).unwrap();
-        let (opc2, payload2) = read_frame(&mut wire.as_slice()).unwrap();
-        assert_eq!(opc, opc2);
-        assert_eq!(Request::decode(opc2, &payload2).unwrap(), req);
+        let wrote = FRAMING.write_frame(&mut wire, opc, &payload).unwrap();
+        assert_eq!(wrote, wire.len() as u64);
+        let (opc2, payload2, read) = FRAMING.read_frame(&mut wire.as_slice()).unwrap();
+        assert_eq!((opc2, read), (opc, wrote));
+        assert_eq!(&decode(opc2, &payload2).unwrap(), msg);
+
+        let mut longer = payload.clone();
+        longer.push(0);
+        assert!(
+            matches!(decode(opc, &longer), Err(WireError::Trailing(1))),
+            "{msg:?} accepted a trailing byte"
+        );
+        for cut in 0..payload.len() {
+            assert!(
+                decode(opc, &payload[..cut]).is_err(),
+                "{msg:?} decoded from its first {cut} byte(s)"
+            );
+        }
+    }
+
+    fn roundtrip_request(req: Request) {
+        roundtrip(&req, req.encode(), Request::decode);
     }
 
     fn roundtrip_response(resp: Response) {
-        let (opc, payload) = resp.encode();
-        let mut wire = Vec::new();
-        write_frame(&mut wire, opc, &payload).unwrap();
-        let (opc2, payload2) = read_frame(&mut wire.as_slice()).unwrap();
-        assert_eq!(Response::decode(opc2, &payload2).unwrap(), resp);
+        roundtrip(&resp, resp.encode(), Response::decode);
     }
 
     #[test]
@@ -957,39 +701,11 @@ mod tests {
     }
 
     #[test]
-    fn plain_status_stays_byte_identical_to_v0() {
-        // `flight: false` must encode to an empty payload — the exact
-        // v0 STATUS frame — and a v0 frame must decode as non-flight.
-        let (opc, payload) = Request::Status { flight: false }.encode();
-        assert_eq!(opc, op::STATUS);
-        assert!(payload.is_empty());
-        assert_eq!(
-            Request::decode(op::STATUS, &[]).unwrap(),
-            Request::Status { flight: false }
-        );
-    }
-
-    #[test]
-    fn v0_diagnostics_payload_without_fix_trailer_decodes() {
-        // A v0 peer's payload ends right after the diagnostics array.
-        let mut w = PayloadWriter::new();
-        w.put_u32(1);
-        w.put_str("RQL001");
-        w.put_u8(2);
-        w.put_str("unknown table t");
-        w.put_u8(0);
-        let decoded = Response::decode(resp::DIAGNOSTICS, &w.into_bytes()).unwrap();
-        let Response::Diagnostics { diagnostics } = decoded else {
-            panic!("wrong variant");
-        };
-        assert_eq!(diagnostics.len(), 1);
-        assert_eq!(diagnostics[0].code, "RQL001");
-        assert!(diagnostics[0].fix.is_none());
-    }
-
-    #[test]
     fn responses_roundtrip() {
-        roundtrip_response(Response::Hello { session: 7 });
+        roundtrip_response(Response::Hello {
+            proto: PROTOCOL_VERSION,
+            session: 7,
+        });
         roundtrip_response(Response::Ok);
         roundtrip_response(Response::Text("queue_depth 0".into()));
         roundtrip_response(Response::Error {
@@ -1080,78 +796,87 @@ mod tests {
     #[test]
     fn truncated_and_oversized_frames_error() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, op::STATUS, &[]).unwrap();
+        FRAMING.write_frame(&mut wire, op::STATUS, &[0]).unwrap();
         wire.truncate(3);
         assert!(matches!(
-            read_frame(&mut wire.as_slice()),
-            Err(ProtoError::Io(_))
+            FRAMING.read_frame(&mut wire.as_slice()),
+            Err(WireError::Io(_))
         ));
-
-        let huge = (MAX_FRAME + 1).to_be_bytes();
-        assert!(matches!(
-            read_frame(&mut huge.as_slice()),
-            Err(ProtoError::BadLength(_))
-        ));
-
-        let zero = 0u32.to_be_bytes();
-        assert!(matches!(
-            read_frame(&mut zero.as_slice()),
-            Err(ProtoError::BadLength(0))
-        ));
+        for len in [MAX_FRAME + 1, 0] {
+            let mut header = len.to_le_bytes().to_vec();
+            header.push(op::STATUS);
+            assert!(matches!(
+                FRAMING.read_frame(&mut header.as_slice()),
+                Err(WireError::BadLength(n)) if n == u64::from(len)
+            ));
+        }
     }
 
     #[test]
-    fn run_without_trailing_flag_decodes_as_memo_on() {
-        // A v0 RUN frame (program string only, no trailing flag byte)
-        // must still decode, defaulting to the memo-enabled path.
-        let mut w = PayloadWriter::new();
-        w.put_str("SELECT 1;");
-        let decoded = Request::decode(op::RUN, &w.into_bytes()).unwrap();
-        assert_eq!(
-            decoded,
-            Request::Run {
-                program: "SELECT 1;".into(),
-                no_memo: false,
-                trace: None,
-            }
-        );
+    fn v0_shaped_payloads_are_decode_errors() {
+        // Protocol v0 let a payload stop early and filled in defaults:
+        // RUN without the memo flag or the trace field, PREPARE without
+        // the trace field, an empty STATUS, DIAGNOSTICS with the fixes
+        // in a trailer. In v1 each is a short payload.
+        let mut program = Writer::new();
+        program.str("SELECT 1;");
+        let program = program.into_bytes();
+        let with_flag = [program.as_slice(), &[1]].concat();
+        for (opc, payload) in [
+            (op::RUN, program.as_slice()),
+            (op::RUN, with_flag.as_slice()),
+            (op::PROFILE, with_flag.as_slice()),
+            (op::PREPARE, program.as_slice()),
+            (op::STATUS, &[]),
+        ] {
+            assert!(
+                matches!(Request::decode(opc, payload), Err(WireError::Truncated)),
+                "op {opc:#04x} decoded from a v0 payload"
+            );
+        }
+        let mut w = Writer::new();
+        w.u32(1);
+        w.str("RQL001");
+        w.u8(2);
+        w.str("unknown table t");
+        w.u8(0); // no span — and, in v0, the end of the diagnostic
+        w.u32(0); // v0's fix-trailer count
+        assert!(Response::decode(resp::DIAGNOSTICS, &w.into_bytes()).is_err());
+        // A v0 HELLO is the session id alone.
+        assert!(Response::decode(resp::HELLO, &7u64.to_le_bytes()).is_err());
     }
 
     #[test]
-    fn run_with_flag_but_no_trace_decodes_as_untrace() {
-        // A client that writes the no_memo flag but omits the trace-id
-        // trailer (every client before `--trace-id`) decodes as None.
-        let mut w = PayloadWriter::new();
-        w.put_str("SELECT 1;");
-        w.put_u8(1);
-        let decoded = Request::decode(op::RUN, &w.into_bytes()).unwrap();
-        assert_eq!(
-            decoded,
-            Request::Run {
-                program: "SELECT 1;".into(),
-                no_memo: true,
-                trace: None,
-            }
-        );
-        // And a bare PREPARE likewise.
-        let mut w = PayloadWriter::new();
-        w.put_str("SELECT 1;");
-        let decoded = Request::decode(op::PREPARE, &w.into_bytes()).unwrap();
-        assert_eq!(
-            decoded,
-            Request::Prepare {
-                program: "SELECT 1;".into(),
-                trace: None,
-            }
-        );
+    fn counts_the_payload_cannot_hold_are_refused_before_allocating() {
+        // Twelve bytes that claim four billion columns, rows, values or
+        // diagnostics: sizing a Vec by any of them would ask the
+        // allocator for tens of gigabytes and abort the process.
+        let payload =
+            |fields: &[u32]| -> Vec<u8> { fields.iter().flat_map(|f| f.to_le_bytes()).collect() };
+        for (opc, bytes) in [
+            (resp::RESULT, payload(&[1, u32::MAX, 0])),    // ncols
+            (resp::RESULT, payload(&[1, 0, u32::MAX])),    // nrows
+            (resp::RESULT, payload(&[1, 0, 1, u32::MAX])), // nvals
+            (resp::RESULT, payload(&[u32::MAX, 0, 0])),    // ntables
+            (resp::PROFILE, payload(&[1, u32::MAX, 0])),
+            (resp::DIAGNOSTICS, payload(&[u32::MAX, 0, 0])),
+            (resp::DELTA, payload(&[0, 0, 0, u32::MAX, 0])), // added rows
+        ] {
+            assert!(
+                matches!(Response::decode(opc, &bytes), Err(WireError::Truncated)),
+                "op {opc:#04x}"
+            );
+        }
     }
 
     #[test]
     fn negative_integers_survive() {
-        let mut w = PayloadWriter::new();
-        w.put_value(&Value::Integer(i64::MIN));
+        let mut w = Writer::new();
+        put_value(&mut w, &Value::Integer(i64::MIN));
         let bytes = w.into_bytes();
-        let mut r = PayloadReader::new(&bytes);
-        assert_eq!(r.get_value().unwrap(), Value::Integer(i64::MIN));
+        assert_eq!(
+            get_value(&mut Reader::new(&bytes)).unwrap(),
+            Value::Integer(i64::MIN)
+        );
     }
 }

@@ -31,6 +31,7 @@ use rql::{
     Severity, SqlError,
 };
 use rql_memo::{MemoConfig, MemoStore};
+use rql_pagestore::wire::WireError;
 use rql_pagestore::FileStorage;
 use rql_repl::{FollowerConfig, LeaderConfig, ReplFollower, ReplLeader, ReplMetrics, ReplSnapshot};
 use rql_retro::{RetroConfig, RetroStore};
@@ -39,8 +40,8 @@ use rql_standing::{PushFrame, StandingEngine, Subscription};
 use crate::metrics::{Metrics, StandingSnapshot};
 use crate::pool::{ServerSession, SharedStack};
 use crate::protocol::{
-    read_frame, write_frame, Request, Response, WireDelta, WireDiagnostic, WireFix, WireProfile,
-    WireReport, WireResult, WireTable,
+    Request, Response, WireDelta, WireDiagnostic, WireFix, WireProfile, WireReport, WireResult,
+    WireTable, FRAMING, PROTOCOL_VERSION,
 };
 
 /// Admission / pool sizing knobs.
@@ -690,7 +691,11 @@ pub fn serve(addr: impl ToSocketAddrs, config: ServerConfig) -> io::Result<Serve
 
 fn send(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
     let (opcode, payload) = response.encode();
-    write_frame(stream, opcode, &payload)
+    match FRAMING.write_frame(stream, opcode, &payload) {
+        Ok(_) => Ok(()),
+        Err(WireError::Io(e)) => Err(e),
+        Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e)),
+    }
 }
 
 fn serve_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
@@ -738,11 +743,12 @@ fn connection_loop(
     send(
         stream,
         &Response::Hello {
+            proto: PROTOCOL_VERSION,
             session: session.id,
         },
     )?;
     loop {
-        let Ok((opcode, payload)) = read_frame(stream) else {
+        let Ok((opcode, payload, _)) = FRAMING.read_frame(stream) else {
             return Ok(()); // EOF or bad frame: close quietly
         };
         let request = match Request::decode(opcode, &payload) {
@@ -982,7 +988,7 @@ fn submit(
 /// it shares that thread's lane with the spans the request produces.
 fn note_trace(trace: Option<[u8; 16]>) {
     if let Some(id) = trace {
-        let hi = u64::from_be_bytes([id[0], id[1], id[2], id[3], id[4], id[5], id[6], id[7]]);
+        let hi = id[..8].iter().fold(0, |hi, &b| hi << 8 | u64::from(b));
         rql_trace::instant_arg(rql_trace::SpanId::TraceCtx, hi);
     }
 }

@@ -98,7 +98,7 @@ span_ids! {
     SptBuild = (17, "spt_build", "retro"),
     /// One write transaction committed (arg = txn id). Declaring
     /// commits run their snapshot hooks — standing-query maintenance
-    /// and push — inside this span, and replication trailers carry the
+    /// and push — inside this span, and replication frames carry the
     /// same txn id, so cross-node stitching can hang follower applies
     /// off the originating commit.
     Commit = (18, "commit", "retro"),
@@ -134,10 +134,7 @@ span_ids! {
     MemoProbe = (64, "memo_probe", "memo"),
     /// Memo store insert.
     MemoInsert = (65, "memo_insert", "memo"),
-    /// Spill-tier write.
-    MemoSpillWrite = (66, "memo_spill_write", "memo"),
-    /// Spill-tier read-back.
-    MemoSpillRead = (67, "memo_spill_read", "memo"),
+    // 66 and 67 were the memo's disk-spill tier; retired, not reused.
     // -- rqld ----------------------------------------------------------
     /// Connection accepted.
     ConnAccept = (80, "conn_accept", "rqld"),

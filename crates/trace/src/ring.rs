@@ -172,7 +172,7 @@ pub fn now_nanos() -> u64 {
 }
 
 /// Current wall-clock time as microseconds since the Unix epoch.
-/// Replication trailers carry this so followers can compute time lag
+/// Replication frames carry this so followers can compute time lag
 /// and `stitch_trace.py` can align per-node timelines.
 pub fn unix_micros() -> u64 {
     std::time::SystemTime::now()

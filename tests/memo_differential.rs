@@ -5,10 +5,6 @@
 //!   tables to a memo-free session running the same program, across all
 //!   four mechanisms and every `DeltaPolicy`, both cold (populating the
 //!   cache) and warm (serving from it).
-//! * **Spill faults degrade to recompute** — corrupting or outright
-//!   breaking the disk-spill tier must never fail a query: lookups
-//!   degrade to misses (counted in `spill_errors`) and the results stay
-//!   identical to a memo-free run.
 //! * **Entries outlive commits and cross sessions** — a snapshot's Qq
 //!   result is a function of the snapshot alone, so later commits and
 //!   other sessions of the same store must hit it, and a hit must not
@@ -16,8 +12,6 @@
 //! * **Entries never cross stores or incarnations** — snapshot ids
 //!   restart in every store and can be re-declared after a lost tail.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -196,20 +190,6 @@ proptest! {
     }
 }
 
-// ---- spill-tier fault injection -------------------------------------------
-
-static TEMP_SEQ: AtomicUsize = AtomicUsize::new(0);
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "rql-memo-{tag}-{}-{}",
-        std::process::id(),
-        TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
-}
-
 const HISTORY: &str = "\
     CREATE TABLE kv (k INTEGER, v INTEGER);\n\
     INSERT INTO kv VALUES (1, 10), (2, 20), (3, 30);\n\
@@ -219,102 +199,6 @@ const HISTORY: &str = "\
     DELETE FROM kv WHERE k = 3;\n\
     INSERT INTO kv VALUES (4, 40);\n\
     BEGIN; COMMIT WITH SNAPSHOT;";
-
-#[test]
-fn corrupted_spill_tier_degrades_to_recompute() {
-    let spill = scratch_dir("corrupt");
-    let plain = RqlSession::with_defaults().expect("session");
-    plain.execute(HISTORY).expect("history");
-    let memoized = RqlSession::with_defaults().expect("session");
-    memoized.execute(HISTORY).expect("history");
-
-    // A one-byte budget evicts every entry immediately, so warm lookups
-    // can only be served by the spill tier.
-    let memo = Arc::new(MemoStore::new(MemoConfig {
-        byte_budget: 1,
-        spill_dir: Some(spill.clone()),
-        ..MemoConfig::default()
-    }));
-    memoized.set_memo(Some(Arc::clone(&memo)));
-
-    let want = run_mechanisms(&plain, DeltaPolicy::Auto, "_s0");
-    let cold = run_mechanisms(&memoized, DeltaPolicy::Auto, "_s0");
-    assert_eq!(cold, want, "cold run with spill diverged");
-    let stats = memo.stats();
-    assert!(stats.spill_writes > 0, "spill tier unused: {stats:?}");
-
-    // Sanity: an intact spill tier actually serves the warm run.
-    let warm = run_mechanisms(&memoized, DeltaPolicy::Auto, "_s1");
-    let want_again = run_mechanisms(&plain, DeltaPolicy::Auto, "_s1");
-    assert_eq!(warm, want_again, "warm spill run diverged");
-    assert!(
-        memo.stats().spill_reads > 0,
-        "warm lookups should read the spill tier: {:?}",
-        memo.stats()
-    );
-
-    // Corrupt every spill file in place, then replay: results must stay
-    // identical, with the faults absorbed as counted recomputes.
-    let mut corrupted = 0usize;
-    for entry in std::fs::read_dir(&spill).expect("read spill dir") {
-        let path = entry.expect("entry").path();
-        if path.extension().is_some_and(|e| e == "memo") {
-            std::fs::write(&path, b"garbage, not a memo entry").expect("corrupt");
-            corrupted += 1;
-        }
-    }
-    assert!(corrupted > 0, "no spill files found in {spill:?}");
-
-    let before = memo.stats().spill_errors;
-    let after_corruption = run_mechanisms(&memoized, DeltaPolicy::Auto, "_s2");
-    let want_final = run_mechanisms(&plain, DeltaPolicy::Auto, "_s2");
-    assert_eq!(
-        after_corruption, want_final,
-        "corrupted spill tier changed results"
-    );
-    assert!(
-        memo.stats().spill_errors > before,
-        "corruption must be detected and counted: {:?}",
-        memo.stats()
-    );
-
-    let _ = std::fs::remove_dir_all(&spill);
-}
-
-#[test]
-fn unwritable_spill_tier_never_fails_a_query() {
-    // Point the spill tier at a *file*, so every directory create and
-    // entry write fails at the filesystem level.
-    let bogus = scratch_dir("unwritable").join("not-a-dir");
-    std::fs::write(&bogus, b"occupied").expect("placeholder file");
-
-    let plain = RqlSession::with_defaults().expect("session");
-    plain.execute(HISTORY).expect("history");
-    let memoized = RqlSession::with_defaults().expect("session");
-    memoized.execute(HISTORY).expect("history");
-    let memo = Arc::new(MemoStore::new(MemoConfig {
-        spill_dir: Some(bogus.clone()),
-        ..MemoConfig::default()
-    }));
-    memoized.set_memo(Some(Arc::clone(&memo)));
-
-    let want = run_mechanisms(&plain, DeltaPolicy::Auto, "_u0");
-    let got = run_mechanisms(&memoized, DeltaPolicy::Auto, "_u0");
-    assert_eq!(got, want, "broken spill tier changed results");
-    let stats = memo.stats();
-    assert!(
-        stats.spill_errors > 0,
-        "write failures must be counted, not raised: {stats:?}"
-    );
-
-    // Warm runs still work off the in-memory tier.
-    let warm = run_mechanisms(&memoized, DeltaPolicy::Auto, "_u1");
-    let want_again = run_mechanisms(&plain, DeltaPolicy::Auto, "_u1");
-    assert_eq!(warm, want_again);
-    assert!(memo.stats().hits > 0);
-
-    let _ = std::fs::remove_dir_all(bogus.parent().expect("parent"));
-}
 
 // ---- entries outlive commits and cross sessions ---------------------------
 
@@ -491,8 +375,10 @@ fn stores_with_identical_histories_never_serve_each_other() {
 }
 
 #[test]
-fn a_reopened_store_misses_what_its_previous_incarnation_spilled() {
-    let spill = scratch_dir("reopen");
+fn a_reopened_store_misses_what_its_previous_incarnation_memoized() {
+    // One memo outlives the store it served: a server that reopens its
+    // store in place.
+    let memo = Arc::new(MemoStore::new(MemoConfig::default()));
     let logs: [Arc<MemStorage>; 3] = std::array::from_fn(|_| Arc::new(MemStorage::new()));
     let open = || {
         let [wal, pagelog, maplog] = logs.clone();
@@ -503,13 +389,8 @@ fn a_reopened_store_misses_what_its_previous_incarnation_spilled() {
         for sid in 1..=store.snapshot_count() {
             snapids::record_snapshot(session.aux_db(), sid, "-", None).expect("snapids");
         }
-        // A fresh memo over the same directory: a restarted server.
-        let memo = Arc::new(MemoStore::new(MemoConfig {
-            spill_dir: Some(spill.clone()),
-            ..MemoConfig::default()
-        }));
         session.set_memo(Some(Arc::clone(&memo)));
-        (session, memo)
+        session
     };
     let collate = |session: &RqlSession| {
         let report = session
@@ -520,7 +401,7 @@ fn a_reopened_store_misses_what_its_previous_incarnation_spilled() {
     };
     let row = |k: i64, v: i64| vec![Value::Integer(k), Value::Integer(v)];
 
-    let (first, memo) = open();
+    let first = open();
     first
         .execute("CREATE TABLE kv (k INTEGER, v INTEGER); INSERT INTO kv VALUES (1, 10), (2, 20)")
         .expect("load");
@@ -532,7 +413,8 @@ fn a_reopened_store_misses_what_its_previous_incarnation_spilled() {
     first.declare_snapshot(None).expect("s2");
     let (_, rows) = collate(&first);
     assert_eq!(rows, [row(1, 10), row(2, 20), row(1, 10), row(2, 21)]);
-    assert_eq!(memo.stats().spill_writes, 2);
+    let cold = memo.stats();
+    assert_eq!((cold.inserts, cold.misses), (2, 2));
     drop(first);
 
     // The crash loses everything after snapshot 1; the next incarnation
@@ -540,7 +422,7 @@ fn a_reopened_store_misses_what_its_previous_incarnation_spilled() {
     for (log, len) in logs.iter().zip(durable) {
         log.truncate(len).expect("lose the tail");
     }
-    let (second, memo) = open();
+    let second = open();
     assert_eq!(second.snap_db().store().snapshot_count(), 1);
     second
         .execute("UPDATE kv SET v = 99 WHERE k = 2")
@@ -549,10 +431,10 @@ fn a_reopened_store_misses_what_its_previous_incarnation_spilled() {
     let (report, rows) = collate(&second);
     assert_eq!(rows, [row(1, 10), row(2, 20), row(1, 10), row(2, 99)]);
     let stats = memo.stats();
+    assert_eq!((report.memo_hits(), stats.hits), (0, 0));
     assert_eq!(
-        (report.memo_hits(), stats.hits, stats.spill_reads),
-        (0, 0, 0)
+        stats.misses - cold.misses,
+        2,
+        "the previous incarnation's entries are counted misses"
     );
-    assert_eq!(stats.misses, 2, "the spilled entries are counted misses");
-    let _ = std::fs::remove_dir_all(&spill);
 }
