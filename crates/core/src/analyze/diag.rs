@@ -63,7 +63,8 @@ pub enum Code {
     CurrentSnapshotInStringLiteral,
     AsOfInStringLiteral,
     // ---- RQL2xx: delta eligibility ------------------------------------
-    ForcedDeltaUnsupportedMechanism,
+    // RQL201 ("Forced on a mechanism with no delta path") is retired —
+    // every mechanism has one — and the id is not reused.
     ForcedDeltaIneligibleShape,
     ForcedDeltaSnapshotDependentWhere,
     AutoDeltaFallback,
@@ -82,7 +83,7 @@ pub enum Code {
 
 impl Code {
     /// Every code, for registry-coverage assertions.
-    pub const ALL: [Code; 43] = [
+    pub const ALL: [Code; 42] = [
         Code::UnknownTable,
         Code::UnknownColumn,
         Code::UnknownFunction,
@@ -112,7 +113,6 @@ impl Code {
         Code::CurrentSnapshotOutsideLoop,
         Code::CurrentSnapshotInStringLiteral,
         Code::AsOfInStringLiteral,
-        Code::ForcedDeltaUnsupportedMechanism,
         Code::ForcedDeltaIneligibleShape,
         Code::ForcedDeltaSnapshotDependentWhere,
         Code::AutoDeltaFallback,
@@ -160,7 +160,6 @@ impl Code {
             Code::CurrentSnapshotOutsideLoop => "RQL104",
             Code::CurrentSnapshotInStringLiteral => "RQL105",
             Code::AsOfInStringLiteral => "RQL106",
-            Code::ForcedDeltaUnsupportedMechanism => "RQL201",
             Code::ForcedDeltaIneligibleShape => "RQL202",
             Code::ForcedDeltaSnapshotDependentWhere => "RQL203",
             Code::AutoDeltaFallback => "RQL204",
@@ -216,9 +215,6 @@ impl Code {
                 "current_snapshot inside a string literal is not substituted"
             }
             Code::AsOfInStringLiteral => "AS OF inside a string literal is not rewritten",
-            Code::ForcedDeltaUnsupportedMechanism => {
-                "Forced delta policy on a mechanism with no delta path"
-            }
             Code::ForcedDeltaIneligibleShape => {
                 "Forced delta policy but Qq is not a single-table scan"
             }
@@ -485,7 +481,7 @@ mod tests {
     fn ranges_match_categories() {
         assert_eq!(Code::UnknownTable.as_str(), "RQL001");
         assert_eq!(Code::AsOfInQq.as_str(), "RQL101");
-        assert_eq!(Code::ForcedDeltaUnsupportedMechanism.as_str(), "RQL201");
+        assert_eq!(Code::ForcedDeltaIneligibleShape.as_str(), "RQL202");
         assert_eq!(Code::DeadResultTable.as_str(), "RQL310");
     }
 

@@ -48,7 +48,7 @@ pub use self::program::{
     ProgramAnalysis, ProgramRun, ProgramStmt,
 };
 pub use self::sarif::{render_sarif, SarifFile};
-pub use crate::delta::DeltaPolicy;
+pub use crate::delta::{DeltaIneligible, DeltaPolicy};
 
 /// The result of analyzing one mechanism call.
 #[derive(Debug, Clone, Default)]

@@ -10,15 +10,18 @@
 //!   the ordinary plan; cost proportional to the *table* size.
 //! * **chain delta** — open the snapshot set as a chain
 //!   ([`rql_retro::RetroStore::open_snapshot_chain`]), build each SPT
-//!   incrementally from its predecessor, and evaluate Qq through the
-//!   engine's delta-aware scan ([`rql_sqlengine::DeltaSelectRunner`]),
-//!   which re-reads only the heap pages in the changed set between
-//!   consecutive snapshots and re-runs Qq's post-scan stages (the same
-//!   `finish_select` code the ordinary plan uses) over the cached
-//!   filtered base rows. Saves the page I/O, pays O(rows) CPU.
+//!   incrementally from its predecessor, and run Qq's two executor
+//!   stages ([`Database::scan_stage`] / [`Database::finish_stage`]) over
+//!   the chain reader with a [`DeltaTableScanner`] kept across
+//!   iterations: the seq scan re-reads only the heap pages in the changed
+//!   set between consecutive snapshots, and the finish stage runs over
+//!   the cached filtered base rows. Saves the page I/O, pays O(rows) CPU.
+//!   When the planner has no use for the scanner at some snapshot (an
+//!   index appeared), the scan stage's rows are simply the ordinary
+//!   plan's over the same reader, and are finished as such.
 //! * **memo hit** — a [`QqMemo`] entry for `(Qq, snapshot)` skips the
 //!   execution and hands out the recorded rows by reference. On a chain,
-//!   the first scan after a run of hits re-primes the runner from the
+//!   the first scan after a run of hits re-primes the scanner from the
 //!   last hit's memoized scanner seed, so it still reads only changed
 //!   pages; hits that no scan follows import nothing.
 //! * **pruned / unchanged skip** — a chain scan that fetched zero pages
@@ -58,11 +61,10 @@
 //! detects (root moved → rebuild) and the source answers by re-seeding
 //! from the rebuilt row set.
 //!
-//! Shapes the delta scan cannot reproduce byte-for-byte (joins, indexed
-//! probes, UDFs in WHERE, `current_snapshot()` in WHERE) fall back to
-//! the ordinary plan per [`DeltaPolicy`]: `Auto` silently, `Forced` with
-//! an error. `CollateDataIntoIntervals` keeps the sequential source
-//! under `Auto` (its delta source is a ROADMAP open item).
+//! Shapes the scanner can never serve (joins, UDFs in WHERE,
+//! `current_snapshot()` in WHERE — [`static_ineligibility`]) use the
+//! sequential source for the whole run under `Auto` and are an error
+//! under `Forced`; so is a snapshot whose plan left the scanner unused.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -72,14 +74,14 @@ use rql_retro::SnapshotReader;
 use rql_sqlengine::ast::{Expr, SelectItem, Stmt};
 use rql_sqlengine::cexpr::{compile, eval, CExpr, Scope};
 use rql_sqlengine::{
-    parse_select, Catalog, Database, DeltaScan, DeltaSelectRunner, ExecStats, QueryResult, Result,
+    parse_select, Catalog, Database, DeltaScan, DeltaTableScanner, ExecStats, QueryResult, Result,
     Row, SelectStmt, SkipReason, SqlError, UdfRegistry, Value,
 };
 
 use crate::aggregate::AggOp;
 use crate::analyze::MechanismKind;
 use crate::mechanism::MemoHandle;
-use crate::memoize::{snapshot_version, QqMemo};
+use crate::memoize::{expr_calls_udf, snapshot_version, QqMemo};
 use crate::rewrite::{rewrite_select, uses_current_snapshot};
 
 /// When to take the delta-aware iteration path.
@@ -96,16 +98,56 @@ pub enum DeltaPolicy {
     Forced,
 }
 
-/// Static (per-computation) eligibility: a single-table scan shape whose
-/// WHERE clause is iteration-invariant. `current_snapshot()` elsewhere
-/// (projection, GROUP BY, …) is fine — those stages re-run per iteration
-/// over the cached base rows with the substituted literal.
-fn shape_eligible(parsed: &SelectStmt) -> bool {
-    DeltaSelectRunner::eligible_shape(parsed)
-        && !parsed
-            .where_clause
-            .as_ref()
-            .is_some_and(uses_current_snapshot)
+/// Why the chain-delta source can never serve a Qq — the half of
+/// eligibility that is decidable from the text alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeltaIneligible {
+    /// Joins or several FROM tables: the scanner caches one table's rows.
+    Shape,
+    /// `current_snapshot()` in WHERE: the cached filter would change per
+    /// iteration. Elsewhere (projection, GROUP BY, …) it is fine — those
+    /// stages re-run per iteration with the substituted literal.
+    SnapshotDependentWhere,
+    /// A UDF in WHERE: its result may differ between scans.
+    UdfInWhere,
+}
+
+impl DeltaIneligible {
+    /// The reason in words (the `Forced` error and the analyzer's
+    /// diagnostics both say exactly this).
+    pub fn message(self) -> &'static str {
+        match self {
+            DeltaIneligible::Shape => {
+                "Qq is not a single-table scan (joins or multiple FROM tables); the delta scan \
+                 cannot reproduce it"
+            }
+            DeltaIneligible::SnapshotDependentWhere => {
+                "WHERE calls current_snapshot(), so the scan filter changes every iteration; \
+                 the cached delta rows cannot represent that"
+            }
+            DeltaIneligible::UdfInWhere => {
+                "WHERE calls a UDF, whose result may differ between scans; rows filtered \
+                 through it cannot be cached"
+            }
+        }
+    }
+}
+
+/// The static (per-computation) eligibility rule: a single-table scan
+/// whose WHERE clause is iteration-invariant and deterministic. What only
+/// a snapshot's catalog can tell (an index serving an equality conjunct)
+/// is the planner's call, per iteration.
+pub(crate) fn static_ineligibility(parsed: &SelectStmt) -> Option<DeltaIneligible> {
+    let where_has = |f: fn(&Expr) -> bool| parsed.where_clause.as_ref().is_some_and(f);
+    if parsed.from.len() != 1 || !parsed.joins.is_empty() {
+        Some(DeltaIneligible::Shape)
+    } else if where_has(uses_current_snapshot) {
+        Some(DeltaIneligible::SnapshotDependentWhere)
+    } else if where_has(expr_calls_udf) {
+        Some(DeltaIneligible::UdfInWhere)
+    } else {
+        None
+    }
 }
 
 /// Analyzer mirror of [`inner_agg_shape`]: whether Qq is the bare inner
@@ -136,7 +178,7 @@ impl From<QueryResult> for QqOutput {
 }
 
 /// Per-snapshot Qq evaluation: the source choice made once from the
-/// policy and the Qq shape, the delta runner, memo lookups, output reuse
+/// policy and the Qq shape, the delta scanner, memo lookups, output reuse
 /// on whole-snapshot skips, the incremental inner aggregate and the
 /// `DeltaPolicy::Forced` contract. Batch runs, the per-row UDF form, the
 /// standing-query maintainer and the parallel pool's workers all drive
@@ -150,7 +192,7 @@ pub(crate) struct QqSource {
     /// ordinary plan per snapshot without opening one.
     chain: bool,
     forced: bool,
-    runner: DeltaSelectRunner,
+    scanner: DeltaTableScanner,
     /// Whether a whole-snapshot skip may reuse the previous output
     /// outright (deterministic, snapshot-invariant post-scan stages).
     reusable: bool,
@@ -164,7 +206,7 @@ pub(crate) struct QqSource {
     current: Option<QqOutput>,
     /// The last snapshot evaluated: where the next chain continues from.
     last_sid: Option<u64>,
-    /// `(sid, version)` of a memo hit on the chain the runner has not
+    /// `(sid, version)` of a memo hit on the chain the scanner has not
     /// caught up with: its state predates `sid`, so the next scan must
     /// first import the seed memoized there (or rebuild without one).
     reprime: Option<(u64, u64)>,
@@ -185,32 +227,18 @@ impl QqSource {
             ));
         }
         let forced = policy == Some(DeltaPolicy::Forced);
-        let chain = match policy {
-            None | Some(DeltaPolicy::Off) => false,
-            // Lifetime extension has no delta source yet.
-            Some(_) if kind == MechanismKind::Intervals => {
+        let chain = match (policy, static_ineligibility(&parsed)) {
+            (None | Some(DeltaPolicy::Off), _) => false,
+            (Some(_), None) => true,
+            (Some(_), Some(reason)) => {
                 if forced {
-                    return Err(SqlError::Invalid(
-                        "DeltaPolicy::Forced is not supported for CollateDataIntoIntervals \
-                         (no delta path yet; see ROADMAP open items)"
-                            .into(),
-                    ));
+                    return Err(SqlError::Invalid(format!(
+                        "DeltaPolicy::Forced requires a delta-eligible Qq: {}",
+                        reason.message()
+                    )));
                 }
                 false
             }
-            // Joins, or `current_snapshot()` in WHERE — the scanner's
-            // cached filter would be wrong.
-            Some(_) if !shape_eligible(&parsed) => {
-                if forced {
-                    return Err(SqlError::Invalid(
-                        "DeltaPolicy::Forced requires a delta-eligible Qq: a single FROM \
-                         table, no joins, and no current_snapshot() in WHERE"
-                            .into(),
-                    ));
-                }
-                false
-            }
-            Some(_) => true,
         };
         // A snapshot whose scan fetched zero pages and produced no row
         // delta may reuse the previous iteration's output outright — but
@@ -229,7 +257,7 @@ impl QqSource {
             parsed,
             chain,
             forced,
-            runner: DeltaSelectRunner::new(),
+            scanner: DeltaTableScanner::new(),
             reusable,
             inner_spec,
             inner: None,
@@ -310,7 +338,7 @@ impl QqSource {
         let output = match (cached, reader) {
             (Some(data), reader) => {
                 if reader.is_some() {
-                    // The chain moved past `sid` without the runner: the
+                    // The chain moved past `sid` without the scanner: the
                     // seed memoized here is its state as of `sid`, which
                     // only the next scan needs. The running inner
                     // aggregate cannot absorb a skipped iteration, so it
@@ -326,10 +354,10 @@ impl QqSource {
         };
         if let (false, Some((m, v))) = (memo_hit, self.memo.as_ref().zip(version)) {
             // Share the rows the fold is about to read, and — when a scan
-            // just left the runner at `sid` — its state, so a future run
+            // just left the scanner at `sid` — its state, so a future run
             // whose chain passes through `sid` stays on the delta path.
             m.record_result(sid, v, Arc::clone(&output.data));
-            if let Some(seed) = self.runner.export_seed() {
+            if let Some(seed) = self.scanner.export_seed() {
                 m.record_seed(sid, v, seed);
             }
         }
@@ -347,14 +375,14 @@ impl QqSource {
 
     /// The incremental inner aggregate's value at this scan, when it is
     /// live and still exact.
-    fn incremental(&mut self, scan: &DeltaScan) -> Result<Option<Value>> {
+    fn incremental(&mut self, scan: &DeltaScan, rows: &[Row]) -> Result<Option<Value>> {
         if scan.rebuilt {
             return Ok(None);
         }
         let Some(agg) = &mut self.inner else {
             return Ok(None);
         };
-        let value = agg.apply(scan)?;
+        let value = agg.apply(scan, rows)?;
         if value.is_none() {
             // Exactness lost: stay on the pipeline for good.
             self.inner = None;
@@ -363,42 +391,46 @@ impl QqSource {
         Ok(value)
     }
 
-    /// The delta-aware scan at `sid`, consuming the chain delta carried
-    /// by `reader`.
+    /// Qq at `sid` over `reader`, the scanner consuming the chain delta
+    /// the reader carries.
     fn scan(&mut self, snap: &Database, reader: &SnapshotReader, sid: u64) -> Result<QqOutput> {
         if let Some((hit_sid, hit_version)) = self.reprime.take() {
             let seed = (self.memo.as_ref()).and_then(|m| m.lookup_seed(hit_sid, hit_version));
             match seed {
-                Some(seed) => self.runner.import_seed(&seed),
-                None => self.runner.invalidate(),
+                Some(seed) => self.scanner.import_seed(&seed),
+                None => self.scanner.invalidate(),
             }
         }
         let rewritten = rewrite_select(&self.parsed, sid);
-        let Some((scan, mut stats)) = snap.delta_scan(reader, &rewritten, &mut self.runner)? else {
+        let mut scanned = snap.scan_stage(reader, &rewritten, Some(&mut self.scanner))?;
+        let Some(scan) = scanned.delta.take() else {
+            // The planner had no use for the scanner here (it is left
+            // invalidated, so the next served scan rebuilds and re-seeds):
+            // these are the ordinary plan's rows over the chain reader.
             if self.forced {
                 return Err(SqlError::Invalid(format!(
-                    "DeltaPolicy::Forced, but snapshot {sid} requires the ordinary plan \
-                     (indexed equality probe or UDF in WHERE)"
+                    "DeltaPolicy::Forced, but snapshot {sid} runs the ordinary plan ({})",
+                    scanned.plan.join("; ")
                 )));
             }
-            // The runner has self-invalidated, so the next successful
-            // scan rebuilds and re-seeds.
             rql_trace::instant_arg(rql_trace::SpanId::SeqPath, sid);
             self.inner = None;
-            return self.execute(snap, sid);
+            return Ok(snap.finish_stage(&rewritten, scanned)?.into());
         };
         rql_trace::instant_arg(rql_trace::SpanId::DeltaPath, sid);
         let skip = scan.snapshot_skip();
         if skip == Some(SkipReason::Pruned) {
             // The store-level counter feeds METRICS; the local snapshot
-            // was taken inside delta_scan, before this decision, so the
-            // iteration's stats need the bump too or the report
+            // was taken inside the scan stage, before this decision, so
+            // the iteration's stats need the bump too or the report
             // under-counts.
             snap.io_stats().count_snapshot_pruned();
-            stats.io.snapshots_pruned += 1;
+            scanned.stats.io.snapshots_pruned += 1;
             rql_trace::instant_arg(rql_trace::SpanId::SnapshotPruned, sid);
         }
-        Ok(match (self.incremental(&scan)?, &self.current) {
+        let mut stats = scanned.stats;
+        let incremental = self.incremental(&scan, &scanned.rows)?;
+        Ok(match (incremental, &self.current) {
             (Some(v), Some(prev)) => {
                 // The value a fresh execution would return is exactly
                 // this one row, under the column the pipeline named.
@@ -422,23 +454,20 @@ impl QqSource {
                 }
             }
             _ => {
-                // Pipeline: same post-scan stages as the ordinary plan
-                // over the cached base rows. An incremental aggregate
-                // that is stale (or just lost exactness) re-seeds here.
+                // Pipeline: the ordinary finish stage over the cached
+                // base rows. An incremental aggregate that is stale (or
+                // just lost exactness) re-seeds here.
                 self.inner = match &self.inner_spec {
                     Some(spec) => {
-                        InnerAgg::seed(spec, &self.parsed, &Catalog::load(reader)?, &scan.rows)?
+                        let catalog = Catalog::load(reader)?;
+                        InnerAgg::seed(spec, &self.parsed, &catalog, &scanned.rows)?
                     }
                     None => None,
                 };
                 if self.inner.is_none() {
                     self.inner_spec = None;
                 }
-                let fin = snap.delta_finish(reader, &rewritten, scan.rows)?;
-                stats.eval += fin.stats.eval;
-                stats.io.accumulate(&fin.stats.io);
-                stats.rows = fin.stats.rows;
-                QqOutput::from(QueryResult { stats, ..fin })
+                snap.finish_stage(&rewritten, scanned)?.into()
             }
         })
     }
@@ -678,10 +707,11 @@ impl InnerAgg {
         Ok(self.acc.guard_ok())
     }
 
-    /// Fold one non-rebuilt scan's delta and return the iteration's Qq
-    /// value, bit-identical to a fresh evaluation. `None` = exactness
-    /// lost: the caller must recompute via the pipeline.
-    fn apply(&mut self, scan: &DeltaScan) -> Result<Option<Value>> {
+    /// Fold one non-rebuilt scan's delta (`rows` being the scan's full
+    /// row set) and return the iteration's Qq value, bit-identical to a
+    /// fresh evaluation. `None` = exactness lost: the caller must
+    /// recompute via the pipeline.
+    fn apply(&mut self, scan: &DeltaScan, rows: &[Row]) -> Result<Option<Value>> {
         let arg = &self.arg;
         if let InnerAcc::MinMax { max, best } = &mut self.acc {
             let max = *max;
@@ -730,7 +760,7 @@ impl InnerAgg {
             }
             if refold {
                 *best = None;
-                if !self.refold(&scan.rows)? {
+                if !self.refold(rows)? {
                     return Ok(None);
                 }
             }
@@ -775,15 +805,22 @@ mod tests {
     }
 
     #[test]
-    fn shape_eligibility_rules() {
-        assert!(shape_eligible(&parsed("SELECT v FROM t")));
-        assert!(shape_eligible(&parsed(
-            "SELECT current_snapshot(), v FROM t WHERE v > 0"
-        )));
-        assert!(!shape_eligible(&parsed("SELECT a FROM t, u")));
-        assert!(!shape_eligible(&parsed(
-            "SELECT v FROM t WHERE v = current_snapshot()"
-        )));
+    fn static_eligibility_rules() {
+        let why = |sql: &str| static_ineligibility(&parsed(sql));
+        assert_eq!(why("SELECT v FROM t"), None);
+        assert_eq!(
+            why("SELECT current_snapshot(), my_udf(v) FROM t WHERE upper(v) > 'A'"),
+            None
+        );
+        assert_eq!(why("SELECT a FROM t, u"), Some(DeltaIneligible::Shape));
+        assert_eq!(
+            why("SELECT v FROM t WHERE v = current_snapshot()"),
+            Some(DeltaIneligible::SnapshotDependentWhere)
+        );
+        assert_eq!(
+            why("SELECT v FROM t WHERE my_udf(v) > 0"),
+            Some(DeltaIneligible::UdfInWhere)
+        );
     }
 
     #[test]

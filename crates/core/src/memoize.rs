@@ -36,6 +36,7 @@ use rql_memo::{EntryKind, MemoKey, MemoStore, MemoValue, QqRows};
 use rql_pagestore::fnv1a;
 use rql_retro::RetroStore;
 use rql_sqlengine::ast::{is_aggregate_name, Expr, SelectItem, SelectStmt};
+use rql_sqlengine::cexpr::is_builtin_scalar;
 use rql_sqlengine::ScannerSeed;
 
 use crate::rewrite::{render_select, CURRENT_SNAPSHOT};
@@ -47,28 +48,15 @@ pub fn qq_fingerprint(parsed: &SelectStmt) -> u64 {
     fnv1a(render_select(parsed).as_bytes())
 }
 
-/// Does the expression call a user-defined function anywhere? Mirrors
-/// the delta scanner's rule: builtins, aggregates and
+/// Does the expression call a user-defined function anywhere? The
+/// engine's builtins ([`is_builtin_scalar`]), aggregates and
 /// `current_snapshot()` are engine-evaluated; anything else resolves to
 /// a UDF whose output may vary between invocations.
 pub(crate) fn expr_calls_udf(e: &Expr) -> bool {
     match e {
         Expr::Function { name, args, .. } => {
-            let builtin = matches!(
-                name.as_str(),
-                "abs"
-                    | "length"
-                    | "lower"
-                    | "upper"
-                    | "typeof"
-                    | "ifnull"
-                    | "nullif"
-                    | "round"
-                    | "substr"
-                    | "coalesce"
-            );
-            (!builtin && !is_aggregate_name(name) && name != CURRENT_SNAPSHOT)
-                || args.iter().any(expr_calls_udf)
+            let engine = is_builtin_scalar(name) || is_aggregate_name(name);
+            (!engine && name != CURRENT_SNAPSHOT) || args.iter().any(expr_calls_udf)
         }
         Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => expr_calls_udf(expr),
         Expr::Binary { lhs, rhs, .. } => expr_calls_udf(lhs) || expr_calls_udf(rhs),
@@ -205,6 +193,14 @@ mod tests {
         let lit_a = qq_fingerprint(&parsed("SELECT a FROM t WHERE a = 'X'"));
         let lit_b = qq_fingerprint(&parsed("SELECT a FROM t WHERE a = 'x'"));
         assert_ne!(lit_a, lit_b);
+    }
+
+    #[test]
+    fn every_engine_builtin_is_memo_eligible() {
+        for name in rql_sqlengine::cexpr::BUILTIN_SCALARS {
+            let qq = format!("SELECT {name}(a) FROM t WHERE {name}(a) IS NOT NULL");
+            assert!(memo_eligible(&parsed(&qq)), "{name} is engine-evaluated");
+        }
     }
 
     #[test]

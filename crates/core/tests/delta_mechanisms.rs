@@ -312,16 +312,14 @@ fn forced_policy_errors_on_ineligible_shapes() {
             DeltaPolicy::Forced,
         )
         .is_err());
-    // CollateDataIntoIntervals still has no delta path and refuses Forced.
-    assert!(
-        session
-            .collate_data_into_intervals_with_policy(
-                QS,
-                "SELECT grp FROM m",
-                "x5",
-                DeltaPolicy::Forced,
-            )
-            .is_err()
+    // CollateDataIntoIntervals reads Qq's output like every other fold,
+    // so it runs over the delta chain under Forced too.
+    let forced = session
+        .collate_data_into_intervals_with_policy(QS, "SELECT grp FROM m", "x5", DeltaPolicy::Forced)
+        .unwrap();
+    assert_eq!(
+        forced.accumulated_stats().delta_eligible,
+        forced.iterations.len() as u64
     );
     // Eligible AggTable shapes run the pipeline under Forced.
     session
@@ -336,6 +334,7 @@ fn forced_policy_errors_on_ineligible_shapes() {
     session
         .collate_data_into_intervals_with_policy(QS, "SELECT grp FROM m", "x7", DeltaPolicy::Auto)
         .unwrap();
+    assert_tables_identical(&session, "x5", "x7");
     // Auto silently falls back to the sequential path on a join shape.
     session
         .collate_data_with_policy(
@@ -353,6 +352,74 @@ fn forced_policy_errors_on_ineligible_shapes() {
         )
         .unwrap();
     assert_tables_identical(&session, "x9", "x8");
+}
+
+/// A Qq the scanner cannot serve does each snapshot's work once: under
+/// `Auto` an indexed equality probe runs the ordinary plan over the chain
+/// reader already in hand (no second SPT for the snapshot), and a UDF in
+/// WHERE is known from the text, so no chain is opened at all. Either way
+/// the answer is `Off`'s and the Maplog is scanned no more than `Off`
+/// scans it.
+#[test]
+fn unserved_qq_is_not_executed_twice() {
+    let session = RqlSession::with_defaults().unwrap();
+    session
+        .execute("CREATE TABLE p (k INTEGER, v INTEGER)")
+        .unwrap();
+    session.execute("CREATE INDEX p_k ON p (k)").unwrap();
+    session.snap_db().register_udf("is_seven", |args| {
+        Ok(Value::Integer((args[0] == Value::Integer(7)).into()))
+    });
+    for s in 0..4i64 {
+        for k in 0..12i64 {
+            session
+                .execute(&format!("INSERT INTO p VALUES ({k}, {})", k * 10 + s))
+                .unwrap();
+        }
+        session.execute("BEGIN; COMMIT WITH SNAPSHOT;").unwrap();
+    }
+    let maplog_scanned = |run: &dyn Fn()| {
+        let io = session.snap_db().io_stats();
+        let before = io.snapshot();
+        run();
+        io.snapshot().delta(&before).maplog_entries_scanned
+    };
+    for (tag, qq) in [
+        ("idx", "SELECT k, v FROM p WHERE k = 7"),
+        ("udf", "SELECT k, v FROM p WHERE is_seven(k)"),
+    ] {
+        let (off_t, auto_t) = (format!("{tag}_off"), format!("{tag}_auto"));
+        let off = maplog_scanned(&|| {
+            session
+                .collate_data_with_policy(QS, qq, &off_t, DeltaPolicy::Off)
+                .unwrap();
+        });
+        let auto = maplog_scanned(&|| {
+            let report = session
+                .collate_data_with_policy(QS, qq, &auto_t, DeltaPolicy::Auto)
+                .unwrap();
+            assert_eq!(report.accumulated_stats().delta_eligible, 0, "{qq}");
+        });
+        assert_tables_identical(&session, &off_t, &auto_t);
+        assert_eq!(session.aux_db().table_row_count(&auto_t).unwrap(), 10);
+        assert!(
+            auto <= off,
+            "{qq}: Auto scanned {auto} Maplog entries, Off {off}"
+        );
+        let err = session
+            .collate_data_with_policy(QS, qq, &format!("{tag}_forced"), DeltaPolicy::Forced)
+            .unwrap_err()
+            .to_string();
+        match tag {
+            // Only the snapshot's catalog knows about the index: the
+            // error comes from the iteration and names it.
+            "idx" => assert!(
+                err.contains("snapshot 1") && err.contains("index scan via p_k"),
+                "{err}"
+            ),
+            _ => assert!(err.contains("RQL205"), "{err}"),
+        }
+    }
 }
 
 #[test]

@@ -20,6 +20,7 @@ use crate::heap::{FreeSpaceMap, HeapFile};
 use crate::pagesource::PageSource;
 use crate::record::encode_row;
 use crate::schema::{IndexSchema, TableSchema};
+use crate::sidecar::PredSummary;
 use crate::value::Value;
 
 /// A table known to the catalog.
@@ -74,7 +75,7 @@ impl Catalog {
             return Ok(catalog);
         }
         let heap = HeapFile::new(Self::ROOT);
-        heap.scan(src, |_, row| {
+        heap.scan(src, &PredSummary::default(), |_, row| {
             catalog.add_row(&row)?;
             Ok(true)
         })?;
@@ -238,7 +239,7 @@ impl Catalog {
         let lower = name.to_ascii_lowercase();
         let catalog_heap = HeapFile::new(Self::ROOT);
         let mut to_delete = Vec::new();
-        catalog_heap.scan(txn, |rid, row| {
+        catalog_heap.scan(txn, &PredSummary::default(), |rid, row| {
             let kind = row[0].as_str().unwrap_or("");
             let obj_name = row[1].as_str().unwrap_or("");
             let obj_table = row[2].as_str().unwrap_or("");

@@ -239,6 +239,29 @@ impl CExpr {
         }
     }
 
+    /// Whether the expression calls a user-defined function anywhere.
+    /// UDFs may close over external state (the RQL loop-body pattern), so
+    /// rows filtered through one cannot be cached across scans.
+    pub fn calls_udf(&self) -> bool {
+        match self {
+            CExpr::Const(_) | CExpr::Col(_) | CExpr::Agg(_) => false,
+            CExpr::Unary(_, e) | CExpr::IsNull(e, _) => e.calls_udf(),
+            CExpr::Binary(_, a, b) | CExpr::Like(a, b, _) => a.calls_udf() || b.calls_udf(),
+            CExpr::Func { udf, args, .. } => udf.is_some() || args.iter().any(CExpr::calls_udf),
+            CExpr::InList(e, list, _) => e.calls_udf() || list.iter().any(CExpr::calls_udf),
+            CExpr::Between(e, lo, hi, _) => e.calls_udf() || lo.calls_udf() || hi.calls_udf(),
+            CExpr::Case {
+                operand,
+                arms,
+                else_branch,
+            } => {
+                operand.as_deref().is_some_and(CExpr::calls_udf)
+                    || arms.iter().any(|(w, t)| w.calls_udf() || t.calls_udf())
+                    || else_branch.as_deref().is_some_and(CExpr::calls_udf)
+            }
+        }
+    }
+
     /// Offsets of all referenced columns.
     pub fn column_offsets(&self, out: &mut Vec<usize>) {
         match self {
@@ -421,20 +444,15 @@ fn compile_inner(
     })
 }
 
-fn is_builtin_scalar(name: &str) -> bool {
-    matches!(
-        name,
-        "abs"
-            | "length"
-            | "lower"
-            | "upper"
-            | "substr"
-            | "coalesce"
-            | "ifnull"
-            | "nullif"
-            | "typeof"
-            | "round"
-    )
+/// The scalar functions the engine evaluates itself (lower-case). Any
+/// other non-aggregate function name resolves to a registered UDF.
+pub const BUILTIN_SCALARS: &[&str] = &[
+    "abs", "length", "lower", "upper", "substr", "coalesce", "ifnull", "nullif", "typeof", "round",
+];
+
+/// Whether `name` (lower-case) is one of [`BUILTIN_SCALARS`].
+pub fn is_builtin_scalar(name: &str) -> bool {
+    BUILTIN_SCALARS.contains(&name)
 }
 
 /// Evaluate a compiled expression against a row and (optionally) finished

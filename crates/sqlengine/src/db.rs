@@ -22,9 +22,9 @@ use crate::ast::{InsertSource, SelectStmt, Stmt};
 use crate::cancel::CancelToken;
 use crate::catalog::Catalog;
 use crate::cexpr::{compile, eval, Scope};
-use crate::delta::{self, DeltaScan, DeltaSelectRunner};
+use crate::delta::DeltaTableScanner;
 use crate::error::{Result, SqlError};
-use crate::exec::{run_select_cancellable, QueryResult};
+use crate::exec::{finish_select, run_select_cancellable, scan_select, QueryResult, Scanned};
 use crate::exec_stats::ExecStats;
 use crate::heap::{FreeSpaceMap, RecordId};
 use crate::parser::parse_statements;
@@ -264,16 +264,8 @@ impl Database {
                     )));
                 };
                 let reader = self.store.open_snapshot(sid as u64)?;
-                let spt_build = reader.build_stats().duration;
-                let catalog = Catalog::load(&reader)?;
-                let mut r =
-                    run_select_cancellable(select, &reader, &catalog, &udfs, Some(&self.cancel))?;
-                r.stats.spt_build = spt_build;
-                // Snapshot scans are the pruning workload: learn this
-                // query's refutable columns so future commits (and a
-                // backfill now) carry sidecars for them.
-                self.note_query_filter_cols(select, &catalog, &udfs);
-                r
+                let scanned = self.scan_stage(&reader, select, None)?;
+                self.finish_stage(select, scanned)?
             }
             None => {
                 // Inside an open transaction, read through it (own writes
@@ -310,103 +302,50 @@ impl Database {
         self.run_select_dispatch(&with_as_of)
     }
 
-    // ---- delta-aware reads ----------------------------------------------
+    // ---- the two stages over a snapshot reader ----------------------------
 
-    /// Run `select` over `reader` through `runner`'s delta-aware scan,
-    /// then the ordinary post-scan stages — output is byte-identical to
-    /// [`Self::query_as_of`] for the same snapshot. Returns `Ok(None)`
-    /// when the shape is not delta-scannable (the caller must fall back
-    /// to the ordinary path and the runner has self-invalidated).
-    ///
-    /// `reader` should come from
-    /// [`rql_retro::RetroStore::open_snapshot_chain`] so it carries a
-    /// changed-page set; without one the scan still works but rebuilds.
-    pub fn delta_query(
+    /// The scan stage of `select` over `reader` (see
+    /// [`crate::exec::scan_select`]): `AS OF` is this with a fresh reader
+    /// and no scanner; the RQL loop passes a reader of its snapshot chain
+    /// and the scanner it keeps across iterations, and reads
+    /// [`Scanned::delta`] to decide whether [`Self::finish_stage`] has to
+    /// run. A reader from [`rql_retro::RetroStore::open_snapshot_chain`]
+    /// carries a changed-page set; without one the scanner still works
+    /// but rebuilds.
+    pub fn scan_stage(
         &self,
         reader: &SnapshotReader,
         select: &SelectStmt,
-        runner: &mut DeltaSelectRunner,
-    ) -> Result<Option<QueryResult>> {
-        let Some((scan, mut stats)) = self.delta_scan(reader, select, runner)? else {
-            return Ok(None);
-        };
-        let table = select.from[0].name.clone();
+        scanner: Option<&mut DeltaTableScanner>,
+    ) -> Result<Scanned> {
         let udfs = self.udfs.read().clone();
         let io_before = self.io_stats().snapshot();
-        let started = Instant::now();
         let catalog = Catalog::load(reader)?;
-        let (columns, rows) = delta::finish_over_rows(select, scan.rows, &catalog, &udfs)?;
-        stats.eval += started.elapsed();
-        stats
-            .io
-            .accumulate(&self.io_stats().snapshot().delta(&io_before));
-        stats.rows = rows.len() as u64;
-        Ok(Some(QueryResult {
-            columns,
-            rows,
-            stats,
-            plan: vec![format!("{table}: delta seq scan")],
-        }))
+        let cancel = Some(&self.cancel);
+        let mut scanned = scan_select(select, reader, &catalog, &udfs, cancel, scanner)?;
+        // Snapshot scans are the pruning workload: learn this query's
+        // refutable columns so future commits (and a backfill now) carry
+        // sidecars for them.
+        if let Some((table, cols)) = scanned.refutable.take() {
+            self.note_filter_cols(&table, &cols);
+        }
+        scanned.stats.spt_build = reader.build_stats().duration;
+        scanned.stats.io = self.io_stats().snapshot().delta(&io_before);
+        if scanned.delta.is_none() {
+            scanned.stats.pages_pruned_filter = scanned.stats.io.pages_pruned;
+        }
+        Ok(scanned)
     }
 
-    /// The scan half of [`Self::delta_query`]: filtered base rows plus
-    /// the row delta against the runner's previous scan, without the
-    /// projection/aggregation stages. Incremental consumers (the RQL
-    /// delta mechanisms) fold `added`/`removed` into their own state and
-    /// only pay [`Self::delta_finish`] when they cannot.
-    pub fn delta_scan(
-        &self,
-        reader: &SnapshotReader,
-        select: &SelectStmt,
-        runner: &mut DeltaSelectRunner,
-    ) -> Result<Option<(DeltaScan, ExecStats)>> {
+    /// The finish stage over what [`Self::scan_stage`] produced: the
+    /// query's result, with both stages' cost.
+    pub fn finish_stage(&self, select: &SelectStmt, scanned: Scanned) -> Result<QueryResult> {
         let udfs = self.udfs.read().clone();
         let io_before = self.io_stats().snapshot();
-        let started = Instant::now();
-        let catalog = Catalog::load(reader)?;
-        let Some(scan) = runner.scan(select, reader, &catalog, &udfs)? else {
-            return Ok(None);
-        };
-        self.note_query_filter_cols(select, &catalog, &udfs);
-        let stats = ExecStats {
-            spt_build: reader.build_stats().duration,
-            eval: started.elapsed(),
-            io: self.io_stats().snapshot().delta(&io_before),
-            pages_skipped_delta: scan.pages_skipped,
-            pages_pruned_filter: scan.pages_pruned,
-            delta_eligible: 1,
-            ..Default::default()
-        };
-        Ok(Some((scan, stats)))
-    }
-
-    /// The pipeline half: run `select`'s post-scan stages over base rows
-    /// a delta scan produced (in scan order). Same code path as the
-    /// ordinary plan, so given the same rows the output is identical.
-    pub fn delta_finish(
-        &self,
-        reader: &SnapshotReader,
-        select: &SelectStmt,
-        rows: Vec<Row>,
-    ) -> Result<QueryResult> {
-        let table = select.from[0].name.clone();
-        let udfs = self.udfs.read().clone();
-        let io_before = self.io_stats().snapshot();
-        let started = Instant::now();
-        let catalog = Catalog::load(reader)?;
-        let (columns, out_rows) = delta::finish_over_rows(select, rows, &catalog, &udfs)?;
-        let stats = ExecStats {
-            eval: started.elapsed(),
-            io: self.io_stats().snapshot().delta(&io_before),
-            rows: out_rows.len() as u64,
-            ..Default::default()
-        };
-        Ok(QueryResult {
-            columns,
-            rows: out_rows,
-            stats,
-            plan: vec![format!("{table}: delta seq scan")],
-        })
+        let mut result = finish_select(select, scanned, &udfs)?;
+        let io = self.io_stats().snapshot().delta(&io_before);
+        result.stats.io.accumulate(&io);
+        Ok(result)
     }
 
     fn eval_const_expr(&self, expr: &crate::ast::Expr) -> Result<Value> {
@@ -484,17 +423,11 @@ impl Database {
             let Some(info) = catalog.table(tname) else {
                 continue;
             };
-            let mut pid = info.root;
-            loop {
-                let page = view.page(pid)?;
-                if let Some(bytes) = crate::sidecar::build_sidecar(pid, &page, cols) {
+            info.heap().for_each_page(&view, |pid, page| {
+                if let Some(bytes) = crate::sidecar::build_sidecar(pid, page, cols) {
                     entries.push((pid, bytes));
                 }
-                match crate::heap::page_next(&page) {
-                    Some(n) => pid = n,
-                    None => break,
-                }
-            }
+            })?;
         }
         Ok(self.store.install_current_sidecars(epoch, entries))
     }
@@ -519,51 +452,19 @@ impl Database {
         }));
     }
 
-    /// Auto-inference: fold the refutable (`col ⋄ const`) columns of a
-    /// single-table snapshot query into the table's filter set, unless
-    /// it was explicitly declared. On growth, refresh the commit-time
-    /// builder and backfill current pages so pruning starts now rather
-    /// than after the next rewrite of each page.
-    fn note_query_filter_cols(&self, select: &SelectStmt, catalog: &Catalog, udfs: &UdfRegistry) {
-        if select.from.len() != 1 || !select.joins.is_empty() {
-            return;
-        }
-        let Some(w) = &select.where_clause else {
-            return;
-        };
-        let Ok(info) = catalog.require_table(&select.from[0].name) else {
-            return;
-        };
-        let alias = select.from[0].binding().to_ascii_lowercase();
-        let mut scope = Scope::empty();
-        scope.push(
-            &alias,
-            info.schema.columns.iter().map(|c| c.name.clone()).collect(),
-        );
-        let mut conjuncts = Vec::new();
-        crate::exec::collect_conjuncts(w, &mut conjuncts);
-        let mut compiled = Vec::with_capacity(conjuncts.len());
-        for c in conjuncts {
-            let Ok(cc) = compile(c, &scope, udfs, None) else {
-                return;
-            };
-            compiled.push(cc);
-        }
-        let pred = PredSummary::from_conjuncts(compiled.iter(), 0);
-        let mut cols: Vec<usize> = pred
-            .atoms
-            .iter()
-            .map(super::sidecar::PredAtom::col)
-            .collect();
-        cols.sort_unstable();
-        cols.dedup();
+    /// Auto-inference: fold the refutable (`col ⋄ const`) columns the scan
+    /// stage found in a single-table snapshot query into the table's
+    /// filter set, unless it was explicitly declared. On growth, refresh
+    /// the commit-time builder and backfill current pages so pruning
+    /// starts now rather than after the next rewrite of each page.
+    fn note_filter_cols(&self, table: &str, cols: &[usize]) {
         if cols.is_empty() {
             return;
         }
         let grew = {
             let mut reg = self.filter_cols.write();
             let entry = reg
-                .entry(info.schema.name.to_ascii_lowercase())
+                .entry(table.to_ascii_lowercase())
                 .or_insert_with(|| FilterCols {
                     cols: Vec::new(),
                     declared: false,
@@ -572,7 +473,7 @@ impl Database {
                 false
             } else {
                 let before = entry.cols.len();
-                for c in cols {
+                for &c in cols {
                     if !entry.cols.contains(&c) {
                         entry.cols.push(c);
                     }
@@ -817,7 +718,7 @@ impl Database {
             let heap = info.heap();
             let filter = db.compile_row_filter(&info, where_clause, &udfs)?;
             let mut victims: Vec<(RecordId, Row)> = Vec::new();
-            heap.scan(&*txn, |rid, row| {
+            heap.scan(&*txn, &PredSummary::default(), |rid, row| {
                 if filter(&row)? {
                     victims.push((rid, row));
                 }
@@ -855,7 +756,7 @@ impl Database {
                 compiled_sets.push((pos, compile(e, &scope, &udfs, None)?));
             }
             let mut victims: Vec<(RecordId, Row)> = Vec::new();
-            heap.scan(&*txn, |rid, row| {
+            heap.scan(&*txn, &PredSummary::default(), |rid, row| {
                 if filter(&row)? {
                     victims.push((rid, row));
                 }
@@ -965,7 +866,7 @@ impl Database {
         let catalog = Catalog::load(&view)?;
         let info = catalog.require_table(table)?;
         let mut n = 0u64;
-        info.heap().scan(&view, |_, _| {
+        info.heap().scan(&view, &PredSummary::default(), |_, _| {
             n += 1;
             Ok(true)
         })?;

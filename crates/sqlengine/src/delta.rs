@@ -4,44 +4,45 @@
 //! set. Consecutive snapshots of a slowly-changing table share most of
 //! their heap pages, so re-reading the whole table per iteration wastes
 //! the dominant cost of the loop (the Pagelog reads of Figure 8). A
-//! [`DeltaTableScanner`] caches, per heap page, the filtered rows of the
-//! previous snapshot's scan and re-fetches **only the pages in the
-//! changed set** reported by [`PageSource::changed_pages`] (computed from
-//! Maplog declarations by `RetroStore::open_snapshot_chain`).
+//! [`DeltaTableScanner`] is a per-page cache of filtered rows that the
+//! ordinary seq scan ([`crate::exec`]'s scan stage) consults: it drives
+//! the one chain walk ([`HeapFile::walk`]), supplying the successor of
+//! every page **outside the changed set** reported by
+//! [`PageSource::changed_pages`] (computed from Maplog declarations by
+//! `RetroStore::open_snapshot_chain`) from its cache, so only changed
+//! pages are fetched and re-filtered. What is the scanner's own is the
+//! cache, the per-page row diff, and the portable seed; chain order, the
+//! cycle guard, sidecar pruning and the fetch are the walk's, and which
+//! statements may be served at all is the planner's decision.
 //!
 //! Correctness rests on three invariants:
 //!
 //! * the changed set is a *conservative superset* of pages whose bytes
 //!   differ between the two snapshots, so an unchanged page's cached rows
 //!   **and its cached `next` pointer** are still exact;
-//! * heap scan order is chain order × slot order, and
-//!   [`crate::heap::HeapFile::scan`] never reorders surviving pages, so
-//!   splicing cached per-page row vectors in walk order reproduces a full
-//!   scan's row order byte for byte;
+//! * heap scan order is chain order × slot order, and the walk never
+//!   reorders surviving pages, so splicing cached per-page row vectors in
+//!   walk order reproduces a full scan's row order byte for byte;
 //! * row comparison for the add/remove delta uses **representation
 //!   equality** ([`ExactValue`]), not SQL equality — `Integer(1)` and
 //!   `Real(1.0)` are SQL-equal but not byte-equal, and a delta consumer
 //!   folding `SUM` must see such a change.
 //!
 //! When anything is off — no changed set, different root, prior error —
-//! the scanner falls back to a full rebuild and reports `rebuilt = true`
-//! so consumers re-seed their incremental state.
+//! the same scan runs with the cache cleared and every page counted as
+//! changed, and reports `rebuilt = true` so consumers re-seed their
+//! incremental state.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use rql_pagestore::PageId;
 
-use crate::ast::SelectStmt;
-use crate::catalog::Catalog;
-use crate::cexpr::{compile, eval, CExpr, Scope};
-use crate::error::{Result, SqlError};
-use crate::exec;
-use crate::heap::{page_next, page_rows};
+use crate::error::Result;
+use crate::heap::{page_rows, HeapFile, PageVisit};
 use crate::pagesource::PageSource;
 use crate::record::Row;
 use crate::sidecar::PredSummary;
-use crate::udf::UdfRegistry;
 use crate::value::Value;
 
 /// A [`Value`] under representation equality: `Real` compares by bit
@@ -99,13 +100,10 @@ fn diff_rows(old: &[Row], new: &[Row], added: &mut Vec<Row>, removed: &mut Vec<R
     }
 }
 
-/// One scan's outcome: the full current row set plus the delta against
-/// the previous scan.
-#[derive(Debug)]
+/// One scan's delta against the scanner's previous scan (the scan's rows
+/// themselves go to the caller's row buffer).
+#[derive(Debug, Default)]
 pub struct DeltaScan {
-    /// All filtered rows of the current snapshot, in scan order — exactly
-    /// what a full seq scan with the same filter would produce.
-    pub rows: Vec<Row>,
     /// Rows present now but not in the previous scan (multiset,
     /// representation equality). Empty when `rebuilt`.
     pub added: Vec<Row>,
@@ -114,7 +112,7 @@ pub struct DeltaScan {
     pub removed: Vec<Row>,
     /// `true` when the scanner had no usable previous state and read
     /// every page; `added`/`removed` are meaningless and incremental
-    /// consumers must re-seed from `rows`.
+    /// consumers must re-seed from the scan's rows.
     pub rebuilt: bool,
     /// Heap pages fetched through the source.
     pub pages_read: u64,
@@ -199,49 +197,36 @@ pub struct ScannerSeed {
     pub pages: Vec<SeedPage>,
 }
 
-/// A stateful scanner over one table's heap chain that re-reads only
-/// changed pages between consecutive scans.
+/// A per-page cache of one table's filtered rows, letting a scan re-read
+/// only the pages that changed since the previous one.
 ///
 /// The cached rows are **post-filter**, so a scanner is only valid for a
 /// fixed filter; callers re-creating the filter per scan must guarantee
 /// it is equivalent each time (the RQL delta driver compiles it from the
 /// same `Qq` text once per loop).
+#[derive(Default)]
 pub struct DeltaTableScanner {
+    /// Heap root the cache describes; `None` = no usable state.
     root: Option<PageId>,
     cache: HashMap<u64, CachedPage>,
-    valid: bool,
-}
-
-impl Default for DeltaTableScanner {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl DeltaTableScanner {
     /// Empty scanner; the first scan is always a rebuild.
     pub fn new() -> Self {
-        DeltaTableScanner {
-            root: None,
-            cache: HashMap::new(),
-            valid: false,
-        }
+        Self::default()
     }
 
     /// Drop all cached state; the next scan rebuilds from scratch.
     pub fn invalidate(&mut self) {
         self.root = None;
         self.cache.clear();
-        self.valid = false;
     }
 
     /// Export the cache as a portable seed, or `None` if the scanner has
     /// no usable state (never scanned, or invalidated).
     pub fn export_seed(&self) -> Option<ScannerSeed> {
-        let root = match (self.valid, self.root) {
-            (true, Some(r)) => r.0,
-            _ => return None,
-        };
+        let root = self.root?.0;
         let pages = self
             .cache
             .iter()
@@ -259,411 +244,109 @@ impl DeltaTableScanner {
     /// filter, and the snapshot *preceding* the next scan in chain order
     /// — the scanner itself can only check the root.
     pub fn import_seed(&mut self, seed: &ScannerSeed) {
-        self.cache.clear();
         self.root = Some(PageId(seed.root));
-        for p in &seed.pages {
-            self.cache.insert(
-                p.page,
-                CachedPage {
-                    next: p.next.map(PageId),
-                    rows: Arc::clone(&p.rows),
-                },
-            );
-        }
-        self.valid = true;
-    }
-
-    /// Scan the heap rooted at `root` through `src`, returning filtered
-    /// rows plus the delta against the previous scan. Falls back to a
-    /// full rebuild when `src` reports no changed set, the root moved, or
-    /// the scanner was invalidated.
-    ///
-    /// When `pred` is non-empty, pages whose sidecar (via
-    /// [`PageSource::sidecar_for`]) refutes it are skipped without a
-    /// fetch; `pred` must be an over-approximation of `filter` (every
-    /// row passing `filter` satisfies every atom of `pred`).
-    pub fn scan<S: PageSource>(
-        &mut self,
-        src: &S,
-        root: PageId,
-        filter: &dyn Fn(&Row) -> Result<bool>,
-        pred: &PredSummary,
-    ) -> Result<DeltaScan> {
-        let result = self.scan_inner(src, root, filter, pred);
-        if result.is_err() {
-            // A partial walk may have updated some cache entries but not
-            // produced a delta; don't let a retry diff against it.
-            self.invalidate();
-        }
-        result
-    }
-
-    fn scan_inner<S: PageSource>(
-        &mut self,
-        src: &S,
-        root: PageId,
-        filter: &dyn Fn(&Row) -> Result<bool>,
-        pred: &PredSummary,
-    ) -> Result<DeltaScan> {
-        let use_delta = self.valid && self.root == Some(root) && src.changed_pages().is_some();
-        if !use_delta {
-            return self.rebuild(src, root, filter, pred);
-        }
-        let changed = src.changed_pages().expect("checked above");
-
-        let mut rows: Vec<Row> = Vec::new();
-        let mut added: Vec<Row> = Vec::new();
-        let mut removed: Vec<Row> = Vec::new();
-        let mut visited: HashSet<u64> = HashSet::new();
-        let mut pages_read = 0u64;
-        let mut pages_skipped = 0u64;
-        let mut pages_pruned = 0u64;
-        let mut pid = root;
-        loop {
-            if !visited.insert(pid.0) {
-                return Err(SqlError::Invalid(format!(
-                    "heap chain cycle at page {}",
-                    pid.0
-                )));
-            }
-            let next = if changed.contains(&pid) || !self.cache.contains_key(&pid.0) {
-                if let Some(next) = prune_page(src, pid, pred) {
-                    // The sidecar proved no row of this page version can
-                    // pass the filter: same outcome as fetching the page
-                    // and keeping nothing, minus the fetch.
-                    pages_pruned += 1;
-                    let old_rows = self
-                        .cache
-                        .get(&pid.0)
-                        .map_or(&[][..], |c| c.rows.as_slice());
-                    diff_rows(old_rows, &[], &mut added, &mut removed);
-                    self.cache.insert(
-                        pid.0,
-                        CachedPage {
-                            next,
-                            rows: Arc::default(),
-                        },
-                    );
-                    match next {
-                        Some(n) => {
-                            pid = n;
-                            continue;
-                        }
-                        None => break,
-                    }
-                }
-                let page = src.page(pid)?;
-                pages_read += 1;
-                let mut kept = Vec::new();
-                for row in page_rows(&page)? {
-                    if filter(&row)? {
-                        kept.push(row);
-                    }
-                }
-                let next = page_next(&page);
-                let old_rows = self
-                    .cache
-                    .get(&pid.0)
-                    .map_or(&[][..], |c| c.rows.as_slice());
-                diff_rows(old_rows, &kept, &mut added, &mut removed);
-                rows.extend(kept.iter().cloned());
-                self.cache.insert(
-                    pid.0,
-                    CachedPage {
-                        next,
-                        rows: Arc::new(kept),
-                    },
-                );
-                next
-            } else {
-                let entry = &self.cache[&pid.0];
-                pages_skipped += 1;
-                rows.extend(entry.rows.iter().cloned());
-                entry.next
-            };
-            match next {
-                Some(n) => pid = n,
-                None => break,
-            }
-        }
-        // Cache entries for pages no longer reachable from the root:
-        // their rows left the scan (defensive — the heap never unlinks
-        // pages today, but a vacuum would).
-        let orphans: Vec<u64> = self
-            .cache
-            .keys()
-            .copied()
-            .filter(|k| !visited.contains(k))
+        self.cache = seed
+            .pages
+            .iter()
+            .map(|p| {
+                let next = p.next.map(PageId);
+                let rows = Arc::clone(&p.rows);
+                (p.page, CachedPage { next, rows })
+            })
             .collect();
-        for k in orphans {
-            if let Some(entry) = self.cache.remove(&k) {
-                removed.extend(entry.rows.iter().cloned());
-            }
-        }
-        Ok(DeltaScan {
-            rows,
-            added,
-            removed,
-            rebuilt: false,
-            pages_read,
-            pages_skipped,
-            pages_pruned,
-        })
     }
 
-    fn rebuild<S: PageSource>(
+    /// Scan the heap rooted at `root` through `src`: append the rows
+    /// passing `keep` to `rows`, in scan order — exactly what a full seq
+    /// scan with the same filter would produce — and return the delta
+    /// against the previous scan. Without a usable previous state (never
+    /// scanned, invalidated, the root moved, or `src` reports no changed
+    /// set) the cache starts empty, every page counts as changed and
+    /// nothing is diffed.
+    ///
+    /// `pred` must over-approximate `keep` (every row passing `keep`
+    /// satisfies every atom of `pred`); see [`HeapFile::walk`].
+    pub fn scan<S: PageSource>(
         &mut self,
         src: &S,
         root: PageId,
-        filter: &dyn Fn(&Row) -> Result<bool>,
         pred: &PredSummary,
+        mut keep: impl FnMut(&Row) -> Result<bool>,
+        rows: &mut Vec<Row>,
     ) -> Result<DeltaScan> {
-        self.cache.clear();
-        self.root = Some(root);
-        let mut rows: Vec<Row> = Vec::new();
-        let mut visited: HashSet<u64> = HashSet::new();
-        let mut pages_read = 0u64;
-        let mut pages_pruned = 0u64;
-        let mut pid = root;
-        loop {
-            if !visited.insert(pid.0) {
-                return Err(SqlError::Invalid(format!(
-                    "heap chain cycle at page {}",
-                    pid.0
-                )));
-            }
-            if let Some(next) = prune_page(src, pid, pred) {
-                pages_pruned += 1;
-                self.cache.insert(
-                    pid.0,
-                    CachedPage {
-                        next,
-                        rows: Arc::default(),
-                    },
-                );
-                match next {
-                    Some(n) => {
-                        pid = n;
-                        continue;
-                    }
-                    None => break,
-                }
-            }
-            let page = src.page(pid)?;
-            pages_read += 1;
-            let mut kept = Vec::new();
-            for row in page_rows(&page)? {
-                if filter(&row)? {
-                    kept.push(row);
-                }
-            }
-            let next = page_next(&page);
-            rows.extend(kept.iter().cloned());
-            self.cache.insert(
-                pid.0,
-                CachedPage {
-                    next,
-                    rows: Arc::new(kept),
-                },
-            );
-            match next {
-                Some(n) => pid = n,
-                None => break,
-            }
-        }
-        self.valid = true;
-        Ok(DeltaScan {
-            rows,
-            added: Vec::new(),
-            removed: Vec::new(),
-            rebuilt: true,
-            pages_read,
-            pages_pruned,
-            pages_skipped: 0,
-        })
-    }
-}
-
-/// Consult `src`'s sidecar for `pid`: `Some(next)` when the sidecar
-/// refutes `pred` (the page can be skipped and the chain continued at
-/// `next`), `None` when the page must be read — no sidecar, a decode
-/// fault, an empty predicate, or a summary that can't rule the page out.
-fn prune_page<S: PageSource>(src: &S, pid: PageId, pred: &PredSummary) -> Option<Option<PageId>> {
-    if pred.is_empty() {
-        return None;
-    }
-    let sc = src.sidecar_for(pid)?;
-    if sc.refutes(pred) {
-        src.count_page_pruned();
-        Some(sc.next)
-    } else {
-        None
-    }
-}
-
-/// Does the compiled expression call a user-defined function anywhere?
-/// UDFs may close over external state (the RQL loop-body pattern), so a
-/// filter containing one cannot be assumed stable across scans.
-fn contains_udf(c: &CExpr) -> bool {
-    match c {
-        CExpr::Const(_) | CExpr::Col(_) | CExpr::Agg(_) => false,
-        CExpr::Unary(_, e) | CExpr::IsNull(e, _) => contains_udf(e),
-        CExpr::Binary(_, a, b) | CExpr::Like(a, b, _) => contains_udf(a) || contains_udf(b),
-        CExpr::Func { udf, args, .. } => udf.is_some() || args.iter().any(contains_udf),
-        CExpr::InList(e, list, _) => contains_udf(e) || list.iter().any(contains_udf),
-        CExpr::Between(e, lo, hi, _) => contains_udf(e) || contains_udf(lo) || contains_udf(hi),
-        CExpr::Case {
-            operand,
-            arms,
-            else_branch,
-        } => {
-            operand.as_deref().is_some_and(contains_udf)
-                || arms.iter().any(|(w, t)| contains_udf(w) || contains_udf(t))
-                || else_branch.as_deref().is_some_and(contains_udf)
-        }
-    }
-}
-
-/// Drives a [`DeltaTableScanner`] for one `SELECT` shape, deciding per
-/// catalog whether the delta path can reproduce the ordinary plan.
-///
-/// The delta path is taken only when the ordinary planner would pick a
-/// plain seq scan of a single table: one FROM table, no joins, no native
-/// index satisfying an equality conjunct (an index scan visits rows in
-/// key order, and byte-identical output requires identical row order),
-/// and no UDF calls in the WHERE clause (their results may vary between
-/// scans). On any other shape [`DeltaSelectRunner::scan`] returns
-/// `Ok(None)` and the caller must run the ordinary path.
-pub struct DeltaSelectRunner {
-    scanner: DeltaTableScanner,
-}
-
-impl Default for DeltaSelectRunner {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DeltaSelectRunner {
-    /// Fresh runner with an empty scanner.
-    pub fn new() -> Self {
-        DeltaSelectRunner {
-            scanner: DeltaTableScanner::new(),
-        }
-    }
-
-    /// Drop cached scan state (e.g. after a fallback execution that the
-    /// scanner did not observe).
-    pub fn invalidate(&mut self) {
-        self.scanner.invalidate();
-    }
-
-    /// Export the underlying scanner's state (see
-    /// [`DeltaTableScanner::export_seed`]).
-    pub fn export_seed(&self) -> Option<ScannerSeed> {
-        self.scanner.export_seed()
-    }
-
-    /// Import scanner state previously exported at the preceding
-    /// snapshot of the chain (see [`DeltaTableScanner::import_seed`]).
-    pub fn import_seed(&mut self, seed: &ScannerSeed) {
-        self.scanner.import_seed(seed);
-    }
-
-    /// Structural eligibility: a single FROM table and no joins. Cheap
-    /// pre-check; [`Self::scan`] still re-verifies against the catalog.
-    pub fn eligible_shape(select: &SelectStmt) -> bool {
-        select.from.len() == 1 && select.joins.is_empty()
-    }
-
-    /// Scan the FROM table through the delta scanner, applying all WHERE
-    /// conjuncts. Returns `Ok(None)` — after invalidating the scanner —
-    /// when the ordinary planner would not use a plain seq scan here.
-    pub fn scan<S: PageSource>(
-        &mut self,
-        select: &SelectStmt,
-        src: &S,
-        catalog: &Catalog,
-        udfs: &UdfRegistry,
-    ) -> Result<Option<DeltaScan>> {
-        if !Self::eligible_shape(select) {
-            self.scanner.invalidate();
-            return Ok(None);
-        }
-        let info = catalog.require_table(&select.from[0].name)?.clone();
-        let alias = select.from[0].binding().to_ascii_lowercase();
-        let mut scope = Scope::empty();
-        scope.push(
-            &alias,
-            info.schema.columns.iter().map(|c| c.name.clone()).collect(),
-        );
-
-        let mut ast_conjuncts = Vec::new();
-        if let Some(w) = &select.where_clause {
-            exec::collect_conjuncts(w, &mut ast_conjuncts);
-        }
-        let mut compiled: Vec<CExpr> = Vec::with_capacity(ast_conjuncts.len());
-        for c in ast_conjuncts {
-            compiled.push(compile(c, &scope, udfs, None)?);
-        }
-        for c in &compiled {
-            if contains_udf(c) {
-                self.scanner.invalidate();
-                return Ok(None);
-            }
-            // Mirror scan_base_table's probe detection: an equality
-            // conjunct over an indexed column makes the planner take an
-            // index scan, whose row order a chain walk cannot reproduce.
-            if let Some((off, _)) = exec::equality_probe(c) {
-                let col = &info.schema.columns[off].name;
-                if catalog.index_on_column(&info.schema.name, col).is_some() {
-                    self.scanner.invalidate();
-                    return Ok(None);
-                }
-            }
-        }
-        // Single-table scope: compiled `Col` offsets *are* table column
-        // indices, so the refutable summary uses col_base 0.
-        let pred = PredSummary::from_conjuncts(compiled.iter(), 0);
-        let filter = |row: &Row| -> Result<bool> {
-            for c in &compiled {
-                if !eval(c, row, &[])?.is_truthy() {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
+        let changed = src.changed_pages().filter(|_| self.root == Some(root));
+        let old = match changed {
+            Some(_) => std::mem::take(&mut self.cache),
+            None => HashMap::new(),
         };
-        self.scanner.scan(src, info.root, &filter, &pred).map(Some)
+        // The new state is installed only after a complete walk: a
+        // partial one must not leave anything a retry could diff against.
+        self.invalidate();
+        let mut cache = HashMap::with_capacity(old.len());
+        let mut scan = DeltaScan {
+            rebuilt: changed.is_none(),
+            ..DeltaScan::default()
+        };
+        HeapFile::new(root).walk(
+            src,
+            pred,
+            |pid| match changed {
+                Some(set) if !set.contains(&pid) => old.get(&pid.0).map(|c| c.next),
+                _ => None,
+            },
+            |pid, visit, next| {
+                let was = old.get(&pid.0).map(|c| &c.rows);
+                let now = match visit {
+                    PageVisit::Cached => {
+                        scan.pages_skipped += 1;
+                        Arc::clone(was.expect("the walk got this page's successor from `old`"))
+                    }
+                    PageVisit::Pruned => {
+                        scan.pages_pruned += 1;
+                        Arc::default()
+                    }
+                    PageVisit::Fetched(page) => {
+                        scan.pages_read += 1;
+                        let mut kept = Vec::new();
+                        for row in page_rows(page)? {
+                            if keep(&row)? {
+                                kept.push(row);
+                            }
+                        }
+                        Arc::new(kept)
+                    }
+                };
+                if !scan.rebuilt && !matches!(visit, PageVisit::Cached) {
+                    let was = was.map_or(&[][..], |rows| rows.as_slice());
+                    diff_rows(was, &now, &mut scan.added, &mut scan.removed);
+                }
+                rows.extend(now.iter().cloned());
+                cache.insert(pid.0, CachedPage { next, rows: now });
+                Ok(true)
+            },
+        )?;
+        // Cached pages no longer reachable from the root: their rows
+        // left the scan (defensive — the heap never unlinks pages today,
+        // but a vacuum would).
+        for (pid, entry) in &old {
+            if !cache.contains_key(pid) {
+                scan.removed.extend(entry.rows.iter().cloned());
+            }
+        }
+        self.root = Some(root);
+        self.cache = cache;
+        Ok(scan)
     }
-}
-
-/// Run the post-scan stages of `select` (projection/aggregation,
-/// DISTINCT, ORDER BY, LIMIT) over already-filtered base rows in scan
-/// order. This is [`exec::finish_select`] — the same code the ordinary
-/// plan runs — so the output is byte-identical to a full execution whose
-/// scan produced `rows`.
-pub fn finish_over_rows(
-    select: &SelectStmt,
-    rows: Vec<Row>,
-    catalog: &Catalog,
-    udfs: &UdfRegistry,
-) -> Result<(Vec<String>, Vec<Row>)> {
-    let info = catalog.require_table(&select.from[0].name)?;
-    let alias = select.from[0].binding().to_ascii_lowercase();
-    let cols: Vec<String> = info.schema.columns.iter().map(|c| c.name.clone()).collect();
-    let mut scope = Scope::empty();
-    scope.push(&alias, cols.clone());
-    let written = vec![(alias, cols)];
-    exec::finish_select(select, rows, &scope, &written, udfs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::{Database, ExecOutcome};
+    use crate::db::Database;
+    use crate::exec::Scanned;
     use crate::parser::parse_select;
     use rql_pagestore::PagerConfig;
-    use rql_retro::RetroConfig;
+    use rql_retro::{RetroConfig, SnapshotReader};
 
     fn small_page_db() -> std::sync::Arc<Database> {
         Database::in_memory(RetroConfig {
@@ -678,6 +361,29 @@ mod tests {
 
     fn snapshot(db: &Database) -> u64 {
         db.declare_snapshot().unwrap()
+    }
+
+    /// The scan stage of `sql` over `reader`, through the front door.
+    fn scan_stage(
+        db: &Database,
+        reader: &SnapshotReader,
+        sql: &str,
+        scanner: &mut DeltaTableScanner,
+    ) -> Scanned {
+        let select = parse_select(sql).unwrap();
+        db.scan_stage(reader, &select, Some(scanner)).unwrap()
+    }
+
+    /// [`scan_stage`] for a statement the scanner must serve.
+    fn delta_scan(
+        db: &Database,
+        reader: &SnapshotReader,
+        sql: &str,
+        scanner: &mut DeltaTableScanner,
+    ) -> (Vec<Row>, DeltaScan) {
+        let scanned = scan_stage(db, reader, sql, scanner);
+        let delta = scanned.delta.expect("seq-scannable shape");
+        (scanned.rows, delta)
     }
 
     #[test]
@@ -712,22 +418,23 @@ mod tests {
             db.execute(&format!("INSERT INTO t VALUES ({i}, 'row-{i}')"))
                 .unwrap();
         }
-        let select = parse_select("SELECT a, b FROM t WHERE a >= 10").unwrap();
-        let expected = db.query("SELECT a, b FROM t WHERE a >= 10").unwrap();
+        let sid = snapshot(&db);
+        let sql = "SELECT a, b FROM t WHERE a >= 10";
+        let expected = db.query_as_of(sid, sql).unwrap();
 
-        let view = db.store().current_view();
-        let catalog = Catalog::load(&view).unwrap();
-        let udfs = UdfRegistry::new();
-        let mut runner = DeltaSelectRunner::new();
-        let scan = runner
-            .scan(&select, &view, &catalog, &udfs)
-            .unwrap()
-            .expect("seq-scannable shape");
-        assert!(scan.rebuilt);
-        assert_eq!(scan.pages_skipped, 0);
-        let (cols, rows) = finish_over_rows(&select, scan.rows, &catalog, &udfs).unwrap();
-        assert_eq!(cols, expected.columns);
-        assert_eq!(rows, expected.rows);
+        // A lone reader carries no changed set: the scanner rebuilds.
+        let reader = db.store().open_snapshot(sid).unwrap();
+        let mut scanner = DeltaTableScanner::new();
+        let scanned = scan_stage(&db, &reader, sql, &mut scanner);
+        let delta = scanned.delta.as_ref().expect("seq-scannable shape");
+        assert!(delta.rebuilt);
+        assert_eq!(delta.pages_skipped, 0);
+        assert_eq!(scanned.plan, vec!["t: delta seq scan"]);
+        let result = db
+            .finish_stage(&parse_select(sql).unwrap(), scanned)
+            .unwrap();
+        assert_eq!(result.columns, expected.columns);
+        assert_eq!(result.rows, expected.rows);
     }
 
     #[test]
@@ -745,24 +452,15 @@ mod tests {
         let s2 = snapshot(&db);
 
         let readers = db.store().open_snapshot_chain(&[s1, s2]).unwrap();
-        let select = parse_select("SELECT a, b FROM t").unwrap();
-        let udfs = UdfRegistry::new();
-        let mut runner = DeltaSelectRunner::new();
+        let sql = "SELECT a, b FROM t";
+        let mut scanner = DeltaTableScanner::new();
 
-        let catalog1 = Catalog::load(&readers[0]).unwrap();
-        let scan1 = runner
-            .scan(&select, &readers[0], &catalog1, &udfs)
-            .unwrap()
-            .unwrap();
+        let (_, scan1) = delta_scan(&db, &readers[0], sql, &mut scanner);
         assert!(scan1.rebuilt);
         let total_pages = scan1.pages_read;
         assert!(total_pages > 3, "want a multi-page heap, got {total_pages}");
 
-        let catalog2 = Catalog::load(&readers[1]).unwrap();
-        let scan2 = runner
-            .scan(&select, &readers[1], &catalog2, &udfs)
-            .unwrap()
-            .unwrap();
+        let (rows2, scan2) = delta_scan(&db, &readers[1], sql, &mut scanner);
         assert!(!scan2.rebuilt);
         assert!(
             scan2.pages_skipped > 0,
@@ -773,8 +471,8 @@ mod tests {
         assert!(scan2.pages_read < total_pages);
 
         // Rows must equal a from-scratch AS OF scan, in order.
-        let expected = db.query_as_of(s2, "SELECT a, b FROM t").unwrap();
-        assert_eq!(scan2.rows, expected.rows);
+        let expected = db.query_as_of(s2, sql).unwrap();
+        assert_eq!(rows2, expected.rows);
 
         // The delta must describe exactly the one update.
         assert_eq!(
@@ -800,23 +498,14 @@ mod tests {
         let s2 = snapshot(&db);
 
         let readers = db.store().open_snapshot_chain(&[s1, s2]).unwrap();
-        let select = parse_select("SELECT a FROM t").unwrap();
-        let udfs = UdfRegistry::new();
-        let mut runner = DeltaSelectRunner::new();
-        let c1 = Catalog::load(&readers[0]).unwrap();
-        runner
-            .scan(&select, &readers[0], &c1, &udfs)
-            .unwrap()
-            .unwrap();
-        let c2 = Catalog::load(&readers[1]).unwrap();
-        let scan2 = runner
-            .scan(&select, &readers[1], &c2, &udfs)
-            .unwrap()
-            .unwrap();
+        let sql = "SELECT a FROM t";
+        let mut scanner = DeltaTableScanner::new();
+        delta_scan(&db, &readers[0], sql, &mut scanner);
+        let (rows2, scan2) = delta_scan(&db, &readers[1], sql, &mut scanner);
         assert_eq!(scan2.added, vec![vec![Value::Integer(100)]]);
         assert_eq!(scan2.removed, vec![vec![Value::Integer(5)]]);
-        let expected = db.query_as_of(s2, "SELECT a FROM t").unwrap();
-        assert_eq!(scan2.rows, expected.rows);
+        let expected = db.query_as_of(s2, sql).unwrap();
+        assert_eq!(rows2, expected.rows);
     }
 
     #[test]
@@ -833,30 +522,21 @@ mod tests {
         let s2 = snapshot(&db);
 
         let readers = db.store().open_snapshot_chain(&[s1, s2]).unwrap();
-        let select = parse_select("SELECT a, b FROM t").unwrap();
-        let udfs = UdfRegistry::new();
+        let sql = "SELECT a, b FROM t";
 
-        // Scan s1, export, and continue on a *fresh* runner via the seed.
-        let mut seeder = DeltaSelectRunner::new();
-        let c1 = Catalog::load(&readers[0]).unwrap();
-        seeder
-            .scan(&select, &readers[0], &c1, &udfs)
-            .unwrap()
-            .unwrap();
+        // Scan s1, export, and continue on a *fresh* scanner via the seed.
+        let mut seeder = DeltaTableScanner::new();
+        delta_scan(&db, &readers[0], sql, &mut seeder);
         let seed = seeder.export_seed().expect("seed after scan");
 
-        let mut fresh = DeltaSelectRunner::new();
+        let mut fresh = DeltaTableScanner::new();
         assert!(fresh.export_seed().is_none(), "fresh scanner has no seed");
         fresh.import_seed(&seed);
-        let c2 = Catalog::load(&readers[1]).unwrap();
-        let scan2 = fresh
-            .scan(&select, &readers[1], &c2, &udfs)
-            .unwrap()
-            .unwrap();
+        let (rows2, scan2) = delta_scan(&db, &readers[1], sql, &mut fresh);
         assert!(!scan2.rebuilt, "imported seed must keep the delta path");
         assert!(scan2.pages_skipped > 0);
-        let expected = db.query_as_of(s2, "SELECT a, b FROM t").unwrap();
-        assert_eq!(scan2.rows, expected.rows);
+        let expected = db.query_as_of(s2, sql).unwrap();
+        assert_eq!(rows2, expected.rows);
         assert_eq!(
             scan2.added,
             vec![vec![Value::Integer(30), Value::text("CHANGED")]]
@@ -879,80 +559,123 @@ mod tests {
         let s2 = snapshot(&db);
 
         let readers = db.store().open_snapshot_chain(&[s1, s2]).unwrap();
-        let select = parse_select("SELECT a FROM t WHERE a < 100").unwrap();
-        let udfs = UdfRegistry::new();
-        let mut runner = DeltaSelectRunner::new();
-        let c1 = Catalog::load(&readers[0]).unwrap();
-        runner
-            .scan(&select, &readers[0], &c1, &udfs)
-            .unwrap()
-            .unwrap();
-        let c2 = Catalog::load(&readers[1]).unwrap();
-        let scan2 = runner
-            .scan(&select, &readers[1], &c2, &udfs)
-            .unwrap()
-            .unwrap();
+        // The constant conjunct is part of the cached filter too.
+        let sql = "SELECT a FROM t WHERE a < 100 AND 1 = 1";
+        let mut scanner = DeltaTableScanner::new();
+        delta_scan(&db, &readers[0], sql, &mut scanner);
+        let (rows2, scan2) = delta_scan(&db, &readers[1], sql, &mut scanner);
         // 2 → 200 leaves the filtered set entirely; nothing is added.
         assert_eq!(scan2.added, Vec::<Row>::new());
         assert_eq!(scan2.removed, vec![vec![Value::Integer(2)]]);
-        let expected = db.query_as_of(s2, "SELECT a FROM t WHERE a < 100").unwrap();
-        assert_eq!(scan2.rows, expected.rows);
+        let expected = db.query_as_of(s2, sql).unwrap();
+        assert_eq!(rows2, expected.rows);
+
+        // A constant conjunct that rejects everything rejects the delta
+        // as well: nothing is cached, so nothing can be added or removed.
+        let sql = "SELECT a FROM t WHERE a < 100 AND 1 = 0";
+        let mut scanner = DeltaTableScanner::new();
+        delta_scan(&db, &readers[0], sql, &mut scanner);
+        let (rows2, scan2) = delta_scan(&db, &readers[1], sql, &mut scanner);
+        assert!(rows2.is_empty() && scan2.added.is_empty() && scan2.removed.is_empty());
     }
 
     #[test]
-    fn index_probe_shape_bails_to_ordinary_path() {
+    fn pruned_page_of_a_rebuild_is_unpruned_by_a_later_delta() {
+        let db = small_page_db();
+        db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+        db.declare_filter_columns("t", &["a"]).unwrap();
+        for i in 0..300 {
+            db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+        }
+        let s1 = snapshot(&db);
+        db.execute("UPDATE t SET a = 2000 WHERE a = 30").unwrap();
+        let s2 = snapshot(&db);
+
+        let readers = db.store().open_snapshot_chain(&[s1, s2]).unwrap();
+        let sql = "SELECT a FROM t WHERE a >= 1000";
+        let mut scanner = DeltaTableScanner::new();
+        // At s1 no page holds a value ≥ 1000: the rebuild prunes pages
+        // and caches them as empty.
+        let (rows1, scan1) = delta_scan(&db, &readers[0], sql, &mut scanner);
+        assert!(scan1.rebuilt);
+        assert!(scan1.pages_pruned > 0, "{scan1:?}");
+        assert!(rows1.is_empty());
+        // At s2 the rewritten page's sidecar no longer refutes the
+        // filter: it is fetched, and its new row shows up as added.
+        let (rows2, scan2) = delta_scan(&db, &readers[1], sql, &mut scanner);
+        assert!(!scan2.rebuilt);
+        assert!(scan2.pages_read > 0 && scan2.pages_skipped > 0, "{scan2:?}");
+        assert_eq!(scan2.added, vec![vec![Value::Integer(2000)]]);
+        assert_eq!(scan2.removed, Vec::<Row>::new());
+        assert_eq!(rows2, db.query_as_of(s2, sql).unwrap().rows);
+    }
+
+    #[test]
+    fn index_probe_and_join_run_the_ordinary_plan() {
         let db = small_page_db();
         db.execute("CREATE TABLE t (a INTEGER, b TEXT)").unwrap();
         db.execute("CREATE INDEX idx_a ON t (a)").unwrap();
-        db.execute("INSERT INTO t VALUES (1, 'x')").unwrap();
-        let view = db.store().current_view();
-        let catalog = Catalog::load(&view).unwrap();
-        let udfs = UdfRegistry::new();
-        let mut runner = DeltaSelectRunner::new();
+        db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y')")
+            .unwrap();
+        let sid = snapshot(&db);
+        let reader = db.store().open_snapshot(sid).unwrap();
+        let mut scanner = DeltaTableScanner::new();
+        let finished = |sql: &str, scanned: Scanned| {
+            let result = db.finish_stage(&parse_select(sql).unwrap(), scanned);
+            result.unwrap().rows
+        };
 
-        // Equality over the indexed column → planner uses the index.
-        let probed = parse_select("SELECT * FROM t WHERE a = 1").unwrap();
-        assert!(runner
-            .scan(&probed, &view, &catalog, &udfs)
-            .unwrap()
-            .is_none());
+        // Range predicate over the indexed column stays a seq scan, which
+        // the scanner serves.
+        let ranged = "SELECT * FROM t WHERE a > 0";
+        let scanned = scan_stage(&db, &reader, ranged, &mut scanner);
+        assert_eq!(scanned.plan, vec!["t: delta seq scan"]);
+        assert!(scanned.delta.is_some() && scanner.export_seed().is_some());
+        assert_eq!(
+            finished(ranged, scanned),
+            db.query_as_of(sid, ranged).unwrap().rows
+        );
 
-        // Range predicate over the same column stays a seq scan.
-        let ranged = parse_select("SELECT * FROM t WHERE a > 0").unwrap();
-        assert!(runner
-            .scan(&ranged, &view, &catalog, &udfs)
-            .unwrap()
-            .is_some());
+        // Equality over the indexed column → the planner uses the index,
+        // once; the scanner did not observe the scan and says so.
+        let probed = "SELECT * FROM t WHERE a = 1";
+        let scanned = scan_stage(&db, &reader, probed, &mut scanner);
+        assert_eq!(scanned.plan, vec!["t: index scan via idx_a"]);
+        assert!(scanned.delta.is_none() && scanner.export_seed().is_none());
+        assert_eq!(scanned.stats.delta_eligible, 0);
+        assert_eq!(
+            finished(probed, scanned),
+            db.query_as_of(sid, probed).unwrap().rows
+        );
 
-        // Joins are never delta-scanned.
-        let joined = parse_select("SELECT * FROM t, t t2").unwrap();
-        assert!(runner
-            .scan(&joined, &view, &catalog, &udfs)
-            .unwrap()
-            .is_none());
+        // Joins are never served from the scanner.
+        let joined = "SELECT * FROM t, t t2";
+        let scanned = scan_stage(&db, &reader, joined, &mut scanner);
+        assert_eq!(
+            scanned.plan,
+            vec!["t: seq scan", "t: nested-loop cross join"]
+        );
+        assert!(scanned.delta.is_none() && scanner.export_seed().is_none());
+        assert_eq!(
+            finished(joined, scanned),
+            db.query_as_of(sid, joined).unwrap().rows
+        );
     }
 
     #[test]
-    fn where_udf_bails() {
+    fn where_udf_runs_the_ordinary_plan() {
         let db = small_page_db();
         db.register_udf("always_true", |_| Ok(Value::Integer(1)));
         db.execute("CREATE TABLE t (a INTEGER)").unwrap();
         db.execute("INSERT INTO t VALUES (1)").unwrap();
-        let view = db.store().current_view();
-        let catalog = Catalog::load(&view).unwrap();
-        let select = parse_select("SELECT a FROM t WHERE always_true()").unwrap();
-        // Compile against the database's registry (which knows the UDF).
-        let outcome = db.execute("SELECT a FROM t WHERE always_true()").unwrap();
-        assert!(matches!(outcome, ExecOutcome::Rows(_)));
-        let mut runner = DeltaSelectRunner::new();
-        let udfs_with = {
-            let mut r = UdfRegistry::new();
-            r.register("always_true", |_| Ok(Value::Integer(1)));
-            r
-        };
-        assert!(runner
-            .scan(&select, &view, &catalog, &udfs_with)
-            .unwrap()
-            .is_none());
+        let sid = snapshot(&db);
+        let reader = db.store().open_snapshot(sid).unwrap();
+        let mut scanner = DeltaTableScanner::new();
+        let sql = "SELECT a FROM t WHERE always_true()";
+        let scanned = scan_stage(&db, &reader, sql, &mut scanner);
+        assert_eq!(scanned.plan, vec!["t: seq scan"]);
+        assert!(scanned.delta.is_none() && scanner.export_seed().is_none());
+        let result = db.finish_stage(&parse_select(sql).unwrap(), scanned);
+        assert_eq!(result.unwrap().rows, db.query_as_of(sid, sql).unwrap().rows);
     }
 }

@@ -12,6 +12,15 @@
 //!   "w/o index" case);
 //! * everything else is scan → filter → hash aggregate → sort.
 //!
+//! A `SELECT` runs in two stages, and [`run_select`] is nothing but
+//! their composition: [`scan_select`] binds the tables, compiles the
+//! WHERE/ON conjuncts once, picks the access paths and materializes the
+//! joined, filtered rows; [`finish_select`] projects or aggregates,
+//! de-duplicates, sorts and limits them. The RQL loop calls the stages
+//! separately so it can look at the scan's row delta before deciding
+//! whether the second stage has to run at all — through the same two
+//! functions, so its output is the ordinary plan's, byte for byte.
+//!
 //! Execution materializes intermediate rows; result rows are delivered to
 //! a per-row callback (the `sqlite3_exec` shape the RQL loop body uses).
 
@@ -23,10 +32,12 @@ use crate::ast::{BinOp, Expr, SelectItem, SelectStmt};
 use crate::cancel::{CancelToken, CHECK_EVERY_ROWS};
 use crate::catalog::{Catalog, IndexInfo, TableInfo};
 use crate::cexpr::{compile, eval, AggFunc, AggSpec, CExpr, Scope};
+use crate::delta::{DeltaScan, DeltaTableScanner};
 use crate::error::{Result, SqlError};
 use crate::exec_stats::ExecStats;
 use crate::pagesource::PageSource;
 use crate::record::{encode_index_key, Row};
+use crate::sidecar::{PredAtom, PredSummary};
 use crate::udf::UdfRegistry;
 use crate::value::{GroupKey, Value};
 
@@ -52,6 +63,31 @@ impl QueryResult {
     }
 }
 
+/// What the scan stage of a `SELECT` produced: the input of
+/// [`finish_select`], plus what the stage decided on the way.
+#[derive(Debug)]
+pub struct Scanned {
+    /// Fully joined and filtered rows, in scan order.
+    pub rows: Vec<Row>,
+    /// Access-path decisions so far (becomes [`QueryResult::plan`]).
+    pub plan: Vec<String>,
+    /// The base table's row delta against the offered scanner's previous
+    /// scan, when the scanner served as the seq scan's row source. `None`
+    /// when no scanner was offered or the plan had no use for one (it is
+    /// then left invalidated).
+    pub delta: Option<DeltaScan>,
+    /// Cost so far: ad-hoc index builds, evaluation time and, with
+    /// `delta`, the scanner's page counters.
+    pub stats: ExecStats,
+    /// For a single-table statement: the table and its (table-local)
+    /// columns some conjunct compares to a constant — what a page sidecar
+    /// could refute.
+    pub(crate) refutable: Option<(String, Vec<usize>)>,
+    scope: Scope,
+    /// Bindings in the *written* FROM order, for wildcard expansion.
+    written_bindings: Vec<(String, Vec<String>)>,
+}
+
 /// Run a `SELECT` over `src`. `catalog` must describe the same source
 /// (i.e. be loaded through it, so AS OF sees the snapshot's schema).
 pub fn run_select<S: PageSource>(
@@ -73,6 +109,28 @@ pub fn run_select_cancellable<S: PageSource>(
     udfs: &UdfRegistry,
     cancel: Option<&CancelToken>,
 ) -> Result<QueryResult> {
+    let scanned = scan_select(select, src, catalog, udfs, cancel, None)?;
+    finish_select(select, scanned, udfs)
+}
+
+/// The scan stage: bind the tables, compile the conjuncts, pick the
+/// access paths and build the joined, filtered row set.
+///
+/// An offered `scanner` stands in for the base table's heap when — and
+/// only when — the plan is a plain seq scan of a single table whose
+/// conjuncts call no UDF: it then serves the pages that did not change
+/// since its previous scan from its cache, and [`Scanned::delta`] carries
+/// the row delta. Any other plan (index probe, join, UDF filter) runs
+/// exactly as it would have without one, and the scanner is invalidated
+/// because it did not observe this scan.
+pub fn scan_select<S: PageSource>(
+    select: &SelectStmt,
+    src: &S,
+    catalog: &Catalog,
+    udfs: &UdfRegistry,
+    cancel: Option<&CancelToken>,
+    mut scanner: Option<&mut DeltaTableScanner>,
+) -> Result<Scanned> {
     let started = Instant::now();
     if let Some(token) = cancel {
         token.check()?;
@@ -127,11 +185,14 @@ pub fn run_select_cancellable<S: PageSource>(
     let mut used = vec![false; conjuncts.len()];
 
     // ---- build the joined row set ----------------------------------------
+    let single_table = bindings.len() == 1;
     let mut rows: Vec<Row>;
+    let mut delta = None;
+    let mut refutable = None;
     if bindings.is_empty() {
         rows = vec![Vec::new()]; // SELECT without FROM: one empty row
     } else {
-        rows = scan_base_table(
+        let base = scan_base_table(
             src,
             catalog,
             &bindings[0],
@@ -140,7 +201,13 @@ pub fn run_select_cancellable<S: PageSource>(
             &mut used,
             &mut plan,
             cancel,
+            scanner.as_deref_mut().filter(|_| single_table),
         )?;
+        rows = base.rows;
+        delta = base.delta;
+        if single_table {
+            refutable = Some((bindings[0].1.schema.name.clone(), base.refutable_cols));
+        }
         for k in 1..bindings.len() {
             if let Some(token) = cancel {
                 token.check()?;
@@ -159,6 +226,9 @@ pub fn run_select_cancellable<S: PageSource>(
             )?;
         }
     }
+    if let (None, Some(scanner)) = (&delta, scanner) {
+        scanner.invalidate();
+    }
     // Any conjunct not yet applied (e.g. constant predicates).
     for (i, (c, _)) in conjuncts.iter().enumerate() {
         if !used[i] {
@@ -167,7 +237,6 @@ pub fn run_select_cancellable<S: PageSource>(
         }
     }
 
-    // ---- projection / aggregation ---------------------------------------
     // Wildcards expand in the *written* FROM order, regardless of how the
     // planner reordered execution.
     let written_bindings: Vec<(String, Vec<String>)> = select
@@ -182,53 +251,67 @@ pub fn run_select_cancellable<S: PageSource>(
             ))
         })
         .collect::<Result<_>>()?;
-    let (columns, out_rows) = finish_select(select, rows, &scope, &written_bindings, udfs)?;
 
     let stats = ExecStats {
         index_creation,
         eval: started.elapsed().saturating_sub(index_creation),
-        rows: out_rows.len() as u64,
+        pages_skipped_delta: delta.as_ref().map_or(0, |d| d.pages_skipped),
+        pages_pruned_filter: delta.as_ref().map_or(0, |d| d.pages_pruned),
+        delta_eligible: u64::from(delta.is_some()),
         ..Default::default()
     };
-    Ok(QueryResult {
-        columns,
-        rows: out_rows,
-        stats,
+    Ok(Scanned {
+        rows,
         plan,
+        delta,
+        stats,
+        refutable,
+        scope,
+        written_bindings,
     })
 }
 
-/// The post-scan stages of a `SELECT`: wildcard expansion, projection or
-/// aggregation, DISTINCT, ORDER BY and LIMIT (the last two inside the
-/// projection stages, which append their own sort keys).
-///
-/// `rows` are fully joined and filtered input rows in scan order. Shared
-/// between [`run_select`] and the delta-aware path in [`crate::delta`],
-/// which re-runs these stages over cached base rows so its output is the
-/// ordinary plan's, byte for byte.
-pub(crate) fn finish_select(
+/// The finish stage: wildcard expansion, projection or aggregation,
+/// DISTINCT, ORDER BY and LIMIT (the last two inside the projection
+/// stages, which append their own sort keys) over the scan stage's rows.
+/// The time it takes is added to the scan stage's.
+pub fn finish_select(
     select: &SelectStmt,
-    rows: Vec<Row>,
-    scope: &Scope,
-    written_bindings: &[(String, Vec<String>)],
+    scanned: Scanned,
     udfs: &UdfRegistry,
-) -> Result<(Vec<String>, Vec<Row>)> {
-    let items = expand_items(&select.items, written_bindings, scope)?;
+) -> Result<QueryResult> {
+    let started = Instant::now();
+    let Scanned {
+        rows,
+        plan,
+        mut stats,
+        scope,
+        written_bindings,
+        ..
+    } = scanned;
+    let items = expand_items(&select.items, &written_bindings, &scope)?;
     let is_aggregate = !select.group_by.is_empty()
         || items.iter().any(|(e, _)| e.contains_aggregate())
         || select.having.as_ref().is_some_and(Expr::contains_aggregate);
 
     let (columns, mut out_rows) = if is_aggregate {
-        run_aggregate(select, &items, rows, scope, udfs)?
+        run_aggregate(select, &items, rows, &scope, udfs)?
     } else {
-        run_projection(select, &items, rows, scope, udfs)?
+        run_projection(select, &items, rows, &scope, udfs)?
     };
 
     if select.distinct {
         let mut seen: HashSet<GroupKey> = HashSet::with_capacity(out_rows.len());
         out_rows.retain(|r| seen.insert(GroupKey(r.clone())));
     }
-    Ok((columns, out_rows))
+    stats.eval += started.elapsed();
+    stats.rows = out_rows.len() as u64;
+    Ok(QueryResult {
+        columns,
+        rows: out_rows,
+        stats,
+        plan,
+    })
 }
 
 /// Order the FROM tables of a comma-join: tables with a native index on
@@ -295,7 +378,7 @@ fn order_comma_join<'a>(
 }
 
 /// Split nested ANDs into conjuncts.
-pub(crate) fn collect_conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
+fn collect_conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
     if let Expr::Binary {
         op: BinOp::And,
         lhs,
@@ -309,8 +392,19 @@ pub(crate) fn collect_conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
     }
 }
 
+/// What [`scan_base_table`] hands back.
+struct BaseScan {
+    rows: Vec<Row>,
+    /// The row delta, when the offered scanner served the scan.
+    delta: Option<DeltaScan>,
+    /// Table-local columns the applied conjuncts compare to constants.
+    refutable_cols: Vec<usize>,
+}
+
 /// Scan the first table, applying its single-table conjuncts and using a
-/// native index for an equality conjunct when possible.
+/// native index for an equality conjunct when possible. `scanner` is
+/// offered only for a single-table statement; the seq-scan arm uses it as
+/// its row source unless a conjunct calls a UDF.
 #[allow(clippy::too_many_arguments)]
 fn scan_base_table<S: PageSource>(
     src: &S,
@@ -321,11 +415,12 @@ fn scan_base_table<S: PageSource>(
     used: &mut [bool],
     plan: &mut Vec<String>,
     cancel: Option<&CancelToken>,
-) -> Result<Vec<Row>> {
+    scanner: Option<&mut DeltaTableScanner>,
+) -> Result<BaseScan> {
     let _span = rql_trace::span(rql_trace::SpanId::Scan);
     let (_, info) = binding;
     let heap = info.heap();
-    let applicable: Vec<usize> = conjuncts
+    let mut applicable: Vec<usize> = conjuncts
         .iter()
         .enumerate()
         .filter(|(i, (c, need))| !used[*i] && *need <= 1 && c.references_columns())
@@ -343,9 +438,32 @@ fn scan_base_table<S: PageSource>(
             }
         }
     }
+    // Refutable summary of the conjuncts this scan applies; the compiled
+    // offsets are absolute, so rebase to the table's column range.
+    // Sidecar-less sources prune nothing.
+    let pred = PredSummary::from_conjuncts(applicable.iter().map(|&i| &conjuncts[i].0), range.0);
+    // An index scan visits rows in key order, which a chain walk cannot
+    // reproduce, and rows filtered through a UDF cannot be cached: the
+    // UDF may answer differently next time.
+    let scanner =
+        scanner.filter(|_| probe.is_none() && conjuncts.iter().all(|(c, _)| !c.calls_udf()));
+    if scanner.is_some() {
+        // The statement has one table, so every conjunct — constant ones
+        // included — is this scan's: the cached rows, and therefore the
+        // row delta, are the statement's whole WHERE.
+        applicable = (0..conjuncts.len()).collect();
+    }
 
     let mut rows = Vec::new();
-    let keep = |row: &Row| -> Result<bool> {
+    let mut delta = None;
+    let mut seen = 0usize;
+    let mut keep = |row: &Row| -> Result<bool> {
+        seen += 1;
+        if seen.is_multiple_of(CHECK_EVERY_ROWS) {
+            if let Some(token) = cancel {
+                token.check()?;
+            }
+        }
         for &i in &applicable {
             if !eval(&conjuncts[i].0, row, &[])?.is_truthy() {
                 return Ok(false);
@@ -353,8 +471,8 @@ fn scan_base_table<S: PageSource>(
         }
         Ok(true)
     };
-    match probe {
-        Some((idx, v)) => {
+    match (probe, scanner) {
+        (Some((idx, v)), _) => {
             plan.push(format!(
                 "{}: index scan via {}",
                 info.schema.name, idx.schema.name
@@ -362,37 +480,20 @@ fn scan_base_table<S: PageSource>(
             let mut key = Vec::new();
             encode_index_key(std::slice::from_ref(&v), &mut key);
             let tree = crate::btree::BTree::new(idx.root);
-            let mut seen = 0usize;
             for rid in tree.scan_prefix(src, &key)? {
-                seen += 1;
-                if seen.is_multiple_of(CHECK_EVERY_ROWS) {
-                    if let Some(token) = cancel {
-                        token.check()?;
-                    }
-                }
                 let row = heap.get_row(src, rid)?;
                 if keep(&row)? {
                     rows.push(row);
                 }
             }
         }
-        None => {
+        (None, Some(scanner)) => {
+            plan.push(format!("{}: delta seq scan", info.schema.name));
+            delta = Some(scanner.scan(src, info.root, &pred, &mut keep, &mut rows)?);
+        }
+        (None, None) => {
             plan.push(format!("{}: seq scan", info.schema.name));
-            // Refutable summary of the conjuncts this scan applies; the
-            // compiled offsets are absolute, so rebase to the table's
-            // column range. Sidecar-less sources prune nothing.
-            let pred = crate::sidecar::PredSummary::from_conjuncts(
-                applicable.iter().map(|&i| &conjuncts[i].0),
-                range.0,
-            );
-            let mut seen = 0usize;
-            heap.scan_pruned(src, &pred, |_, row| {
-                seen += 1;
-                if seen.is_multiple_of(CHECK_EVERY_ROWS) {
-                    if let Some(token) = cancel {
-                        token.check()?;
-                    }
-                }
+            heap.scan(src, &pred, |_, row| {
                 if keep(&row)? {
                     rows.push(row);
                 }
@@ -403,11 +504,18 @@ fn scan_base_table<S: PageSource>(
     for i in applicable {
         used[i] = true;
     }
-    Ok(rows)
+    let mut refutable_cols: Vec<usize> = pred.atoms.iter().map(PredAtom::col).collect();
+    refutable_cols.sort_unstable();
+    refutable_cols.dedup();
+    Ok(BaseScan {
+        rows,
+        delta,
+        refutable_cols,
+    })
 }
 
 /// `Col(off) = <constant>` (either orientation) → `(off, value)`.
-pub(crate) fn equality_probe(c: &CExpr) -> Option<(usize, Value)> {
+fn equality_probe(c: &CExpr) -> Option<(usize, Value)> {
     let CExpr::Binary(BinOp::Eq, lhs, rhs) = c else {
         return None;
     };
@@ -580,7 +688,7 @@ fn join_next_table<S: PageSource>(
                     let mut hash: HashMap<GroupKey, Vec<Row>> = HashMap::new();
                     {
                         let _idx_span = rql_trace::span(rql_trace::SpanId::IndexBuild);
-                        heap.scan(src, |_, trow| {
+                        heap.scan(src, &PredSummary::default(), |_, trow| {
                             checkpoint()?;
                             let padded = pad(&trow);
                             if local_keep(&padded)? {
@@ -615,7 +723,7 @@ fn join_next_table<S: PageSource>(
             // Cross join with local filters applied to the inner scan.
             plan.push(format!("{}: nested-loop cross join", info.schema.name));
             let mut inner: Vec<Row> = Vec::new();
-            heap.scan(src, |_, trow| {
+            heap.scan(src, &PredSummary::default(), |_, trow| {
                 checkpoint()?;
                 let padded = pad(&trow);
                 if local_keep(&padded)? {

@@ -15,14 +15,22 @@
 //! become dead space, reclaimed by compaction when an insert needs room.
 //! Free space is tracked per table in an in-memory [`FreeSpaceMap`]
 //! (rebuilt lazily after open/abort), so inserts do not walk the chain.
+//!
+//! Every read of a chain — scans, the page count, the free-space-map
+//! rebuild, the sidecar backfill, the delta scanner — goes through one
+//! function, [`HeapFile::walk`], which alone follows the `next` links,
+//! guards against a chain linked back onto itself, consults the pruning
+//! sidecars and fetches pages. It visits pages; decoding rows is the
+//! caller's business.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use rql_pagestore::{Page, PageId, WriteTxn};
 
 use crate::error::{Result, SqlError};
 use crate::pagesource::PageSource;
 use crate::record::{decode_row, Row};
+use crate::sidecar::PredSummary;
 
 const HEADER: usize = 16;
 const SLOT_SIZE: usize = 4;
@@ -40,6 +48,19 @@ pub struct RecordId {
     pub page: PageId,
     /// Slot within the page.
     pub slot: u16,
+}
+
+/// How [`HeapFile::walk`] got past one page of the chain.
+pub(crate) enum PageVisit<'a> {
+    /// The caller knew the successor; the page was neither looked up nor
+    /// fetched.
+    Cached,
+    /// The page's sidecar proved no row of it can pass the predicate:
+    /// the same outcome as fetching it and keeping nothing, minus the
+    /// fetch.
+    Pruned,
+    /// The page was fetched.
+    Fetched(&'a Page),
 }
 
 /// A heap file rooted at a fixed page.
@@ -173,124 +194,144 @@ impl HeapFile {
         decode_row(&self.get(src, rid)?)
     }
 
+    /// The one read walk over the chain: every page from the root in chain
+    /// order until the NIL link, each reported to `visit` with its
+    /// successor (`visit` returning `false` stops the walk). Per page, in
+    /// this order:
+    ///
+    /// * `cached_next` knows the successor → [`PageVisit::Cached`], the
+    ///   page is not touched at all;
+    /// * `pred` is non-empty and the source's sidecar for the page refutes
+    ///   it → [`PageVisit::Pruned`], counted on the source, successor
+    ///   taken from the sidecar, body not fetched;
+    /// * otherwise the page is fetched → [`PageVisit::Fetched`].
+    ///
+    /// `pred` must over-approximate whatever row filter the caller applies.
+    /// A page reached twice (a cyclic or self-linked chain, whether the
+    /// link came from a page, a sidecar or `cached_next`) is an error
+    /// naming the page, never a second visit.
+    // `#[inline]` here and on `scan`: the visitor holds the caller's
+    // per-row loop, and left to its own heuristics the compiler kept it
+    // out of line in the executor's seq scan (measured ≈ 30 % slower on a
+    // current-state `SELECT COUNT(*) … WHERE`).
+    #[inline]
+    pub(crate) fn walk<S: PageSource>(
+        &self,
+        src: &S,
+        pred: &PredSummary,
+        cached_next: impl Fn(PageId) -> Option<Option<PageId>>,
+        mut visit: impl FnMut(PageId, PageVisit<'_>, Option<PageId>) -> Result<bool>,
+    ) -> Result<()> {
+        let mut seen: HashSet<u64> = HashSet::new();
+        let mut at = Some(self.root);
+        while let Some(pid) = at {
+            if !seen.insert(pid.0) {
+                return Err(SqlError::Invalid(format!(
+                    "heap chain cycle at page {}",
+                    pid.0
+                )));
+            }
+            // No sidecar, a decode fault, an empty predicate or a summary
+            // that cannot rule the page out all mean: read the page.
+            let refuting = || {
+                if pred.is_empty() {
+                    return None;
+                }
+                src.sidecar_for(pid).filter(|sc| sc.refutes(pred))
+            };
+            let (next, more) = if let Some(next) = cached_next(pid) {
+                (next, visit(pid, PageVisit::Cached, next)?)
+            } else if let Some(sidecar) = refuting() {
+                src.count_page_pruned();
+                (sidecar.next, visit(pid, PageVisit::Pruned, sidecar.next)?)
+            } else {
+                let page = src.page(pid)?;
+                let raw = page.read_u64(OFF_NEXT);
+                let next = (raw != NIL).then_some(PageId(raw));
+                (next, visit(pid, PageVisit::Fetched(&page), next)?)
+            };
+            at = next.filter(|_| more);
+        }
+        Ok(())
+    }
+
     /// Scan all records, invoking `f(rid, row)`; stops early if `f`
-    /// returns `false`.
+    /// returns `false`. Pages whose sidecar refutes `pred` are skipped
+    /// without a fetch (an empty summary prunes nothing); `pred` must
+    /// over-approximate whatever filtering `f` applies.
+    #[inline]
     pub fn scan<S: PageSource>(
         &self,
         src: &S,
+        pred: &PredSummary,
         mut f: impl FnMut(RecordId, Row) -> Result<bool>,
     ) -> Result<()> {
-        let mut pid = self.root;
-        loop {
-            let page = src.page(pid)?;
-            let slot_count = page.read_u16(OFF_SLOT_COUNT);
-            for slot in 0..slot_count {
-                if let Some(bytes) = read_cell(&page, slot) {
-                    let row = decode_row(bytes)?;
-                    if !f(RecordId { page: pid, slot }, row)? {
-                        return Ok(());
-                    }
-                }
-            }
-            let next = page.read_u64(OFF_NEXT);
-            if next == NIL {
-                return Ok(());
-            }
-            pid = PageId(next);
-        }
-    }
-
-    /// Like [`Self::scan`], but consults the source's pruning sidecars
-    /// first: a page whose sidecar refutes `pred` is skipped — its chain
-    /// successor taken from the sidecar — without fetching the body.
-    /// Returns the number of pages pruned. `pred` must over-approximate
-    /// whatever filtering `f` applies.
-    pub fn scan_pruned<S: PageSource>(
-        &self,
-        src: &S,
-        pred: &crate::sidecar::PredSummary,
-        mut f: impl FnMut(RecordId, Row) -> Result<bool>,
-    ) -> Result<u64> {
-        let mut pruned = 0u64;
-        let mut pid = self.root;
-        loop {
-            if !pred.is_empty() {
-                if let Some(sc) = src.sidecar_for(pid) {
-                    if sc.refutes(pred) {
-                        src.count_page_pruned();
-                        pruned += 1;
-                        match sc.next {
-                            Some(n) => {
-                                pid = n;
-                                continue;
-                            }
-                            None => return Ok(pruned),
+        self.walk(
+            src,
+            pred,
+            |_| None,
+            |pid, visit, _| {
+                let PageVisit::Fetched(page) = visit else {
+                    return Ok(true);
+                };
+                for slot in 0..page.read_u16(OFF_SLOT_COUNT) {
+                    if let Some(bytes) = read_cell(page, slot) {
+                        if !f(RecordId { page: pid, slot }, decode_row(bytes)?)? {
+                            return Ok(false);
                         }
                     }
                 }
-            }
-            let page = src.page(pid)?;
-            let slot_count = page.read_u16(OFF_SLOT_COUNT);
-            for slot in 0..slot_count {
-                if let Some(bytes) = read_cell(&page, slot) {
-                    let row = decode_row(bytes)?;
-                    if !f(RecordId { page: pid, slot }, row)? {
-                        return Ok(pruned);
-                    }
-                }
-            }
-            let next = page.read_u64(OFF_NEXT);
-            if next == NIL {
-                return Ok(pruned);
-            }
-            pid = PageId(next);
-        }
+                Ok(true)
+            },
+        )
     }
 
     /// Collect every row (convenience for small scans and tests).
     pub fn all_rows<S: PageSource>(&self, src: &S) -> Result<Vec<(RecordId, Row)>> {
         let mut out = Vec::new();
-        self.scan(src, |rid, row| {
+        self.scan(src, &PredSummary::default(), |rid, row| {
             out.push((rid, row));
             Ok(true)
         })?;
         Ok(out)
     }
 
+    /// Every page of the chain with its id, unpruned, in chain order.
+    pub(crate) fn for_each_page<S: PageSource>(
+        &self,
+        src: &S,
+        mut f: impl FnMut(PageId, &Page),
+    ) -> Result<()> {
+        self.walk(
+            src,
+            &PredSummary::default(),
+            |_| None,
+            |pid, visit, _| {
+                if let PageVisit::Fetched(page) = visit {
+                    f(pid, page);
+                }
+                Ok(true)
+            },
+        )
+    }
+
     /// Number of pages in the chain.
     pub fn page_count_chain<S: PageSource>(&self, src: &S) -> Result<u64> {
         let mut n = 0;
-        let mut pid = self.root;
-        loop {
-            n += 1;
-            let page = src.page(pid)?;
-            let next = page.read_u64(OFF_NEXT);
-            if next == NIL {
-                return Ok(n);
-            }
-            pid = PageId(next);
-        }
+        self.for_each_page(src, |_, _| n += 1)?;
+        Ok(n)
     }
 
     /// Lazily (re)build the free-space map by walking the chain.
     fn ensure_fsm(&self, txn: &WriteTxn, fsm: &mut FreeSpaceMap) -> Result<usize> {
-        let first = txn.read_page(self.root)?;
-        let page_size = first.size();
-        if fsm.loaded {
-            return Ok(page_size);
+        let page_size = txn.read_page(self.root)?.size();
+        if !fsm.loaded {
+            fsm.map.clear();
+            self.for_each_page(txn, |pid, page| {
+                fsm.map.insert(pid.0, usable_free(page));
+            })?;
+            fsm.loaded = true;
         }
-        fsm.map.clear();
-        let mut pid = self.root;
-        loop {
-            let page = txn.read_page(pid)?;
-            fsm.map.insert(pid.0, usable_free(&page));
-            let next = page.read_u64(OFF_NEXT);
-            if next == NIL {
-                break;
-            }
-            pid = PageId(next);
-        }
-        fsm.loaded = true;
         Ok(page_size)
     }
 
@@ -323,12 +364,6 @@ pub(crate) fn page_rows(page: &Page) -> Result<Vec<Row>> {
         }
     }
     Ok(rows)
-}
-
-/// The chain successor of a heap page (`None` at end of chain).
-pub(crate) fn page_next(page: &Page) -> Option<PageId> {
-    let next = page.read_u64(OFF_NEXT);
-    (next != NIL).then_some(PageId(next))
 }
 
 fn init_heap_page(page: &mut Page) {
@@ -609,6 +644,72 @@ mod tests {
         assert_eq!(heap.all_rows(&txn).unwrap().len(), 11);
     }
 
+    /// A chain linked back onto itself must be an error on every path
+    /// that walks it, never a spin. Runs under a watchdog so a walk
+    /// without the guard fails this test instead of hanging the harness.
+    #[test]
+    fn cyclic_chain_is_an_error_on_every_path() {
+        use crate::db::Database;
+        use rql_retro::RetroConfig;
+
+        let body = || {
+            let db = Database::in_memory(RetroConfig {
+                pager: PagerConfig {
+                    page_size: 256,
+                    cache_capacity: 64,
+                    wal_sync_on_commit: false,
+                },
+                ..RetroConfig::new()
+            });
+            db.execute("CREATE TABLE t (a INTEGER, b TEXT)").unwrap();
+            for i in 0..40 {
+                db.execute(&format!("INSERT INTO t VALUES ({i}, 'padpadpad-{i}')"))
+                    .unwrap();
+            }
+            let root = {
+                let view = db.store().current_view();
+                let catalog = crate::catalog::Catalog::load(&view).unwrap();
+                catalog.require_table("t").unwrap().root
+            };
+            // Hand-link some other page of the chain back to the root.
+            db.with_write_txn_pub(|_, txn| {
+                let rows = HeapFile::new(root).all_rows(&*txn)?;
+                let other = rows.iter().map(|(rid, _)| rid.page).find(|p| *p != root);
+                let other = other.expect("want a multi-page heap");
+                let mut page = txn.page_for_update(other)?;
+                page.write_u64(OFF_NEXT, root.0);
+                Ok(txn.write_page(other, page)?)
+            })
+            .unwrap();
+            let sid = db.declare_snapshot().unwrap();
+            // A database without this one's cached free-space map, so its
+            // INSERT has to walk the chain.
+            let cold = Database::over_store(std::sync::Arc::clone(db.store()));
+
+            let named = format!("heap chain cycle at page {}", root.0);
+            let check = |what: &str, err: SqlError| match err {
+                SqlError::Invalid(msg) if msg == named => {}
+                other => panic!("{what}: {other:?}"),
+            };
+            // Allocation-free walk first: without the guard it spins
+            // without eating memory until the watchdog fires.
+            check("table_size_bytes", db.table_size_bytes("t").unwrap_err());
+            check("SELECT", db.query("SELECT a FROM t").unwrap_err());
+            let as_of = db.query_as_of(sid, "SELECT a FROM t WHERE a > 3");
+            check("SELECT AS OF", as_of.unwrap_err());
+            let insert = cold.execute("INSERT INTO t VALUES (99, 'x')");
+            check("INSERT", insert.unwrap_err());
+        };
+        let (done, watchdog) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            body();
+            done.send(()).ok();
+        });
+        watchdog
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a walk over the cyclic chain panicked or never returned");
+    }
+
     #[test]
     fn scan_early_stop() {
         let pager = pager(256);
@@ -619,7 +720,7 @@ mod tests {
             heap.insert(&mut txn, &rec(i, "row"), &mut fsm).unwrap();
         }
         let mut seen = 0;
-        heap.scan(&txn, |_, _| {
+        heap.scan(&txn, &PredSummary::default(), |_, _| {
             seen += 1;
             Ok(seen < 3)
         })

@@ -47,11 +47,9 @@ pub use ast::{Expr, SelectStmt, Stmt};
 pub use cancel::{CancelCause, CancelToken};
 pub use catalog::{Catalog, IndexInfo, TableInfo};
 pub use db::{Database, ExecOutcome};
-pub use delta::{
-    DeltaScan, DeltaSelectRunner, DeltaTableScanner, ScannerSeed, SeedPage, SkipReason,
-};
+pub use delta::{DeltaScan, DeltaTableScanner, ScannerSeed, SeedPage, SkipReason};
 pub use error::{Result, SqlError};
-pub use exec::QueryResult;
+pub use exec::{QueryResult, Scanned};
 pub use exec_stats::ExecStats;
 pub use heap::{FreeSpaceMap, HeapFile, RecordId};
 pub use lexer::{tokenize_spanned, Span, SpannedToken};

@@ -18,6 +18,7 @@ use crate::db::Database;
 use crate::error::{Result, SqlError};
 use crate::heap::{FreeSpaceMap, HeapFile, RecordId};
 use crate::record::{encode_index_key, encode_row, Row};
+use crate::sidecar::PredSummary;
 use crate::value::Value;
 
 /// Row-level writer over one table, valid for one transaction.
@@ -147,10 +148,11 @@ impl<'a> TableWriter<'a> {
     /// tiny tables like a persisted aggregate variable).
     pub fn probe_all(&self) -> Result<Vec<(RecordId, Row)>> {
         let mut out = Vec::new();
-        self.heap.scan(&*self.txn, |rid, row| {
-            out.push((rid, row));
-            Ok(true)
-        })?;
+        self.heap
+            .scan(&*self.txn, &PredSummary::default(), |rid, row| {
+                out.push((rid, row));
+                Ok(true)
+            })?;
         Ok(out)
     }
 

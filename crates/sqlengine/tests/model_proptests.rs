@@ -11,7 +11,7 @@ use rql_pagestore::{LogStorage, MemStorage, Pager, PagerConfig, Wal};
 use rql_sqlengine::btree::BTree;
 use rql_sqlengine::heap::{FreeSpaceMap, HeapFile, RecordId};
 use rql_sqlengine::record::{encode_index_key, encode_row};
-use rql_sqlengine::Value;
+use rql_sqlengine::{PredSummary, Value};
 
 fn pager(page_size: usize) -> Arc<Pager> {
     Arc::new(Pager::new(PagerConfig {
@@ -172,7 +172,7 @@ proptest! {
         }
         // Scan sees exactly the live set.
         let mut seen: HashMap<u8, String> = HashMap::new();
-        heap.scan(&txn, |_, row| {
+        heap.scan(&txn, &PredSummary::default(), |_, row| {
             let k = row[0].as_i64().unwrap() as u8;
             let t = row[1].as_str().unwrap().to_owned();
             assert!(seen.insert(k, t).is_none(), "duplicate key in scan");

@@ -83,7 +83,7 @@ fn build_session(ops: &[Op]) -> Arc<RqlSession> {
 
 const QS: &str = "SELECT snap_id FROM SnapIds";
 
-/// Run every mechanism applicable under `policy` into uniquely named
+/// Run every mechanism under `policy` into uniquely named
 /// result tables, returning each table's rows in a canonical order.
 fn run_mechanisms(session: &Arc<RqlSession>, policy: DeltaPolicy, tag: &str) -> Vec<Vec<Row>> {
     run_mechanisms_reported(session, policy, tag).0
@@ -122,33 +122,23 @@ fn run_mechanisms_reported(
     reports.push(report);
     out.push(read(&format!("a{tag}"), "1"));
 
-    // AggregateDataInTable and CollateDataIntoIntervals have no delta
-    // driver yet: under Forced the pre-flight (correctly) rejects them,
-    // so the Forced lane exercises the two delta-capable mechanisms.
-    if policy != DeltaPolicy::Forced {
-        let report = session
-            .aggregate_data_in_table_with_policy(
-                QS,
-                "SELECT k, v FROM kv",
-                &format!("t{tag}"),
-                &[("v".to_owned(), AggOp::Min)],
-                policy,
-            )
-            .expect("aggtable");
-        reports.push(report);
-        out.push(read(&format!("t{tag}"), "k"));
+    let report = session
+        .aggregate_data_in_table_with_policy(
+            QS,
+            "SELECT k, v FROM kv",
+            &format!("t{tag}"),
+            &[("v".to_owned(), AggOp::Min)],
+            policy,
+        )
+        .expect("aggtable");
+    reports.push(report);
+    out.push(read(&format!("t{tag}"), "k"));
 
-        let report = session
-            .collate_data_into_intervals_with_policy(
-                QS,
-                "SELECT k FROM kv",
-                &format!("i{tag}"),
-                policy,
-            )
-            .expect("intervals");
-        reports.push(report);
-        out.push(read(&format!("i{tag}"), "k, start_snapshot, end_snapshot"));
-    }
+    let report = session
+        .collate_data_into_intervals_with_policy(QS, "SELECT k FROM kv", &format!("i{tag}"), policy)
+        .expect("intervals");
+    reports.push(report);
+    out.push(read(&format!("i{tag}"), "k, start_snapshot, end_snapshot"));
     (out, reports)
 }
 

@@ -116,7 +116,7 @@ const QQ_INTERVALS: (&str, &str) = (
     "SELECT k FROM kv WHERE v + 0 BETWEEN -500 AND 500",
 );
 
-/// Run every mechanism applicable under `policy`, with `pick` choosing
+/// Run every mechanism under `policy`, with `pick` choosing
 /// the prunable or the opaque Qq variant, returning each result table's
 /// rows in a canonical order.
 fn run_mechanisms(
@@ -154,30 +154,21 @@ fn run_mechanisms(
         .expect("aggvar");
     out.push(read(&format!("a{tag}"), "1"));
 
-    // AggregateDataInTable and CollateDataIntoIntervals have no delta
-    // driver; under Forced the pre-flight rejects them.
-    if policy != DeltaPolicy::Forced {
-        session
-            .aggregate_data_in_table_with_policy(
-                QS,
-                pick(QQ_AGGTABLE),
-                &format!("t{tag}"),
-                &[("v".to_owned(), AggOp::Min)],
-                policy,
-            )
-            .expect("aggtable");
-        out.push(read(&format!("t{tag}"), "k"));
+    session
+        .aggregate_data_in_table_with_policy(
+            QS,
+            pick(QQ_AGGTABLE),
+            &format!("t{tag}"),
+            &[("v".to_owned(), AggOp::Min)],
+            policy,
+        )
+        .expect("aggtable");
+    out.push(read(&format!("t{tag}"), "k"));
 
-        session
-            .collate_data_into_intervals_with_policy(
-                QS,
-                pick(QQ_INTERVALS),
-                &format!("i{tag}"),
-                policy,
-            )
-            .expect("intervals");
-        out.push(read(&format!("i{tag}"), "k, start_snapshot, end_snapshot"));
-    }
+    session
+        .collate_data_into_intervals_with_policy(QS, pick(QQ_INTERVALS), &format!("i{tag}"), policy)
+        .expect("intervals");
+    out.push(read(&format!("i{tag}"), "k, start_snapshot, end_snapshot"));
     out
 }
 

@@ -98,14 +98,12 @@ struct Mech {
     tag: &'static str,
     /// `Mech(snap_id, 'Qq', '{T}'[, 'spec'])`.
     call: &'static str,
-    /// Policies the *batch* comparison runs under. (The maintainer always
-    /// uses `Auto`; identity must hold against every batch policy that
-    /// supports the mechanism/shape.)
-    batch_policies: &'static [DeltaPolicy],
     batch: fn(&RqlSession, &str, DeltaPolicy) -> RqlReport,
     parallel: Option<fn(&RqlSession, &str)>,
 }
 
+/// Policies the *batch* comparison runs under. (The maintainer always
+/// uses `Auto`; identity must hold against every batch policy.)
 const ALL_POLICIES: &[DeltaPolicy] = &[DeltaPolicy::Off, DeltaPolicy::Auto, DeltaPolicy::Forced];
 
 const AGGVAR_QQ: &str = "SELECT SUM(v) FROM m";
@@ -126,7 +124,6 @@ fn mechanisms() -> Vec<Mech> {
         Mech {
             tag: "collate",
             call: "CollateData(snap_id, 'SELECT grp, v FROM m', '{T}')",
-            batch_policies: ALL_POLICIES,
             batch: |s, t, p| {
                 s.collate_data_with_policy(QS, "SELECT grp, v FROM m", t, p)
                     .expect("batch collate")
@@ -143,7 +140,6 @@ fn mechanisms() -> Vec<Mech> {
             // pre-aggregate per snapshot and fold the per-snapshot sums.
             call: "AggregateDataInTable(snap_id, \
                    'SELECT grp, SUM(v) AS sv FROM m GROUP BY grp', '{T}', '(sv,sum)')",
-            batch_policies: ALL_POLICIES,
             batch: |s, t, p| {
                 s.aggregate_data_in_table_with_policy(
                     QS,
@@ -159,7 +155,6 @@ fn mechanisms() -> Vec<Mech> {
         Mech {
             tag: "aggvar",
             call: "AggregateDataInVariable(snap_id, 'SELECT SUM(v) FROM m', '{T}', 'sum')",
-            batch_policies: ALL_POLICIES,
             batch: |s, t, p| aggvar_batch(s, t, AggOp::Sum, p),
             parallel: Some(|s, t| aggvar_parallel(s, t, AggOp::Sum)),
         },
@@ -167,15 +162,12 @@ fn mechanisms() -> Vec<Mech> {
         Mech {
             tag: "aggvar_avg",
             call: "AggregateDataInVariable(snap_id, 'SELECT SUM(v) FROM m', '{T}', 'avg')",
-            batch_policies: ALL_POLICIES,
             batch: |s, t, p| aggvar_batch(s, t, AggOp::Avg, p),
             parallel: Some(|s, t| aggvar_parallel(s, t, AggOp::Avg)),
         },
         Mech {
             tag: "intervals",
-            // Sequential Qq source only: never under Forced.
             call: "CollateDataIntoIntervals(snap_id, 'SELECT grp FROM m', '{T}')",
-            batch_policies: &[DeltaPolicy::Off, DeltaPolicy::Auto],
             batch: |s, t, p| {
                 s.collate_data_into_intervals_with_policy(QS, "SELECT grp FROM m", t, p)
                     .expect("batch intervals")
@@ -287,7 +279,7 @@ fn check_differential_from(
         let (m_cols, m_rows) = table_contents(&session, &m_table);
         // (path, table, compare on the maintained table's columns only)
         let mut others: Vec<(String, String, bool)> = Vec::new();
-        for &policy in mech.batch_policies {
+        for &policy in ALL_POLICIES {
             let table = format!("b_{}_{policy:?}", mech.tag);
             (mech.batch)(&session, &table, policy);
             others.push((format!("batch under {policy:?}"), table, false));
