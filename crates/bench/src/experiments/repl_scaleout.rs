@@ -244,15 +244,9 @@ pub fn run() -> Result<String> {
     ));
     out.push_str(&format!(
         "- Leader shipped {} segment(s), {} bytes; served {} seed(s)\n\n",
-        leader_metrics
-            .segments_shipped
-            .load(std::sync::atomic::Ordering::Relaxed),
-        leader_metrics
-            .bytes_shipped
-            .load(std::sync::atomic::Ordering::Relaxed),
-        leader_metrics
-            .seeds_served
-            .load(std::sync::atomic::Ordering::Relaxed),
+        leader_metrics.segments_shipped.get(),
+        leader_metrics.bytes_shipped.get(),
+        leader_metrics.seeds_served.get(),
     ));
 
     let followers_json: Vec<String> = node_qps.iter().skip(1).map(|q| format!("{q:.3}")).collect();

@@ -132,41 +132,21 @@ impl MemoValue {
     }
 }
 
-/// Point-in-time view of a store's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoStatsSnapshot {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that fell through to recomputation.
-    pub misses: u64,
-    /// Entries evicted from memory by the byte budget.
-    pub evictions: u64,
-    /// Entries inserted.
-    pub inserts: u64,
-    /// Current in-memory footprint (gauge).
-    pub bytes: u64,
-}
-
-impl MemoStatsSnapshot {
-    /// Every counter as a stable `(name, value)` list, for exporters.
-    pub fn fields(&self) -> [(&'static str, u64); 5] {
-        [
-            ("hits", self.hits),
-            ("misses", self.misses),
-            ("evictions", self.evictions),
-            ("inserts", self.inserts),
-            ("bytes", self.bytes),
-        ]
+rql_trace::metric_table! {
+    struct MemoStats =>
+    /// Point-in-time view of a store's counters.
+    pub struct MemoStatsSnapshot("memo_", "Shared Qq memoization store") {
+        /// Lookups answered from the cache.
+        hits: Counter,
+        /// Lookups that fell through to recomputation.
+        misses: Counter,
+        /// Entries evicted from memory by the byte budget.
+        evictions: Counter,
+        /// Entries inserted.
+        inserts: Counter,
+        /// Current in-memory footprint.
+        bytes: Gauge,
     }
-}
-
-#[derive(Debug, Default)]
-struct MemoStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    inserts: AtomicU64,
-    bytes: AtomicU64,
 }
 
 struct Entry {
@@ -256,7 +236,7 @@ impl MemoStore {
             Some(_) => &self.stats.hits,
             None => &self.stats.misses,
         };
-        counter.fetch_add(1, Ordering::Relaxed);
+        counter.inc();
         value
     }
 
@@ -265,7 +245,7 @@ impl MemoStore {
     /// budget.
     pub fn insert(&self, key: MemoKey, version: u64, value: MemoValue) {
         let _span = rql_trace::span(rql_trace::SpanId::MemoInsert);
-        self.stats.inserts.fetch_add(1, Ordering::Relaxed);
+        self.stats.inserts.inc();
         let bytes = value.own_bytes();
         let mut charged = bytes;
         if let MemoValue::Seed(seed) = &value {
@@ -283,9 +263,7 @@ impl MemoStore {
                 slot.0 += 1;
             }
         }
-        self.stats
-            .bytes
-            .fetch_add(charged as u64, Ordering::Relaxed);
+        self.stats.bytes.add(charged as u64);
         let entry = Entry {
             version,
             value,
@@ -313,13 +291,13 @@ impl MemoStore {
                 }
             }
         }
-        self.stats.bytes.fetch_sub(freed as u64, Ordering::Relaxed);
+        self.stats.bytes.sub(freed as u64);
     }
 
     /// Evict the least recently used entry of any shard until the
     /// resident bytes fit the budget.
     fn evict_over_budget(&self) {
-        while self.stats.bytes.load(Ordering::Relaxed) > self.byte_budget {
+        while self.stats.bytes.get() > self.byte_budget {
             let oldest = self
                 .shards
                 .iter()
@@ -335,21 +313,14 @@ impl MemoStore {
             if shard.get(&key).is_some_and(|e| e.tick == tick) {
                 let evicted = shard.remove(&key);
                 self.release(evicted);
-                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+                self.stats.evictions.inc();
             }
         }
     }
 
     /// Current counter values.
     pub fn stats(&self) -> MemoStatsSnapshot {
-        let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        MemoStatsSnapshot {
-            hits: g(&self.stats.hits),
-            misses: g(&self.stats.misses),
-            evictions: g(&self.stats.evictions),
-            inserts: g(&self.stats.inserts),
-            bytes: g(&self.stats.bytes),
-        }
+        self.stats.snapshot()
     }
 }
 
@@ -507,8 +478,8 @@ mod tests {
 
     #[test]
     fn stats_fields_are_stable() {
-        let names: Vec<&str> = MemoStatsSnapshot::default()
-            .fields()
+        let names: Vec<&str> = MemoStatsSnapshot::SECTION
+            .fields
             .iter()
             .map(|(n, _)| *n)
             .collect();

@@ -12,100 +12,98 @@
 //! event stream and the counters come from the *same call sites* and can
 //! never disagree (DESIGN.md §9).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use rql_trace::{instant, instant_arg, SpanId};
 
-/// Monotonic event counters for a store.
-///
-/// All counters are relaxed atomics: they are statistics, not
-/// synchronization.
-#[derive(Debug, Default)]
-pub struct IoStats {
-    /// Pages served from the in-memory current database (shared pages).
-    pub db_reads: AtomicU64,
-    /// Pages served from the buffer cache (snapshot pages already fetched).
-    pub cache_hits: AtomicU64,
-    /// Pages fetched from the Pagelog archive (cache misses → disk).
-    pub pagelog_reads: AtomicU64,
-    /// Pre-state pages copied out at commit (COW captures).
-    pub cow_captures: AtomicU64,
-    /// Pages written to the current database by commits.
-    pub pages_written: AtomicU64,
-    /// Maplog entries scanned while building SPTs.
-    pub maplog_entries_scanned: AtomicU64,
-    /// Buffer-cache evictions.
-    pub cache_evictions: AtomicU64,
-    /// Heap pages skipped because a pruning sidecar refuted the predicate
-    /// (the page body was never fetched).
-    pub pages_pruned: AtomicU64,
-    /// Qq iterations skipped entirely because every changed page was
-    /// refuted by its sidecar.
-    pub snapshots_pruned: AtomicU64,
-    /// Bytes of pruning-sidecar state built (cumulative).
-    pub sidecar_bytes: AtomicU64,
+rql_trace::metric_table! {
+    /// Event counters for a store.
+    ///
+    /// All counters are relaxed atomics: they are statistics, not
+    /// synchronization.
+    pub struct IoStats =>
+    /// Point-in-time copy of [`IoStats`].
+    pub struct IoStatsSnapshot("io_", "Snapshot-store I/O") {
+        /// Pages served from the in-memory current database (shared pages).
+        db_reads: Counter,
+        /// Pages served from the buffer cache (snapshot pages already fetched).
+        cache_hits: Counter,
+        /// Pages fetched from the Pagelog archive (cache misses → disk).
+        pagelog_reads: Counter,
+        /// Pre-state pages copied out at commit (COW captures).
+        cow_captures: Counter,
+        /// Pages written to the current database by commits.
+        pages_written: Counter,
+        /// Maplog entries scanned while building SPTs.
+        maplog_entries_scanned: Counter,
+        /// Buffer-cache evictions.
+        cache_evictions: Counter,
+        /// Heap pages skipped because a pruning sidecar refuted the predicate
+        /// (the page body was never fetched).
+        pages_pruned: Counter,
+        /// Qq iterations skipped entirely because every changed page was
+        /// refuted by its sidecar.
+        snapshots_pruned: Counter,
+        /// Bytes of pruning-sidecar state built. Cumulative, but exported as
+        /// a gauge: reclassifying it would rename the `/metrics` family.
+        sidecar_bytes: Gauge,
+    }
 }
 
 impl IoStats {
-    /// Create zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Record a page served from the in-memory database.
     #[inline]
     pub fn count_db_read(&self) {
-        self.db_reads.fetch_add(1, Ordering::Relaxed);
+        self.db_reads.inc();
         instant(SpanId::DbRead);
     }
 
     /// Record a buffer-cache hit.
     #[inline]
     pub fn count_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.cache_hits.inc();
         instant(SpanId::CacheHit);
     }
 
     /// Record a Pagelog fetch (disk I/O in the paper's setup).
     #[inline]
     pub fn count_pagelog_read(&self) {
-        self.pagelog_reads.fetch_add(1, Ordering::Relaxed);
+        self.pagelog_reads.inc();
         instant(SpanId::PagelogRead);
     }
 
     /// Record a COW pre-state capture.
     #[inline]
     pub fn count_cow_capture(&self) {
-        self.cow_captures.fetch_add(1, Ordering::Relaxed);
+        self.cow_captures.inc();
         instant(SpanId::CowCapture);
     }
 
     /// Record a committed page write.
     #[inline]
     pub fn count_page_written(&self) {
-        self.pages_written.fetch_add(1, Ordering::Relaxed);
+        self.pages_written.inc();
         instant(SpanId::PageWrite);
     }
 
     /// Record `n` Maplog entries scanned during an SPT build.
     #[inline]
     pub fn count_maplog_scanned(&self, n: u64) {
-        self.maplog_entries_scanned.fetch_add(n, Ordering::Relaxed);
+        self.maplog_entries_scanned.add(n);
         instant_arg(SpanId::MaplogScan, n);
     }
 
     /// Record a buffer-cache eviction.
     #[inline]
     pub fn count_cache_eviction(&self) {
-        self.cache_evictions.fetch_add(1, Ordering::Relaxed);
+        self.cache_evictions.inc();
         instant(SpanId::CacheEviction);
     }
 
     /// Record a heap page pruned by its sidecar (body never fetched).
     #[inline]
     pub fn count_page_pruned(&self) {
-        self.pages_pruned.fetch_add(1, Ordering::Relaxed);
+        self.pages_pruned.inc();
         instant(SpanId::PagePruned);
     }
 
@@ -113,126 +111,22 @@ impl IoStats {
     /// changed page.
     #[inline]
     pub fn count_snapshot_pruned(&self) {
-        self.snapshots_pruned.fetch_add(1, Ordering::Relaxed);
+        self.snapshots_pruned.inc();
         instant(SpanId::SnapshotPruned);
     }
 
     /// Record `n` bytes of sidecar state built.
     #[inline]
     pub fn count_sidecar_bytes(&self, n: u64) {
-        self.sidecar_bytes.fetch_add(n, Ordering::Relaxed);
+        self.sidecar_bytes.add(n);
         instant_arg(SpanId::SidecarBuild, n);
     }
-
-    /// Snapshot the counters.
-    pub fn snapshot(&self) -> IoStatsSnapshot {
-        IoStatsSnapshot {
-            db_reads: self.db_reads.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            pagelog_reads: self.pagelog_reads.load(Ordering::Relaxed),
-            cow_captures: self.cow_captures.load(Ordering::Relaxed),
-            pages_written: self.pages_written.load(Ordering::Relaxed),
-            maplog_entries_scanned: self.maplog_entries_scanned.load(Ordering::Relaxed),
-            cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
-            pages_pruned: self.pages_pruned.load(Ordering::Relaxed),
-            snapshots_pruned: self.snapshots_pruned.load(Ordering::Relaxed),
-            sidecar_bytes: self.sidecar_bytes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        self.db_reads.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.pagelog_reads.store(0, Ordering::Relaxed);
-        self.cow_captures.store(0, Ordering::Relaxed);
-        self.pages_written.store(0, Ordering::Relaxed);
-        self.maplog_entries_scanned.store(0, Ordering::Relaxed);
-        self.cache_evictions.store(0, Ordering::Relaxed);
-        self.pages_pruned.store(0, Ordering::Relaxed);
-        self.snapshots_pruned.store(0, Ordering::Relaxed);
-        self.sidecar_bytes.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Point-in-time copy of [`IoStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IoStatsSnapshot {
-    /// See [`IoStats::db_reads`].
-    pub db_reads: u64,
-    /// See [`IoStats::cache_hits`].
-    pub cache_hits: u64,
-    /// See [`IoStats::pagelog_reads`].
-    pub pagelog_reads: u64,
-    /// See [`IoStats::cow_captures`].
-    pub cow_captures: u64,
-    /// See [`IoStats::pages_written`].
-    pub pages_written: u64,
-    /// See [`IoStats::maplog_entries_scanned`].
-    pub maplog_entries_scanned: u64,
-    /// See [`IoStats::cache_evictions`].
-    pub cache_evictions: u64,
-    /// See [`IoStats::pages_pruned`].
-    pub pages_pruned: u64,
-    /// See [`IoStats::snapshots_pruned`].
-    pub snapshots_pruned: u64,
-    /// See [`IoStats::sidecar_bytes`].
-    pub sidecar_bytes: u64,
 }
 
 impl IoStatsSnapshot {
-    /// Component-wise difference `self - earlier`, for measuring an interval.
-    pub fn delta(&self, earlier: &IoStatsSnapshot) -> IoStatsSnapshot {
-        IoStatsSnapshot {
-            db_reads: self.db_reads - earlier.db_reads,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            pagelog_reads: self.pagelog_reads - earlier.pagelog_reads,
-            cow_captures: self.cow_captures - earlier.cow_captures,
-            pages_written: self.pages_written - earlier.pages_written,
-            maplog_entries_scanned: self.maplog_entries_scanned - earlier.maplog_entries_scanned,
-            cache_evictions: self.cache_evictions - earlier.cache_evictions,
-            pages_pruned: self.pages_pruned - earlier.pages_pruned,
-            snapshots_pruned: self.snapshots_pruned - earlier.snapshots_pruned,
-            sidecar_bytes: self.sidecar_bytes - earlier.sidecar_bytes,
-        }
-    }
-
-    /// Component-wise sum: merge another interval into this one.
-    pub fn accumulate(&mut self, other: &IoStatsSnapshot) {
-        self.db_reads += other.db_reads;
-        self.cache_hits += other.cache_hits;
-        self.pagelog_reads += other.pagelog_reads;
-        self.cow_captures += other.cow_captures;
-        self.pages_written += other.pages_written;
-        self.maplog_entries_scanned += other.maplog_entries_scanned;
-        self.cache_evictions += other.cache_evictions;
-        self.pages_pruned += other.pages_pruned;
-        self.snapshots_pruned += other.snapshots_pruned;
-        self.sidecar_bytes += other.sidecar_bytes;
-    }
-
     /// Total page fetches from any source.
     pub fn total_fetches(&self) -> u64 {
         self.db_reads + self.cache_hits + self.pagelog_reads
-    }
-
-    /// Every counter as a stable `(name, value)` list, for metrics
-    /// exporters that render all fields without hand-maintaining the
-    /// schema at each call site. Names are snake_case and match the
-    /// field names.
-    pub fn fields(&self) -> [(&'static str, u64); 10] {
-        [
-            ("db_reads", self.db_reads),
-            ("cache_hits", self.cache_hits),
-            ("pagelog_reads", self.pagelog_reads),
-            ("cow_captures", self.cow_captures),
-            ("pages_written", self.pages_written),
-            ("maplog_entries_scanned", self.maplog_entries_scanned),
-            ("cache_evictions", self.cache_evictions),
-            ("pages_pruned", self.pages_pruned),
-            ("snapshots_pruned", self.snapshots_pruned),
-            ("sidecar_bytes", self.sidecar_bytes),
-        ]
     }
 }
 

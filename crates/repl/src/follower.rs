@@ -100,7 +100,7 @@ impl ReplFollower {
     /// via [`ReplFollower::wait_for_store`] once recovery or the first
     /// seed completes.
     pub fn start(cfg: FollowerConfig, metrics: Arc<ReplMetrics>) -> ReplFollower {
-        metrics.role.store(role::FOLLOWER, Ordering::Relaxed);
+        metrics.role.set(role::FOLLOWER);
         let shared = Arc::new(FollowerShared {
             cfg,
             metrics,
@@ -177,10 +177,7 @@ impl ReplFollower {
         if let Some(store) = self.store() {
             let _ = store.flush();
         }
-        self.shared
-            .metrics
-            .phase
-            .store(phase::IDLE, Ordering::Relaxed);
+        self.shared.metrics.phase.set(phase::IDLE);
     }
 }
 
@@ -227,8 +224,8 @@ fn run(shared: &Arc<FollowerShared>) {
                 // Lag is unmeasurable while disconnected: drop out of
                 // STREAMING so readiness probes report not-ready until
                 // the next session re-establishes the stream.
-                shared.metrics.phase.store(phase::IDLE, Ordering::Relaxed);
-                shared.metrics.reconnects.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.phase.set(phase::IDLE);
+                shared.metrics.reconnects.inc();
                 sleep_interruptible(shared, backoff);
                 backoff = (backoff * 2).min(shared.cfg.backoff_max);
             }
@@ -239,7 +236,7 @@ fn run(shared: &Arc<FollowerShared>) {
             }
         }
     }
-    shared.metrics.phase.store(phase::IDLE, Ordering::Relaxed);
+    shared.metrics.phase.set(phase::IDLE);
 }
 
 fn sleep_interruptible(shared: &FollowerShared, total: Duration) {
@@ -310,10 +307,7 @@ fn session(shared: &Arc<FollowerShared>) -> Result<()> {
         Some(store) => store,
         None => receive_seed(shared, &mut reader)?,
     };
-    shared
-        .metrics
-        .phase
-        .store(phase::STREAMING, Ordering::Relaxed);
+    shared.metrics.phase.set(phase::STREAMING);
 
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -345,18 +339,12 @@ fn session(shared: &Arc<FollowerShared>) -> Result<()> {
                         store.flush()?;
                     }
                 }
-                shared.metrics.lag_micros.store(
-                    rql_trace::unix_micros().saturating_sub(origin.wall_micros),
-                    Ordering::Relaxed,
-                );
                 shared
                     .metrics
-                    .segments_applied
-                    .fetch_add(1, Ordering::Relaxed);
-                shared
-                    .metrics
-                    .bytes_applied
-                    .fetch_add(wire, Ordering::Relaxed);
+                    .lag_micros
+                    .set(rql_trace::unix_micros().saturating_sub(origin.wall_micros));
+                shared.metrics.segments_applied.inc();
+                shared.metrics.bytes_applied.add(wire);
                 send_ack(shared, &mut writer, &store)?;
             }
             Frame::Spt {
@@ -381,15 +369,15 @@ fn session(shared: &Arc<FollowerShared>) -> Result<()> {
                 snapshot_count,
             } => {
                 let behind = wal_len.saturating_sub(store.wal_len());
-                shared.metrics.lag_bytes.store(behind, Ordering::Relaxed);
-                shared.metrics.lag_snapshots.store(
-                    snapshot_count.saturating_sub(store.snapshot_count()),
-                    Ordering::Relaxed,
-                );
+                shared.metrics.lag_bytes.set(behind);
+                shared
+                    .metrics
+                    .lag_snapshots
+                    .set(snapshot_count.saturating_sub(store.snapshot_count()));
                 if behind == 0 {
                     // Fully caught up on an idle stream: the last
                     // apply-time lag sample is stale, not current lag.
-                    shared.metrics.lag_micros.store(0, Ordering::Relaxed);
+                    shared.metrics.lag_micros.set(0);
                 }
                 send_ack(shared, &mut writer, &store)?;
             }
@@ -414,10 +402,7 @@ fn send_ack(
             snapshot_count: store.snapshot_count(),
         },
     )?;
-    shared
-        .metrics
-        .bytes_applied
-        .fetch_add(size, Ordering::Relaxed);
+    shared.metrics.bytes_applied.add(size);
     Ok(())
 }
 
@@ -426,10 +411,7 @@ fn send_ack(
 /// first — the marker file is only ever written after a complete, synced
 /// seed.
 fn receive_seed(shared: &Arc<FollowerShared>, reader: &mut TcpStream) -> Result<Arc<RetroStore>> {
-    shared
-        .metrics
-        .phase
-        .store(phase::SEEDING, Ordering::Relaxed);
+    shared.metrics.phase.set(phase::SEEDING);
     std::fs::create_dir_all(&shared.cfg.data_dir)?;
     let marker = shared.cfg.data_dir.join(SEEDED_MARKER);
     let _ = std::fs::remove_file(&marker);
@@ -466,10 +448,7 @@ fn receive_seed(shared: &Arc<FollowerShared>, reader: &mut TcpStream) -> Result<
                         storage.len()
                     )));
                 }
-                shared
-                    .metrics
-                    .seed_bytes
-                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+                shared.metrics.seed_bytes.add(bytes.len() as u64);
                 storage.append(&bytes)?;
             }
             Frame::SeedDone => break,

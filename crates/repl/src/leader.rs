@@ -104,10 +104,8 @@ impl LeaderShared {
             lag_bytes = lag_bytes.max(wal_len.saturating_sub(aw));
             lag_snaps = lag_snaps.max(snaps.saturating_sub(asnaps));
         }
-        self.metrics.lag_bytes.store(lag_bytes, Ordering::Relaxed);
-        self.metrics
-            .lag_snapshots
-            .store(lag_snaps, Ordering::Relaxed);
+        self.metrics.lag_bytes.set(lag_bytes);
+        self.metrics.lag_snapshots.set(lag_snaps);
     }
 }
 
@@ -137,7 +135,7 @@ impl ReplLeader {
             ));
         }
         let addr = listener.local_addr()?;
-        metrics.role.store(role::LEADER, Ordering::Relaxed);
+        metrics.role.set(role::LEADER);
         let shared = Arc::new(LeaderShared {
             tail: Mutex::new(store.wal_len()),
             store,
@@ -207,10 +205,7 @@ impl ReplLeader {
         for h in handlers {
             let _ = h.join();
         }
-        self.shared
-            .metrics
-            .phase
-            .store(phase::IDLE, Ordering::Relaxed);
+        self.shared.metrics.phase.set(phase::IDLE);
     }
 }
 
@@ -296,11 +291,8 @@ fn serve_follower(shared: &Arc<LeaderShared>, stream: TcpStream) -> Result<()> {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .push(Arc::clone(&conn));
-    shared.metrics.followers.fetch_add(1, Ordering::Relaxed);
-    shared
-        .metrics
-        .phase
-        .store(phase::STREAMING, Ordering::Relaxed);
+    shared.metrics.followers.inc();
+    shared.metrics.phase.set(phase::STREAMING);
 
     let ack_conn = Arc::clone(&conn);
     let ack_shared = Arc::clone(shared);
@@ -332,10 +324,10 @@ fn serve_follower(shared: &Arc<LeaderShared>, stream: TcpStream) -> Result<()> {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         conns.retain(|c| !Arc::ptr_eq(c, &conn));
         if conns.is_empty() {
-            shared.metrics.phase.store(phase::IDLE, Ordering::Relaxed);
+            shared.metrics.phase.set(phase::IDLE);
         }
     }
-    shared.metrics.followers.fetch_sub(1, Ordering::Relaxed);
+    shared.metrics.followers.dec();
     shared.update_lag();
     result
 }
@@ -343,10 +335,7 @@ fn serve_follower(shared: &Arc<LeaderShared>, stream: TcpStream) -> Result<()> {
 /// Ship a snapshot-consistent full copy of the three logs, cut at a
 /// mutually consistent point. Returns the WAL cursor to stream from.
 fn send_seed(shared: &Arc<LeaderShared>, writer: &mut TcpStream) -> Result<u64> {
-    shared
-        .metrics
-        .phase
-        .store(phase::SEEDING, Ordering::Relaxed);
+    shared.metrics.phase.set(phase::SEEDING);
     let ckpt = shared.store.repl_checkpoint()?;
     let mut shipped = write_frame(
         writer,
@@ -373,11 +362,8 @@ fn send_seed(shared: &Arc<LeaderShared>, writer: &mut TcpStream) -> Result<u64> 
         }
     }
     shipped += write_frame(writer, &Frame::SeedDone)?;
-    shared
-        .metrics
-        .bytes_shipped
-        .fetch_add(shipped, Ordering::Relaxed);
-    shared.metrics.seeds_served.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.bytes_shipped.add(shipped);
+    shared.metrics.seeds_served.inc();
     Ok(ckpt.wal_len)
 }
 
@@ -408,7 +394,7 @@ fn stream_segments(
                 {
                     let now = Instant::now();
                     if now >= deadline {
-                        shared.metrics.sheds.fetch_add(1, Ordering::Relaxed);
+                        shared.metrics.sheds.inc();
                         return Err(ReplError::Protocol("slow follower shed".into()));
                     }
                     let (next, _) = conn
@@ -438,14 +424,8 @@ fn stream_segments(
                         origin,
                     },
                 )?;
-                shared
-                    .metrics
-                    .bytes_shipped
-                    .fetch_add(size, Ordering::Relaxed);
-                shared
-                    .metrics
-                    .segments_shipped
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.metrics.bytes_shipped.add(size);
+                shared.metrics.segments_shipped.inc();
                 // After a declaring segment, ship the SPT verification
                 // frame so the follower can cross-check the snapshot.
                 if let Some(sid) = declared {
@@ -485,10 +465,7 @@ fn stream_segments(
                                 snapshot_count: shared.store.snapshot_count(),
                             },
                         )?;
-                        shared
-                            .metrics
-                            .bytes_shipped
-                            .fetch_add(size, Ordering::Relaxed);
+                        shared.metrics.bytes_shipped.add(size);
                     }
                 }
             }

@@ -2,10 +2,8 @@
 //!
 //! One struct serves both roles: a leader updates the shipping side, a
 //! follower the applying side, and the unused counters stay zero. The
-//! snapshot's field order is wire-stable — `rqld` renders it verbatim
-//! and locks the order with a test, like the other metric sections.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! field order is wire-stable: `rqld` renders the section verbatim in
+//! METRICS and, unprefixed, as REPLSTATUS.
 
 /// Replication role for the `role` gauge.
 pub mod role {
@@ -27,123 +25,41 @@ pub mod phase {
     pub const STREAMING: u64 = 2;
 }
 
-/// Live replication counters (lock-free; shared across threads).
-#[derive(Default)]
-pub struct ReplMetrics {
-    /// See [`role`].
-    pub role: AtomicU64,
-    /// See [`phase`].
-    pub phase: AtomicU64,
-    /// Currently connected followers (leader side).
-    pub followers: AtomicU64,
-    /// Full seeds completed (leader side).
-    pub seeds_served: AtomicU64,
-    /// Segment frames shipped to followers.
-    pub segments_shipped: AtomicU64,
-    /// Wire bytes shipped (seed + segments + heartbeats).
-    pub bytes_shipped: AtomicU64,
-    /// Slow followers disconnected by the bounded send window.
-    pub sheds: AtomicU64,
-    /// Segments applied into the local store (follower side).
-    pub segments_applied: AtomicU64,
-    /// Wire bytes applied (follower side).
-    pub bytes_applied: AtomicU64,
-    /// Seed bytes received (follower side).
-    pub seed_bytes: AtomicU64,
-    /// Reconnect attempts after a lost leader connection.
-    pub reconnects: AtomicU64,
-    /// Replication lag in WAL bytes (worst follower / behind leader).
-    pub lag_bytes: AtomicU64,
-    /// Replication lag in declared snapshots.
-    pub lag_snapshots: AtomicU64,
-    /// Replication time lag in microseconds (follower side): own wall
-    /// clock at apply minus the leader's propagated commit wall clock.
-    /// Zeroed by heartbeats when fully caught up.
-    pub lag_micros: AtomicU64,
-}
-
-impl ReplMetrics {
-    /// New zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consistent-enough point-in-time copy for rendering.
-    pub fn snapshot(&self) -> ReplSnapshot {
-        let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        ReplSnapshot {
-            role: g(&self.role),
-            phase: g(&self.phase),
-            followers: g(&self.followers),
-            seeds_served: g(&self.seeds_served),
-            segments_shipped: g(&self.segments_shipped),
-            bytes_shipped: g(&self.bytes_shipped),
-            sheds: g(&self.sheds),
-            segments_applied: g(&self.segments_applied),
-            bytes_applied: g(&self.bytes_applied),
-            seed_bytes: g(&self.seed_bytes),
-            reconnects: g(&self.reconnects),
-            lag_bytes: g(&self.lag_bytes),
-            lag_snapshots: g(&self.lag_snapshots),
-            lag_micros: g(&self.lag_micros),
-        }
-    }
-}
-
-/// Point-in-time copy of [`ReplMetrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplSnapshot {
-    /// See [`role`].
-    pub role: u64,
-    /// See [`phase`].
-    pub phase: u64,
-    /// Currently connected followers.
-    pub followers: u64,
-    /// Full seeds completed.
-    pub seeds_served: u64,
-    /// Segment frames shipped.
-    pub segments_shipped: u64,
-    /// Wire bytes shipped.
-    pub bytes_shipped: u64,
-    /// Slow-follower disconnects.
-    pub sheds: u64,
-    /// Segments applied locally.
-    pub segments_applied: u64,
-    /// Wire bytes applied locally.
-    pub bytes_applied: u64,
-    /// Seed bytes received.
-    pub seed_bytes: u64,
-    /// Reconnect attempts.
-    pub reconnects: u64,
-    /// Lag in WAL bytes.
-    pub lag_bytes: u64,
-    /// Lag in snapshots.
-    pub lag_snapshots: u64,
-    /// Time lag in microseconds (from propagated commit wall clocks).
-    pub lag_micros: u64,
-}
-
-impl ReplSnapshot {
-    /// Name/value pairs in wire order. The names get the `repl_` prefix
-    /// from the renderer; the order here is part of the METRICS wire
-    /// format and must only ever grow at the end.
-    pub fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("role", self.role),
-            ("phase", self.phase),
-            ("followers", self.followers),
-            ("seeds_served", self.seeds_served),
-            ("segments_shipped", self.segments_shipped),
-            ("bytes_shipped", self.bytes_shipped),
-            ("sheds", self.sheds),
-            ("segments_applied", self.segments_applied),
-            ("bytes_applied", self.bytes_applied),
-            ("seed_bytes", self.seed_bytes),
-            ("reconnects", self.reconnects),
-            ("lag_bytes", self.lag_bytes),
-            ("lag_snapshots", self.lag_snapshots),
-            ("lag_micros", self.lag_micros),
-        ]
+rql_trace::metric_table! {
+    /// Live replication counters (lock-free; shared across threads).
+    pub struct ReplMetrics =>
+    /// Point-in-time copy of [`ReplMetrics`].
+    pub struct ReplSnapshot("repl_", "Replication") {
+        /// See [`role`].
+        role: Gauge,
+        /// See [`phase`].
+        phase: Gauge,
+        /// Currently connected followers (leader side).
+        followers: Gauge,
+        /// Full seeds completed (leader side).
+        seeds_served: Counter,
+        /// Segment frames shipped to followers.
+        segments_shipped: Counter,
+        /// Wire bytes shipped (seed + segments + heartbeats).
+        bytes_shipped: Counter,
+        /// Slow followers disconnected by the bounded send window.
+        sheds: Counter,
+        /// Segments applied into the local store (follower side).
+        segments_applied: Counter,
+        /// Wire bytes applied (follower side).
+        bytes_applied: Counter,
+        /// Seed bytes received (follower side).
+        seed_bytes: Counter,
+        /// Reconnect attempts after a lost leader connection.
+        reconnects: Counter,
+        /// Replication lag in WAL bytes (worst follower / behind leader).
+        lag_bytes: Gauge,
+        /// Replication lag in declared snapshots.
+        lag_snapshots: Gauge,
+        /// Replication time lag in microseconds (follower side): own wall
+        /// clock at apply minus the leader's propagated commit wall clock.
+        /// Zeroed by heartbeats when fully caught up.
+        lag_micros: Gauge,
     }
 }
 
@@ -156,14 +72,12 @@ mod tests {
     #[test]
     fn snapshot_copies_counters_in_stable_order() {
         let m = ReplMetrics::new();
-        m.role.store(role::LEADER, Ordering::Relaxed);
-        m.segments_shipped.store(42, Ordering::Relaxed);
-        let snap = m.snapshot();
-        assert_eq!(snap.role, 1);
-        let fields = snap.fields();
-        assert_eq!(fields[0], ("role", 1));
-        assert_eq!(fields[4], ("segments_shipped", 42));
-        assert_eq!(fields.len(), 14);
-        assert_eq!(fields[13].0, "lag_micros");
+        m.role.set(role::LEADER);
+        m.segments_shipped.add(42);
+        let (section, values) = m.snapshot().sample();
+        assert_eq!(values.len(), 14);
+        assert_eq!((section.fields[0].0, values[0]), ("role", 1));
+        assert_eq!((section.fields[4].0, values[4]), ("segments_shipped", 42));
+        assert_eq!(section.fields[13].0, "lag_micros");
     }
 }

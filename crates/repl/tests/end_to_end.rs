@@ -3,7 +3,6 @@
 #![allow(clippy::unwrap_used)]
 
 use std::net::TcpListener;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -123,7 +122,7 @@ fn seed_stream_and_resume_across_reconnect() {
     assert_eq!(fstore.snapshot_count(), 1);
     assert_eq!(read_tag(&fstore, s1, 0), 1);
     assert_eq!(read_tag(&fstore, s1, 1), 11);
-    assert_eq!(follower_metrics.seed_bytes.load(Ordering::Relaxed), {
+    assert_eq!(follower_metrics.seed_bytes.get(), {
         let logs = store.repl_logs().unwrap();
         logs.wal.len() + logs.pagelog.len() + logs.maplog.len()
     });
@@ -154,7 +153,7 @@ fn seed_stream_and_resume_across_reconnect() {
         == 3));
     assert_eq!(read_tag(&fstore, s3, 1), 22);
     assert_eq!(read_tag(&fstore, s1, 1), 11);
-    assert_eq!(leader_metrics.seeds_served.load(Ordering::Relaxed), 1);
+    assert_eq!(leader_metrics.seeds_served.get(), 1);
 
     // Both sides converge to identical WAL bytes.
     assert!(wait_until(Duration::from_secs(10), || fstore.wal_len()
@@ -175,9 +174,9 @@ fn seed_stream_and_resume_across_reconnect() {
     // Leader lag gauges settle to zero once the follower is caught up
     // and acking heartbeats.
     assert!(wait_until(Duration::from_secs(10), || {
-        leader_metrics.lag_bytes.load(Ordering::Relaxed) == 0
+        leader_metrics.lag_bytes.get() == 0
     }));
-    assert_eq!(leader_metrics.followers.load(Ordering::Relaxed), 1);
+    assert_eq!(leader_metrics.followers.get(), 1);
     leader.shutdown();
 }
 
@@ -244,7 +243,7 @@ fn follower_reconnects_with_backoff_when_leader_restarts() {
     leader.shutdown();
     drop(leader);
     assert!(wait_until(Duration::from_secs(10), || {
-        metrics.reconnects.load(Ordering::Relaxed) > 0
+        metrics.reconnects.get() > 0
     }));
 
     // Bring the leader back on the same port and commit more work: the
@@ -303,7 +302,7 @@ fn a_hello_in_another_protocol_version_is_refused() {
         rql_repl::read_frame(&mut stream),
         Err(rql_repl::ReplError::Io(_))
     ));
-    assert_eq!(metrics.seeds_served.load(Ordering::Relaxed), 0);
-    assert_eq!(metrics.bytes_shipped.load(Ordering::Relaxed), 0);
+    assert_eq!(metrics.seeds_served.get(), 0);
+    assert_eq!(metrics.bytes_shipped.get(), 0);
     leader.shutdown();
 }

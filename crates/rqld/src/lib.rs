@@ -16,7 +16,8 @@
 //! * [`metrics`] — counters and a log-bucketed latency histogram served
 //!   by the `METRICS` verb;
 //! * [`observe`] — the same registries rendered as a Prometheus text
-//!   exposition page, served on `--metrics-listen`'s `/metrics`;
+//!   exposition page, served on `--metrics-listen`'s `/metrics`, and the
+//!   `REPLSTATUS` reply;
 //! * [`client`] — a blocking client used by the `rql` CLI and tests.
 //!
 //! Everything is std + workspace crates: no async runtime, no external
@@ -32,7 +33,7 @@ pub mod protocol;
 pub mod server;
 
 pub use client::{Client, ClientError, SubscriptionEvent};
-pub use metrics::{LatencyHistogram, Metrics, StandingSnapshot};
+pub use metrics::{Metrics, StandingSnapshot};
 pub use pool::{ServerSession, SharedStack, SnapEntry};
 pub use protocol::{
     Request, Response, WireDelta, WireDiagnostic, WireFix, WireReport, WireResult, WireTable,

@@ -1,86 +1,26 @@
-//! Prometheus text exposition for the server's registries.
+//! The server's metric replies: `METRICS`, the `/metrics` page and
+//! `REPLSTATUS`.
 //!
-//! The `METRICS` verb renders every counter the server owns as flat
-//! `name value` / JSON lines; this module renders the *same* snapshots
-//! through [`rql_trace::TextBuilder`] for the `--metrics-listen`
-//! endpoint, so a scrape and a `METRICS` frame taken at the same moment
-//! agree number for number.
-//!
-//! The only judgement exercised here is counter-vs-gauge
-//! classification: the wire-stable field lists carry no type
-//! information, so each section declares which of its names are
-//! level-style gauges (`connections_open`, `queue_depth`, the memo's
-//! resident `bytes`, replication `lag_*`, …); everything else is a
-//! monotonic counter and gets the `_total` suffix Prometheus naming
-//! demands. Derived quantiles (`latency_p50_micros` and friends) are
-//! *not* exported — the histogram itself is, as cumulative buckets, so
-//! the scrape side can compute any quantile with `histogram_quantile`.
+//! `/metrics` renders the same [`Readings`] as the `METRICS` verb through
+//! [`rql_trace::TextBuilder`], so a scrape and a `METRICS` frame taken at
+//! the same moment agree number for number. Each field is a counter or a
+//! gauge as its metric table declares it. The derived latency quantiles
+//! are *not* exported — the histogram itself is, as cumulative buckets,
+//! so the scrape side can compute any quantile with
+//! `histogram_quantile`.
 
 use std::time::Duration;
 
-use rql_memo::MemoStatsSnapshot;
-use rql_pagestore::IoStatsSnapshot;
-use rql_repl::ReplSnapshot;
+use rql_repl::{phase, role, ReplSnapshot};
+use rql_trace::metric::{entries, render_json, render_text};
 use rql_trace::TextBuilder;
 
-use crate::metrics::{Metrics, StandingSnapshot};
+use crate::metrics::Readings;
 
-/// Gauge names in [`Metrics::fields`]; the `latency_*` entries are
-/// skipped entirely (the histogram is exported instead).
-const SERVER_GAUGES: &[&str] = &["connections_open", "queue_depth", "in_flight"];
-
-/// Gauge names in the store's `IoStatsSnapshot::fields`.
-const IO_GAUGES: &[&str] = &["sidecar_bytes"];
-
-/// Gauge names in the memo store's `MemoStatsSnapshot::fields`.
-const MEMO_GAUGES: &[&str] = &["bytes"];
-
-/// Gauge names in [`StandingSnapshot::fields`].
-const STANDING_GAUGES: &[&str] = &[
-    "queries",
-    "subscribers",
-    "push_mean_micros",
-    "push_p99_micros",
-];
-
-/// Gauge names in `ReplSnapshot::fields`.
-const REPL_GAUGES: &[&str] = &[
-    "role",
-    "phase",
-    "followers",
-    "lag_bytes",
-    "lag_snapshots",
-    "lag_micros",
-];
-
-fn section(
-    b: &mut TextBuilder,
-    prefix: &str,
-    fields: &[(&'static str, u64)],
-    gauges: &[&str],
-    help: &str,
-) {
-    for (name, value) in fields {
-        let full = format!("rql_{prefix}{name}");
-        let line = format!("{help}: {name}.");
-        if gauges.contains(name) {
-            b.gauge(&full, &line, *value);
-        } else {
-            b.counter(&full, &line, *value);
-        }
-    }
-}
-
-/// Render the full `/metrics` page from one consistent set of
-/// snapshots. `uptime` is the serving process's age.
-pub fn render_openmetrics(
-    metrics: &Metrics,
-    io: &IoStatsSnapshot,
-    memo: &MemoStatsSnapshot,
-    standing: &StandingSnapshot,
-    repl: &ReplSnapshot,
-    uptime: Duration,
-) -> String {
+/// Render the full `/metrics` page. `uptime` is the serving process's
+/// age.
+pub fn render_openmetrics(readings: &Readings, uptime: Duration) -> String {
+    let [server, _quantiles, others @ ..] = readings.samples();
     let mut b = TextBuilder::new();
     b.info(
         "rql_build_info",
@@ -92,84 +32,111 @@ pub fn render_openmetrics(
         "Seconds since the server started serving.",
         uptime.as_secs_f64(),
     );
-
-    let server_fields: Vec<(&'static str, u64)> = metrics
-        .fields()
-        .into_iter()
-        .filter(|(name, _)| !name.starts_with("latency_"))
-        .collect();
-    section(
-        &mut b,
-        "",
-        &server_fields,
-        SERVER_GAUGES,
-        "rqld server counter",
-    );
+    b.section(&server);
     b.histogram(
         "rql_query_latency_seconds",
         "End-to-end query latency (admission to reply).",
-        &metrics.latency,
+        &readings.server.latency,
     );
-
-    section(&mut b, "io_", &io.fields(), IO_GAUGES, "Snapshot-store I/O");
-    section(
-        &mut b,
-        "memo_",
-        &memo.fields(),
-        MEMO_GAUGES,
-        "Shared Qq memoization store",
-    );
-    section(
-        &mut b,
-        "standing_",
-        &standing.fields(),
-        STANDING_GAUGES,
-        "Standing-query engine",
-    );
-    section(&mut b, "repl_", &repl.fields(), REPL_GAUGES, "Replication");
+    for sample in &others {
+        b.section(sample);
+    }
     // The lag gauge Prometheus alerting actually wants: the propagated
     // commit-timestamp lag in base units, derived from `lag_micros`.
     b.gauge_f64(
         "rql_repl_lag_seconds",
         "Replication lag from propagated leader commit timestamps.",
-        repl.lag_micros as f64 / 1e6,
+        readings.repl.lag_micros as f64 / 1e6,
     );
     b.finish()
+}
+
+/// The `METRICS` reply: every section of `readings`, as `name value`
+/// lines or one flat JSON object.
+pub fn render_metrics(readings: &Readings, json: bool) -> String {
+    let samples = readings.samples();
+    if json {
+        render_json(entries(&samples))
+    } else {
+        render_text(entries(&samples))
+    }
+}
+
+/// The `REPLSTATUS` reply: the replication section without its `repl_`
+/// prefix, the role and phase spelled out in the text form, then the
+/// propagated commit-timestamp lag in seconds (so `rql replstatus --json
+/// | jq .lag_seconds` needs no unit conversion).
+pub fn render_replstatus(repl: &ReplSnapshot, json: bool) -> String {
+    let (section, values) = repl.sample();
+    let word = |name: &str, value: u64| match (name, value) {
+        ("role", role::NONE) => Some("none"),
+        ("role", role::LEADER) => Some("leader"),
+        ("role", role::FOLLOWER) => Some("follower"),
+        ("phase", phase::IDLE) => Some("idle"),
+        ("phase", phase::SEEDING) => Some("seeding"),
+        ("phase", phase::STREAMING) => Some("streaming"),
+        _ => None,
+    };
+    let fields = section
+        .fields
+        .iter()
+        .zip(values)
+        .map(|(&(name, _), value)| {
+            let shown = match word(name, value) {
+                Some(w) if !json => w.to_owned(),
+                _ => value.to_string(),
+            };
+            (name, shown)
+        });
+    let lag_seconds = format!("{:.6}", repl.lag_micros as f64 / 1e6);
+    let all = fields.chain([("lag_seconds", lag_seconds)]);
+    if json {
+        render_json(all)
+    } else {
+        render_text(all)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
 
+    use rql_memo::MemoStatsSnapshot;
+    use rql_pagestore::IoStatsSnapshot;
+
     use super::*;
+    use crate::metrics::{Metrics, StandingSnapshot};
 
     fn page() -> String {
         let m = Metrics::new();
-        m.inc(&m.queries_total);
-        m.inc(&m.connections_open);
+        m.queries_total.inc();
+        m.connections_open.inc();
         m.latency.record(Duration::from_micros(100));
-        let io = IoStatsSnapshot {
-            pagelog_reads: 7,
-            sidecar_bytes: 1024,
-            ..Default::default()
+        let readings = Readings {
+            server: &m,
+            io: IoStatsSnapshot {
+                pagelog_reads: 7,
+                sidecar_bytes: 1024,
+                ..Default::default()
+            },
+            memo: MemoStatsSnapshot {
+                hits: 5,
+                bytes: 4096,
+                ..Default::default()
+            },
+            standing: StandingSnapshot {
+                queries: 2,
+                rows_pushed: 9,
+                ..Default::default()
+            },
+            repl: ReplSnapshot {
+                role: 2,
+                segments_applied: 3,
+                lag_micros: 250_000,
+                ..Default::default()
+            },
         };
-        let memo = MemoStatsSnapshot {
-            hits: 5,
-            bytes: 4096,
-            ..Default::default()
-        };
-        let standing = StandingSnapshot {
-            queries: 2,
-            rows_pushed: 9,
-            ..Default::default()
-        };
-        let repl = ReplSnapshot {
-            role: 2,
-            segments_applied: 3,
-            lag_micros: 250_000,
-            ..Default::default()
-        };
-        render_openmetrics(&m, &io, &memo, &standing, &repl, Duration::from_secs(2))
+        render_openmetrics(&readings, Duration::from_secs(2))
     }
 
     #[test]

@@ -33,11 +33,12 @@ use rql::{
 use rql_memo::{MemoConfig, MemoStore};
 use rql_pagestore::wire::WireError;
 use rql_pagestore::FileStorage;
-use rql_repl::{FollowerConfig, LeaderConfig, ReplFollower, ReplLeader, ReplMetrics, ReplSnapshot};
+use rql_repl::{FollowerConfig, LeaderConfig, ReplFollower, ReplLeader, ReplMetrics};
 use rql_retro::{RetroConfig, RetroStore};
 use rql_standing::{PushFrame, StandingEngine, Subscription};
 
-use crate::metrics::{Metrics, StandingSnapshot};
+use crate::metrics::{Metrics, Readings, StandingSnapshot};
+use crate::observe::{render_metrics, render_openmetrics, render_replstatus};
 use crate::pool::{ServerSession, SharedStack};
 use crate::protocol::{
     Request, Response, WireDelta, WireDiagnostic, WireFix, WireProfile, WireReport, WireResult,
@@ -182,7 +183,7 @@ impl Inner {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             if self.draining() || queue.len() >= self.config.queue_capacity {
                 drop(queue);
-                self.metrics.inc(&self.metrics.admission_rejected);
+                self.metrics.admission_rejected.inc();
                 return None;
             }
             let job = Arc::new(Job {
@@ -197,8 +198,8 @@ impl Inner {
             queue.push_back(Arc::clone(&job));
             job
         };
-        self.metrics.inc(&self.metrics.queries_total);
-        self.metrics.inc(&self.metrics.queue_depth);
+        self.metrics.queries_total.inc();
+        self.metrics.queue_depth.inc();
         rql_trace::instant_arg(rql_trace::SpanId::JobAdmit, job.id);
         self.queue_cv.notify_one();
         Some(job)
@@ -227,11 +228,11 @@ impl Inner {
                         .0;
                 }
             };
-            self.metrics.dec(&self.metrics.queue_depth);
-            self.metrics.inc(&self.metrics.in_flight);
+            self.metrics.queue_depth.dec();
+            self.metrics.in_flight.inc();
             rql_trace::instant_arg(rql_trace::SpanId::JobDequeue, job.id);
             self.run_job(&job);
-            self.metrics.dec(&self.metrics.in_flight);
+            self.metrics.in_flight.dec();
         }
     }
 
@@ -279,33 +280,27 @@ impl Inner {
 
         match &result {
             Ok(run) => {
-                self.metrics.inc(&self.metrics.queries_ok);
+                self.metrics.queries_ok.inc();
                 let rows: u64 = run.tables.iter().map(|t| t.rows.len() as u64).sum();
-                self.metrics.add(&self.metrics.rows_returned, rows);
+                self.metrics.rows_returned.add(rows);
                 for (_, report) in &run.reports {
-                    self.metrics
-                        .add(&self.metrics.qq_iterations, report.iteration_count() as u64);
-                    self.metrics
-                        .add(&self.metrics.qq_rows, report.total_qq_rows());
-                    self.metrics.add(
-                        &self.metrics.pages_skipped_delta,
-                        report.accumulated_stats().pages_skipped_delta,
-                    );
-                    self.metrics.add(
-                        &self.metrics.pages_pruned_filter,
-                        report.accumulated_stats().pages_pruned_filter,
-                    );
+                    let m = &self.metrics;
+                    let acc = report.accumulated_stats();
+                    m.qq_iterations.add(report.iteration_count() as u64);
+                    m.qq_rows.add(report.total_qq_rows());
+                    m.pages_skipped_delta.add(acc.pages_skipped_delta);
+                    m.pages_pruned_filter.add(acc.pages_pruned_filter);
                 }
             }
             Err(SqlError::Cancelled(CancelCause::Client)) => {
-                self.metrics.inc(&self.metrics.queries_failed);
-                self.metrics.inc(&self.metrics.queries_cancelled);
+                self.metrics.queries_failed.inc();
+                self.metrics.queries_cancelled.inc();
             }
             Err(SqlError::Cancelled(CancelCause::Timeout)) => {
-                self.metrics.inc(&self.metrics.queries_failed);
-                self.metrics.inc(&self.metrics.queries_timed_out);
+                self.metrics.queries_failed.inc();
+                self.metrics.queries_timed_out.inc();
             }
-            Err(_) => self.metrics.inc(&self.metrics.queries_failed),
+            Err(_) => self.metrics.queries_failed.inc(),
         }
         self.metrics.latency.record(job.admitted.elapsed());
 
@@ -374,22 +369,15 @@ impl Inner {
         let _ = TcpStream::connect(addr);
     }
 
-    /// The `/metrics` page: every registry the `METRICS` verb renders,
-    /// re-expressed in the Prometheus text format (plus the build-info
-    /// and uptime gauges the scrape-side convention expects).
-    fn render_openmetrics(&self) -> String {
-        let io = self.stack.store().stats().snapshot();
-        let memo = self.stack.memo_stats();
-        let standing = StandingSnapshot::from_statuses(&self.standing.statuses());
-        let repl = self.repl_metrics.snapshot();
-        crate::observe::render_openmetrics(
-            &self.metrics,
-            &io,
-            &memo,
-            &standing,
-            &repl,
-            self.started.elapsed(),
-        )
+    /// Every registry `METRICS` and `/metrics` render, read now.
+    fn readings(&self) -> Readings<'_> {
+        Readings {
+            server: &self.metrics,
+            io: self.stack.store().stats().snapshot(),
+            memo: self.stack.memo_stats(),
+            standing: StandingSnapshot::from_statuses(&self.standing.statuses()),
+            repl: self.repl_metrics.snapshot(),
+        }
     }
 
     /// The `/readyz` verdict. A leader or standalone server is ready
@@ -644,7 +632,7 @@ pub fn serve(addr: impl ToSocketAddrs, config: ServerConfig) -> io::Result<Serve
                 "/metrics" => rql_trace::HttpResponse {
                     status: 200,
                     content_type: "text/plain; version=0.0.4; charset=utf-8",
-                    body: routes.render_openmetrics(),
+                    body: render_openmetrics(&routes.readings(), routes.started.elapsed()),
                 },
                 "/healthz" => rql_trace::HttpResponse::ok("ok\n"),
                 "/readyz" => routes.readyz(),
@@ -701,7 +689,7 @@ fn send(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
 fn serve_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     rql_trace::instant(rql_trace::SpanId::ConnAccept);
-    inner.metrics.inc(&inner.metrics.connections_total);
+    inner.metrics.connections_total.inc();
     let session = match inner.stack.checkout() {
         Ok(s) => Arc::new(s),
         Err(e) => {
@@ -715,7 +703,7 @@ fn serve_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
             return;
         }
     };
-    inner.metrics.inc(&inner.metrics.connections_open);
+    inner.metrics.connections_open.inc();
     inner
         .sessions
         .lock()
@@ -729,7 +717,7 @@ fn serve_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .remove(&session.id);
-    inner.metrics.dec(&inner.metrics.connections_open);
+    inner.metrics.connections_open.dec();
     // A dropped connection cancels whatever it had in flight.
     session.session().cancel(CancelCause::Client);
     let _ = result;
@@ -767,7 +755,7 @@ fn connection_loop(
         match request {
             Request::Prepare { program, trace } => {
                 note_trace(trace);
-                inner.metrics.inc(&inner.metrics.prepares_total);
+                inner.metrics.prepares_total.inc();
                 let diagnostics = prepare(session, &program);
                 send(stream, &Response::Diagnostics { diagnostics })?;
             }
@@ -859,15 +847,7 @@ fn connection_loop(
                 send(stream, &Response::Text(text))?;
             }
             Request::Metrics { json } => {
-                let io = inner.stack.store().stats().snapshot();
-                let memo = inner.stack.memo_stats();
-                let standing = StandingSnapshot::from_statuses(&inner.standing.statuses());
-                let repl = inner.repl_metrics.snapshot();
-                let text = if json {
-                    inner.metrics.render_json(&io, &memo, &standing, &repl)
-                } else {
-                    inner.metrics.render_human(&io, &memo, &standing, &repl)
-                };
+                let text = render_metrics(&inner.readings(), json);
                 send(stream, &Response::Text(text))?;
             }
             Request::ReplStatus { json } => {
@@ -941,8 +921,8 @@ fn submit(
     let parsed = match parse_program(program) {
         Ok(p) => p,
         Err(d) => {
-            inner.metrics.inc(&inner.metrics.queries_total);
-            inner.metrics.inc(&inner.metrics.queries_failed);
+            inner.metrics.queries_total.inc();
+            inner.metrics.queries_failed.inc();
             send(
                 stream,
                 &Response::Error {
@@ -1015,46 +995,6 @@ fn read_only_error(what: &str) -> Response {
         code: "RQL505".into(),
         message: format!("read-only replica: {what} must go to the leader"),
     }
-}
-
-/// The `REPLSTATUS` reply: the `repl_` metric section on its own, with
-/// the role/phase gauges spelled out in the human form. Field order
-/// follows [`ReplSnapshot::fields`] — wire-stable, grow-at-end only.
-fn render_replstatus(s: &ReplSnapshot, json: bool) -> String {
-    // Derived, not part of the wire-stable integer list: the propagated
-    // commit-timestamp lag as a float in seconds, so `rql replstatus
-    // --json | jq .lag_seconds` needs no unit conversion.
-    let lag_seconds = s.lag_micros as f64 / 1e6;
-    if json {
-        let mut parts: Vec<String> = s
-            .fields()
-            .into_iter()
-            .map(|(name, value)| format!("\"{name}\":{value}"))
-            .collect();
-        parts.push(format!("\"lag_seconds\":{lag_seconds:.6}"));
-        return format!("{{{}}}", parts.join(","));
-    }
-    let mut out = String::new();
-    for (name, value) in s.fields() {
-        let word = match (name, value) {
-            ("role", rql_repl::role::NONE) => Some("none"),
-            ("role", rql_repl::role::LEADER) => Some("leader"),
-            ("role", rql_repl::role::FOLLOWER) => Some("follower"),
-            ("phase", rql_repl::phase::IDLE) => Some("idle"),
-            ("phase", rql_repl::phase::SEEDING) => Some("seeding"),
-            ("phase", rql_repl::phase::STREAMING) => Some("streaming"),
-            _ => None,
-        };
-        out.push_str(name);
-        out.push(' ');
-        match word {
-            Some(w) => out.push_str(w),
-            None => out.push_str(&value.to_string()),
-        }
-        out.push('\n');
-    }
-    out.push_str(&format!("lag_seconds {lag_seconds:.6}\n"));
-    out
 }
 
 /// Failures that carry their registry code inline (`[RQL210] …` from

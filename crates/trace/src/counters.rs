@@ -11,8 +11,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// A monotonically-written relaxed counter (also usable as a gauge via
-/// [`Counter::dec`], which saturates at zero).
+/// A relaxed counter: the one cell every metric-table field is made of.
+/// Counters only [`add`](Counter::add); gauges may also
+/// [`set`](Counter::set) or [`sub`](Counter::sub), which saturates at
+/// zero.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
@@ -37,11 +39,23 @@ impl Counter {
     /// Subtract 1, saturating at zero (gauge semantics).
     #[inline]
     pub fn dec(&self) {
+        self.sub(1);
+    }
+
+    /// Subtract `n`, saturating at zero (gauge semantics).
+    #[inline]
+    pub fn sub(&self, n: u64) {
         let _ = self
             .0
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(1))
+                Some(v.saturating_sub(n))
             });
+    }
+
+    /// Overwrite the value (a gauge that is set rather than counted).
+    #[inline]
+    pub fn set(&self, v: u64) {
+        self.0.store(v, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -162,6 +176,11 @@ mod tests {
         for _ in 0..10 {
             c.dec();
         }
+        assert_eq!(c.get(), 0);
+        c.set(9);
+        c.sub(4);
+        assert_eq!(c.get(), 5);
+        c.sub(6);
         assert_eq!(c.get(), 0);
     }
 

@@ -4,8 +4,8 @@
 //! The observability spine of the RQL reproduction: a low-overhead
 //! structured span/event layer threaded through every crate of the
 //! stack, plus the machinery built on top of it — the flight recorder,
-//! the Chrome-trace/Perfetto exporter, and the counter types `rqld`'s
-//! metrics registry is made of.
+//! the Chrome-trace/Perfetto exporter, and the metric table every
+//! registry's counters and gauges are declared in.
 //!
 //! Design constraints (DESIGN.md §9):
 //!
@@ -33,6 +33,7 @@ pub mod event;
 pub mod flight;
 pub mod http;
 pub mod label;
+pub mod metric;
 pub mod openmetrics;
 pub mod ring;
 pub mod span;

@@ -1,11 +1,11 @@
 //! Prometheus/OpenMetrics text exposition.
 //!
-//! A small builder that renders counters, gauges and
-//! [`LatencyHistogram`]s in the Prometheus text format (`# HELP` /
-//! `# TYPE` metadata, cumulative `_bucket{le="…"}` series, `_sum` and
-//! `_count`). It lives here — at the bottom of the crate graph — so
-//! `rqld`'s `/metrics` endpoint and the bench binaries share one
-//! renderer and one set of conventions:
+//! A small builder that renders counters, gauges, whole metric-table
+//! [`Section`](crate::metric::Section)s and [`LatencyHistogram`]s in the
+//! Prometheus text format (`# HELP` / `# TYPE` metadata, cumulative
+//! `_bucket{le="…"}` series, `_sum` and `_count`). It lives here — at
+//! the bottom of the crate graph — so `rqld`'s `/metrics` endpoint and
+//! the bench binaries share one renderer and one set of conventions:
 //!
 //! * every metric name carries the `rql_` namespace prefix;
 //! * counters end in `_total` (the builder appends it when missing);
@@ -15,6 +15,7 @@
 //!   `p50/p99` fields are computed from.
 
 use crate::counters::{LatencyHistogram, BUCKET_BOUNDS};
+use crate::metric::{Kind, Sample};
 
 /// Builder accumulating one exposition page.
 #[derive(Debug, Default)]
@@ -131,6 +132,9 @@ impl TextBuilder {
     pub fn histogram(&mut self, name: &str, help: &str, hist: &LatencyHistogram) {
         let name = sanitize(name);
         self.header(&name, help, "histogram");
+        // `+Inf` and `_count` come from the same bucket read as the
+        // finite buckets: a sample recorded mid-render must not make
+        // them disagree.
         let counts = hist.bucket_counts();
         let mut cumulative = 0u64;
         for (i, n) in counts.iter().enumerate() {
@@ -145,7 +149,7 @@ impl TextBuilder {
         }
         self.buf.push_str(&name);
         self.buf.push_str("_bucket{le=\"+Inf\"} ");
-        self.buf.push_str(&hist.count().to_string());
+        self.buf.push_str(&cumulative.to_string());
         self.buf.push('\n');
         self.buf.push_str(&name);
         self.buf.push_str("_sum ");
@@ -153,8 +157,22 @@ impl TextBuilder {
         self.buf.push('\n');
         self.buf.push_str(&name);
         self.buf.push_str("_count ");
-        self.buf.push_str(&hist.count().to_string());
+        self.buf.push_str(&cumulative.to_string());
         self.buf.push('\n');
+    }
+
+    /// Every field of one metric-table section: `rql_<prefix><name>`,
+    /// a counter or gauge by its [`Kind`], with HELP
+    /// `"<section help>: <name>."`.
+    pub fn section(&mut self, (section, values): &Sample) {
+        for (&(name, kind), &value) in section.fields.iter().zip(values) {
+            let full = format!("rql_{}{name}", section.prefix);
+            let help = format!("{}: {name}.", section.help);
+            match kind {
+                Kind::Counter => self.counter(&full, &help, value),
+                Kind::Gauge => self.gauge(&full, &help, value),
+            }
+        }
     }
 
     /// Finish the page (Prometheus text format is newline-terminated
@@ -169,6 +187,7 @@ mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
     #[test]
@@ -198,6 +217,40 @@ mod tests {
         assert!(page.contains("rql_query_latency_seconds_bucket{le=\"+Inf\"} 3\n"));
         assert!(page.contains("rql_query_latency_seconds_count 3\n"));
         assert!(page.contains("rql_query_latency_seconds_sum 0.0502\n"));
+    }
+
+    #[test]
+    fn histogram_stays_consistent_while_recording() {
+        // A scrape taken while queries finish must still satisfy what
+        // scripts/validate_openmetrics.py checks: cumulative buckets
+        // never decrease and `+Inf` equals `_count`.
+        let h = LatencyHistogram::default();
+        let stop = AtomicBool::new(false);
+        let inconsistent = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    h.record(Duration::from_micros(100));
+                }
+            });
+            let found = (0..2_000).find_map(|_| {
+                let mut b = TextBuilder::new();
+                b.histogram("rql_h_seconds", "h", &h);
+                let page = b.finish();
+                let series = |suffix: &str| -> Vec<u64> {
+                    page.lines()
+                        .filter(|l| l.starts_with(&format!("rql_h_seconds_{suffix}")))
+                        .filter_map(|l| l.rsplit(' ').next()?.parse().ok())
+                        .collect()
+                };
+                let buckets = series("bucket");
+                let ok = buckets.windows(2).all(|w| w[0] <= w[1])
+                    && buckets.last() == series("count").first();
+                (!ok).then_some(page)
+            });
+            stop.store(true, Ordering::Relaxed);
+            found
+        });
+        assert_eq!(inconsistent, None);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate a Prometheus text-exposition page (rqld's /metrics).
 
-Usage: validate_openmetrics.py [FILE]
+Usage: validate_openmetrics.py [--expect GOLDEN] [FILE]
 
 Reads FILE (or stdin) and checks the structural invariants a scraper
 relies on. Stdlib-only (CI runners have no prometheus_client):
@@ -15,10 +15,11 @@ relies on. Stdlib-only (CI runners have no prometheus_client):
     non-decreasing, and the `+Inf` bucket equals `_count`
   - sample values parse as numbers
 
-Also asserts the page carries the conventional `rql_build_info` and
-`rql_uptime_seconds` families, so a scrape that silently lost the
-registry wiring fails loudly. Exits non-zero with a line-qualified
-message on the first violation.
+With `--expect GOLDEN` (tests/golden/metrics_v1.txt), every family
+declared in the golden's `== /metrics` section must also be declared
+in FILE, with the same TYPE, so a scrape that silently lost a registry
+fails loudly. Exits non-zero with a line-qualified message on the
+first violation.
 """
 
 import math
@@ -54,11 +55,34 @@ def family_of(sample_name, types):
     return None
 
 
+def golden_families(path):
+    """`# TYPE` declarations of the golden file's `== /metrics` section."""
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    try:
+        start = lines.index("== /metrics") + 1
+    except ValueError:
+        sys.exit(f"{path}: no '== /metrics' section")
+    families = {}
+    for line in lines[start:]:
+        if line.startswith("== "):
+            break
+        if line.startswith("# TYPE "):
+            _, _, name, kind = line.split(" ")
+            families[name] = kind
+    return families
+
+
 def main():
-    if len(sys.argv) > 2:
+    args = sys.argv[1:]
+    expected = {}
+    if args[:1] == ["--expect"] and len(args) >= 2:
+        expected = golden_families(args[1])
+        args = args[2:]
+    if len(args) > 1 or args[:1] == ["--expect"]:
         sys.exit(__doc__.strip().splitlines()[2])
-    if len(sys.argv) == 2:
-        with open(sys.argv[1], encoding="utf-8") as f:
+    if args:
+        with open(args[0], encoding="utf-8") as f:
             text = f.read()
     else:
         text = sys.stdin.read()
@@ -137,9 +161,11 @@ def main():
     missing_help = set(types) - helps
     if missing_help:
         sys.exit(f"openmetrics invalid: families without HELP: {sorted(missing_help)}")
-    for required in ("rql_build_info", "rql_uptime_seconds"):
-        if required not in types:
-            sys.exit(f"openmetrics invalid: required family {required} missing")
+    for name, kind in expected.items():
+        if name not in types:
+            sys.exit(f"openmetrics invalid: expected family {name} missing")
+        if types[name] != kind:
+            sys.exit(f"openmetrics invalid: {name} has TYPE {types[name]}, expected {kind}")
     if samples == 0:
         sys.exit("openmetrics invalid: no samples")
     print(
