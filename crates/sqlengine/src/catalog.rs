@@ -75,8 +75,8 @@ impl Catalog {
             return Ok(catalog);
         }
         let heap = HeapFile::new(Self::ROOT);
-        heap.scan(src, &PredSummary::default(), |_, row| {
-            catalog.add_row(&row)?;
+        heap.scan(src, &PredSummary::default(), None, |_, row| {
+            catalog.add_row(row)?;
             Ok(true)
         })?;
         Ok(catalog)
@@ -239,7 +239,7 @@ impl Catalog {
         let lower = name.to_ascii_lowercase();
         let catalog_heap = HeapFile::new(Self::ROOT);
         let mut to_delete = Vec::new();
-        catalog_heap.scan(txn, &PredSummary::default(), |rid, row| {
+        catalog_heap.scan(txn, &PredSummary::default(), None, |rid, row| {
             let kind = row[0].as_str().unwrap_or("");
             let obj_name = row[1].as_str().unwrap_or("");
             let obj_table = row[2].as_str().unwrap_or("");

@@ -718,9 +718,9 @@ impl Database {
             let heap = info.heap();
             let filter = db.compile_row_filter(&info, where_clause, &udfs)?;
             let mut victims: Vec<(RecordId, Row)> = Vec::new();
-            heap.scan(&*txn, &PredSummary::default(), |rid, row| {
-                if filter(&row)? {
-                    victims.push((rid, row));
+            heap.scan(&*txn, &PredSummary::default(), None, |rid, row| {
+                if filter(row)? {
+                    victims.push((rid, row.clone()));
                 }
                 Ok(true)
             })?;
@@ -756,9 +756,9 @@ impl Database {
                 compiled_sets.push((pos, compile(e, &scope, &udfs, None)?));
             }
             let mut victims: Vec<(RecordId, Row)> = Vec::new();
-            heap.scan(&*txn, &PredSummary::default(), |rid, row| {
-                if filter(&row)? {
-                    victims.push((rid, row));
+            heap.scan(&*txn, &PredSummary::default(), None, |rid, row| {
+                if filter(row)? {
+                    victims.push((rid, row.clone()));
                 }
                 Ok(true)
             })?;
@@ -866,10 +866,11 @@ impl Database {
         let catalog = Catalog::load(&view)?;
         let info = catalog.require_table(table)?;
         let mut n = 0u64;
-        info.heap().scan(&view, &PredSummary::default(), |_, _| {
-            n += 1;
-            Ok(true)
-        })?;
+        info.heap()
+            .scan(&view, &PredSummary::default(), Some(&[]), |_, _| {
+                n += 1;
+                Ok(true)
+            })?;
         Ok(n)
     }
 

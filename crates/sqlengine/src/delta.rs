@@ -200,8 +200,9 @@ pub struct ScannerSeed {
 /// A per-page cache of one table's filtered rows, letting a scan re-read
 /// only the pages that changed since the previous one.
 ///
-/// The cached rows are **post-filter**, so a scanner is only valid for a
-/// fixed filter; callers re-creating the filter per scan must guarantee
+/// The cached rows are **post-filter** and decoded with the statement's
+/// column set (unread columns are NULL), so a scanner is only valid for
+/// one statement; callers re-creating the filter per scan must guarantee
 /// it is equivalent each time (the RQL delta driver compiles it from the
 /// same `Qq` text once per loop).
 #[derive(Default)]
@@ -240,9 +241,11 @@ impl DeltaTableScanner {
     }
 
     /// Replace the scanner's state with an imported seed. The caller
-    /// must guarantee the seed was exported for the same table, the same
-    /// filter, and the snapshot *preceding* the next scan in chain order
-    /// — the scanner itself can only check the root.
+    /// must guarantee the seed was exported for the same statement — so
+    /// the same table, filter and column set; keying seeds by the
+    /// statement's fingerprint does that — and the snapshot *preceding*
+    /// the next scan in chain order. The scanner itself can only check
+    /// the root.
     pub fn import_seed(&mut self, seed: &ScannerSeed) {
         self.root = Some(PageId(seed.root));
         self.cache = seed
@@ -256,13 +259,13 @@ impl DeltaTableScanner {
             .collect();
     }
 
-    /// Scan the heap rooted at `root` through `src`: append the rows
-    /// passing `keep` to `rows`, in scan order — exactly what a full seq
-    /// scan with the same filter would produce — and return the delta
-    /// against the previous scan. Without a usable previous state (never
-    /// scanned, invalidated, the root moved, or `src` reports no changed
-    /// set) the cache starts empty, every page counts as changed and
-    /// nothing is diffed.
+    /// Scan the heap rooted at `root` through `src`, decoding the columns
+    /// `cols` marks: hand the rows passing `keep` to `emit`, in scan order
+    /// — exactly what a full seq scan with the same filter and column set
+    /// would produce — and return the delta against the previous scan.
+    /// Without a usable previous state (never scanned, invalidated, the
+    /// root moved, or `src` reports no changed set) the cache starts
+    /// empty, every page counts as changed and nothing is diffed.
     ///
     /// `pred` must over-approximate `keep` (every row passing `keep`
     /// satisfies every atom of `pred`); see [`HeapFile::walk`].
@@ -271,8 +274,9 @@ impl DeltaTableScanner {
         src: &S,
         root: PageId,
         pred: &PredSummary,
+        cols: &[bool],
         mut keep: impl FnMut(&Row) -> Result<bool>,
-        rows: &mut Vec<Row>,
+        mut emit: impl FnMut(&Row) -> Result<()>,
     ) -> Result<DeltaScan> {
         let changed = src.changed_pages().filter(|_| self.root == Some(root));
         let old = match changed {
@@ -308,11 +312,12 @@ impl DeltaTableScanner {
                     PageVisit::Fetched(page) => {
                         scan.pages_read += 1;
                         let mut kept = Vec::new();
-                        for row in page_rows(page)? {
-                            if keep(&row)? {
-                                kept.push(row);
+                        page_rows(page, Some(cols), |row| {
+                            if keep(row)? {
+                                kept.push(row.clone());
                             }
-                        }
+                            Ok(())
+                        })?;
                         Arc::new(kept)
                     }
                 };
@@ -320,7 +325,9 @@ impl DeltaTableScanner {
                     let was = was.map_or(&[][..], |rows| rows.as_slice());
                     diff_rows(was, &now, &mut scan.added, &mut scan.removed);
                 }
-                rows.extend(now.iter().cloned());
+                for row in now.iter() {
+                    emit(row)?;
+                }
                 cache.insert(pid.0, CachedPage { next, rows: now });
                 Ok(true)
             },
@@ -506,6 +513,51 @@ mod tests {
         assert_eq!(scan2.removed, vec![vec![Value::Integer(5)]]);
         let expected = db.query_as_of(s2, sql).unwrap();
         assert_eq!(rows2, expected.rows);
+    }
+
+    /// A page rewritten only in a column the statement does not read is
+    /// fetched again but yields the same narrowed rows: no delta. A change
+    /// in a column it reads is exactly the difference of two full rescans.
+    /// (One page, so an update — a delete plus an insert — stays on it.)
+    #[test]
+    fn delta_sees_only_the_columns_the_statement_reads() {
+        let db = small_page_db();
+        db.execute("CREATE TABLE t (a INTEGER, b TEXT)").unwrap();
+        db.execute("INSERT INTO t VALUES (0, 'pad-0'), (1, 'pad-1'), (2, 'pad-2'), (3, 'pad-3')")
+            .unwrap();
+        let s1 = snapshot(&db);
+        db.execute("UPDATE t SET b = 'PAD-2' WHERE a = 2").unwrap();
+        let s2 = snapshot(&db);
+        db.execute("UPDATE t SET a = 30 WHERE a = 3").unwrap();
+        let s3 = snapshot(&db);
+
+        let readers = db.store().open_snapshot_chain(&[s1, s2, s3]).unwrap();
+        let sql = "SELECT a FROM t WHERE a >= 0";
+        let full = |i: usize| {
+            let (rows, scan) = delta_scan(&db, &readers[i], sql, &mut DeltaTableScanner::new());
+            assert!(scan.rebuilt);
+            rows
+        };
+        let mut scanner = DeltaTableScanner::new();
+        delta_scan(&db, &readers[0], sql, &mut scanner);
+
+        let (rows2, scan2) = delta_scan(&db, &readers[1], sql, &mut scanner);
+        assert!(!scan2.rebuilt && scan2.pages_read > 0, "{scan2:?}");
+        assert!(
+            scan2.added.is_empty() && scan2.removed.is_empty(),
+            "{scan2:?}"
+        );
+        assert_eq!(rows2, full(1));
+        // Column `b` was never decoded.
+        assert!(rows2.iter().all(|r| r[1] == Value::Null && r.len() == 2));
+
+        let (rows3, scan3) = delta_scan(&db, &readers[2], sql, &mut scanner);
+        assert_eq!(rows3, full(2));
+        let (mut added, mut removed) = (Vec::new(), Vec::new());
+        diff_rows(&full(1), &full(2), &mut added, &mut removed);
+        assert_eq!(scan3.added, added);
+        assert_eq!(scan3.removed, removed);
+        assert_eq!(added, vec![vec![Value::Integer(30), Value::Null]]);
     }
 
     #[test]

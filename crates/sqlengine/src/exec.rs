@@ -21,8 +21,10 @@
 //! whether the second stage has to run at all — through the same two
 //! functions, so its output is the ordinary plan's, byte for byte.
 //!
-//! Execution materializes intermediate rows; result rows are delivered to
-//! a per-row callback (the `sqlite3_exec` shape the RQL loop body uses).
+//! The scan stage decodes only the columns the statement reads and
+//! streams the base scan through prebuilt join sides, so only joined,
+//! filtered rows are materialized; result rows are delivered to a per-row
+//! callback (the `sqlite3_exec` shape the RQL loop body uses).
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -35,8 +37,9 @@ use crate::cexpr::{compile, eval, AggFunc, AggSpec, CExpr, Scope};
 use crate::delta::{DeltaScan, DeltaTableScanner};
 use crate::error::{Result, SqlError};
 use crate::exec_stats::ExecStats;
+use crate::heap::HeapFile;
 use crate::pagesource::PageSource;
-use crate::record::{encode_index_key, Row};
+use crate::record::{decode_row_into, encode_index_key, Row};
 use crate::sidecar::{PredAtom, PredSummary};
 use crate::udf::UdfRegistry;
 use crate::value::{GroupKey, Value};
@@ -67,7 +70,8 @@ impl QueryResult {
 /// [`finish_select`], plus what the stage decided on the way.
 #[derive(Debug)]
 pub struct Scanned {
-    /// Fully joined and filtered rows, in scan order.
+    /// Fully joined and filtered rows, in scan order; columns the
+    /// statement does not read are NULL.
     pub rows: Vec<Row>,
     /// Access-path decisions so far (becomes [`QueryResult::plan`]).
     pub plan: Vec<String>,
@@ -113,8 +117,10 @@ pub fn run_select_cancellable<S: PageSource>(
     finish_select(select, scanned, udfs)
 }
 
-/// The scan stage: bind the tables, compile the conjuncts, pick the
-/// access paths and build the joined, filtered row set.
+/// The scan stage: bind the tables, compile the conjuncts, compute the
+/// columns the statement reads, pick the access paths and build the
+/// joined, filtered row set. Columns the statement does not read are
+/// NULL in its rows.
 ///
 /// An offered `scanner` stands in for the base table's heap when — and
 /// only when — the plan is a plain seq scan of a single table whose
@@ -184,59 +190,6 @@ pub fn scan_select<S: PageSource>(
     }
     let mut used = vec![false; conjuncts.len()];
 
-    // ---- build the joined row set ----------------------------------------
-    let single_table = bindings.len() == 1;
-    let mut rows: Vec<Row>;
-    let mut delta = None;
-    let mut refutable = None;
-    if bindings.is_empty() {
-        rows = vec![Vec::new()]; // SELECT without FROM: one empty row
-    } else {
-        let base = scan_base_table(
-            src,
-            catalog,
-            &bindings[0],
-            binding_ranges[0],
-            &conjuncts,
-            &mut used,
-            &mut plan,
-            cancel,
-            scanner.as_deref_mut().filter(|_| single_table),
-        )?;
-        rows = base.rows;
-        delta = base.delta;
-        if single_table {
-            refutable = Some((bindings[0].1.schema.name.clone(), base.refutable_cols));
-        }
-        for k in 1..bindings.len() {
-            if let Some(token) = cancel {
-                token.check()?;
-            }
-            rows = join_next_table(
-                src,
-                catalog,
-                &bindings[k],
-                binding_ranges[k],
-                rows,
-                &conjuncts,
-                &mut used,
-                &mut index_creation,
-                &mut plan,
-                cancel,
-            )?;
-        }
-    }
-    if let (None, Some(scanner)) = (&delta, scanner) {
-        scanner.invalidate();
-    }
-    // Any conjunct not yet applied (e.g. constant predicates).
-    for (i, (c, _)) in conjuncts.iter().enumerate() {
-        if !used[i] {
-            rows = filter_rows(rows, c)?;
-            used[i] = true;
-        }
-    }
-
     // Wildcards expand in the *written* FROM order, regardless of how the
     // planner reordered execution.
     let written_bindings: Vec<(String, Vec<String>)> = select
@@ -251,6 +204,64 @@ pub fn scan_select<S: PageSource>(
             ))
         })
         .collect::<Result<_>>()?;
+    let read = read_columns(select, &written_bindings, &conjuncts, &scope, udfs);
+    let cols = |k: usize| &read[binding_ranges[k].0..binding_ranges[k].1];
+
+    // ---- build the joined row set ----------------------------------------
+    // The base table's access path is chosen first, then every joined
+    // table builds its inner side, then the base scan streams each kept
+    // row through the chain of probes: only joined rows are materialized.
+    let single_table = bindings.len() == 1;
+    let mut rows: Vec<Row> = Vec::new();
+    let mut delta = None;
+    let mut refutable = None;
+    if bindings.is_empty() {
+        rows.push(Vec::new()); // SELECT without FROM: one empty row
+    } else {
+        let base = plan_base_table(
+            catalog,
+            &bindings[0],
+            binding_ranges[0],
+            &conjuncts,
+            &mut used,
+            &mut plan,
+            scanner.as_deref_mut().filter(|_| single_table),
+        );
+        let mut steps = Vec::with_capacity(bindings.len() - 1);
+        for k in 1..bindings.len() {
+            if let Some(token) = cancel {
+                token.check()?;
+            }
+            steps.push(build_join_step(
+                src,
+                catalog,
+                &bindings[k],
+                binding_ranges[k],
+                cols(k),
+                &conjuncts,
+                &mut used,
+                &mut index_creation,
+                &mut plan,
+                cancel,
+            )?);
+        }
+        if single_table {
+            refutable = Some((bindings[0].1.schema.name.clone(), base.refutable_cols()));
+        }
+        delta = base.run(src, cols(0), &conjuncts, cancel, |row| {
+            probe(&mut steps, src, &conjuncts, row, &mut rows)
+        })?;
+    }
+    if let (None, Some(scanner)) = (&delta, scanner) {
+        scanner.invalidate();
+    }
+    // Any conjunct not yet applied (e.g. constant predicates).
+    for (i, (c, _)) in conjuncts.iter().enumerate() {
+        if !used[i] {
+            rows = filter_rows(rows, c)?;
+            used[i] = true;
+        }
+    }
 
     let stats = ExecStats {
         index_creation,
@@ -392,34 +403,75 @@ fn collect_conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
     }
 }
 
-/// What [`scan_base_table`] hands back.
-struct BaseScan {
-    rows: Vec<Row>,
-    /// The row delta, when the offered scanner served the scan.
-    delta: Option<DeltaScan>,
-    /// Table-local columns the applied conjuncts compare to constants.
-    refutable_cols: Vec<usize>,
+/// The columns the statement reads, by joined-row offset: those the
+/// conjuncts name, and those the select items, GROUP BY, HAVING and
+/// ORDER BY resolve to through `scope` (`*` names every binding's,
+/// `t.*` one binding's). An ORDER BY name that resolves to no column is
+/// an output alias and reads nothing; any other resolve error reads every
+/// column, leaving the error to the finish stage. A column outside the
+/// set decodes as NULL and nothing evaluates it.
+fn read_columns(
+    select: &SelectStmt,
+    written_bindings: &[(String, Vec<String>)],
+    conjuncts: &[(CExpr, usize)],
+    scope: &Scope,
+    udfs: &UdfRegistry,
+) -> Vec<bool> {
+    let mut offs = Vec::new();
+    for (c, _) in conjuncts {
+        c.column_offsets(&mut offs);
+    }
+    let mut finish_stage = || -> Result<()> {
+        let items = expand_items(&select.items, written_bindings, scope)?;
+        let mut aggs = Vec::new();
+        let named = items.iter().map(|(e, _)| e);
+        for e in named.chain(&select.group_by).chain(&select.having) {
+            compile(e, scope, udfs, Some(&mut aggs))?.column_offsets(&mut offs);
+        }
+        for (e, _) in &select.order_by {
+            match compile(e, scope, udfs, Some(&mut aggs)) {
+                Ok(c) => c.column_offsets(&mut offs),
+                Err(SqlError::Unknown(_)) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        for arg in aggs.iter().filter_map(|a| a.arg.as_ref()) {
+            arg.column_offsets(&mut offs);
+        }
+        Ok(())
+    };
+    let mut read = vec![finish_stage().is_err(); scope.width()];
+    for o in offs {
+        read[o] = true;
+    }
+    read
 }
 
-/// Scan the first table, applying its single-table conjuncts and using a
-/// native index for an equality conjunct when possible. `scanner` is
-/// offered only for a single-table statement; the seq-scan arm uses it as
-/// its row source unless a conjunct calls a UDF.
-#[allow(clippy::too_many_arguments)]
-fn scan_base_table<S: PageSource>(
-    src: &S,
-    catalog: &Catalog,
-    binding: &(String, TableInfo),
+/// The base table's access path, chosen before any joined table builds
+/// its inner side: the conjuncts it applies and how it reads rows.
+struct BasePlan<'a> {
+    info: &'a TableInfo,
+    applicable: Vec<usize>,
+    probe: Option<(&'a IndexInfo, Value)>,
+    pred: PredSummary,
+    scanner: Option<&'a mut DeltaTableScanner>,
+}
+
+/// Plan the first table's scan: its single-table conjuncts, and a native
+/// index for an equality conjunct when possible. `scanner` is offered
+/// only for a single-table statement; the seq-scan arm uses it as its row
+/// source unless a conjunct calls a UDF. The conjuncts it applies are
+/// marked used.
+fn plan_base_table<'a>(
+    catalog: &'a Catalog,
+    binding: &'a (String, TableInfo),
     range: (usize, usize),
     conjuncts: &[(CExpr, usize)],
     used: &mut [bool],
     plan: &mut Vec<String>,
-    cancel: Option<&CancelToken>,
-    scanner: Option<&mut DeltaTableScanner>,
-) -> Result<BaseScan> {
-    let _span = rql_trace::span(rql_trace::SpanId::Scan);
+    scanner: Option<&'a mut DeltaTableScanner>,
+) -> BasePlan<'a> {
     let (_, info) = binding;
-    let heap = info.heap();
     let mut applicable: Vec<usize> = conjuncts
         .iter()
         .enumerate()
@@ -453,65 +505,86 @@ fn scan_base_table<S: PageSource>(
         // row delta, are the statement's whole WHERE.
         applicable = (0..conjuncts.len()).collect();
     }
-
-    let mut rows = Vec::new();
-    let mut delta = None;
-    let mut seen = 0usize;
-    let mut keep = |row: &Row| -> Result<bool> {
-        seen += 1;
-        if seen.is_multiple_of(CHECK_EVERY_ROWS) {
-            if let Some(token) = cancel {
-                token.check()?;
-            }
-        }
-        for &i in &applicable {
-            if !eval(&conjuncts[i].0, row, &[])?.is_truthy() {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    };
-    match (probe, scanner) {
-        (Some((idx, v)), _) => {
-            plan.push(format!(
-                "{}: index scan via {}",
-                info.schema.name, idx.schema.name
-            ));
-            let mut key = Vec::new();
-            encode_index_key(std::slice::from_ref(&v), &mut key);
-            let tree = crate::btree::BTree::new(idx.root);
-            for rid in tree.scan_prefix(src, &key)? {
-                let row = heap.get_row(src, rid)?;
-                if keep(&row)? {
-                    rows.push(row);
-                }
-            }
-        }
-        (None, Some(scanner)) => {
-            plan.push(format!("{}: delta seq scan", info.schema.name));
-            delta = Some(scanner.scan(src, info.root, &pred, &mut keep, &mut rows)?);
-        }
-        (None, None) => {
-            plan.push(format!("{}: seq scan", info.schema.name));
-            heap.scan(src, &pred, |_, row| {
-                if keep(&row)? {
-                    rows.push(row);
-                }
-                Ok(true)
-            })?;
-        }
-    }
-    for i in applicable {
+    let name = &info.schema.name;
+    plan.push(match (&probe, &scanner) {
+        (Some((idx, _)), _) => format!("{name}: index scan via {}", idx.schema.name),
+        (None, Some(_)) => format!("{name}: delta seq scan"),
+        (None, None) => format!("{name}: seq scan"),
+    });
+    for &i in &applicable {
         used[i] = true;
     }
-    let mut refutable_cols: Vec<usize> = pred.atoms.iter().map(PredAtom::col).collect();
-    refutable_cols.sort_unstable();
-    refutable_cols.dedup();
-    Ok(BaseScan {
-        rows,
-        delta,
-        refutable_cols,
-    })
+    BasePlan {
+        info,
+        applicable,
+        probe,
+        pred,
+        scanner,
+    }
+}
+
+impl BasePlan<'_> {
+    /// Table-local columns the applied conjuncts compare to constants.
+    fn refutable_cols(&self) -> Vec<usize> {
+        let mut cols: Vec<usize> = self.pred.atoms.iter().map(PredAtom::col).collect();
+        cols.sort_unstable();
+        cols.dedup();
+        cols
+    }
+
+    /// Scan the table, decoding the columns `cols` marks, and hand every
+    /// row passing the applied conjuncts to `emit`. Returns the row delta
+    /// when the offered scanner served the scan.
+    fn run<S: PageSource>(
+        self,
+        src: &S,
+        cols: &[bool],
+        conjuncts: &[(CExpr, usize)],
+        cancel: Option<&CancelToken>,
+        mut emit: impl FnMut(&Row) -> Result<()>,
+    ) -> Result<Option<DeltaScan>> {
+        let _span = rql_trace::span(rql_trace::SpanId::Scan);
+        let heap = self.info.heap();
+        let applicable = self.applicable;
+        let mut checkpoint = Checkpoint::new(cancel);
+        let mut keep = |row: &Row| -> Result<bool> {
+            checkpoint.check()?;
+            for &i in &applicable {
+                if !eval(&conjuncts[i].0, row, &[])?.is_truthy() {
+                    return Ok(false);
+                }
+            }
+            Ok(true)
+        };
+        match (self.probe, self.scanner) {
+            (Some((idx, v)), _) => {
+                let mut key = Vec::new();
+                encode_index_key(std::slice::from_ref(&v), &mut key);
+                let tree = crate::btree::BTree::new(idx.root);
+                let mut row = Row::new();
+                for rid in tree.scan_prefix(src, &key)? {
+                    decode_row_into(&heap.get(src, rid)?, Some(cols), &mut row)?;
+                    if keep(&row)? {
+                        emit(&row)?;
+                    }
+                }
+                Ok(None)
+            }
+            (None, Some(scanner)) => {
+                let root = self.info.root;
+                Ok(Some(scanner.scan(src, root, &self.pred, cols, keep, emit)?))
+            }
+            (None, None) => {
+                heap.scan(src, &self.pred, Some(cols), |_, row| {
+                    if keep(row)? {
+                        emit(row)?;
+                    }
+                    Ok(true)
+                })?;
+                Ok(None)
+            }
+        }
+    }
 }
 
 /// `Col(off) = <constant>` (either orientation) → `(off, value)`.
@@ -527,36 +600,83 @@ fn equality_probe(c: &CExpr) -> Option<(usize, Value)> {
     }
 }
 
-/// Join the next table onto the current row set.
-#[allow(clippy::too_many_arguments)]
-fn join_next_table<S: PageSource>(
-    src: &S,
-    catalog: &Catalog,
-    binding: &(String, TableInfo),
-    range: (usize, usize),
-    prefix_rows: Vec<Row>,
-    conjuncts: &[(CExpr, usize)],
-    used: &mut [bool],
-    index_creation: &mut Duration,
-    plan: &mut Vec<String>,
-    cancel: Option<&CancelToken>,
-) -> Result<Vec<Row>> {
-    let _span = rql_trace::span(rql_trace::SpanId::Join);
-    let (_, info) = binding;
-    let heap = info.heap();
-    let prefix_width = range.0;
-    // Row-batch cancellation checkpoint shared by every join strategy
-    // below: polls the token once per CHECK_EVERY_ROWS rows touched.
-    let mut touched = 0usize;
-    let mut checkpoint = move || -> Result<()> {
-        touched += 1;
-        if touched.is_multiple_of(CHECK_EVERY_ROWS) {
-            if let Some(token) = cancel {
+/// Row-batch cancellation checkpoint: polls the token once per
+/// [`CHECK_EVERY_ROWS`] rows touched.
+struct Checkpoint<'a> {
+    cancel: Option<&'a CancelToken>,
+    touched: usize,
+}
+
+impl<'a> Checkpoint<'a> {
+    fn new(cancel: Option<&'a CancelToken>) -> Self {
+        Checkpoint { cancel, touched: 0 }
+    }
+
+    fn check(&mut self) -> Result<()> {
+        self.touched += 1;
+        if self.touched.is_multiple_of(CHECK_EVERY_ROWS) {
+            if let Some(token) = self.cancel {
                 token.check()?;
             }
         }
         Ok(())
-    };
+    }
+}
+
+/// One joined table: its inner side, built before the base scan, and
+/// what each joined row must still pass.
+struct JoinStep<'a> {
+    /// The join key's prefix side, evaluated on each incoming row; `None`
+    /// for a cross join.
+    key: Option<CExpr>,
+    inner: Inner,
+    /// Linking conjuncts other than the join key, checked on every joined
+    /// row.
+    post: Vec<usize>,
+    /// Shared by the build and every probe of this table.
+    checkpoint: Checkpoint<'a>,
+}
+
+/// The prebuilt inner side of a [`JoinStep`].
+enum Inner {
+    /// The table's kept rows by join-key value: an ad-hoc hash index
+    /// (SQLite's automatic covering index), or — for a cross join — every
+    /// kept row under the empty key.
+    Hash(HashMap<GroupKey, Vec<Row>>),
+    /// Index nested loop through a native B-tree: each fetched row is
+    /// decoded with `cols` and must pass `verify` — the table's local
+    /// conjuncts, then the join key itself, since the index key space
+    /// conflates 1 and 1.0.
+    Index {
+        tree: crate::btree::BTree,
+        heap: HeapFile,
+        cols: Vec<bool>,
+        verify: Vec<usize>,
+    },
+}
+
+/// Plan the next table's join and build its inner side, decoding the
+/// columns `cols` marks: the ad-hoc hash index (timed into
+/// `index_creation`), the native-index handle, or the filtered cross
+/// list. The conjuncts the step applies are marked used.
+#[allow(clippy::too_many_arguments)]
+fn build_join_step<'a, S: PageSource>(
+    src: &S,
+    catalog: &Catalog,
+    binding: &(String, TableInfo),
+    range: (usize, usize),
+    cols: &[bool],
+    conjuncts: &[(CExpr, usize)],
+    used: &mut [bool],
+    index_creation: &mut Duration,
+    plan: &mut Vec<String>,
+    cancel: Option<&'a CancelToken>,
+) -> Result<JoinStep<'a>> {
+    let _span = rql_trace::span(rql_trace::SpanId::Join);
+    let (_, info) = binding;
+    let heap = info.heap();
+    let prefix_width = range.0;
+    let mut checkpoint = Checkpoint::new(cancel);
 
     // Conjuncts that are (newly) applicable once this table is bound:
     // unused, and every referenced offset is within the extended prefix.
@@ -620,138 +740,150 @@ fn join_next_table<S: PageSource>(
         }
     }
 
-    // Helper: pad a bare table row out to full-scope offsets.
-    let pad = |row: &Row| -> Row {
-        let mut padded = vec![Value::Null; prefix_width];
-        padded.extend(row.iter().cloned());
-        padded
-    };
-    let local_keep = |padded: &Row| -> Result<bool> {
-        for &i in &local {
-            if !eval(&conjuncts[i].0, padded, &[])?.is_truthy() {
-                return Ok(false);
+    // Native index on this table's join column?
+    let native = equi.as_ref().and_then(|(_, this_side, _)| match this_side {
+        CExpr::Col(off) => {
+            let col = &info.schema.columns[*off - range.0].name;
+            catalog.index_on_column(&info.schema.name, col)
+        }
+        _ => None,
+    });
+    if let Some((ci, ..)) = &equi {
+        used[*ci] = true;
+    }
+    let name = &info.schema.name;
+    let key = equi.as_ref().map(|(_, _, prefix_side)| prefix_side.clone());
+    let inner = match (equi, native) {
+        (Some((ci, ..)), Some(idx)) => {
+            plan.push(format!("{name}: index nested loop via {}", idx.schema.name));
+            Inner::Index {
+                tree: crate::btree::BTree::new(idx.root),
+                heap,
+                cols: cols.to_vec(),
+                verify: local.iter().copied().chain([ci]).collect(),
             }
         }
-        Ok(true)
-    };
-
-    let mut out: Vec<Row> = Vec::new();
-    match equi {
-        Some((ci, this_side, prefix_side)) => {
-            // Native index on this table's join column?
-            let native = match &this_side {
-                CExpr::Col(off) => {
-                    let col = &info.schema.columns[*off - range.0].name;
-                    catalog.index_on_column(&info.schema.name, col)
-                }
-                _ => None,
-            };
-            match native {
-                Some(idx) => {
-                    // Index nested-loop join through the native B-tree.
-                    plan.push(format!(
-                        "{}: index nested loop via {}",
-                        info.schema.name, idx.schema.name
-                    ));
-                    let tree = crate::btree::BTree::new(idx.root);
-                    for prow in &prefix_rows {
-                        let key_val = eval(&prefix_side, prow, &[])?;
-                        if key_val.is_null() {
-                            continue;
-                        }
-                        let mut key = Vec::new();
-                        encode_index_key(std::slice::from_ref(&key_val), &mut key);
-                        for rid in tree.scan_prefix(src, &key)? {
-                            checkpoint()?;
-                            let trow = heap.get_row(src, rid)?;
-                            let padded = pad(&trow);
-                            if !local_keep(&padded)? {
-                                continue;
-                            }
-                            let mut joined = prow.clone();
-                            joined.extend(trow);
-                            // Re-verify (index key space conflates 1/1.0).
-                            if eval(&conjuncts[ci].0, &joined, &[])?.is_truthy() {
-                                out.push(joined);
-                            }
-                        }
+        (equi, _) => {
+            let hashed = equi.is_some();
+            plan.push(match hashed {
+                true => format!("{name}: hash join (ad-hoc index build)"),
+                false => format!("{name}: nested-loop cross join"),
+            });
+            let build_start = Instant::now();
+            let _idx_span = hashed.then(|| rql_trace::span(rql_trace::SpanId::IndexBuild));
+            let mut table: HashMap<GroupKey, Vec<Row>> = HashMap::new();
+            // Local conjuncts and the key see the row padded out to
+            // full-scope offsets.
+            let mut padded = vec![Value::Null; prefix_width];
+            heap.scan(src, &PredSummary::default(), Some(cols), |_, trow| {
+                checkpoint.check()?;
+                padded.truncate(prefix_width);
+                padded.extend_from_slice(trow);
+                for &i in &local {
+                    if !eval(&conjuncts[i].0, &padded, &[])?.is_truthy() {
+                        return Ok(true);
                     }
                 }
-                None => {
-                    // Ad-hoc hash index over this table (SQLite's automatic
-                    // covering index). Build time is reported separately.
-                    plan.push(format!(
-                        "{}: hash join (ad-hoc index build)",
-                        info.schema.name
-                    ));
-                    let build_start = Instant::now();
-                    let mut hash: HashMap<GroupKey, Vec<Row>> = HashMap::new();
-                    {
-                        let _idx_span = rql_trace::span(rql_trace::SpanId::IndexBuild);
-                        heap.scan(src, &PredSummary::default(), |_, trow| {
-                            checkpoint()?;
-                            let padded = pad(&trow);
-                            if local_keep(&padded)? {
-                                let key_val = eval(&this_side, &padded, &[])?;
-                                if !key_val.is_null() {
-                                    hash.entry(GroupKey(vec![key_val])).or_default().push(trow);
-                                }
-                            }
-                            Ok(true)
-                        })?;
-                    }
-                    *index_creation += build_start.elapsed();
-                    for prow in &prefix_rows {
-                        let key_val = eval(&prefix_side, prow, &[])?;
-                        if key_val.is_null() {
-                            continue;
-                        }
-                        if let Some(matches) = hash.get(&GroupKey(vec![key_val])) {
-                            for trow in matches {
-                                checkpoint()?;
-                                let mut joined = prow.clone();
-                                joined.extend(trow.iter().cloned());
-                                out.push(joined);
-                            }
-                        }
-                    }
-                }
-            }
-            used[ci] = true;
-        }
-        None => {
-            // Cross join with local filters applied to the inner scan.
-            plan.push(format!("{}: nested-loop cross join", info.schema.name));
-            let mut inner: Vec<Row> = Vec::new();
-            heap.scan(src, &PredSummary::default(), |_, trow| {
-                checkpoint()?;
-                let padded = pad(&trow);
-                if local_keep(&padded)? {
-                    inner.push(trow);
-                }
+                let key = match &equi {
+                    Some((_, this_side, _)) => match eval(this_side, &padded, &[])? {
+                        Value::Null => return Ok(true),
+                        v => vec![v],
+                    },
+                    None => Vec::new(),
+                };
+                table.entry(GroupKey(key)).or_default().push(trow.clone());
                 Ok(true)
             })?;
-            for prow in &prefix_rows {
-                for trow in &inner {
-                    checkpoint()?;
-                    let mut joined = prow.clone();
-                    joined.extend(trow.iter().cloned());
-                    out.push(joined);
-                }
+            if hashed {
+                *index_creation += build_start.elapsed();
+            }
+            Inner::Hash(table)
+        }
+    };
+    for &i in &local {
+        used[i] = true;
+    }
+    // Remaining linking conjuncts filter every joined row.
+    let post: Vec<usize> = linking.into_iter().filter(|&i| !used[i]).collect();
+    for &i in &post {
+        used[i] = true;
+    }
+    Ok(JoinStep {
+        key,
+        inner,
+        post,
+        checkpoint,
+    })
+}
+
+/// Push one row of the bindings before `steps` through them: the first
+/// step joins it with each matching inner row, and every joined row that
+/// passes the step's checks goes on through the rest. Rows that come out
+/// of the last step are appended to `out`, in the order a join of the
+/// materialized prefix would have produced them.
+fn probe<S: PageSource>(
+    steps: &mut [JoinStep<'_>],
+    src: &S,
+    conjuncts: &[(CExpr, usize)],
+    row: &Row,
+    out: &mut Vec<Row>,
+) -> Result<()> {
+    let Some((step, rest)) = steps.split_first_mut() else {
+        out.push(row.clone());
+        return Ok(());
+    };
+    let JoinStep {
+        key,
+        inner,
+        post,
+        checkpoint,
+    } = step;
+    let key = match key {
+        Some(key) => match eval(key, row, &[])? {
+            Value::Null => return Ok(()),
+            v => vec![v],
+        },
+        None => Vec::new(),
+    };
+    let mut join = |trow: &Row, verify: &[usize]| -> Result<()> {
+        checkpoint.check()?;
+        let mut joined = Vec::with_capacity(row.len() + trow.len());
+        joined.extend_from_slice(row);
+        joined.extend_from_slice(trow);
+        for &i in verify.iter().chain(post.iter()) {
+            if !eval(&conjuncts[i].0, &joined, &[])?.is_truthy() {
+                return Ok(());
+            }
+        }
+        if rest.is_empty() {
+            out.push(joined);
+            Ok(())
+        } else {
+            probe(rest, src, conjuncts, &joined, out)
+        }
+    };
+    match inner {
+        Inner::Hash(table) => {
+            for trow in table.get(&GroupKey(key)).into_iter().flatten() {
+                join(trow, &[])?;
+            }
+        }
+        Inner::Index {
+            tree,
+            heap,
+            cols,
+            verify,
+        } => {
+            let mut encoded = Vec::new();
+            encode_index_key(&key, &mut encoded);
+            let mut trow = Row::new();
+            for rid in tree.scan_prefix(src, &encoded)? {
+                decode_row_into(&heap.get(src, rid)?, Some(cols), &mut trow)?;
+                join(&trow, verify)?;
             }
         }
     }
-    for i in local {
-        used[i] = true;
-    }
-    // Remaining linking conjuncts become post-join filters.
-    for i in linking {
-        if !used[i] {
-            out = filter_rows(out, &conjuncts[i].0)?;
-            used[i] = true;
-        }
-    }
-    Ok(out)
+    Ok(())
 }
 
 fn filter_rows(rows: Vec<Row>, c: &CExpr) -> Result<Vec<Row>> {

@@ -29,7 +29,7 @@ use rql_pagestore::{Page, PageId, WriteTxn};
 
 use crate::error::{Result, SqlError};
 use crate::pagesource::PageSource;
-use crate::record::{decode_row, Row};
+use crate::record::{decode_row, decode_row_into, Row};
 use crate::sidecar::PredSummary;
 
 const HEADER: usize = 16;
@@ -258,14 +258,19 @@ impl HeapFile {
     /// Scan all records, invoking `f(rid, row)`; stops early if `f`
     /// returns `false`. Pages whose sidecar refutes `pred` are skipped
     /// without a fetch (an empty summary prunes nothing); `pred` must
-    /// over-approximate whatever filtering `f` applies.
+    /// over-approximate whatever filtering `f` applies. Only the columns
+    /// `cols` marks are decoded (`None`: all), the rest are NULL; `row`
+    /// is one buffer reused for every record, so `f` clones the rows it
+    /// keeps.
     #[inline]
     pub fn scan<S: PageSource>(
         &self,
         src: &S,
         pred: &PredSummary,
-        mut f: impl FnMut(RecordId, Row) -> Result<bool>,
+        cols: Option<&[bool]>,
+        mut f: impl FnMut(RecordId, &Row) -> Result<bool>,
     ) -> Result<()> {
+        let mut row = Row::new();
         self.walk(
             src,
             pred,
@@ -276,7 +281,8 @@ impl HeapFile {
                 };
                 for slot in 0..page.read_u16(OFF_SLOT_COUNT) {
                     if let Some(bytes) = read_cell(page, slot) {
-                        if !f(RecordId { page: pid, slot }, decode_row(bytes)?)? {
+                        decode_row_into(bytes, cols, &mut row)?;
+                        if !f(RecordId { page: pid, slot }, &row)? {
                             return Ok(false);
                         }
                     }
@@ -289,8 +295,8 @@ impl HeapFile {
     /// Collect every row (convenience for small scans and tests).
     pub fn all_rows<S: PageSource>(&self, src: &S) -> Result<Vec<(RecordId, Row)>> {
         let mut out = Vec::new();
-        self.scan(src, &PredSummary::default(), |rid, row| {
-            out.push((rid, row));
+        self.scan(src, &PredSummary::default(), None, |rid, row| {
+            out.push((rid, row.clone()));
             Ok(true)
         })?;
         Ok(out)
@@ -352,18 +358,23 @@ impl HeapFile {
     }
 }
 
-/// Decode all live rows of one heap page in slot order — the per-page
-/// unit a delta-aware scan caches (see [`crate::delta`]). Matches the
-/// order [`HeapFile::scan`] visits rows within a page.
-pub(crate) fn page_rows(page: &Page) -> Result<Vec<Row>> {
-    let slot_count = page.read_u16(OFF_SLOT_COUNT);
-    let mut rows = Vec::new();
-    for slot in 0..slot_count {
+/// Decode the live rows of one heap page in slot order, `cols` as in
+/// [`HeapFile::scan`], handing each to `f` in one reused buffer — the
+/// per-page unit a delta-aware scan caches (see [`crate::delta`]).
+/// Matches the order [`HeapFile::scan`] visits rows within a page.
+pub(crate) fn page_rows(
+    page: &Page,
+    cols: Option<&[bool]>,
+    mut f: impl FnMut(&Row) -> Result<()>,
+) -> Result<()> {
+    let mut row = Row::new();
+    for slot in 0..page.read_u16(OFF_SLOT_COUNT) {
         if let Some(bytes) = read_cell(page, slot) {
-            rows.push(decode_row(bytes)?);
+            decode_row_into(bytes, cols, &mut row)?;
+            f(&row)?;
         }
     }
-    Ok(rows)
+    Ok(())
 }
 
 fn init_heap_page(page: &mut Page) {
@@ -720,7 +731,7 @@ mod tests {
             heap.insert(&mut txn, &rec(i, "row"), &mut fsm).unwrap();
         }
         let mut seen = 0;
-        heap.scan(&txn, &PredSummary::default(), |_, _| {
+        heap.scan(&txn, &PredSummary::default(), None, |_, _| {
             seen += 1;
             Ok(seen < 3)
         })

@@ -53,43 +53,90 @@ pub fn encoded_len(row: &[Value]) -> usize {
     n
 }
 
-/// Decode a row from `bytes`.
+/// Decode every column of a row from `bytes`.
 pub fn decode_row(bytes: &[u8]) -> Result<Row> {
+    let mut row = Vec::new();
+    decode_row_into(bytes, None, &mut row)?;
+    Ok(row)
+}
+
+/// Decode a row from `bytes` into `row`, reusing its allocations (a text
+/// value overwrites the string already in its slot). `cols` marks the
+/// columns to materialize, `None` meaning all of them; every other column
+/// becomes NULL, so the row keeps the record's width and every compiled
+/// offset still lands on its column. An unread column's bytes are still
+/// bounds-checked and its text still UTF-8-validated, so a corrupt cell
+/// fails the same way whichever columns are read. A column count larger
+/// than the bytes left is corrupt — every column takes at least its tag
+/// byte — and is refused before anything is allocated.
+pub fn decode_row_into(bytes: &[u8], cols: Option<&[bool]>, row: &mut Row) -> Result<()> {
     let mut pos = 0usize;
-    let count = read_varint(bytes, &mut pos)? as usize;
-    let mut row = Vec::with_capacity(count);
-    for _ in 0..count {
+    let count = read_varint(bytes, &mut pos)?;
+    if count > (bytes.len() - pos) as u64 {
+        return Err(corrupt("column count exceeds record"));
+    }
+    let count = count as usize;
+    row.truncate(count);
+    row.reserve(count - row.len());
+    for i in 0..count {
+        let read = cols.is_none_or(|c| c.get(i).copied().unwrap_or(false));
         let tag = *bytes
             .get(pos)
             .ok_or_else(|| corrupt("truncated record (tag)"))?;
         pos += 1;
         let v = match tag {
             TAG_NULL => Value::Null,
-            TAG_INT => Value::Integer(unzigzag(read_varint(bytes, &mut pos)?)),
+            TAG_INT => {
+                let raw = read_varint(bytes, &mut pos)?;
+                if read {
+                    Value::Integer(unzigzag(raw))
+                } else {
+                    Value::Null
+                }
+            }
             TAG_REAL => {
-                let raw = bytes
-                    .get(pos..pos + 8)
-                    .ok_or_else(|| corrupt("truncated record (real)"))?;
-                pos += 8;
-                Value::Real(f64::from_bits(u64::from_le_bytes(raw.try_into().unwrap())))
+                let raw = take(bytes, &mut pos, 8, "real")?;
+                if read {
+                    Value::Real(f64::from_le_bytes(raw.try_into().unwrap_or_default()))
+                } else {
+                    Value::Null
+                }
             }
             TAG_TEXT => {
-                let len = read_varint(bytes, &mut pos)? as usize;
-                let raw = bytes
-                    .get(pos..pos + len)
-                    .ok_or_else(|| corrupt("truncated record (text)"))?;
-                pos += len;
-                Value::Text(
-                    std::str::from_utf8(raw)
-                        .map_err(|_| corrupt("record text is not UTF-8"))?
-                        .to_owned(),
-                )
+                let len = read_varint(bytes, &mut pos)?;
+                let raw = take(bytes, &mut pos, len, "text")?;
+                let text =
+                    std::str::from_utf8(raw).map_err(|_| corrupt("record text is not UTF-8"))?;
+                match row.get_mut(i) {
+                    Some(Value::Text(s)) if read => {
+                        s.clear();
+                        s.push_str(text);
+                        continue;
+                    }
+                    _ if read => Value::Text(text.to_owned()),
+                    _ => Value::Null,
+                }
             }
             t => return Err(corrupt(&format!("bad value tag {t}"))),
         };
-        row.push(v);
+        match row.get_mut(i) {
+            Some(slot) => *slot = v,
+            None => row.push(v),
+        }
     }
-    Ok(row)
+    Ok(())
+}
+
+/// The next `len` bytes at `pos`, advancing past them.
+fn take<'a>(bytes: &'a [u8], pos: &mut usize, len: u64, what: &str) -> Result<&'a [u8]> {
+    let end = usize::try_from(len)
+        .ok()
+        .and_then(|len| pos.checked_add(len))
+        .filter(|&end| end <= bytes.len())
+        .ok_or_else(|| corrupt(&format!("truncated record ({what})")))?;
+    let raw = &bytes[*pos..end];
+    *pos = end;
+    Ok(raw)
 }
 
 fn corrupt(msg: &str) -> SqlError {
@@ -234,6 +281,53 @@ mod tests {
         encode_row(&[Value::text("hello")], &mut buf);
         for cut in 0..buf.len() {
             assert!(decode_row(&buf[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn hostile_column_count_is_refused_before_allocating() {
+        // Claims 2^32 columns in a 5-byte cell.
+        assert!(decode_row(&[0xff, 0xff, 0xff, 0xff, 0x0f]).is_err());
+        let mut row = Vec::new();
+        let err = decode_row_into(&[0xff, 0xff, 0xff, 0xff, 0x0f], Some(&[]), &mut row);
+        assert!(err.is_err() && row.is_empty());
+    }
+
+    #[test]
+    fn unread_columns_decode_as_null_and_are_still_checked() {
+        let full = vec![
+            Value::Integer(7),
+            Value::text("kept"),
+            Value::Real(2.5),
+            Value::text("skipped"),
+        ];
+        let mut buf = Vec::new();
+        encode_row(&full, &mut buf);
+        let mut row = vec![Value::text("old buffer"), Value::text("reused")];
+        decode_row_into(&buf, Some(&[false, true, false, false]), &mut row).unwrap();
+        assert_eq!(
+            row,
+            vec![Value::Null, Value::text("kept"), Value::Null, Value::Null]
+        );
+        // A shorter mask reads nothing past its end.
+        decode_row_into(&buf, Some(&[true]), &mut row).unwrap();
+        assert_eq!(
+            row,
+            vec![Value::Integer(7), Value::Null, Value::Null, Value::Null]
+        );
+
+        // Invalid UTF-8 in a column nobody reads is still corrupt.
+        let mut bad = Vec::new();
+        encode_row(&[Value::Integer(1), Value::text("ab")], &mut bad);
+        let last = bad.len() - 1;
+        bad[last] = 0xff;
+        assert!(decode_row_into(&bad, Some(&[true, false]), &mut row).is_err());
+        // And so is a truncated one.
+        for cut in 0..buf.len() {
+            assert!(
+                decode_row_into(&buf[..cut], Some(&[]), &mut row).is_err(),
+                "cut at {cut}"
+            );
         }
     }
 

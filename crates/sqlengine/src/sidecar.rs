@@ -35,7 +35,7 @@
 use rql_pagestore::{fnv1a, Page, PageId};
 
 use crate::cexpr::CExpr;
-use crate::record::Row;
+use crate::record::{decode_row_into, Row};
 use crate::value::Value;
 
 /// Bump when the encoded layout changes: a sidecar under another
@@ -460,8 +460,6 @@ fn bloom_bits(col: usize, s: &str) -> (usize, usize) {
 /// them (their "sidecars" are simply absent, which scans treat as
 /// "don't prune").
 pub fn build_sidecar(pid: PageId, page: &Page, cols: &[usize]) -> Option<Vec<u8>> {
-    let rows = safe_page_rows(page)?;
-    let next = page.read_u64(crate::heap::OFF_NEXT);
     let mut picked: Vec<usize> = Vec::new();
     for &c in cols {
         if !picked.contains(&c) {
@@ -475,6 +473,15 @@ pub fn build_sidecar(pid: PageId, page: &Page, cols: &[usize]) -> Option<Vec<u8>
         return None;
     }
     picked.sort_unstable();
+    // Decode only the summarized columns.
+    let mut read = vec![false; picked[picked.len() - 1].min(u16::MAX as usize) + 1];
+    for &c in &picked {
+        if let Some(r) = read.get_mut(c) {
+            *r = true;
+        }
+    }
+    let rows = safe_page_rows(page, &read)?;
+    let next = page.read_u64(crate::heap::OFF_NEXT);
 
     let mut bloom = [0u8; BLOOM_BYTES];
     let mut stats: Vec<ColumnStats> = Vec::new();
@@ -545,10 +552,11 @@ pub fn build_sidecar(pid: PageId, page: &Page, cols: &[usize]) -> Option<Vec<u8>
 }
 
 /// Parse a page as a slotted heap page *without* trusting any of its
-/// bytes: every offset is bounds-checked and every record's claimed
-/// column count is validated against the cell length before allocation.
-/// `None` means "not a heap page I can vouch for".
-fn safe_page_rows(page: &Page) -> Option<Vec<Row>> {
+/// bytes: every offset is bounds-checked, and the record decoder refuses
+/// a claimed column count the cell cannot hold before allocating. Only
+/// the columns `cols` marks are decoded. `None` means "not a heap page I
+/// can vouch for".
+fn safe_page_rows(page: &Page, cols: &[bool]) -> Option<Vec<Row>> {
     const PAGE_HEADER: usize = 16;
     const SLOT_SIZE: usize = 4;
     let size = page.size();
@@ -571,33 +579,11 @@ fn safe_page_rows(page: &Page) -> Option<Vec<Row>> {
         if off < slots_end || off.checked_add(len)? > size {
             return None;
         }
-        let cell = page.read_slice(off, len);
-        // Reject absurd column counts before decode_row allocates.
-        let mut pos = 0usize;
-        let count = read_varint_checked(cell, &mut pos)? as usize;
-        if count > len {
-            return None;
-        }
-        rows.push(crate::record::decode_row(cell).ok()?);
+        let mut row = Row::new();
+        decode_row_into(page.read_slice(off, len), Some(cols), &mut row).ok()?;
+        rows.push(row);
     }
     Some(rows)
-}
-
-fn read_varint_checked(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = *bytes.get(*pos)?;
-        *pos += 1;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return None;
-        }
-    }
 }
 
 #[cfg(test)]

@@ -149,8 +149,8 @@ impl<'a> TableWriter<'a> {
     pub fn probe_all(&self) -> Result<Vec<(RecordId, Row)>> {
         let mut out = Vec::new();
         self.heap
-            .scan(&*self.txn, &PredSummary::default(), |rid, row| {
-                out.push((rid, row));
+            .scan(&*self.txn, &PredSummary::default(), None, |rid, row| {
+                out.push((rid, row.clone()));
                 Ok(true)
             })?;
         Ok(out)

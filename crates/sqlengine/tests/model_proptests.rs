@@ -172,7 +172,7 @@ proptest! {
         }
         // Scan sees exactly the live set.
         let mut seen: HashMap<u8, String> = HashMap::new();
-        heap.scan(&txn, &PredSummary::default(), |_, row| {
+        heap.scan(&txn, &PredSummary::default(), None, |_, row| {
             let k = row[0].as_i64().unwrap() as u8;
             let t = row[1].as_str().unwrap().to_owned();
             assert!(seen.insert(k, t).is_none(), "duplicate key in scan");
