@@ -53,9 +53,7 @@ fn store_with_history(
         for _ in 0..writes_per_snapshot {
             let pid = PageId(cursor % pages);
             cursor += 1;
-            let mut page = txn.page_for_update(pid).unwrap();
-            page.write_u64(0, cursor);
-            txn.write_page(pid, page).unwrap();
+            txn.page_mut(pid).unwrap().write_u64(0, cursor);
         }
         store.commit(txn).unwrap();
     }
@@ -121,9 +119,7 @@ fn bench_cow_commit(c: &mut Criterion) {
                     let mut txn = store.begin().unwrap();
                     for p in 0..64 {
                         let pid = PageId(p);
-                        let mut page = txn.page_for_update(pid).unwrap();
-                        page.write_u64(0, p);
-                        txn.write_page(pid, page).unwrap();
+                        txn.page_mut(pid).unwrap().write_u64(0, p);
                     }
                     store.commit(txn).unwrap();
                 },

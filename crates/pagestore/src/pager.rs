@@ -9,6 +9,7 @@
 //! writers. This mirrors how Retro "runs snapshot queries as read-only
 //! MVCC transactions" on BDB (§4).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -217,7 +218,7 @@ impl Pager {
         txn.finished = true;
         let txn_id = txn.txn_id;
         // Deterministic ordering for the WAL and COW captures.
-        let mut writes: Vec<(PageId, Page)> = txn.writes.drain().collect();
+        let mut writes: Vec<(PageId, SharedPage)> = txn.writes.drain().collect();
         writes.sort_by_key(|(pid, _)| *pid);
 
         // The write lock is held across capture + publish so readers see
@@ -239,7 +240,7 @@ impl Pager {
                 let blank = Arc::new(Page::zeroed(self.config.page_size));
                 new_pages.resize(pid.index() + 1, blank);
             }
-            new_pages[pid.index()] = Arc::new(page);
+            new_pages[pid.index()] = page;
             self.stats.count_page_written();
         }
         *pages_guard = Arc::new(new_pages);
@@ -297,10 +298,22 @@ impl DbView {
 }
 
 /// A write transaction: a private write set over the current state.
+///
+/// The write set maps each page the transaction has changed to its
+/// staged image, held as a [`SharedPage`] like the published ones:
+/// reading a staged page is an `Arc` clone, and commit publishes the
+/// staged `Arc`s as they are. A page enters the write set when it is
+/// allocated, replaced whole ([`WriteTxn::write_page`]) or first edited
+/// ([`WriteTxn::page_mut`], which copies the published image once;
+/// published pages are never written through).
+///
+/// What the write set holds is what commit logs to the WAL, hands to
+/// copy-on-write capture and summarizes into sidecars, so callers take
+/// [`WriteTxn::page_mut`] only once an edit is known to succeed.
 pub struct WriteTxn {
     pager: Arc<Pager>,
     txn_id: u64,
-    writes: HashMap<PageId, Page>,
+    writes: HashMap<PageId, SharedPage>,
     base_count: u64,
     alloc_count: u64,
     finished: bool,
@@ -313,10 +326,10 @@ impl WriteTxn {
     }
 
     /// Read a page: the transaction's own write if present, else the
-    /// current state.
+    /// current state (counted as a database read).
     pub fn read_page(&self, pid: PageId) -> Result<SharedPage> {
         if let Some(p) = self.writes.get(&pid) {
-            return Ok(Arc::new(p.clone()));
+            return Ok(Arc::clone(p));
         }
         if pid.0 >= self.base_count + self.alloc_count {
             return Err(StoreError::PageOutOfBounds(pid));
@@ -328,20 +341,32 @@ impl WriteTxn {
         self.pager.read_page(pid)
     }
 
-    /// Stage a full page write.
+    /// Stage a whole page image, replacing whatever was staged.
     pub fn write_page(&mut self, pid: PageId, page: Page) -> Result<()> {
         debug_assert_eq!(page.size(), self.pager.config.page_size);
         if pid.0 >= self.base_count + self.alloc_count {
             return Err(StoreError::PageOutOfBounds(pid));
         }
-        self.writes.insert(pid, page);
+        self.writes.insert(pid, Arc::new(page));
         Ok(())
     }
 
-    /// Read a page and hand out a mutable copy to edit in place; the edit
-    /// is staged back with [`WriteTxn::write_page`].
-    pub fn page_for_update(&self, pid: PageId) -> Result<Page> {
-        Ok((*self.read_page(pid)?).clone())
+    /// The staged image of `pid`, to edit in place. The first call for a
+    /// page in this transaction copies its current image into the write
+    /// set; later calls edit that copy. Callers read a page before
+    /// deciding to edit it, so the copy is not counted as a second
+    /// database read.
+    pub fn page_mut(&mut self, pid: PageId) -> Result<&mut Page> {
+        let staged = match self.writes.entry(pid) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                // Allocated pages are staged at allocation, so a page not
+                // in the write set is either published or out of bounds.
+                let current = self.pager.pages.read().get(pid.index()).cloned();
+                e.insert(current.ok_or(StoreError::PageOutOfBounds(pid))?)
+            }
+        };
+        Ok(Arc::make_mut(staged))
     }
 
     /// Allocate a fresh (zeroed) page at the end of the database.
@@ -349,7 +374,7 @@ impl WriteTxn {
         let pid = PageId(self.base_count + self.alloc_count);
         self.alloc_count += 1;
         self.writes
-            .insert(pid, Page::zeroed(self.pager.config.page_size));
+            .insert(pid, Arc::new(Page::zeroed(self.pager.config.page_size)));
         pid
     }
 
@@ -367,7 +392,7 @@ impl WriteTxn {
     /// order. Lets layered stores derive per-page metadata (e.g. pruning
     /// sidecars) from the exact images about to be published.
     pub fn staged_pages(&self) -> impl Iterator<Item = (PageId, &Page)> {
-        self.writes.iter().map(|(pid, page)| (*pid, page))
+        self.writes.iter().map(|(pid, page)| (*pid, &**page))
     }
 
     /// Whether the transaction has staged any writes.
@@ -407,9 +432,7 @@ mod tests {
         let pager = Arc::new(Pager::new(small_config()));
         let mut txn = pager.begin_write().unwrap();
         let pid = txn.allocate_page();
-        let mut page = txn.page_for_update(pid).unwrap();
-        page.write_u32(0, 42);
-        txn.write_page(pid, page).unwrap();
+        txn.page_mut(pid).unwrap().write_u32(0, 42);
         commit_noop(&pager, txn);
         assert_eq!(pager.page_count(), 1);
         assert_eq!(pager.read_page(pid).unwrap().read_u32(0), 42);
@@ -442,18 +465,14 @@ mod tests {
         let pager = Arc::new(Pager::new(small_config()));
         let mut txn = pager.begin_write().unwrap();
         let pid = txn.allocate_page();
-        let mut page = txn.page_for_update(pid).unwrap();
-        page.write_u32(0, 1);
-        txn.write_page(pid, page).unwrap();
+        txn.page_mut(pid).unwrap().write_u32(0, 1);
         commit_noop(&pager, txn);
 
         let view = pager.view();
         assert_eq!(view.page(pid).unwrap().read_u32(0), 1);
 
         let mut txn = pager.begin_write().unwrap();
-        let mut page = txn.page_for_update(pid).unwrap();
-        page.write_u32(0, 2);
-        txn.write_page(pid, page).unwrap();
+        txn.page_mut(pid).unwrap().write_u32(0, 2);
         commit_noop(&pager, txn);
 
         // Pinned view still sees the old value; fresh reads see the new.
@@ -466,9 +485,7 @@ mod tests {
         let pager = Arc::new(Pager::new(small_config()));
         let mut txn = pager.begin_write().unwrap();
         let pid = txn.allocate_page();
-        let mut page = txn.page_for_update(pid).unwrap();
-        page.write_u32(0, 7);
-        txn.write_page(pid, page).unwrap();
+        txn.page_mut(pid).unwrap().write_u32(0, 7);
         let mut captured_new = false;
         pager
             .commit(txn, None, |p, pre| {
@@ -481,9 +498,7 @@ mod tests {
         assert!(captured_new);
 
         let mut txn = pager.begin_write().unwrap();
-        let mut page = txn.page_for_update(pid).unwrap();
-        page.write_u32(0, 8);
-        txn.write_page(pid, page).unwrap();
+        txn.page_mut(pid).unwrap().write_u32(0, 8);
         let mut captured_pre = None;
         pager
             .commit(txn, None, |_, pre| {
@@ -499,9 +514,7 @@ mod tests {
         let pager = Arc::new(Pager::new(small_config()));
         let mut txn = pager.begin_write().unwrap();
         let pid = txn.allocate_page();
-        let mut page = txn.page_for_update(pid).unwrap();
-        page.write_u32(0, 5);
-        txn.write_page(pid, page).unwrap();
+        txn.page_mut(pid).unwrap().write_u32(0, 5);
         assert_eq!(txn.read_page(pid).unwrap().read_u32(0), 5);
         assert_eq!(txn.page_count(), 1);
         assert_eq!(txn.write_set_len(), 1);
@@ -527,9 +540,7 @@ mod tests {
         let pager = Arc::new(pager);
         let mut txn = pager.begin_write().unwrap();
         let pid = txn.allocate_page();
-        let mut page = txn.page_for_update(pid).unwrap();
-        page.write_u64(0, 99);
-        txn.write_page(pid, page).unwrap();
+        txn.page_mut(pid).unwrap().write_u64(0, 99);
         pager.commit(txn, Some(1), |_, _| Ok(())).unwrap();
 
         // "Crash" and reopen from the same WAL storage.
@@ -572,9 +583,7 @@ mod stress_tests {
         let mut txn = pager.begin_write().unwrap();
         for _ in 0..8 {
             let pid = txn.allocate_page();
-            let mut page = txn.page_for_update(pid).unwrap();
-            page.write_u64(0, 0);
-            txn.write_page(pid, page).unwrap();
+            txn.page_mut(pid).unwrap().write_u64(0, 0);
         }
         pager.commit(txn, None, |_, _| Ok(())).unwrap();
 
@@ -599,9 +608,7 @@ mod stress_tests {
                 let mut txn = pager.begin_write().unwrap();
                 for p in 0..8 {
                     let pid = PageId(p);
-                    let mut page = txn.page_for_update(pid).unwrap();
-                    page.write_u64(0, generation);
-                    txn.write_page(pid, page).unwrap();
+                    txn.page_mut(pid).unwrap().write_u64(0, generation);
                 }
                 pager.commit(txn, None, |_, _| Ok(())).unwrap();
             }

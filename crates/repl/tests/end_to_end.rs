@@ -56,9 +56,7 @@ fn write_page(store: &Arc<RetroStore>, pid: u64, tag: u32) {
     while txn.page_count() <= pid {
         txn.allocate_page();
     }
-    let mut page = txn.page_for_update(PageId(pid)).unwrap();
-    page.write_u32(0, tag);
-    txn.write_page(PageId(pid), page).unwrap();
+    txn.page_mut(PageId(pid)).unwrap().write_u32(0, tag);
     store.commit(txn).unwrap();
 }
 

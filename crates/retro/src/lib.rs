@@ -63,9 +63,7 @@ mod tests {
         while txn.page_count() <= pid.0 {
             txn.allocate_page();
         }
-        let mut page = txn.page_for_update(pid).unwrap();
-        page.write_u32(0, tag);
-        txn.write_page(pid, page).unwrap();
+        txn.page_mut(pid).unwrap().write_u32(0, tag);
         store.commit(txn).unwrap();
     }
 
@@ -110,9 +108,7 @@ mod tests {
         let store = RetroStore::in_memory(config(64, 16));
         write_page(&store, PageId(0), 1);
         let mut txn = store.begin().unwrap();
-        let mut page = txn.page_for_update(PageId(0)).unwrap();
-        page.write_u32(0, 99);
-        txn.write_page(PageId(0), page).unwrap();
+        txn.page_mut(PageId(0)).unwrap().write_u32(0, 99);
         let sid = store.commit_with_snapshot(txn).unwrap();
         assert_eq!(read_tag(&store, sid, PageId(0)), 99);
     }

@@ -8,13 +8,16 @@
 //!
 //! Keys are order-preserving byte strings produced by
 //! [`crate::record::encode_index_key`], made unique by appending the heap
-//! [`RecordId`]. Nodes are whole pages; because any modification
-//! copy-on-writes the page anyway, nodes are decoded, mutated and
-//! re-encoded wholesale — simple and exactly as expensive in page I/O.
-//! Deletion does not rebalance (pages may go sparse; acceptable for the
-//! workloads reproduced here and documented in DESIGN.md).
+//! [`RecordId`]. Nodes are whole pages, edited in place; decoded only to
+//! split. An insert or delete finds its entry by reading the page where
+//! it lies, as the read path does, and shifts the entries after it with
+//! one `copy_within`. That leaves exactly the bytes decoding, mutating and
+//! re-encoding the node would: entries contiguous from the header, bytes
+//! past the last entry as they were. Deletion does not rebalance (pages
+//! may go sparse; acceptable for the workloads reproduced here and
+//! documented in DESIGN.md).
 
-use rql_pagestore::{Page, PageId, WriteTxn};
+use rql_pagestore::{Page, PageId, SharedPage, WriteTxn};
 
 use crate::error::{Result, SqlError};
 use crate::heap::RecordId;
@@ -27,6 +30,10 @@ const OFF_COUNT: usize = 1;
 const OFF_LINK: usize = 3; // next leaf / rightmost child
 const HEADER: usize = 11;
 const NIL: u64 = u64::MAX;
+/// Bytes after a leaf entry's key: the rid's page (u64) and slot (u16).
+const LEAF_TAIL: usize = 10;
+/// Bytes after an internal entry's key: the child page id.
+const INTERNAL_TAIL: usize = 8;
 
 /// A B-tree rooted at a fixed page (the root id is what the catalog
 /// stores, so the root page never moves).
@@ -48,6 +55,10 @@ enum Node {
     },
 }
 
+/// A node that split: the separator and the new right sibling, to be
+/// hung off the parent.
+type Split = Option<(Vec<u8>, u64)>;
+
 impl BTree {
     /// Open a B-tree rooted at `root`.
     pub fn new(root: PageId) -> Self {
@@ -57,15 +68,11 @@ impl BTree {
     /// Allocate an empty tree.
     pub fn create(txn: &mut WriteTxn) -> Result<BTree> {
         let root = txn.allocate_page();
-        let mut page = txn.page_for_update(root)?;
-        encode_node(
-            &Node::Leaf {
-                next: NIL,
-                entries: Vec::new(),
-            },
-            &mut page,
-        )?;
-        txn.write_page(root, page)?;
+        let empty = Node::Leaf {
+            next: NIL,
+            entries: Vec::new(),
+        };
+        encode_node(&empty, txn.page_mut(root)?);
         Ok(BTree { root })
     }
 
@@ -78,154 +85,68 @@ impl BTree {
     /// duplicate user keys are allowed.
     pub fn insert(&self, txn: &mut WriteTxn, key: &[u8], rid: RecordId) -> Result<()> {
         let full = full_key(key, rid);
-        if let Some((sep, right)) = self.insert_rec(txn, self.root, &full, rid)? {
-            // Root split: move the left half out, make the root internal.
-            let left = txn.allocate_page();
-            let root_page = txn.read_page(self.root)?;
-            txn.write_page(left, (*root_page).clone())?;
-            let mut new_root = txn.page_for_update(self.root)?;
-            encode_node(
-                &Node::Internal {
-                    rightmost: right,
-                    entries: vec![(sep, left.0)],
-                },
-                &mut new_root,
-            )?;
-            txn.write_page(self.root, new_root)?;
+        let mut path = Vec::new();
+        let (leaf, page) = self.descend(&*txn, &full, |pid| path.push(pid))?;
+        let mut split = insert_into_leaf(txn, leaf, page, &full, rid)?;
+        while let Some((sep, right)) = split {
+            let Some(parent) = path.pop() else {
+                return self.split_root(txn, sep, right);
+            };
+            split = insert_separator(txn, parent, &full, sep, right)?;
         }
         Ok(())
     }
 
-    fn insert_rec(
-        &self,
-        txn: &mut WriteTxn,
-        pid: PageId,
-        full: &[u8],
-        rid: RecordId,
-    ) -> Result<Option<(Vec<u8>, u64)>> {
-        let mut node = decode_node(txn.read_page(pid)?.as_ref())?;
-        match &mut node {
-            Node::Leaf { entries, .. } => {
-                let pos = entries.partition_point(|(k, _)| k.as_slice() < full);
-                entries.insert(pos, (full.to_vec(), rid));
-                let page_size = txn.read_page(pid)?.size();
-                if node_size(&node) <= page_size {
-                    self.write_node(txn, pid, &node)?;
-                    return Ok(None);
-                }
-                // Split: right half moves to a new leaf.
-                let Node::Leaf { entries, next } = node else {
-                    unreachable!()
-                };
-                let mid = entries.len() / 2;
-                let right_entries = entries[mid..].to_vec();
-                let left_entries = entries[..mid].to_vec();
-                let sep = right_entries[0].0.clone();
-                let right_pid = txn.allocate_page();
-                self.write_node(
-                    txn,
-                    right_pid,
-                    &Node::Leaf {
-                        next,
-                        entries: right_entries,
-                    },
-                )?;
-                self.write_node(
-                    txn,
-                    pid,
-                    &Node::Leaf {
-                        next: right_pid.0,
-                        entries: left_entries,
-                    },
-                )?;
-                Ok(Some((sep, right_pid.0)))
-            }
-            Node::Internal { entries, rightmost } => {
-                let pos = entries.partition_point(|(sep, _)| sep.as_slice() <= full);
-                let child = if pos < entries.len() {
-                    entries[pos].1
-                } else {
-                    *rightmost
-                };
-                let Some((sep, new_right)) = self.insert_rec(txn, PageId(child), full, rid)? else {
-                    return Ok(None);
-                };
-                // Child split into (child: < sep) and (new_right: >= sep).
-                if pos < entries.len() {
-                    entries.insert(pos, (sep, child));
-                    entries[pos + 1].1 = new_right;
-                } else {
-                    entries.push((sep, child));
-                    *rightmost = new_right;
-                }
-                let page_size = txn.read_page(pid)?.size();
-                if node_size(&node) <= page_size {
-                    self.write_node(txn, pid, &node)?;
-                    return Ok(None);
-                }
-                let Node::Internal { entries, rightmost } = node else {
-                    unreachable!()
-                };
-                let mid = entries.len() / 2;
-                // Promote entries[mid].0; its child becomes the left
-                // node's rightmost.
-                let promoted = entries[mid].0.clone();
-                let left_rightmost = entries[mid].1;
-                let right_entries = entries[mid + 1..].to_vec();
-                let left_entries = entries[..mid].to_vec();
-                let right_pid = txn.allocate_page();
-                self.write_node(
-                    txn,
-                    right_pid,
-                    &Node::Internal {
-                        rightmost,
-                        entries: right_entries,
-                    },
-                )?;
-                self.write_node(
-                    txn,
-                    pid,
-                    &Node::Internal {
-                        rightmost: left_rightmost,
-                        entries: left_entries,
-                    },
-                )?;
-                Ok(Some((promoted, right_pid.0)))
-            }
-        }
-    }
-
-    fn write_node(&self, txn: &mut WriteTxn, pid: PageId, node: &Node) -> Result<()> {
-        let mut page = txn.page_for_update(pid)?;
-        encode_node(node, &mut page)?;
-        txn.write_page(pid, page)?;
+    /// The root split: its image moves to a new left page and the root
+    /// becomes an internal node over the two halves.
+    fn split_root(&self, txn: &mut WriteTxn, sep: Vec<u8>, right: u64) -> Result<()> {
+        let left = txn.allocate_page();
+        let image = Page::clone(&*txn.read_page(self.root)?);
+        txn.write_page(left, image)?;
+        let root = Node::Internal {
+            rightmost: right,
+            entries: vec![(sep, left.0)],
+        };
+        encode_node(&root, txn.page_mut(self.root)?);
         Ok(())
     }
 
     /// Remove `(key, rid)`. Returns whether the entry was found.
     pub fn delete(&self, txn: &mut WriteTxn, key: &[u8], rid: RecordId) -> Result<bool> {
         let full = full_key(key, rid);
+        let (pid, page) = self.descend(&*txn, &full, |_| {})?;
+        let at = seek(&page, LEAF_TAIL, |k| k >= full.as_slice());
+        if at.offset == at.end || key_at(&page, at.offset) != full.as_slice() {
+            return Ok(false);
+        }
+        let count = page.read_u16(OFF_COUNT);
+        drop(page);
+        let page = txn.page_mut(pid)?;
+        let len = 2 + full.len() + LEAF_TAIL;
+        page.bytes_mut()
+            .copy_within(at.offset + len..at.end, at.offset);
+        page.write_u16(OFF_COUNT, count - 1);
+        Ok(true)
+    }
+
+    /// Walk from the root to the leaf that would hold `key`, reading each
+    /// node in place; `on_internal` sees every internal node passed.
+    fn descend<S: PageSource>(
+        &self,
+        src: &S,
+        key: &[u8],
+        mut on_internal: impl FnMut(PageId),
+    ) -> Result<(PageId, SharedPage)> {
         let mut pid = self.root;
         loop {
-            let node = decode_node(txn.read_page(pid)?.as_ref())?;
-            match node {
-                Node::Internal { entries, rightmost } => {
-                    let pos = entries.partition_point(|(sep, _)| sep.as_slice() <= &full[..]);
-                    pid = PageId(if pos < entries.len() {
-                        entries[pos].1
-                    } else {
-                        rightmost
-                    });
+            let page = src.page(pid)?;
+            match page.bytes()[OFF_TYPE] {
+                TYPE_INTERNAL => {
+                    on_internal(pid);
+                    pid = PageId(find_child_inline(&page, key));
                 }
-                Node::Leaf { mut entries, next } => {
-                    let Ok(pos) = entries.binary_search_by(|(k, _)| k.as_slice().cmp(&full[..]))
-                    else {
-                        return Ok(false);
-                    };
-                    entries.remove(pos);
-                    self.write_node(txn, pid, &Node::Leaf { next, entries })?;
-                    return Ok(true);
-                }
+                TYPE_LEAF => return Ok((pid, page)),
+                t => return Err(SqlError::Invalid(format!("bad b-tree node type {t}"))),
             }
         }
     }
@@ -265,19 +186,7 @@ impl BTree {
         lo: &[u8],
         mut f: impl FnMut(&[u8], RecordId) -> Result<bool>,
     ) -> Result<()> {
-        // Descend to the leaf that would contain `lo`, in place.
-        let mut pid = self.root;
-        let mut page = src.page(pid)?;
-        loop {
-            match page.bytes()[OFF_TYPE] {
-                TYPE_INTERNAL => {
-                    pid = PageId(find_child_inline(&page, lo));
-                    page = src.page(pid)?;
-                }
-                TYPE_LEAF => break,
-                t => return Err(SqlError::Invalid(format!("bad b-tree node type {t}"))),
-            }
-        }
+        let (_, mut page) = self.descend(src, lo, |_| {})?;
         // Walk leaf entries (and the right-sibling chain) in place.
         let mut skipping = true;
         loop {
@@ -290,7 +199,7 @@ impl BTree {
                     page: PageId(page.read_u64(pos + 2 + klen)),
                     slot: page.read_u16(pos + 2 + klen + 8),
                 };
-                pos += 2 + klen + 10;
+                pos += 2 + klen + LEAF_TAIL;
                 if skipping && key < lo {
                     continue;
                 }
@@ -321,11 +230,210 @@ impl BTree {
         })?;
         Ok(n)
     }
+
+    /// Check that every node holds exactly the bytes encoding its decoded
+    /// form over it would leave — the form in-place edits must keep.
+    /// Names the first node that differs.
+    pub fn check_canonical<S: PageSource>(&self, src: &S) -> Result<()> {
+        let mut pending = vec![self.root];
+        while let Some(pid) = pending.pop() {
+            let page = src.page(pid)?;
+            let node = decode_node(&page)?;
+            if let Node::Internal { rightmost, entries } = &node {
+                pending.push(PageId(*rightmost));
+                pending.extend(entries.iter().map(|(_, child)| PageId(*child)));
+            }
+            let mut reencoded = Page::clone(&page);
+            encode_node(&node, &mut reencoded);
+            if reencoded != *page {
+                return Err(SqlError::Invalid(format!(
+                    "b-tree node {pid} differs from its re-encoding"
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Insert `(full, rid)` into leaf `pid`, whose current image is `page`:
+/// in place when it fits, else by splitting the leaf.
+fn insert_into_leaf(
+    txn: &mut WriteTxn,
+    pid: PageId,
+    page: SharedPage,
+    full: &[u8],
+    rid: RecordId,
+) -> Result<Split> {
+    let at = seek(&page, LEAF_TAIL, |k| k >= full);
+    let len = 2 + full.len() + LEAF_TAIL;
+    let page_size = page.size();
+    if at.end + len <= page_size {
+        // Release the read before editing, or the edit would copy.
+        drop(page);
+        let page = txn.page_mut(pid)?;
+        let tail = open_entry(page, &at, full, len);
+        page.write_u64(tail, rid.page.0);
+        page.write_u16(tail + 8, rid.slot);
+        return Ok(None);
+    }
+    let Node::Leaf { next, mut entries } = decode_node(&page)? else {
+        unreachable!("descend ends at a leaf")
+    };
+    drop(page);
+    entries.insert(at.index, (full.to_vec(), rid));
+    // Split: right half moves to a new leaf.
+    let right_entries = entries.split_off(entries.len() / 2);
+    let sep = right_entries[0].0.clone();
+    let right_pid = txn.allocate_page();
+    let right = Node::Leaf {
+        next,
+        entries: right_entries,
+    };
+    write_node(txn, right_pid, &right, page_size)?;
+    let left = Node::Leaf {
+        next: right_pid.0,
+        entries,
+    };
+    write_node(txn, pid, &left, page_size)?;
+    Ok(Some((sep, right_pid.0)))
+}
+
+/// Hang `right` off internal node `pid` behind separator `sep`: `right`
+/// is the upper half of the child `full` descended into, which keeps the
+/// keys below `sep`. In place when it fits, else by splitting the node.
+fn insert_separator(
+    txn: &mut WriteTxn,
+    pid: PageId,
+    full: &[u8],
+    sep: Vec<u8>,
+    right: u64,
+) -> Result<Split> {
+    let page = txn.read_page(pid)?;
+    let at = seek(&page, INTERNAL_TAIL, |s| full < s);
+    // Where the child that split is linked from: its entry, or the
+    // rightmost link.
+    let child_at = if at.offset < at.end {
+        at.offset + 2 + page.read_u16(at.offset) as usize
+    } else {
+        OFF_LINK
+    };
+    let child = page.read_u64(child_at);
+    let len = 2 + sep.len() + INTERNAL_TAIL;
+    let page_size = page.size();
+    if at.end + len <= page_size {
+        drop(page);
+        let page = txn.page_mut(pid)?;
+        let tail = open_entry(page, &at, &sep, len);
+        page.write_u64(tail, child);
+        // The old link to the child now leads to its upper half.
+        let relinked = if child_at == OFF_LINK {
+            OFF_LINK
+        } else {
+            child_at + len
+        };
+        page.write_u64(relinked, right);
+        return Ok(None);
+    }
+    let Node::Internal {
+        mut rightmost,
+        mut entries,
+    } = decode_node(&page)?
+    else {
+        unreachable!("descend passes internal nodes")
+    };
+    drop(page);
+    if at.index < entries.len() {
+        entries.insert(at.index, (sep, child));
+        entries[at.index + 1].1 = right;
+    } else {
+        entries.push((sep, child));
+        rightmost = right;
+    }
+    let mid = entries.len() / 2;
+    // Promote entries[mid].0; its child becomes the left node's
+    // rightmost.
+    let right_entries = entries.split_off(mid + 1);
+    let (promoted, left_rightmost) = entries.remove(mid);
+    let right_pid = txn.allocate_page();
+    let right_node = Node::Internal {
+        rightmost,
+        entries: right_entries,
+    };
+    write_node(txn, right_pid, &right_node, page_size)?;
+    let left = Node::Internal {
+        rightmost: left_rightmost,
+        entries,
+    };
+    write_node(txn, pid, &left, page_size)?;
+    Ok(Some((promoted, right_pid.0)))
+}
+
+/// Encode `node` over page `pid`, staging it only if it fits.
+fn write_node(txn: &mut WriteTxn, pid: PageId, node: &Node, page_size: usize) -> Result<()> {
+    if node_size(node) > page_size {
+        return Err(SqlError::Constraint(format!(
+            "index entry too large for page of {page_size} bytes"
+        )));
+    }
+    encode_node(node, txn.page_mut(pid)?);
+    Ok(())
+}
+
+/// Where a key falls among a node's entries, read in place.
+struct Seek {
+    /// Index of the first entry the stop rule accepts (the entry count
+    /// when it accepts none).
+    index: usize,
+    /// Byte offset of that entry (`end` when there is none).
+    offset: usize,
+    /// Byte offset just past the last entry.
+    end: usize,
+}
+
+/// Walk the entries of a node whose entries end in `tail` bytes, finding
+/// the first whose key `stop` accepts.
+fn seek(page: &Page, tail: usize, stop: impl Fn(&[u8]) -> bool) -> Seek {
+    let count = page.read_u16(OFF_COUNT) as usize;
+    let mut found = None;
+    let mut pos = HEADER;
+    for index in 0..count {
+        if found.is_none() && stop(key_at(page, pos)) {
+            found = Some((index, pos));
+        }
+        pos += 2 + page.read_u16(pos) as usize + tail;
+    }
+    let (index, offset) = found.unwrap_or((count, pos));
+    Seek {
+        index,
+        offset,
+        end: pos,
+    }
+}
+
+fn key_at(page: &Page, pos: usize) -> &[u8] {
+    page.read_slice(pos + 2, page.read_u16(pos) as usize)
+}
+
+/// Open a gap of `len` bytes at `at` by shifting the entries after it,
+/// count the new entry and write its key. Returns where the entry's tail
+/// goes.
+fn open_entry(page: &mut Page, at: &Seek, key: &[u8], len: usize) -> usize {
+    page.bytes_mut()
+        .copy_within(at.offset..at.end, at.offset + len);
+    let count = page.read_u16(OFF_COUNT);
+    page.write_u16(OFF_COUNT, count + 1);
+    put_key(page, at.offset, key)
+}
+
+fn put_key(page: &mut Page, pos: usize, key: &[u8]) -> usize {
+    page.write_u16(pos, key.len() as u16);
+    page.write_slice(pos + 2, key);
+    pos + 2 + key.len()
 }
 
 /// In an internal page, find the child that would contain `key`, reading
-/// entries in place (semantics match the decoded `partition_point` path:
-/// first separator strictly greater than `key` wins, else rightmost).
+/// entries in place: the first separator strictly greater than `key`
+/// wins, else the rightmost child.
 fn find_child_inline(page: &Page, key: &[u8]) -> u64 {
     let count = page.read_u16(OFF_COUNT) as usize;
     let mut pos = HEADER;
@@ -336,7 +444,7 @@ fn find_child_inline(page: &Page, key: &[u8]) -> u64 {
         if key < sep {
             return child;
         }
-        pos += 2 + klen + 8;
+        pos += 2 + klen + INTERNAL_TAIL;
     }
     page.read_u64(OFF_LINK) // rightmost
 }
@@ -360,42 +468,34 @@ fn node_size(node: &Node) -> usize {
     }
 }
 
-fn encode_node(node: &Node, page: &mut Page) -> Result<()> {
-    if node_size(node) > page.size() {
-        return Err(SqlError::Constraint(format!(
-            "index entry too large for page of {} bytes",
-            page.size()
-        )));
-    }
-    let mut pos = HEADER;
+/// Write `node` from the header on; bytes past its last entry are left
+/// as they were. The caller has checked that it fits.
+fn encode_node(node: &Node, page: &mut Page) {
     match node {
         Node::Leaf { next, entries } => {
             page.bytes_mut()[OFF_TYPE] = TYPE_LEAF;
             page.write_u16(OFF_COUNT, entries.len() as u16);
             page.write_u64(OFF_LINK, *next);
+            let mut pos = HEADER;
             for (k, rid) in entries {
-                page.write_u16(pos, k.len() as u16);
-                page.write_slice(pos + 2, k);
-                pos += 2 + k.len();
+                pos = put_key(page, pos, k);
                 page.write_u64(pos, rid.page.0);
                 page.write_u16(pos + 8, rid.slot);
-                pos += 10;
+                pos += LEAF_TAIL;
             }
         }
         Node::Internal { rightmost, entries } => {
             page.bytes_mut()[OFF_TYPE] = TYPE_INTERNAL;
             page.write_u16(OFF_COUNT, entries.len() as u16);
             page.write_u64(OFF_LINK, *rightmost);
+            let mut pos = HEADER;
             for (k, child) in entries {
-                page.write_u16(pos, k.len() as u16);
-                page.write_slice(pos + 2, k);
-                pos += 2 + k.len();
+                pos = put_key(page, pos, k);
                 page.write_u64(pos, *child);
-                pos += 8;
+                pos += INTERNAL_TAIL;
             }
         }
     }
-    Ok(())
 }
 
 fn decode_node(page: &Page) -> Result<Node> {
@@ -407,14 +507,13 @@ fn decode_node(page: &Page) -> Result<Node> {
         TYPE_LEAF => {
             let mut entries = Vec::with_capacity(count);
             for _ in 0..count {
-                let klen = page.read_u16(pos) as usize;
-                let key = page.read_slice(pos + 2, klen).to_vec();
-                pos += 2 + klen;
+                let key = key_at(page, pos).to_vec();
+                pos += 2 + key.len();
                 let rid = RecordId {
                     page: PageId(page.read_u64(pos)),
                     slot: page.read_u16(pos + 8),
                 };
-                pos += 10;
+                pos += LEAF_TAIL;
                 entries.push((key, rid));
             }
             Ok(Node::Leaf {
@@ -425,11 +524,10 @@ fn decode_node(page: &Page) -> Result<Node> {
         TYPE_INTERNAL => {
             let mut entries = Vec::with_capacity(count);
             for _ in 0..count {
-                let klen = page.read_u16(pos) as usize;
-                let key = page.read_slice(pos + 2, klen).to_vec();
-                pos += 2 + klen;
+                let key = key_at(page, pos).to_vec();
+                pos += 2 + key.len();
                 entries.push((key, page.read_u64(pos)));
-                pos += 8;
+                pos += INTERNAL_TAIL;
             }
             Ok(Node::Internal {
                 rightmost: link,

@@ -28,9 +28,10 @@ use crate::exec::{finish_select, run_select_cancellable, scan_select, QueryResul
 use crate::exec_stats::ExecStats;
 use crate::heap::{FreeSpaceMap, RecordId};
 use crate::parser::parse_statements;
-use crate::record::{encode_index_key, encode_row, Row};
+use crate::record::{encode_row, Row};
 use crate::schema::{ColumnType, IndexSchema, TableSchema};
 use crate::sidecar::PredSummary;
+use crate::tablewriter::{encode_key, TableIndexes};
 use crate::udf::UdfRegistry;
 use crate::value::Value;
 
@@ -581,10 +582,9 @@ impl Database {
                     .collect::<Result<_>>()?;
                 let tree = crate::btree::BTree::new(info.root);
                 let rows = tinfo.heap().all_rows(&*txn)?;
+                let mut key = Vec::new();
                 for (rid, row) in rows {
-                    let key_vals: Vec<Value> = key_cols.iter().map(|&i| row[i].clone()).collect();
-                    let mut key = Vec::new();
-                    encode_index_key(&key_vals, &mut key);
+                    encode_key(&key_cols, &row, &mut key);
                     tree.insert(txn, &key, rid)?;
                 }
                 Ok(ExecOutcome::Done)
@@ -683,7 +683,7 @@ impl Database {
                     .collect::<Result<_>>()?,
                 None => (0..arity).collect(),
             };
-            let indexes = db.table_indexes(&catalog, &info)?;
+            let mut indexes = TableIndexes::resolve(&catalog, &info)?;
             let heap = info.heap();
             let mut count = 0u64;
             let mut buf = Vec::new();
@@ -702,7 +702,7 @@ impl Database {
                 buf.clear();
                 encode_row(&row, &mut buf);
                 let rid = db.with_fsm(info.root, |fsm| heap.insert(txn, &buf, fsm))?;
-                db.index_insert(txn, &indexes, &row, rid)?;
+                indexes.replace(txn, None, Some((&row, rid)))?;
                 count += 1;
             }
             Ok(ExecOutcome::Affected(count))
@@ -714,7 +714,7 @@ impl Database {
         self.with_write_txn(|db, txn| {
             let catalog = Catalog::load(&*txn)?;
             let info = catalog.require_table(table)?.clone();
-            let indexes = db.table_indexes(&catalog, &info)?;
+            let mut indexes = TableIndexes::resolve(&catalog, &info)?;
             let heap = info.heap();
             let filter = db.compile_row_filter(&info, where_clause, &udfs)?;
             let mut victims: Vec<(RecordId, Row)> = Vec::new();
@@ -726,7 +726,7 @@ impl Database {
             })?;
             for (rid, row) in &victims {
                 db.with_fsm(info.root, |fsm| heap.delete(txn, *rid, fsm))?;
-                db.index_delete(txn, &indexes, row, *rid)?;
+                indexes.replace(txn, Some((row, *rid)), None)?;
             }
             Ok(ExecOutcome::Affected(victims.len() as u64))
         })
@@ -742,7 +742,7 @@ impl Database {
         self.with_write_txn(|db, txn| {
             let catalog = Catalog::load(&*txn)?;
             let info = catalog.require_table(table)?.clone();
-            let indexes = db.table_indexes(&catalog, &info)?;
+            let mut indexes = TableIndexes::resolve(&catalog, &info)?;
             let heap = info.heap();
             let filter = db.compile_row_filter(&info, where_clause, &udfs)?;
             let mut scope = Scope::empty();
@@ -771,8 +771,7 @@ impl Database {
                 buf.clear();
                 encode_row(&new_row, &mut buf);
                 let new_rid = db.with_fsm(info.root, |fsm| heap.update(txn, *rid, &buf, fsm))?;
-                db.index_delete(txn, &indexes, old_row, *rid)?;
-                db.index_insert(txn, &indexes, &new_row, new_rid)?;
+                indexes.replace(txn, Some((old_row, *rid)), Some((&new_row, new_rid)))?;
             }
             Ok(ExecOutcome::Affected(victims.len() as u64))
         })
@@ -797,57 +796,6 @@ impl Database {
         Ok(Box::new(move |row| {
             Ok(eval(&compiled, row, &[])?.is_truthy())
         }))
-    }
-
-    /// Resolve a table's indexes into (tree, key column positions).
-    fn table_indexes(
-        &self,
-        catalog: &Catalog,
-        info: &crate::catalog::TableInfo,
-    ) -> Result<Vec<(crate::btree::BTree, Vec<usize>)>> {
-        let mut out = Vec::new();
-        for idx in catalog.indexes_on(&info.schema.name) {
-            let cols: Vec<usize> = idx
-                .schema
-                .columns
-                .iter()
-                .map(|c| info.schema.require_column(c))
-                .collect::<Result<_>>()?;
-            out.push((crate::btree::BTree::new(idx.root), cols));
-        }
-        Ok(out)
-    }
-
-    fn index_insert(
-        &self,
-        txn: &mut WriteTxn,
-        indexes: &[(crate::btree::BTree, Vec<usize>)],
-        row: &Row,
-        rid: RecordId,
-    ) -> Result<()> {
-        for (tree, cols) in indexes {
-            let key_vals: Vec<Value> = cols.iter().map(|&i| row[i].clone()).collect();
-            let mut key = Vec::new();
-            encode_index_key(&key_vals, &mut key);
-            tree.insert(txn, &key, rid)?;
-        }
-        Ok(())
-    }
-
-    fn index_delete(
-        &self,
-        txn: &mut WriteTxn,
-        indexes: &[(crate::btree::BTree, Vec<usize>)],
-        row: &Row,
-        rid: RecordId,
-    ) -> Result<()> {
-        for (tree, cols) in indexes {
-            let key_vals: Vec<Value> = cols.iter().map(|&i| row[i].clone()).collect();
-            let mut key = Vec::new();
-            encode_index_key(&key_vals, &mut key);
-            tree.delete(txn, &key, rid)?;
-        }
-        Ok(())
     }
 
     /// Approximate on-disk size of a table in bytes (pages × page size),

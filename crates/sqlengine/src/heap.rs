@@ -12,7 +12,10 @@
 //!
 //! Slots grow upward after the header; cells grow downward from the end.
 //! A deleted slot keeps its 4-byte entry with `len = 0` and its cell bytes
-//! become dead space, reclaimed by compaction when an insert needs room.
+//! become dead space, as do the bytes a shorter record updated in place
+//! no longer covers; compaction reclaims it when an insert needs room.
+//! Every edit is made in the transaction's staged copy of the page
+//! ([`WriteTxn::page_mut`]), taken only once the edit is known to fit.
 //! Free space is tracked per table in an in-memory [`FreeSpaceMap`]
 //! (rebuilt lazily after open/abort), so inserts do not walk the chain.
 //!
@@ -106,9 +109,7 @@ impl HeapFile {
     /// Allocate and initialize a new heap in `txn`.
     pub fn create(txn: &mut WriteTxn) -> Result<HeapFile> {
         let root = txn.allocate_page();
-        let mut page = txn.page_for_update(root)?;
-        init_heap_page(&mut page);
-        txn.write_page(root, page)?;
+        init_heap_page(txn.page_mut(root)?);
         Ok(HeapFile { root })
     }
 
@@ -141,33 +142,39 @@ impl HeapFile {
                 Some(pid) => pid,
                 None => self.append_page(txn, fsm)?,
             };
-            let mut page = txn.page_for_update(target)?;
-            match insert_into_page(&mut page, record) {
-                Some(slot) => {
-                    fsm.map.insert(target.0, usable_free(&page));
-                    txn.write_page(target, page)?;
-                    return Ok(RecordId { page: target, slot });
-                }
-                None => {
-                    // Stale hint: record the page's true free space (which
-                    // is below `need`) and retry elsewhere.
-                    fsm.map.insert(target.0, usable_free(&page).min(need - 1));
-                }
-            }
+            let page = txn.read_page(target)?;
+            let Some(fit) = fit(&page, record.len()) else {
+                // Stale hint: record the page's true free space (which is
+                // below `need`) and retry elsewhere.
+                fsm.map.insert(target.0, usable_free(&page).min(need - 1));
+                continue;
+            };
+            // Release the read before editing, or the edit would copy.
+            drop(page);
+            let page = txn.page_mut(target)?;
+            let slot = insert_into_page(page, record, fit);
+            fsm.map.insert(target.0, usable_free(page));
+            return Ok(RecordId { page: target, slot });
         }
     }
 
     /// Delete the record at `rid`.
     pub fn delete(&self, txn: &mut WriteTxn, rid: RecordId, fsm: &mut FreeSpaceMap) -> Result<()> {
         self.ensure_fsm(txn, fsm)?;
-        let mut page = txn.page_for_update(rid.page)?;
-        delete_from_page(&mut page, rid.slot)?;
-        fsm.map.insert(rid.page.0, usable_free(&page));
-        txn.write_page(rid.page, page)?;
+        let (_, len) = live_cell(&*txn.read_page(rid.page)?, rid.slot)?;
+        let page = txn.page_mut(rid.page)?;
+        let base = HEADER + SLOT_SIZE * rid.slot as usize;
+        page.write_u16(base, 0);
+        page.write_u16(base + 2, 0);
+        add_dead(page, len);
+        fsm.map.insert(rid.page.0, usable_free(page));
         Ok(())
     }
 
-    /// Replace the record at `rid`; may move it (returns the new id).
+    /// Replace the record at `rid`, returning where it now is. A record
+    /// no longer than the old cell is written over that cell and keeps
+    /// its rid; the bytes it no longer covers count as dead space, which
+    /// compaction reclaims. A longer record moves: delete + insert.
     pub fn update(
         &self,
         txn: &mut WriteTxn,
@@ -175,10 +182,21 @@ impl HeapFile {
         record: &[u8],
         fsm: &mut FreeSpaceMap,
     ) -> Result<RecordId> {
-        // Simple and correct: delete + insert. In-place optimization is
-        // pointless here because any touch of the page already COWs it.
-        self.delete(txn, rid, fsm)?;
-        self.insert(txn, record, fsm)
+        let (off, len) = live_cell(&*txn.read_page(rid.page)?, rid.slot)?;
+        if record.len() > len {
+            self.delete(txn, rid, fsm)?;
+            return self.insert(txn, record, fsm);
+        }
+        let page = txn.page_mut(rid.page)?;
+        page.write_slice(off, record);
+        page.write_u16(
+            HEADER + SLOT_SIZE * rid.slot as usize + 2,
+            record.len() as u16,
+        );
+        add_dead(page, len - record.len());
+        // An unloaded map is rebuilt from the pages before its next use.
+        fsm.map.insert(rid.page.0, usable_free(page));
+        Ok(rid)
     }
 
     /// Read one record's bytes.
@@ -344,16 +362,13 @@ impl HeapFile {
     /// Link a fresh page right after the root (scan order is not
     /// insertion order, which SQL does not promise anyway).
     fn append_page(&self, txn: &mut WriteTxn, fsm: &mut FreeSpaceMap) -> Result<PageId> {
+        let old_next = txn.read_page(self.root)?.read_u64(OFF_NEXT);
         let new_pid = txn.allocate_page();
-        let mut root_page = txn.page_for_update(self.root)?;
-        let old_next = root_page.read_u64(OFF_NEXT);
-        let mut new_page = txn.page_for_update(new_pid)?;
-        init_heap_page(&mut new_page);
+        let new_page = txn.page_mut(new_pid)?;
+        init_heap_page(new_page);
         new_page.write_u64(OFF_NEXT, old_next);
-        root_page.write_u64(OFF_NEXT, new_pid.0);
-        fsm.map.insert(new_pid.0, usable_free(&new_page));
-        txn.write_page(new_pid, new_page)?;
-        txn.write_page(self.root, root_page)?;
+        fsm.map.insert(new_pid.0, usable_free(new_page));
+        txn.page_mut(self.root)?.write_u64(OFF_NEXT, new_pid.0);
         Ok(new_pid)
     }
 }
@@ -413,29 +428,43 @@ fn read_cell(page: &Page, slot: u16) -> Option<&[u8]> {
     Some(page.read_slice(off, len))
 }
 
-/// Insert `record` into `page`, returning the slot, or `None` if it does
-/// not fit even after compaction.
-fn insert_into_page(page: &mut Page, record: &[u8]) -> Option<u16> {
+/// How a record fits on a page, worked out without editing it.
+struct Fit {
+    /// A freed slot to reuse; `None` appends a slot.
+    free_slot: Option<u16>,
+    /// Only after compaction is the gap wide enough.
+    compact: bool,
+}
+
+/// Whether a record of `len` bytes fits on `page`, even if only after
+/// compaction.
+fn fit(page: &Page, len: usize) -> Option<Fit> {
     let slot_count = page.read_u16(OFF_SLOT_COUNT);
     // Reuse a freed slot when available.
     let free_slot = (0..slot_count).find(|&s| slot_offsets(page, s).1 == 0);
-    let slot_overhead = if free_slot.is_some() { 0 } else { SLOT_SIZE };
+    let need = len + if free_slot.is_some() { 0 } else { SLOT_SIZE };
     let contiguous = {
         let cell_start = page.read_u16(OFF_CELL_START) as usize;
         cell_start.saturating_sub(HEADER + SLOT_SIZE * slot_count as usize)
     };
-    if contiguous < record.len() + slot_overhead {
-        let dead = page.read_u16(OFF_DEAD) as usize;
-        if contiguous + dead < record.len() + slot_overhead {
-            return None;
-        }
+    let dead = page.read_u16(OFF_DEAD) as usize;
+    (contiguous + dead >= need).then_some(Fit {
+        free_slot,
+        compact: contiguous < need,
+    })
+}
+
+/// Insert `record` into `page` as [`fit`] planned, returning the slot.
+fn insert_into_page(page: &mut Page, record: &[u8], fit: Fit) -> u16 {
+    let slot_count = page.read_u16(OFF_SLOT_COUNT);
+    if fit.compact {
         compact_page(page);
     }
     let cell_start = page.read_u16(OFF_CELL_START) as usize;
     let new_start = cell_start - record.len();
     page.write_slice(new_start, record);
     page.write_u16(OFF_CELL_START, new_start as u16);
-    let slot = match free_slot {
+    let slot = match fit.free_slot {
         Some(s) => s,
         None => {
             page.write_u16(OFF_SLOT_COUNT, slot_count + 1);
@@ -445,23 +474,24 @@ fn insert_into_page(page: &mut Page, record: &[u8]) -> Option<u16> {
     let base = HEADER + SLOT_SIZE * slot as usize;
     page.write_u16(base, new_start as u16);
     page.write_u16(base + 2, record.len() as u16);
-    Some(slot)
+    slot
 }
 
-fn delete_from_page(page: &mut Page, slot: u16) -> Result<()> {
+/// Offset and length of the live cell at `slot`; an unknown or deleted
+/// slot is an error.
+fn live_cell(page: &Page, slot: u16) -> Result<(usize, usize)> {
     if slot >= page.read_u16(OFF_SLOT_COUNT) {
         return Err(SqlError::Invalid(format!("delete of unknown slot {slot}")));
     }
-    let (_, len) = slot_offsets(page, slot);
-    if len == 0 {
-        return Err(SqlError::Invalid(format!("double delete of slot {slot}")));
+    match slot_offsets(page, slot) {
+        (_, 0) => Err(SqlError::Invalid(format!("double delete of slot {slot}"))),
+        cell => Ok(cell),
     }
-    let base = HEADER + SLOT_SIZE * slot as usize;
-    page.write_u16(base, 0);
-    page.write_u16(base + 2, 0);
+}
+
+fn add_dead(page: &mut Page, bytes: usize) {
     let dead = page.read_u16(OFF_DEAD);
-    page.write_u16(OFF_DEAD, dead + len as u16);
-    Ok(())
+    page.write_u16(OFF_DEAD, dead + bytes as u16);
 }
 
 /// Rewrite all live cells contiguously at the end of the page.
@@ -595,6 +625,44 @@ mod tests {
     }
 
     #[test]
+    fn update_that_fits_keeps_its_slot() {
+        let pager = pager(256);
+        let mut txn = pager.begin_write().unwrap();
+        let heap = HeapFile::create(&mut txn).unwrap();
+        let mut fsm = FreeSpaceMap::new();
+        let rid = heap
+            .insert(&mut txn, &rec(1, "a longer value"), &mut fsm)
+            .unwrap();
+        let other = heap
+            .insert(&mut txn, &rec(2, "neighbour"), &mut fsm)
+            .unwrap();
+        let same = heap
+            .update(&mut txn, rid, &rec(3, "short"), &mut fsm)
+            .unwrap();
+        assert_eq!(same, rid);
+        assert_eq!(heap.get_row(&txn, rid).unwrap()[1], Value::text("short"));
+        assert_eq!(
+            heap.get_row(&txn, other).unwrap()[1],
+            Value::text("neighbour")
+        );
+        // The bytes the shorter record gave up are dead space.
+        let page = txn.read_page(rid.page).unwrap();
+        assert_eq!(
+            page.read_u16(OFF_DEAD) as usize,
+            "a longer value".len() - "short".len()
+        );
+        // Unknown and deleted slots stay errors.
+        let unknown = RecordId { slot: 9, ..rid };
+        assert!(heap
+            .update(&mut txn, unknown, &rec(1, "x"), &mut fsm)
+            .is_err());
+        heap.delete(&mut txn, other, &mut fsm).unwrap();
+        assert!(heap
+            .update(&mut txn, other, &rec(1, "x"), &mut fsm)
+            .is_err());
+    }
+
+    #[test]
     fn oversized_record_rejected() {
         let pager = pager(128);
         let mut txn = pager.begin_write().unwrap();
@@ -687,9 +755,8 @@ mod tests {
                 let rows = HeapFile::new(root).all_rows(&*txn)?;
                 let other = rows.iter().map(|(rid, _)| rid.page).find(|p| *p != root);
                 let other = other.expect("want a multi-page heap");
-                let mut page = txn.page_for_update(other)?;
-                page.write_u64(OFF_NEXT, root.0);
-                Ok(txn.write_page(other, page)?)
+                txn.page_mut(other)?.write_u64(OFF_NEXT, root.0);
+                Ok(())
             })
             .unwrap();
             let sid = db.declare_snapshot().unwrap();

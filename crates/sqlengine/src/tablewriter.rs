@@ -21,13 +21,99 @@ use crate::record::{encode_index_key, encode_row, Row};
 use crate::sidecar::PredSummary;
 use crate::value::Value;
 
+/// The native indexes of one table, kept in step with its heap rows:
+/// every writer (SQL `INSERT`/`UPDATE`/`DELETE` and [`TableWriter`])
+/// moves index entries through [`TableIndexes::replace`].
+pub(crate) struct TableIndexes {
+    indexes: Vec<TableIndex>,
+    old_key: Vec<u8>,
+    new_key: Vec<u8>,
+}
+
+struct TableIndex {
+    name: String,
+    tree: BTree,
+    /// Key column positions in the table's rows.
+    cols: Vec<usize>,
+}
+
+impl TableIndexes {
+    /// Every index the catalog holds on `info`'s table.
+    pub(crate) fn resolve(catalog: &Catalog, info: &TableInfo) -> Result<Self> {
+        let mut indexes = Vec::new();
+        for idx in catalog.indexes_on(&info.schema.name) {
+            let cols: Vec<usize> = idx
+                .schema
+                .columns
+                .iter()
+                .map(|c| info.schema.require_column(c))
+                .collect::<Result<_>>()?;
+            indexes.push(TableIndex {
+                name: idx.schema.name.clone(),
+                tree: BTree::new(idx.root),
+                cols,
+            });
+        }
+        Ok(TableIndexes {
+            indexes,
+            old_key: Vec::new(),
+            new_key: Vec::new(),
+        })
+    }
+
+    /// Move a row's entry in every index from `old` to `new`, each a row
+    /// with its rid: `old` is `None` for an inserted row, `new` for a
+    /// deleted one. An index whose key is unchanged for an unchanged rid
+    /// is not touched. An old entry the index does not hold is an error
+    /// naming the index and rid: the index disagrees with the heap.
+    pub(crate) fn replace(
+        &mut self,
+        txn: &mut WriteTxn,
+        old: Option<(&Row, RecordId)>,
+        new: Option<(&Row, RecordId)>,
+    ) -> Result<()> {
+        for idx in &self.indexes {
+            if let Some((row, _)) = old {
+                encode_key(&idx.cols, row, &mut self.old_key);
+            }
+            if let Some((row, _)) = new {
+                encode_key(&idx.cols, row, &mut self.new_key);
+            }
+            if let (Some((_, from)), Some((_, to))) = (old, new) {
+                if from == to && self.old_key == self.new_key {
+                    continue;
+                }
+            }
+            if let Some((_, rid)) = old {
+                if !idx.tree.delete(txn, &self.old_key, rid)? {
+                    return Err(SqlError::Invalid(format!(
+                        "index {} has no entry for the row at page {} slot {}",
+                        idx.name, rid.page.0, rid.slot
+                    )));
+                }
+            }
+            if let Some((_, rid)) = new {
+                idx.tree.insert(txn, &self.new_key, rid)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The index key of `row` over columns `cols`, into `out`.
+pub(crate) fn encode_key(cols: &[usize], row: &Row, out: &mut Vec<u8>) {
+    out.clear();
+    for &c in cols {
+        encode_index_key(std::slice::from_ref(&row[c]), out);
+    }
+}
+
 /// Row-level writer over one table, valid for one transaction.
 pub struct TableWriter<'a> {
     txn: &'a mut WriteTxn,
     info: TableInfo,
     heap: HeapFile,
-    /// All indexes on the table: (tree, key column positions).
-    indexes: Vec<(BTree, Vec<usize>)>,
+    indexes: TableIndexes,
     fsm: FreeSpaceMap,
     buf: Vec<u8>,
     inserted: u64,
@@ -37,16 +123,7 @@ pub struct TableWriter<'a> {
 impl<'a> TableWriter<'a> {
     pub(crate) fn new(txn: &'a mut WriteTxn, catalog: &Catalog, table: &str) -> Result<Self> {
         let info = catalog.require_table(table)?.clone();
-        let mut indexes = Vec::new();
-        for idx in catalog.indexes_on(&info.schema.name) {
-            let cols: Vec<usize> = idx
-                .schema
-                .columns
-                .iter()
-                .map(|c| info.schema.require_column(c))
-                .collect::<Result<_>>()?;
-            indexes.push((BTree::new(idx.root), cols));
-        }
+        let indexes = TableIndexes::resolve(catalog, &info)?;
         let heap = info.heap();
         Ok(TableWriter {
             txn,
@@ -82,12 +159,7 @@ impl<'a> TableWriter<'a> {
         self.buf.clear();
         encode_row(&row, &mut self.buf);
         let rid = self.heap.insert(self.txn, &self.buf, &mut self.fsm)?;
-        for (tree, cols) in &self.indexes {
-            let key_vals: Vec<Value> = cols.iter().map(|&i| row[i].clone()).collect();
-            let mut key = Vec::new();
-            encode_index_key(&key_vals, &mut key);
-            tree.insert(self.txn, &key, rid)?;
-        }
+        self.indexes.replace(self.txn, None, Some((&row, rid)))?;
         self.inserted += 1;
         Ok(rid)
     }
@@ -95,7 +167,8 @@ impl<'a> TableWriter<'a> {
     /// Probe index `index_no` (position in [`Self::index_count`] order)
     /// for rows whose key columns equal `key`. Returns `(rid, row)` pairs.
     pub fn probe(&self, index_no: usize, key: &[Value]) -> Result<Vec<(RecordId, Row)>> {
-        let (tree, cols) = self
+        let TableIndex { tree, cols, .. } = self
+            .indexes
             .indexes
             .get(index_no)
             .ok_or_else(|| SqlError::Invalid(format!("no index #{index_no}")))?;
@@ -121,7 +194,8 @@ impl<'a> TableWriter<'a> {
     }
 
     /// Replace the row at `rid` (whose current content is `old_row`),
-    /// maintaining indexes. Returns the row's new location.
+    /// maintaining indexes. Returns the row's new location: `rid` itself
+    /// when the new row fits the old one's cell.
     pub fn update(&mut self, rid: RecordId, old_row: &Row, mut new_row: Row) -> Result<RecordId> {
         for (v, col) in new_row.iter_mut().zip(&self.info.schema.columns) {
             let coerced = col.ty.coerce(v.clone());
@@ -130,16 +204,8 @@ impl<'a> TableWriter<'a> {
         self.buf.clear();
         encode_row(&new_row, &mut self.buf);
         let new_rid = self.heap.update(self.txn, rid, &self.buf, &mut self.fsm)?;
-        for (tree, cols) in &self.indexes {
-            let old_key_vals: Vec<Value> = cols.iter().map(|&i| old_row[i].clone()).collect();
-            let mut old_key = Vec::new();
-            encode_index_key(&old_key_vals, &mut old_key);
-            tree.delete(self.txn, &old_key, rid)?;
-            let new_key_vals: Vec<Value> = cols.iter().map(|&i| new_row[i].clone()).collect();
-            let mut new_key = Vec::new();
-            encode_index_key(&new_key_vals, &mut new_key);
-            tree.insert(self.txn, &new_key, new_rid)?;
-        }
+        self.indexes
+            .replace(self.txn, Some((old_row, rid)), Some((&new_row, new_rid)))?;
         self.updated += 1;
         Ok(new_rid)
     }
@@ -158,7 +224,7 @@ impl<'a> TableWriter<'a> {
 
     /// Number of indexes available to [`Self::probe`].
     pub fn index_count(&self) -> usize {
-        self.indexes.len()
+        self.indexes.indexes.len()
     }
 
     /// Rows inserted through this writer.
@@ -224,6 +290,71 @@ mod tests {
         // Visible through SQL afterwards.
         let r = db.query("SELECT cnt FROM r WHERE grp = 'a'").unwrap();
         assert_eq!(r.rows[0][0], Value::Integer(10));
+    }
+
+    #[test]
+    fn update_touches_an_index_only_when_its_key_moves() {
+        let db = db();
+        db.execute("CREATE TABLE r (grp TEXT, cnt INTEGER)")
+            .unwrap();
+        db.execute("CREATE INDEX r_grp ON r (grp)").unwrap();
+        db.execute("INSERT INTO r VALUES ('a', 1), ('b', 2)")
+            .unwrap();
+        let index_root = {
+            let view = db.store().current_view();
+            Catalog::load(&view).unwrap().indexes_on("r")[0].root
+        };
+        db.with_table_writer("r", |w| {
+            let (rid, old) = w.probe(0, &[Value::text("a")])?.remove(0);
+            let new_row = vec![Value::text("a"), Value::Integer(7)];
+            assert_eq!(w.update(rid, &old, new_row)?, rid, "fits its cell");
+            let staged: Vec<_> = w.txn.staged_pages().map(|(pid, _)| pid).collect();
+            assert!(!staged.contains(&index_root), "same key, same rid");
+
+            let (rid, old) = w.probe(0, &[Value::text("b")])?.remove(0);
+            w.update(rid, &old, vec![Value::text("c"), Value::Integer(2)])?;
+            assert!(w.probe(0, &[Value::text("b")])?.is_empty());
+            assert_eq!(w.probe(0, &[Value::text("c")])?[0].1[1], Value::Integer(2));
+            Ok(())
+        })
+        .unwrap();
+    }
+
+    /// An index entry the heap row should have but does not is reported
+    /// by the statement that needs it, which then changes nothing.
+    #[test]
+    fn missing_index_entry_is_an_error() {
+        let db = db();
+        db.execute("CREATE TABLE r (k INTEGER, v TEXT)").unwrap();
+        db.execute("CREATE INDEX r_k ON r (k)").unwrap();
+        db.execute("INSERT INTO r VALUES (1, 'x'), (2, 'y')")
+            .unwrap();
+        db.with_write_txn_pub(|_, txn| {
+            let catalog = Catalog::load(&*txn)?;
+            let info = catalog.require_table("r")?.clone();
+            let (rid, row) = info.heap().all_rows(&*txn)?.remove(0);
+            let mut key = Vec::new();
+            encode_key(&[0], &row, &mut key);
+            let tree = BTree::new(catalog.indexes_on("r")[0].root);
+            assert!(tree.delete(txn, &key, rid)?);
+            Ok(())
+        })
+        .unwrap();
+        let before = db.query("SELECT k, v FROM r ORDER BY k").unwrap().rows;
+        for sql in [
+            "UPDATE r SET k = 10 WHERE k = 1",
+            "DELETE FROM r WHERE k = 1",
+        ] {
+            match db.execute(sql) {
+                Err(SqlError::Invalid(msg)) => {
+                    assert!(msg.starts_with("index r_k has no entry"), "{sql}: {msg}");
+                }
+                other => panic!("{sql}: {other:?}"),
+            }
+            assert!(!db.has_open_txn());
+            let after = db.query("SELECT k, v FROM r ORDER BY k").unwrap().rows;
+            assert_eq!(after, before, "{sql} changed the table");
+        }
     }
 
     #[test]

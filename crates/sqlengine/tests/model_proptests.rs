@@ -93,6 +93,10 @@ proptest! {
                     }
                 }
             }
+            // Edits in place leave every node as decode → encode would.
+            if let Err(e) = tree.check_canonical(&txn) {
+                prop_assert!(false, "after {:?}: {}", op, e);
+            }
         }
         // Final full-scan order equals the model's key order.
         let mut scanned: Vec<RecordId> = Vec::new();
@@ -155,10 +159,13 @@ proptest! {
                     }
                 }
                 HeapOp::Update(k, t) => {
-                    if let Some((rid, _)) = model.get(k).cloned() {
+                    if let Some((rid, old)) = model.get(k).cloned() {
                         let new_rid = heap
                             .update(&mut txn, rid, &encode(*k, t), &mut fsm)
                             .unwrap();
+                        if encode(*k, t).len() <= encode(*k, &old).len() {
+                            prop_assert_eq!(new_rid, rid, "a record that fits keeps its slot");
+                        }
                         model.insert(*k, (new_rid, t.clone()));
                     }
                 }
@@ -183,6 +190,52 @@ proptest! {
         for (k, (_, t)) in &model {
             prop_assert_eq!(seen.get(k), Some(t));
         }
+    }
+}
+
+/// Records shrunk in place keep their rids and leave dead bytes in their
+/// cells; filling the page again has to compact those bytes back into
+/// room, with every record still readable where it is.
+#[test]
+fn shrink_then_fill_compacts_in_place() {
+    let pager = pager(256);
+    let mut txn = pager.begin_write().unwrap();
+    let heap = HeapFile::create(&mut txn).unwrap();
+    let mut fsm = FreeSpaceMap::new();
+    let record = |k: i64, len: usize| {
+        let mut buf = Vec::new();
+        encode_row(&[Value::Integer(k), Value::text("x".repeat(len))], &mut buf);
+        buf
+    };
+    // Four 55-byte records fill the 256-byte root page to 4 free bytes.
+    let mut live = Vec::new();
+    for k in 0..4 {
+        let rid = heap.insert(&mut txn, &record(k, 50), &mut fsm).unwrap();
+        assert_eq!(rid.page, heap.root());
+        live.push((rid, k, 50));
+    }
+    // Shrink each to 10 bytes: 180 dead bytes, no rid moves.
+    for (rid, k, len) in &mut live {
+        let same = heap
+            .update(&mut txn, *rid, &record(*k, 5), &mut fsm)
+            .unwrap();
+        assert_eq!(same, *rid);
+        *len = 5;
+    }
+    // Three 49-byte inserts (record + slot) fit only once compacted.
+    for k in 4..7 {
+        let rid = heap.insert(&mut txn, &record(k, 40), &mut fsm).unwrap();
+        assert_eq!(
+            rid.page,
+            heap.root(),
+            "record {k} should fit after compaction"
+        );
+        live.push((rid, k, 40));
+    }
+    assert_eq!(heap.page_count_chain(&txn).unwrap(), 1);
+    for (rid, k, len) in &live {
+        let row = heap.get_row(&txn, *rid).unwrap();
+        assert_eq!(row, vec![Value::Integer(*k), Value::text("x".repeat(*len))]);
     }
 }
 
