@@ -395,6 +395,13 @@ impl WriteTxn {
         self.writes.iter().map(|(pid, page)| (*pid, &**page))
     }
 
+    /// Whether the transaction staged or allocated `pid`: only an untouched
+    /// page still has the published image, so only its published metadata
+    /// (a pruning sidecar, say) still describes what this transaction reads.
+    pub fn touched(&self, pid: PageId) -> bool {
+        self.writes.contains_key(&pid) || pid.0 >= self.base_count
+    }
+
     /// Whether the transaction has staged any writes.
     pub fn is_read_only(&self) -> bool {
         self.writes.is_empty()
@@ -521,6 +528,21 @@ mod tests {
         pager.abort(txn);
         // Aborted: nothing published.
         assert_eq!(pager.page_count(), 0);
+    }
+
+    #[test]
+    fn touched_means_staged_or_allocated() {
+        let pager = Arc::new(Pager::new(small_config()));
+        let mut txn = pager.begin_write().unwrap();
+        let (a, b) = (txn.allocate_page(), txn.allocate_page());
+        commit_noop(&pager, txn);
+        let mut txn = pager.begin_write().unwrap();
+        txn.read_page(a).unwrap();
+        assert!(!txn.touched(a), "a read stages nothing");
+        txn.page_mut(a).unwrap().write_u32(0, 1);
+        let c = txn.allocate_page();
+        assert!(txn.touched(a) && !txn.touched(b) && txn.touched(c));
+        pager.abort(txn);
     }
 
     #[test]

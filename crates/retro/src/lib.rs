@@ -507,7 +507,8 @@ mod tests {
         let mlog: Arc<MemStorage> = Arc::new(MemStorage::new());
         let cfg = config(64, 16);
         // Sidecar = first 4 bytes of the page image (a toy summary).
-        let builder: SidecarBuilder = Arc::new(|_pid, page| Some(page.bytes()[0..4].to_vec()));
+        let builder: SidecarBuilder =
+            Arc::new(|_pid, page, _cols| Some(page.bytes()[0..4].to_vec()));
         let expected;
         {
             let store =
@@ -533,6 +534,39 @@ mod tests {
         assert_eq!(store.archived_sidecar(0).unwrap(), expected);
         // Idempotent: nothing left to build.
         assert_eq!(store.rebuild_archived_sidecars().unwrap(), 0);
+    }
+
+    #[test]
+    fn growing_the_filter_set_resummarizes_current_and_archived_pages() {
+        let store = RetroStore::in_memory(config(64, 16));
+        // Sidecar = the columns it summarizes (a toy summary).
+        store.set_sidecar_builder(Arc::new(|_, _, cols| {
+            Some(cols.iter().map(|&c| c as u8).collect())
+        }));
+        write_page(&store, PageId(0), 1);
+        let learn = |cols: &[usize]| {
+            store.add_filter_columns::<rql_pagestore::StoreError>(
+                "T",
+                cols,
+                false,
+                |view, tables, page| {
+                    assert_eq!(tables, ["t"]);
+                    page(PageId(0), &*view.page(PageId(0))?);
+                    Ok(())
+                },
+            )
+        };
+        assert_eq!(learn(&[0]).unwrap(), 1);
+        assert_eq!(learn(&[0]).unwrap(), 0, "nothing new, nothing rebuilt");
+        declare(&store);
+        write_page(&store, PageId(0), 2); // archives P0 with its [0] sidecar
+        assert_eq!(*store.archived_sidecar(0).unwrap(), vec![0]);
+        assert_eq!(store.rebuild_archived_sidecars().unwrap(), 0);
+        // A grown set reaches both versions of P0, though each had one.
+        assert_eq!(learn(&[1]).unwrap(), 1);
+        assert_eq!(*store.current_sidecars()[&0], vec![0, 1]);
+        assert_eq!(*store.archived_sidecar(0).unwrap(), vec![0, 1]);
+        assert_eq!(store.filter_columns("t"), Some(vec![0, 1]));
     }
 
     #[test]

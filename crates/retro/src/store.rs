@@ -60,16 +60,93 @@ impl RetroConfig {
     }
 }
 
-/// Builds an encoded pruning sidecar for a page image, or `None` when
-/// the page cannot be summarized. Injected by the SQL layer, which owns
-/// the record format; `retro` only versions the opaque bytes alongside
-/// the COW pre-states.
-pub type SidecarBuilder =
-    Arc<dyn Fn(rql_pagestore::PageId, &rql_pagestore::Page) -> Option<Vec<u8>> + Send + Sync>;
+/// Builds an encoded pruning sidecar for a page image over the store's
+/// filter-column union (the third argument), or `None` when the page
+/// cannot be summarized. Injected by the SQL layer, which owns the record
+/// format; `retro` only versions the opaque bytes alongside the COW
+/// pre-states.
+pub type SidecarBuilder = Arc<
+    dyn Fn(rql_pagestore::PageId, &rql_pagestore::Page, &[usize]) -> Option<Vec<u8>> + Send + Sync,
+>;
 
 /// Sidecars for one consistent set of current-page images, shared with
 /// snapshot readers by `Arc` swap.
 pub type SidecarMap = Arc<HashMap<u64, Arc<Vec<u8>>>>;
+
+/// Sidecars of archived pre-states by Pagelog offset, each with the
+/// filter-set generation it was built at.
+type SidecarArchive = HashMap<u64, (u64, Arc<Vec<u8>>)>;
+
+/// The store's pruning filter columns: per table, the columns sidecars
+/// summarize so scans of that table can refute pages. There is one set
+/// per store, however many SQL facades share it, because the builder it
+/// drives is one per store.
+#[derive(Debug, Clone, Default)]
+struct FilterSet {
+    /// Lowercase table name → its columns.
+    tables: HashMap<String, FilterCols>,
+    /// Every table's columns, sorted and deduplicated: the builder sees
+    /// bare page images, not tables, so it summarizes all of them.
+    union: Arc<Vec<usize>>,
+    /// Bumped whenever `union` changes. Archived sidecars record the
+    /// generation they were built at, and an older one is rebuilt.
+    generation: u64,
+}
+
+/// One table's filter columns.
+#[derive(Debug, Clone, Default)]
+struct FilterCols {
+    /// Table-local column indices, sorted, deduplicated.
+    cols: Vec<usize>,
+    /// Declared: auto-inference leaves the table alone.
+    declared: bool,
+}
+
+impl FilterSet {
+    /// Whether folding `cols` into `table`'s columns would change nothing.
+    fn covers(&self, table: &str, cols: &[usize]) -> bool {
+        self.tables
+            .get(table)
+            .is_some_and(|f| f.declared || cols.iter().all(|c| f.cols.contains(c)))
+    }
+
+    /// Fold `cols` into `table`'s columns — or, with `declare`, replace
+    /// and freeze them — and bump the generation if the union changed.
+    /// Returns whether anything changed.
+    fn apply(&mut self, table: &str, cols: &[usize], declare: bool) -> bool {
+        let entry = self.tables.entry(table.to_owned()).or_default();
+        if entry.declared && !declare {
+            return false;
+        }
+        let mut want = if declare {
+            Vec::new()
+        } else {
+            entry.cols.clone()
+        };
+        want.extend_from_slice(cols);
+        want.sort_unstable();
+        want.dedup();
+        if entry.cols == want && entry.declared == declare {
+            return false;
+        }
+        *entry = FilterCols {
+            cols: want,
+            declared: declare,
+        };
+        let mut union: Vec<usize> = self
+            .tables
+            .values()
+            .flat_map(|f| f.cols.iter().copied())
+            .collect();
+        union.sort_unstable();
+        union.dedup();
+        if *self.union != union {
+            self.union = Arc::new(union);
+            self.generation += 1;
+        }
+        true
+    }
+}
 
 /// The snapshot system.
 pub struct RetroStore {
@@ -95,14 +172,16 @@ pub struct RetroStore {
     current_sidecars: RwLock<SidecarMap>,
     /// Sidecars for archived pre-states, keyed by Pagelog offset — the
     /// same address an SPT resolves the page through, so an `AS OF`
-    /// view always pairs a page version with the sidecar built from it.
-    sidecar_archive: Mutex<HashMap<u64, Arc<Vec<u8>>>>,
-    /// Bumped at the start of every commit; guards out-of-band sidecar
-    /// backfills against racing a commit (install-if-current).
-    sidecar_epoch: AtomicU64,
-    /// `None` until the SQL layer declares filter columns; sidecar
+    /// view always pairs a page version with the sidecar built from it —
+    /// each with the filter-set generation it was built at.
+    sidecar_archive: Mutex<SidecarArchive>,
+    /// `None` until the SQL layer first learns filter columns; sidecar
     /// maintenance is free when pruning is unused.
     sidecar_builder: RwLock<Option<SidecarBuilder>>,
+    /// What the builder summarizes. Changed only under `commit_serial`,
+    /// together with the current map, so every current entry was built
+    /// from the union a commit reads.
+    filters: RwLock<FilterSet>,
     /// Observers notified after every snapshot declaration, once the
     /// snapshot is fully published (metas pushed, all commit-path locks
     /// released) — a hook may immediately open the snapshot it is told
@@ -183,8 +262,8 @@ impl RetroStore {
             metas: RwLock::new(Vec::new()),
             current_sidecars: RwLock::new(Arc::new(HashMap::new())),
             sidecar_archive: Mutex::new(HashMap::new()),
-            sidecar_epoch: AtomicU64::new(0),
             sidecar_builder: RwLock::new(None),
+            filters: RwLock::new(FilterSet::default()),
             snapshot_hooks: RwLock::new(Vec::new()),
             commit_serial: Mutex::new(()),
             commit_hooks: RwLock::new(Vec::new()),
@@ -248,14 +327,14 @@ impl RetroStore {
             last_archived: Mutex::new(std::collections::HashMap::new()),
             metas: RwLock::new(metas),
             // Sidecar state is in-memory: recovery starts with none (absent
-            // is always safe — scans just don't prune). Once the SQL layer
-            // reinstalls its builder, `rebuild_archived_sidecars` restores
-            // the archive entries from the Maplog + Pagelog, and current
-            // entries come back via the usual backfill.
+            // is always safe — scans just don't prune), and so does the
+            // filter set. The SQL layer's first filter columns rebuild
+            // both maps: current entries from the current pages, archive
+            // entries from the Maplog + Pagelog.
             current_sidecars: RwLock::new(Arc::new(HashMap::new())),
             sidecar_archive: Mutex::new(HashMap::new()),
-            sidecar_epoch: AtomicU64::new(0),
             sidecar_builder: RwLock::new(None),
+            filters: RwLock::new(FilterSet::default()),
             snapshot_hooks: RwLock::new(Vec::new()),
             commit_serial: Mutex::new(()),
             commit_hooks: RwLock::new(Vec::new()),
@@ -363,14 +442,18 @@ impl RetroStore {
         // pager publishes — a reader racing the commit sees no entry and
         // falls back to a full read. The entries displaced here describe
         // the pre-states this commit may archive; `pre_capture` moves
-        // them to the Pagelog-offset-keyed archive below.
-        self.sidecar_epoch.fetch_add(1, Ordering::AcqRel);
+        // them to the Pagelog-offset-keyed archive below, tagged with the
+        // filter generation every current entry was built at.
         let builder = self.sidecar_builder.read().clone();
+        let (union, generation) = {
+            let filters = self.filters.read();
+            (Arc::clone(&filters.union), filters.generation)
+        };
         let written: Vec<rql_pagestore::PageId> = txn.staged_pages().map(|(pid, _)| pid).collect();
         let mut fresh: HashMap<u64, Arc<Vec<u8>>> = HashMap::new();
         if let Some(builder) = &builder {
             for (pid, page) in txn.staged_pages() {
-                if let Some(bytes) = builder(pid, page) {
+                if let Some(bytes) = builder(pid, page, &union) {
                     stats.count_sidecar_bytes(bytes.len() as u64);
                     fresh.insert(pid.0, Arc::new(bytes));
                 }
@@ -442,21 +525,18 @@ impl RetroStore {
             // through. No entry (builder off, unbuildable page) is fine —
             // snapshot scans of this version just won't prune it.
             if let Some(side) = displaced.get(&pid.0) {
-                self.sidecar_archive.lock().insert(off, Arc::clone(side));
+                self.sidecar_archive
+                    .lock()
+                    .insert(off, (generation, Arc::clone(side)));
             }
             stats.count_cow_capture();
             Ok(())
         })?;
         // Sidecar maintenance, phase 3: now that the pages are
         // published, make the map authoritative for every written page —
-        // insert the fresh entry or remove whatever is there (a racing
-        // backfill may have slipped in an entry built from the old
-        // image). The epoch bumps again under the same lock, so a
-        // backfill that read its epoch while this commit was in flight
-        // can no longer install after this point.
+        // insert the fresh entry or remove whatever is there.
         {
             let mut map = self.current_sidecars.write();
-            self.sidecar_epoch.fetch_add(1, Ordering::AcqRel);
             if !fresh.is_empty() || !map.is_empty() {
                 let mut next = (**map).clone();
                 let mut changed = false;
@@ -590,29 +670,40 @@ impl RetroStore {
 
     /// Rebuild sidecars for archived pre-states from the Maplog + Pagelog.
     ///
-    /// After recovery (or a follower seed) the sidecar archive is empty —
-    /// it is in-memory state — so `AS OF` scans of old snapshots stop
-    /// pruning. With a builder installed, this walks every Maplog mapping,
-    /// reads the archived page image, and rebuilds the sidecar keyed by
-    /// its Pagelog offset. Entries that already exist are skipped, so
-    /// repeated calls only pay for what recovery lost. Returns how many
+    /// With a builder installed, this walks every Maplog mapping and
+    /// rebuilds, from the archived page image, each sidecar that is
+    /// missing — the archive is in-memory state, empty after recovery or
+    /// a follower seed — or was built before the filter set last grew.
+    /// Entries already at the current generation are skipped, so repeated
+    /// calls only pay for what is missing or stale. Returns how many
     /// sidecars were built.
     pub fn rebuild_archived_sidecars(&self) -> Result<usize> {
         let Some(builder) = self.sidecar_builder.read().clone() else {
             return Ok(0);
         };
+        let (union, generation) = {
+            let filters = self.filters.read();
+            (Arc::clone(&filters.union), filters.generation)
+        };
+        let is_current = |archive: &SidecarArchive, off: u64| {
+            archive.get(&off).is_some_and(|(g, _)| *g >= generation)
+        };
         let entries: Vec<(rql_pagestore::PageId, u64)> = self.maplog.read().entries();
         let stats = self.pager.stats().clone();
         let mut built = 0usize;
         for (pid, off) in entries {
-            if self.sidecar_archive.lock().contains_key(&off) {
+            if is_current(&self.sidecar_archive.lock(), off) {
                 continue;
             }
             let page = self.pagelog.read(off)?;
-            if let Some(bytes) = builder(pid, &page) {
+            if let Some(bytes) = builder(pid, &page, &union) {
                 stats.count_sidecar_bytes(bytes.len() as u64);
-                self.sidecar_archive.lock().insert(off, Arc::new(bytes));
-                built += 1;
+                let mut archive = self.sidecar_archive.lock();
+                // A racing rebuild of a newer generation wins.
+                if !is_current(&archive, off) {
+                    archive.insert(off, (generation, Arc::new(bytes)));
+                    built += 1;
+                }
             }
         }
         Ok(built)
@@ -620,8 +711,8 @@ impl RetroStore {
 
     /// Install the sidecar builder. From the next commit on, every
     /// staged page gets a sidecar built from its post-image; pages
-    /// written before this call have none until rewritten or backfilled
-    /// with [`RetroStore::install_current_sidecars`].
+    /// written before this call get one when the filter set next changes
+    /// ([`RetroStore::add_filter_columns`]).
     pub fn set_sidecar_builder(&self, builder: SidecarBuilder) {
         *self.sidecar_builder.write() = Some(builder);
     }
@@ -631,56 +722,89 @@ impl RetroStore {
         self.sidecar_builder.read().is_some()
     }
 
-    /// The current sidecar epoch; pass it back to
-    /// [`RetroStore::install_current_sidecars`] to detect interleaved
-    /// commits.
-    pub fn sidecar_epoch(&self) -> u64 {
-        self.sidecar_epoch.load(Ordering::Acquire)
+    /// `table`'s filter columns (sorted table-local indices), or `None`
+    /// when the table has no pruning configuration.
+    pub fn filter_columns(&self, table: &str) -> Option<Vec<usize>> {
+        let filters = self.filters.read();
+        let cols = &filters.tables.get(&table.to_ascii_lowercase())?.cols;
+        Some(cols.clone())
+    }
+
+    /// Fold `cols` into `table`'s filter columns — or, with `declare`,
+    /// replace them and stop further folding — and, when that changes the
+    /// set, re-summarize what the new set reaches: every current page
+    /// `walk` hands over, and every archived page version when the column
+    /// union changed ([`RetroStore::rebuild_archived_sidecars`]). Returns
+    /// how many current pages were summarized.
+    ///
+    /// `walk(view, tables, page)` hands `page` every current page of the
+    /// named tables (those with filter columns) in `view`; the SQL layer
+    /// walks their heap chains. Commits wait while the current map is
+    /// rebuilt, so the rebuild cannot lose a race with one: no commit can
+    /// publish an image the new entries do not describe, or archive an
+    /// entry built from the narrower set under the new generation. The
+    /// new map replaces the old, so every current entry is built from the
+    /// union commits read.
+    pub fn add_filter_columns<E: From<StoreError>>(
+        &self,
+        table: &str,
+        cols: &[usize],
+        declare: bool,
+        walk: impl FnOnce(
+            &DbView,
+            &[String],
+            &mut dyn FnMut(rql_pagestore::PageId, &rql_pagestore::Page),
+        ) -> std::result::Result<(), E>,
+    ) -> std::result::Result<usize, E> {
+        let table = table.to_ascii_lowercase();
+        if !declare && self.filters.read().covers(&table, cols) {
+            return Ok(0);
+        }
+        let (summarized, union_changed) = {
+            let _serial = self.commit_serial.lock();
+            let mut next = self.filters.read().clone();
+            let generation = next.generation;
+            if !next.apply(&table, cols, declare) {
+                return Ok(0);
+            }
+            let mut fresh: HashMap<u64, Arc<Vec<u8>>> = HashMap::new();
+            if let Some(builder) = self.sidecar_builder.read().clone() {
+                let tables: Vec<String> = next
+                    .tables
+                    .iter()
+                    .filter(|(_, f)| !f.cols.is_empty())
+                    .map(|(name, _)| name.clone())
+                    .collect();
+                let stats = self.pager.stats();
+                walk(&self.pager.view(), &tables, &mut |pid, page| {
+                    if let Some(bytes) = builder(pid, page, &next.union) {
+                        stats.count_sidecar_bytes(bytes.len() as u64);
+                        fresh.insert(pid.0, Arc::new(bytes));
+                    }
+                })?;
+            }
+            let summarized = fresh.len();
+            *self.current_sidecars.write() = Arc::new(fresh);
+            let union_changed = next.generation != generation;
+            *self.filters.write() = next;
+            (summarized, union_changed)
+        };
+        if union_changed {
+            self.rebuild_archived_sidecars()?;
+        }
+        Ok(summarized)
     }
 
     /// Sidecars describing the latest published page images (cheap
-    /// `Arc` clone; what snapshot readers capture at open).
+    /// `Arc` clone; what snapshot readers and write transactions capture).
     pub fn current_sidecars(&self) -> SidecarMap {
         self.current_sidecars.read().clone()
     }
 
     /// Sidecar for the archived pre-state at Pagelog offset `off`.
     pub fn archived_sidecar(&self, off: u64) -> Option<Arc<Vec<u8>>> {
-        self.sidecar_archive.lock().get(&off).cloned()
-    }
-
-    /// Backfill sidecars for current pages (built by the SQL layer from
-    /// a pinned view). Entries are installed only if (a) no commit ran
-    /// since `epoch` was read — `epoch` must be read *before* pinning
-    /// the view the sidecars were built from — and (b) the page has no
-    /// entry yet, so a racing commit's fresher sidecar is never
-    /// clobbered. Returns how many entries were installed.
-    pub fn install_current_sidecars(
-        &self,
-        epoch: u64,
-        entries: Vec<(rql_pagestore::PageId, Vec<u8>)>,
-    ) -> usize {
-        if entries.is_empty() {
-            return 0;
-        }
-        let mut map = self.current_sidecars.write();
-        if self.sidecar_epoch.load(Ordering::Acquire) != epoch {
-            return 0;
-        }
-        let stats = self.pager.stats();
-        let mut next = (**map).clone();
-        let mut installed = 0;
-        for (pid, bytes) in entries {
-            if let std::collections::hash_map::Entry::Vacant(e) = next.entry(pid.0) {
-                stats.count_sidecar_bytes(bytes.len() as u64);
-                e.insert(Arc::new(bytes));
-                installed += 1;
-            }
-        }
-        if installed > 0 {
-            *map = Arc::new(next);
-        }
-        installed
+        let archive = self.sidecar_archive.lock();
+        archive.get(&off).map(|(_, side)| Arc::clone(side))
     }
 
     /// Number of declared snapshots; ids are `1..=snapshot_count()`.

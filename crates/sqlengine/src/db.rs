@@ -20,13 +20,14 @@ use rql_retro::{RetroConfig, RetroStore, SnapshotReader};
 
 use crate::ast::{InsertSource, SelectStmt, Stmt};
 use crate::cancel::CancelToken;
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, TableInfo};
 use crate::cexpr::{compile, eval, Scope};
 use crate::delta::DeltaTableScanner;
 use crate::error::{Result, SqlError};
 use crate::exec::{finish_select, run_select_cancellable, scan_select, QueryResult, Scanned};
 use crate::exec_stats::ExecStats;
 use crate::heap::{FreeSpaceMap, RecordId};
+use crate::pagesource::TxnSource;
 use crate::parser::parse_statements;
 use crate::record::{encode_row, Row};
 use crate::schema::{ColumnType, IndexSchema, TableSchema};
@@ -73,20 +74,6 @@ pub struct Database {
     /// [`CancelToken::clear`]; shared with watchdogs via
     /// [`Database::cancel_token`].
     cancel: CancelToken,
-    /// Pruning filter columns per lowercase table name. Declared entries
-    /// ([`Database::declare_filter_columns`]) are fixed; undeclared ones
-    /// grow by auto-inference from the refutable conjuncts of snapshot
-    /// (`AS OF`/delta) queries.
-    filter_cols: RwLock<HashMap<String, FilterCols>>,
-}
-
-/// One table's sidecar filter-column configuration.
-#[derive(Debug, Clone)]
-struct FilterCols {
-    /// Table-local column indices, sorted, deduplicated.
-    cols: Vec<usize>,
-    /// `true` when explicitly declared — auto-inference leaves it alone.
-    declared: bool,
 }
 
 impl Database {
@@ -109,7 +96,6 @@ impl Database {
             fsms: Mutex::new(HashMap::new()),
             cost_model: IoCostModel::default(),
             cancel: CancelToken::new(),
-            filter_cols: RwLock::new(HashMap::new()),
         };
         db.ensure_catalog();
         Arc::new(db)
@@ -274,10 +260,11 @@ impl Database {
                 // dropped before view execution so that UDFs invoked by
                 // the query can re-enter the database (the RQL loop-body
                 // pattern: `SELECT rql_udf(...) FROM SnapIds`).
-                let mut open = self.open_txn.lock();
-                if let Some(txn) = open.as_mut() {
-                    let catalog = Catalog::load(&*txn)?;
-                    run_select_cancellable(select, &*txn, &catalog, &udfs, Some(&self.cancel))?
+                let open = self.open_txn.lock();
+                if let Some(txn) = open.as_ref() {
+                    let catalog = Catalog::load(txn)?;
+                    let src = TxnSource::new(txn, &self.store);
+                    run_select_cancellable(select, &src, &catalog, &udfs, Some(&self.cancel))?
                 } else {
                     drop(open);
                     let view = self.store.current_view();
@@ -359,9 +346,10 @@ impl Database {
 
     /// Declare the sidecar filter columns for `table` — the DDL-hint
     /// override. From the next commit on, written pages carry zone-map +
-    /// bloom sidecars over these columns; current pages are backfilled
-    /// immediately. Auto-inference stops touching a declared table.
-    /// Returns how many current pages were backfilled.
+    /// bloom sidecars over these columns; current pages, and archived
+    /// page versions a store opened from disk lost the sidecars of, are
+    /// summarized immediately. Auto-inference stops touching a declared
+    /// table. Returns how many current pages were summarized.
     pub fn declare_filter_columns(&self, table: &str, cols: &[&str]) -> Result<usize> {
         let view = self.store.current_view();
         let catalog = Catalog::load(&view)?;
@@ -370,126 +358,47 @@ impl Database {
         for c in cols {
             idx.push(info.schema.require_column(c)?);
         }
-        idx.sort_unstable();
-        idx.dedup();
-        self.filter_cols.write().insert(
-            info.schema.name.to_ascii_lowercase(),
-            FilterCols {
-                cols: idx,
-                declared: true,
-            },
-        );
-        self.refresh_sidecar_builder();
-        // A store opened from disk (crash recovery, or a replication
-        // follower's seed) lost its in-memory archived sidecars; with a
-        // builder installed, regrow them from the Maplog so `AS OF`
-        // scans of old snapshots prune again.
-        let _ = self.store.rebuild_archived_sidecars();
-        self.backfill_sidecars()
+        self.add_filter_columns(&info.schema.name, &idx, true)
     }
 
     /// The filter columns currently driving sidecar builds for `table`
     /// (sorted table-local indices), or `None` when the table has no
-    /// pruning configuration.
+    /// pruning configuration. The set belongs to the store, so every
+    /// `Database` over it sees the same one.
     pub fn filter_columns(&self, table: &str) -> Option<Vec<usize>> {
-        self.filter_cols
-            .read()
-            .get(&table.to_ascii_lowercase())
-            .map(|f| f.cols.clone())
+        self.store.filter_columns(table)
     }
 
-    /// Build and install sidecars for the current pages of every table
-    /// with filter columns. The install is epoch-guarded inside
-    /// [`RetroStore::install_current_sidecars`]: a commit racing this
-    /// backfill wins, and losing only means those pages stay
-    /// sidecar-less until rewritten. Returns how many were installed.
-    pub fn backfill_sidecars(&self) -> Result<usize> {
-        let reg: Vec<(String, Vec<usize>)> = {
-            let reg = self.filter_cols.read();
-            reg.iter()
-                .filter(|(_, f)| !f.cols.is_empty())
-                .map(|(k, f)| (k.clone(), f.cols.clone()))
-                .collect()
-        };
-        if reg.is_empty() {
-            return Ok(0);
-        }
-        // The epoch must be read before the view is pinned: any commit
-        // between the two bumps it and voids this whole batch.
-        let epoch = self.store.sidecar_epoch();
-        let view = self.store.current_view();
-        let catalog = Catalog::load(&view)?;
-        let mut entries = Vec::new();
-        for (tname, cols) in &reg {
-            let Some(info) = catalog.table(tname) else {
-                continue;
-            };
-            info.heap().for_each_page(&view, |pid, page| {
-                if let Some(bytes) = crate::sidecar::build_sidecar(pid, page, cols) {
-                    entries.push((pid, bytes));
-                }
-            })?;
-        }
-        Ok(self.store.install_current_sidecars(epoch, entries))
-    }
-
-    /// Re-install the store's sidecar builder over the union of every
-    /// table's filter columns. The builder is table-blind (it sees bare
-    /// page images at commit), so it summarizes the union; columns a
-    /// page's rows don't have are skipped by the builder itself.
-    fn refresh_sidecar_builder(&self) {
-        let union: Vec<usize> = {
-            let reg = self.filter_cols.read();
-            let mut u: Vec<usize> = reg.values().flat_map(|f| f.cols.iter().copied()).collect();
-            u.sort_unstable();
-            u.dedup();
-            u
-        };
-        if union.is_empty() {
-            return;
-        }
-        self.store.set_sidecar_builder(Arc::new(move |pid, page| {
-            crate::sidecar::build_sidecar(pid, page, &union)
-        }));
-    }
-
-    /// Auto-inference: fold the refutable (`col ⋄ const`) columns the scan
-    /// stage found in a single-table snapshot query into the table's
-    /// filter set, unless it was explicitly declared. On growth, refresh
-    /// the commit-time builder and backfill current pages so pruning
-    /// starts now rather than after the next rewrite of each page.
+    /// Auto-inference: fold the refutable (`col ⋄ const`) columns of a
+    /// single-table snapshot query or a DELETE/UPDATE into the table's
+    /// filter set, unless it was explicitly declared.
     fn note_filter_cols(&self, table: &str, cols: &[usize]) {
-        if cols.is_empty() {
-            return;
+        if !cols.is_empty() {
+            let _ = self.add_filter_columns(table, cols, false);
         }
-        let grew = {
-            let mut reg = self.filter_cols.write();
-            let entry = reg
-                .entry(table.to_ascii_lowercase())
-                .or_insert_with(|| FilterCols {
-                    cols: Vec::new(),
-                    declared: false,
-                });
-            if entry.declared {
-                false
-            } else {
-                let before = entry.cols.len();
-                for &c in cols {
-                    if !entry.cols.contains(&c) {
-                        entry.cols.push(c);
+    }
+
+    /// Fold `cols` into the store's filter set ([`RetroStore::add_filter_columns`]),
+    /// installing the SQL layer's sidecar builder first if the store has
+    /// none. A change re-summarizes the current pages of every table with
+    /// filter columns (and archived versions when the column union grew),
+    /// so pruning starts now rather than after the next rewrite of each
+    /// page. Returns how many current pages were summarized.
+    fn add_filter_columns(&self, table: &str, cols: &[usize], declare: bool) -> Result<usize> {
+        if !self.store.sidecar_builder_active() {
+            self.store
+                .set_sidecar_builder(Arc::new(crate::sidecar::build_sidecar));
+        }
+        self.store
+            .add_filter_columns(table, cols, declare, |view, tables, page| {
+                let catalog = Catalog::load(view)?;
+                for name in tables {
+                    if let Some(info) = catalog.table(name) {
+                        info.heap().for_each_page(view, &mut *page)?;
                     }
                 }
-                entry.cols.sort_unstable();
-                entry.cols.len() > before
-            }
-        };
-        if grew {
-            self.refresh_sidecar_builder();
-            // Same recovery path as `declare_filter_columns`: archived
-            // pre-states from before this process get sidecars too.
-            let _ = self.store.rebuild_archived_sidecars();
-            let _ = self.backfill_sidecars();
-        }
+                Ok(())
+            })
     }
 
     // ---- writes ----------------------------------------------------------
@@ -711,25 +620,20 @@ impl Database {
 
     fn delete(&self, table: &str, where_clause: Option<&crate::ast::Expr>) -> Result<ExecOutcome> {
         let udfs = self.udfs.read().clone();
-        self.with_write_txn(|db, txn| {
+        let (deleted, refutable) = self.with_write_txn(|db, txn| {
             let catalog = Catalog::load(&*txn)?;
             let info = catalog.require_table(table)?.clone();
             let mut indexes = TableIndexes::resolve(&catalog, &info)?;
             let heap = info.heap();
-            let filter = db.compile_row_filter(&info, where_clause, &udfs)?;
-            let mut victims: Vec<(RecordId, Row)> = Vec::new();
-            heap.scan(&*txn, &PredSummary::default(), None, |rid, row| {
-                if filter(row)? {
-                    victims.push((rid, row.clone()));
-                }
-                Ok(true)
-            })?;
-            for (rid, row) in &victims {
+            let victims = db.victim_scan(txn, &info, where_clause, &udfs, indexes.key_columns())?;
+            for (rid, row) in &victims.rows {
                 db.with_fsm(info.root, |fsm| heap.delete(txn, *rid, fsm))?;
                 indexes.replace(txn, Some((row, *rid)), None)?;
             }
-            Ok(ExecOutcome::Affected(victims.len() as u64))
-        })
+            Ok((victims.rows.len(), victims.refutable))
+        })?;
+        self.note_filter_cols(table, &refutable);
+        Ok(ExecOutcome::Affected(deleted as u64))
     }
 
     fn update(
@@ -739,63 +643,81 @@ impl Database {
         where_clause: Option<&crate::ast::Expr>,
     ) -> Result<ExecOutcome> {
         let udfs = self.udfs.read().clone();
-        self.with_write_txn(|db, txn| {
+        let (updated, refutable) = self.with_write_txn(|db, txn| {
             let catalog = Catalog::load(&*txn)?;
             let info = catalog.require_table(table)?.clone();
             let mut indexes = TableIndexes::resolve(&catalog, &info)?;
             let heap = info.heap();
-            let filter = db.compile_row_filter(&info, where_clause, &udfs)?;
-            let mut scope = Scope::empty();
-            scope.push(
-                &info.schema.name,
-                info.schema.columns.iter().map(|c| c.name.clone()).collect(),
-            );
+            let victims = db.victim_scan(txn, &info, where_clause, &udfs, std::iter::empty())?;
+            let scope = table_scope(&info);
             let mut compiled_sets = Vec::with_capacity(sets.len());
             for (col, e) in sets {
                 let pos = info.schema.require_column(col)?;
                 compiled_sets.push((pos, compile(e, &scope, &udfs, None)?));
             }
-            let mut victims: Vec<(RecordId, Row)> = Vec::new();
-            heap.scan(&*txn, &PredSummary::default(), None, |rid, row| {
-                if filter(row)? {
-                    victims.push((rid, row.clone()));
-                }
-                Ok(true)
-            })?;
             let mut buf = Vec::new();
-            for (rid, old_row) in &victims {
+            for (rid, _) in &victims.rows {
+                // The scan decoded only what the WHERE reads; a SET may
+                // read any column, and the new row is written whole.
+                let old_row = heap.get_row(&*txn, *rid)?;
                 let mut new_row = old_row.clone();
                 for (pos, c) in &compiled_sets {
-                    new_row[*pos] = info.schema.columns[*pos].ty.coerce(eval(c, old_row, &[])?);
+                    new_row[*pos] = info.schema.columns[*pos].ty.coerce(eval(c, &old_row, &[])?);
                 }
                 buf.clear();
                 encode_row(&new_row, &mut buf);
                 let new_rid = db.with_fsm(info.root, |fsm| heap.update(txn, *rid, &buf, fsm))?;
-                indexes.replace(txn, Some((old_row, *rid)), Some((&new_row, new_rid)))?;
+                indexes.replace(txn, Some((&old_row, *rid)), Some((&new_row, new_rid)))?;
             }
-            Ok(ExecOutcome::Affected(victims.len() as u64))
-        })
+            Ok((victims.rows.len(), victims.refutable))
+        })?;
+        self.note_filter_cols(table, &refutable);
+        Ok(ExecOutcome::Affected(updated as u64))
     }
 
-    /// Compile a WHERE filter over a single table's rows.
-    fn compile_row_filter(
+    /// The one victim scan of DELETE and UPDATE: the rows of `info`'s
+    /// table that `where_clause` selects, with their rids, in heap order.
+    /// The WHERE is compiled once, and its `col ⋄ const` atoms let the
+    /// walk skip every page the transaction has not touched whose current
+    /// sidecar refutes them ([`TxnSource`]) — so a corrupt cell on a
+    /// refuted page is never read, as for SELECT. Only the columns the
+    /// WHERE names and `keep` lists are decoded; the rest are NULL.
+    fn victim_scan(
         &self,
-        info: &crate::catalog::TableInfo,
+        txn: &WriteTxn,
+        info: &TableInfo,
         where_clause: Option<&crate::ast::Expr>,
         udfs: &UdfRegistry,
-    ) -> Result<RowFilter> {
-        let Some(w) = where_clause else {
-            return Ok(Box::new(|_| Ok(true)));
-        };
-        let mut scope = Scope::empty();
-        scope.push(
-            &info.schema.name,
-            info.schema.columns.iter().map(|c| c.name.clone()).collect(),
-        );
-        let compiled = compile(w, &scope, udfs, None)?;
-        Ok(Box::new(move |row| {
-            Ok(eval(&compiled, row, &[])?.is_truthy())
-        }))
+        keep: impl Iterator<Item = usize>,
+    ) -> Result<Victims> {
+        let filter = where_clause
+            .map(|w| compile(w, &table_scope(info), udfs, None))
+            .transpose()?;
+        let pred = PredSummary::from_conjuncts(&filter, 0);
+        let mut offs: Vec<usize> = keep.collect();
+        if let Some(f) = &filter {
+            f.column_offsets(&mut offs);
+        }
+        let mut cols = vec![false; info.schema.arity()];
+        for o in offs {
+            cols[o] = true;
+        }
+        let mut rows = Vec::new();
+        let src = TxnSource::new(txn, &self.store);
+        info.heap().scan(&src, &pred, Some(&cols), |rid, row| {
+            let selected = match &filter {
+                Some(f) => eval(f, row, &[])?.is_truthy(),
+                None => true,
+            };
+            if selected {
+                rows.push((rid, row.clone()));
+            }
+            Ok(true)
+        })?;
+        Ok(Victims {
+            rows,
+            refutable: pred.columns(),
+        })
     }
 
     /// Approximate on-disk size of a table in bytes (pages × page size),
@@ -888,8 +810,25 @@ impl Database {
     }
 }
 
-/// Compiled per-row predicate used by DELETE/UPDATE.
-type RowFilter = Box<dyn Fn(&Row) -> Result<bool>>;
+/// What the victim scan of a DELETE or UPDATE found.
+struct Victims {
+    /// The selected rows with their rids, decoded as far as the scan was
+    /// asked to.
+    rows: Vec<(RecordId, Row)>,
+    /// The columns the WHERE's atoms constrain: what filter-column
+    /// inference learns from the statement.
+    refutable: Vec<usize>,
+}
+
+/// The scope of one table's rows, for a DML statement's expressions.
+fn table_scope(info: &TableInfo) -> Scope {
+    let mut scope = Scope::empty();
+    scope.push(
+        &info.schema.name,
+        info.schema.columns.iter().map(|c| c.name.clone()).collect(),
+    );
+    scope
+}
 
 impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -40,7 +40,7 @@ use crate::exec_stats::ExecStats;
 use crate::heap::HeapFile;
 use crate::pagesource::PageSource;
 use crate::record::{decode_row_into, encode_index_key, Row};
-use crate::sidecar::{PredAtom, PredSummary};
+use crate::sidecar::PredSummary;
 use crate::udf::UdfRegistry;
 use crate::value::{GroupKey, Value};
 
@@ -246,7 +246,7 @@ pub fn scan_select<S: PageSource>(
             )?);
         }
         if single_table {
-            refutable = Some((bindings[0].1.schema.name.clone(), base.refutable_cols()));
+            refutable = Some((bindings[0].1.schema.name.clone(), base.pred.columns()));
         }
         delta = base.run(src, cols(0), &conjuncts, cancel, |row| {
             probe(&mut steps, src, &conjuncts, row, &mut rows)
@@ -524,14 +524,6 @@ fn plan_base_table<'a>(
 }
 
 impl BasePlan<'_> {
-    /// Table-local columns the applied conjuncts compare to constants.
-    fn refutable_cols(&self) -> Vec<usize> {
-        let mut cols: Vec<usize> = self.pred.atoms.iter().map(PredAtom::col).collect();
-        cols.sort_unstable();
-        cols.dedup();
-        cols
-    }
-
     /// Scan the table, decoding the columns `cols` marks, and hand every
     /// row passing the applied conjuncts to `emit`. Returns the row delta
     /// when the offered scanner served the scan.

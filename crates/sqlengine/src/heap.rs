@@ -20,11 +20,15 @@
 //! (rebuilt lazily after open/abort), so inserts do not walk the chain.
 //!
 //! Every read of a chain — scans, the page count, the free-space-map
-//! rebuild, the sidecar backfill, the delta scanner — goes through one
+//! rebuild, the sidecar rebuild, the delta scanner — goes through one
 //! function, [`HeapFile::walk`], which alone follows the `next` links,
 //! guards against a chain linked back onto itself, consults the pruning
 //! sidecars and fetches pages. It visits pages; decoding rows is the
-//! caller's business.
+//! caller's business. Pruning is the source's call
+//! ([`PageSource::sidecar_for`]): snapshot readers prune every page
+//! version, a write transaction's `TxnSource` — the
+//! DELETE/UPDATE victim scan and a SELECT inside a transaction — only the
+//! pages it has not touched, and a current-state view none.
 
 use std::collections::{BTreeMap, HashSet};
 

@@ -4,14 +4,15 @@
 //! database (a pinned MVCC [`DbView`]), a declared snapshot (a
 //! [`SnapshotReader`] resolving pages through the SPT → cache → Pagelog),
 //! and a write transaction's own view (its write set over the current
-//! state). `SELECT AS OF` is nothing more than executing the ordinary
-//! plan over a [`SnapshotReader`] source.
+//! state, bare or as a [`TxnSource`] that prunes). `SELECT AS OF` is
+//! nothing more than executing the ordinary plan over a [`SnapshotReader`]
+//! source.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use rql_pagestore::{DbView, PageId, Result, SharedPage, WriteTxn};
-use rql_retro::SnapshotReader;
+use rql_pagestore::{DbView, IoStats, PageId, Result, SharedPage, WriteTxn};
+use rql_retro::{RetroStore, SidecarMap, SnapshotReader};
 
 use crate::sidecar::Sidecar;
 
@@ -34,9 +35,13 @@ pub trait PageSource {
 
     /// Decoded, validated pruning sidecar for the page *version* this
     /// source would serve for `pid`, or `None` (= don't prune, read the
-    /// page). Only snapshot readers resolve sidecars: current-state and
-    /// in-transaction scans run over the memory-resident database where
-    /// a page fetch costs nothing worth saving.
+    /// page). A page fetch from the memory-resident database costs little,
+    /// but the decode and filter it gates cost per row, so every source
+    /// that can pair a page with the sidecar built from the image it
+    /// serves answers: snapshot readers, and write transactions for the
+    /// pages they have not touched ([`TxnSource`]). A current-state scan
+    /// outside a transaction does not: it would need the map capture and
+    /// the view pin bracketed against commits.
     fn sidecar_for(&self, _pid: PageId) -> Option<Sidecar> {
         None
     }
@@ -88,5 +93,52 @@ impl PageSource for WriteTxn {
 
     fn page_count(&self) -> u64 {
         WriteTxn::page_count(self)
+    }
+}
+
+/// A write transaction's view, pruned by the store's current sidecars:
+/// the source of the DELETE/UPDATE victim scan and of a SELECT inside an
+/// open transaction.
+///
+/// A page the transaction staged or allocated is never pruned: its
+/// committed sidecar describes an image the transaction no longer reads.
+/// Every other page is still the published image the map's entry was
+/// built from, because the map only ever describes published images and
+/// nothing can be published while this transaction holds the store's
+/// single writer token.
+pub(crate) struct TxnSource<'a> {
+    txn: &'a WriteTxn,
+    sidecars: SidecarMap,
+    stats: &'a IoStats,
+}
+
+impl<'a> TxnSource<'a> {
+    pub(crate) fn new(txn: &'a WriteTxn, store: &'a RetroStore) -> Self {
+        TxnSource {
+            txn,
+            sidecars: store.current_sidecars(),
+            stats: store.stats(),
+        }
+    }
+}
+
+impl PageSource for TxnSource<'_> {
+    fn page(&self, pid: PageId) -> Result<SharedPage> {
+        self.txn.read_page(pid)
+    }
+
+    fn page_count(&self) -> u64 {
+        self.txn.page_count()
+    }
+
+    fn sidecar_for(&self, pid: PageId) -> Option<Sidecar> {
+        if self.txn.touched(pid) {
+            return None;
+        }
+        Sidecar::decode(self.sidecars.get(&pid.0)?, pid)
+    }
+
+    fn count_page_pruned(&self) {
+        self.stats.count_page_pruned();
     }
 }

@@ -188,6 +188,15 @@ impl PredSummary {
     pub fn is_empty(&self) -> bool {
         self.atoms.is_empty()
     }
+
+    /// The columns the atoms constrain, sorted and deduplicated — what
+    /// filter-column inference learns from a scan.
+    pub fn columns(&self) -> Vec<usize> {
+        let mut cols: Vec<usize> = self.atoms.iter().map(PredAtom::col).collect();
+        cols.sort_unstable();
+        cols.dedup();
+        cols
+    }
 }
 
 /// NULL constants are skipped (three-valued logic makes `col < NULL`

@@ -61,6 +61,12 @@ impl TableIndexes {
         })
     }
 
+    /// Every column some index keys on: all [`TableIndexes::replace`]
+    /// reads of a row.
+    pub(crate) fn key_columns(&self) -> impl Iterator<Item = usize> + '_ {
+        self.indexes.iter().flat_map(|idx| idx.cols.iter().copied())
+    }
+
     /// Move a row's entry in every index from `old` to `new`, each a row
     /// with its rid: `old` is `None` for an inserted row, `new` for a
     /// deleted one. An index whose key is unchanged for an unchanged rid

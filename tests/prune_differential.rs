@@ -1,19 +1,24 @@
 //! Differential tests for zone-map/bloom sidecar pruning.
 //!
 //! * **Pruned = unpruned** — over arbitrary snapshot histories, a
-//!   session with filter columns declared (sidecars built, backfilled,
-//!   and consulted on every Qq scan) must produce byte-identical result
-//!   tables to an oracle session running semantically identical Qq whose
-//!   WHERE is opaque to pruning (the filter column wrapped in
-//!   arithmetic/concat, so no predicate atom is ever extracted). Runs
-//!   across all four mechanisms, every `DeltaPolicy`, and memo on/off.
+//!   session with filter columns declared (sidecars built, rebuilt,
+//!   and consulted on every Qq scan and every DELETE/UPDATE victim scan)
+//!   must hold the same table after every statement, answer every
+//!   `AS OF` the same, and produce byte-identical result tables to an
+//!   oracle session issuing semantically identical SQL whose WHERE is
+//!   opaque to pruning (the filter column wrapped in arithmetic/concat,
+//!   so no predicate atom is ever extracted). Histories include
+//!   transactions whose DML reads pages the transaction itself staged.
+//!   Runs across all four mechanisms, every `DeltaPolicy`, and memo
+//!   on/off.
 //! * **Adversarial sidecars** — a sidecar builder that emits garbage
 //!   bytes must never change a result: decode fails, the page degrades
-//!   to an ordinary counted read. Stale backfill installs (epoch moved)
-//!   must be refused.
-//! * **Positive control** — a selective predicate over a declared
-//!   filter column actually prunes pages, and a snapshot whose changed
-//!   pages are all refuted is counted as a pruned snapshot.
+//!   to an ordinary counted read.
+//! * **Positive controls** — a selective predicate over a declared
+//!   filter column actually prunes pages, on the read path and on the
+//!   write path, and a snapshot whose changed pages are all refuted is
+//!   counted as a pruned snapshot; filter columns are the store's, and a
+//!   grown set reaches page versions that were already summarized.
 
 use std::sync::Arc;
 
@@ -21,7 +26,8 @@ use proptest::prelude::*;
 
 use rql::{AggOp, DeltaPolicy, RqlSession};
 use rql_memo::{MemoConfig, MemoStore};
-use rql_sqlengine::Row;
+use rql_retro::{RetroConfig, RetroStore};
+use rql_sqlengine::{Database, Row};
 
 // ---- fixtures -------------------------------------------------------------
 
@@ -31,62 +37,119 @@ enum Op {
     Delete(u8),
     Update(u8, i64),
     Snapshot,
+    /// `BEGIN; …; COMMIT` (`COMMIT WITH SNAPSHOT` when `true`): DML in
+    /// it reads the pages earlier statements of it staged.
+    Txn(Vec<Op>, bool),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+fn dml_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (any::<u8>(), -1000i64..1000).prop_map(|(k, v)| Op::Insert(k % 12, v)),
         any::<u8>().prop_map(|k| Op::Delete(k % 12)),
         (any::<u8>(), -1000i64..1000).prop_map(|(k, v)| Op::Update(k % 12, v)),
-        Just(Op::Snapshot),
     ]
 }
 
-/// Replay one op sequence into a fresh session. `declare` turns sidecar
-/// pruning on up front (the DDL-hint path), so every commit in the
-/// history carries sidecars and current pages are backfilled.
-fn build_session(ops: &[Op], declare: bool) -> Arc<RqlSession> {
-    let session = RqlSession::with_defaults().expect("session");
-    session
-        .execute("CREATE TABLE kv (k INTEGER, v INTEGER, t TEXT)")
-        .expect("create");
-    if declare {
-        session
-            .snap_db()
-            .declare_filter_columns("kv", &["k", "v", "t"])
-            .expect("declare filter columns");
+fn op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        3 => dml_strategy(),
+        1 => Just(Op::Snapshot),
+        1 => (proptest::collection::vec(dml_strategy(), 1..5), any::<bool>())
+            .prop_map(|(ops, snap)| Op::Txn(ops, snap)),
+    ]
+}
+
+/// The SQL statements of one op, with `key(k)` as the WHERE that selects
+/// key `k`.
+fn op_sql(op: &Op, key: &dyn Fn(u8) -> String) -> Vec<String> {
+    match op {
+        Op::Insert(k, v) => vec![
+            format!("DELETE FROM kv WHERE {}", key(*k)),
+            format!("INSERT INTO kv VALUES ({k}, {v}, 'x{k}')"),
+        ],
+        Op::Delete(k) => vec![format!("DELETE FROM kv WHERE {}", key(*k))],
+        Op::Update(k, v) => vec![format!("UPDATE kv SET v = {v} WHERE {}", key(*k))],
+        Op::Snapshot => vec!["BEGIN; COMMIT WITH SNAPSHOT".into()],
+        Op::Txn(ops, snap) => {
+            let mut sql = vec!["BEGIN".to_owned()];
+            sql.extend(ops.iter().flat_map(|op| op_sql(op, key)));
+            let commit = if *snap {
+                "COMMIT WITH SNAPSHOT"
+            } else {
+                "COMMIT"
+            };
+            sql.push(commit.into());
+            sql
+        }
     }
-    let mut declared = 0usize;
-    for op in ops {
-        match op {
-            Op::Insert(k, v) => {
-                session
-                    .execute(&format!("DELETE FROM kv WHERE k = {k}"))
-                    .expect("dedup");
-                session
-                    .execute(&format!("INSERT INTO kv VALUES ({k}, {v}, 'x{k}')"))
-                    .expect("insert");
-            }
-            Op::Delete(k) => {
-                session
-                    .execute(&format!("DELETE FROM kv WHERE k = {k}"))
-                    .expect("delete");
-            }
-            Op::Update(k, v) => {
-                session
-                    .execute(&format!("UPDATE kv SET v = {v} WHERE k = {k}"))
-                    .expect("update");
-            }
-            Op::Snapshot => {
-                session.declare_snapshot(None).expect("snapshot");
-                declared += 1;
+}
+
+/// Reads both sessions must answer alike, as (pruned, oracle) SQL: the
+/// whole table, and the prunable reads the mechanisms run below. Keys
+/// are unique, so ordering by the first column is total.
+const READS: [(&str, &str); 4] = [
+    ("SELECT k, v, t FROM kv", "SELECT k, v, t FROM kv"),
+    QQ_AGGTABLE,
+    QQ_BLOOM,
+    QQ_INTERVALS,
+];
+
+fn read(session: &RqlSession, sid: Option<u64>, sql: &str) -> Vec<Row> {
+    let sql = format!("{sql} ORDER BY 1");
+    let result = match sid {
+        Some(sid) => session.snap_db().query_as_of(sid, &sql),
+        None => session.query(&sql),
+    };
+    result.expect("read").rows
+}
+
+/// Replay one op sequence into two fresh sessions in step: the oracle,
+/// whose every WHERE is `k + 0 = K` and which never learns a filter
+/// column, and the pruned one, whose WHERE is the bare `k = K` and which
+/// declares filter columns up front (the DDL-hint path), so every commit
+/// carries sidecars and every victim scan consults them. Their reads must
+/// agree after every statement — inside transactions too, where they go
+/// through the transaction — and at every snapshot (`AS OF`).
+fn build_pair(ops: &[Op]) -> (Arc<RqlSession>, Arc<RqlSession>) {
+    let mk = || {
+        let session = RqlSession::with_defaults().expect("session");
+        session
+            .execute("CREATE TABLE kv (k INTEGER, v INTEGER, t TEXT)")
+            .expect("create");
+        session
+    };
+    let (oracle, pruned) = (mk(), mk());
+    pruned
+        .snap_db()
+        .declare_filter_columns("kv", &["k", "v", "t"])
+        .expect("declare filter columns");
+    let mut ops = ops.to_vec();
+    ops.push(Op::Snapshot);
+    for op in &ops {
+        let want = op_sql(op, &|k| format!("k + 0 = {k}"));
+        let got = op_sql(op, &|k| format!("k = {k}"));
+        for (w, g) in want.iter().zip(&got) {
+            oracle.execute(w).expect("oracle statement");
+            pruned.execute(g).expect("pruned statement");
+            for (p, o) in READS {
+                assert_eq!(
+                    read(&pruned, None, p),
+                    read(&oracle, None, o),
+                    "{p} after {g}"
+                );
             }
         }
     }
-    if declared == 0 {
-        session.declare_snapshot(None).expect("snapshot");
+    for sid in 1..=oracle.snap_db().store().snapshot_count() {
+        for (p, o) in READS {
+            assert_eq!(
+                read(&pruned, Some(sid), p),
+                read(&oracle, Some(sid), o),
+                "{p} AS OF {sid}"
+            );
+        }
     }
-    session
+    (oracle, pruned)
 }
 
 const QS: &str = "SELECT snap_id FROM SnapIds";
@@ -188,8 +251,7 @@ proptest! {
             // Oracle: no declared filter columns *and* opaque predicates,
             // so neither DDL-hint nor auto-inferred sidecars can ever
             // refute a page for it.
-            let oracle = build_session(&ops, false);
-            let pruned = build_session(&ops, true);
+            let (oracle, pruned) = build_pair(&ops);
 
             let want = run_mechanisms(&oracle, policy, &format!("_{pi}_0"), |q| q.1);
             let got = run_mechanisms(&pruned, policy, &format!("_{pi}_0"), |q| q.0);
@@ -242,11 +304,11 @@ fn garbage_sidecar_builder_degrades_to_full_reads() {
         .declare_filter_columns("kv", &["k", "v", "t"])
         .expect("declare");
     // From here on every committed page gets a sidecar that cannot
-    // decode (wrong magic, wrong length, no checksum). Declared tables
-    // are frozen, so auto-inference never replaces this builder.
+    // decode (wrong magic, wrong length, no checksum). A store keeps the
+    // builder it has, so auto-inference never replaces this one.
     evil.snap_db()
         .store()
-        .set_sidecar_builder(Arc::new(|_, _| Some(vec![0xAB; 17])));
+        .set_sidecar_builder(Arc::new(|_, _, _| Some(vec![0xAB; 17])));
     oracle.execute(HISTORY_TAIL).expect("tail");
     evil.execute(HISTORY_TAIL).expect("tail");
 
@@ -261,27 +323,23 @@ fn garbage_sidecar_builder_degrades_to_full_reads() {
     }
 }
 
+/// The committed sidecar of the table's one page refutes keys 9 and 10,
+/// but inside each transaction an INSERT stages that page with the key
+/// before a DELETE or UPDATE looks for it: a victim scan that pruned a
+/// staged page by its committed sidecar would miss the row.
 #[test]
-fn stale_backfill_install_is_refused() {
-    let (_, session) = adversarial_pair();
-    let store = session.snap_db().store();
-    let stale_epoch = store.sidecar_epoch();
-    // A commit moves the epoch; sidecars built against the old pinned
-    // view must not land.
-    session
-        .execute("INSERT INTO kv VALUES (9, 90, 'x9'); BEGIN; COMMIT WITH SNAPSHOT;")
-        .expect("commit");
-    let pids: Vec<u64> = store.current_sidecars().keys().copied().collect();
-    let entries: Vec<(rql_pagestore::PageId, Vec<u8>)> = pids
-        .iter()
-        .chain(std::iter::once(&u64::MAX))
-        .map(|&p| (rql_pagestore::PageId(p), vec![0xCD; 9]))
-        .collect();
-    assert_eq!(
-        store.install_current_sidecars(stale_epoch, entries),
-        0,
-        "stale-epoch backfill must install nothing"
-    );
+fn dml_never_prunes_a_page_its_transaction_staged() {
+    build_pair(&[
+        Op::Insert(1, 10),
+        Op::Insert(2, 20),
+        Op::Snapshot,
+        Op::Txn(vec![Op::Insert(9, 90), Op::Delete(9)], true),
+        Op::Txn(vec![Op::Insert(10, 100), Op::Update(10, 7)], false),
+        Op::Txn(
+            vec![Op::Update(1, 11), Op::Insert(11, 5), Op::Delete(11)],
+            true,
+        ),
+    ]);
 }
 
 // ---- positive control -----------------------------------------------------
@@ -347,4 +405,110 @@ fn selective_predicate_prunes_pages_and_snapshots() {
         .rows;
     // 10 matching rows per snapshot × 3 snapshots.
     assert_eq!(rows[0][0].as_i64(), Some(30));
+}
+
+/// The write-path twin of the control above: a key-range DELETE teaches
+/// the table its key column, and the next one skips every page whose
+/// sidecar refutes its range, decoding only the page that holds it.
+#[test]
+fn key_range_delete_prunes_pages() {
+    let db = Database::in_memory(RetroConfig::new());
+    db.execute("CREATE TABLE wide (a INTEGER, b INTEGER)")
+        .expect("create");
+    for chunk in 0..20 {
+        let rows: Vec<String> = (0..100)
+            .map(|i| {
+                let a = chunk * 100 + i;
+                format!("({a}, {})", a * 7)
+            })
+            .collect();
+        db.execute(&format!("INSERT INTO wide VALUES {}", rows.join(", ")))
+            .expect("insert");
+    }
+    let page_size = db.store().pager().config().page_size as u64;
+    let pages = db.table_size_bytes("wide").expect("size") / page_size;
+    assert!(pages > 2, "want a multi-page heap, got {pages} pages");
+    let delete = |lo: i64| {
+        let before = db.io_stats().snapshot();
+        let sql = format!("DELETE FROM wide WHERE a >= {lo} AND a < {}", lo + 10);
+        let outcome = db.execute(&sql).expect("delete");
+        assert!(
+            matches!(outcome, rql::ExecOutcome::Affected(10)),
+            "{outcome:?}"
+        );
+        db.io_stats().snapshot().delta(&before).pages_pruned
+    };
+    assert_eq!(
+        delete(0),
+        0,
+        "no sidecars before the first key-range DELETE"
+    );
+    assert_eq!(db.filter_columns("wide"), Some(vec![0]));
+    assert_eq!(delete(10), pages - 1, "all but the page holding 10..20");
+    let count = db.query("SELECT COUNT(*) FROM wide").expect("count");
+    assert_eq!(count.rows[0][0].as_i64(), Some(1980));
+}
+
+/// Two facades over one store learn one column each; a commit then
+/// rebuilds a page's sidecar, and it must summarize both, or the first
+/// facade's scans stop pruning the page.
+#[test]
+fn filter_columns_are_one_set_per_store() {
+    let store = RetroStore::in_memory(RetroConfig::new());
+    let a = Database::over_store(Arc::clone(&store));
+    let b = Database::over_store(store);
+    a.execute("CREATE TABLE t (x INTEGER, y INTEGER)")
+        .expect("create");
+    a.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
+        .expect("insert");
+    let s1 = a.declare_snapshot().expect("snapshot");
+    a.query_as_of(s1, "SELECT x FROM t WHERE x < 0")
+        .expect("A learns x");
+    b.query_as_of(s1, "SELECT y FROM t WHERE y < 0")
+        .expect("B learns y");
+    assert_eq!(a.filter_columns("t"), Some(vec![0, 1]));
+    assert_eq!(b.filter_columns("t"), a.filter_columns("t"));
+    // Rewrites the table's one page; its new sidecar comes from the
+    // store's builder.
+    b.execute("UPDATE t SET y = y + 1").expect("update");
+    let s2 = b.declare_snapshot().expect("snapshot");
+    let scan = a
+        .query_as_of(s2, "SELECT x FROM t WHERE x > 100")
+        .expect("scan");
+    assert!(scan.rows.is_empty());
+    assert!(
+        scan.stats.io.pages_pruned > 0,
+        "the rewritten page lost A's column: {:?}",
+        scan.stats.io
+    );
+}
+
+/// A column learned after a page version was summarized must reach that
+/// version: the archived one (rewritten since) and the current one.
+#[test]
+fn a_grown_filter_set_reaches_summarized_page_versions() {
+    let db = Database::in_memory(RetroConfig::new());
+    db.execute("CREATE TABLE t (x INTEGER, y INTEGER)")
+        .expect("create");
+    db.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
+        .expect("insert");
+    let s1 = db.declare_snapshot().expect("snapshot");
+    db.query_as_of(s1, "SELECT x FROM t WHERE x < 0")
+        .expect("learn x");
+    // Archives s1's version of the page with its x-only sidecar; s2's
+    // version is the current one, summarized at commit over x only.
+    db.execute("UPDATE t SET y = y + 1").expect("update");
+    let s2 = db.declare_snapshot().expect("snapshot");
+    db.query_as_of(s2, "SELECT x FROM t WHERE y < 0")
+        .expect("learn y");
+    for sid in [s1, s2] {
+        let scan = db
+            .query_as_of(sid, "SELECT x FROM t WHERE y > 1000")
+            .expect("scan");
+        assert!(
+            scan.stats.io.pages_pruned > 0,
+            "AS OF {sid} read a page its y-range refutes: {:?}",
+            scan.stats.io
+        );
+    }
 }
