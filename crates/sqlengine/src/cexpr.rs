@@ -4,6 +4,7 @@
 //! the joined row), replacing column references with row offsets and
 //! aggregate calls with accumulator slots.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::ast::{is_aggregate_name, BinOp, Expr, UnaryOp};
@@ -459,15 +460,7 @@ pub fn is_builtin_scalar(name: &str) -> bool {
 /// aggregate results.
 pub fn eval(cexpr: &CExpr, row: &[Value], aggs: &[Value]) -> Result<Value> {
     Ok(match cexpr {
-        CExpr::Const(v) => v.clone(),
-        CExpr::Col(i) => row
-            .get(*i)
-            .cloned()
-            .ok_or_else(|| SqlError::Invalid(format!("row too short for column {i}")))?,
-        CExpr::Agg(slot) => aggs
-            .get(*slot)
-            .cloned()
-            .ok_or_else(|| SqlError::Invalid("aggregate slot missing".into()))?,
+        CExpr::Const(_) | CExpr::Col(_) | CExpr::Agg(_) => operand(cexpr, row, aggs)?.into_owned(),
         CExpr::Unary(op, e) => {
             let v = eval(e, row, aggs)?;
             match op {
@@ -514,8 +507,8 @@ pub fn eval(cexpr: &CExpr, row: &[Value], aggs: &[Value]) -> Result<Value> {
                 }
                 _ => {}
             }
-            let l = eval(lhs, row, aggs)?;
-            let r = eval(rhs, row, aggs)?;
+            let l = operand(lhs, row, aggs)?;
+            let r = operand(rhs, row, aggs)?;
             match op {
                 BinOp::Add => l.add(&r),
                 BinOp::Sub => l.sub(&r),
@@ -533,17 +526,17 @@ pub fn eval(cexpr: &CExpr, row: &[Value], aggs: &[Value]) -> Result<Value> {
             }
         }
         CExpr::IsNull(e, negated) => {
-            let v = eval(e, row, aggs)?;
+            let v = operand(e, row, aggs)?;
             Value::Integer(i64::from(v.is_null() != *negated))
         }
         CExpr::InList(e, list, negated) => {
-            let v = eval(e, row, aggs)?;
+            let v = operand(e, row, aggs)?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
             let mut saw_null = false;
             for item in list {
-                let iv = eval(item, row, aggs)?;
+                let iv = operand(item, row, aggs)?;
                 match v.sql_cmp(&iv) {
                     Some(std::cmp::Ordering::Equal) => {
                         return Ok(Value::Integer(i64::from(!*negated)))
@@ -559,9 +552,9 @@ pub fn eval(cexpr: &CExpr, row: &[Value], aggs: &[Value]) -> Result<Value> {
             }
         }
         CExpr::Between(e, lo, hi, negated) => {
-            let v = eval(e, row, aggs)?;
-            let l = eval(lo, row, aggs)?;
-            let h = eval(hi, row, aggs)?;
+            let v = operand(e, row, aggs)?;
+            let l = operand(lo, row, aggs)?;
+            let h = operand(hi, row, aggs)?;
             match (v.sql_cmp(&l), v.sql_cmp(&h)) {
                 (Some(a), Some(b)) => {
                     let inside = a != std::cmp::Ordering::Less && b != std::cmp::Ordering::Greater;
@@ -571,8 +564,8 @@ pub fn eval(cexpr: &CExpr, row: &[Value], aggs: &[Value]) -> Result<Value> {
             }
         }
         CExpr::Like(e, pat, negated) => {
-            let v = eval(e, row, aggs)?;
-            let p = eval(pat, row, aggs)?;
+            let v = operand(e, row, aggs)?;
+            let p = operand(pat, row, aggs)?;
             match v.like(&p) {
                 Value::Integer(i) => Value::Integer(i64::from((i != 0) != *negated)),
                 other => other, // NULL
@@ -614,6 +607,23 @@ pub fn eval(cexpr: &CExpr, row: &[Value], aggs: &[Value]) -> Result<Value> {
             }
         }
     })
+}
+
+/// A leaf operand borrowed from the expression, the row or the aggregate
+/// results; anything else is evaluated. Operators that only read their
+/// operands (comparisons, arithmetic, `IS NULL`, `IN`, `BETWEEN`, `LIKE`)
+/// use this, so a `col = 'O'` test copies no text.
+fn operand<'a>(cexpr: &'a CExpr, row: &'a [Value], aggs: &'a [Value]) -> Result<Cow<'a, Value>> {
+    Ok(Cow::Borrowed(match cexpr {
+        CExpr::Const(v) => v,
+        CExpr::Col(i) => row
+            .get(*i)
+            .ok_or_else(|| SqlError::Invalid(format!("row too short for column {i}")))?,
+        CExpr::Agg(slot) => aggs
+            .get(*slot)
+            .ok_or_else(|| SqlError::Invalid("aggregate slot missing".into()))?,
+        _ => return eval(cexpr, row, aggs).map(Cow::Owned),
+    }))
 }
 
 fn cmp_to_value(l: &Value, r: &Value, pred: impl Fn(std::cmp::Ordering) -> bool) -> Value {

@@ -71,7 +71,9 @@ impl QueryResult {
 #[derive(Debug)]
 pub struct Scanned {
     /// Fully joined and filtered rows, in scan order; columns the
-    /// statement does not read are NULL.
+    /// statement does not read are NULL. When the finish stage reads no
+    /// column (`COUNT(*)`, constant items), every row is empty: only
+    /// their number means anything.
     pub rows: Vec<Row>,
     /// Access-path decisions so far (becomes [`QueryResult::plan`]).
     pub plan: Vec<String>,
@@ -120,7 +122,7 @@ pub fn run_select_cancellable<S: PageSource>(
 /// The scan stage: bind the tables, compile the conjuncts, compute the
 /// columns the statement reads, pick the access paths and build the
 /// joined, filtered row set. Columns the statement does not read are
-/// NULL in its rows.
+/// NULL in its rows, and a finish stage that reads none gets empty rows.
 ///
 /// An offered `scanner` stands in for the base table's heap when — and
 /// only when — the plan is a plain seq scan of a single table whose
@@ -204,8 +206,11 @@ pub fn scan_select<S: PageSource>(
             ))
         })
         .collect::<Result<_>>()?;
-    let read = read_columns(select, &written_bindings, &conjuncts, &scope, udfs);
+    let (read, finish) = read_columns(select, &written_bindings, &conjuncts, &scope, udfs);
     let cols = |k: usize| &read[binding_ranges[k].0..binding_ranges[k].1];
+    // A finish stage that reads no column (COUNT(*), constant items) only
+    // counts the rows: each is kept as an empty row.
+    let copy = finish.contains(&true);
 
     // ---- build the joined row set ----------------------------------------
     // The base table's access path is chosen first, then every joined
@@ -249,7 +254,7 @@ pub fn scan_select<S: PageSource>(
             refutable = Some((bindings[0].1.schema.name.clone(), base.pred.columns()));
         }
         delta = base.run(src, cols(0), &conjuncts, cancel, |row| {
-            probe(&mut steps, src, &conjuncts, row, &mut rows)
+            probe(&mut steps, src, &conjuncts, row, copy, &mut rows)
         })?;
     }
     if let (None, Some(scanner)) = (&delta, scanner) {
@@ -403,24 +408,25 @@ fn collect_conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
     }
 }
 
-/// The columns the statement reads, by joined-row offset: those the
-/// conjuncts name, and those the select items, GROUP BY, HAVING and
-/// ORDER BY resolve to through `scope` (`*` names every binding's,
-/// `t.*` one binding's). An ORDER BY name that resolves to no column is
-/// an output alias and reads nothing; any other resolve error reads every
-/// column, leaving the error to the finish stage. A column outside the
-/// set decodes as NULL and nothing evaluates it.
+/// The columns the statement reads, by joined-row offset, as
+/// `(scan, finish)`. The finish set is what the finish stage reads: the
+/// columns the select items, GROUP BY, HAVING, ORDER BY and aggregate
+/// arguments resolve to through `scope` (`*` names every binding's, `t.*`
+/// one binding's). The conjuncts the scan leaves unapplied belong there
+/// too, but they name no column: the scan applies every conjunct that
+/// does. The scan set adds the conjuncts' columns. An ORDER BY name that
+/// resolves to no column is an output alias and reads nothing; any other
+/// resolve error puts every column in both sets, leaving the error to the
+/// finish stage. A column outside the scan set decodes as NULL and
+/// nothing evaluates it.
 fn read_columns(
     select: &SelectStmt,
     written_bindings: &[(String, Vec<String>)],
     conjuncts: &[(CExpr, usize)],
     scope: &Scope,
     udfs: &UdfRegistry,
-) -> Vec<bool> {
+) -> (Vec<bool>, Vec<bool>) {
     let mut offs = Vec::new();
-    for (c, _) in conjuncts {
-        c.column_offsets(&mut offs);
-    }
     let mut finish_stage = || -> Result<()> {
         let items = expand_items(&select.items, written_bindings, scope)?;
         let mut aggs = Vec::new();
@@ -440,11 +446,19 @@ fn read_columns(
         }
         Ok(())
     };
-    let mut read = vec![finish_stage().is_err(); scope.width()];
-    for o in offs {
-        read[o] = true;
+    let mut finish = vec![finish_stage().is_err(); scope.width()];
+    for &o in &offs {
+        finish[o] = true;
     }
-    read
+    offs.clear();
+    for (c, _) in conjuncts {
+        c.column_offsets(&mut offs);
+    }
+    let mut scan = finish.clone();
+    for o in offs {
+        scan[o] = true;
+    }
+    (scan, finish)
 }
 
 /// The base table's access path, chosen before any joined table builds
@@ -811,17 +825,19 @@ fn build_join_step<'a, S: PageSource>(
 /// Push one row of the bindings before `steps` through them: the first
 /// step joins it with each matching inner row, and every joined row that
 /// passes the step's checks goes on through the rest. Rows that come out
-/// of the last step are appended to `out`, in the order a join of the
-/// materialized prefix would have produced them.
+/// of the last step are appended to `out` — copied, or as empty rows
+/// unless `copy` — in the order a join of the materialized prefix would
+/// have produced them.
 fn probe<S: PageSource>(
     steps: &mut [JoinStep<'_>],
     src: &S,
     conjuncts: &[(CExpr, usize)],
     row: &Row,
+    copy: bool,
     out: &mut Vec<Row>,
 ) -> Result<()> {
     let Some((step, rest)) = steps.split_first_mut() else {
-        out.push(row.clone());
+        out.push(if copy { row.clone() } else { Row::new() });
         return Ok(());
     };
     let JoinStep {
@@ -848,10 +864,10 @@ fn probe<S: PageSource>(
             }
         }
         if rest.is_empty() {
-            out.push(joined);
+            out.push(if copy { joined } else { Row::new() });
             Ok(())
         } else {
-            probe(rest, src, conjuncts, &joined, out)
+            probe(rest, src, conjuncts, &joined, copy, out)
         }
     };
     match inner {

@@ -281,9 +281,10 @@ impl HeapFile {
     /// returns `false`. Pages whose sidecar refutes `pred` are skipped
     /// without a fetch (an empty summary prunes nothing); `pred` must
     /// over-approximate whatever filtering `f` applies. Only the columns
-    /// `cols` marks are decoded (`None`: all), the rest are NULL; `row`
-    /// is one buffer reused for every record, so `f` clones the rows it
-    /// keeps.
+    /// `cols` marks are decoded (`None`: all), the rest are NULL, and no
+    /// record is walked past its last marked column
+    /// ([`crate::record::decode_row_into`]); `row` is one buffer reused
+    /// for every record, so `f` clones the rows it keeps.
     #[inline]
     pub fn scan<S: PageSource>(
         &self,

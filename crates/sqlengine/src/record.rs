@@ -64,11 +64,13 @@ pub fn decode_row(bytes: &[u8]) -> Result<Row> {
 /// value overwrites the string already in its slot). `cols` marks the
 /// columns to materialize, `None` meaning all of them; every other column
 /// becomes NULL, so the row keeps the record's width and every compiled
-/// offset still lands on its column. An unread column's bytes are still
-/// bounds-checked and its text still UTF-8-validated, so a corrupt cell
-/// fails the same way whichever columns are read. A column count larger
-/// than the bytes left is corrupt — every column takes at least its tag
-/// byte — and is refused before anything is allocated.
+/// offset still lands on its column. The walk stops after the last marked
+/// column: the columns after it are NULL without being looked at, and an
+/// unmarked text cell before it is skipped by its length, never
+/// UTF-8-validated. Every cell the walk passes is bounds-checked. A
+/// column count larger than the bytes left is corrupt — every column
+/// takes at least its tag byte — and is refused before anything is
+/// allocated.
 pub fn decode_row_into(bytes: &[u8], cols: Option<&[bool]>, row: &mut Row) -> Result<()> {
     let mut pos = 0usize;
     let count = read_varint(bytes, &mut pos)?;
@@ -76,9 +78,14 @@ pub fn decode_row_into(bytes: &[u8], cols: Option<&[bool]>, row: &mut Row) -> Re
         return Err(corrupt("column count exceeds record"));
     }
     let count = count as usize;
+    let walked = cols.map_or(count, |c| {
+        c.iter()
+            .rposition(|&r| r)
+            .map_or(0, |last| count.min(last + 1))
+    });
     row.truncate(count);
     row.reserve(count - row.len());
-    for i in 0..count {
+    for i in 0..walked {
         let read = cols.is_none_or(|c| c.get(i).copied().unwrap_or(false));
         let tag = *bytes
             .get(pos)
@@ -105,16 +112,17 @@ pub fn decode_row_into(bytes: &[u8], cols: Option<&[bool]>, row: &mut Row) -> Re
             TAG_TEXT => {
                 let len = read_varint(bytes, &mut pos)?;
                 let raw = take(bytes, &mut pos, len, "text")?;
-                let text =
-                    std::str::from_utf8(raw).map_err(|_| corrupt("record text is not UTF-8"))?;
-                match row.get_mut(i) {
-                    Some(Value::Text(s)) if read => {
+                if !read {
+                    Value::Null
+                } else {
+                    let text = std::str::from_utf8(raw)
+                        .map_err(|_| corrupt("record text is not UTF-8"))?;
+                    if let Some(Value::Text(s)) = row.get_mut(i) {
                         s.clear();
                         s.push_str(text);
                         continue;
                     }
-                    _ if read => Value::Text(text.to_owned()),
-                    _ => Value::Null,
+                    Value::Text(text.to_owned())
                 }
             }
             t => return Err(corrupt(&format!("bad value tag {t}"))),
@@ -124,6 +132,13 @@ pub fn decode_row_into(bytes: &[u8], cols: Option<&[bool]>, row: &mut Row) -> Re
             None => row.push(v),
         }
     }
+    // The unwalked tail is NULL, filled in only after the walked prefix
+    // has put every value at its own offset. (Overwriting the reused
+    // slots measured faster than truncating and re-growing the row.)
+    for slot in row.iter_mut().skip(walked) {
+        *slot = Value::Null;
+    }
+    row.resize(count, Value::Null);
     Ok(())
 }
 
@@ -293,8 +308,8 @@ mod tests {
         assert!(err.is_err() && row.is_empty());
     }
 
-    #[test]
-    fn unread_columns_decode_as_null_and_are_still_checked() {
+    /// `[7, 'kept', 2.5, 'skipped']`: columns end at bytes 3, 9, 18, 27.
+    fn four_columns() -> (Row, Vec<u8>) {
         let full = vec![
             Value::Integer(7),
             Value::text("kept"),
@@ -303,31 +318,92 @@ mod tests {
         ];
         let mut buf = Vec::new();
         encode_row(&full, &mut buf);
-        let mut row = vec![Value::text("old buffer"), Value::text("reused")];
-        decode_row_into(&buf, Some(&[false, true, false, false]), &mut row).unwrap();
-        assert_eq!(
-            row,
-            vec![Value::Null, Value::text("kept"), Value::Null, Value::Null]
-        );
-        // A shorter mask reads nothing past its end.
-        decode_row_into(&buf, Some(&[true]), &mut row).unwrap();
-        assert_eq!(
-            row,
-            vec![Value::Integer(7), Value::Null, Value::Null, Value::Null]
-        );
+        assert_eq!(buf.len(), 27);
+        (full, buf)
+    }
 
-        // Invalid UTF-8 in a column nobody reads is still corrupt.
-        let mut bad = Vec::new();
-        encode_row(&[Value::Integer(1), Value::text("ab")], &mut bad);
-        let last = bad.len() - 1;
-        bad[last] = 0xff;
-        assert!(decode_row_into(&bad, Some(&[true, false]), &mut row).is_err());
-        // And so is a truncated one.
-        for cut in 0..buf.len() {
-            assert!(
-                decode_row_into(&buf[..cut], Some(&[]), &mut row).is_err(),
-                "cut at {cut}"
-            );
+    /// The decoder walks up to the last column it reads and no further:
+    /// unread columns are NULL, an unread text cell before that point is
+    /// bounds-checked but not UTF-8-validated, and nothing after it is
+    /// looked at.
+    #[test]
+    fn unread_columns_decode_as_null_and_are_still_checked() {
+        let (full, buf) = four_columns();
+        let middle: &[bool] = &[false, true, false, false];
+        let kept = vec![Value::Null, Value::text("kept"), Value::Null, Value::Null];
+
+        // A reused buffer shorter or longer than the record still gets
+        // every value at its own offset, and the record's width.
+        for old in [
+            vec![Value::text("old buffer")],
+            vec![Value::text("old"); 6],
+            Vec::new(),
+        ] {
+            let mut row = old;
+            decode_row_into(&buf, Some(middle), &mut row).unwrap();
+            assert_eq!(row, kept);
+            decode_row_into(&buf, None, &mut row).unwrap();
+            assert_eq!(row, full);
+            decode_row_into(&buf, Some(&[false, false, false, true]), &mut row).unwrap();
+            assert_eq!(row[3], Value::text("skipped"));
+            assert!(row[..3].iter().all(Value::is_null));
+        }
+        let mut row = Row::new();
+        decode_row_into(&buf, Some(&[]), &mut row).unwrap();
+        assert_eq!(row, vec![Value::Null; 4]);
+
+        // Invalid UTF-8 in an unread cell before the last read column
+        // decodes as NULL; the same cell read is an error.
+        let mut bad = buf.clone();
+        bad[5] = 0xff; // inside 'kept'
+        decode_row_into(&bad, Some(&[false, false, true]), &mut row).unwrap();
+        assert_eq!(
+            row,
+            vec![Value::Null, Value::Null, Value::Real(2.5), Value::Null]
+        );
+        let err = decode_row_into(&bad, Some(middle), &mut row).unwrap_err();
+        assert!(err.to_string().contains("not UTF-8"), "{err}");
+
+        // Every cut that loses a byte of the last read column, or of any
+        // column before it, errors; every cut after that column decodes.
+        // (Each end here leaves at least one byte per claimed column, so
+        // the count check passes.)
+        for (mask, end) in [
+            (Some(middle), 9),
+            (Some(&[false, false, true][..]), 18),
+            (None, 27),
+        ] {
+            for cut in 0..=buf.len() {
+                let got = decode_row_into(&buf[..cut], mask, &mut row);
+                assert_eq!(got.is_ok(), cut >= end, "cut at {cut} under {mask:?}");
+            }
+        }
+
+        // An empty set still refuses a hostile count before allocating.
+        let mut fresh = Row::new();
+        assert!(decode_row_into(&[0xff, 0xff, 0xff, 0xff, 0x0f], Some(&[]), &mut fresh).is_err());
+        assert_eq!(fresh.capacity(), 0);
+    }
+
+    /// Every single-byte overwrite of a record, under every kind of
+    /// column set, decodes to the claimed width or errors — never panics.
+    #[test]
+    fn overwritten_bytes_decode_or_error_under_every_column_set() {
+        let (_, buf) = four_columns();
+        let masks: [Option<&[bool]>; 4] =
+            [None, Some(&[]), Some(&[true, true]), Some(&[false, true])];
+        let mut row = Row::new();
+        for at in 0..buf.len() {
+            for byte in 0..=255u8 {
+                let mut bytes = buf.clone();
+                bytes[at] = byte;
+                let claimed = read_varint(&bytes, &mut 0).unwrap();
+                for mask in masks {
+                    if decode_row_into(&bytes, mask, &mut row).is_ok() {
+                        assert_eq!(row.len() as u64, claimed, "byte {byte:#04x} at {at}");
+                    }
+                }
+            }
         }
     }
 

@@ -563,8 +563,10 @@ pub fn build_sidecar(pid: PageId, page: &Page, cols: &[usize]) -> Option<Vec<u8>
 /// Parse a page as a slotted heap page *without* trusting any of its
 /// bytes: every offset is bounds-checked, and the record decoder refuses
 /// a claimed column count the cell cannot hold before allocating. Only
-/// the columns `cols` marks are decoded. `None` means "not a heap page I
-/// can vouch for".
+/// the columns `cols` marks are decoded, and each record only up to the
+/// last of them, so a page whose cells are corrupt only after that
+/// column is still summarized. `None` means "not a heap page I can vouch
+/// for".
 fn safe_page_rows(page: &Page, cols: &[bool]) -> Option<Vec<Row>> {
     const PAGE_HEADER: usize = 16;
     const SLOT_SIZE: usize = 4;

@@ -432,3 +432,60 @@ fn table_wildcard_and_aliases() {
     assert_eq!(r.rows.len(), 1);
     assert_eq!(r.rows[0], vec![Value::Integer(1), Value::Integer(2)]);
 }
+
+#[test]
+fn a_corrupt_cell_fails_only_the_statements_that_read_it() {
+    let db = db();
+    db.execute("CREATE TABLE t (id INTEGER, tag TEXT, note TEXT)")
+        .unwrap();
+    let values: Vec<String> = (0..600)
+        .map(|i| {
+            let note = if i == 300 { "broken-note" } else { "fine" };
+            format!("({i}, '{}', '{note}')", ["a", "b", "c"][i % 3])
+        })
+        .collect();
+    db.execute(&format!("INSERT INTO t VALUES {}", values.join(",")))
+        .unwrap();
+
+    // Break the UTF-8 of row 300's last text column through the pager.
+    let store = db.store();
+    let mut txn = store.begin().unwrap();
+    assert!(txn.page_count() > 3, "the table must span several pages");
+    let marker = b"broken-note";
+    let mut hits = 0;
+    for pid in (0..txn.page_count()).map(rql_pagestore::PageId) {
+        let page = txn.read_page(pid).unwrap();
+        let found = page.bytes().windows(marker.len()).position(|w| w == marker);
+        if let Some(at) = found {
+            txn.page_mut(pid).unwrap().bytes_mut()[at] = 0xff;
+            hits += 1;
+        }
+    }
+    assert_eq!(hits, 1);
+    store.commit(txn).unwrap();
+
+    // A statement that stops before the cell answers, joined or not.
+    let r = db.query("SELECT COUNT(*) FROM t WHERE tag = 'a'").unwrap();
+    assert_eq!(r.rows[0][0], Value::Integer(200));
+    let r = db
+        .query("SELECT id FROM t WHERE id >= 299 AND id <= 301 ORDER BY id")
+        .unwrap();
+    assert_eq!(ints(&r), vec![299, 300, 301]);
+    let r = db
+        .query("SELECT COUNT(*) FROM t a, t b WHERE a.id = b.id AND b.tag = 'a'")
+        .unwrap();
+    assert_eq!(r.rows[0][0], Value::Integer(200));
+
+    // One that reads it fails, and says why.
+    for sql in [
+        "SELECT note FROM t",
+        "SELECT COUNT(*) FROM t WHERE note = 'fine'",
+        "SELECT * FROM t WHERE id = 300",
+    ] {
+        let err = db.query(sql).unwrap_err();
+        assert!(
+            err.to_string().contains("record text is not UTF-8"),
+            "{sql}: {err}"
+        );
+    }
+}

@@ -126,6 +126,12 @@ const STATEMENTS: &[&str] = &[
     "SELECT 1 + 1",
     "SELECT nosuch FROM emp",
     "SELECT name FROM emp ORDER BY nosuch",
+    // The finish stage reads no column: each kept row is an empty row.
+    "SELECT COUNT(*) FROM emp WHERE name = 'zed' AND dept > 1",
+    "SELECT 1 FROM emp WHERE dept = 2",
+    "SELECT COUNT(*) FROM emp WHERE 1 = 0",
+    "SELECT COUNT(*) FROM emp e, dept d WHERE e.dept = d.d_id AND d.budget > 100",
+    "SELECT COUNT(*) FROM emp HAVING COUNT(*) > 1",
 ];
 
 /// Statements read at the snapshot, before the later UPDATE and DELETE.
