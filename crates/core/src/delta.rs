@@ -14,8 +14,9 @@
 //!   stages ([`Database::scan_stage`] / [`Database::finish_stage`]) over
 //!   the chain reader with a [`DeltaTableScanner`] kept across
 //!   iterations: the seq scan re-reads only the heap pages in the changed
-//!   set between consecutive snapshots, and the finish stage runs over
-//!   the cached filtered base rows. Saves the page I/O, pays O(rows) CPU.
+//!   set between consecutive snapshots, and the finish stage reads the
+//!   cached filtered base rows on the scanner's pages, copying none. Saves
+//!   the page I/O, pays O(rows) CPU.
 //!   When the planner has no use for the scanner at some snapshot (an
 //!   index appeared), the scan stage's rows are simply the ordinary
 //!   plan's over the same reader, and are finished as such.
@@ -80,7 +81,7 @@ use rql_sqlengine::ast::{Expr, SelectItem, Stmt};
 use rql_sqlengine::cexpr::{compile, eval, CExpr, Scope};
 use rql_sqlengine::{
     parse_select, Catalog, Database, DeltaScan, DeltaTableScanner, ExecStats, GroupTable,
-    QueryResult, Result, Row, SelectStmt, SkipReason, SqlError, UdfRegistry, Value,
+    QueryResult, Result, Row, ScanRows, SelectStmt, SkipReason, SqlError, UdfRegistry, Value,
 };
 
 use crate::aggregate::AggOp;
@@ -396,7 +397,7 @@ impl QqSource {
 
     /// The incremental inner aggregate's value at this scan, when it is
     /// live and still exact.
-    fn incremental(&mut self, scan: &DeltaScan, rows: &[Row]) -> Result<Option<Value>> {
+    fn incremental(&mut self, scan: &DeltaScan, rows: &ScanRows) -> Result<Option<Value>> {
         if scan.rebuilt {
             return Ok(None);
         }
@@ -489,8 +490,7 @@ impl QqSource {
                     self.inner_spec = None;
                 }
                 scanned.delta = Some(scan);
-                let grouped = self.groups.as_mut().map(|table| (table, &self.scanner));
-                snap.finish_stage_grouped(&rewritten, scanned, grouped)?
+                snap.finish_stage_grouped(&rewritten, scanned, self.groups.as_mut())?
                     .into()
             }
         })
@@ -691,7 +691,7 @@ impl InnerAgg {
         spec: &InnerSpec,
         select: &SelectStmt,
         catalog: &Catalog,
-        rows: &[Row],
+        rows: &ScanRows,
     ) -> Result<Option<InnerAgg>> {
         let arg = match &spec.arg {
             None => None,
@@ -722,8 +722,8 @@ impl InnerAgg {
 
     /// Fold `rows` (a full scan, in scan order) on top of the
     /// accumulator; `false` = exactness lost.
-    fn refold(&mut self, rows: &[Row]) -> Result<bool> {
-        for row in rows {
+    fn refold(&mut self, rows: &ScanRows) -> Result<bool> {
+        for row in rows.iter() {
             if !self.acc.fold(arg_value(&self.arg, row)?) {
                 return Ok(false);
             }
@@ -735,7 +735,7 @@ impl InnerAgg {
     /// row set) and return the iteration's Qq value, bit-identical to a
     /// fresh evaluation. `None` = exactness lost: the caller must
     /// recompute via the pipeline.
-    fn apply(&mut self, scan: &DeltaScan, rows: &[Row]) -> Result<Option<Value>> {
+    fn apply(&mut self, scan: &DeltaScan, rows: &ScanRows) -> Result<Option<Value>> {
         let arg = &self.arg;
         if let InnerAcc::MinMax { max, best } = &mut self.acc {
             let max = *max;

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rql_memo::{MemoStore, QqRows};
-use rql_sqlengine::{Database, GroupKey, Result, Row, SqlError, TableWriter, Value};
+use rql_sqlengine::{Database, GroupKey, GroupKeyRef, Result, Row, SqlError, TableWriter, Value};
 
 use crate::aggregate::{parse_col_func_pairs, AggOp, AggState};
 use crate::analyze::MechanismKind;
@@ -305,40 +305,51 @@ impl Fold {
         let (inserts, updates) = aux.with_table_writer(&self.table, |w| {
             match state {
                 FoldState::Collate => {
+                    // Every pass is one load (`T` has no index of its own).
                     if let Some(delta) = &mut sink {
                         delta.added.extend_from_slice(&result.rows);
                     }
-                    for row in &result.rows {
-                        w.insert(row.clone())?;
-                    }
+                    w.load(result.rows.iter().cloned())?;
                 }
                 FoldState::AggTable(fold) => fold.apply(w, data, fresh, &mut sink)?,
                 FoldState::Intervals { prev } => {
                     let end = result.columns.len() + 1;
-                    for record in &result.rows {
-                        // The lifetime row that ended exactly at the
-                        // previous iteration's snapshot, if any (a fresh
-                        // table has none to probe for).
-                        let extend = match *prev {
-                            Some(p) if !fresh => w
-                                .probe(0, record)?
-                                .into_iter()
-                                .find(|(_, row)| row[end].as_i64() == Some(p as i64)),
-                            _ => None,
-                        };
-                        match extend {
-                            Some((rid, old)) => {
-                                let mut new_row = old.clone();
-                                new_row[end] = Value::Integer(sid as i64);
-                                emit(&mut sink, Some(&old), &new_row);
-                                w.update(rid, &old, new_row)?;
-                            }
-                            None => {
-                                let mut row = record.clone();
-                                row.push(Value::Integer(sid as i64));
-                                row.push(Value::Integer(sid as i64));
-                                emit(&mut sink, None, &row);
-                                w.insert(row)?;
+                    // A lifetime row that starts and ends at `sid`.
+                    let lifetime = |record: &Row| {
+                        let mut row = record.clone();
+                        row.push(Value::Integer(sid as i64));
+                        row.push(Value::Integer(sid as i64));
+                        row
+                    };
+                    if fresh {
+                        w.load(result.rows.iter().map(|record| {
+                            let row = lifetime(record);
+                            emit(&mut sink, None, &row);
+                            row
+                        }))?;
+                    } else {
+                        for record in &result.rows {
+                            // The lifetime row that ended exactly at the
+                            // previous iteration's snapshot, if any.
+                            let extend = match *prev {
+                                Some(p) => w
+                                    .probe(0, record)?
+                                    .into_iter()
+                                    .find(|(_, row)| row[end].as_i64() == Some(p as i64)),
+                                None => None,
+                            };
+                            match extend {
+                                Some((rid, old)) => {
+                                    let mut new_row = old.clone();
+                                    new_row[end] = Value::Integer(sid as i64);
+                                    emit(&mut sink, Some(&old), &new_row);
+                                    w.update(rid, &old, new_row)?;
+                                }
+                                None => {
+                                    let row = lifetime(record);
+                                    emit(&mut sink, None, &row);
+                                    w.insert(row)?;
+                                }
                             }
                         }
                     }
@@ -609,15 +620,20 @@ impl AggTableLayout {
             return Vec::new();
         };
         // A record equal to the single record its key had in the previous
-        // pass.
-        let mut single: HashMap<GroupKey, Option<&Row>> = HashMap::with_capacity(prev.rows.len());
+        // pass, keys read in place.
+        let key = |row| GroupKeyRef {
+            row,
+            positions: &self.group_positions,
+        };
+        let mut single: HashMap<GroupKeyRef, Option<&Row>> =
+            HashMap::with_capacity(prev.rows.len());
         for record in &prev.rows {
-            (single.entry(self.key(record)))
+            (single.entry(key(record)))
                 .and_modify(|r| *r = None)
                 .or_insert(Some(record));
         }
         (result.rows.iter())
-            .map(|r| single.get(&self.key(r)) == Some(&Some(r)))
+            .map(|r| single.get(&key(r)) == Some(&Some(r)))
             .collect()
     }
 }
@@ -659,7 +675,7 @@ impl AggTableFold {
     }
 
     /// Fold one iteration's Qq output. `blind`: `T` was just created, so
-    /// the pass inserts without probing (the Qq output is unique on the
+    /// the pass loads it without probing (the Qq output is unique on the
     /// grouping columns).
     fn apply(
         &mut self,
@@ -671,11 +687,11 @@ impl AggTableFold {
         let layout = self.layout.as_ref().expect("init_layout() before apply()");
         let prev = self.prev.take();
         if blind {
-            for record in &result.rows {
+            w.load(result.rows.iter().map(|record| {
                 let fresh = layout.fresh_row(record);
                 emit(sink, None, &fresh);
-                w.insert(fresh)?;
-            }
+                fresh
+            }))?;
         } else {
             let skip = layout.skippable(result, prev.as_deref());
             for (i, record) in result.rows.iter().enumerate() {
@@ -819,6 +835,128 @@ mod tests {
         let (table, skipped) = fold_all("t", AggOp::Max, &outputs).unwrap();
         assert_eq!(skipped, 2 + 1 + 1);
         assert_eq!(table, rows(&[(1, 15), (2, 20)]));
+    }
+
+    /// What a result table holds: FNV-1a of its heap pages in chain order
+    /// (the 8-byte link to the next page zeroed unless `exact`), its rows,
+    /// and its index's entries as (key, the rid's page as its place in the
+    /// chain, slot) in index order.
+    type Image = (Vec<u64>, Vec<Row>, Vec<(Vec<u8>, usize, u16)>);
+
+    /// The [`Image`] of `table`, checking its index is canonical.
+    fn image(aux: &Database, table: &str, exact: bool) -> Image {
+        use rql_pagestore::{fnv1a, PageId};
+        use rql_sqlengine::{btree::BTree, Catalog, PredSummary};
+        let view = aux.store().current_view();
+        let catalog = Catalog::load(&view).unwrap();
+        let mut chain: Vec<PageId> = Vec::new();
+        let heap = catalog.require_table(table).unwrap().heap();
+        heap.scan(&view, &PredSummary::default(), None, |rid, _| {
+            if chain.last() != Some(&rid.page) {
+                chain.push(rid.page);
+            }
+            Ok(true)
+        })
+        .unwrap();
+        let pages = (chain.iter())
+            .map(|&pid| {
+                let mut bytes = view.page(pid).unwrap().bytes().to_vec();
+                if !exact {
+                    bytes[..8].fill(0);
+                }
+                fnv1a(&bytes)
+            })
+            .collect();
+        let rows = aux.query(&format!("SELECT * FROM {table}")).unwrap().rows;
+        let mut entries = Vec::new();
+        if let Some(index) = catalog.indexes_on(table).first() {
+            let tree = BTree::new(index.root);
+            tree.check_canonical(&view).unwrap();
+            tree.scan_all(&view, |key, rid| {
+                let at = chain.iter().position(|&pid| pid == rid.page).unwrap();
+                entries.push((key[..key.len() - 10].to_vec(), at, rid.slot));
+                Ok(true)
+            })
+            .unwrap();
+        }
+        (pages, rows, entries)
+    }
+
+    /// The fresh pass of every fold that creates `T` loads it in one call;
+    /// the table is the one inserting its rows one at a time builds —
+    /// the same heap page bytes, rows and index entries. Only the page
+    /// numbers differ where `T` has an index: the per-row path allocates
+    /// the index's pages between the heap's, a load after them. So the
+    /// comparison reads pages by their place in the heap chain and masks
+    /// the link, except for CollateData, whose `T` has no index.
+    #[test]
+    fn a_fresh_pass_loads_the_table_each_row_would_build() {
+        let page_size = |size| RetroConfig {
+            pager: rql_pagestore::PagerConfig {
+                page_size: size,
+                cache_capacity: 1024,
+                wal_sync_on_commit: false,
+            },
+            ..RetroConfig::new()
+        };
+        let mut state = 7u64;
+        let records: Vec<Row> = (0..1500i64)
+            .map(|i| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let g = format!(
+                    "group-{:05}-{}",
+                    (state >> 33) % 100_000,
+                    "p".repeat(i as usize % 24)
+                );
+                vec![Value::text(g), Value::Integer(i * 7 % 1000)]
+            })
+            .collect();
+        let data = Arc::new(QqRows {
+            columns: vec!["g".into(), "x".into()],
+            rows: records.clone(),
+        });
+        let sid = 3;
+        let lifetime = |r: &Row| [r.clone(), vec![Value::Integer(sid); 2]].concat();
+        let cases = [
+            (MechSpec::Collate, vec!["g", "x"], vec![], records.clone()),
+            (
+                MechSpec::AggTable(vec![("x".into(), AggOp::Max)]),
+                vec!["g", "x"],
+                vec!["g"],
+                records.clone(),
+            ),
+            (
+                MechSpec::Intervals,
+                vec!["g", "x", START_SNAPSHOT_COL, END_SNAPSHOT_COL],
+                vec!["g", "x"],
+                records.iter().map(lifetime).collect(),
+            ),
+        ];
+        for (spec, columns, index_on, rows) in cases {
+            let exact = index_on.is_empty();
+            let name = format!("{:?}", spec.kind());
+            let loaded = Database::in_memory(page_size(512));
+            Fold::new(spec, "t")
+                .apply(&loaded, sid as u64, &data, None)
+                .unwrap();
+            let per_row = Database::in_memory(page_size(512));
+            let strings = |cols: Vec<&str>| cols.into_iter().map(String::from).collect::<Vec<_>>();
+            create_result_table(&per_row, "t", &strings(columns), &strings(index_on)).unwrap();
+            per_row
+                .with_table_writer("t", |w| {
+                    for row in rows {
+                        w.insert(row)?;
+                    }
+                    Ok(())
+                })
+                .unwrap();
+            let (want, got) = (image(&per_row, "t", exact), image(&loaded, "t", exact));
+            assert!(want.0.len() > 10, "{name}: {} heap pages", want.0.len());
+            assert_eq!(got.0, want.0, "{name}: heap pages");
+            assert_eq!(got.1, want.1, "{name}: rows");
+            assert_eq!(got.2.len(), want.2.len(), "{name}: index entries");
+            assert_eq!(got.2, want.2, "{name}: index entries");
+        }
     }
 
     /// A key the blind pass inserted twice is probed on the next pass even

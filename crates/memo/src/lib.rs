@@ -39,6 +39,9 @@
 //! against, so there is no disk tier for it to come back from.
 
 #![warn(missing_docs)]
+// Errors are returned, not unwrapped: unlike the workspace, which only
+// warns, this crate denies `unwrap`/`expect` outside tests (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;

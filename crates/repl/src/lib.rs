@@ -26,6 +26,9 @@
 //! loop.
 
 #![warn(missing_docs)]
+// Errors are returned, not unwrapped: unlike the workspace, which only
+// warns, this crate denies `unwrap`/`expect` outside tests (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod follower;
 pub mod frame;

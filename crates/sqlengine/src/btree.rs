@@ -16,6 +16,13 @@
 //! past the last entry as they were. Deletion does not rebalance (pages
 //! may go sparse; acceptable for the workloads reproduced here and
 //! documented in DESIGN.md).
+//!
+//! An empty tree can instead be built bottom-up in one call
+//! ([`BTree::build`]): the sorted entries fill leaves in order, each level
+//! of internal nodes is packed over the one below, and the top node lands
+//! in the root page. Those are the nodes `insert` encodes — the same
+//! separators (a right sibling's first key), canonical — only fuller, and
+//! no node is ever split. This module is the only place nodes are built.
 
 use rql_pagestore::{Page, PageId, SharedPage, WriteTxn};
 
@@ -46,7 +53,7 @@ pub struct BTree {
 enum Node {
     Leaf {
         next: u64,
-        entries: Vec<(Vec<u8>, RecordId)>,
+        entries: Vec<Entry>,
     },
     Internal {
         rightmost: u64,
@@ -54,6 +61,9 @@ enum Node {
         entries: Vec<(Vec<u8>, u64)>,
     },
 }
+
+/// A leaf entry: its key (with the rid appended, once stored) and rid.
+type Entry = (Vec<u8>, RecordId);
 
 /// A node that split: the separator and the new right sibling, to be
 /// hung off the parent.
@@ -109,6 +119,88 @@ impl BTree {
         };
         encode_node(&root, txn.page_mut(self.root)?);
         Ok(())
+    }
+
+    /// Build the tree from `entries`, `(key, rid)` pairs in any order, as
+    /// the insert of each would — the same entries in the same order, read
+    /// by the same paths — but bottom-up: leaves packed full in entry
+    /// order and chained, internal levels packed over them, the top node
+    /// written into the root page, which stays where it is. Only an empty
+    /// tree can be built; a tree holding entries is an error.
+    pub fn build(&self, txn: &mut WriteTxn, mut entries: Vec<Entry>) -> Result<()> {
+        if !self.is_empty(&*txn)? {
+            return Err(SqlError::Invalid(format!(
+                "b-tree {} is not empty: only an empty tree is built in bulk",
+                self.root
+            )));
+        }
+        if entries.is_empty() {
+            return Ok(());
+        }
+        let page_size = txn.read_page(self.root)?.size();
+        for (key, rid) in &mut entries {
+            append_rid(key, *rid);
+        }
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        // Each level is its nodes' (first key, page) in key order.
+        let leaves = pack_leaves(&entries, page_size)?;
+        let pids = self.place(txn, leaves.len());
+        let mut level = Vec::with_capacity(leaves.len());
+        for (i, run) in leaves.iter().enumerate() {
+            let next = pids.get(i + 1).map_or(NIL, |pid| pid.0);
+            encode_leaf(txn.page_mut(pids[i])?, next, run);
+            level.push((run[0].0.clone(), pids[i].0));
+        }
+        while level.len() > 1 {
+            // A node over children `a..=b` holds `(first key of c, the
+            // child before c)` for each child `c` after `a`, and links `b`
+            // as its rightmost.
+            let mut nodes = Vec::new();
+            let mut a = 0;
+            while a < level.len() {
+                let (mut b, mut size) = (a, HEADER);
+                while let Some((key, _)) = level.get(b + 1) {
+                    size += 2 + key.len() + INTERNAL_TAIL;
+                    if size > page_size {
+                        break;
+                    }
+                    b += 1;
+                }
+                nodes.push(a..=b);
+                a = b + 1;
+            }
+            let pids = self.place(txn, nodes.len());
+            let mut above = Vec::with_capacity(nodes.len());
+            for (pid, children) in pids.iter().zip(nodes) {
+                let (a, b) = children.into_inner();
+                let entries = (level[a..b].iter().zip(&level[a + 1..=b]))
+                    .map(|((_, child), (key, _))| (key.clone(), *child))
+                    .collect();
+                let node = Node::Internal {
+                    rightmost: level[b].1,
+                    entries,
+                };
+                encode_node(&node, txn.page_mut(*pid)?);
+                above.push((level[a].0.clone(), pid.0));
+            }
+            level = above;
+        }
+        Ok(())
+    }
+
+    /// Whether the tree is one empty leaf, as [`Self::create`] makes it.
+    pub fn is_empty<S: PageSource>(&self, src: &S) -> Result<bool> {
+        let root = src.page(self.root)?;
+        Ok(root.bytes()[OFF_TYPE] == TYPE_LEAF && root.read_u16(OFF_COUNT) == 0)
+    }
+
+    /// Pages for the `n` nodes of one level of a bulk build: the root page
+    /// when the level is the top, else fresh pages in order.
+    fn place(&self, txn: &mut WriteTxn, n: usize) -> Vec<PageId> {
+        match n {
+            1 => vec![self.root],
+            _ => (0..n).map(|_| txn.allocate_page()).collect(),
+        }
     }
 
     /// Remove `(key, rid)`. Returns whether the entry was found.
@@ -452,9 +544,15 @@ fn find_child_inline(page: &Page, key: &[u8]) -> u64 {
 fn full_key(key: &[u8], rid: RecordId) -> Vec<u8> {
     let mut full = Vec::with_capacity(key.len() + 10);
     full.extend_from_slice(key);
-    full.extend_from_slice(&rid.page.0.to_be_bytes());
-    full.extend_from_slice(&rid.slot.to_be_bytes());
+    append_rid(&mut full, rid);
     full
+}
+
+/// Make `key` the entry key of `(key, rid)`: unique, ordered by key then
+/// rid.
+fn append_rid(key: &mut Vec<u8>, rid: RecordId) {
+    key.extend_from_slice(&rid.page.0.to_be_bytes());
+    key.extend_from_slice(&rid.slot.to_be_bytes());
 }
 
 fn node_size(node: &Node) -> usize {
@@ -472,18 +570,7 @@ fn node_size(node: &Node) -> usize {
 /// as they were. The caller has checked that it fits.
 fn encode_node(node: &Node, page: &mut Page) {
     match node {
-        Node::Leaf { next, entries } => {
-            page.bytes_mut()[OFF_TYPE] = TYPE_LEAF;
-            page.write_u16(OFF_COUNT, entries.len() as u16);
-            page.write_u64(OFF_LINK, *next);
-            let mut pos = HEADER;
-            for (k, rid) in entries {
-                pos = put_key(page, pos, k);
-                page.write_u64(pos, rid.page.0);
-                page.write_u16(pos + 8, rid.slot);
-                pos += LEAF_TAIL;
-            }
-        }
+        Node::Leaf { next, entries } => encode_leaf(page, *next, entries),
         Node::Internal { rightmost, entries } => {
             page.bytes_mut()[OFF_TYPE] = TYPE_INTERNAL;
             page.write_u16(OFF_COUNT, entries.len() as u16);
@@ -496,6 +583,41 @@ fn encode_node(node: &Node, page: &mut Page) {
             }
         }
     }
+}
+
+/// [`encode_node`] for a leaf of `entries`.
+fn encode_leaf(page: &mut Page, next: u64, entries: &[Entry]) {
+    page.bytes_mut()[OFF_TYPE] = TYPE_LEAF;
+    page.write_u16(OFF_COUNT, entries.len() as u16);
+    page.write_u64(OFF_LINK, next);
+    let mut pos = HEADER;
+    for (k, rid) in entries {
+        pos = put_key(page, pos, k);
+        page.write_u64(pos, rid.page.0);
+        page.write_u16(pos + 8, rid.slot);
+        pos += LEAF_TAIL;
+    }
+}
+
+/// Split sorted leaf entries into full leaves, in order.
+fn pack_leaves(entries: &[Entry], page_size: usize) -> Result<Vec<&[Entry]>> {
+    let mut leaves = Vec::new();
+    let (mut start, mut size) = (0, HEADER);
+    for (i, (key, _)) in entries.iter().enumerate() {
+        let len = 2 + key.len() + LEAF_TAIL;
+        if HEADER + len > page_size {
+            return Err(SqlError::Constraint(format!(
+                "index entry too large for page of {page_size} bytes"
+            )));
+        }
+        if size + len > page_size {
+            leaves.push(&entries[start..i]);
+            (start, size) = (i, HEADER);
+        }
+        size += len;
+    }
+    leaves.push(&entries[start..]);
+    Ok(leaves)
 }
 
 fn decode_node(page: &Page) -> Result<Node> {

@@ -339,12 +339,12 @@ impl Database {
         &self,
         select: &SelectStmt,
         scanned: Scanned,
-        grouped: Option<(&mut GroupTable, &DeltaTableScanner)>,
+        grouped: Option<&mut GroupTable>,
     ) -> Result<QueryResult> {
         let udfs = self.udfs.read().clone();
         let io_before = self.io_stats().snapshot();
         let mut result = match grouped {
-            Some((groups, scanner)) => groups.finish(select, scanned, scanner, &udfs)?,
+            Some(groups) => groups.finish(select, scanned, &udfs)?,
             None => finish_select(select, scanned, &udfs)?,
         };
         let io = self.io_stats().snapshot().delta(&io_before);

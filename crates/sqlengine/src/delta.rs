@@ -100,8 +100,14 @@ fn diff_rows(old: &[Row], new: &[Row], added: &mut Vec<Row>, removed: &mut Vec<R
     }
 }
 
+/// A scan's pages in walk order: page id and the page's filtered rows,
+/// empty for a pruned page. The row vectors are the scanner cache's own
+/// `Arc`s, so a page served from the cache carries the very `Arc` of the
+/// scan before.
+pub type ScanPages = Vec<(u64, Arc<Vec<Row>>)>;
+
 /// One scan's delta against the scanner's previous scan (the scan's rows
-/// themselves go to the caller's row buffer).
+/// themselves are its [`ScanPages`]).
 #[derive(Debug, Default)]
 pub struct DeltaScan {
     /// Rows present now but not in the previous scan (multiset,
@@ -240,25 +246,6 @@ impl DeltaTableScanner {
         Some(ScannerSeed { root, pages })
     }
 
-    /// The last scan's pages in walk order, with their filtered rows (empty
-    /// for a pruned page): the cache's own `Arc`s, so a page served from
-    /// the cache carries the very `Arc` of the scan before. Empty without
-    /// usable state.
-    pub fn pages(&self) -> Vec<(u64, Arc<Vec<Row>>)> {
-        let mut pages = Vec::with_capacity(self.cache.len());
-        let mut at = self.root;
-        // The walk that filled the cache refused a cycle; the bound only
-        // keeps an imported seed from looping here.
-        while let Some(pid) = at.filter(|_| pages.len() < self.cache.len()) {
-            let Some(entry) = self.cache.get(&pid.0) else {
-                break;
-            };
-            pages.push((pid.0, Arc::clone(&entry.rows)));
-            at = entry.next;
-        }
-        pages
-    }
-
     /// Replace the scanner's state with an imported seed. The caller
     /// must guarantee the seed was exported for the same statement — so
     /// the same table, filter and column set; keying seeds by the
@@ -279,9 +266,10 @@ impl DeltaTableScanner {
     }
 
     /// Scan the heap rooted at `root` through `src`, decoding the columns
-    /// `cols` marks: hand the rows passing `keep` to `emit`, in scan order
-    /// — exactly what a full seq scan with the same filter and column set
-    /// would produce — and return the delta against the previous scan.
+    /// `cols` marks: return the pages with the rows passing `keep`, in scan
+    /// order — exactly what a full seq scan with the same filter and column
+    /// set would produce — and the delta against the previous scan. No row
+    /// is copied out of the cache.
     /// Without a usable previous state (never scanned, invalidated, the
     /// root moved, or `src` reports no changed set) the cache starts
     /// empty, every page counts as changed and nothing is diffed.
@@ -295,8 +283,7 @@ impl DeltaTableScanner {
         pred: &PredSummary,
         cols: &[bool],
         mut keep: impl FnMut(&Row) -> Result<bool>,
-        mut emit: impl FnMut(&Row) -> Result<()>,
-    ) -> Result<DeltaScan> {
+    ) -> Result<(DeltaScan, ScanPages)> {
         let changed = src.changed_pages().filter(|_| self.root == Some(root));
         let old = match changed {
             Some(_) => std::mem::take(&mut self.cache),
@@ -306,6 +293,7 @@ impl DeltaTableScanner {
         // partial one must not leave anything a retry could diff against.
         self.invalidate();
         let mut cache = HashMap::with_capacity(old.len());
+        let mut pages = Vec::with_capacity(old.len());
         let mut scan = DeltaScan {
             rebuilt: changed.is_none(),
             ..DeltaScan::default()
@@ -344,9 +332,7 @@ impl DeltaTableScanner {
                     let was = was.map_or(&[][..], |rows| rows.as_slice());
                     diff_rows(was, &now, &mut scan.added, &mut scan.removed);
                 }
-                for row in now.iter() {
-                    emit(row)?;
-                }
+                pages.push((pid.0, Arc::clone(&now)));
                 cache.insert(pid.0, CachedPage { next, rows: now });
                 Ok(true)
             },
@@ -361,7 +347,7 @@ impl DeltaTableScanner {
         }
         self.root = Some(root);
         self.cache = cache;
-        Ok(scan)
+        Ok((scan, pages))
     }
 }
 
@@ -369,7 +355,7 @@ impl DeltaTableScanner {
 mod tests {
     use super::*;
     use crate::db::Database;
-    use crate::exec::Scanned;
+    use crate::exec::{ScanRows, Scanned};
     use crate::parser::parse_select;
     use rql_pagestore::PagerConfig;
     use rql_retro::{RetroConfig, SnapshotReader};
@@ -409,7 +395,52 @@ mod tests {
     ) -> (Vec<Row>, DeltaScan) {
         let scanned = scan_stage(db, reader, sql, scanner);
         let delta = scanned.delta.expect("seq-scannable shape");
-        (scanned.rows, delta)
+        (scanned.rows.iter().cloned().collect(), delta)
+    }
+
+    /// A served scan hands the finish stage the cache's own row vectors:
+    /// no row is copied on the way, and a page served from the cache is
+    /// the very vector of the scan before.
+    #[test]
+    fn served_rows_stay_on_the_cached_pages() {
+        let db = small_page_db();
+        db.execute("CREATE TABLE t (a INTEGER, b TEXT)").unwrap();
+        for i in 0..60 {
+            db.execute(&format!("INSERT INTO t VALUES ({i}, 'padpadpad-{i}')"))
+                .unwrap();
+        }
+        let s1 = snapshot(&db);
+        db.execute("UPDATE t SET b = 'CHANGED' WHERE a = 30")
+            .unwrap();
+        let s2 = snapshot(&db);
+        let readers = db.store().open_snapshot_chain(&[s1, s2]).unwrap();
+        let sql = "SELECT a, b FROM t";
+        let mut scanner = DeltaTableScanner::new();
+        let pages = |scanned: Scanned| match scanned.rows {
+            ScanRows::Pages(pages) => pages,
+            ScanRows::Owned(_) => panic!("a served scan hands over its pages"),
+        };
+        let first = pages(scan_stage(&db, &readers[0], sql, &mut scanner));
+        let second = pages(scan_stage(&db, &readers[1], sql, &mut scanner));
+        let cache: HashMap<u64, Arc<Vec<Row>>> = (scanner.export_seed().unwrap().pages)
+            .into_iter()
+            .map(|p| (p.page, p.rows))
+            .collect();
+        assert_eq!(second.len(), cache.len());
+        for (pid, rows) in &second {
+            assert!(Arc::ptr_eq(rows, &cache[pid]), "page {pid}");
+        }
+        let kept = |(pid, rows): &(u64, Arc<Vec<Row>>)| {
+            first
+                .iter()
+                .any(|(was, old)| was == pid && Arc::ptr_eq(old, rows))
+        };
+        let reused = second.iter().filter(|p| kept(p)).count();
+        assert!(
+            reused > 0 && reused < second.len(),
+            "{reused} of {}",
+            second.len()
+        );
     }
 
     #[test]

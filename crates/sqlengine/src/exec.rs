@@ -23,7 +23,9 @@
 //!
 //! The scan stage decodes only the columns the statement reads and
 //! streams the base scan through prebuilt join sides, so only joined,
-//! filtered rows are materialized; result rows are delivered to a per-row
+//! filtered rows are materialized — and none when a delta scanner serves
+//! the scan: the finish stage then reads the scanner's cached pages where
+//! they lie ([`ScanRows`]). Result rows are delivered to a per-row
 //! callback (the `sqlite3_exec` shape the RQL loop body uses).
 
 use std::borrow::Cow;
@@ -34,7 +36,7 @@ use crate::ast::{BinOp, Expr, SelectItem, SelectStmt};
 use crate::cancel::{CancelToken, CHECK_EVERY_ROWS};
 use crate::catalog::{Catalog, IndexInfo, TableInfo};
 use crate::cexpr::{compile, eval, AggFunc, AggSpec, CExpr, Scope};
-use crate::delta::{DeltaScan, DeltaTableScanner};
+use crate::delta::{DeltaScan, DeltaTableScanner, ScanPages};
 use crate::error::{Result, SqlError};
 use crate::exec_stats::ExecStats;
 use crate::heap::HeapFile;
@@ -66,15 +68,48 @@ impl QueryResult {
     }
 }
 
+/// The scan stage's rows, in scan order: owned, or where a delta scanner
+/// left them.
+#[derive(Debug)]
+pub enum ScanRows {
+    /// The ordinary plan's fully joined and filtered rows; columns the
+    /// statement does not read are NULL. When the finish stage reads no
+    /// column (`COUNT(*)`, constant items), every row is empty: only
+    /// their number means anything.
+    Owned(Vec<Row>),
+    /// A scanner-served scan's pages, shared with the scanner's cache:
+    /// every row read in place, none copied. The rows hold every column
+    /// the scan decoded, read by the finish stage or not.
+    Pages(ScanPages),
+}
+
+impl ScanRows {
+    /// Every row, in scan order.
+    pub fn iter(&self) -> impl Iterator<Item = &Row> {
+        let (owned, pages) = match self {
+            ScanRows::Owned(rows) => (rows.as_slice(), &[][..]),
+            ScanRows::Pages(pages) => (&[][..], pages.as_slice()),
+        };
+        owned
+            .iter()
+            .chain(pages.iter().flat_map(|(_, rows)| rows.iter()))
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            ScanRows::Owned(rows) => rows.len(),
+            ScanRows::Pages(pages) => pages.iter().map(|(_, rows)| rows.len()).sum(),
+        }
+    }
+}
+
 /// What the scan stage of a `SELECT` produced: the input of
 /// [`finish_select`], plus what the stage decided on the way.
 #[derive(Debug)]
 pub struct Scanned {
-    /// Fully joined and filtered rows, in scan order; columns the
-    /// statement does not read are NULL. When the finish stage reads no
-    /// column (`COUNT(*)`, constant items), every row is empty: only
-    /// their number means anything.
-    pub rows: Vec<Row>,
+    /// The filtered rows: [`ScanRows::Pages`] exactly when `delta` is
+    /// set, else [`ScanRows::Owned`].
+    pub rows: ScanRows,
     /// Access-path decisions so far (becomes [`QueryResult::plan`]).
     pub plan: Vec<String>,
     /// The base table's row delta against the offered scanner's previous
@@ -127,10 +162,11 @@ pub fn run_select_cancellable<S: PageSource>(
 /// An offered `scanner` stands in for the base table's heap when — and
 /// only when — the plan is a plain seq scan of a single table whose
 /// conjuncts call no UDF: it then serves the pages that did not change
-/// since its previous scan from its cache, and [`Scanned::delta`] carries
-/// the row delta. Any other plan (index probe, join, UDF filter) runs
-/// exactly as it would have without one, and the scanner is invalidated
-/// because it did not observe this scan.
+/// since its previous scan from its cache, the rows stay on its pages
+/// ([`ScanRows::Pages`]), and [`Scanned::delta`] carries the row delta.
+/// Any other plan (index probe, join, UDF filter) runs exactly as it
+/// would have without one, and the scanner is invalidated because it did
+/// not observe this scan.
 pub fn scan_select<S: PageSource>(
     select: &SelectStmt,
     src: &S,
@@ -218,7 +254,7 @@ pub fn scan_select<S: PageSource>(
     // row through the chain of probes: only joined rows are materialized.
     let single_table = bindings.len() == 1;
     let mut rows: Vec<Row> = Vec::new();
-    let mut delta = None;
+    let mut served = None;
     let mut refutable = None;
     if bindings.is_empty() {
         rows.push(Vec::new()); // SELECT without FROM: one empty row
@@ -253,20 +289,27 @@ pub fn scan_select<S: PageSource>(
         if single_table {
             refutable = Some((bindings[0].1.schema.name.clone(), base.pred.columns()));
         }
-        delta = base.run(src, cols(0), &conjuncts, cancel, |row| {
+        served = base.run(src, cols(0), &conjuncts, cancel, |row| {
             probe(&mut steps, src, &conjuncts, row, copy, &mut rows)
         })?;
     }
-    if let (None, Some(scanner)) = (&delta, scanner) {
-        scanner.invalidate();
-    }
-    // Any conjunct not yet applied (e.g. constant predicates).
-    for (i, (c, _)) in conjuncts.iter().enumerate() {
-        if !used[i] {
-            rows = filter_rows(rows, c)?;
-            used[i] = true;
+    let (rows, delta) = match served {
+        // A served scan applied every conjunct (see `plan_base_table`).
+        Some((delta, pages)) => (ScanRows::Pages(pages), Some(delta)),
+        None => {
+            if let Some(scanner) = scanner {
+                scanner.invalidate();
+            }
+            // Any conjunct not yet applied (e.g. constant predicates).
+            for (i, (c, _)) in conjuncts.iter().enumerate() {
+                if !used[i] {
+                    rows = filter_rows(rows, c)?;
+                    used[i] = true;
+                }
+            }
+            (ScanRows::Owned(rows), None)
         }
-    }
+    };
 
     let stats = ExecStats {
         index_creation,
@@ -310,10 +353,18 @@ pub fn finish_select(
         || items.iter().any(|(e, _)| e.contains_aggregate())
         || select.having.as_ref().is_some_and(Expr::contains_aggregate);
 
-    let (columns, mut out_rows) = if is_aggregate {
-        run_aggregate(select, &items, rows, &scope, udfs)?
-    } else {
-        run_projection(select, &items, rows, &scope, udfs)?
+    let (columns, mut out_rows) = match rows {
+        ScanRows::Owned(rows) if is_aggregate => run_aggregate(
+            select,
+            &items,
+            rows.into_iter().map(Cow::Owned),
+            &scope,
+            udfs,
+        )?,
+        rows if is_aggregate => {
+            run_aggregate(select, &items, rows.iter().map(Cow::Borrowed), &scope, udfs)?
+        }
+        rows => run_projection(select, &items, &rows, &scope, udfs)?,
     };
 
     if select.distinct {
@@ -539,8 +590,9 @@ fn plan_base_table<'a>(
 
 impl BasePlan<'_> {
     /// Scan the table, decoding the columns `cols` marks, and hand every
-    /// row passing the applied conjuncts to `emit`. Returns the row delta
-    /// when the offered scanner served the scan.
+    /// row passing the applied conjuncts to `emit` — unless the offered
+    /// scanner served the scan: then no row is handed over, and the row
+    /// delta and the scanner's pages are returned instead.
     fn run<S: PageSource>(
         self,
         src: &S,
@@ -548,7 +600,7 @@ impl BasePlan<'_> {
         conjuncts: &[(CExpr, usize)],
         cancel: Option<&CancelToken>,
         mut emit: impl FnMut(&Row) -> Result<()>,
-    ) -> Result<Option<DeltaScan>> {
+    ) -> Result<Option<(DeltaScan, ScanPages)>> {
         let _span = rql_trace::span(rql_trace::SpanId::Scan);
         let heap = self.info.heap();
         let applicable = self.applicable;
@@ -578,7 +630,7 @@ impl BasePlan<'_> {
             }
             (None, Some(scanner)) => {
                 let root = self.info.root;
-                Ok(Some(scanner.scan(src, root, &self.pred, cols, keep, emit)?))
+                Ok(Some(scanner.scan(src, root, &self.pred, cols, keep)?))
             }
             (None, None) => {
                 heap.scan(src, &self.pred, Some(cols), |_, row| {
@@ -968,7 +1020,7 @@ fn derive_name(expr: &Expr) -> String {
 fn run_projection(
     select: &SelectStmt,
     items: &[(Expr, String)],
-    rows: Vec<Row>,
+    rows: &ScanRows,
     scope: &Scope,
     udfs: &UdfRegistry,
 ) -> Result<(Vec<String>, Vec<Row>)> {
@@ -982,12 +1034,12 @@ fn run_projection(
     let order = compile_order(select, &columns, scope, udfs, None)?;
 
     let mut out: Vec<(Row, Row)> = Vec::with_capacity(rows.len()); // (keys, row)
-    for row in rows {
+    for row in rows.iter() {
         let mut orow = Vec::with_capacity(compiled.len());
         for c in &compiled {
-            orow.push(eval(c, &row, &[])?);
+            orow.push(eval(c, row, &[])?);
         }
-        let keys = eval_order_keys(&order, &row, &orow, &[])?;
+        let keys = eval_order_keys(&order, row, &orow, &[])?;
         out.push((keys, orow));
     }
     let rows = finish_rows(select, order.as_ref(), out)?;
@@ -1336,17 +1388,19 @@ impl Groups {
     }
 }
 
-fn run_aggregate(
+/// The aggregate stage over `rows`: owned rows move into their groups'
+/// representatives, borrowed ones are cloned only for that.
+fn run_aggregate<'r>(
     select: &SelectStmt,
     items: &[(Expr, String)],
-    rows: Vec<Row>,
+    rows: impl Iterator<Item = Cow<'r, Row>>,
     scope: &Scope,
     udfs: &UdfRegistry,
 ) -> Result<(Vec<String>, Vec<Row>)> {
     let plan = AggPlan::compile(select, items, scope, udfs)?;
     let mut groups = Groups::default();
     for row in rows {
-        groups.add(&plan, Cow::Owned(row))?;
+        groups.add(&plan, row)?;
     }
     // Global aggregate over empty input still yields one group.
     if groups.states.is_empty() && select.group_by.is_empty() {

@@ -2,13 +2,15 @@
 //! delta-scanned table re-aggregates only the groups whose rows changed.
 //!
 //! A [`GroupTable`] is the finish stage's state beside a
-//! [`DeltaTableScanner`]. For every group it holds its members' positions —
-//! (page ordinal in walk order, row on the page) — and its output row. A
-//! pass compares the scanner's pages ([`DeltaTableScanner::pages`]) with
-//! the previous pass's: a page whose row vector is the same `Arc` is
-//! unchanged; every other page's old rows leave their groups and its new
-//! rows join theirs. New pages are linked in right after the root, so
-//! surviving pages move to later ordinals; their members are remapped.
+//! [`DeltaTableScanner`](crate::delta::DeltaTableScanner). For every group
+//! it holds its members' positions — (page ordinal in walk order, row on
+//! the page) — and its output row. A pass compares the pages the scan
+//! stage handed over ([`ScanRows::Pages`], the scanner cache's own `Arc`s,
+//! read in place) with the previous pass's: a page whose row vector is the
+//! same `Arc` is unchanged; every other page's old rows leave their groups
+//! and its new rows join theirs. New pages are linked in right after the
+//! root, so surviving pages move to later ordinals; their members are
+//! remapped.
 //! Only the groups so touched are re-folded, from their members in scan
 //! order with the ordinary aggregate stage's accumulator ([`AggPlan`]), and
 //! groups are emitted in the order of their first member. The output — the
@@ -32,15 +34,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::ast::{Expr, SelectItem, SelectStmt};
-use crate::delta::DeltaTableScanner;
+use crate::delta::ScanPages;
 use crate::error::Result;
-use crate::exec::{expand_items, finish_select, AggPlan, Groups, QueryResult, Scanned};
+use crate::exec::{expand_items, finish_select, AggPlan, Groups, QueryResult, ScanRows, Scanned};
 use crate::record::Row;
 use crate::udf::UdfRegistry;
 use crate::value::GroupKey;
-
-/// A walk's pages, in walk order: page id and the page's filtered rows.
-type Pages = [(u64, Arc<Vec<Row>>)];
 
 /// One group of a [`GroupTable`].
 #[derive(Default)]
@@ -57,7 +56,7 @@ struct Group {
 #[derive(Default)]
 pub struct GroupTable {
     /// The pages the groups describe.
-    pages: Vec<(u64, Arc<Vec<Row>>)>,
+    pages: ScanPages,
     groups: Vec<Group>,
     /// Every key seen since the last full build: a group that loses its
     /// last member keeps its slot, and comes back in it.
@@ -90,24 +89,26 @@ impl GroupTable {
     }
 
     /// The finish stage of the table's statement `select` over `scanned`:
-    /// through the table when `scanner` served the scan (its state is the
-    /// scan's), otherwise `finish_select` itself, and the table is
+    /// through the table when a scanner served the scan (its pages are the
+    /// scan's rows), otherwise `finish_select` itself, and the table is
     /// dropped.
     pub fn finish(
         &mut self,
         select: &SelectStmt,
-        scanned: Scanned,
-        scanner: &DeltaTableScanner,
+        mut scanned: Scanned,
         udfs: &UdfRegistry,
     ) -> Result<QueryResult> {
         let started = Instant::now();
-        let Some(rebuilt) = scanned.delta.as_ref().map(|d| d.rebuilt) else {
-            self.invalidate();
-            return finish_select(select, scanned, udfs);
+        let (pages, rebuilt) = match (&mut scanned.rows, &scanned.delta) {
+            (ScanRows::Pages(pages), Some(delta)) => (std::mem::take(pages), delta.rebuilt),
+            _ => {
+                self.invalidate();
+                return finish_select(select, scanned, udfs);
+            }
         };
         let items = expand_items(&select.items, &scanned.written_bindings, &scanned.scope)?;
         let plan = AggPlan::compile(select, &items, &scanned.scope, udfs)?;
-        if let Err(e) = self.pass(&plan, scanner.pages(), rebuilt) {
+        if let Err(e) = self.pass(&plan, pages, rebuilt) {
             self.invalidate();
             return Err(e);
         }
@@ -125,12 +126,7 @@ impl GroupTable {
 
     /// Bring the groups up to `pages`: a delta pass when it can, else a
     /// full build.
-    fn pass(
-        &mut self,
-        plan: &AggPlan,
-        pages: Vec<(u64, Arc<Vec<Row>>)>,
-        rebuilt: bool,
-    ) -> Result<()> {
+    fn pass(&mut self, plan: &AggPlan, pages: ScanPages, rebuilt: bool) -> Result<()> {
         let delta = !rebuilt && !self.pages.is_empty() && self.delta(plan, &pages)?;
         // Emptied groups keep their slots; once they outnumber the live
         // ones, start over.
@@ -143,7 +139,7 @@ impl GroupTable {
     }
 
     /// Group every row of `pages` afresh, in scan order.
-    fn build(&mut self, plan: &AggPlan, pages: &Pages) -> Result<()> {
+    fn build(&mut self, plan: &AggPlan, pages: &ScanPages) -> Result<()> {
         self.invalidate();
         let mut acc = Groups::default();
         let mut members: Vec<Vec<(u32, u32)>> = Vec::new();
@@ -168,7 +164,7 @@ impl GroupTable {
     /// re-fold every group a changed page touches. `false`, with nothing
     /// changed yet, when the previous walk's pages are not all still
     /// there in the same order.
-    fn delta(&mut self, plan: &AggPlan, pages: &Pages) -> Result<bool> {
+    fn delta(&mut self, plan: &AggPlan, pages: &ScanPages) -> Result<bool> {
         let now: HashMap<u64, u32> = (pages.iter().enumerate())
             .map(|(o, (pid, _))| (*pid, o as u32))
             .collect();

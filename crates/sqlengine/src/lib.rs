@@ -48,9 +48,9 @@ pub use ast::{Expr, SelectStmt, Stmt};
 pub use cancel::{CancelCause, CancelToken};
 pub use catalog::{Catalog, IndexInfo, TableInfo};
 pub use db::{Database, ExecOutcome};
-pub use delta::{DeltaScan, DeltaTableScanner, ScannerSeed, SeedPage, SkipReason};
+pub use delta::{DeltaScan, DeltaTableScanner, ScanPages, ScannerSeed, SeedPage, SkipReason};
 pub use error::{Result, SqlError};
-pub use exec::{QueryResult, Scanned};
+pub use exec::{QueryResult, ScanRows, Scanned};
 pub use exec_stats::ExecStats;
 pub use grouped::GroupTable;
 pub use heap::{FreeSpaceMap, HeapFile, RecordId};
@@ -62,4 +62,4 @@ pub use schema::{ColumnDef, ColumnType, IndexSchema, TableSchema};
 pub use sidecar::{build_sidecar, PredAtom, PredSummary, Sidecar, SIDECAR_FORMAT_VERSION};
 pub use tablewriter::TableWriter;
 pub use udf::UdfRegistry;
-pub use value::{GroupKey, Value};
+pub use value::{GroupKey, GroupKeyRef, Value};

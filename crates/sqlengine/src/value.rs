@@ -244,28 +244,67 @@ impl Eq for GroupKey {}
 impl Hash for GroupKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         for v in &self.0 {
-            match v {
-                Value::Null => 0u8.hash(state),
-                Value::Integer(i) => {
-                    1u8.hash(state);
-                    i.hash(state);
-                }
-                Value::Real(r) => {
-                    // Integral floats hash as their integer counterpart.
-                    if r.fract() == 0.0 && *r >= i64::MIN as f64 && *r <= i64::MAX as f64 {
-                        1u8.hash(state);
-                        (*r as i64).hash(state);
-                    } else {
-                        2u8.hash(state);
-                        let bits = if *r == 0.0 { 0u64 } else { r.to_bits() };
-                        bits.hash(state);
-                    }
-                }
-                Value::Text(t) => {
-                    3u8.hash(state);
-                    t.hash(state);
-                }
+            hash_group_value(v, state);
+        }
+    }
+}
+
+/// The [`GroupKey`] of `row`'s values at `positions`, read where they lie:
+/// hashed and compared exactly as that key is, with no value copied.
+#[derive(Debug, Clone, Copy)]
+pub struct GroupKeyRef<'a> {
+    /// The row holding the key's values.
+    pub row: &'a [Value],
+    /// The key's positions in `row`.
+    pub positions: &'a [usize],
+}
+
+impl<'a> GroupKeyRef<'a> {
+    fn values(&self) -> impl Iterator<Item = &'a Value> + 'a {
+        let row = self.row;
+        self.positions.iter().map(move |&p| &row[p])
+    }
+}
+
+impl PartialEq for GroupKeyRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.positions.len() == other.positions.len()
+            && (self.values().zip(other.values())).all(|(a, b)| group_value_eq(a, b))
+    }
+}
+
+impl Eq for GroupKeyRef<'_> {}
+
+impl Hash for GroupKeyRef<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for v in self.values() {
+            hash_group_value(v, state);
+        }
+    }
+}
+
+/// One value's part of a grouping key's hash.
+fn hash_group_value<H: Hasher>(v: &Value, state: &mut H) {
+    match v {
+        Value::Null => 0u8.hash(state),
+        Value::Integer(i) => {
+            1u8.hash(state);
+            i.hash(state);
+        }
+        Value::Real(r) => {
+            // Integral floats hash as their integer counterpart.
+            if r.fract() == 0.0 && *r >= i64::MIN as f64 && *r <= i64::MAX as f64 {
+                1u8.hash(state);
+                (*r as i64).hash(state);
+            } else {
+                2u8.hash(state);
+                let bits = if *r == 0.0 { 0u64 } else { r.to_bits() };
+                bits.hash(state);
             }
+        }
+        Value::Text(t) => {
+            3u8.hash(state);
+            t.hash(state);
         }
     }
 }
@@ -387,6 +426,43 @@ mod tests {
         let mut m: HashMap<GroupKey, u32> = HashMap::new();
         m.insert(a, 1);
         assert!(m.contains_key(&b));
+    }
+
+    /// A key read in place groups exactly as the same values copied out.
+    #[test]
+    fn group_key_ref_groups_like_group_key() {
+        use std::hash::BuildHasher;
+        let hasher = std::collections::hash_map::RandomState::new();
+        let rows = [
+            vec![Value::text("x"), Value::Integer(1), Value::Null],
+            vec![Value::Real(1.0), Value::Null, Value::text("x")],
+            vec![Value::Real(-0.0), Value::Real(1.5), Value::Integer(0)],
+            vec![Value::Integer(0), Value::Real(1.5), Value::Real(0.0)],
+        ];
+        let positions = [[1, 2], [0, 1], [2, 0]];
+        for (a, b) in rows.iter().flat_map(|a| rows.iter().map(move |b| (a, b))) {
+            for (pa, pb) in positions
+                .iter()
+                .flat_map(|p| positions.iter().map(move |q| (p, q)))
+            {
+                let (ra, rb) = (
+                    GroupKeyRef {
+                        row: a,
+                        positions: pa,
+                    },
+                    GroupKeyRef {
+                        row: b,
+                        positions: pb,
+                    },
+                );
+                let owned = |row: &[Value], p: &[usize]| {
+                    GroupKey(p.iter().map(|&i| row[i].clone()).collect())
+                };
+                let (ka, kb) = (owned(a, pa), owned(b, pb));
+                assert_eq!(ra == rb, ka == kb, "{ka:?} vs {kb:?}");
+                assert_eq!(hasher.hash_one(ra), hasher.hash_one(&ka));
+            }
+        }
     }
 
     #[test]

@@ -110,6 +110,116 @@ proptest! {
     }
 }
 
+// ---- bulk build vs per-entry inserts ----------------------------------------
+
+/// An index key with many duplicates: a small integer, or a long text
+/// that fits few entries to a 256-byte node.
+fn bulk_key((text, n): (bool, i64)) -> Vec<u8> {
+    let value = match text {
+        true => Value::text(format!("{}-{n:03}", "k".repeat(40))),
+        false => Value::Integer(n),
+    };
+    let mut key = Vec::new();
+    encode_index_key(&[value], &mut key);
+    key
+}
+
+/// The `i`-th distinct rid.
+fn bulk_rid(i: usize) -> RecordId {
+    RecordId {
+        page: rql_pagestore::PageId(1 + i as u64 / 5),
+        slot: (i % 5) as u16,
+    }
+}
+
+/// The model's key for an entry: the tree orders entries by key, then by
+/// the rid's big-endian bytes.
+fn model_key(key: &[u8], rid: RecordId) -> Vec<u8> {
+    let mut full = key.to_vec();
+    full.extend_from_slice(&rid.page.0.to_be_bytes());
+    full.extend_from_slice(&rid.slot.to_be_bytes());
+    full
+}
+
+fn entries_of(tree: &BTree, src: &rql_pagestore::WriteTxn) -> Vec<(Vec<u8>, RecordId)> {
+    let mut out = Vec::new();
+    tree.scan_all(src, |key, rid| {
+        out.push((key.to_vec(), rid));
+        Ok(true)
+    })
+    .unwrap();
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// From one leaf to four levels: a bulk build holds exactly what
+    /// per-entry inserts of the same entries hold, in the same order, in
+    /// canonical nodes; later inserts and deletes keep it equal to the
+    /// model; and a tree that holds entries cannot be built again.
+    #[test]
+    fn bulk_build_matches_inserts_and_the_model(
+        keys in proptest::collection::vec((any::<bool>(), 0i64..60), 1..400),
+        ops in proptest::collection::vec((0u8..4, (any::<bool>(), 0i64..60), any::<u16>()), 0..120),
+    ) {
+        let pager = pager(256);
+        let mut txn = pager.begin_write().unwrap();
+        let entries: Vec<(Vec<u8>, RecordId)> = (keys.iter().enumerate())
+            .map(|(i, &k)| (bulk_key(k), bulk_rid(i)))
+            .collect();
+        let inserted = BTree::create(&mut txn).unwrap();
+        for (key, rid) in &entries {
+            inserted.insert(&mut txn, key, *rid).unwrap();
+        }
+        let built = BTree::create(&mut txn).unwrap();
+        built.build(&mut txn, entries.clone()).unwrap();
+        prop_assert_eq!(entries_of(&built, &txn), entries_of(&inserted, &txn));
+        if let Err(e) = built.check_canonical(&txn) {
+            prop_assert!(false, "after the build: {}", e);
+        }
+        for (key, rid) in &entries {
+            prop_assert!(built.scan_prefix(&txn, key).unwrap().contains(rid));
+        }
+        for tree in [&inserted, &built] {
+            prop_assert!(tree.build(&mut txn, entries[..1].to_vec()).is_err());
+        }
+
+        let mut model: BTreeMap<Vec<u8>, RecordId> = (entries.iter())
+            .map(|(key, rid)| (model_key(key, *rid), *rid))
+            .collect();
+        let mut next = entries.len();
+        for &(op, k, pick) in &ops {
+            let key = bulk_key(k);
+            match op {
+                0 | 1 => {
+                    let rid = bulk_rid(next);
+                    next += 1;
+                    built.insert(&mut txn, &key, rid).unwrap();
+                    model.insert(model_key(&key, rid), rid);
+                }
+                2 if !model.is_empty() => {
+                    let full = model.keys().nth(pick as usize % model.len()).unwrap().clone();
+                    let rid = model.remove(&full).unwrap();
+                    let key = &full[..full.len() - 10];
+                    prop_assert!(built.delete(&mut txn, key, rid).unwrap());
+                }
+                _ => {
+                    // An entry never stored.
+                    let rid = bulk_rid(usize::MAX / 8);
+                    prop_assert!(!built.delete(&mut txn, &key, rid).unwrap());
+                }
+            }
+        }
+        if let Err(e) = built.check_canonical(&txn) {
+            prop_assert!(false, "after {} ops: {}", ops.len(), e);
+        }
+        // `scan_all` hands out the stored keys: key and rid.
+        let expected: Vec<(Vec<u8>, RecordId)> = model.into_iter().collect();
+        prop_assert_eq!(entries_of(&built, &txn), expected);
+    }
+}
+
 // ---- heap vs HashMap --------------------------------------------------------
 
 #[derive(Debug, Clone)]

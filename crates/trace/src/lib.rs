@@ -1,4 +1,7 @@
 #![warn(missing_docs)]
+// Errors are returned, not unwrapped: unlike the workspace, which only
+// warns, this crate denies `unwrap`/`expect` outside tests (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 //! # rql-trace
 //!
 //! The observability spine of the RQL reproduction: a low-overhead
