@@ -125,8 +125,9 @@ pub fn run() -> Result<String> {
     }
     out.push('\n');
 
-    // AggregateDataInVariable takes the fully incremental path for
-    // COUNT-shaped Qq: unchanged pages contribute neither I/O nor eval.
+    // AggregateDataInVariable takes the same cached-rows pipeline:
+    // unchanged pages cost no I/O, and the inner aggregate re-runs over
+    // the cached rows.
     {
         let qs = qs_spaced(iterations, 1);
         let seq = run_from_cold(&session, "di_av_seq", || {
@@ -149,11 +150,11 @@ pub fn run() -> Result<String> {
         let delta_cost = d.total_cost(&model).as_secs_f64() * 1e3;
         out.push_str(&format!(
             "### AggregateDataInVariable(Qs_{iterations}, Qq_io, AVG), spacing 1 \
-             (incremental fold)\n\n\
+             (cached-rows pipeline)\n\n\
              | variant | Qq cost (ms) | plog rd | identical |\n|---|---|---|---|\n\
              | sequential | {seq_cost:.3} | {} | — |\n\
              | delta (Forced) | {delta_cost:.3} | {} | {same} |\n\n\
-             - Incremental-fold speedup: {:.2}×.\n\n",
+             - Delta speedup: {:.2}×.\n\n",
             s.io.pagelog_reads,
             d.io.pagelog_reads,
             seq_cost / delta_cost.max(1e-9),

@@ -13,16 +13,11 @@
 use rql_sqlengine::ast::SelectStmt;
 
 use crate::analyze::diag::{Code, Diagnostic, SourceKind};
-use crate::delta::{has_inner_agg_shape, static_ineligibility, DeltaIneligible, DeltaPolicy};
-
-use super::mechspec::MechanismKind;
+use crate::delta::{static_ineligibility, DeltaIneligible, DeltaPolicy};
 
 /// The iteration path the analyzer predicts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictedPath {
-    /// O(delta) incremental inner aggregate (AggregateDataInVariable
-    /// with a bare inner-aggregate Qq).
-    Incremental,
     /// Delta scan + pipeline re-evaluation over cached base rows.
     Pipeline,
     /// The ordinary sequential mechanism.
@@ -37,8 +32,6 @@ pub struct DeltaExplain {
     /// Why Qq can never be served from a delta chain, if so (an
     /// unparsable Qq counts as [`DeltaIneligible::Shape`]).
     pub ineligible: Option<DeltaIneligible>,
-    /// The incremental inner-aggregate shape applies.
-    pub incremental: bool,
     /// The path the computation will take.
     pub predicted_path: PredictedPath,
     /// Human-readable reasons, in decision order.
@@ -47,15 +40,14 @@ pub struct DeltaExplain {
 
 /// Evaluate the fallback matrix for one mechanism call and append the
 /// policy-appropriate diagnostics (errors under `Forced`, advisories
-/// under `Auto`, nothing under `Off`).
+/// under `Auto`, nothing under `Off`). Every mechanism has the same delta
+/// sources, so only Qq and the policy decide.
 pub fn explain_delta(
-    kind: MechanismKind,
     qq: Option<&SelectStmt>,
     policy: DeltaPolicy,
     diags: &mut Vec<Diagnostic>,
 ) -> DeltaExplain {
     let ineligible = qq.map_or(Some(DeltaIneligible::Shape), static_ineligibility);
-    let incremental = kind == MechanismKind::AggVar && qq.is_some_and(has_inner_agg_shape);
 
     let mut reasons = Vec::new();
     let mut push = |code: Code, msg: &str| {
@@ -78,26 +70,14 @@ pub fn explain_delta(
         };
         push(code, reason.message());
         PredictedPath::Sequential
-    } else if incremental {
-        reasons.push("bare inner aggregate: O(changed rows) incremental maintenance".to_owned());
-        PredictedPath::Incremental
     } else {
-        if kind == MechanismKind::AggVar {
-            push(
-                Code::IncrementalUnavailable,
-                "Qq is delta-eligible but not a bare inner aggregate; the \
-                 pipeline re-evaluates post-scan stages per iteration",
-            );
-        } else {
-            reasons.push("delta scan + pipeline fold".to_owned());
-        }
+        reasons.push("delta scan + pipeline fold".to_owned());
         PredictedPath::Pipeline
     };
 
     DeltaExplain {
         policy,
         ineligible,
-        incremental,
         predicted_path,
         reasons,
     }
@@ -108,102 +88,68 @@ mod tests {
     use super::*;
     use rql_sqlengine::parse_select;
 
-    fn explain(kind: MechanismKind, qq: &str, policy: DeltaPolicy) -> (DeltaExplain, Vec<Code>) {
+    fn explain(qq: &str, policy: DeltaPolicy) -> (DeltaExplain, Vec<Code>) {
         let parsed = parse_select(qq).unwrap();
         let mut diags = Vec::new();
-        let ex = explain_delta(kind, Some(&parsed), policy, &mut diags);
+        let ex = explain_delta(Some(&parsed), policy, &mut diags);
         (ex, diags.iter().map(|d| d.code).collect())
     }
 
     #[test]
-    fn incremental_prediction() {
-        let (ex, codes) = explain(
-            MechanismKind::AggVar,
+    fn agg_var_predicts_pipeline() {
+        // AggregateDataInVariable's Qq takes the pipeline like any other,
+        // a bare inner aggregate and a wrapped one alike, silently.
+        for qq in [
             "SELECT SUM(v) FROM t WHERE v > 0",
-            DeltaPolicy::Forced,
-        );
-        assert_eq!(ex.predicted_path, PredictedPath::Incremental);
-        assert!(codes.is_empty(), "{codes:?}");
+            "SELECT SUM(v) + 1 FROM t",
+        ] {
+            let (ex, codes) = explain(qq, DeltaPolicy::Forced);
+            assert_eq!(ex.predicted_path, PredictedPath::Pipeline, "{qq}");
+            assert!(codes.is_empty(), "{qq}: {codes:?}");
+        }
     }
 
     #[test]
     fn pipeline_prediction() {
-        let (ex, codes) = explain(
-            MechanismKind::Collate,
-            "SELECT DISTINCT v FROM t",
-            DeltaPolicy::Auto,
-        );
+        let (ex, codes) = explain("SELECT DISTINCT v FROM t", DeltaPolicy::Auto);
         assert_eq!(ex.predicted_path, PredictedPath::Pipeline);
         assert!(codes.is_empty());
-        // AggVar with a wrapped aggregate: pipeline, with the info note.
-        let (ex, codes) = explain(
-            MechanismKind::AggVar,
-            "SELECT SUM(v) + 1 FROM t",
-            DeltaPolicy::Auto,
-        );
-        assert_eq!(ex.predicted_path, PredictedPath::Pipeline);
-        assert_eq!(codes, vec![Code::IncrementalUnavailable]);
     }
 
     #[test]
     fn agg_table_predicts_pipeline() {
-        let (ex, codes) = explain(
-            MechanismKind::AggTable,
-            "SELECT cn, l_time FROM lineitem",
-            DeltaPolicy::Forced,
-        );
+        let (ex, codes) = explain("SELECT cn, l_time FROM lineitem", DeltaPolicy::Forced);
         assert_eq!(ex.predicted_path, PredictedPath::Pipeline);
         assert!(codes.is_empty(), "{codes:?}");
     }
 
     #[test]
     fn forced_failures() {
-        // Every mechanism has a delta source, lifetime extension included.
-        let (ex, codes) = explain(
-            MechanismKind::Intervals,
-            "SELECT v FROM t",
-            DeltaPolicy::Forced,
-        );
+        // An eligible Qq is silent under Forced.
+        let (ex, codes) = explain("SELECT v FROM t", DeltaPolicy::Forced);
         assert_eq!(ex.predicted_path, PredictedPath::Pipeline);
         assert!(codes.is_empty(), "{codes:?}");
-        let (_, codes) = explain(
-            MechanismKind::Collate,
-            "SELECT a FROM t, u",
-            DeltaPolicy::Forced,
-        );
+        let (_, codes) = explain("SELECT a FROM t, u", DeltaPolicy::Forced);
         assert_eq!(codes, vec![Code::ForcedDeltaIneligibleShape]);
         let (_, codes) = explain(
-            MechanismKind::Collate,
             "SELECT v FROM t WHERE v = current_snapshot()",
             DeltaPolicy::Forced,
         );
         assert_eq!(codes, vec![Code::ForcedDeltaSnapshotDependentWhere]);
-        let (_, codes) = explain(
-            MechanismKind::Collate,
-            "SELECT v FROM t WHERE my_udf(v) > 0",
-            DeltaPolicy::Forced,
-        );
+        let (_, codes) = explain("SELECT v FROM t WHERE my_udf(v) > 0", DeltaPolicy::Forced);
         assert_eq!(codes, vec![Code::ForcedDeltaUdfInWhere]);
     }
 
     #[test]
     fn auto_downgrades_to_info() {
-        let (ex, codes) = explain(
-            MechanismKind::Collate,
-            "SELECT a FROM t, u",
-            DeltaPolicy::Auto,
-        );
+        let (ex, codes) = explain("SELECT a FROM t, u", DeltaPolicy::Auto);
         assert_eq!(ex.predicted_path, PredictedPath::Sequential);
         assert_eq!(codes, vec![Code::AutoDeltaFallback]);
     }
 
     #[test]
     fn off_is_silent() {
-        let (ex, codes) = explain(
-            MechanismKind::Collate,
-            "SELECT a FROM t, u",
-            DeltaPolicy::Off,
-        );
+        let (ex, codes) = explain("SELECT a FROM t, u", DeltaPolicy::Off);
         assert_eq!(ex.predicted_path, PredictedPath::Sequential);
         assert!(codes.is_empty());
     }

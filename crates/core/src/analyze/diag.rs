@@ -69,7 +69,9 @@ pub enum Code {
     ForcedDeltaSnapshotDependentWhere,
     AutoDeltaFallback,
     ForcedDeltaUdfInWhere,
-    IncrementalUnavailable,
+    // RQL206 ("delta runs in pipeline mode; no incremental aggregate") is
+    // retired — every delta-eligible Qq runs the pipeline — and the id is
+    // not reused.
     MemoIneligible,
     ProfiledUdfOpaque,
     PruneIneligibleWhere,
@@ -83,7 +85,7 @@ pub enum Code {
 
 impl Code {
     /// Every code, for registry-coverage assertions.
-    pub const ALL: [Code; 42] = [
+    pub const ALL: [Code; 41] = [
         Code::UnknownTable,
         Code::UnknownColumn,
         Code::UnknownFunction,
@@ -117,7 +119,6 @@ impl Code {
         Code::ForcedDeltaSnapshotDependentWhere,
         Code::AutoDeltaFallback,
         Code::ForcedDeltaUdfInWhere,
-        Code::IncrementalUnavailable,
         Code::MemoIneligible,
         Code::ProfiledUdfOpaque,
         Code::PruneIneligibleWhere,
@@ -164,7 +165,6 @@ impl Code {
             Code::ForcedDeltaSnapshotDependentWhere => "RQL203",
             Code::AutoDeltaFallback => "RQL204",
             Code::ForcedDeltaUdfInWhere => "RQL205",
-            Code::IncrementalUnavailable => "RQL206",
             Code::MemoIneligible => "RQL207",
             Code::ProfiledUdfOpaque => "RQL208",
             Code::PruneIneligibleWhere => "RQL209",
@@ -223,7 +223,6 @@ impl Code {
             }
             Code::AutoDeltaFallback => "Auto delta policy will fall back to the sequential path",
             Code::ForcedDeltaUdfInWhere => "Forced delta policy but WHERE calls a UDF",
-            Code::IncrementalUnavailable => "delta runs in pipeline mode; no incremental aggregate",
             Code::MemoIneligible => {
                 "Qq calls a user-defined function; its per-snapshot results are never memoized"
             }
@@ -269,10 +268,9 @@ impl Code {
             | Code::DeadResultTable
             | Code::SnapshotSetMismatch
             | Code::RedundantRecompute => Severity::Warning,
-            Code::AutoDeltaFallback
-            | Code::IncrementalUnavailable
-            | Code::MemoIneligible
-            | Code::ProfiledUdfOpaque => Severity::Info,
+            Code::AutoDeltaFallback | Code::MemoIneligible | Code::ProfiledUdfOpaque => {
+                Severity::Info
+            }
             _ => Severity::Error,
         }
     }

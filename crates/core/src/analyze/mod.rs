@@ -341,7 +341,7 @@ pub fn analyze_mechanism_call(
             }
         }
     }
-    let delta = policy.map(|p| explain_delta(call.kind, facts.qq_parsed.as_ref(), p, &mut diags));
+    let delta = policy.map(|p| explain_delta(facts.qq_parsed.as_ref(), p, &mut diags));
     diag::dedupe(&mut diags);
     Analysis {
         diagnostics: diags,

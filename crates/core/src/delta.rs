@@ -26,66 +26,34 @@
 //!   last hit's memoized scanner seed, so it still reads only changed
 //!   pages; hits that no scan follows import nothing.
 //! * **pruned / unchanged skip** — a chain scan that fetched zero pages
-//!   and produced no row delta reuses the previous output outright.
+//!   and lost no cached row reuses the previous output outright.
 //! * **grouped delta finish** — when Qq is a `GROUP BY` whose post-scan
 //!   stages may be reused (as for the skip above) and that has no
 //!   DISTINCT, ORDER BY or LIMIT, the finish stage keeps a [`GroupTable`]
 //!   beside the scanner and re-aggregates only the groups the changed
 //!   pages touch.
-//! * **incremental inner aggregate** — when Qq is a bare inner aggregate
-//!   (`SELECT SUM(x) FROM t [WHERE …]`) feeding
-//!   `AggregateDataInVariable`, maintain it across the chain and fold
-//!   only the added/removed rows: O(delta) CPU, yielding the one-row
-//!   result a fresh evaluation would. Exactness guards (below) degrade
-//!   permanently to the pipeline whenever bit-identical output cannot be
-//!   proven.
 //!
 //! Every source is byte-identical to the sequential result
 //! (snapshot-reducibility: the fold's state after snapshot *s* equals Qq
-//! evaluated at *s* folded over the prefix).
-//!
-//! Exactness guards for the incremental inner aggregate:
-//!
-//! * `COUNT` — always exact (integer add/subtract).
-//! * `SUM` — only while every non-NULL input is an `Integer` and the sum
-//!   of absolute values stays ≤ `i64::MAX`: then no scan-order prefix of
-//!   the sequential fold can overflow `i64`, so the sequential result is
-//!   `Integer(total)` in every order.
-//! * `AVG` — only all-`Integer` with the absolute sum ≤ 2⁵³: every
-//!   scan-order partial sum of the sequential `f64` accumulation is then
-//!   an exactly-representable integer, so the accumulated `f64` equals
-//!   the true integer sum bit-for-bit.
-//! * `MIN`/`MAX` — kept incrementally under strict comparisons; any
-//!   removal that could displace the current best, or an added value that
-//!   *ties* it (the sequential fold keeps the first-in-scan-order
-//!   representative, which the running value cannot know), triggers a
-//!   re-fold over the current rows — still no page I/O.
-//!
-//! A schema change invalidates the compiled aggregate argument, but this
-//! dialect has no `ALTER TABLE`: a schema can only change via
-//! `DROP`+`CREATE`, which allocates a fresh root page, which the scanner
-//! detects (root moved → rebuild) and the source answers by re-seeding
-//! from the rebuilt row set.
+//! evaluated at *s* folded over the prefix). `AggregateDataInVariable`
+//! takes the same sources as every other mechanism: its inner aggregate
+//! is the finish stage's, run over the cached base rows.
 //!
 //! Shapes the scanner can never serve (joins, UDFs in WHERE,
 //! `current_snapshot()` in WHERE — [`static_ineligibility`]) use the
 //! sequential source for the whole run under `Auto` and are an error
 //! under `Forced`; so is a snapshot whose plan left the scanner unused.
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 use rql_memo::QqRows;
 use rql_retro::SnapshotReader;
-use rql_sqlengine::ast::{Expr, SelectItem, Stmt};
-use rql_sqlengine::cexpr::{compile, eval, CExpr, Scope};
+use rql_sqlengine::ast::{Expr, Stmt};
 use rql_sqlengine::{
-    parse_select, Catalog, Database, DeltaScan, DeltaTableScanner, ExecStats, GroupTable,
-    QueryResult, Result, Row, ScanRows, SelectStmt, SkipReason, SqlError, UdfRegistry, Value,
+    parse_select, Database, DeltaTableScanner, ExecStats, GroupTable, QueryResult, Result,
+    SelectStmt, SkipReason, SqlError,
 };
 
-use crate::aggregate::AggOp;
-use crate::analyze::MechanismKind;
 use crate::mechanism::MemoHandle;
 use crate::memoize::{expr_calls_udf, snapshot_version, QqMemo};
 use crate::rewrite::{rewrite_select, uses_current_snapshot};
@@ -156,12 +124,6 @@ pub(crate) fn static_ineligibility(parsed: &SelectStmt) -> Option<DeltaIneligibl
     }
 }
 
-/// Analyzer mirror of [`inner_agg_shape`]: whether Qq is the bare inner
-/// aggregate the incremental `AggregateDataInVariable` source maintains.
-pub(crate) fn has_inner_agg_shape(parsed: &SelectStmt) -> bool {
-    inner_agg_shape(parsed).is_some()
-}
-
 /// One snapshot's Qq output. The columns and rows are shared by
 /// reference count: with the memo store (a miss records the very rows
 /// the fold reads, a hit hands them back) and with the next iteration
@@ -185,7 +147,7 @@ impl From<QueryResult> for QqOutput {
 
 /// Per-snapshot Qq evaluation: the source choice made once from the
 /// policy and the Qq shape, the delta scanner, memo lookups, output reuse
-/// on whole-snapshot skips, the incremental inner aggregate and the
+/// on whole-snapshot skips, the grouped delta finish and the
 /// `DeltaPolicy::Forced` contract. Batch runs, the per-row UDF form, the
 /// standing-query maintainer and the parallel pool's workers all drive
 /// this one implementation: [`open_chain`](Self::open_chain) for a run of
@@ -202,11 +164,6 @@ pub(crate) struct QqSource {
     /// Whether a whole-snapshot skip may reuse the previous output
     /// outright (deterministic, snapshot-invariant post-scan stages).
     reusable: bool,
-    /// The incremental shape, until exactness is lost.
-    inner_spec: Option<InnerSpec>,
-    /// Running inner aggregate; `None` = stale, re-seed from the next
-    /// live scan's row set.
-    inner: Option<InnerAgg>,
     /// The grouped delta finish's table, for a reusable `GROUP BY` of the
     /// shape it serves.
     groups: Option<GroupTable>,
@@ -223,12 +180,7 @@ pub(crate) struct QqSource {
 
 impl QqSource {
     /// Parse Qq and choose its source under `policy` (`None` = `Off`).
-    pub(crate) fn new(
-        qq: &str,
-        kind: MechanismKind,
-        policy: Option<DeltaPolicy>,
-        memo: MemoHandle,
-    ) -> Result<Self> {
+    pub(crate) fn new(qq: &str, policy: Option<DeltaPolicy>, memo: MemoHandle) -> Result<Self> {
         let parsed = parse_select(qq)?;
         if parsed.as_of.is_some() {
             return Err(SqlError::Invalid(
@@ -249,20 +201,17 @@ impl QqSource {
                 false
             }
         };
-        // A snapshot whose scan fetched zero pages and produced no row
-        // delta may reuse the previous iteration's output outright — but
-        // only when the post-scan stages are deterministic (no UDF
-        // anywhere) and snapshot-invariant (no current_snapshot() outside
-        // WHERE; the rewrite probes, `AS OF` aside, differ between two
-        // sids exactly when the substituted literal appears somewhere).
+        // A snapshot whose scan fetched zero pages and lost no cached row
+        // may reuse the previous iteration's output outright — but only
+        // when the post-scan stages are deterministic (no UDF anywhere)
+        // and snapshot-invariant (no current_snapshot() outside WHERE;
+        // the rewrite probes, `AS OF` aside, differ between two sids
+        // exactly when the substituted literal appears somewhere).
         let probe = |sid| SelectStmt {
             as_of: None,
             ..rewrite_select(&parsed, sid)
         };
         let reusable = chain && crate::memoize::memo_eligible(&parsed) && probe(0) == probe(1);
-        let inner_spec = (chain && kind == MechanismKind::AggVar)
-            .then(|| inner_agg_shape(&parsed))
-            .flatten();
         let groups = reusable.then(|| GroupTable::for_select(&parsed)).flatten();
         Ok(QqSource {
             memo: QqMemo::attach(memo, &parsed),
@@ -271,8 +220,6 @@ impl QqSource {
             forced,
             scanner: DeltaTableScanner::new(),
             reusable,
-            inner_spec,
-            inner: None,
             groups,
             preloaded: None,
             current: None,
@@ -353,11 +300,10 @@ impl QqSource {
                 if reader.is_some() {
                     // The chain moved past `sid` without the scanner: the
                     // seed memoized here is its state as of `sid`, which
-                    // only the next scan needs. The running inner
-                    // aggregate and the group table cannot absorb a
-                    // skipped iteration, so they go stale.
+                    // only the next scan needs. The group table cannot
+                    // absorb a skipped iteration, so it goes stale.
                     self.reprime = version.map(|v| (sid, v));
-                    self.forget_finish_state();
+                    self.forget_groups();
                 }
                 let stats = ExecStats::default();
                 QqOutput { data, stats }
@@ -379,10 +325,9 @@ impl QqSource {
         Ok(memo_hit)
     }
 
-    /// The scanner moved on without the state kept beside it: the running
-    /// inner aggregate and the group table start over at the next scan.
-    fn forget_finish_state(&mut self) {
-        self.inner = None;
+    /// The scanner moved on without the group table kept beside it: it
+    /// starts over at the next scan.
+    fn forget_groups(&mut self) {
         if let Some(table) = &mut self.groups {
             table.invalidate();
         }
@@ -393,24 +338,6 @@ impl QqSource {
         let rewritten = rewrite_select(&self.parsed, sid);
         let outcome = snap.execute_stmt(&Stmt::Select(rewritten))?;
         Ok(outcome.rows().expect("SELECT yields rows").into())
-    }
-
-    /// The incremental inner aggregate's value at this scan, when it is
-    /// live and still exact.
-    fn incremental(&mut self, scan: &DeltaScan, rows: &ScanRows) -> Result<Option<Value>> {
-        if scan.rebuilt {
-            return Ok(None);
-        }
-        let Some(agg) = &mut self.inner else {
-            return Ok(None);
-        };
-        let value = agg.apply(scan, rows)?;
-        if value.is_none() {
-            // Exactness lost: stay on the pipeline for good.
-            self.inner = None;
-            self.inner_spec = None;
-        }
-        Ok(value)
     }
 
     /// Qq at `sid` over `reader`, the scanner consuming the chain delta
@@ -436,7 +363,7 @@ impl QqSource {
                 )));
             }
             rql_trace::instant_arg(rql_trace::SpanId::SeqPath, sid);
-            self.forget_finish_state();
+            self.forget_groups();
             return Ok(snap.finish_stage(&rewritten, scanned)?.into());
         };
         rql_trace::instant_arg(rql_trace::SpanId::DeltaPath, sid);
@@ -450,25 +377,13 @@ impl QqSource {
             scanned.stats.io.snapshots_pruned += 1;
             rql_trace::instant_arg(rql_trace::SpanId::SnapshotPruned, sid);
         }
-        let mut stats = scanned.stats;
-        let incremental = self.incremental(&scan, &scanned.rows)?;
-        Ok(match (incremental, &self.current) {
-            (Some(v), Some(prev)) => {
-                // The value a fresh execution would return is exactly
-                // this one row, under the column the pipeline named.
-                stats.rows = 1;
-                let columns = prev.data.columns.clone();
-                let rows = vec![vec![v]];
-                QqOutput {
-                    data: Arc::new(QqRows { columns, rows }),
-                    stats,
-                }
-            }
-            (None, Some(prev)) if self.reusable && skip.is_some() => {
-                // Zero heap fetches and an empty row delta: the filtered
+        Ok(match &self.current {
+            Some(prev) if self.reusable && skip.is_some() => {
+                // Zero heap fetches and no cached row lost: the filtered
                 // base rows are byte-identical to the previous
                 // iteration's, so its output is this iteration's output —
                 // skip the post-scan stages entirely.
+                let mut stats = scanned.stats;
                 stats.rows = prev.data.rows.len() as u64;
                 QqOutput {
                     data: Arc::clone(&prev.data),
@@ -477,330 +392,12 @@ impl QqSource {
             }
             _ => {
                 // Pipeline: the ordinary finish stage over the cached
-                // base rows. An incremental aggregate that is stale (or
-                // just lost exactness) re-seeds here.
-                self.inner = match &self.inner_spec {
-                    Some(spec) => {
-                        let catalog = Catalog::load(reader)?;
-                        InnerAgg::seed(spec, &self.parsed, &catalog, &scanned.rows)?
-                    }
-                    None => None,
-                };
-                if self.inner.is_none() {
-                    self.inner_spec = None;
-                }
+                // base rows.
                 scanned.delta = Some(scan);
                 snap.finish_stage_grouped(&rewritten, scanned, self.groups.as_mut())?
                     .into()
             }
         })
-    }
-}
-
-// ======================================================================
-// Incremental inner aggregate
-// ======================================================================
-
-/// The recognized incremental shape: `SELECT <agg>(<arg>|*) FROM t
-/// [WHERE …]` with no DISTINCT/GROUP BY/HAVING/ORDER BY/LIMIT and an
-/// iteration-invariant argument.
-struct InnerSpec {
-    op: AggOp,
-    /// `None` = `COUNT(*)`.
-    arg: Option<Expr>,
-}
-
-fn inner_agg_shape(select: &SelectStmt) -> Option<InnerSpec> {
-    if select.distinct
-        || !select.group_by.is_empty()
-        || select.having.is_some()
-        || !select.order_by.is_empty()
-        || select.limit.is_some()
-        || select.items.len() != 1
-    {
-        return None;
-    }
-    let SelectItem::Expr {
-        expr: Expr::Function {
-            name,
-            args,
-            distinct,
-        },
-        ..
-    } = &select.items[0]
-    else {
-        return None;
-    };
-    if *distinct {
-        return None;
-    }
-    let op = AggOp::parse(name).ok()?;
-    match args.as_slice() {
-        [Expr::Star] => (op == AggOp::Count).then_some(InnerSpec { op, arg: None }),
-        [e] => {
-            if e.contains_aggregate() || uses_current_snapshot(e) {
-                return None;
-            }
-            Some(InnerSpec {
-                op,
-                arg: Some(e.clone()),
-            })
-        }
-        _ => None,
-    }
-}
-
-/// Upper bound on |sum| such that every scan-order partial sum of an
-/// all-integer input is exactly representable in `f64`.
-const MAX_EXACT_F64: i128 = 1 << 53;
-
-/// Running inner-aggregate value with its exactness bookkeeping.
-enum InnerAcc {
-    Count {
-        n: i64,
-    },
-    /// SUM (or, with `avg`, AVG) over all-`Integer` input.
-    IntSum {
-        avg: bool,
-        sum: i128,
-        abs: i128,
-        nonnull: i64,
-    },
-    MinMax {
-        max: bool,
-        best: Option<Value>,
-    },
-}
-
-impl InnerAcc {
-    fn new(op: AggOp) -> InnerAcc {
-        match op {
-            AggOp::Count => InnerAcc::Count { n: 0 },
-            AggOp::Sum | AggOp::Avg => InnerAcc::IntSum {
-                avg: op == AggOp::Avg,
-                sum: 0,
-                abs: 0,
-                nonnull: 0,
-            },
-            AggOp::Min | AggOp::Max => InnerAcc::MinMax {
-                max: op == AggOp::Max,
-                best: None,
-            },
-        }
-    }
-
-    /// Fold one value in scan order (strict first-wins for MIN/MAX —
-    /// exactly [`AggAcc::update`]'s rule). Returns `false` when the value
-    /// is not incrementally representable (degrade to pipeline mode).
-    ///
-    /// [`AggAcc::update`]: rql_sqlengine::exec
-    fn fold(&mut self, v: Option<Value>) -> bool {
-        let InnerAcc::MinMax { max, best } = self else {
-            return self.shift(v, 1);
-        };
-        let Some(v) = v else { return false };
-        if !v.is_null() {
-            let better = best.as_ref().is_none_or(|b| {
-                let ord = v.total_cmp(b);
-                ord != Ordering::Equal && (ord == Ordering::Greater) == *max
-            });
-            if better {
-                *best = Some(v);
-            }
-        }
-        true
-    }
-
-    /// Subtract one removed value. MIN/MAX removals are handled by the
-    /// caller's re-fold, never here.
-    fn unfold(&mut self, v: Option<Value>) -> bool {
-        self.shift(v, -1)
-    }
-
-    /// Add (`sign` 1) or subtract (`sign` -1) one value's contribution.
-    fn shift(&mut self, v: Option<Value>, sign: i64) -> bool {
-        match self {
-            InnerAcc::Count { n } => {
-                if v.as_ref().is_none_or(|v| !v.is_null()) {
-                    *n += sign;
-                }
-                true
-            }
-            InnerAcc::IntSum {
-                sum, abs, nonnull, ..
-            } => match v {
-                Some(Value::Null) => true,
-                Some(Value::Integer(i)) => {
-                    *sum += i128::from(sign) * i128::from(i);
-                    *abs += i128::from(sign) * i128::from(i).abs();
-                    *nonnull += sign;
-                    true
-                }
-                _ => false,
-            },
-            InnerAcc::MinMax { .. } => false,
-        }
-    }
-
-    /// Whether the exactness guard still holds after the latest folds.
-    fn guard_ok(&self) -> bool {
-        match self {
-            InnerAcc::IntSum { avg: true, abs, .. } => *abs <= MAX_EXACT_F64,
-            InnerAcc::IntSum { abs, .. } => *abs <= i128::from(i64::MAX),
-            _ => true,
-        }
-    }
-
-    /// The aggregate value, matching the engine's `AggAcc::finish`.
-    fn finish(&self) -> Value {
-        match self {
-            InnerAcc::Count { n } => Value::Integer(*n),
-            InnerAcc::IntSum { nonnull: 0, .. } => Value::Null,
-            InnerAcc::IntSum {
-                avg: true,
-                sum,
-                nonnull,
-                ..
-            } => Value::Real(*sum as f64 / *nonnull as f64),
-            InnerAcc::IntSum { sum, .. } => Value::Integer(*sum as i64),
-            InnerAcc::MinMax { best, .. } => best.clone().unwrap_or(Value::Null),
-        }
-    }
-}
-
-fn arg_value(arg: &Option<CExpr>, row: &Row) -> Result<Option<Value>> {
-    match arg {
-        None => Ok(None),
-        Some(c) => eval(c, row, &[]).map(Some),
-    }
-}
-
-/// Incremental inner-aggregate state: the compiled argument plus the
-/// running accumulator.
-struct InnerAgg {
-    /// `None` = `COUNT(*)`.
-    arg: Option<CExpr>,
-    acc: InnerAcc,
-}
-
-impl InnerAgg {
-    /// Compile the argument against the snapshot's catalog and fold the
-    /// full row set (a rebuilt scan). `Ok(None)` = shape or values not
-    /// incrementally representable; use pipeline mode.
-    fn seed(
-        spec: &InnerSpec,
-        select: &SelectStmt,
-        catalog: &Catalog,
-        rows: &ScanRows,
-    ) -> Result<Option<InnerAgg>> {
-        let arg = match &spec.arg {
-            None => None,
-            Some(e) => {
-                let Ok(info) = catalog.require_table(&select.from[0].name) else {
-                    return Ok(None);
-                };
-                let alias = select.from[0].binding().to_ascii_lowercase();
-                let mut scope = Scope::empty();
-                scope.push(
-                    &alias,
-                    info.schema.columns.iter().map(|c| c.name.clone()).collect(),
-                );
-                // An empty registry rejects UDF calls at compile time —
-                // a UDF argument is never folded incrementally.
-                match compile(e, &scope, &UdfRegistry::new(), None) {
-                    Ok(c) => Some(c),
-                    Err(_) => return Ok(None),
-                }
-            }
-        };
-        let mut agg = InnerAgg {
-            arg,
-            acc: InnerAcc::new(spec.op),
-        };
-        Ok(agg.refold(rows)?.then_some(agg))
-    }
-
-    /// Fold `rows` (a full scan, in scan order) on top of the
-    /// accumulator; `false` = exactness lost.
-    fn refold(&mut self, rows: &ScanRows) -> Result<bool> {
-        for row in rows.iter() {
-            if !self.acc.fold(arg_value(&self.arg, row)?) {
-                return Ok(false);
-            }
-        }
-        Ok(self.acc.guard_ok())
-    }
-
-    /// Fold one non-rebuilt scan's delta (`rows` being the scan's full
-    /// row set) and return the iteration's Qq value, bit-identical to a
-    /// fresh evaluation. `None` = exactness lost: the caller must
-    /// recompute via the pipeline.
-    fn apply(&mut self, scan: &DeltaScan, rows: &ScanRows) -> Result<Option<Value>> {
-        let arg = &self.arg;
-        if let InnerAcc::MinMax { max, best } = &mut self.acc {
-            let max = *max;
-            let mut refold = false;
-            for row in &scan.removed {
-                let Some(v) = arg_value(arg, row)? else {
-                    refold = true;
-                    break;
-                };
-                // Safe only when the removed value is strictly worse than
-                // the running best; anything else could displace it or
-                // tie its representative.
-                let worse = if max {
-                    Ordering::Less
-                } else {
-                    Ordering::Greater
-                };
-                if !v.is_null() && best.as_ref().is_none_or(|b| v.total_cmp(b) != worse) {
-                    refold = true;
-                    break;
-                }
-            }
-            for row in &scan.added {
-                if refold {
-                    break;
-                }
-                let Some(v) = arg_value(arg, row)? else {
-                    refold = true;
-                    break;
-                };
-                if v.is_null() {
-                    continue;
-                }
-                match best.as_ref().map(|b| v.total_cmp(b)) {
-                    None => *best = Some(v),
-                    // A tie-in-value may precede the running best in scan
-                    // order with a different representation; the
-                    // sequential fold keeps the first, so re-derive it.
-                    Some(Ordering::Equal) => refold = true,
-                    Some(ord) => {
-                        if (ord == Ordering::Greater) == max {
-                            *best = Some(v);
-                        }
-                    }
-                }
-            }
-            if refold {
-                *best = None;
-                if !self.refold(rows)? {
-                    return Ok(None);
-                }
-            }
-            return Ok(Some(self.acc.finish()));
-        }
-        for row in &scan.added {
-            if !self.acc.fold(arg_value(arg, row)?) {
-                return Ok(None);
-            }
-        }
-        for row in &scan.removed {
-            if !self.acc.unfold(arg_value(arg, row)?) {
-                return Ok(None);
-            }
-        }
-        Ok(self.acc.guard_ok().then(|| self.acc.finish()))
     }
 }
 
@@ -810,22 +407,6 @@ mod tests {
 
     fn parsed(sql: &str) -> SelectStmt {
         parse_select(sql).unwrap()
-    }
-
-    #[test]
-    fn inner_shape_detection() {
-        assert!(inner_agg_shape(&parsed("SELECT SUM(v) FROM t")).is_some());
-        assert!(inner_agg_shape(&parsed("SELECT COUNT(*) FROM t WHERE v > 3")).is_some());
-        assert!(inner_agg_shape(&parsed("SELECT MIN(v + 1) FROM t")).is_some());
-        // Wrapped, multi-item, grouped, distinct, or snapshot-dependent
-        // shapes fold via the pipeline instead.
-        assert!(inner_agg_shape(&parsed("SELECT SUM(v) + 1 FROM t")).is_none());
-        assert!(inner_agg_shape(&parsed("SELECT SUM(v), COUNT(*) FROM t")).is_none());
-        assert!(inner_agg_shape(&parsed("SELECT SUM(v) FROM t GROUP BY g")).is_none());
-        assert!(inner_agg_shape(&parsed("SELECT COUNT(DISTINCT v) FROM t")).is_none());
-        assert!(inner_agg_shape(&parsed("SELECT SUM(v) FROM t LIMIT 1")).is_none());
-        assert!(inner_agg_shape(&parsed("SELECT SUM(current_snapshot()) FROM t")).is_none());
-        assert!(inner_agg_shape(&parsed("SELECT v FROM t")).is_none());
     }
 
     #[test]
@@ -869,8 +450,7 @@ mod tests {
             ("SELECT g, SUM(v) FROM t GROUP BY g", true),
             ("SELECT current_snapshot() AS s, g FROM t", false),
         ] {
-            let (kind, forced) = (MechanismKind::Collate, Some(DeltaPolicy::Forced));
-            let mut source = QqSource::new(qq, kind, forced, None).unwrap();
+            let mut source = QqSource::new(qq, Some(DeltaPolicy::Forced), None).unwrap();
             let readers = source.open_chain(snap, &ids).unwrap();
             source.advance(snap, readers.first(), ids[0]).unwrap();
             let first = Arc::clone(&source.current().data);
@@ -878,74 +458,5 @@ mod tests {
             let second = &source.current().data;
             assert_eq!(Arc::ptr_eq(&first, second), reused, "{qq}");
         }
-    }
-
-    #[test]
-    fn sum_folds_and_degrades() {
-        let mut acc = InnerAcc::new(AggOp::Sum);
-        assert!(acc.fold(Some(Value::Integer(5))));
-        assert!(acc.fold(Some(Value::Null)));
-        assert!(acc.fold(Some(Value::Integer(-2))));
-        assert_eq!(acc.finish(), Value::Integer(3));
-        assert!(acc.unfold(Some(Value::Integer(5))));
-        assert_eq!(acc.finish(), Value::Integer(-2));
-        // A Real input is order-dependent under f64 addition → degrade.
-        assert!(!acc.fold(Some(Value::Real(1.5))));
-        // Empty sum is NULL, like the engine's aggregate.
-        let mut empty = InnerAcc::new(AggOp::Sum);
-        assert!(empty.fold(Some(Value::Null)));
-        assert_eq!(empty.finish(), Value::Null);
-    }
-
-    #[test]
-    fn sum_guard_trips_on_abs_overflow() {
-        let mut acc = InnerAcc::new(AggOp::Sum);
-        assert!(acc.fold(Some(Value::Integer(i64::MAX))));
-        assert!(acc.guard_ok());
-        // Net sum stays small, but |·|-mass exceeds i64::MAX: a sequential
-        // scan-order prefix could overflow, so exactness is gone.
-        assert!(acc.fold(Some(Value::Integer(i64::MIN))));
-        assert!(!acc.guard_ok());
-    }
-
-    #[test]
-    fn avg_guard_is_tighter() {
-        let mut acc = InnerAcc::new(AggOp::Avg);
-        assert!(acc.fold(Some(Value::Integer(1 << 52))));
-        assert!(acc.fold(Some(Value::Integer(1 << 52))));
-        // |sum| = 2^53 exactly: still representable, still exact.
-        assert!(acc.guard_ok());
-        assert!(acc.fold(Some(Value::Integer(1))));
-        assert!(!acc.guard_ok());
-        // The SUM guard would tolerate the same mass.
-        let mut sum = InnerAcc::new(AggOp::Sum);
-        assert!(sum.fold(Some(Value::Integer(1 << 53))));
-        assert!(sum.guard_ok());
-    }
-
-    #[test]
-    fn count_star_vs_count_arg() {
-        let mut star = InnerAcc::new(AggOp::Count);
-        assert!(star.fold(None));
-        assert!(star.fold(None));
-        assert_eq!(star.finish(), Value::Integer(2));
-        let mut arg = InnerAcc::new(AggOp::Count);
-        assert!(arg.fold(Some(Value::Null)));
-        assert!(arg.fold(Some(Value::text("x"))));
-        assert_eq!(arg.finish(), Value::Integer(1));
-        assert!(arg.unfold(Some(Value::text("x"))));
-        assert_eq!(arg.finish(), Value::Integer(0));
-    }
-
-    #[test]
-    fn minmax_strict_first_wins() {
-        let mut acc = InnerAcc::new(AggOp::Min);
-        assert!(acc.fold(Some(Value::Integer(2))));
-        // Real(2.0) ties Integer(2) under the SQL order; the strict rule
-        // keeps the first-seen representation, like the engine.
-        assert!(acc.fold(Some(Value::Real(2.0))));
-        assert_eq!(acc.finish(), Value::Integer(2));
-        assert!(acc.fold(Some(Value::Integer(1))));
-        assert_eq!(acc.finish(), Value::Integer(1));
     }
 }

@@ -219,7 +219,7 @@ impl Maintainer {
             )));
         }
         let policy = Some(DeltaPolicy::Auto);
-        let source = QqSource::new(&spec.qq, spec.kind, policy, session.memo())?;
+        let source = QqSource::new(&spec.qq, policy, session.memo())?;
         let fold = Fold::new(
             MechSpec::parse(spec.kind, spec.spec.as_deref())?,
             &spec.table,

@@ -769,7 +769,7 @@ pub(crate) fn run(
             "result table {table} already exists (the mechanism creates it)"
         )));
     }
-    let mut source = QqSource::new(qq, spec.kind(), policy, memo)?;
+    let mut source = QqSource::new(qq, policy, memo)?;
     let (ids, qs_time) = snapshot_set(aux, qs)?;
     let mut fold = Fold::new(spec, table);
     let mut report = drive(snap, aux, &mut source, &mut fold, &ids, None)?;

@@ -31,16 +31,10 @@ use crate::report::RqlReport;
 /// Run Qq over every snapshot in `ids` on `threads` worker threads, each
 /// with a sequential [`QqSource`] of its own; outputs come back in `ids`
 /// order.
-fn parallel_qq(
-    snap: &Database,
-    qq: &str,
-    spec: &MechSpec,
-    ids: &[u64],
-    threads: usize,
-) -> Result<Vec<QqOutput>> {
+fn parallel_qq(snap: &Database, qq: &str, ids: &[u64], threads: usize) -> Result<Vec<QqOutput>> {
     let threads = threads.max(1).min(ids.len().max(1));
     let sources = (0..threads)
-        .map(|_| QqSource::new(qq, spec.kind(), None, None))
+        .map(|_| QqSource::new(qq, None, None))
         .collect::<Result<Vec<_>>>()?;
     let next = &AtomicUsize::new(0);
     let slots: &Vec<Mutex<Option<Result<QqOutput>>>> =
@@ -97,9 +91,9 @@ fn run_parallel(
             "result table {table} already exists"
         )));
     }
-    let mut source = QqSource::new(qq, spec.kind(), None, None)?;
+    let mut source = QqSource::new(qq, None, None)?;
     let (ids, qs_time) = mechanism::snapshot_set(aux, qs)?;
-    source.preload(parallel_qq(snap, qq, &spec, &ids, threads)?);
+    source.preload(parallel_qq(snap, qq, &ids, threads)?);
     let mut fold = Fold::new(spec, table);
     let mut report = mechanism::drive(snap, aux, &mut source, &mut fold, &ids, None)?;
     report.qs_time = qs_time;

@@ -352,8 +352,11 @@ impl RqlSession {
     }
 
     /// `AggregateDataInVariable(Qs, Qq, T, AggFunc)` under a
-    /// [`DeltaPolicy`]; bare inner aggregates additionally fold only the
-    /// rows that changed between snapshots.
+    /// [`DeltaPolicy`]: as for [`collate_data_with_policy`], unchanged
+    /// heap pages are served from the scanner's row cache, and Qq's inner
+    /// aggregate runs over the cached rows.
+    ///
+    /// [`collate_data_with_policy`]: Self::collate_data_with_policy
     pub fn aggregate_data_in_variable_with_policy(
         &self,
         qs: &str,
@@ -474,7 +477,7 @@ impl RqlSession {
             .transpose()?;
         let prev = self.prev_sids.lock().get(table).copied();
         let mut fold = Fold::resume(MechSpec::parse(kind, spec)?, &self.aux, table, prev)?;
-        let mut source = QqSource::new(qq, kind, None, self.memo())?;
+        let mut source = QqSource::new(qq, None, self.memo())?;
         let (snap, aux) = (&self.snap, &self.aux);
         let report = mechanism::drive(snap, aux, &mut source, &mut fold, &[sid], None)?;
         if let Some(last) = fold.prev_sid() {

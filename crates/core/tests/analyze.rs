@@ -143,6 +143,44 @@ fn delta_explain_matches_exec_stats() {
         "predicted Pipeline must mean every iteration took the delta scan"
     );
 
+    // AggregateDataInVariable over a bare inner aggregate: the same path.
+    let inner = "SELECT SUM(v) FROM t";
+    let analysis = analyze_mechanism_call(
+        &MechanismCall {
+            kind: MechanismKind::AggVar,
+            qs: QS,
+            qq: inner,
+            table: "r_inner",
+            spec: Some("MAX"),
+        },
+        &snap_env,
+        &aux_env,
+        Some(DeltaPolicy::Forced),
+    );
+    assert!(!analysis.has_errors(), "{:?}", analysis.diagnostics);
+    assert!(
+        analysis.diagnostics.is_empty(),
+        "{:?}",
+        analysis.diagnostics
+    );
+    assert_eq!(
+        analysis.delta.unwrap().predicted_path,
+        PredictedPath::Pipeline
+    );
+    let report = session
+        .aggregate_data_in_variable_with_policy(
+            QS,
+            inner,
+            "r_inner",
+            AggOp::Max,
+            DeltaPolicy::Forced,
+        )
+        .unwrap();
+    assert_eq!(
+        report.accumulated_stats().delta_eligible,
+        report.iterations.len() as u64
+    );
+
     let join = "SELECT a.v FROM t a, t b";
     let analysis = analyze_mechanism_call(
         &MechanismCall {

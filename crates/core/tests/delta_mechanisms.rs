@@ -148,11 +148,10 @@ fn delta_agg_var_matches_on_randomized_histories() {
         for (i, qq) in [
             "SELECT SUM(v) FROM r",
             "SELECT AVG(v) FROM r WHERE v > -500",
-            // Deletes and updates force MIN/MAX re-folds.
+            // Deletes and updates move the extremum between snapshots.
             "SELECT MIN(v) FROM r",
             "SELECT MAX(v) FROM r",
-            // TEXT argument: SUM degrades to the pipeline, MIN/MAX stay
-            // incremental under the SQL total order.
+            // TEXT argument, under the SQL total order.
             "SELECT MIN(t) FROM r",
             "SELECT COUNT(*) FROM r",
         ]
@@ -201,6 +200,66 @@ fn delta_degrades_cleanly_on_real_sums() {
             .aggregate_data_in_variable_with_policy(QS, qq, &delta_t, AggOp::Sum, DeltaPolicy::Auto)
             .unwrap();
         assert_tables_identical(&session, &seq_t, &delta_t);
+    }
+
+    // Integer(2) → Real(2.0) and back: SQL-equal values of different
+    // types, in an untyped column. The delta path must fold each
+    // snapshot's own value, exactly as a fresh evaluation does.
+    let session = RqlSession::with_defaults().unwrap();
+    session
+        .execute("CREATE TABLE g (k INTEGER, v ANY)")
+        .unwrap();
+    session
+        .execute("INSERT INTO g VALUES (1, 2), (2, 5), (3, 7)")
+        .unwrap();
+    for v in ["2", "2.0", "2.0", "2"] {
+        session
+            .execute(&format!("UPDATE g SET v = {v} WHERE k = 1"))
+            .unwrap();
+        session.execute("BEGIN; COMMIT WITH SNAPSHOT;").unwrap();
+    }
+    let values = session
+        .query_aux("SELECT snap_id FROM SnapIds")
+        .unwrap()
+        .rows
+        .iter()
+        .map(|r| {
+            let sql = format!("SELECT AS OF {} v FROM g WHERE k = 1", r[0]);
+            session.execute(&sql).unwrap().rows().unwrap().rows[0][0].clone()
+        })
+        .collect::<Vec<_>>();
+    assert_eq!(
+        values,
+        [
+            Value::Integer(2),
+            Value::Real(2.0),
+            Value::Real(2.0),
+            Value::Integer(2)
+        ]
+    );
+    for (i, qq) in [
+        "SELECT SUM(v) FROM g",
+        "SELECT AVG(v) FROM g",
+        "SELECT MIN(v) FROM g",
+        "SELECT MAX(v) FROM g WHERE k < 2",
+        "SELECT v FROM g WHERE k = 1",
+    ]
+    .iter()
+    .enumerate()
+    {
+        for func in [AggOp::Sum, AggOp::Min] {
+            let (seq_t, delta_t) = (
+                format!("g_seq_{i}_{func:?}"),
+                format!("g_delta_{i}_{func:?}"),
+            );
+            session
+                .aggregate_data_in_variable(QS, qq, &seq_t, func)
+                .unwrap();
+            session
+                .aggregate_data_in_variable_with_policy(QS, qq, &delta_t, func, DeltaPolicy::Forced)
+                .unwrap();
+            assert_tables_identical(&session, &seq_t, &delta_t);
+        }
     }
 }
 

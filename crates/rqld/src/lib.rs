@@ -24,6 +24,9 @@
 //! protocol dependencies.
 
 #![warn(missing_docs)]
+// Errors are returned, not unwrapped: unlike the workspace, which only
+// warns, this crate denies `unwrap`/`expect` outside tests (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod client;
 pub mod metrics;

@@ -11,27 +11,25 @@
 //! [`PageSource::changed_pages`] (computed from Maplog declarations by
 //! `RetroStore::open_snapshot_chain`) from its cache, so only changed
 //! pages are fetched and re-filtered. What is the scanner's own is the
-//! cache, the per-page row diff, and the portable seed; chain order, the
-//! cycle guard, sidecar pruning and the fetch are the walk's, and which
-//! statements may be served at all is the planner's decision.
+//! cache and the portable seed; chain order, the cycle guard, sidecar
+//! pruning and the fetch are the walk's, and which statements may be
+//! served at all is the planner's decision. The delta a scan reports is
+//! its pages: a page whose row `Arc` is the previous scan's did not
+//! change.
 //!
-//! Correctness rests on three invariants:
+//! Correctness rests on two invariants:
 //!
 //! * the changed set is a *conservative superset* of pages whose bytes
 //!   differ between the two snapshots, so an unchanged page's cached rows
 //!   **and its cached `next` pointer** are still exact;
 //! * heap scan order is chain order × slot order, and the walk never
 //!   reorders surviving pages, so splicing cached per-page row vectors in
-//!   walk order reproduces a full scan's row order byte for byte;
-//! * row comparison for the add/remove delta uses **representation
-//!   equality** ([`ExactValue`]), not SQL equality — `Integer(1)` and
-//!   `Real(1.0)` are SQL-equal but not byte-equal, and a delta consumer
-//!   folding `SUM` must see such a change.
+//!   walk order reproduces a full scan's row order byte for byte.
 //!
 //! When anything is off — no changed set, different root, prior error —
 //! the same scan runs with the cache cleared and every page counted as
-//! changed, and reports `rebuilt = true` so consumers re-seed their
-//! incremental state.
+//! changed, and reports `rebuilt = true` so consumers drop the state
+//! they keep per page.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -43,62 +41,6 @@ use crate::heap::{page_rows, HeapFile, PageVisit};
 use crate::pagesource::PageSource;
 use crate::record::Row;
 use crate::sidecar::PredSummary;
-use crate::value::Value;
-
-/// A [`Value`] under representation equality: `Real` compares by bit
-/// pattern, and no cross-type coercion applies.
-#[derive(PartialEq, Eq, Hash)]
-enum ExactValue {
-    Null,
-    Integer(i64),
-    Real(u64),
-    Text(String),
-}
-
-fn exact_key(row: &Row) -> Vec<ExactValue> {
-    row.iter()
-        .map(|v| match v {
-            Value::Null => ExactValue::Null,
-            Value::Integer(i) => ExactValue::Integer(*i),
-            Value::Real(f) => ExactValue::Real(f.to_bits()),
-            Value::Text(s) => ExactValue::Text(s.clone()),
-        })
-        .collect()
-}
-
-/// Multiset difference `old → new` under representation equality.
-/// Rows in `new` not matched by `old` go to `added`; rows in `old` not
-/// matched by `new` go to `removed`.
-fn diff_rows(old: &[Row], new: &[Row], added: &mut Vec<Row>, removed: &mut Vec<Row>) {
-    if old.is_empty() {
-        added.extend(new.iter().cloned());
-        return;
-    }
-    if new.is_empty() {
-        removed.extend(old.iter().cloned());
-        return;
-    }
-    let mut counts: HashMap<Vec<ExactValue>, i64> = HashMap::with_capacity(old.len());
-    for r in old {
-        *counts.entry(exact_key(r)).or_insert(0) += 1;
-    }
-    for r in new {
-        match counts.get_mut(&exact_key(r)) {
-            Some(c) if *c > 0 => *c -= 1,
-            _ => added.push(r.clone()),
-        }
-    }
-    // Positive leftovers are removed instances; recover the actual rows
-    // by a second pass over `old`, consuming counts.
-    for r in old {
-        if let Some(c) = counts.get_mut(&exact_key(r)) {
-            if *c > 0 {
-                *c -= 1;
-                removed.push(r.clone());
-            }
-        }
-    }
-}
 
 /// A scan's pages in walk order: page id and the page's filtered rows,
 /// empty for a pruned page. The row vectors are the scanner cache's own
@@ -110,15 +52,8 @@ pub type ScanPages = Vec<(u64, Arc<Vec<Row>>)>;
 /// themselves are its [`ScanPages`]).
 #[derive(Debug, Default)]
 pub struct DeltaScan {
-    /// Rows present now but not in the previous scan (multiset,
-    /// representation equality). Empty when `rebuilt`.
-    pub added: Vec<Row>,
-    /// Rows present in the previous scan but not now. Empty when
-    /// `rebuilt`.
-    pub removed: Vec<Row>,
     /// `true` when the scanner had no usable previous state and read
-    /// every page; `added`/`removed` are meaningless and incremental
-    /// consumers must re-seed from the scan's rows.
+    /// every page; consumers must drop the state they keep per page.
     pub rebuilt: bool,
     /// Heap pages fetched through the source.
     pub pages_read: u64,
@@ -127,11 +62,14 @@ pub struct DeltaScan {
     /// Heap pages whose sidecar refuted the filter — skipped without a
     /// fetch *and* without cached rows.
     pub pages_pruned: u64,
+    /// A page pruned now, or no longer reachable, had cached rows: the
+    /// row set shrank without a fetch.
+    lost_rows: bool,
 }
 
-/// Why a whole snapshot iteration needed no page fetch and produced no
-/// row delta — the consumer may reuse the previous iteration's output
-/// verbatim instead of re-running the post-scan stages.
+/// Why a whole snapshot iteration needed no page fetch and lost no cached
+/// row — the consumer may reuse the previous iteration's output verbatim
+/// instead of re-running the post-scan stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SkipReason {
     /// Every page was served from the scanner's cache (nothing changed
@@ -143,16 +81,13 @@ pub enum SkipReason {
 }
 
 impl DeltaScan {
-    /// `Some(reason)` when this scan read zero heap pages and the row set
-    /// is byte-identical to the previous iteration's, so downstream
-    /// filtering/projection can be skipped outright. `Pruned` wins over
-    /// `Delta` when sidecar refutation is what emptied the fetch list.
+    /// `Some(reason)` when this scan read zero heap pages and lost no
+    /// cached row, so its row set is byte-identical to the previous
+    /// iteration's and downstream filtering/projection can be skipped
+    /// outright. `Pruned` wins over `Delta` when sidecar refutation is
+    /// what emptied the fetch list.
     pub fn snapshot_skip(&self) -> Option<SkipReason> {
-        if self.rebuilt
-            || self.pages_read != 0
-            || !self.added.is_empty()
-            || !self.removed.is_empty()
-        {
+        if self.rebuilt || self.pages_read != 0 || self.lost_rows {
             return None;
         }
         if self.pages_pruned > 0 {
@@ -268,11 +203,11 @@ impl DeltaTableScanner {
     /// Scan the heap rooted at `root` through `src`, decoding the columns
     /// `cols` marks: return the pages with the rows passing `keep`, in scan
     /// order — exactly what a full seq scan with the same filter and column
-    /// set would produce — and the delta against the previous scan. No row
-    /// is copied out of the cache.
+    /// set would produce — and what the scan fetched, served and pruned.
+    /// No row is copied out of the cache.
     /// Without a usable previous state (never scanned, invalidated, the
     /// root moved, or `src` reports no changed set) the cache starts
-    /// empty, every page counts as changed and nothing is diffed.
+    /// empty and every page counts as changed.
     ///
     /// `pred` must over-approximate `keep` (every row passing `keep`
     /// satisfies every atom of `pred`); see [`HeapFile::walk`].
@@ -290,7 +225,7 @@ impl DeltaTableScanner {
             None => HashMap::new(),
         };
         // The new state is installed only after a complete walk: a
-        // partial one must not leave anything a retry could diff against.
+        // partial one must not leave anything a retry could reuse.
         self.invalidate();
         let mut cache = HashMap::with_capacity(old.len());
         let mut pages = Vec::with_capacity(old.len());
@@ -314,6 +249,7 @@ impl DeltaTableScanner {
                     }
                     PageVisit::Pruned => {
                         scan.pages_pruned += 1;
+                        scan.lost_rows |= was.is_some_and(|rows| !rows.is_empty());
                         Arc::default()
                     }
                     PageVisit::Fetched(page) => {
@@ -328,10 +264,6 @@ impl DeltaTableScanner {
                         Arc::new(kept)
                     }
                 };
-                if !scan.rebuilt && !matches!(visit, PageVisit::Cached) {
-                    let was = was.map_or(&[][..], |rows| rows.as_slice());
-                    diff_rows(was, &now, &mut scan.added, &mut scan.removed);
-                }
                 pages.push((pid.0, Arc::clone(&now)));
                 cache.insert(pid.0, CachedPage { next, rows: now });
                 Ok(true)
@@ -340,11 +272,8 @@ impl DeltaTableScanner {
         // Cached pages no longer reachable from the root: their rows
         // left the scan (defensive — the heap never unlinks pages today,
         // but a vacuum would).
-        for (pid, entry) in &old {
-            if !cache.contains_key(pid) {
-                scan.removed.extend(entry.rows.iter().cloned());
-            }
-        }
+        scan.lost_rows |=
+            (old.iter()).any(|(pid, c)| !c.rows.is_empty() && !cache.contains_key(pid));
         self.root = Some(root);
         self.cache = cache;
         Ok((scan, pages))
@@ -357,6 +286,7 @@ mod tests {
     use crate::db::Database;
     use crate::exec::{ScanRows, Scanned};
     use crate::parser::parse_select;
+    use crate::value::Value;
     use rql_pagestore::PagerConfig;
     use rql_retro::{RetroConfig, SnapshotReader};
 
@@ -398,6 +328,14 @@ mod tests {
         (scanned.rows.iter().cloned().collect(), delta)
     }
 
+    /// A served scan's pages: the cache's own row vectors.
+    fn served_pages(scanned: Scanned) -> ScanPages {
+        match scanned.rows {
+            ScanRows::Pages(pages) => pages,
+            ScanRows::Owned(_) => panic!("a served scan hands over its pages"),
+        }
+    }
+
     /// A served scan hands the finish stage the cache's own row vectors:
     /// no row is copied on the way, and a page served from the cache is
     /// the very vector of the scan before.
@@ -416,12 +354,8 @@ mod tests {
         let readers = db.store().open_snapshot_chain(&[s1, s2]).unwrap();
         let sql = "SELECT a, b FROM t";
         let mut scanner = DeltaTableScanner::new();
-        let pages = |scanned: Scanned| match scanned.rows {
-            ScanRows::Pages(pages) => pages,
-            ScanRows::Owned(_) => panic!("a served scan hands over its pages"),
-        };
-        let first = pages(scan_stage(&db, &readers[0], sql, &mut scanner));
-        let second = pages(scan_stage(&db, &readers[1], sql, &mut scanner));
+        let first = served_pages(scan_stage(&db, &readers[0], sql, &mut scanner));
+        let second = served_pages(scan_stage(&db, &readers[1], sql, &mut scanner));
         let cache: HashMap<u64, Arc<Vec<Row>>> = (scanner.export_seed().unwrap().pages)
             .into_iter()
             .map(|p| (p.page, p.rows))
@@ -440,30 +374,6 @@ mod tests {
             reused > 0 && reused < second.len(),
             "{reused} of {}",
             second.len()
-        );
-    }
-
-    #[test]
-    fn diff_rows_multiset_and_representation() {
-        let old = vec![
-            vec![Value::Integer(1)],
-            vec![Value::Integer(1)],
-            vec![Value::Integer(2)],
-        ];
-        let new = vec![
-            vec![Value::Integer(1)],
-            vec![Value::Integer(3)],
-            vec![Value::Real(2.0)],
-        ];
-        let (mut added, mut removed) = (Vec::new(), Vec::new());
-        diff_rows(&old, &new, &mut added, &mut removed);
-        // One Integer(1) and the Integer(2) leave; Integer(3) and
-        // Real(2.0) arrive — Integer(2) vs Real(2.0) are SQL-equal but
-        // NOT representation-equal, and must show up in the delta.
-        assert_eq!(added, vec![vec![Value::Integer(3)], vec![Value::Real(2.0)]]);
-        assert_eq!(
-            removed,
-            vec![vec![Value::Integer(1)], vec![Value::Integer(2)]]
         );
     }
 
@@ -494,6 +404,19 @@ mod tests {
         assert_eq!(result.rows, expected.rows);
     }
 
+    /// Which pages of `now` are the very vectors of `was` (served from the
+    /// cache), and which hold other rows than the same page in `was`.
+    fn compare_pages(was: &ScanPages, now: &ScanPages) -> (usize, usize) {
+        let before = |pid: &u64| was.iter().find(|(p, _)| p == pid).map(|(_, rows)| rows);
+        let shared = (now.iter())
+            .filter(|(pid, rows)| before(pid).is_some_and(|old| Arc::ptr_eq(old, rows)))
+            .count();
+        let differ = (now.iter())
+            .filter(|(pid, rows)| before(pid).is_none_or(|old| old != rows))
+            .count();
+        (shared, differ)
+    }
+
     #[test]
     fn delta_scan_skips_unchanged_pages_and_matches_full_scan() {
         let db = small_page_db();
@@ -512,12 +435,14 @@ mod tests {
         let sql = "SELECT a, b FROM t";
         let mut scanner = DeltaTableScanner::new();
 
-        let (_, scan1) = delta_scan(&db, &readers[0], sql, &mut scanner);
+        let mut first = scan_stage(&db, &readers[0], sql, &mut scanner);
+        let scan1 = first.delta.take().expect("seq-scannable shape");
         assert!(scan1.rebuilt);
         let total_pages = scan1.pages_read;
         assert!(total_pages > 3, "want a multi-page heap, got {total_pages}");
 
-        let (rows2, scan2) = delta_scan(&db, &readers[1], sql, &mut scanner);
+        let mut second = scan_stage(&db, &readers[1], sql, &mut scanner);
+        let scan2 = second.delta.take().expect("seq-scannable shape");
         assert!(!scan2.rebuilt);
         assert!(
             scan2.pages_skipped > 0,
@@ -526,27 +451,25 @@ mod tests {
             scan2.pages_skipped
         );
         assert!(scan2.pages_read < total_pages);
+        assert_eq!(scan2.snapshot_skip(), None);
 
         // Rows must equal a from-scratch AS OF scan, in order.
         let expected = db.query_as_of(s2, sql).unwrap();
+        let rows2: Vec<Row> = second.rows.iter().cloned().collect();
         assert_eq!(rows2, expected.rows);
 
-        // The delta must describe exactly the one update.
-        assert_eq!(
-            scan2.added,
-            vec![vec![Value::Integer(30), Value::text("CHANGED")]]
-        );
-        assert_eq!(
-            scan2.removed,
-            vec![vec![Value::Integer(30), Value::text("padpadpad-30")]]
-        );
+        // The served pages are the previous scan's vectors; of the fetched
+        // ones, exactly the updated row's page holds other rows.
+        let (shared, differ) = compare_pages(&served_pages(first), &served_pages(second));
+        assert_eq!(shared as u64, scan2.pages_skipped);
+        assert_eq!(differ, 1);
     }
 
     #[test]
     fn delta_scan_sees_inserts_and_deletes() {
         let db = small_page_db();
         db.execute("CREATE TABLE t (a INTEGER)").unwrap();
-        for i in 0..30 {
+        for i in 0..200 {
             db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
         }
         let s1 = snapshot(&db);
@@ -557,17 +480,23 @@ mod tests {
         let readers = db.store().open_snapshot_chain(&[s1, s2]).unwrap();
         let sql = "SELECT a FROM t";
         let mut scanner = DeltaTableScanner::new();
-        delta_scan(&db, &readers[0], sql, &mut scanner);
+        let (_, scan1) = delta_scan(&db, &readers[0], sql, &mut scanner);
         let (rows2, scan2) = delta_scan(&db, &readers[1], sql, &mut scanner);
-        assert_eq!(scan2.added, vec![vec![Value::Integer(100)]]);
-        assert_eq!(scan2.removed, vec![vec![Value::Integer(5)]]);
-        let expected = db.query_as_of(s2, sql).unwrap();
-        assert_eq!(rows2, expected.rows);
+        // Only the pages the insert and the delete wrote are fetched.
+        assert!(!scan2.rebuilt);
+        assert!(scan2.pages_read > 0 && scan2.pages_skipped > 0, "{scan2:?}");
+        assert_eq!(scan2.pages_read + scan2.pages_skipped, scan1.pages_read);
+        assert_eq!(scan2.snapshot_skip(), None);
+        let (rescan, _) = delta_scan(&db, &readers[1], sql, &mut DeltaTableScanner::new());
+        assert_eq!(rows2, rescan);
+        assert_eq!(rows2, db.query_as_of(s2, sql).unwrap().rows);
+        assert!(rows2.contains(&vec![Value::Integer(100)]));
+        assert!(!rows2.contains(&vec![Value::Integer(5)]));
     }
 
     /// A page rewritten only in a column the statement does not read is
-    /// fetched again but yields the same narrowed rows: no delta. A change
-    /// in a column it reads is exactly the difference of two full rescans.
+    /// fetched again but yields the same narrowed rows. A change in a
+    /// column it reads shows in the rows exactly as a full rescan does.
     /// (One page, so an update — a delete plus an insert — stays on it.)
     #[test]
     fn delta_sees_only_the_columns_the_statement_reads() {
@@ -589,25 +518,21 @@ mod tests {
             rows
         };
         let mut scanner = DeltaTableScanner::new();
-        delta_scan(&db, &readers[0], sql, &mut scanner);
+        let (rows1, _) = delta_scan(&db, &readers[0], sql, &mut scanner);
 
         let (rows2, scan2) = delta_scan(&db, &readers[1], sql, &mut scanner);
-        assert!(!scan2.rebuilt && scan2.pages_read > 0, "{scan2:?}");
-        assert!(
-            scan2.added.is_empty() && scan2.removed.is_empty(),
-            "{scan2:?}"
-        );
+        assert!(!scan2.rebuilt, "{scan2:?}");
+        assert_eq!((scan2.pages_read, scan2.pages_skipped), (1, 0));
         assert_eq!(rows2, full(1));
+        assert_eq!(rows2, rows1);
         // Column `b` was never decoded.
         assert!(rows2.iter().all(|r| r[1] == Value::Null && r.len() == 2));
 
         let (rows3, scan3) = delta_scan(&db, &readers[2], sql, &mut scanner);
+        assert_eq!((scan3.pages_read, scan3.pages_skipped), (1, 0));
         assert_eq!(rows3, full(2));
-        let (mut added, mut removed) = (Vec::new(), Vec::new());
-        diff_rows(&full(1), &full(2), &mut added, &mut removed);
-        assert_eq!(scan3.added, added);
-        assert_eq!(scan3.removed, removed);
-        assert_eq!(added, vec![vec![Value::Integer(30), Value::Null]]);
+        assert!(rows3.contains(&vec![Value::Integer(30), Value::Null]));
+        assert!(!rows3.contains(&vec![Value::Integer(3), Value::Null]));
     }
 
     #[test]
@@ -628,7 +553,7 @@ mod tests {
 
         // Scan s1, export, and continue on a *fresh* scanner via the seed.
         let mut seeder = DeltaTableScanner::new();
-        delta_scan(&db, &readers[0], sql, &mut seeder);
+        let (_, scan1) = delta_scan(&db, &readers[0], sql, &mut seeder);
         let seed = seeder.export_seed().expect("seed after scan");
 
         let mut fresh = DeltaTableScanner::new();
@@ -637,16 +562,9 @@ mod tests {
         let (rows2, scan2) = delta_scan(&db, &readers[1], sql, &mut fresh);
         assert!(!scan2.rebuilt, "imported seed must keep the delta path");
         assert!(scan2.pages_skipped > 0);
+        assert!(scan2.pages_read < scan1.pages_read);
         let expected = db.query_as_of(s2, sql).unwrap();
         assert_eq!(rows2, expected.rows);
-        assert_eq!(
-            scan2.added,
-            vec![vec![Value::Integer(30), Value::text("CHANGED")]]
-        );
-        assert_eq!(
-            scan2.removed,
-            vec![vec![Value::Integer(30), Value::text("padpadpad-30")]]
-        );
     }
 
     #[test]
@@ -664,23 +582,29 @@ mod tests {
         // The constant conjunct is part of the cached filter too.
         let sql = "SELECT a FROM t WHERE a < 100 AND 1 = 1";
         let mut scanner = DeltaTableScanner::new();
-        delta_scan(&db, &readers[0], sql, &mut scanner);
-        let (rows2, scan2) = delta_scan(&db, &readers[1], sql, &mut scanner);
+        let (rows1, _) = delta_scan(&db, &readers[0], sql, &mut scanner);
+        let (rows2, _) = delta_scan(&db, &readers[1], sql, &mut scanner);
         // 2 → 200 leaves the filtered set entirely; nothing is added.
-        assert_eq!(scan2.added, Vec::<Row>::new());
-        assert_eq!(scan2.removed, vec![vec![Value::Integer(2)]]);
+        assert_eq!(rows2.len() + 1, rows1.len());
+        assert!(!rows2.contains(&vec![Value::Integer(2)]));
         let expected = db.query_as_of(s2, sql).unwrap();
         assert_eq!(rows2, expected.rows);
 
-        // A constant conjunct that rejects everything rejects the delta
-        // as well: nothing is cached, so nothing can be added or removed.
+        // A constant conjunct that rejects everything rejects every page's
+        // rows as well: nothing is cached.
         let sql = "SELECT a FROM t WHERE a < 100 AND 1 = 0";
         let mut scanner = DeltaTableScanner::new();
         delta_scan(&db, &readers[0], sql, &mut scanner);
-        let (rows2, scan2) = delta_scan(&db, &readers[1], sql, &mut scanner);
-        assert!(rows2.is_empty() && scan2.added.is_empty() && scan2.removed.is_empty());
+        let (rows2, _) = delta_scan(&db, &readers[1], sql, &mut scanner);
+        assert!(rows2.is_empty());
+        let seed = scanner.export_seed().unwrap();
+        assert!(seed.pages.iter().all(|p| p.rows.is_empty()));
     }
 
+    /// Sidecar pruning in both directions: a page pruned by a rebuild is
+    /// fetched once its sidecar stops refuting the filter, and a page
+    /// pruned after it had cached rows lost them — the snapshot is not
+    /// skipped — while one pruned with none cached is.
     #[test]
     fn pruned_page_of_a_rebuild_is_unpruned_by_a_later_delta() {
         let db = small_page_db();
@@ -692,8 +616,12 @@ mod tests {
         let s1 = snapshot(&db);
         db.execute("UPDATE t SET a = 2000 WHERE a = 30").unwrap();
         let s2 = snapshot(&db);
+        db.execute("UPDATE t SET a = 31 WHERE a = 2000").unwrap();
+        let s3 = snapshot(&db);
+        db.execute("UPDATE t SET a = 32 WHERE a = 31").unwrap();
+        let s4 = snapshot(&db);
 
-        let readers = db.store().open_snapshot_chain(&[s1, s2]).unwrap();
+        let readers = db.store().open_snapshot_chain(&[s1, s2, s3, s4]).unwrap();
         let sql = "SELECT a FROM t WHERE a >= 1000";
         let mut scanner = DeltaTableScanner::new();
         // At s1 no page holds a value ≥ 1000: the rebuild prunes pages
@@ -703,13 +631,24 @@ mod tests {
         assert!(scan1.pages_pruned > 0, "{scan1:?}");
         assert!(rows1.is_empty());
         // At s2 the rewritten page's sidecar no longer refutes the
-        // filter: it is fetched, and its new row shows up as added.
+        // filter: it is fetched, and its new row shows up.
         let (rows2, scan2) = delta_scan(&db, &readers[1], sql, &mut scanner);
         assert!(!scan2.rebuilt);
         assert!(scan2.pages_read > 0 && scan2.pages_skipped > 0, "{scan2:?}");
-        assert_eq!(scan2.added, vec![vec![Value::Integer(2000)]]);
-        assert_eq!(scan2.removed, Vec::<Row>::new());
+        assert_eq!(rows2, vec![vec![Value::Integer(2000)]]);
         assert_eq!(rows2, db.query_as_of(s2, sql).unwrap().rows);
+        // At s3 the page is refuted again: pruned, not fetched, and the
+        // row it had cached is gone — no skip.
+        let (rows3, scan3) = delta_scan(&db, &readers[2], sql, &mut scanner);
+        assert_eq!(scan3.pages_read, 0, "{scan3:?}");
+        assert!(scan3.pages_pruned > 0, "{scan3:?}");
+        assert!(rows3.is_empty() && db.query_as_of(s3, sql).unwrap().rows.is_empty());
+        assert_eq!(scan3.snapshot_skip(), None);
+        // At s4 the same page is pruned with nothing cached: a skip.
+        let (rows4, scan4) = delta_scan(&db, &readers[3], sql, &mut scanner);
+        assert_eq!(scan4.pages_read, 0, "{scan4:?}");
+        assert!(rows4.is_empty());
+        assert_eq!(scan4.snapshot_skip(), Some(SkipReason::Pruned));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! WHERE/ON conjuncts once, picks the access paths and materializes the
 //! joined, filtered rows; [`finish_select`] projects or aggregates,
 //! de-duplicates, sorts and limits them. The RQL loop calls the stages
-//! separately so it can look at the scan's row delta before deciding
+//! separately so it can look at what the scan fetched before deciding
 //! whether the second stage has to run at all — through the same two
 //! functions, so its output is the ordinary plan's, byte for byte.
 //!
@@ -112,8 +112,8 @@ pub struct Scanned {
     pub rows: ScanRows,
     /// Access-path decisions so far (becomes [`QueryResult::plan`]).
     pub plan: Vec<String>,
-    /// The base table's row delta against the offered scanner's previous
-    /// scan, when the scanner served as the seq scan's row source. `None`
+    /// What the offered scanner fetched, served and pruned against its
+    /// previous scan, when it served as the seq scan's row source. `None`
     /// when no scanner was offered or the plan had no use for one (it is
     /// then left invalidated).
     pub delta: Option<DeltaScan>,
@@ -163,7 +163,7 @@ pub fn run_select_cancellable<S: PageSource>(
 /// only when — the plan is a plain seq scan of a single table whose
 /// conjuncts call no UDF: it then serves the pages that did not change
 /// since its previous scan from its cache, the rows stay on its pages
-/// ([`ScanRows::Pages`]), and [`Scanned::delta`] carries the row delta.
+/// ([`ScanRows::Pages`]), and [`Scanned::delta`] says what it fetched.
 /// Any other plan (index probe, join, UDF filter) runs exactly as it
 /// would have without one, and the scanner is invalidated because it did
 /// not observe this scan.
@@ -566,8 +566,8 @@ fn plan_base_table<'a>(
         scanner.filter(|_| probe.is_none() && conjuncts.iter().all(|(c, _)| !c.calls_udf()));
     if scanner.is_some() {
         // The statement has one table, so every conjunct — constant ones
-        // included — is this scan's: the cached rows, and therefore the
-        // row delta, are the statement's whole WHERE.
+        // included — is this scan's: the cached rows are filtered by the
+        // statement's whole WHERE.
         applicable = (0..conjuncts.len()).collect();
     }
     let name = &info.schema.name;

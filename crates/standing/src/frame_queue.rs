@@ -128,6 +128,8 @@ impl Drop for FrameReceiver {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used)]
+
     use super::*;
     use crate::EndReason;
 

@@ -24,6 +24,10 @@
 //! channel is closed; a plain disconnect without `End` means the
 //! process died, not that the query ended.
 
+// Errors are returned, not unwrapped: unlike the workspace, which only
+// warns, this crate denies `unwrap`/`expect` outside tests (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -306,6 +310,8 @@ impl StandingEngine {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used)]
+
     use super::*;
 
     fn session() -> Arc<RqlSession> {
