@@ -64,7 +64,7 @@ pub fn aggregate_data_in_table_sortmerge(
         let result = snap
             .execute_stmt(&Stmt::Select(rewritten))?
             .rows()
-            .expect("SELECT yields rows");
+            .ok_or_else(|| SqlError::Invalid(format!("Qq returned no rows: {qq}")))?;
         let udf_started = Instant::now();
         if report.iterations.is_empty() {
             let mut columns: Vec<String> = result.columns.clone();

@@ -13,8 +13,8 @@
 //! The buffer cache is configured smaller than the orders heap, so
 //! cross-iteration sharing through the page cache (Figure 6's effect)
 //! cannot help the sequential run: any saving visible here comes from
-//! the delta scanner alone. Costs are modeled (`cpu + pagelog_reads ×
-//! c_io`), like every other figure.
+//! the delta scanner alone. Times are the Qq phase's measured engine
+//! parts ([`exec_time`]); Pagelog reads are counted beside them.
 
 use rql::{AggOp, DeltaPolicy, RqlSession};
 use rql_pagestore::PagerConfig;
@@ -22,7 +22,7 @@ use rql_retro::{PagelogFormat, RetroConfig};
 use rql_sqlengine::Result;
 use rql_tpch::{load_initial, Tpch};
 
-use crate::harness::{bench_sf, cost_model, fast_mode, run_from_cold};
+use crate::harness::{bench_sf, exec_time, fast_mode, ms, run_from_cold};
 use crate::queries::QQ_IO;
 
 /// History with `rounds` snapshots; round `r` updates the `(r % cycle)`-th
@@ -86,18 +86,17 @@ pub fn run() -> Result<String> {
     };
     let rounds = 1 + (iterations - 1) * spacings.last().copied().unwrap_or(1);
     let session = build_session(rounds, cycle)?;
-    let model = cost_model();
 
     let mut out = String::new();
     out.push_str("## Delta iteration ablation — Qq-phase speedup vs snapshot spacing\n\n");
     out.push_str(&format!(
         "CollateData(Qs_{iterations}, Qq_io) over old snapshots, buffer cache \
          smaller than the orders heap; per-snapshot churn = 1/{cycle} of the \
-         orderkey space (contiguous). Costs are modeled Qq-phase totals \
-         (SPT + index + eval + Pagelog I/O).\n\n"
+         orderkey space (contiguous). Times are the Qq phase's measured \
+         SPT + index + eval (the Pagelog is in memory).\n\n"
     ));
     out.push_str(
-        "| spacing | seq Qq cost (ms) | delta Qq cost (ms) | speedup | \
+        "| spacing | seq Qq (ms) | delta Qq (ms) | speedup | \
          plog rd seq | plog rd delta | pages skipped | identical |\n\
          |---|---|---|---|---|---|---|---|\n",
     );
@@ -114,8 +113,8 @@ pub fn run() -> Result<String> {
         let same = tables_identical(&session, "di_seq", "di_delta")?;
         let s = seq.accumulated_stats();
         let d = delta.accumulated_stats();
-        let seq_cost = s.total_cost(&model).as_secs_f64() * 1e3;
-        let delta_cost = d.total_cost(&model).as_secs_f64() * 1e3;
+        let seq_cost = ms(exec_time(&s));
+        let delta_cost = ms(exec_time(&d));
         let speedup = seq_cost / delta_cost.max(1e-9);
         speedups.push((spacing, speedup));
         out.push_str(&format!(
@@ -146,12 +145,12 @@ pub fn run() -> Result<String> {
         let same = tables_identical(&session, "di_av_seq", "di_av_delta")?;
         let s = seq.accumulated_stats();
         let d = delta.accumulated_stats();
-        let seq_cost = s.total_cost(&model).as_secs_f64() * 1e3;
-        let delta_cost = d.total_cost(&model).as_secs_f64() * 1e3;
+        let seq_cost = ms(exec_time(&s));
+        let delta_cost = ms(exec_time(&d));
         out.push_str(&format!(
             "### AggregateDataInVariable(Qs_{iterations}, Qq_io, AVG), spacing 1 \
              (cached-rows pipeline)\n\n\
-             | variant | Qq cost (ms) | plog rd | identical |\n|---|---|---|---|\n\
+             | variant | Qq (ms) | plog rd | identical |\n|---|---|---|---|\n\
              | sequential | {seq_cost:.3} | {} | — |\n\
              | delta (Forced) | {delta_cost:.3} | {} | {same} |\n\n\
              - Delta speedup: {:.2}×.\n\n",

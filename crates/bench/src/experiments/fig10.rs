@@ -13,8 +13,8 @@ use rql_sqlengine::Result;
 use rql_tpch::{build_history, UW30};
 
 use crate::harness::{
-    bench_config, bench_sf, breakdown_header, breakdown_row, cold_stats, cost_model, fast_mode,
-    hot_mean_stats, run_from_cold,
+    bench_config, bench_sf, breakdown_header, breakdown_row, cold_stats, fast_mode, hot_mean_stats,
+    run_from_cold,
 };
 use crate::queries::{date_at_fraction, qq_collate};
 
@@ -32,7 +32,6 @@ pub fn run() -> Result<String> {
     let interval = if fast_mode() { 5 } else { 50 };
     let mut history = build_history(bench_config(), bench_sf(), UW30, interval, false)?;
     history.age_all_snapshots()?;
-    let model = cost_model();
     let qs = history.qs(1, interval, 1);
     let mut out = String::new();
     out.push_str(
@@ -53,7 +52,6 @@ pub fn run() -> Result<String> {
             &format!("{rows} records ({paper_label}) cold"),
             &cold,
             cold_udf,
-            &model,
         ));
         out.push('\n');
         let (hot, hot_udf) = hot_mean_stats(&report);
@@ -61,7 +59,6 @@ pub fn run() -> Result<String> {
             &format!("{rows} records ({paper_label}) hot"),
             &hot,
             hot_udf,
-            &model,
         ));
         out.push('\n');
         udf_series.push((rows, hot_udf.as_secs_f64() * 1e3));

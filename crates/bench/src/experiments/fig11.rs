@@ -6,17 +6,17 @@
 //! query is visible only on the CollateData side, adding a second
 //! aggregation is cheap for both — and `AggregateDataInTable`'s result
 //! table is an order of magnitude smaller (1 GB vs < 100 MB in the
-//! paper), independent of the snapshot-interval length.
+//! paper), independent of the snapshot-interval length. Totals are
+//! measured time.
 
 use rql_sqlengine::Result;
 
 use super::agg_vs_collate::{history, interval_len, one_agg, run_agg_table, run_collate, two_aggs};
-use crate::harness::cost_model;
+use crate::harness::{measured, ms};
 
 /// Run the experiment, returning a markdown section.
 pub fn run() -> Result<String> {
     let h = history()?;
-    let model = cost_model();
     let runs = vec![
         run_collate(&h, false)?,
         run_agg_table(&h, &one_agg(), "AggregateDataInTable, 1 agg")?,
@@ -26,14 +26,14 @@ pub fn run() -> Result<String> {
     let mut out = String::new();
     out.push_str("## Figure 11 — CollateData vs AggregateDataInTable (whole computation)\n\n");
     out.push_str(
-        "| approach | total (ms, modeled) | extra agg. query (ms) | UDF (ms) | \
+        "| approach | total (ms) | extra agg. query (ms) | UDF (ms) | \
          result rows | result size |\n|---|---|---|---|---|---|\n",
     );
     for r in &runs {
         out.push_str(&format!(
             "| {} | {:.2} | {:.3} | {:.2} | {} | {} |\n",
             r.label,
-            (r.report.total_cost(&model) + r.extra_query).as_secs_f64() * 1e3,
+            ms(measured(&r.report) + r.extra_query),
             r.extra_query.as_secs_f64() * 1e3,
             r.report.total_udf_time().as_secs_f64() * 1e3,
             r.result_rows,
@@ -43,8 +43,8 @@ pub fn run() -> Result<String> {
     out.push('\n');
     let collate = &runs[0];
     let aggtab = &runs[1];
-    let overhead = (aggtab.report.total_cost(&model).as_secs_f64()
-        / (collate.report.total_cost(&model) + collate.extra_query).as_secs_f64()
+    let overhead = (measured(&aggtab.report).as_secs_f64()
+        / (measured(&collate.report) + collate.extra_query).as_secs_f64()
         - 1.0)
         * 100.0;
     let shrink = collate.result_bytes as f64 / aggtab.result_bytes.max(1) as f64;

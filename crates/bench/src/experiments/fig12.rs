@@ -11,12 +11,11 @@
 use rql_sqlengine::Result;
 
 use super::agg_vs_collate::{history, one_agg, run_agg_table, run_collate};
-use crate::harness::{breakdown_header, breakdown_row, cold_stats, cost_model, hot_mean_stats};
+use crate::harness::{breakdown_header, breakdown_row, cold_stats, hot_mean_stats};
 
 /// Run the experiment, returning a markdown section.
 pub fn run() -> Result<String> {
     let h = history()?;
-    let model = cost_model();
     let collate = run_collate(&h, false)?;
     let aggtab = run_agg_table(&h, &one_agg(), "AggregateDataInTable")?;
     let mut out = String::new();
@@ -27,20 +26,10 @@ pub fn run() -> Result<String> {
     out.push('\n');
     for (name, run) in [("CollateData", &collate), ("AggregateDataInTable", &aggtab)] {
         let (cold, cold_udf) = cold_stats(&run.report);
-        out.push_str(&breakdown_row(
-            &format!("{name} cold"),
-            &cold,
-            cold_udf,
-            &model,
-        ));
+        out.push_str(&breakdown_row(&format!("{name} cold"), &cold, cold_udf));
         out.push('\n');
         let (hot, hot_udf) = hot_mean_stats(&run.report);
-        out.push_str(&breakdown_row(
-            &format!("{name} hot"),
-            &hot,
-            hot_udf,
-            &model,
-        ));
+        out.push_str(&breakdown_row(&format!("{name} hot"), &hot, hot_udf));
         out.push('\n');
     }
     out.push('\n');

@@ -11,12 +11,11 @@ use rql::AggOp;
 use rql_sqlengine::Result;
 
 use super::agg_vs_collate::{history, run_agg_table};
-use crate::harness::{breakdown_header, breakdown_row, cold_stats, cost_model, hot_mean_stats};
+use crate::harness::{breakdown_header, breakdown_row, cold_stats, hot_mean_stats};
 
 /// Run the experiment, returning a markdown section.
 pub fn run() -> Result<String> {
     let h = history()?;
-    let model = cost_model();
     let max_run = run_agg_table(&h, &[("cn".to_owned(), AggOp::Max)], "Max aggregation")?;
     let sum_run = run_agg_table(&h, &[("cn".to_owned(), AggOp::Sum)], "Sum aggregation")?;
     let mut out = String::new();
@@ -29,16 +28,10 @@ pub fn run() -> Result<String> {
             &format!("{} cold", run.label),
             &cold,
             cold_udf,
-            &model,
         ));
         out.push('\n');
         let (hot, hot_udf) = hot_mean_stats(&run.report);
-        out.push_str(&breakdown_row(
-            &format!("{} hot", run.label),
-            &hot,
-            hot_udf,
-            &model,
-        ));
+        out.push_str(&breakdown_row(&format!("{} hot", run.label), &hot, hot_udf));
         out.push('\n');
     }
     out.push('\n');

@@ -13,8 +13,8 @@ use rql_sqlengine::Result;
 use rql_tpch::{build_history, UW30};
 
 use crate::harness::{
-    bench_config, bench_sf, breakdown_header, breakdown_row, cold_stats, cost_model, fast_mode,
-    hot_mean_stats, run_from_cold,
+    bench_config, bench_sf, breakdown_header, breakdown_row, cold_stats, fast_mode, hot_mean_stats,
+    run_from_cold,
 };
 use crate::queries::QQ_IO;
 
@@ -27,7 +27,6 @@ pub fn run() -> Result<String> {
     let total = interval + cycle + 10;
     let history = build_history(bench_config(), bench_sf(), UW30, total, false)?;
     let slast = history.last_snapshot();
-    let model = cost_model();
     let mut out = String::new();
     out.push_str("## Figure 8 — Single-iteration cost, AggV(Qs_50, Qq_io, AVG), UW30\n\n");
     out.push_str(&breakdown_header());
@@ -41,19 +40,13 @@ pub fn run() -> Result<String> {
                 .aggregate_data_in_variable(&qs, QQ_IO, "fig8_result", AggOp::Avg)
         })?;
         let (cold, cold_udf) = cold_stats(&report);
-        out.push_str(&breakdown_row(
-            &format!("{label} cold"),
-            &cold,
-            cold_udf,
-            &model,
-        ));
+        out.push_str(&breakdown_row(&format!("{label} cold"), &cold, cold_udf));
         out.push('\n');
         let (hot, hot_udf) = hot_mean_stats(&report);
         out.push_str(&breakdown_row(
             &format!("{label} hot (mean)"),
             &hot,
             hot_udf,
-            &model,
         ));
         out.push('\n');
         Ok(())
@@ -79,7 +72,6 @@ pub fn run() -> Result<String> {
         "current state",
         &r.stats,
         std::time::Duration::ZERO,
-        &model,
     ));
     out.push_str("\n\n");
     out.push_str(

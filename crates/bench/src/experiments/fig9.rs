@@ -13,8 +13,8 @@ use rql_sqlengine::Result;
 use rql_tpch::{build_history, UW30};
 
 use crate::harness::{
-    bench_config, bench_sf, breakdown_header, breakdown_row, cold_stats, cost_model, fast_mode,
-    hot_mean_stats, run_from_cold,
+    bench_config, bench_sf, breakdown_header, breakdown_row, cold_stats, fast_mode, hot_mean_stats,
+    run_from_cold,
 };
 use crate::queries::QQ_CPU;
 
@@ -34,7 +34,6 @@ fn run_case(with_index: bool) -> Result<Case> {
     let interval = if fast_mode() { 5 } else { 50 };
     let mut history = build_history(bench_config(), bench_sf(), UW30, interval, with_index)?;
     history.age_all_snapshots()?;
-    let model = cost_model();
     let qs = history.qs(1, interval, 1);
     let report = run_from_cold(&history.session, "fig9_result", || {
         history
@@ -47,8 +46,8 @@ fn run_case(with_index: bool) -> Result<Case> {
     let store = history.session.snap_db().store();
     Ok(Case {
         label,
-        cold: breakdown_row(&format!("cold iteration {label}"), &cold, cold_udf, &model),
-        hot: breakdown_row(&format!("hot iteration {label}"), &hot, hot_udf, &model),
+        cold: breakdown_row(&format!("cold iteration {label}"), &cold, cold_udf),
+        hot: breakdown_row(&format!("hot iteration {label}"), &hot, hot_udf),
         cold_index_ms: cold.index_creation.as_secs_f64() * 1e3,
         cold_io_reads: cold.io.pagelog_reads,
         spt_entries: cold.io.maplog_entries_scanned,

@@ -9,16 +9,16 @@
 //! shape rqlcheck's RQL209 warns about) — so the two lanes differ only
 //! in whether the sidecars can act. Every lane starts with an empty
 //! snapshot-page cache and all heap pages archived to the Pagelog, so
-//! the modeled cost (`cpu + pagelog_reads × c_io`) is I/O-dominated and
-//! the win is the fraction of pages refuted. Machine-readable results
-//! land in `BENCH_prune.json`.
+//! the pages not read are the fraction refuted (counted), and the win is
+//! the measured Qq phase ([`qq_wall`]). Machine-readable results land in
+//! `BENCH_prune.json`.
 
 use rql::{DeltaPolicy, RqlSession};
 use rql_pagestore::PagerConfig;
 use rql_retro::{PagelogFormat, RetroConfig};
 use rql_sqlengine::Result;
 
-use crate::harness::{cost_model, fast_mode, phase, run_from_cold, BENCH_SCHEMA_VERSION};
+use crate::harness::{fast_mode, ms, phase, qq_wall, run_from_cold, BENCH_SCHEMA_VERSION};
 
 const QS: &str = "SELECT snap_id FROM SnapIds";
 
@@ -87,7 +87,6 @@ pub fn run() -> Result<String> {
     let session = build_session(n, rounds)?;
     // The sweep measures the scan path itself; keep the memo out of it.
     session.set_memo(None);
-    let model = cost_model();
     let snapshots = rounds + 1;
 
     let mut out = String::new();
@@ -96,11 +95,11 @@ pub fn run() -> Result<String> {
         "CollateData(Qs_{snapshots}, `SELECT k, payload FROM events WHERE k < K`) \
          over {n} clustered rows, sequential path (DeltaPolicy::Off), cold cache, \
          all pages archived. The baseline wraps the predicate as `k + 0 < K` \
-         (same rows, opaque to the sidecars). Costs are modeled \
-         (cpu + Pagelog reads × c_io).\n\n"
+         (same rows, opaque to the sidecars). Times are the measured Qq phase \
+         (iteration wall less UDF time; the Pagelog is in memory).\n\n"
     ));
     out.push_str(
-        "| selectivity | baseline cost (ms) | pruned cost (ms) | speedup | \
+        "| selectivity | baseline Qq (ms) | pruned Qq (ms) | speedup | \
          plog rd base | plog rd pruned | pages pruned | identical |\n\
          |---|---|---|---|---|---|---|---|\n",
     );
@@ -136,22 +135,19 @@ pub fn run() -> Result<String> {
         all_identical &= same;
         let b = base.accumulated_stats();
         let p = pruned.accumulated_stats();
-        let base_cost = b.total_cost(&model).as_secs_f64() * 1e3;
-        let pruned_cost = p.total_cost(&model).as_secs_f64() * 1e3;
-        // Floor at one modeled Pagelog read so a fully-refuted scan
-        // reports a bounded "at least this much" speedup.
-        let floor_ms = model.pagelog_read_cost.as_secs_f64() * 1e3;
-        let speedup = base_cost / pruned_cost.max(floor_ms);
+        let base_ms = ms(qq_wall(&base));
+        let pruned_ms = ms(qq_wall(&pruned));
+        let speedup = base_ms / pruned_ms.max(1e-9);
         if label == "1%" {
             speedup_at_1pct = speedup;
         }
         out.push_str(&format!(
-            "| {label} | {base_cost:.3} | {pruned_cost:.3} | {speedup:.2}× | {} | {} | {} | {same} |\n",
+            "| {label} | {base_ms:.3} | {pruned_ms:.3} | {speedup:.2}× | {} | {} | {} | {same} |\n",
             b.io.pagelog_reads, p.io.pagelog_reads, p.pages_pruned_filter,
         ));
         lanes_json.push(format!(
             "{{\"selectivity\":\"{label}\",\"threshold\":{threshold},\
-             \"baseline_cost_ms\":{base_cost:.3},\"pruned_cost_ms\":{pruned_cost:.3},\
+             \"baseline_wall_ms\":{base_ms:.3},\"pruned_wall_ms\":{pruned_ms:.3},\
              \"speedup\":{speedup:.3},\
              \"pagelog_reads_baseline\":{},\"pagelog_reads_pruned\":{},\
              \"pages_pruned\":{},\"identical_results\":{same}}}",

@@ -1,24 +1,23 @@
 //! Shared experiment harness: configurations, all-cold baselines, cost
 //! formatting.
 //!
-//! Latencies are reported two ways, per DESIGN.md's substitution note:
-//! measured wall/CPU time, and a **modeled** latency
-//! `cpu + pagelog_reads × c_io` under [`IoCostModel`] (default 100 µs per
-//! Pagelog page, ≈ the paper's SATA-SSD random 4 KiB read). The modeled
-//! number is what reproduces the paper's *shapes* deterministically,
-//! because at laptop scale the OS page cache hides real device latency.
+//! Every figure states its shape on one of two bases, per DESIGN.md's
+//! substitution note: **counted** Pagelog reads, which are deterministic
+//! and carry every check about sharing or fetches avoided, and
+//! **measured** time ([`measured`], [`qq_wall`], [`exec_time`]), which
+//! carries every check about speed. The Pagelog is in memory, so no
+//! time reported here includes a device read.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rql::{RqlReport, RqlSession};
-use rql_pagestore::IoCostModel;
 use rql_retro::RetroConfig;
-use rql_sqlengine::{ExecStats, Result};
+use rql_sqlengine::{ExecStats, Result, SqlError};
 
 /// Schema version stamped into every `BENCH_*.json` artifact. Bump when
 /// a field is renamed or its meaning changes; `scripts/validate_bench.py`
 /// checks it.
-pub const BENCH_SCHEMA_VERSION: u32 = 1;
+pub const BENCH_SCHEMA_VERSION: u32 = 2;
 
 /// Scale factor used by the experiments (overridable via
 /// `RQL_BENCH_SF`). 0.002 ⇒ 3,000 orders ≈ 1/500 of the paper's SF-1.
@@ -37,19 +36,6 @@ pub fn fast_mode() -> bool {
 /// The store configuration all experiments use.
 pub fn bench_config() -> RetroConfig {
     RetroConfig::new()
-}
-
-/// The I/O cost model (overridable via `RQL_BENCH_IO_US`, microseconds
-/// per Pagelog read).
-pub fn cost_model() -> IoCostModel {
-    let us = std::env::var("RQL_BENCH_IO_US")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100u64);
-    IoCostModel {
-        pagelog_read_cost: Duration::from_micros(us),
-        ..IoCostModel::default()
-    }
 }
 
 /// Time one bench phase: emits a labeled [`rql_trace::SpanId::BenchPhase`]
@@ -75,10 +61,14 @@ pub fn all_cold_run(session: &RqlSession, sids: &[u64], qq: &str) -> Result<RqlR
         store.cache().clear();
         let parsed = rql_sqlengine::parse_select(qq)?;
         let rewritten = rql::rewrite_select(&parsed, sid);
+        let started = Instant::now();
         let outcome = session
             .snap_db()
             .execute_stmt(&rql_sqlengine::Stmt::Select(rewritten))?;
-        let result = outcome.rows().expect("select yields rows");
+        let wall = started.elapsed();
+        let result = outcome
+            .rows()
+            .ok_or_else(|| SqlError::Invalid(format!("Qq returned no rows: {qq}")))?;
         report.iterations.push(rql::IterationReport {
             snap_id: sid,
             qq_stats: result.stats,
@@ -87,7 +77,7 @@ pub fn all_cold_run(session: &RqlSession, sids: &[u64], qq: &str) -> Result<RqlR
             result_inserts: 0,
             result_updates: 0,
             memo_hit: false,
-            wall: Duration::ZERO,
+            wall,
         });
     }
     Ok(report)
@@ -117,19 +107,49 @@ pub fn run_from_cold<T>(
     f()
 }
 
-/// The ratio C of paper §5.1: modeled RQL latency over modeled all-cold
-/// latency for the same snapshot count.
-pub fn ratio_c(rql: &RqlReport, all_cold: &RqlReport, model: &IoCostModel) -> f64 {
-    let a = rql.total_cost(model).as_secs_f64();
-    let b = all_cold.total_cost(model).as_secs_f64();
+/// Measured time of a whole computation: Qs, every iteration's wall
+/// (its Qq phase and its UDF time) and the final step.
+pub fn measured(report: &RqlReport) -> Duration {
+    report.qs_time + report.finalize_time + report.iterations.iter().map(|i| i.wall).sum()
+}
+
+/// Measured time of a computation's Qq phase: each iteration's wall less
+/// its UDF time, i.e. the executed Qq or, on a memo hit, the lookup.
+pub fn qq_wall(report: &RqlReport) -> Duration {
+    report
+        .iterations
+        .iter()
+        .map(|i| i.wall.saturating_sub(i.udf_time))
+        .sum()
+}
+
+/// Measured time of an execution's engine parts: SPT build, index
+/// creation and evaluation. Store work outside them is not included —
+/// e.g. the first query naming a new filter column summarizes every
+/// archived page inside its iteration, which would bias whichever lane of
+/// a comparison runs first.
+pub fn exec_time(stats: &ExecStats) -> Duration {
+    stats.spt_build + stats.index_creation + stats.eval
+}
+
+/// Milliseconds of `d`, for tables and artifacts.
+pub fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
+/// The ratio C of paper §5.1 on measured time: RQL over all-cold for the
+/// same snapshot set.
+pub fn ratio_c(rql: &RqlReport, all_cold: &RqlReport) -> f64 {
+    let a = measured(rql).as_secs_f64();
+    let b = measured(all_cold).as_secs_f64();
     if b == 0.0 {
         return 1.0;
     }
     a / b
 }
 
-/// Pure-I/O variant of ratio C (counted Pagelog reads only) — fully
-/// deterministic, used alongside the modeled ratio.
+/// Ratio C on counted Pagelog reads — deterministic, and the basis of
+/// Figures 6–7's shape checks.
 pub fn ratio_c_io(rql: &RqlReport, all_cold: &RqlReport) -> f64 {
     let a = rql.accumulated_stats().io.pagelog_reads as f64;
     let b = all_cold.accumulated_stats().io.pagelog_reads as f64;
@@ -139,24 +159,24 @@ pub fn ratio_c_io(rql: &RqlReport, all_cold: &RqlReport) -> f64 {
     a / b
 }
 
-/// One row of a cost-breakdown table (Figures 8–13): I/O (modeled), SPT
-/// build, index creation, query evaluation, RQL UDF.
-pub fn breakdown_row(label: &str, stats: &ExecStats, udf: Duration, model: &IoCostModel) -> String {
+/// One row of a cost-breakdown table (Figures 8–13): SPT build, index
+/// creation, query evaluation, RQL UDF (measured) and Pagelog reads
+/// (counted).
+pub fn breakdown_row(label: &str, stats: &ExecStats, udf: Duration) -> String {
     format!(
-        "| {label} | {:>10.3} | {:>9.3} | {:>10.3} | {:>10.3} | {:>8.3} | {:>8} |",
-        stats.io_cost(model).as_secs_f64() * 1e3,
-        stats.spt_build.as_secs_f64() * 1e3,
-        stats.index_creation.as_secs_f64() * 1e3,
-        stats.eval.as_secs_f64() * 1e3,
-        udf.as_secs_f64() * 1e3,
+        "| {label} | {:>9.3} | {:>10.3} | {:>10.3} | {:>8.3} | {:>8} |",
+        ms(stats.spt_build),
+        ms(stats.index_creation),
+        ms(stats.eval),
+        ms(udf),
         stats.io.pagelog_reads,
     )
 }
 
 /// Header matching [`breakdown_row`].
 pub fn breakdown_header() -> String {
-    "| iteration | I/O (ms) | SPT (ms) | index (ms) | eval (ms) | UDF (ms) | plog rd |\n\
-     |---|---|---|---|---|---|---|"
+    "| iteration | SPT (ms) | index (ms) | eval (ms) | UDF (ms) | plog rd |\n\
+     |---|---|---|---|---|---|"
         .to_owned()
 }
 

@@ -7,7 +7,6 @@
 
 use std::time::Duration;
 
-use rql_pagestore::IoCostModel;
 use rql_sqlengine::ExecStats;
 
 /// Cost record for one RQL iteration (one snapshot).
@@ -36,13 +35,6 @@ pub struct IterationReport {
     pub wall: Duration,
 }
 
-impl IterationReport {
-    /// Modeled total latency of this iteration.
-    pub fn total_cost(&self, model: &IoCostModel) -> Duration {
-        self.qq_stats.total_cost(model) + self.udf_time
-    }
-}
-
 /// Report for one whole RQL computation.
 #[derive(Debug, Clone, Default)]
 pub struct RqlReport {
@@ -64,17 +56,6 @@ impl RqlReport {
     /// Total rows Qq produced across all iterations.
     pub fn total_qq_rows(&self) -> u64 {
         self.iterations.iter().map(|i| i.qq_rows).sum()
-    }
-
-    /// Modeled total latency of the whole computation.
-    pub fn total_cost(&self, model: &IoCostModel) -> Duration {
-        self.qs_time
-            + self.finalize_time
-            + self
-                .iterations
-                .iter()
-                .map(|i| i.total_cost(model))
-                .sum::<Duration>()
     }
 
     /// Accumulated engine stats across iterations.
@@ -155,9 +136,6 @@ mod tests {
         };
         assert_eq!(report.iteration_count(), 3);
         assert_eq!(report.total_qq_rows(), 30);
-        let model = IoCostModel::default();
-        // 120 pagelog reads à 100µs = 12ms, +30ms eval +3ms udf +2ms qs.
-        assert_eq!(report.total_cost(&model), Duration::from_millis(47));
         assert_eq!(report.cold().unwrap().snap_id, 1);
         let hot_io = report
             .hot_mean(|i| i.qq_stats.io.pagelog_reads as f64)

@@ -19,8 +19,8 @@
 //! * [`wire`], the byte codec (payload reader/writer, bounded
 //!   length-prefixed frames) under both network protocols built on this
 //!   store, `rqld`'s and `rql-repl`'s;
-//! * [`stats::IoStats`] counters and a deterministic [`stats::IoCostModel`]
-//!   used by the experiment harness to reproduce the paper's figures.
+//! * [`stats::IoStats`] counters, which the experiment harness reads to
+//!   reproduce the paper's figures.
 
 #![warn(missing_docs)]
 
@@ -37,6 +37,6 @@ pub use cache::{BufferCache, CacheKey, CacheKeying};
 pub use error::{Result, StoreError};
 pub use page::{fnv1a, fnv1a_extend, Page, PageId, SharedPage, DEFAULT_PAGE_SIZE};
 pub use pager::{DbView, Pager, PagerConfig, WriteTxn};
-pub use stats::{IoCostModel, IoStats, IoStatsSnapshot};
+pub use stats::{IoStats, IoStatsSnapshot};
 pub use storage::{FailingStorage, FileStorage, LogStorage, MemStorage};
 pub use wal::{next_committed_segment, CommittedSegment, RecoveredState, Wal};

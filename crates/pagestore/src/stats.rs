@@ -1,18 +1,13 @@
-//! I/O accounting and the deterministic I/O cost model.
+//! I/O accounting.
 //!
 //! The paper's performance study is driven by *where pages come from*: the
 //! in-memory current database, the buffer cache, or the on-disk Pagelog.
 //! Every fetch path increments one of these counters; the experiment
-//! harness reads them to reproduce the paper's cost breakdowns, and the
-//! [`IoCostModel`] converts counted Pagelog reads into a modeled latency so
-//! the figures keep their shape on hardware where the OS page cache would
-//! otherwise hide the I/O.
+//! harness reads them to reproduce the paper's cost breakdowns.
 //!
 //! Each `count_*` method also emits the matching trace instant, so the
 //! event stream and the counters come from the *same call sites* and can
 //! never disagree (DESIGN.md §9).
-
-use std::time::Duration;
 
 use rql_trace::{instant, instant_arg, SpanId};
 
@@ -130,57 +125,6 @@ impl IoStatsSnapshot {
     }
 }
 
-/// Deterministic I/O cost model.
-///
-/// The paper ran against a SATA SSD where every Pagelog fetch was a random
-/// 4 KiB read. On a modern dev box the OS page cache (and tiny scaled-down
-/// data) hides that cost, so experiments report a *modeled* latency
-/// `measured_cpu + pagelog_reads × pagelog_read_cost` next to raw wall
-/// time. The default 100 µs per read approximates the paper's SSD.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IoCostModel {
-    /// Modeled cost of one Pagelog page fetch.
-    pub pagelog_read_cost: Duration,
-    /// Modeled cost of one in-memory database page access (usually zero;
-    /// kept for sensitivity analysis).
-    pub db_read_cost: Duration,
-    /// Modeled cost of one buffer-cache hit (usually zero).
-    pub cache_hit_cost: Duration,
-}
-
-impl Default for IoCostModel {
-    fn default() -> Self {
-        IoCostModel {
-            pagelog_read_cost: Duration::from_micros(100),
-            db_read_cost: Duration::ZERO,
-            cache_hit_cost: Duration::ZERO,
-        }
-    }
-}
-
-impl IoCostModel {
-    /// A model that charges nothing (pure CPU measurement).
-    pub fn free() -> Self {
-        IoCostModel {
-            pagelog_read_cost: Duration::ZERO,
-            db_read_cost: Duration::ZERO,
-            cache_hit_cost: Duration::ZERO,
-        }
-    }
-
-    /// Modeled I/O latency for a counter interval.
-    pub fn io_cost(&self, delta: &IoStatsSnapshot) -> Duration {
-        self.pagelog_read_cost * delta.pagelog_reads as u32
-            + self.db_read_cost * delta.db_reads as u32
-            + self.cache_hit_cost * delta.cache_hits as u32
-    }
-
-    /// Modeled total latency: measured CPU time plus modeled I/O.
-    pub fn total_cost(&self, cpu: Duration, delta: &IoStatsSnapshot) -> Duration {
-        cpu + self.io_cost(delta)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,20 +168,5 @@ mod tests {
         s.count_pagelog_read();
         s.reset();
         assert_eq!(s.snapshot(), IoStatsSnapshot::default());
-    }
-
-    #[test]
-    fn cost_model_charges_pagelog_reads() {
-        let model = IoCostModel::default();
-        let delta = IoStatsSnapshot {
-            pagelog_reads: 10,
-            ..Default::default()
-        };
-        assert_eq!(model.io_cost(&delta), Duration::from_millis(1));
-        assert_eq!(
-            model.total_cost(Duration::from_millis(2), &delta),
-            Duration::from_millis(3)
-        );
-        assert_eq!(IoCostModel::free().io_cost(&delta), Duration::ZERO);
     }
 }

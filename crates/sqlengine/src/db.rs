@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
-use rql_pagestore::{IoCostModel, IoStats, WriteTxn};
+use rql_pagestore::{IoStats, WriteTxn};
 use rql_retro::{RetroConfig, RetroStore, SnapshotReader};
 
 use crate::ast::{InsertSource, SelectStmt, Stmt};
@@ -68,8 +68,6 @@ pub struct Database {
     open_txn: Mutex<Option<WriteTxn>>,
     /// Per-table free-space maps (keyed by heap root page id).
     fsms: Mutex<HashMap<u64, FreeSpaceMap>>,
-    /// I/O cost model used when reporting modeled latencies.
-    cost_model: IoCostModel,
     /// Cooperative interrupt flag (the `sqlite3_interrupt` analog):
     /// polled by the executor at scan/join checkpoints. Sticky until
     /// [`CancelToken::clear`]; shared with watchdogs via
@@ -95,7 +93,6 @@ impl Database {
             udfs: RwLock::new(UdfRegistry::new()),
             open_txn: Mutex::new(None),
             fsms: Mutex::new(HashMap::new()),
-            cost_model: IoCostModel::default(),
             cancel: CancelToken::new(),
         };
         db.ensure_catalog();
@@ -133,11 +130,6 @@ impl Database {
     /// Shared I/O counters.
     pub fn io_stats(&self) -> &Arc<IoStats> {
         self.store.stats()
-    }
-
-    /// The configured I/O cost model.
-    pub fn cost_model(&self) -> IoCostModel {
-        self.cost_model
     }
 
     /// Register a scalar UDF (`sqlite3_create_function` analog).

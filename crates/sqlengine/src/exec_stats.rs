@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use rql_pagestore::{IoCostModel, IoStatsSnapshot};
+use rql_pagestore::IoStatsSnapshot;
 
 /// Cost breakdown of one query execution.
 #[derive(Debug, Clone, Copy, Default)]
@@ -39,16 +39,6 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// Modeled I/O latency under `model`.
-    pub fn io_cost(&self, model: &IoCostModel) -> Duration {
-        model.io_cost(&self.io)
-    }
-
-    /// Modeled total latency: measured CPU components plus modeled I/O.
-    pub fn total_cost(&self, model: &IoCostModel) -> Duration {
-        self.spt_build + self.index_creation + self.eval + self.io_cost(model)
-    }
-
     /// Merge another breakdown into this one (for multi-statement or
     /// multi-iteration accumulation).
     pub fn accumulate(&mut self, other: &ExecStats) {
@@ -66,24 +56,6 @@ impl ExecStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn total_cost_sums_components() {
-        let stats = ExecStats {
-            spt_build: Duration::from_millis(1),
-            index_creation: Duration::from_millis(2),
-            eval: Duration::from_millis(3),
-            io: IoStatsSnapshot {
-                pagelog_reads: 10,
-                ..Default::default()
-            },
-            rows: 5,
-            ..Default::default()
-        };
-        let model = IoCostModel::default(); // 100 µs per pagelog read
-        assert_eq!(stats.io_cost(&model), Duration::from_millis(1));
-        assert_eq!(stats.total_cost(&model), Duration::from_millis(7));
-    }
 
     #[test]
     fn accumulate_adds() {

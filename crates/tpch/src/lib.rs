@@ -9,6 +9,9 @@
 //! snapshot histories every experiment runs on.
 
 #![warn(missing_docs)]
+// Errors are returned, not unwrapped: unlike the workspace, which only
+// warns, this crate denies `unwrap`/`expect` outside tests (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod gen;
 pub mod load;

@@ -113,9 +113,10 @@ impl SnapshotHistory {
         Ok(())
     }
 
-    /// The most recent snapshot id (`Slast` in the paper's notation).
+    /// The most recent snapshot id (`Slast` in the paper's notation), or
+    /// 0 for a history that declared none.
     pub fn last_snapshot(&self) -> u64 {
-        *self.snapshots.last().expect("history has snapshots")
+        self.snapshots.last().copied().unwrap_or(0)
     }
 
     /// A Qs string selecting `len` snapshots starting at `start`

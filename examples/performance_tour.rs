@@ -8,12 +8,10 @@
 //! ```
 
 use rql::AggOp;
-use rql_pagestore::IoCostModel;
 use rql_retro::RetroConfig;
 use rql_tpch::{build_history, UW30};
 
 fn main() -> rql::Result<()> {
-    let model = IoCostModel::default();
     println!("Building a TPC-H history: 3,000 orders, UW30 churn, 60 snapshots …");
     let mut history = build_history(RetroConfig::new(), 0.002, UW30, 60, false)?;
     let session = history.session.clone();
@@ -44,11 +42,8 @@ fn main() -> rql::Result<()> {
     println!("\n[1] Old snapshots, 10 consecutive iterations (Qq_io):");
     for it in &report.iterations {
         println!(
-            "  snapshot {:>3}: {:>4} pagelog reads, {:>4} cache hits, modeled {:?}",
-            it.snap_id,
-            it.qq_stats.io.pagelog_reads,
-            it.qq_stats.io.cache_hits,
-            it.total_cost(&model)
+            "  snapshot {:>3}: {:>4} pagelog reads, {:>4} cache hits, wall {:?}",
+            it.snap_id, it.qq_stats.io.pagelog_reads, it.qq_stats.io.cache_hits, it.wall
         );
     }
     println!(

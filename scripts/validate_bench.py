@@ -30,7 +30,7 @@ import glob
 import json
 import sys
 
-SUPPORTED_SCHEMA_VERSION = 1
+SUPPORTED_SCHEMA_VERSION = 2
 
 NUM = (int, float)
 
@@ -38,9 +38,9 @@ NUM = (int, float)
 REQUIRED = {
     "memo_cache": {
         "snapshots": int,
-        "nomemo_qq_cost_ms": NUM,
-        "cold_qq_cost_ms": NUM,
-        "warm_qq_cost_ms": NUM,
+        "nomemo_qq_wall_ms": NUM,
+        "cold_qq_wall_ms": NUM,
+        "warm_qq_wall_ms": NUM,
         "warm_speedup_vs_nomemo": NUM,
         "warm_hit_rate": NUM,
         "identical_results": bool,
@@ -89,8 +89,8 @@ REQUIRED = {
 PRUNE_LANE = {
     "selectivity": str,
     "threshold": int,
-    "baseline_cost_ms": NUM,
-    "pruned_cost_ms": NUM,
+    "baseline_wall_ms": NUM,
+    "pruned_wall_ms": NUM,
     "speedup": NUM,
     "pagelog_reads_baseline": int,
     "pagelog_reads_pruned": int,
