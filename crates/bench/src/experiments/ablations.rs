@@ -1,12 +1,10 @@
-//! Ablations and extensions beyond the paper's figures:
+//! Ablations beyond the paper's figures:
 //!
 //! 1. **AggregateDataInTable strategy** — index probe (the paper's
 //!    implementation) vs sort-merge (the alternative §3 reports as
 //!    costlier).
 //! 2. **Skippy vs linear Maplog scan** — SPT-build entries touched for
 //!    an old snapshot (the Skippy n log n claim).
-//! 3. **Parallel iteration** — §7's future work: Qq phases executed on a
-//!    thread pool, byte-identical results, wall-clock speedup.
 
 use std::cmp::Ordering;
 use std::time::Instant;
@@ -18,7 +16,7 @@ use rql_sqlengine::{Result, Row, SqlError};
 use rql_tpch::{build_history, UW30};
 
 use crate::harness::{bench_config, bench_sf, fast_mode, phase, run_from_cold};
-use crate::queries::{QQ_AGG, QQ_IO};
+use crate::queries::QQ_AGG;
 
 /// Sort-merge variant of `AggregateDataInTable` — the alternative the
 /// paper's authors "experimented with … that turned out to be costlier"
@@ -167,7 +165,7 @@ pub fn aggregate_data_in_table_sortmerge(
 pub fn run() -> Result<String> {
     let interval = if fast_mode() { 5 } else { 50 };
     let mut out = String::new();
-    out.push_str("## Ablations and extensions\n\n");
+    out.push_str("## Ablations\n\n");
 
     // --- 1. probe vs sort-merge -----------------------------------------
     {
@@ -245,104 +243,6 @@ pub fn run() -> Result<String> {
         ));
     }
 
-    // --- 3. adaptive (Thresher-style) Pagelog ------------------------------
-    {
-        // Diffs pay off for small in-place edits, not for the refresh
-        // workload's whole-record churn — so this ablation drives an
-        // UPDATE-heavy history (price adjustments scattered over every
-        // page) and snapshots it.
-        let build = |format: rql_retro::PagelogFormat| -> Result<std::sync::Arc<rql::RqlSession>> {
-            let mut cfg = bench_config();
-            cfg.pagelog_format = format;
-            let session = rql::RqlSession::new(cfg)?;
-            rql_tpch::load_initial(session.snap_db(), &rql_tpch::Tpch::new(bench_sf()))?;
-            for round in 0..interval {
-                session.execute(&format!(
-                    "UPDATE orders SET o_totalprice = o_totalprice + 1 \
-                     WHERE o_orderkey % {interval} = {round}"
-                ))?;
-                session.declare_snapshot(None)?;
-            }
-            // One more full round so snapshot 1 is fully archived.
-            session.execute("UPDATE orders SET o_totalprice = o_totalprice + 1")?;
-            session.snap_db().store().cache().clear();
-            Ok(session)
-        };
-        let raw = build(rql_retro::PagelogFormat::Raw)?;
-        let adaptive = build(rql_retro::PagelogFormat::Adaptive { max_chain: 4 })?;
-        let cold_reads = |s: &rql::RqlSession| -> Result<u64> {
-            let store = s.snap_db().store();
-            store.cache().clear();
-            store.stats().reset();
-            // Read a late snapshot: its pre-states sit at the deep end of
-            // the diff chains, so reconstruction cost is visible.
-            s.query(&format!("SELECT AS OF {interval} COUNT(*) FROM orders"))?;
-            Ok(store.stats().snapshot().pagelog_reads)
-        };
-        let raw_reads = cold_reads(&raw)?;
-        let adaptive_reads = cold_reads(&adaptive)?;
-        let raw_bytes = raw.snap_db().store().pagelog().size_bytes();
-        let adaptive_store = adaptive.snap_db().store().clone();
-        let adaptive_bytes = adaptive_store.pagelog().size_bytes();
-        out.push_str(&format!(
-            "### Adaptive (Thresher-style) Pagelog, §6's space/reconstruction trade-off\n\n\
-             | format | archive size | diff entries | cold late-snapshot pagelog reads |\n|---|---|---|---|\n\
-             | raw full pages (Retro) | {} KiB | 0 | {raw_reads} |\n\
-             | adaptive page-diff | {} KiB | {} | {adaptive_reads} |\n\n\
-             - The archive shrinks {:.1}× while reconstruction touches {:.1}× more \
-             log entries — \"more compact snapshot representation\" for \"a higher \
-             cost of snapshot reconstruction\", as §6 describes.\n\n",
-            raw_bytes >> 10,
-            adaptive_bytes >> 10,
-            adaptive_store.pagelog().diff_count(),
-            raw_bytes as f64 / adaptive_bytes.max(1) as f64,
-            adaptive_reads as f64 / raw_reads.max(1) as f64,
-        ));
-    }
-
-    // --- 4. parallel iteration (future work) ------------------------------
-    {
-        let mut h = build_history(bench_config(), bench_sf(), UW30, interval, false)?;
-        h.age_all_snapshots()?;
-        let qs = h.qs(1, interval, 1);
-        let (res, seq) = phase("ablation:collate-sequential", || {
-            run_from_cold(&h.session, "abl_seq", || {
-                h.session.collate_data(&qs, QQ_IO, "abl_seq")
-            })
-        });
-        res?;
-        let threads = std::thread::available_parallelism().map_or(4, |n| n.get().min(8));
-        let (res, par) = phase("ablation:collate-parallel", || {
-            run_from_cold(&h.session, "abl_par", || {
-                rql::collate_data_parallel(
-                    h.session.snap_db(),
-                    h.session.aux_db(),
-                    &qs,
-                    QQ_IO,
-                    "abl_par",
-                    threads,
-                )
-            })
-        });
-        res?;
-        let same = {
-            let a = h.session.query_aux("SELECT COUNT(*) FROM abl_seq")?;
-            let b = h.session.query_aux("SELECT COUNT(*) FROM abl_par")?;
-            a.rows == b.rows
-        };
-        out.push_str(&format!(
-            "### Parallel iteration (paper §7 future work), {threads} threads\n\n\
-             | variant | wall time |\n|---|---|\n\
-             | sequential CollateData | {seq:?} |\n| parallel Qq phase | {par:?} |\n\n\
-             - Identical output: {same}; speedup {:.2}× on the Qq phase (snapshot \
-             readers are read-only MVCC transactions, so iterations parallelize \
-             freely; the fold stays sequential). Wall-clock speedup requires \
-             multiple cores — this host reports {} — correctness of the parallel \
-             path is what the run demonstrates.\n\n",
-            seq.as_secs_f64() / par.as_secs_f64().max(1e-9),
-            std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-        ));
-    }
     Ok(out)
 }
 

@@ -18,7 +18,7 @@
 
 use rql::{AggOp, DeltaPolicy, RqlSession};
 use rql_pagestore::PagerConfig;
-use rql_retro::{PagelogFormat, RetroConfig};
+use rql_retro::RetroConfig;
 use rql_sqlengine::Result;
 use rql_tpch::{load_initial, Tpch};
 
@@ -39,9 +39,7 @@ fn build_session(rounds: u64, cycle: u64) -> Result<std::sync::Arc<RqlSession>> 
             cache_capacity: 8,
             wal_sync_on_commit: false,
         },
-        use_skippy: true,
-        keying: rql_pagestore::CacheKeying::ByPagelogOffset,
-        pagelog_format: PagelogFormat::Raw,
+        ..RetroConfig::new()
     };
     let session = RqlSession::new(cfg)?;
     load_initial(session.snap_db(), &Tpch::new(bench_sf()))?;

@@ -15,7 +15,7 @@
 
 use rql::{DeltaPolicy, RqlSession};
 use rql_pagestore::PagerConfig;
-use rql_retro::{PagelogFormat, RetroConfig};
+use rql_retro::RetroConfig;
 use rql_sqlengine::Result;
 
 use crate::harness::{fast_mode, ms, phase, qq_wall, run_from_cold, BENCH_SCHEMA_VERSION};
@@ -36,9 +36,7 @@ fn build_session(n: u64, rounds: u64) -> Result<std::sync::Arc<RqlSession>> {
             cache_capacity: 8,
             wal_sync_on_commit: false,
         },
-        use_skippy: true,
-        keying: rql_pagestore::CacheKeying::ByPagelogOffset,
-        pagelog_format: PagelogFormat::Raw,
+        ..RetroConfig::new()
     };
     let session = RqlSession::new(cfg)?;
     session.execute("CREATE TABLE events (k INTEGER, b INTEGER, payload TEXT)")?;

@@ -148,11 +148,11 @@ impl From<QueryResult> for QqOutput {
 /// Per-snapshot Qq evaluation: the source choice made once from the
 /// policy and the Qq shape, the delta scanner, memo lookups, output reuse
 /// on whole-snapshot skips, the grouped delta finish and the
-/// `DeltaPolicy::Forced` contract. Batch runs, the per-row UDF form, the
-/// standing-query maintainer and the parallel pool's workers all drive
-/// this one implementation: [`open_chain`](Self::open_chain) for a run of
-/// snapshot ids, then [`advance`](Self::advance) once per id in order
-/// and read [`current`](Self::current).
+/// `DeltaPolicy::Forced` contract. Batch runs, the per-row UDF form and
+/// the standing-query maintainer all drive this one implementation:
+/// [`open_chain`](Self::open_chain) for a run of snapshot ids, then
+/// [`advance`](Self::advance) once per id in order and read
+/// [`current`](Self::current).
 pub(crate) struct QqSource {
     parsed: SelectStmt,
     memo: Option<QqMemo>,
@@ -167,8 +167,6 @@ pub(crate) struct QqSource {
     /// The grouped delta finish's table, for a reusable `GROUP BY` of the
     /// shape it serves.
     groups: Option<GroupTable>,
-    /// Outputs evaluated ahead of time, served in order instead.
-    preloaded: Option<std::vec::IntoIter<QqOutput>>,
     current: Option<QqOutput>,
     /// The last snapshot evaluated: where the next chain continues from.
     last_sid: Option<u64>,
@@ -221,17 +219,10 @@ impl QqSource {
             scanner: DeltaTableScanner::new(),
             reusable,
             groups,
-            preloaded: None,
             current: None,
             last_sid: None,
             reprime: None,
         })
-    }
-
-    /// Serve `results` (one per upcoming [`advance`](Self::advance), in
-    /// order) instead of evaluating — the parallel pool's hand-over.
-    pub(crate) fn preload(&mut self, results: Vec<QqOutput>) {
-        self.preloaded = Some(results.into_iter());
     }
 
     /// Readers for the upcoming run over `ids`, aligned with it; empty
@@ -240,7 +231,7 @@ impl QqSource {
     /// runs (a standing query) builds its SPT incrementally and scans
     /// only the pages changed since.
     pub(crate) fn open_chain(&self, snap: &Database, ids: &[u64]) -> Result<Vec<SnapshotReader>> {
-        if !self.chain || self.preloaded.is_some() {
+        if !self.chain {
             return Ok(Vec::new());
         }
         let Some(last) = self.last_sid else {
@@ -257,13 +248,6 @@ impl QqSource {
         self.current.as_ref().expect("advance() before current()")
     }
 
-    /// Move the current output out (a pool worker handing it over).
-    pub(crate) fn take_current(&mut self) -> QqOutput {
-        self.current
-            .take()
-            .expect("advance() before take_current()")
-    }
-
     /// Evaluate Qq at `sid` — through `reader`'s chain delta when one was
     /// opened for it, else the ordinary plan. Returns whether the memo
     /// served the result.
@@ -277,10 +261,6 @@ impl QqSource {
         // lands mid-loop stops before the next Qq opens its snapshot
         // (row-batch checkpoints inside the executor cover the rest).
         snap.cancel_token().check()?;
-        if let Some(results) = &mut self.preloaded {
-            self.current = results.next();
-            return Ok(false);
-        }
         // Snapshots are immutable, so a memoized Qq result at `sid` is
         // byte-identical to re-execution; hits skip the executor (and
         // report zeroed Qq stats — no pages read, nothing evaluated).

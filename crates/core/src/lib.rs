@@ -29,7 +29,7 @@
 //! (`SELECT CollateData(snap_id, …) FROM SnapIds`).
 //!
 //! Underneath, every form — batch, per-row UDF, standing `MAINTAIN
-//! QUERY` ([`maintain`]), [`parallel`] — is one loop in [`mechanism`]
+//! QUERY` ([`maintain`]) — is one loop in [`mechanism`]
 //! driving one per-snapshot Qq source ([`delta`]) into one fold per
 //! mechanism.
 //!
@@ -71,7 +71,6 @@ pub mod delta;
 pub mod maintain;
 pub mod mechanism;
 pub mod memoize;
-pub mod parallel;
 pub mod profile;
 pub mod report;
 pub mod rewrite;
@@ -92,7 +91,6 @@ pub use maintain::{
 };
 pub use mechanism::{END_SNAPSHOT_COL, START_SNAPSHOT_COL};
 pub use memoize::{memo_eligible, qq_fingerprint};
-pub use parallel::{aggregate_data_in_variable_parallel, collate_data_parallel};
 pub use profile::{MechanismProfile, QueryProfile, SnapshotCost};
 pub use report::{IterationReport, RqlReport};
 pub use rewrite::{

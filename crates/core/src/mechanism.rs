@@ -20,9 +20,7 @@
 //!   paper's SQLite UDF callback gets invoked — with a fold that
 //!   [`Fold::resume`]s from whatever `T` already holds;
 //! * a standing query ([`crate::maintain`]) keeps the pair alive across
-//!   commits and collects the fold's row effects as a [`ResultDelta`];
-//! * [`crate::parallel`] pre-evaluates Qq on a thread pool and hands the
-//!   outputs to the same loop.
+//!   commits and collects the fold's row effects as a [`ResultDelta`].
 
 use std::collections::HashMap;
 use std::sync::Arc;

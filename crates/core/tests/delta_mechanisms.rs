@@ -505,7 +505,7 @@ fn delta_refuses_existing_result_table() {
 }
 
 /// The zero-snapshot satellite: when Qs selects no snapshots, every
-/// mechanism variant (sequential, parallel, delta) behaves identically —
+/// mechanism variant (sequential, delta) behaves identically —
 /// CollateData creates no table, AggregateDataInVariable creates the
 /// identity table with the fallback "value" column.
 #[test]
@@ -524,16 +524,7 @@ fn zero_snapshot_behaviour_is_uniform_across_variants() {
             DeltaPolicy::Forced,
         )
         .unwrap();
-    rql::collate_data_parallel(
-        session.snap_db(),
-        session.aux_db(),
-        empty_qs,
-        "SELECT grp FROM m",
-        "z_par",
-        2,
-    )
-    .unwrap();
-    for t in ["z_seq", "z_delta", "z_par"] {
+    for t in ["z_seq", "z_delta"] {
         assert!(
             session.aux_db().table_row_count(t).is_err(),
             "CollateData over zero snapshots must not create {t}"
@@ -552,17 +543,7 @@ fn zero_snapshot_behaviour_is_uniform_across_variants() {
             DeltaPolicy::Forced,
         )
         .unwrap();
-    rql::aggregate_data_in_variable_parallel(
-        session.snap_db(),
-        session.aux_db(),
-        empty_qs,
-        "SELECT SUM(v) FROM m",
-        "zv_par",
-        AggOp::Sum,
-        2,
-    )
-    .unwrap();
-    for t in ["zv_seq", "zv_delta", "zv_par"] {
+    for t in ["zv_seq", "zv_delta"] {
         let r = session.query_aux(&format!("SELECT * FROM {t}")).unwrap();
         assert_eq!(r.columns, vec!["value".to_string()], "{t}");
         assert_eq!(r.rows, vec![vec![Value::Null]], "{t}");

@@ -441,6 +441,22 @@ fn reports_carry_cost_breakdown() {
 }
 
 #[test]
+fn malformed_qs_rejected_at_runtime() {
+    let session = paper_history();
+    // Pre-flight off: the mechanism itself must check what Qs returned.
+    session.set_preflight(false);
+    for (qs, needle) in [
+        ("SELECT 'two'", "non-integer snapshot id: two"),
+        ("SELECT snap_id, snap_id FROM SnapIds", "got 2"),
+    ] {
+        let err = session
+            .collate_data(qs, "SELECT l_userid FROM LoggedIn", "Bad")
+            .unwrap_err();
+        assert!(err.to_string().contains(needle), "Qs {qs}: {err}");
+    }
+}
+
+#[test]
 fn qq_with_as_of_rejected() {
     let session = paper_history();
     let err = session.collate_data(

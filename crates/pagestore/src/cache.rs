@@ -6,9 +6,7 @@
 //! `(snapshot, page)`. Two consecutive snapshots S1, S2 map every page in
 //! `shared(S1,S2)` to the *same* Pagelog pre-state, so a page fetched while
 //! computing on S1 hits in cache when the next iteration computes on S2 —
-//! exactly the sharing effect of Figures 6–8. (The alternative keying is
-//! kept behind [`CacheKeying`] as an ablation for the `cache_keying`
-//! benchmark.)
+//! exactly the sharing effect of Figures 6–8.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -26,24 +24,6 @@ pub enum CacheKey {
     /// A snapshot pre-state, identified by its Pagelog offset. Shared
     /// between all snapshots whose SPT maps to this offset.
     Pagelog(u64),
-    /// Ablation keying: a snapshot page identified per-snapshot, which
-    /// defeats cross-snapshot sharing.
-    PerSnapshot {
-        /// Snapshot sequence number.
-        snapshot: u64,
-        /// Logical page.
-        page: PageId,
-    },
-}
-
-/// Cache keying policy (ablation knob; see DESIGN.md §5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheKeying {
-    /// Key snapshot pages by Pagelog offset (Retro's behaviour).
-    #[default]
-    ByPagelogOffset,
-    /// Key snapshot pages by (snapshot, page) — no cross-snapshot sharing.
-    PerSnapshot,
 }
 
 const NIL: usize = usize::MAX;
@@ -66,8 +46,8 @@ struct LruInner {
 
 /// Caches at least this large are split into [`SHARD_COUNT`] shards so
 /// concurrent sessions don't serialize on a single mutex. Smaller caches
-/// stay single-sharded: their unit tests (and the cache-keying ablation)
-/// rely on *exact* global LRU order, which sharding only approximates.
+/// stay single-sharded: their unit tests rely on *exact* global LRU
+/// order, which sharding only approximates.
 const SHARD_THRESHOLD: usize = 4096;
 /// Number of shards for large caches (power of two, see [`shard_index`]).
 const SHARD_COUNT: usize = 8;
@@ -363,16 +343,9 @@ mod tests {
         let c = BufferCache::new(8);
         c.insert(CacheKey::Db(PageId(1)), page(1));
         c.insert(CacheKey::Pagelog(1), page(2));
-        c.insert(
-            CacheKey::PerSnapshot {
-                snapshot: 1,
-                page: PageId(1),
-            },
-            page(3),
-        );
         assert_eq!(c.get(&CacheKey::Db(PageId(1))).unwrap().bytes()[0], 1);
         assert_eq!(c.get(&CacheKey::Pagelog(1)).unwrap().bytes()[0], 2);
-        assert_eq!(c.len(), 3);
+        assert_eq!(c.len(), 2);
     }
 
     #[test]

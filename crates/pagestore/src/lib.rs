@@ -33,7 +33,7 @@ pub mod storage;
 pub mod wal;
 pub mod wire;
 
-pub use cache::{BufferCache, CacheKey, CacheKeying};
+pub use cache::{BufferCache, CacheKey};
 pub use error::{Result, StoreError};
 pub use page::{fnv1a, fnv1a_extend, Page, PageId, SharedPage, DEFAULT_PAGE_SIZE};
 pub use pager::{DbView, Pager, PagerConfig, WriteTxn};

@@ -51,8 +51,7 @@ pub struct FollowerConfig {
     pub leader: String,
     /// Directory for the local durable store.
     pub data_dir: PathBuf,
-    /// Store geometry; page size and pagelog format must match the
-    /// leader's.
+    /// Store geometry; the page size must match the leader's.
     pub retro: RetroConfig,
     /// First reconnect delay.
     pub backoff_min: Duration,

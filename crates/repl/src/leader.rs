@@ -22,7 +22,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rql_pagestore::next_committed_segment;
-use rql_retro::{PagelogFormat, ReplLogs, RetroStore};
+use rql_retro::{ReplLogs, RetroStore};
 
 use crate::frame::{log_id, read_frame, write_frame, CommitOrigin, Frame, PROTO_VERSION};
 use crate::metrics::{phase, role, ReplMetrics};
@@ -118,8 +118,7 @@ pub struct ReplLeader {
 
 impl ReplLeader {
     /// Start serving followers on `listener`. The store must be durable
-    /// (opened with logs) and use the raw Pagelog format — adaptive
-    /// archives are chain-order-dependent and not byte-replayable.
+    /// (opened with logs).
     pub fn start(
         store: Arc<RetroStore>,
         listener: TcpListener,
@@ -129,11 +128,6 @@ impl ReplLeader {
         let logs = store
             .repl_logs()
             .ok_or_else(|| ReplError::Protocol("replication requires a durable store".into()))?;
-        if !matches!(store.config().pagelog_format, PagelogFormat::Raw) {
-            return Err(ReplError::Protocol(
-                "replication requires the raw pagelog format".into(),
-            ));
-        }
         let addr = listener.local_addr()?;
         metrics.role.set(role::LEADER);
         let shared = Arc::new(LeaderShared {

@@ -16,9 +16,9 @@
 //! database for shared pages.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod maplog;
-pub mod pagediff;
 pub mod pagelog;
 pub mod skippy;
 pub mod snapshot;
@@ -26,8 +26,7 @@ pub mod spt;
 pub mod store;
 
 pub use maplog::{Boundary, Maplog, SptScan};
-pub use pagediff::{apply_runs, diff_pages, Run};
-pub use pagelog::{ArchiveOutcome, Pagelog, PagelogFormat};
+pub use pagelog::{Pagelog, PagelogFormat};
 pub use skippy::{Segment, Skippy};
 pub use snapshot::{FetchSource, SnapshotMeta, SnapshotReader};
 pub use spt::{PageLocation, Spt, SptBuildStats};
@@ -51,9 +50,7 @@ mod tests {
                 cache_capacity: cache,
                 wal_sync_on_commit: false,
             },
-            use_skippy: true,
-            keying: rql_pagestore::CacheKeying::ByPagelogOffset,
-            pagelog_format: PagelogFormat::Raw,
+            ..RetroConfig::new()
         }
     }
 
@@ -199,71 +196,30 @@ mod tests {
     }
 
     #[test]
-    fn per_snapshot_keying_defeats_sharing() {
-        let mut cfg = config(64, 1024);
-        cfg.keying = rql_pagestore::CacheKeying::PerSnapshot;
-        let store = RetroStore::in_memory(cfg);
-        for p in 0..4 {
+    fn pagelog_offset_keying_reads_strictly_less_than_per_snapshot() {
+        // Two consecutive snapshots sharing five of their six archived
+        // pre-states. Snapshot pages are cached by Pagelog offset, so the
+        // second snapshot's reads hit the entries cached while reading the
+        // first: 6 cold misses for S1 + 1 for the diff page, strictly less
+        // than the 12 a key embedding the snapshot id would fetch.
+        let store = RetroStore::in_memory(config(64, 1024));
+        for p in 0..6 {
             write_page(&store, PageId(p), p as u32);
         }
         let s1 = declare(&store);
+        write_page(&store, PageId(0), 100); // diff(S1,S2) = {P0}
         let s2 = declare(&store);
-        for p in 0..4 {
-            write_page(&store, PageId(p), 100 + p as u32);
+        // Overwrite everything so both snapshots are fully archived.
+        for p in 0..6 {
+            write_page(&store, PageId(p), 200 + p as u32);
         }
-        let r1 = store.open_snapshot(s1).unwrap();
-        for p in 0..4 {
-            r1.page(PageId(p)).unwrap();
-        }
-        store.stats().reset();
-        let r2 = store.open_snapshot(s2).unwrap();
-        for p in 0..4 {
-            r2.page(PageId(p)).unwrap();
-        }
-        // Identical pre-states, but per-snapshot keys miss the cache.
-        assert_eq!(store.stats().snapshot().pagelog_reads, 4);
-    }
-
-    #[test]
-    fn pagelog_offset_keying_reads_strictly_less_than_per_snapshot() {
-        // Same history, same read pattern, only the cache keying differs:
-        // two consecutive snapshots sharing every archived pre-state.
-        // Under `ByPagelogOffset` the second snapshot's reads hit the
-        // entries cached while reading the first (shared pages map to the
-        // same Pagelog offset); under `PerSnapshot` every key embeds the
-        // snapshot id, so the identical bytes are fetched again.
-        let run = |keying: rql_pagestore::CacheKeying| {
-            let mut cfg = config(64, 1024);
-            cfg.keying = keying;
-            let store = RetroStore::in_memory(cfg);
+        for sid in [s1, s2] {
+            let reader = store.open_snapshot(sid).unwrap();
             for p in 0..6 {
-                write_page(&store, PageId(p), p as u32);
+                reader.page(PageId(p)).unwrap();
             }
-            let s1 = declare(&store);
-            write_page(&store, PageId(0), 100); // diff(S1,S2) = {P0}
-            let s2 = declare(&store);
-            // Overwrite everything so both snapshots are fully archived.
-            for p in 0..6 {
-                write_page(&store, PageId(p), 200 + p as u32);
-            }
-            for sid in [s1, s2] {
-                let reader = store.open_snapshot(sid).unwrap();
-                for p in 0..6 {
-                    reader.page(PageId(p)).unwrap();
-                }
-            }
-            store.stats().snapshot().pagelog_reads
-        };
-        let by_offset = run(rql_pagestore::CacheKeying::ByPagelogOffset);
-        let per_snapshot = run(rql_pagestore::CacheKeying::PerSnapshot);
-        // ByPagelogOffset: 6 cold misses for S1 + 1 for the diff page.
-        // PerSnapshot: 6 + 6, every page re-fetched under the new key.
-        assert!(
-            by_offset < per_snapshot,
-            "offset keying must read less: {by_offset} vs {per_snapshot}"
-        );
-        assert_eq!(by_offset, 7);
-        assert_eq!(per_snapshot, 12);
+        }
+        assert_eq!(store.stats().snapshot().pagelog_reads, 7);
     }
 
     #[test]
@@ -625,81 +581,5 @@ mod tests {
         write_page(&store, PageId(0), 2);
         assert_eq!(store.pagelog().pre_state_count(), 0);
         assert_eq!(store.maplog_entries(), 0);
-    }
-
-    #[test]
-    fn adaptive_pagelog_preserves_snapshots_and_saves_space() {
-        // Same history under both formats: identical snapshot contents,
-        // smaller archive with the adaptive format (small page edits),
-        // higher reconstruction read counts.
-        let build = |format: PagelogFormat| {
-            let mut cfg = config(256, 0); // no cache: count every read
-            cfg.pagelog_format = format;
-            let store = RetroStore::in_memory(cfg);
-            for p in 0..4 {
-                write_page(&store, PageId(p), p as u32);
-            }
-            for round in 1..=6u32 {
-                declare(&store);
-                for p in 0..4 {
-                    // Small in-place edit: ideal diff candidate.
-                    write_page(&store, PageId(p), round * 100 + p as u32);
-                }
-            }
-            store
-        };
-        let raw = build(PagelogFormat::Raw);
-        let adaptive = build(PagelogFormat::Adaptive { max_chain: 3 });
-        for sid in 1..=6u64 {
-            for p in 0..4 {
-                assert_eq!(
-                    read_tag(&raw, sid, PageId(p)),
-                    read_tag(&adaptive, sid, PageId(p)),
-                    "snapshot {sid} page {p}"
-                );
-            }
-        }
-        assert!(adaptive.pagelog().diff_count() > 0, "diffs were stored");
-        assert!(
-            adaptive.pagelog().size_bytes() < raw.pagelog().size_bytes() / 2,
-            "adaptive archive should be much smaller: {} vs {}",
-            adaptive.pagelog().size_bytes(),
-            raw.pagelog().size_bytes()
-        );
-        // Reconstruction cost: reading an old snapshot touches more log
-        // entries under the adaptive format (chain follows).
-        raw.stats().reset();
-        adaptive.stats().reset();
-        for p in 0..4 {
-            raw.open_snapshot(1).unwrap().page(PageId(p)).unwrap();
-            adaptive.open_snapshot(1).unwrap().page(PageId(p)).unwrap();
-        }
-        assert!(
-            adaptive.stats().snapshot().pagelog_reads >= raw.stats().snapshot().pagelog_reads,
-            "diff chains cost extra reads"
-        );
-    }
-
-    #[test]
-    fn adaptive_pagelog_survives_reopen() {
-        use rql_pagestore::MemStorage;
-        let wal: Arc<MemStorage> = Arc::new(MemStorage::new());
-        let plog: Arc<MemStorage> = Arc::new(MemStorage::new());
-        let mlog: Arc<MemStorage> = Arc::new(MemStorage::new());
-        let mut cfg = config(256, 16);
-        cfg.pagelog_format = PagelogFormat::Adaptive { max_chain: 3 };
-        {
-            let store =
-                RetroStore::open(cfg.clone(), wal.clone(), plog.clone(), mlog.clone()).unwrap();
-            write_page(&store, PageId(0), 1);
-            declare(&store);
-            write_page(&store, PageId(0), 2);
-            declare(&store);
-            write_page(&store, PageId(0), 3);
-            store.flush().unwrap();
-        }
-        let store = RetroStore::open(cfg, wal, plog, mlog).unwrap();
-        assert_eq!(read_tag(&store, 1, PageId(0)), 1);
-        assert_eq!(read_tag(&store, 2, PageId(0)), 2);
     }
 }

@@ -78,8 +78,8 @@ impl Maplog {
             storage.read_at(off, &mut kind)?;
             let mut body = [0u8; 16];
             storage.read_at(off + 1, &mut body)?;
-            let a = u64::from_le_bytes(body[0..8].try_into().unwrap());
-            let b = u64::from_le_bytes(body[8..16].try_into().unwrap());
+            let word = |at: usize| u64::from_le_bytes(std::array::from_fn(|i| body[at + i]));
+            let (a, b) = (word(0), word(8));
             match kind[0] {
                 REC_MAPPING => maplog.append_mapping_inner(PageId(a), b),
                 REC_BOUNDARY => maplog.declare_snapshot_inner(a, b),
@@ -242,21 +242,24 @@ impl Maplog {
         let mut uniq: Vec<u64> = ids.to_vec();
         uniq.sort_unstable();
         uniq.dedup();
-        if uniq.is_empty() {
-            return Ok(Vec::new());
-        }
-        for &id in &uniq {
+        let boundary = |id: u64| {
             self.boundary(id)
-                .ok_or_else(|| StoreError::Corrupt(format!("unknown snapshot {id}")))?;
+                .copied()
+                .ok_or_else(|| StoreError::Corrupt(format!("unknown snapshot {id}")))
+        };
+        for &id in &uniq {
+            boundary(id)?;
         }
-        let newest = *uniq.last().expect("non-empty");
+        let Some(&newest) = uniq.last() else {
+            return Ok(Vec::new());
+        };
         let mut built: HashMap<u64, (HashMap<PageId, u64>, u64)> = HashMap::new();
         let scan = self.build_spt(newest, use_skippy)?;
         built.insert(newest, (scan.map, scan.entries_scanned));
         let mut later = newest;
         for &id in uniq.iter().rev().skip(1) {
-            let b = *self.boundary(id).expect("validated above");
-            let b_later = *self.boundary(later).expect("validated above");
+            let b = boundary(id)?;
+            let b_later = boundary(later)?;
             let mut map = HashMap::new();
             let mut scanned = 0u64;
             // First occurrences within (boundary(id), boundary(later)].

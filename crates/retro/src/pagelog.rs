@@ -3,216 +3,58 @@
 //! "Retro accumulates the copied-out pre-states in memory and writes them
 //! to an on-disk log-structured snapshot archive called Pagelog when the
 //! database flushes updates" (paper §4). Pre-states are appended in commit
-//! order; a pre-state is addressed by its byte offset, which is what Maplog
-//! entries record and what the buffer cache keys snapshot pages by.
-//!
-//! Two on-log formats are supported:
-//!
-//! * [`PagelogFormat::Raw`] — every entry is a full page image (Retro's
-//!   representation; the default, and what the paper evaluates);
-//! * [`PagelogFormat::Adaptive`] — the Thresher-style trade-off the paper's
-//!   §6 points to: when an earlier archived version of the same page
-//!   exists and the change is small, only the byte-run diff against it is
-//!   stored. Reads reconstruct by following the (bounded) base chain —
-//!   "more compact snapshot representation" for "a higher cost of
-//!   snapshot reconstruction".
+//! order as full page images; a pre-state is addressed by its byte offset,
+//! which is what Maplog entries record and what the buffer cache keys
+//! snapshot pages by.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use rql_pagestore::{LogStorage, Page, Result, StoreError};
+use rql_pagestore::{LogStorage, Page, Result};
 
-use crate::pagediff;
-
-/// On-log entry format.
+/// On-log entry format. Full page images are the only format; the enum
+/// and [`crate::RetroConfig::pagelog_format`] remain only because the repo
+/// benchmark names `PagelogFormat::Raw`, and nothing reads the setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PagelogFormat {
     /// Full page images, addressed directly (no per-entry header).
     #[default]
     Raw,
-    /// Full-or-diff entries with headers; diff chains are bounded.
-    Adaptive {
-        /// Maximum number of diff hops a read may have to follow; a page
-        /// whose chain reaches this depth is archived as a full image.
-        max_chain: u32,
-    },
-}
-
-const KIND_FULL: u8 = 1;
-const KIND_DIFF: u8 = 2;
-
-/// Outcome of an adaptive append.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArchiveOutcome {
-    /// Offset the entry was written at.
-    pub offset: u64,
-    /// Whether a diff (rather than a full image) was stored.
-    pub stored_as_diff: bool,
-    /// Chain depth of the new entry (0 = full image).
-    pub chain_depth: u32,
 }
 
 /// Append-only page pre-state archive.
 pub struct Pagelog {
     storage: Arc<dyn LogStorage>,
     page_size: usize,
-    format: PagelogFormat,
     /// Pre-states appended (monotonic).
     appended: AtomicU64,
-    /// Entries stored as diffs (adaptive format only).
-    diffs: AtomicU64,
 }
 
 impl Pagelog {
-    /// Create a Pagelog over `storage` for pages of `page_size` bytes,
-    /// in the default raw format.
+    /// Create a Pagelog over `storage` for pages of `page_size` bytes.
     pub fn new(storage: Arc<dyn LogStorage>, page_size: usize) -> Self {
-        Self::with_format(storage, page_size, PagelogFormat::Raw)
-    }
-
-    /// Create a Pagelog with an explicit format.
-    pub fn with_format(
-        storage: Arc<dyn LogStorage>,
-        page_size: usize,
-        format: PagelogFormat,
-    ) -> Self {
-        let appended = match format {
-            // Raw entries are fixed-size, so the count is recoverable.
-            PagelogFormat::Raw => storage.len() / page_size as u64,
-            // Adaptive entries are variable-size; the count restarts (it
-            // is statistics, not an index).
-            PagelogFormat::Adaptive { .. } => 0,
-        };
+        // Entries are fixed-size, so the count is recoverable on reopen.
+        let appended = storage.len() / page_size as u64;
         Pagelog {
             storage,
             page_size,
-            format,
             appended: AtomicU64::new(appended),
-            diffs: AtomicU64::new(0),
         }
-    }
-
-    /// The configured format.
-    pub fn format(&self) -> PagelogFormat {
-        self.format
     }
 
     /// Archive a pre-state as a full image; returns its offset.
     pub fn append(&self, page: &Page) -> Result<u64> {
         debug_assert_eq!(page.size(), self.page_size);
-        let off = match self.format {
-            PagelogFormat::Raw => self.storage.append(page.bytes())?,
-            PagelogFormat::Adaptive { .. } => {
-                let mut rec = Vec::with_capacity(5 + page.size());
-                rec.push(KIND_FULL);
-                rec.extend_from_slice(&(page.size() as u32).to_le_bytes());
-                rec.extend_from_slice(page.bytes());
-                self.storage.append(&rec)?
-            }
-        };
+        let off = self.storage.append(page.bytes())?;
         self.appended.fetch_add(1, Ordering::Relaxed);
         Ok(off)
     }
 
-    /// Archive a pre-state adaptively: store a diff against `base` when
-    /// one exists, is within the chain bound, and saves space; otherwise
-    /// store a full image.
-    pub fn append_adaptive(
-        &self,
-        page: &Page,
-        base: Option<(u64, &Page, u32)>,
-    ) -> Result<ArchiveOutcome> {
-        let PagelogFormat::Adaptive { max_chain } = self.format else {
-            let offset = self.append(page)?;
-            return Ok(ArchiveOutcome {
-                offset,
-                stored_as_diff: false,
-                chain_depth: 0,
-            });
-        };
-        if let Some((base_off, base_page, base_depth)) = base {
-            if base_depth < max_chain {
-                let runs = pagediff::diff_pages(base_page, page);
-                // Diff pays off when clearly smaller than a full image.
-                if pagediff::encoded_len(&runs) + 13 < self.page_size / 2 {
-                    let mut rec = Vec::with_capacity(13 + pagediff::encoded_len(&runs));
-                    rec.push(KIND_DIFF);
-                    let mut payload = Vec::with_capacity(8 + pagediff::encoded_len(&runs));
-                    payload.extend_from_slice(&base_off.to_le_bytes());
-                    pagediff::encode_runs(&runs, &mut payload);
-                    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                    rec.extend_from_slice(&payload);
-                    let offset = self.storage.append(&rec)?;
-                    self.appended.fetch_add(1, Ordering::Relaxed);
-                    self.diffs.fetch_add(1, Ordering::Relaxed);
-                    return Ok(ArchiveOutcome {
-                        offset,
-                        stored_as_diff: true,
-                        chain_depth: base_depth + 1,
-                    });
-                }
-            }
-        }
-        let offset = self.append(page)?;
-        Ok(ArchiveOutcome {
-            offset,
-            stored_as_diff: false,
-            chain_depth: 0,
-        })
-    }
-
     /// Fetch the pre-state stored at `offset`.
     pub fn read(&self, offset: u64) -> Result<Page> {
-        self.read_with_depth(offset).map(|(p, _)| p)
-    }
-
-    /// Fetch a pre-state, reporting how many log entries were touched
-    /// (1 for a full image, more when a diff chain was followed — the
-    /// reconstruction cost of the adaptive format).
-    pub fn read_with_depth(&self, offset: u64) -> Result<(Page, u32)> {
-        match self.format {
-            PagelogFormat::Raw => {
-                let mut buf = vec![0u8; self.page_size];
-                self.storage.read_at(offset, &mut buf)?;
-                Ok((Page::from_bytes(buf), 1))
-            }
-            PagelogFormat::Adaptive { max_chain } => self.read_adaptive(offset, max_chain + 2),
-        }
-    }
-
-    fn read_adaptive(&self, offset: u64, fuel: u32) -> Result<(Page, u32)> {
-        if fuel == 0 {
-            return Err(StoreError::Corrupt(format!(
-                "pagelog diff chain too deep at offset {offset}"
-            )));
-        }
-        let mut header = [0u8; 5];
-        self.storage.read_at(offset, &mut header)?;
-        let kind = header[0];
-        let len = u32::from_le_bytes(header[1..5].try_into().unwrap()) as usize;
-        let mut payload = vec![0u8; len];
-        self.storage.read_at(offset + 5, &mut payload)?;
-        match kind {
-            KIND_FULL => {
-                if payload.len() != self.page_size {
-                    return Err(StoreError::Corrupt(format!(
-                        "pagelog full entry at {offset} has wrong size {len}"
-                    )));
-                }
-                Ok((Page::from_bytes(payload), 1))
-            }
-            KIND_DIFF => {
-                let base_off = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-                let runs = pagediff::decode_runs(&payload[8..]).ok_or_else(|| {
-                    StoreError::Corrupt(format!("pagelog diff entry at {offset} malformed"))
-                })?;
-                let (base, reads) = self.read_adaptive(base_off, fuel - 1)?;
-                Ok((pagediff::apply_runs(&base, &runs), reads + 1))
-            }
-            k => Err(StoreError::Corrupt(format!(
-                "pagelog entry at {offset} has unknown kind {k}"
-            ))),
-        }
+        let mut buf = vec![0u8; self.page_size];
+        self.storage.read_at(offset, &mut buf)?;
+        Ok(Page::from_bytes(buf))
     }
 
     /// Force buffered pre-states to stable storage (the "group flush"
@@ -224,11 +66,6 @@ impl Pagelog {
     /// Number of pre-states archived so far.
     pub fn pre_state_count(&self) -> u64 {
         self.appended.load(Ordering::Relaxed)
-    }
-
-    /// Entries stored as diffs (adaptive format).
-    pub fn diff_count(&self) -> u64 {
-        self.diffs.load(Ordering::Relaxed)
     }
 
     /// Archive size in bytes.
@@ -284,83 +121,5 @@ mod tests {
     fn read_bad_offset_errors() {
         let log = Pagelog::new(Arc::new(MemStorage::new()), 64);
         assert!(log.read(0).is_err());
-    }
-
-    fn adaptive(page_size: usize, max_chain: u32) -> Pagelog {
-        Pagelog::with_format(
-            Arc::new(MemStorage::new()),
-            page_size,
-            PagelogFormat::Adaptive { max_chain },
-        )
-    }
-
-    #[test]
-    fn adaptive_full_roundtrip() {
-        let log = adaptive(64, 4);
-        let off = log.append(&page_with(9, 64)).unwrap();
-        let (p, reads) = log.read_with_depth(off).unwrap();
-        assert_eq!(p.bytes()[0], 9);
-        assert_eq!(reads, 1);
-        assert_eq!(log.diff_count(), 0);
-    }
-
-    #[test]
-    fn adaptive_small_change_stores_diff() {
-        let log = adaptive(256, 4);
-        let v1 = page_with(1, 256);
-        let base_off = log.append(&v1).unwrap();
-        let mut v2 = v1.clone();
-        v2.write_u32(100, 0xABCD);
-        let out = log.append_adaptive(&v2, Some((base_off, &v1, 0))).unwrap();
-        assert!(out.stored_as_diff);
-        assert_eq!(out.chain_depth, 1);
-        let (read, reads) = log.read_with_depth(out.offset).unwrap();
-        assert_eq!(read, v2);
-        assert_eq!(reads, 2); // diff + base
-                              // Space: diff entry far smaller than a page.
-        assert!(log.size_bytes() < (256 + 5) as u64 * 2);
-    }
-
-    #[test]
-    fn adaptive_large_change_stores_full() {
-        let log = adaptive(128, 4);
-        let v1 = page_with(1, 128);
-        let base_off = log.append(&v1).unwrap();
-        let v2 = Page::from_bytes((0..128).map(|i| i as u8).collect());
-        let out = log.append_adaptive(&v2, Some((base_off, &v1, 0))).unwrap();
-        assert!(!out.stored_as_diff);
-        assert_eq!(log.read(out.offset).unwrap(), v2);
-    }
-
-    #[test]
-    fn adaptive_chain_bound_forces_full() {
-        let log = adaptive(256, 2);
-        let mut versions = vec![page_with(0, 256)];
-        let mut prev = (log.append(&versions[0]).unwrap(), 0u32);
-        let mut depths = Vec::new();
-        for i in 1..6u8 {
-            let mut v = versions.last().unwrap().clone();
-            v.bytes_mut()[10] = i;
-            let out = log
-                .append_adaptive(&v, Some((prev.0, versions.last().unwrap(), prev.1)))
-                .unwrap();
-            depths.push(out.chain_depth);
-            prev = (out.offset, out.chain_depth);
-            versions.push(v);
-        }
-        // Depths cycle: 1, 2, 0 (full), 1, 2, …
-        assert_eq!(depths, vec![1, 2, 0, 1, 2]);
-        // Every version reconstructs correctly through the chain.
-        let (last, reads) = log.read_with_depth(prev.0).unwrap();
-        assert_eq!(&last, versions.last().unwrap());
-        assert_eq!(reads, 3); // depth 2 = diff + diff + full
-    }
-
-    #[test]
-    fn adaptive_without_base_stores_full() {
-        let log = adaptive(64, 4);
-        let out = log.append_adaptive(&page_with(5, 64), None).unwrap();
-        assert!(!out.stored_as_diff);
-        assert_eq!(log.read(out.offset).unwrap().bytes()[0], 5);
     }
 }

@@ -11,7 +11,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use rql_pagestore::{CacheKey, CacheKeying, DbView, PageId, Result, SharedPage, StoreError};
+use rql_pagestore::{CacheKey, DbView, PageId, Result, SharedPage, StoreError};
 
 use crate::spt::{PageLocation, Spt, SptBuildStats};
 use crate::store::{RetroStore, SidecarMap};
@@ -136,25 +136,13 @@ impl SnapshotReader {
                 Ok((self.view.page(pid)?, FetchSource::Database))
             }
             Some(PageLocation::Pagelog(off)) => {
-                let key = match self.store.cache_keying() {
-                    CacheKeying::ByPagelogOffset => CacheKey::Pagelog(off),
-                    CacheKeying::PerSnapshot => CacheKey::PerSnapshot {
-                        snapshot: self.spt.snap_id(),
-                        page: pid,
-                    },
-                };
+                let key = CacheKey::Pagelog(off);
                 if let Some(page) = self.store.cache().get(&key) {
                     stats.count_cache_hit();
                     return Ok((page, FetchSource::Cache));
                 }
-                let (raw, depth) = self.store.pagelog().read_with_depth(off)?;
-                let page: SharedPage = Arc::new(raw);
-                // A diff chain touches `depth` log entries — each is a
-                // real archive read (the adaptive format's reconstruction
-                // cost).
-                for _ in 0..depth {
-                    stats.count_pagelog_read();
-                }
+                let page: SharedPage = Arc::new(self.store.pagelog().read(off)?);
+                stats.count_pagelog_read();
                 let evictions = self.store.cache().insert(key, page.clone());
                 for _ in 0..evictions {
                     stats.count_cache_eviction();

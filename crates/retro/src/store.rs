@@ -24,8 +24,8 @@ use std::time::Instant;
 use parking_lot::{Mutex, RwLock};
 
 use rql_pagestore::{
-    BufferCache, CacheKeying, CommittedSegment, DbView, IoStats, LogStorage, Pager, PagerConfig,
-    Result, StoreError, WriteTxn,
+    BufferCache, CommittedSegment, DbView, IoStats, LogStorage, Pager, PagerConfig, Result,
+    StoreError, WriteTxn,
 };
 
 use crate::maplog::Maplog;
@@ -41,10 +41,9 @@ pub struct RetroConfig {
     /// Build SPTs through the Skippy skip levels (`true`, Retro's
     /// behaviour) or by linear Maplog scan (ablation baseline).
     pub use_skippy: bool,
-    /// Buffer-cache keying for snapshot pages (ablation knob).
-    pub keying: CacheKeying,
-    /// Pagelog representation: raw full pages (Retro) or the adaptive
-    /// Thresher-style diff format (§6's space/reconstruction trade-off).
+    /// Not read: the Pagelog always archives full page images. Kept only
+    /// because the repo benchmark names `PagelogFormat::Raw`; the next
+    /// change to the benchmark deletes it and the enum.
     pub pagelog_format: PagelogFormat,
 }
 
@@ -54,7 +53,6 @@ impl RetroConfig {
         RetroConfig {
             pager: PagerConfig::default(),
             use_skippy: true,
-            keying: CacheKeying::ByPagelogOffset,
             pagelog_format: PagelogFormat::Raw,
         }
     }
@@ -160,9 +158,6 @@ pub struct RetroStore {
     /// (their pre-state for that snapshot is on the Pagelog; later
     /// modifications need no further capture).
     dirty_since_snapshot: Mutex<HashSet<rql_pagestore::PageId>>,
-    /// Latest archived entry per page: (offset, chain depth). Used by the
-    /// adaptive Pagelog format to pick diff bases.
-    last_archived: Mutex<std::collections::HashMap<rql_pagestore::PageId, (u64, u32)>>,
     metas: RwLock<Vec<SnapshotMeta>>,
     /// Pruning sidecars describing the *latest published* page images,
     /// keyed by page id. A commit removes its written pages before
@@ -246,19 +241,13 @@ impl RetroStore {
     pub fn in_memory(config: RetroConfig) -> Arc<Self> {
         let page_size = config.pager.page_size;
         let pager = Arc::new(Pager::new(config.pager.clone()));
-        let format = config.pagelog_format;
         Arc::new(RetroStore {
             config,
             incarnation: next_incarnation(),
             pager,
-            pagelog: Pagelog::with_format(
-                Arc::new(rql_pagestore::MemStorage::new()),
-                page_size,
-                format,
-            ),
+            pagelog: Pagelog::new(Arc::new(rql_pagestore::MemStorage::new()), page_size),
             maplog: RwLock::new(Maplog::new()),
             dirty_since_snapshot: Mutex::new(HashSet::new()),
-            last_archived: Mutex::new(std::collections::HashMap::new()),
             metas: RwLock::new(Vec::new()),
             current_sidecars: RwLock::new(Arc::new(HashMap::new())),
             sidecar_archive: Mutex::new(HashMap::new()),
@@ -296,20 +285,19 @@ impl RetroStore {
                 recovered_snaps.len()
             )));
         }
-        let metas: Vec<SnapshotMeta> = recovered_snaps
+        let metas = recovered_snaps
             .iter()
             .map(|&id| {
-                let b = maplog
-                    .boundary(id)
-                    .expect("boundary for recovered snapshot");
-                SnapshotMeta {
+                let b = maplog.boundary(id).ok_or_else(|| {
+                    StoreError::Corrupt(format!("no maplog boundary for snapshot {id}"))
+                })?;
+                Ok(SnapshotMeta {
                     id,
                     page_count: b.page_count,
                     txn_id: 0, // original txn id not tracked across recovery
-                }
+                })
             })
-            .collect();
-        let format = config.pagelog_format;
+            .collect::<Result<Vec<_>>>()?;
         let logs = ReplLogs {
             wal: wal_storage,
             pagelog: Arc::clone(&pagelog_storage),
@@ -319,12 +307,10 @@ impl RetroStore {
             config,
             incarnation: next_incarnation(),
             pager,
-            pagelog: Pagelog::with_format(pagelog_storage, page_size, format),
+            pagelog: Pagelog::new(pagelog_storage, page_size),
             maplog: RwLock::new(maplog),
-            // Conservative: after recovery, re-archive on next modification
-            // (and diff chains restart from full images).
+            // Conservative: after recovery, re-archive on next modification.
             dirty_since_snapshot: Mutex::new(HashSet::new()),
-            last_archived: Mutex::new(std::collections::HashMap::new()),
             metas: RwLock::new(metas),
             // Sidecar state is in-memory: recovery starts with none (absent
             // is always safe — scans just don't prune), and so does the
@@ -377,11 +363,6 @@ impl RetroStore {
         &self.pagelog
     }
 
-    /// Cache keying policy in effect.
-    pub fn cache_keying(&self) -> CacheKeying {
-        self.config.keying
-    }
-
     /// Begin a write transaction.
     pub fn begin(self: &Arc<Self>) -> Result<WriteTxn> {
         self.pager.begin_write()
@@ -396,8 +377,8 @@ impl RetroStore {
     /// this transaction and everything committed before it. Returns the
     /// new snapshot id.
     pub fn commit_with_snapshot(&self, txn: WriteTxn) -> Result<u64> {
-        self.commit_inner(txn, true)
-            .map(|sid| sid.expect("snapshot id on declaring commit"))
+        self.commit_inner(txn, true)?
+            .ok_or_else(|| StoreError::Corrupt("declaring commit declared no snapshot".into()))
     }
 
     /// Abort a transaction.
@@ -498,26 +479,7 @@ impl RetroStore {
                 return Ok(()); // already archived for the latest snapshot
             }
             drop(dirty);
-            let off = match self.pagelog.format() {
-                PagelogFormat::Raw => self.pagelog.append(pre_page)?,
-                PagelogFormat::Adaptive { .. } => {
-                    // Diff against the last archived version of this page
-                    // when one exists (Thresher's adaptive choice).
-                    let base = self.last_archived.lock().get(&pid).copied();
-                    let outcome = match base {
-                        Some((base_off, depth)) => {
-                            let base_page = self.pagelog.read(base_off)?;
-                            self.pagelog
-                                .append_adaptive(pre_page, Some((base_off, &base_page, depth)))?
-                        }
-                        None => self.pagelog.append_adaptive(pre_page, None)?,
-                    };
-                    self.last_archived
-                        .lock()
-                        .insert(pid, (outcome.offset, outcome.chain_depth));
-                    outcome.offset
-                }
-            };
+            let off = self.pagelog.append(pre_page)?;
             self.maplog.write().append_mapping(pid, off)?;
             // Sidecar maintenance, phase 2: the entry displaced from the
             // current map described exactly this pre-state image; key it
@@ -554,8 +516,7 @@ impl RetroStore {
                 }
             }
         }
-        if declare {
-            let sid = snapshot_id.unwrap();
+        if let Some(sid) = snapshot_id {
             let page_count = self.pager.page_count();
             self.maplog.write().declare_snapshot(sid, page_count)?;
             self.dirty_since_snapshot.lock().clear();

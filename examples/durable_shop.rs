@@ -1,6 +1,5 @@
 //! A durable, on-disk deployment: WAL + Pagelog + Maplog as real files,
-//! the adaptive (Thresher-style) archive format, crash recovery, and
-//! retrospective queries across restarts.
+//! crash recovery, and retrospective queries across restarts.
 //!
 //! ```sh
 //! cargo run --release --example durable_shop
@@ -14,7 +13,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use rql_pagestore::{FileStorage, LogStorage, PagerConfig};
-use rql_retro::{PagelogFormat, RetroConfig, RetroStore};
+use rql_retro::{RetroConfig, RetroStore};
 use rql_sqlengine::Database;
 
 fn open_db(dir: &Path, fresh: bool) -> rql::Result<Arc<Database>> {
@@ -32,8 +31,6 @@ fn open_db(dir: &Path, fresh: bool) -> rql::Result<Arc<Database>> {
             cache_capacity: 1 << 12,
             wal_sync_on_commit: true, // durability at every commit
         },
-        // Store pre-states as diffs when small (space for reconstruction).
-        pagelog_format: PagelogFormat::Adaptive { max_chain: 4 },
         ..RetroConfig::new()
     };
     let store = RetroStore::open(
@@ -67,10 +64,10 @@ fn main() -> rql::Result<()> {
         db.declare_snapshot()?; // end of day 3
         db.store().flush()?;
         println!(
-            "before crash: {} snapshots, pagelog {} bytes ({} diff entries)",
+            "before crash: {} snapshots, pagelog {} bytes ({} pre-states)",
             db.store().snapshot_count(),
             db.store().pagelog().size_bytes(),
-            db.store().pagelog().diff_count(),
+            db.store().pagelog().pre_state_count(),
         );
         // process "crashes" here — no clean shutdown beyond flush()
     }

@@ -9,9 +9,8 @@
 //!
 //! The same table must come out of every other way of running the
 //! mechanism over that history — the per-row UDF form
-//! (`SELECT Mech(snap_id, …) FROM SnapIds`) and the `*_parallel` form
-//! where one is defined — because all of them drive one fold from one
-//! Qq source. (The `AggregateDataInVariable` UDF form keeps its AVG
+//! (`SELECT Mech(snap_id, …) FROM SnapIds`) — because all of them drive
+//! one fold from one Qq source. (The `AggregateDataInVariable` UDF form keeps its AVG
 //! `(sum, count)` pair in trailing `__avg_sum`/`__avg_cnt` columns — a
 //! documented layout difference — so it is compared on the value column.)
 //!
@@ -92,14 +91,13 @@ fn session_with(prefix: &[Op]) -> Arc<RqlSession> {
 
 /// The mechanism calls under test: the call text that both the
 /// standing-query registration and the per-row UDF form wrap, paired with
-/// closures running the equivalent batch mechanism into `table` under
-/// `policy` and (where defined) on the parallel pool.
+/// a closure running the equivalent batch mechanism into `table` under
+/// `policy`.
 struct Mech {
     tag: &'static str,
     /// `Mech(snap_id, 'Qq', '{T}'[, 'spec'])`.
     call: &'static str,
     batch: fn(&RqlSession, &str, DeltaPolicy) -> RqlReport,
-    parallel: Option<fn(&RqlSession, &str)>,
 }
 
 /// Policies the *batch* comparison runs under. (The maintainer always
@@ -113,12 +111,6 @@ fn aggvar_batch(s: &RqlSession, t: &str, func: AggOp, p: DeltaPolicy) -> RqlRepo
         .expect("batch aggvar")
 }
 
-fn aggvar_parallel(s: &RqlSession, t: &str, func: AggOp) {
-    let (snap, aux) = (s.snap_db(), s.aux_db());
-    rql::aggregate_data_in_variable_parallel(snap, aux, QS, AGGVAR_QQ, t, func, 3)
-        .expect("parallel aggvar");
-}
-
 fn mechanisms() -> Vec<Mech> {
     vec![
         Mech {
@@ -128,11 +120,6 @@ fn mechanisms() -> Vec<Mech> {
                 s.collate_data_with_policy(QS, "SELECT grp, v FROM m", t, p)
                     .expect("batch collate")
             },
-            parallel: Some(|s, t| {
-                let (snap, aux) = (s.snap_db(), s.aux_db());
-                rql::collate_data_parallel(snap, aux, QS, "SELECT grp, v FROM m", t, 3)
-                    .expect("parallel collate");
-            }),
         },
         Mech {
             tag: "aggtable",
@@ -150,20 +137,17 @@ fn mechanisms() -> Vec<Mech> {
                 )
                 .expect("batch aggtable")
             },
-            parallel: None,
         },
         Mech {
             tag: "aggvar",
             call: "AggregateDataInVariable(snap_id, 'SELECT SUM(v) FROM m', '{T}', 'sum')",
             batch: |s, t, p| aggvar_batch(s, t, AggOp::Sum, p),
-            parallel: Some(|s, t| aggvar_parallel(s, t, AggOp::Sum)),
         },
         // The AVG special case: its UDF form carries companion columns.
         Mech {
             tag: "aggvar_avg",
             call: "AggregateDataInVariable(snap_id, 'SELECT SUM(v) FROM m', '{T}', 'avg')",
             batch: |s, t, p| aggvar_batch(s, t, AggOp::Avg, p),
-            parallel: Some(|s, t| aggvar_parallel(s, t, AggOp::Avg)),
         },
         Mech {
             tag: "intervals",
@@ -172,7 +156,6 @@ fn mechanisms() -> Vec<Mech> {
                 s.collate_data_into_intervals_with_policy(QS, "SELECT grp FROM m", t, p)
                     .expect("batch intervals")
             },
-            parallel: None,
         },
     ]
 }
@@ -260,7 +243,7 @@ fn drive(
 
 /// The core differential: maintain incrementally through `suffix`, then
 /// recompute over the full history every other way — batch under each
-/// policy, the per-row UDF form, the parallel form — and demand byte
+/// policy, the per-row UDF form — and demand byte
 /// identity of all result tables.
 fn check_differential(prefix: &[Op], suffix: &[Op]) {
     check_differential_from(mechanisms(), || session_with(prefix), suffix);
@@ -291,11 +274,6 @@ fn check_differential_from(
             .expect("per-row UDF form");
         // The AggVar UDF form's AVG companions trail the value column.
         others.push(("the per-row UDF form".to_string(), u_table, true));
-        if let Some(parallel) = mech.parallel {
-            let table = format!("p_{}", mech.tag);
-            parallel(&session, &table);
-            others.push(("the parallel form".to_string(), table, false));
-        }
         for (path, table, leading_columns_only) in others {
             let (mut cols, mut rows) = table_contents(&session, &table);
             if leading_columns_only {
