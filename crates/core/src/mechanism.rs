@@ -22,12 +22,13 @@
 //! * a standing query ([`crate::maintain`]) keeps the pair alive across
 //!   commits and collects the fold's row effects as a [`ResultDelta`].
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rql_memo::{MemoStore, QqRows};
-use rql_sqlengine::{Database, GroupKey, GroupKeyRef, Result, Row, SqlError, TableWriter, Value};
+use rql_sqlengine::{
+    Database, GroupKey, GroupKeyRef, KeyMap, KeyState, Result, Row, SqlError, TableWriter, Value,
+};
 
 use crate::aggregate::{parse_col_func_pairs, AggOp, AggState};
 use crate::analyze::MechanismKind;
@@ -623,8 +624,8 @@ impl AggTableLayout {
             row,
             positions: &self.group_positions,
         };
-        let mut single: HashMap<GroupKeyRef, Option<&Row>> =
-            HashMap::with_capacity(prev.rows.len());
+        let mut single: KeyMap<GroupKeyRef, Option<&Row>> =
+            KeyMap::with_capacity_and_hasher(prev.rows.len(), KeyState::default());
         for record in &prev.rows {
             (single.entry(key(record)))
                 .and_modify(|r| *r = None)

@@ -613,7 +613,11 @@ pub fn eval(cexpr: &CExpr, row: &[Value], aggs: &[Value]) -> Result<Value> {
 /// results; anything else is evaluated. Operators that only read their
 /// operands (comparisons, arithmetic, `IS NULL`, `IN`, `BETWEEN`, `LIKE`)
 /// use this, so a `col = 'O'` test copies no text.
-fn operand<'a>(cexpr: &'a CExpr, row: &'a [Value], aggs: &'a [Value]) -> Result<Cow<'a, Value>> {
+pub(crate) fn operand<'a>(
+    cexpr: &'a CExpr,
+    row: &'a [Value],
+    aggs: &'a [Value],
+) -> Result<Cow<'a, Value>> {
     Ok(Cow::Borrowed(match cexpr {
         CExpr::Const(v) => v,
         CExpr::Col(i) => row

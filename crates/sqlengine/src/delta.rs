@@ -233,6 +233,7 @@ impl DeltaTableScanner {
             rebuilt: changed.is_none(),
             ..DeltaScan::default()
         };
+        let mut row = Row::new();
         HeapFile::new(root).walk(
             src,
             pred,
@@ -255,11 +256,11 @@ impl DeltaTableScanner {
                     PageVisit::Fetched(page) => {
                         scan.pages_read += 1;
                         let mut kept = Vec::new();
-                        page_rows(page, Some(cols), |row| {
-                            if keep(row)? {
-                                kept.push(row.clone());
+                        page_rows(page, Some(cols), usize::MAX, &mut row, |_, rec| {
+                            if keep(rec.gate())? {
+                                kept.push(rec.gate().clone());
                             }
-                            Ok(())
+                            Ok(true)
                         })?;
                         Arc::new(kept)
                     }

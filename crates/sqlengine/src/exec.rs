@@ -29,22 +29,21 @@
 //! callback (the `sqlite3_exec` shape the RQL loop body uses).
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use crate::ast::{BinOp, Expr, SelectItem, SelectStmt};
 use crate::cancel::{CancelToken, CHECK_EVERY_ROWS};
 use crate::catalog::{Catalog, IndexInfo, TableInfo};
-use crate::cexpr::{compile, eval, AggFunc, AggSpec, CExpr, Scope};
+use crate::cexpr::{compile, eval, operand, AggFunc, AggSpec, CExpr, Scope};
 use crate::delta::{DeltaScan, DeltaTableScanner, ScanPages};
 use crate::error::{Result, SqlError};
 use crate::exec_stats::ExecStats;
 use crate::heap::HeapFile;
 use crate::pagesource::PageSource;
-use crate::record::{decode_row_into, encode_index_key, Row};
+use crate::record::{decode_row_into, encode_index_key, Cursor, GatedRow, Row, Walk};
 use crate::sidecar::PredSummary;
 use crate::udf::UdfRegistry;
-use crate::value::{GroupKey, Value};
+use crate::value::{GroupKey, KeyMap, KeySet, KeyState, Value};
 
 /// A query's output.
 #[derive(Debug, Clone)]
@@ -243,7 +242,12 @@ pub fn scan_select<S: PageSource>(
         })
         .collect::<Result<_>>()?;
     let (read, finish) = read_columns(select, &written_bindings, &conjuncts, &scope, udfs);
-    let cols = |k: usize| &read[binding_ranges[k].0..binding_ranges[k].1];
+    // Each binding's slice of the scan set, cut after its last marked
+    // column: the decoder finds where its walk ends at once.
+    let cols = |k: usize| {
+        let c = &read[binding_ranges[k].0..binding_ranges[k].1];
+        &c[..c.iter().rposition(|&r| r).map_or(0, |last| last + 1)]
+    };
     // A finish stage that reads no column (COUNT(*), constant items) only
     // counts the rows: each is kept as an empty row.
     let copy = finish.contains(&true);
@@ -289,8 +293,16 @@ pub fn scan_select<S: PageSource>(
         if single_table {
             refutable = Some((bindings[0].1.schema.name.clone(), base.pred.columns()));
         }
-        served = base.run(src, cols(0), &conjuncts, cancel, |row| {
-            probe(&mut steps, src, &conjuncts, row, copy, &mut rows)
+        let gate = base.gate(&conjuncts, steps.first());
+        served = base.run(src, cols(0), gate, &conjuncts, cancel, |rec| {
+            probe(
+                &mut steps,
+                src,
+                &conjuncts,
+                Incoming::Record(rec),
+                copy,
+                &mut rows,
+            )
         })?;
     }
     let (rows, delta) = match served {
@@ -368,7 +380,7 @@ pub fn finish_select(
     };
 
     if select.distinct {
-        let mut seen: HashSet<GroupKey> = HashSet::with_capacity(out_rows.len());
+        let mut seen = KeySet::with_capacity_and_hasher(out_rows.len(), KeyState::default());
         out_rows.retain(|r| seen.insert(GroupKey(r.clone())));
     }
     stats.eval += started.elapsed();
@@ -589,17 +601,42 @@ fn plan_base_table<'a>(
 }
 
 impl BasePlan<'_> {
-    /// Scan the table, decoding the columns `cols` marks, and hand every
-    /// row passing the applied conjuncts to `emit` — unless the offered
-    /// scanner served the scan: then no row is handed over, and the row
-    /// delta and the scanner's pages are returned instead.
+    /// The column each record is decoded up to before the applied
+    /// conjuncts and the first join step's key decide whether the rest is
+    /// wanted: one past the last column they read when that step is a hash
+    /// join with a key, else the whole column set. (The base table's
+    /// columns start at offset 0.)
+    fn gate(&self, conjuncts: &[(CExpr, usize)], first: Option<&JoinStep<'_>>) -> usize {
+        let Some(JoinStep {
+            key: Some(key),
+            inner: Inner::Hash { .. },
+            ..
+        }) = first
+        else {
+            return usize::MAX;
+        };
+        let mut offs = Vec::new();
+        key.column_offsets(&mut offs);
+        for &i in &self.applicable {
+            conjuncts[i].0.column_offsets(&mut offs);
+        }
+        offs.into_iter().max().map_or(0, |last| last + 1)
+    }
+
+    /// Scan the table, decoding the columns `cols` marks up to column
+    /// `gate`, and hand every record whose gate passes the applied
+    /// conjuncts to `emit`, which reads the rest of the ones it wants —
+    /// unless the offered scanner served the scan: then no row is handed
+    /// over, and the row delta and the scanner's pages are returned
+    /// instead.
     fn run<S: PageSource>(
         self,
         src: &S,
         cols: &[bool],
+        gate: usize,
         conjuncts: &[(CExpr, usize)],
         cancel: Option<&CancelToken>,
-        mut emit: impl FnMut(&Row) -> Result<()>,
+        mut emit: impl FnMut(&mut GatedRow<'_>) -> Result<()>,
     ) -> Result<Option<(DeltaScan, ScanPages)>> {
         let _span = rql_trace::span(rql_trace::SpanId::Scan);
         let heap = self.info.heap();
@@ -621,10 +658,12 @@ impl BasePlan<'_> {
                 let tree = crate::btree::BTree::new(idx.root);
                 let mut row = Row::new();
                 for rid in tree.scan_prefix(src, &key)? {
-                    decode_row_into(&heap.get(src, rid)?, Some(cols), &mut row)?;
-                    if keep(&row)? {
-                        emit(&row)?;
+                    let bytes = heap.get(src, rid)?;
+                    let mut rec = GatedRow::decode(&bytes, Some(cols), gate, &mut row)?;
+                    if keep(rec.gate())? {
+                        emit(&mut rec)?;
                     }
+                    rec.check()?;
                 }
                 Ok(None)
             }
@@ -633,9 +672,9 @@ impl BasePlan<'_> {
                 Ok(Some(scanner.scan(src, root, &self.pred, cols, keep)?))
             }
             (None, None) => {
-                heap.scan(src, &self.pred, Some(cols), |_, row| {
-                    if keep(row)? {
-                        emit(row)?;
+                heap.scan_gated(src, &self.pred, Some(cols), gate, |_, rec| {
+                    if keep(rec.gate())? {
+                        emit(rec)?;
                     }
                     Ok(true)
                 })?;
@@ -695,21 +734,28 @@ struct JoinStep<'a> {
     checkpoint: Checkpoint<'a>,
 }
 
-/// The prebuilt inner side of a [`JoinStep`].
+/// The prebuilt inner side of a [`JoinStep`], with the buffers its probes
+/// reuse for every incoming row.
 enum Inner {
     /// The table's kept rows by join-key value: an ad-hoc hash index
     /// (SQLite's automatic covering index), or — for a cross join — every
-    /// kept row under the empty key.
-    Hash(HashMap<GroupKey, Vec<Row>>),
-    /// Index nested loop through a native B-tree: each fetched row is
-    /// decoded with `cols` and must pass `verify` — the table's local
-    /// conjuncts, then the join key itself, since the index key space
-    /// conflates 1 and 1.0.
+    /// kept row under the empty key, which `probe_key` then stays.
+    Hash {
+        table: KeyMap<GroupKey, Vec<Row>>,
+        probe_key: GroupKey,
+    },
+    /// Index nested loop through a native B-tree: each probe key is
+    /// encoded into `encoded`, and each fetched row is decoded into `trow`
+    /// with `cols` and must pass `verify` — the table's local conjuncts,
+    /// then the join key itself, since the index key space conflates 1
+    /// and 1.0.
     Index {
         tree: crate::btree::BTree,
         heap: HeapFile,
         cols: Vec<bool>,
         verify: Vec<usize>,
+        encoded: Vec<u8>,
+        trow: Row,
     },
 }
 
@@ -819,6 +865,8 @@ fn build_join_step<'a, S: PageSource>(
                 heap,
                 cols: cols.to_vec(),
                 verify: local.iter().copied().chain([ci]).collect(),
+                encoded: Vec::new(),
+                trow: Row::new(),
             }
         }
         (equi, _) => {
@@ -829,7 +877,7 @@ fn build_join_step<'a, S: PageSource>(
             });
             let build_start = Instant::now();
             let _idx_span = hashed.then(|| rql_trace::span(rql_trace::SpanId::IndexBuild));
-            let mut table: HashMap<GroupKey, Vec<Row>> = HashMap::new();
+            let mut table: KeyMap<GroupKey, Vec<Row>> = KeyMap::default();
             // Local conjuncts and the key see the row padded out to
             // full-scope offsets.
             let mut padded = vec![Value::Null; prefix_width];
@@ -855,7 +903,10 @@ fn build_join_step<'a, S: PageSource>(
             if hashed {
                 *index_creation += build_start.elapsed();
             }
-            Inner::Hash(table)
+            Inner::Hash {
+                table,
+                probe_key: GroupKey(Vec::new()),
+            }
         }
     };
     for &i in &local {
@@ -874,21 +925,50 @@ fn build_join_step<'a, S: PageSource>(
     })
 }
 
+/// A row entering the join steps: a base-table record decoded up to its
+/// gate ([`BasePlan::gate`]), or a row an earlier step joined.
+enum Incoming<'r, 'b> {
+    Record(&'r mut GatedRow<'b>),
+    Joined(&'r Row),
+}
+
+impl Incoming<'_, '_> {
+    /// The row so far: the columns the first step's key reads.
+    fn gate(&self) -> &Row {
+        match self {
+            Incoming::Record(rec) => rec.gate(),
+            Incoming::Joined(row) => row,
+        }
+    }
+
+    /// The whole row; a record's walk goes on to materialize it.
+    fn whole(&mut self) -> Result<&Row> {
+        match self {
+            Incoming::Record(rec) => rec.rest(),
+            Incoming::Joined(row) => Ok(row),
+        }
+    }
+}
+
 /// Push one row of the bindings before `steps` through them: the first
 /// step joins it with each matching inner row, and every joined row that
 /// passes the step's checks goes on through the rest. Rows that come out
 /// of the last step are appended to `out` — copied, or as empty rows
 /// unless `copy` — in the order a join of the materialized prefix would
-/// have produced them.
+/// have produced them. A hash step looks the key up in its reused key
+/// buffer before the row is whole: a row whose key misses is never
+/// materialized past the key, and one that hits is joined with the bucket
+/// already found.
 fn probe<S: PageSource>(
     steps: &mut [JoinStep<'_>],
     src: &S,
     conjuncts: &[(CExpr, usize)],
-    row: &Row,
+    mut row: Incoming<'_, '_>,
     copy: bool,
     out: &mut Vec<Row>,
 ) -> Result<()> {
     let Some((step, rest)) = steps.split_first_mut() else {
+        let row = row.whole()?;
         out.push(if copy { row.clone() } else { Row::new() });
         return Ok(());
     };
@@ -898,14 +978,7 @@ fn probe<S: PageSource>(
         post,
         checkpoint,
     } = step;
-    let key = match key {
-        Some(key) => match eval(key, row, &[])? {
-            Value::Null => return Ok(()),
-            v => vec![v],
-        },
-        None => Vec::new(),
-    };
-    let mut join = |trow: &Row, verify: &[usize]| -> Result<()> {
+    let mut join = |row: &Row, trow: &Row, verify: &[usize]| -> Result<()> {
         checkpoint.check()?;
         let mut joined = Vec::with_capacity(row.len() + trow.len());
         joined.extend_from_slice(row);
@@ -919,13 +992,28 @@ fn probe<S: PageSource>(
             out.push(if copy { joined } else { Row::new() });
             Ok(())
         } else {
-            probe(rest, src, conjuncts, &joined, copy, out)
+            probe(rest, src, conjuncts, Incoming::Joined(&joined), copy, out)
         }
     };
+    // The key's value, read where it lies; NULL joins nothing.
+    let key = match key {
+        Some(key) => match operand(key, row.gate(), &[])? {
+            v if v.is_null() => return Ok(()),
+            v => Some(v),
+        },
+        None => None,
+    };
     match inner {
-        Inner::Hash(table) => {
-            for trow in table.get(&GroupKey(key)).into_iter().flatten() {
-                join(trow, &[])?;
+        Inner::Hash { table, probe_key } => {
+            if let Some(v) = key {
+                probe_key.set_single(&v);
+            }
+            let Some(bucket) = table.get(probe_key) else {
+                return Ok(());
+            };
+            let row = row.whole()?;
+            for trow in bucket {
+                join(row, trow, &[])?;
             }
         }
         Inner::Index {
@@ -933,13 +1021,18 @@ fn probe<S: PageSource>(
             heap,
             cols,
             verify,
+            encoded,
+            trow,
         } => {
-            let mut encoded = Vec::new();
-            encode_index_key(&key, &mut encoded);
-            let mut trow = Row::new();
-            for rid in tree.scan_prefix(src, &encoded)? {
-                decode_row_into(&heap.get(src, rid)?, Some(cols), &mut trow)?;
-                join(&trow, verify)?;
+            encoded.clear();
+            if let Some(v) = key {
+                encode_index_key(std::slice::from_ref(&*v), encoded);
+            }
+            let row = row.whole()?;
+            for rid in tree.scan_prefix(src, encoded)? {
+                let bytes = heap.get(src, rid)?;
+                decode_row_into(&bytes, Some(cols), Cursor::START, Walk::ALL, trow)?;
+                join(row, trow, verify)?;
             }
         }
     }
@@ -1241,7 +1334,7 @@ impl AggAcc {
 /// group's first row, which the items' bare columns are read from.
 pub(crate) struct GroupState {
     accs: Vec<AggAcc>,
-    distinct_seen: Vec<Option<HashSet<GroupKey>>>,
+    distinct_seen: Vec<Option<KeySet<GroupKey>>>,
     pub(crate) representative: Row,
 }
 
@@ -1306,7 +1399,7 @@ impl AggPlan {
         GroupState {
             accs: self.aggs.iter().map(|s| AggAcc::new(s.func)).collect(),
             distinct_seen: (self.aggs.iter())
-                .map(|s| s.distinct.then(HashSet::new))
+                .map(|s| s.distinct.then(KeySet::default))
                 .collect(),
             representative: Row::new(),
         }
@@ -1354,7 +1447,7 @@ impl AggPlan {
 /// indexed by key.
 #[derive(Default)]
 pub(crate) struct Groups {
-    pub(crate) index: HashMap<GroupKey, usize>,
+    pub(crate) index: KeyMap<GroupKey, usize>,
     pub(crate) states: Vec<GroupState>,
 }
 

@@ -39,7 +39,7 @@ use crate::error::Result;
 use crate::exec::{expand_items, finish_select, AggPlan, Groups, QueryResult, ScanRows, Scanned};
 use crate::record::Row;
 use crate::udf::UdfRegistry;
-use crate::value::GroupKey;
+use crate::value::{GroupKey, KeyMap};
 
 /// One group of a [`GroupTable`].
 #[derive(Default)]
@@ -60,7 +60,7 @@ pub struct GroupTable {
     groups: Vec<Group>,
     /// Every key seen since the last full build: a group that loses its
     /// last member keeps its slot, and comes back in it.
-    index: HashMap<GroupKey, usize>,
+    index: KeyMap<GroupKey, usize>,
 }
 
 impl GroupTable {

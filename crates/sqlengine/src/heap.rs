@@ -36,7 +36,7 @@ use rql_pagestore::{Page, PageId, WriteTxn};
 
 use crate::error::{Result, SqlError};
 use crate::pagesource::PageSource;
-use crate::record::{decode_row, decode_row_into, Row};
+use crate::record::{decode_row, GatedRow, Row};
 use crate::sidecar::PredSummary;
 
 const HEADER: usize = 16;
@@ -293,6 +293,22 @@ impl HeapFile {
         cols: Option<&[bool]>,
         mut f: impl FnMut(RecordId, &Row) -> Result<bool>,
     ) -> Result<()> {
+        self.scan_gated(src, pred, cols, usize::MAX, |rid, rec| f(rid, rec.gate()))
+    }
+
+    /// [`HeapFile::scan`] handing `f` each record decoded only up to
+    /// column `gate` ([`GatedRow`]): `f` reads the rest of the records it
+    /// wants, and the scan checks the rest of every other one, so each
+    /// cell `cols` reaches is checked on every row either way.
+    #[inline]
+    pub(crate) fn scan_gated<S: PageSource>(
+        &self,
+        src: &S,
+        pred: &PredSummary,
+        cols: Option<&[bool]>,
+        gate: usize,
+        mut f: impl FnMut(RecordId, &mut GatedRow<'_>) -> Result<bool>,
+    ) -> Result<()> {
         let mut row = Row::new();
         self.walk(
             src,
@@ -302,15 +318,9 @@ impl HeapFile {
                 let PageVisit::Fetched(page) = visit else {
                     return Ok(true);
                 };
-                for slot in 0..page.read_u16(OFF_SLOT_COUNT) {
-                    if let Some(bytes) = read_cell(page, slot) {
-                        decode_row_into(bytes, cols, &mut row)?;
-                        if !f(RecordId { page: pid, slot }, &row)? {
-                            return Ok(false);
-                        }
-                    }
-                }
-                Ok(true)
+                page_rows(page, cols, gate, &mut row, |slot, rec| {
+                    f(RecordId { page: pid, slot }, rec)
+                })
             },
         )
     }
@@ -378,23 +388,31 @@ impl HeapFile {
     }
 }
 
-/// Decode the live rows of one heap page in slot order, `cols` as in
-/// [`HeapFile::scan`], handing each to `f` in one reused buffer — the
-/// per-page unit a delta-aware scan caches (see [`crate::delta`]).
-/// Matches the order [`HeapFile::scan`] visits rows within a page.
+/// Decode the live rows of one heap page in slot order into `row`, each
+/// up to column `gate` of `cols` (see [`HeapFile::scan_gated`]), and hand
+/// them to `f` until it returns `false`; then the walk of every record
+/// `f` did not read whole is finished checking only. This is the one
+/// per-record loop of every heap scan, and the per-page unit a
+/// delta-aware scan caches (see [`crate::delta`]).
+#[inline]
 pub(crate) fn page_rows(
     page: &Page,
     cols: Option<&[bool]>,
-    mut f: impl FnMut(&Row) -> Result<()>,
-) -> Result<()> {
-    let mut row = Row::new();
+    gate: usize,
+    row: &mut Row,
+    mut f: impl FnMut(u16, &mut GatedRow<'_>) -> Result<bool>,
+) -> Result<bool> {
     for slot in 0..page.read_u16(OFF_SLOT_COUNT) {
         if let Some(bytes) = read_cell(page, slot) {
-            decode_row_into(bytes, cols, &mut row)?;
-            f(&row)?;
+            let mut rec = GatedRow::decode(bytes, cols, gate, row)?;
+            let more = f(slot, &mut rec)?;
+            rec.check()?;
+            if !more {
+                return Ok(false);
+            }
         }
     }
-    Ok(())
+    Ok(true)
 }
 
 fn init_heap_page(page: &mut Page) {

@@ -62,4 +62,4 @@ pub use schema::{ColumnDef, ColumnType, IndexSchema, TableSchema};
 pub use sidecar::{build_sidecar, PredAtom, PredSummary, Sidecar, SIDECAR_FORMAT_VERSION};
 pub use tablewriter::TableWriter;
 pub use udf::UdfRegistry;
-pub use value::{GroupKey, GroupKeyRef, Value};
+pub use value::{GroupKey, GroupKeyRef, KeyMap, KeyState, Value};

@@ -35,7 +35,7 @@
 use rql_pagestore::{fnv1a, Page, PageId};
 
 use crate::cexpr::CExpr;
-use crate::record::{decode_row_into, Row};
+use crate::record::{decode_row_into, Cursor, Row, Walk};
 use crate::value::Value;
 
 /// Bump when the encoded layout changes: a sidecar under another
@@ -591,7 +591,8 @@ fn safe_page_rows(page: &Page, cols: &[bool]) -> Option<Vec<Row>> {
             return None;
         }
         let mut row = Row::new();
-        decode_row_into(page.read_slice(off, len), Some(cols), &mut row).ok()?;
+        let bytes = page.read_slice(off, len);
+        decode_row_into(bytes, Some(cols), Cursor::START, Walk::ALL, &mut row).ok()?;
         rows.push(row);
     }
     Some(rows)

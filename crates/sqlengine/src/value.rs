@@ -7,8 +7,10 @@
 //! across storage classes).
 
 use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// A dynamically typed SQL value.
 #[derive(Debug, Clone, PartialEq)]
@@ -283,6 +285,88 @@ impl Hash for GroupKeyRef<'_> {
     }
 }
 
+/// The one hasher of every executor map and set keyed by [`GroupKey`] or
+/// [`GroupKeyRef`] ([`KeyMap`], [`KeySet`]): seeded per map from std's
+/// `RandomState`, mixing each word with a folded multiply (the 128-bit
+/// product's halves XORed) and once more at `finish`, so every key bit
+/// reaches the low bits the table indexes by — keys that are multiples
+/// of 2^k spread as well as any others. It is not a keyed PRF like std's SipHash; see DESIGN.md
+/// §5c for why that costs nothing here.
+#[derive(Debug, Clone)]
+pub struct KeyState {
+    seed: u64,
+}
+
+impl Default for KeyState {
+    /// A fresh seed: each map hashes its keys its own way.
+    fn default() -> Self {
+        KeyState {
+            seed: RandomState::new().build_hasher().finish(),
+        }
+    }
+}
+
+impl BuildHasher for KeyState {
+    type Hasher = KeyHasher;
+
+    fn build_hasher(&self) -> KeyHasher {
+        KeyHasher(self.seed)
+    }
+}
+
+/// A map keyed by [`GroupKey`] or [`GroupKeyRef`].
+pub type KeyMap<K, V> = HashMap<K, V, KeyState>;
+/// A set of [`GroupKey`]s or [`GroupKeyRef`]s.
+pub type KeySet<K> = HashSet<K, KeyState>;
+
+/// [`KeyState`]'s hasher.
+#[derive(Debug)]
+pub struct KeyHasher(u64);
+
+/// The 128-bit product of `a` and `b`, its halves XORed.
+#[inline]
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+impl KeyHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        // Odd constants with no structure of their own (digits of pi),
+        // here and in `finish`.
+        self.0 = folded_multiply(self.0 ^ word, 0x243f_6a88_85a3_08d3);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.mix(u64::from_le_bytes(word.try_into().unwrap_or_default()));
+        }
+        let tail = words.remainder();
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        // The length keeps "a" apart from "a\0".
+        self.mix(u64::from_le_bytes(last) ^ ((tail.len() as u64) << 56));
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.mix(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.mix(i);
+    }
+
+    fn finish(&self) -> u64 {
+        // A last round carries the high bits of the last word, which one
+        // multiply leaves in the product's upper half, into the low bits.
+        folded_multiply(self.0, 0xa409_3822_299f_31d1)
+    }
+}
+
 /// One value's part of a grouping key's hash.
 fn hash_group_value<H: Hasher>(v: &Value, state: &mut H) {
     match v {
@@ -310,6 +394,20 @@ fn hash_group_value<H: Hasher>(v: &Value, state: &mut H) {
 }
 
 impl GroupKey {
+    /// Make this the one-value key of `v` in place: a text value is copied
+    /// into the string already there, so a reused key allocates nothing.
+    pub(crate) fn set_single(&mut self, v: &Value) {
+        self.0.truncate(1);
+        match (self.0.first_mut(), v) {
+            (Some(Value::Text(s)), Value::Text(t)) => {
+                s.clear();
+                s.push_str(t);
+            }
+            (Some(slot), v) => *slot = v.clone(),
+            (None, v) => self.0.push(v.clone()),
+        }
+    }
+
     /// Equality matching SQL grouping: integers and integral reals match.
     pub fn sql_eq(&self, other: &GroupKey) -> bool {
         self.0.len() == other.0.len()
@@ -335,7 +433,6 @@ fn group_value_eq(a: &Value, b: &Value) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     #[test]
     fn three_valued_comparison() {
@@ -412,7 +509,7 @@ mod tests {
 
     #[test]
     fn group_key_unifies_int_and_real() {
-        let mut m: HashMap<GroupKey, u32> = HashMap::new();
+        let mut m: KeyMap<GroupKey, u32> = KeyMap::default();
         m.insert(GroupKey(vec![Value::Integer(1)]), 1);
         assert!(m.contains_key(&GroupKey(vec![Value::Real(1.0)])));
         assert!(!m.contains_key(&GroupKey(vec![Value::Real(1.5)])));
@@ -423,16 +520,17 @@ mod tests {
         let a = GroupKey(vec![Value::Null]);
         let b = GroupKey(vec![Value::Null]);
         assert!(a.sql_eq(&b));
-        let mut m: HashMap<GroupKey, u32> = HashMap::new();
+        let mut m: KeyMap<GroupKey, u32> = KeyMap::default();
         m.insert(a, 1);
         assert!(m.contains_key(&b));
     }
 
-    /// A key read in place groups exactly as the same values copied out.
+    /// A key read in place groups exactly as the same values copied out,
+    /// under the executor's hasher: equal keys — `1` and `1.0`, `-0.0`
+    /// and `0.0` among them — hash alike.
     #[test]
     fn group_key_ref_groups_like_group_key() {
-        use std::hash::BuildHasher;
-        let hasher = std::collections::hash_map::RandomState::new();
+        let hasher = KeyState::default();
         let rows = [
             vec![Value::text("x"), Value::Integer(1), Value::Null],
             vec![Value::Real(1.0), Value::Null, Value::text("x")],
@@ -461,7 +559,57 @@ mod tests {
                 let (ka, kb) = (owned(a, pa), owned(b, pb));
                 assert_eq!(ra == rb, ka == kb, "{ka:?} vs {kb:?}");
                 assert_eq!(hasher.hash_one(ra), hasher.hash_one(&ka));
+                if ka == kb {
+                    assert_eq!(hasher.hash_one(&ka), hasher.hash_one(&kb), "{ka:?}");
+                }
             }
+        }
+    }
+
+    /// Structured keys — multiples of 2^12 and of 2^32, integral reals
+    /// (which hash as integers), texts sharing a 64-byte prefix — spread
+    /// over the low bits a table indexes by: 4,096 keys of each family
+    /// reach at least half of the 4,096 low-12-bit buckets.
+    #[test]
+    fn structured_keys_reach_the_low_bits() {
+        let hasher = KeyState::default();
+        let prefix = "p".repeat(64);
+        for family in ["i * 4096", "i * 2^32", "integral reals", "shared prefix"] {
+            let key = |i: i64| match family {
+                "i * 4096" => Value::Integer(i << 12),
+                "i * 2^32" => Value::Integer(i << 32),
+                "integral reals" => Value::Real((i << 20) as f64),
+                _ => Value::text(format!("{prefix}{i}")),
+            };
+            let buckets: std::collections::HashSet<u64> = (0..4096)
+                .map(|i| hasher.hash_one(GroupKey(vec![key(i)])) & 0xfff)
+                .collect();
+            assert!(buckets.len() >= 2048, "{family}: {} buckets", buckets.len());
+        }
+    }
+
+    /// Each map draws its own seed: the same key hashes differently in
+    /// two maps.
+    #[test]
+    fn two_maps_hash_a_key_differently() {
+        let key = GroupKey(vec![Value::Integer(42), Value::text("k")]);
+        let (a, b) = (KeyState::default(), KeyState::default());
+        assert_ne!(a.hash_one(&key), b.hash_one(&key));
+        assert_eq!(a.hash_one(&key), a.clone().hash_one(&key));
+    }
+
+    /// The probe buffer refilled in place equals a fresh one-value key.
+    #[test]
+    fn set_single_refills_the_key_in_place() {
+        let mut key = GroupKey(vec![Value::text("old"), Value::Integer(3)]);
+        for v in [
+            Value::text("a"),
+            Value::Integer(1),
+            Value::Null,
+            Value::text("bc"),
+        ] {
+            key.set_single(&v);
+            assert!(key.sql_eq(&GroupKey(vec![v.clone()])) && key.0.len() == 1);
         }
     }
 
