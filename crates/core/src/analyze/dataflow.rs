@@ -26,8 +26,8 @@ use rql_sqlengine::ast::{SelectItem, SelectStmt};
 use rql_sqlengine::Span;
 
 use crate::analyze::diag::{Applicability, Code, Diagnostic, SourceKind};
-use crate::analyze::mechspec::MechanismKind;
 use crate::delta::DeltaPolicy;
+use crate::mechanism::MechanismKind;
 use crate::rewrite::render_select;
 
 /// Dataflow facts for one mechanism call (literal arguments only).

@@ -24,7 +24,7 @@
 
 use std::fmt;
 
-use rql_sqlengine::Span;
+use rql_sqlengine::{Span, SqlError};
 
 /// Stable diagnostic codes. The numeric part is permanent: codes are
 /// retired, never reused.
@@ -52,6 +52,7 @@ pub enum Code {
     UngroupedColumn,
     QsNonIntegerColumn,
     MechanismArity,
+    InvalidClause,
     ParseError,
     QsParseError,
     QqParseError,
@@ -85,7 +86,7 @@ pub enum Code {
 
 impl Code {
     /// Every code, for registry-coverage assertions.
-    pub const ALL: [Code; 41] = [
+    pub const ALL: [Code; 42] = [
         Code::UnknownTable,
         Code::UnknownColumn,
         Code::UnknownFunction,
@@ -106,6 +107,7 @@ impl Code {
         Code::UngroupedColumn,
         Code::QsNonIntegerColumn,
         Code::MechanismArity,
+        Code::InvalidClause,
         Code::ParseError,
         Code::QsParseError,
         Code::QqParseError,
@@ -152,6 +154,7 @@ impl Code {
             Code::UngroupedColumn => "RQL018",
             Code::QsNonIntegerColumn => "RQL019",
             Code::MechanismArity => "RQL020",
+            Code::InvalidClause => "RQL021",
             Code::ParseError => "RQL050",
             Code::QsParseError => "RQL051",
             Code::QqParseError => "RQL052",
@@ -204,6 +207,10 @@ impl Code {
             Code::UngroupedColumn => "non-aggregated column outside GROUP BY",
             Code::QsNonIntegerColumn => "Qs column is not integer-typed; ids coerce at runtime",
             Code::MechanismArity => "mechanism UDF called with the wrong number of arguments",
+            Code::InvalidClause => {
+                "the engine rejects the clause: an aggregate or '*' where none is allowed, an \
+                 ORDER BY position out of range, or a LIMIT that is not an integer literal"
+            }
             Code::ParseError => "statement does not parse",
             Code::QsParseError => "Qs does not parse",
             Code::QqParseError => "Qq does not parse",
@@ -377,6 +384,10 @@ pub struct Diagnostic {
     pub span: Option<Span>,
     /// A structured edit resolving the finding, when one can be derived.
     pub fix: Option<Fix>,
+    /// The constructor of the runtime error this finding preempts, when
+    /// the finding came from one (else [`Diagnostic::runtime_error`] goes
+    /// by the code).
+    pub runtime: Option<fn(String) -> SqlError>,
 }
 
 impl Diagnostic {
@@ -394,6 +405,39 @@ impl Diagnostic {
             source,
             span,
             fix: None,
+            runtime: None,
+        }
+    }
+
+    /// Record the runtime error this finding preempts (builder style):
+    /// its variant is the one [`Diagnostic::runtime_error`] raises.
+    pub fn preempting(mut self, error: &SqlError) -> Diagnostic {
+        self.runtime = Some(match error {
+            SqlError::Unknown(_) => SqlError::Unknown,
+            SqlError::Constraint(_) => SqlError::Constraint,
+            SqlError::Udf(_) => SqlError::Udf,
+            _ => SqlError::Invalid,
+        });
+        self
+    }
+
+    /// The error the runtime raises for this finding, carrying the code
+    /// and message — so a pre-flight rejection matches (by variant) the
+    /// mid-loop failure it preempts.
+    pub fn runtime_error(&self) -> SqlError {
+        let msg = format!("[{}] {}", self.code, self.message);
+        if let Some(variant) = self.runtime {
+            return variant(msg);
+        }
+        match self.code {
+            Code::ResultTableExists => SqlError::Constraint(msg),
+            Code::MechanismArity => SqlError::Udf(msg),
+            Code::ParseError | Code::QsParseError | Code::QqParseError => match self.span {
+                Some(span) => SqlError::parse_at(msg, span),
+                None => SqlError::Invalid(msg),
+            },
+            Code::UnknownTable | Code::UseBeforeDefine => SqlError::Unknown(msg),
+            _ => SqlError::Invalid(msg),
         }
     }
 

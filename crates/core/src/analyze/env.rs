@@ -2,23 +2,25 @@
 //!
 //! A [`SchemaEnv`] is a point-in-time view of what a database knows:
 //! table schemas (keyed lowercase, matching the engine's catalog) and
-//! the set of callable scalar functions (builtins are implicit; UDFs are
-//! listed). It can be captured from a live [`Database`] — the session
-//! pre-flight path — or built statically by folding a program's DDL,
-//! which is how `rqlcheck` lints `.rql` files without opening a store.
+//! the registered UDFs (builtins are implicit) — what the engine's
+//! binder resolves against. It can be captured from a live [`Database`]
+//! — the session pre-flight path — or built statically by folding a
+//! program's DDL, which is how `rqlcheck` lints `.rql` files without
+//! opening a store.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use rql_sqlengine::ast::Stmt;
-use rql_sqlengine::{ColumnType, Database, Result, TableSchema};
+use rql_sqlengine::{parse_statement, Database, Result, SqlError, TableSchema, UdfRegistry};
 
-use crate::snapids::SNAPIDS_TABLE;
+use crate::mechanism::MechanismKind;
+use crate::snapids::SNAPIDS_DDL;
 
 /// Tables and functions visible to a query under analysis.
 #[derive(Debug, Clone, Default)]
 pub struct SchemaEnv {
     tables: HashMap<String, TableSchema>,
-    functions: HashSet<String>,
+    udfs: UdfRegistry,
 }
 
 impl SchemaEnv {
@@ -29,14 +31,10 @@ impl SchemaEnv {
 
     /// Capture the current catalog and UDF registry of a live database.
     pub fn from_database(db: &Database) -> Result<SchemaEnv> {
-        let mut env = SchemaEnv {
+        Ok(SchemaEnv {
             tables: db.table_schemas()?,
-            functions: HashSet::new(),
-        };
-        for name in db.udf_names() {
-            env.functions.insert(name.to_ascii_lowercase());
-        }
-        Ok(env)
+            udfs: db.udfs(),
+        })
     }
 
     /// The environment an auxiliary database starts with: the `SnapIds`
@@ -44,21 +42,11 @@ impl SchemaEnv {
     /// registers.
     pub fn aux_default() -> SchemaEnv {
         let mut env = SchemaEnv::new();
-        env.add_table(TableSchema::new(
-            SNAPIDS_TABLE,
-            vec![
-                ("snap_id".into(), ColumnType::Integer),
-                ("snap_ts".into(), ColumnType::Text),
-                ("name".into(), ColumnType::Text),
-            ],
-        ));
-        for f in [
-            "collatedata",
-            "aggregatedatainvariable",
-            "aggregatedataintable",
-            "collatedataintointervals",
-        ] {
-            env.add_function(f);
+        if let Ok(ddl) = parse_statement(SNAPIDS_DDL) {
+            env.apply_ddl(&ddl);
+        }
+        for kind in MechanismKind::ALL {
+            env.add_function(kind.udf_name());
         }
         env
     }
@@ -78,11 +66,20 @@ impl SchemaEnv {
         self.tables.keys().map(String::as_str)
     }
 
-    /// Whether `name` (lowercase) is a registered scalar function. The
-    /// engine's builtins and aggregates are *not* listed here — the
-    /// resolver knows them.
+    /// Every table schema, keyed by lowercase name.
+    pub fn tables(&self) -> &HashMap<String, TableSchema> {
+        &self.tables
+    }
+
+    /// The registered UDFs. The engine's builtins and aggregates are not
+    /// listed here — the binder knows them.
+    pub fn udfs(&self) -> &UdfRegistry {
+        &self.udfs
+    }
+
+    /// Whether `name` (any case) is a registered UDF.
     pub fn has_function(&self, name: &str) -> bool {
-        self.functions.contains(&name.to_ascii_lowercase())
+        self.udfs.get(name).is_some()
     }
 
     /// Insert or replace a table schema.
@@ -95,9 +92,10 @@ impl SchemaEnv {
         self.tables.remove(&name.to_ascii_lowercase());
     }
 
-    /// Register a callable function name.
+    /// Register a callable function name (binding never calls it).
     pub fn add_function(&mut self, name: &str) {
-        self.functions.insert(name.to_ascii_lowercase());
+        let declared = |_: &[rql_sqlengine::Value]| Err(SqlError::Udf("declared only".into()));
+        self.udfs.register(name, declared);
     }
 
     /// Merge another environment's tables into this one (used to widen
@@ -138,6 +136,7 @@ impl SchemaEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rql_sqlengine::ColumnType;
 
     #[test]
     fn ddl_folding() {

@@ -1,62 +1,24 @@
 //! Mechanism-spec validation: the (Qs, Qq, T, spec) quadruple of an RQL
 //! mechanism call, checked against the runtime's actual contracts.
 //!
-//! Every error here mirrors a failure the mechanisms in
-//! [`crate::mechanism`] would raise mid-loop — after Qs ran and possibly
-//! after result rows were already folded. The point of this module is to
-//! surface the same messages before any snapshot is opened, plus the
-//! warnings (RQL014/018/019) the runtime cannot see because it has
-//! already coerced the values.
+//! Every error here is a failure the mechanisms in [`crate::mechanism`]
+//! would raise mid-loop — after Qs ran and possibly after result rows were
+//! already folded — found by asking the same definitions: the spec parses
+//! with [`MechSpec::parse`] and T's layout is [`MechSpec::table_layout`] of
+//! Qq's output. The point of this module is to surface those failures
+//! before any snapshot is opened, plus the warnings (RQL014/018/019) the
+//! runtime cannot see because it has already coerced the values.
 
-use rql_sqlengine::{parse_select, ColumnType, SelectStmt};
+use rql_sqlengine::{parse_select, ColumnType, SelectStmt, SqlError};
 
-use crate::aggregate::{parse_col_func_pairs, AggOp};
+use crate::aggregate::AggOp;
 use crate::analyze::diag::{Code, Diagnostic, SourceKind};
 use crate::analyze::env::SchemaEnv;
 use crate::analyze::resolve::{check_select, find_word_span, OutputCol, QueryFacts};
 use crate::analyze::rewrite_safety::select_uses_current_snapshot;
-use crate::mechanism::{END_SNAPSHOT_COL, START_SNAPSHOT_COL};
-
-/// Which of the paper's four mechanisms a call targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MechanismKind {
-    /// `CollateData(Qs, Qq, T)` (§2.1).
-    Collate,
-    /// `AggregateDataInVariable(Qs, Qq, T, AggFunc)` (§2.2).
-    AggVar,
-    /// `AggregateDataInTable(Qs, Qq, T, ListOfColFuncPairs)` (§2.3).
-    AggTable,
-    /// `CollateDataIntoIntervals(Qs, Qq, T)` (§2.4).
-    Intervals,
-}
-
-impl MechanismKind {
-    /// The programmer-facing UDF name (lowercase).
-    pub fn udf_name(self) -> &'static str {
-        match self {
-            MechanismKind::Collate => "collatedata",
-            MechanismKind::AggVar => "aggregatedatainvariable",
-            MechanismKind::AggTable => "aggregatedataintable",
-            MechanismKind::Intervals => "collatedataintointervals",
-        }
-    }
-
-    /// Map a UDF name to its mechanism.
-    pub fn from_udf_name(name: &str) -> Option<MechanismKind> {
-        match name.to_ascii_lowercase().as_str() {
-            "collatedata" => Some(MechanismKind::Collate),
-            "aggregatedatainvariable" => Some(MechanismKind::AggVar),
-            "aggregatedataintable" => Some(MechanismKind::AggTable),
-            "collatedataintointervals" => Some(MechanismKind::Intervals),
-            _ => None,
-        }
-    }
-
-    /// Whether this mechanism takes a fourth spec argument.
-    pub fn takes_spec(self) -> bool {
-        matches!(self, MechanismKind::AggVar | MechanismKind::AggTable)
-    }
-}
+use crate::mechanism::{
+    LayoutError, MechSpec, MechanismKind, END_SNAPSHOT_COL, START_SNAPSHOT_COL,
+};
 
 /// One mechanism invocation under analysis.
 #[derive(Debug, Clone, Copy)]
@@ -125,7 +87,7 @@ pub fn check_mechanism(
             facts.qq_output = qf.output.clone();
             facts.qq_unknown_tables = qf.unknown_tables;
             facts.qq_parsed = Some(parsed);
-            check_mechanism_spec(call, &qf.output, diags, &mut facts);
+            check_mechanism_spec(call, qf.output.as_deref(), diags, &mut facts);
         }
     }
     facts
@@ -158,15 +120,11 @@ fn check_qs(
     // auxiliary catalog (SnapIds + result tables) is visible.
     for mut d in qs_diags {
         if d.code == Code::UnknownTable {
-            d = Diagnostic::new(
-                Code::QsUnknownTable,
-                format!(
-                    "{}; Qs runs on the auxiliary database (its snapshot \
-                     catalog is the SnapIds table)",
-                    d.message
-                ),
-                d.source,
-                d.span,
+            d.code = Code::QsUnknownTable;
+            d.message = format!(
+                "{}; Qs runs on the auxiliary database (its snapshot \
+                 catalog is the SnapIds table)",
+                d.message
             );
         }
         diags.push(d);
@@ -198,7 +156,7 @@ fn check_qs(
                     "Qs column {} has {} affinity; snapshot ids are integers \
                      and non-integer values fail at runtime",
                     out[0].name,
-                    type_name(out[0].ty)
+                    out[0].ty.name()
                 ),
                 SourceKind::Qs,
                 find_word_span(qs, &out[0].name, 0),
@@ -208,180 +166,84 @@ fn check_qs(
     facts.qs_parsed = Some(parsed);
 }
 
-/// The per-mechanism contract on Qq's output and the spec argument.
+/// The mechanism's contract on Qq's output and the spec argument: the
+/// spec parses as the runtime parses it, and T's layout is the one the
+/// fold would create.
 fn check_mechanism_spec(
     call: &MechanismCall<'_>,
-    output: &Option<Vec<OutputCol>>,
+    output: Option<&[OutputCol]>,
     diags: &mut Vec<Diagnostic>,
     facts: &mut MechanismFacts,
 ) {
-    match call.kind {
-        MechanismKind::Collate => {
-            if let Some(out) = output {
-                check_duplicates(out.iter().map(|c| c.name.as_str()), diags);
-                facts.result_columns = Some(out.iter().map(|c| c.name.clone()).collect());
-            }
+    let spec_text = call.spec.unwrap_or("");
+    let spec = match MechSpec::parse(call.kind, call.spec) {
+        Ok(spec) => spec,
+        Err(e) => {
+            let d = Diagnostic::new(Code::BadAggFunc, e.message(), SourceKind::Spec, None);
+            diags.push(d.preempting(&e));
+            return;
         }
-        MechanismKind::AggVar => {
-            let op = check_agg_func(call.spec.unwrap_or(""), diags);
-            if let Some(out) = output {
-                if out.len() != 1 {
-                    diags.push(Diagnostic::new(
-                        Code::AggVarNotSingleColumn,
-                        format!(
-                            "AggregateDataInVariable expects Qq to return one column, got {}",
-                            out.len()
-                        ),
-                        SourceKind::Qq,
-                        None,
-                    ));
-                } else {
-                    if let Some(op) = op {
-                        check_numeric_agg(op, &out[0], call.qq, SourceKind::Qq, diags);
-                    }
-                    facts.result_columns = Some(vec![out[0].name.clone()]);
-                }
-            }
+    };
+    let Some(output) = output else { return };
+    let names: Vec<String> = output.iter().map(|c| c.name.clone()).collect();
+    let layout = match spec.table_layout(&names) {
+        Ok(layout) => layout,
+        Err(e) => return diags.extend(layout_diagnostics(call, e)),
+    };
+    // RQL014: SUM/AVG over a text-typed column folds lexical garbage.
+    let (src, source) = match call.kind {
+        MechanismKind::AggTable => (spec_text, SourceKind::Spec),
+        _ => (call.qq, SourceKind::Qq),
+    };
+    for &(pos, op, _) in &layout.agg_columns {
+        let col = &output[pos];
+        if matches!(op, AggOp::Sum | AggOp::Avg) && col.ty == ColumnType::Text {
+            diags.push(Diagnostic::new(
+                Code::AggTypeMismatch,
+                format!(
+                    "{op}() over text-typed column {}; non-numeric values coerce to 0",
+                    col.name
+                ),
+                source,
+                find_word_span(src, &col.name, 0),
+            ));
         }
-        MechanismKind::AggTable => {
-            let spec = call.spec.unwrap_or("");
-            let pairs = match parse_col_func_pairs(spec) {
-                Err(e) => {
-                    diags.push(Diagnostic::new(
-                        Code::BadAggFunc,
-                        e.message().to_owned(),
-                        SourceKind::Spec,
-                        None,
-                    ));
-                    return;
-                }
-                Ok(p) => p,
-            };
-            let Some(out) = output else { return };
-            let mut table_columns: Vec<String> = out.iter().map(|c| c.name.clone()).collect();
-            let mut agg_positions = Vec::new();
-            for (col, op) in &pairs {
-                match out.iter().position(|c| c.name.eq_ignore_ascii_case(col)) {
-                    None => {
-                        diags.push(Diagnostic::new(
-                            Code::AggColumnNotInQq,
-                            format!("aggregated column {col} not in Qq output"),
-                            SourceKind::Spec,
-                            find_word_span(spec, col, 0),
-                        ));
-                    }
-                    Some(pos) => {
-                        agg_positions.push(pos);
-                        check_numeric_agg(*op, &out[pos], spec, SourceKind::Spec, diags);
-                        if op.needs_companions() {
-                            table_columns.push(format!("{col}__avg_sum"));
-                            table_columns.push(format!("{col}__avg_cnt"));
-                        }
-                    }
-                }
-            }
-            if !out.is_empty() && agg_positions.len() == out.len() {
-                diags.push(Diagnostic::new(
-                    Code::NoGroupingColumns,
-                    "every Qq column is aggregated; use AggregateDataInVariable instead",
+    }
+    facts.result_columns = Some(layout.table_columns);
+}
+
+/// A layout failure as the diagnostics that name it: a lifetime column Qq
+/// already returns is also a reserved-name collision (RQL013).
+fn layout_diagnostics(call: &MechanismCall<'_>, e: LayoutError) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    let (code, source, span) = match &e {
+        LayoutError::NotSingleColumn(_) => (Code::AggVarNotSingleColumn, SourceKind::Qq, None),
+        LayoutError::NotInQq(col) => {
+            let span = find_word_span(call.spec.unwrap_or(""), col, 0);
+            (Code::AggColumnNotInQq, SourceKind::Spec, span)
+        }
+        LayoutError::AllAggregated => (Code::NoGroupingColumns, SourceKind::Qq, None),
+        LayoutError::Duplicate(c) => {
+            let lifetime = [START_SNAPSHOT_COL, END_SNAPSHOT_COL];
+            if call.kind == MechanismKind::Intervals
+                && lifetime.iter().any(|l| l.eq_ignore_ascii_case(c))
+            {
+                out.push(Diagnostic::new(
+                    Code::IntervalsReservedColumn,
+                    format!(
+                        "Qq output column {c} collides with the lifetime column \
+                         CollateDataIntoIntervals adds to T"
+                    ),
                     SourceKind::Qq,
-                    None,
+                    find_word_span(call.qq, c, 0),
                 ));
             }
-            check_duplicates(table_columns.iter().map(String::as_str), diags);
-            facts.result_columns = Some(table_columns);
+            (Code::DuplicateOutputColumn, SourceKind::Qq, None)
         }
-        MechanismKind::Intervals => {
-            let Some(out) = output else { return };
-            for c in out {
-                if c.name.eq_ignore_ascii_case(START_SNAPSHOT_COL)
-                    || c.name.eq_ignore_ascii_case(END_SNAPSHOT_COL)
-                {
-                    diags.push(Diagnostic::new(
-                        Code::IntervalsReservedColumn,
-                        format!(
-                            "Qq output column {} collides with the lifetime column \
-                             CollateDataIntoIntervals adds to T",
-                            c.name
-                        ),
-                        SourceKind::Qq,
-                        find_word_span(call.qq, &c.name, 0),
-                    ));
-                }
-            }
-            let mut cols: Vec<String> = out.iter().map(|c| c.name.clone()).collect();
-            cols.push(START_SNAPSHOT_COL.to_owned());
-            cols.push(END_SNAPSHOT_COL.to_owned());
-            check_duplicates(cols.iter().map(String::as_str), diags);
-            facts.result_columns = Some(cols);
-        }
-    }
-}
-
-/// RQL010 for a single aggregate-function name.
-fn check_agg_func(spec: &str, diags: &mut Vec<Diagnostic>) -> Option<AggOp> {
-    match AggOp::parse(spec.trim()) {
-        Ok(op) => Some(op),
-        Err(e) => {
-            diags.push(Diagnostic::new(
-                Code::BadAggFunc,
-                e.message().to_owned(),
-                SourceKind::Spec,
-                None,
-            ));
-            None
-        }
-    }
-}
-
-/// RQL014: SUM/AVG over a text-typed column folds lexical garbage.
-fn check_numeric_agg(
-    op: AggOp,
-    col: &OutputCol,
-    src: &str,
-    source: SourceKind,
-    diags: &mut Vec<Diagnostic>,
-) {
-    if matches!(op, AggOp::Sum | AggOp::Avg) && col.ty == ColumnType::Text {
-        diags.push(Diagnostic::new(
-            Code::AggTypeMismatch,
-            format!(
-                "{op}() over text-typed column {}; non-numeric values coerce to 0",
-                col.name
-            ),
-            source,
-            find_word_span(src, &col.name, 0),
-        ));
-    }
-}
-
-/// RQL008: two result-table columns sharing a name (the runtime rejects
-/// this when it creates T).
-fn check_duplicates<'a>(names: impl Iterator<Item = &'a str>, diags: &mut Vec<Diagnostic>) {
-    let names: Vec<&str> = names.collect();
-    let mut reported = Vec::new();
-    for (i, n) in names.iter().enumerate() {
-        if names[..i].iter().any(|o| o.eq_ignore_ascii_case(n))
-            && !reported.iter().any(|r: &&str| r.eq_ignore_ascii_case(n))
-        {
-            reported.push(*n);
-            diags.push(Diagnostic::new(
-                Code::DuplicateOutputColumn,
-                format!("Qq output has duplicate column name {n}"),
-                SourceKind::Qq,
-                None,
-            ));
-        }
-    }
-}
-
-fn type_name(ty: ColumnType) -> &'static str {
-    match ty {
-        ColumnType::Integer => "INTEGER",
-        ColumnType::Real => "REAL",
-        ColumnType::Text => "TEXT",
-        ColumnType::Any => "ANY",
-    }
+    };
+    let error = SqlError::from(e);
+    out.push(Diagnostic::new(code, error.message(), source, span).preempting(&error));
+    out
 }
 
 #[cfg(test)]

@@ -4,11 +4,13 @@
 //!
 //! 1. **Name/type resolution** ([`resolve`]) — Qs against the auxiliary
 //!    catalog (`SnapIds` + result tables), Qq against the snapshotable
-//!    catalog, with the engine's exact scoping rules.
-//! 2. **Mechanism-spec validation** ([`mechspec`]) — aggregate
-//!    arity/typing, result-table schema inference, collision checks; the
-//!    same contracts the mechanisms enforce mid-loop, moved to compile
-//!    time.
+//!    catalog, by the engine's own binder (`rql_sqlengine::exec::bind`):
+//!    the analyzer keeps no copy of a scoping, naming, arity or
+//!    aggregate-placement rule, it maps the binder's errors to codes.
+//! 2. **Mechanism-spec validation** ([`mechspec`]) — the spec parsed and
+//!    T's layout derived by the mechanisms' own definitions
+//!    (`MechSpec::parse`, `MechSpec::table_layout`), plus the affinity
+//!    warnings only a static pass can give.
 //! 3. **Rewrite safety** ([`rewrite_safety`]) — proofs that the §3
 //!    rewrite (`AS OF` injection, `current_snapshot()` substitution)
 //!    finds all its sites and none are hidden in string literals.
@@ -35,20 +37,25 @@ pub mod resolve;
 pub mod rewrite_safety;
 pub mod sarif;
 
-use rql_sqlengine::ast::{BinOp, Expr, SelectStmt};
-use rql_sqlengine::{ColumnType, Span, SqlError, Value};
+use rql_sqlengine::ast::{BinOp, Expr};
+use rql_sqlengine::cexpr::CExpr;
+use rql_sqlengine::exec::Bound;
+use rql_sqlengine::{ColumnType, PredSummary, Span, SqlError, Value};
+
+use crate::rewrite::rewrite_select;
 
 pub use self::delta::{explain_delta, DeltaExplain, PredictedPath};
 pub use self::diag::{dedupe, Applicability, Code, Diagnostic, Fix, Severity, SourceKind};
 pub use self::env::SchemaEnv;
 pub use self::fixes::{apply_fixes, fix_program, machine_applicable, FixOutcome};
-pub use self::mechspec::{check_mechanism, MechanismCall, MechanismFacts, MechanismKind};
+pub use self::mechspec::{check_mechanism, MechanismCall, MechanismFacts};
 pub use self::program::{
     analyze_program, parse_program, run_program, run_program_with_reports, Program,
     ProgramAnalysis, ProgramRun, ProgramStmt,
 };
 pub use self::sarif::{render_sarif, SarifFile};
 pub use crate::delta::{DeltaIneligible, DeltaPolicy};
+pub use crate::mechanism::MechanismKind;
 
 /// The result of analyzing one mechanism call.
 #[derive(Debug, Clone, Default)]
@@ -72,73 +79,23 @@ impl Analysis {
             .any(|d| d.severity == Severity::Error)
     }
 
-    /// The first error, mapped to the [`SqlError`] variant the runtime
-    /// would eventually raise for the same problem — so pre-flight
-    /// rejection is indistinguishable (to `matches!` on the variant)
-    /// from the mid-loop failure it preempts.
+    /// The first error, as the [`SqlError`] the runtime would eventually
+    /// raise for the same problem — so pre-flight rejection is
+    /// indistinguishable (to `matches!` on the variant) from the mid-loop
+    /// failure it preempts.
     pub fn first_error(&self) -> Option<SqlError> {
         self.diagnostics
             .iter()
             .find(|d| d.severity == Severity::Error)
-            .map(to_sql_error)
+            .map(Diagnostic::runtime_error)
     }
 }
 
-/// Map one error diagnostic to the runtime's error taxonomy.
-fn to_sql_error(d: &Diagnostic) -> SqlError {
-    let msg = format!("[{}] {}", d.code, d.message);
-    match d.code {
-        Code::ResultTableExists => SqlError::Constraint(msg),
-        Code::ParseError | Code::QsParseError | Code::QqParseError => match d.span {
-            Some(span) => SqlError::parse_at(msg, span),
-            None => SqlError::Invalid(msg),
-        },
-        Code::UnknownTable
-        | Code::UnknownColumn
-        | Code::UnknownFunction
-        | Code::QsUnknownTable
-        | Code::AggColumnNotInQq
-        | Code::UseBeforeDefine => SqlError::Unknown(msg),
-        // Unknown aggregate names are Unknown at runtime; the non-monoid
-        // (distinct) rejection is Invalid.
-        Code::BadAggFunc if d.message.starts_with("aggregate function") => SqlError::Unknown(msg),
-        _ => SqlError::Invalid(msg),
-    }
-}
-
-/// Can zone-map/bloom sidecar pruning ever refute a page for this WHERE
-/// clause? Mirrors the runtime's predicate-summary extraction: at least
-/// one top-level conjunct must be a direct column-vs-constant comparison
-/// (`col <op> literal`, either orientation; `=`, `<`, `<=`, `>`, `>=`)
-/// or a non-negated `col BETWEEN literal AND literal`, with non-NULL
-/// constants. Anything else — a UDF or arithmetic wrapped around the
-/// column, `OR` at the top, `!=`, `LIKE` — is opaque to the sidecars.
-fn prunable_where(e: &Expr) -> bool {
-    fn is_col(e: &Expr) -> bool {
-        matches!(e, Expr::Column { .. })
-    }
-    fn is_const(e: &Expr) -> bool {
-        matches!(e, Expr::Literal(v) if !v.is_null())
-    }
-    match e {
-        Expr::Binary {
-            op: BinOp::And,
-            lhs,
-            rhs,
-        } => prunable_where(lhs) || prunable_where(rhs),
-        Expr::Binary {
-            op: BinOp::Eq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge,
-            lhs,
-            rhs,
-        } => (is_col(lhs) && is_const(rhs)) || (is_const(lhs) && is_col(rhs)),
-        Expr::Between {
-            expr,
-            lo,
-            hi,
-            negated: false,
-        } => is_col(expr) && is_const(lo) && is_const(hi),
-        _ => false,
-    }
+/// Whether zone-map/bloom sidecar pruning can ever refute a page for a
+/// bound Qq: the runtime's own predicate summary over the conjuncts the
+/// executor compiles finds at least one atom.
+fn prunable(bound: &Bound) -> bool {
+    bound.errors.is_empty() && !PredSummary::from_conjuncts(&bound.conjuncts, 0).is_empty()
 }
 
 /// Strip arithmetic identities that hide a column from the pruning
@@ -179,75 +136,6 @@ fn strip_arith_identities(e: &Expr) -> Expr {
             negated: *negated,
         },
         _ => e.clone(),
-    }
-}
-
-/// Whether every column referenced in `e` resolves to an Integer or Real
-/// column of a FROM/JOIN table of `select` in `env`. Unresolvable or
-/// text/any-typed columns return false (the caller downgrades the fix).
-fn where_columns_numeric(e: &Expr, select: &SelectStmt, env: &SchemaEnv) -> bool {
-    let mut cols: Vec<(Option<String>, String)> = Vec::new();
-    collect_columns(e, &mut cols);
-    let tables: Vec<&rql_sqlengine::ast::TableRef> = select
-        .from
-        .iter()
-        .chain(select.joins.iter().map(|j| &j.table))
-        .collect();
-    cols.iter().all(|(qual, name)| {
-        let candidates = tables.iter().filter(|t| match qual {
-            Some(q) => t.binding().eq_ignore_ascii_case(q),
-            None => true,
-        });
-        let mut tys = candidates.filter_map(|t| {
-            let schema = env.table(&t.name)?;
-            let idx = schema.column_index(name)?;
-            Some(schema.columns[idx].ty)
-        });
-        tys.any(|ty| matches!(ty, ColumnType::Integer | ColumnType::Real))
-    })
-}
-
-/// Collect every column reference in an expression.
-fn collect_columns(e: &Expr, out: &mut Vec<(Option<String>, String)>) {
-    match e {
-        Expr::Column { table, name } => out.push((table.clone(), name.clone())),
-        Expr::Unary { expr, .. } => collect_columns(expr, out),
-        Expr::Binary { lhs, rhs, .. } => {
-            collect_columns(lhs, out);
-            collect_columns(rhs, out);
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                collect_columns(a, out);
-            }
-        }
-        Expr::IsNull { expr, .. } => collect_columns(expr, out),
-        Expr::Between { expr, lo, hi, .. } => {
-            collect_columns(expr, out);
-            collect_columns(lo, out);
-            collect_columns(hi, out);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            collect_columns(expr, out);
-            collect_columns(pattern, out);
-        }
-        Expr::Case {
-            operand,
-            arms,
-            else_branch,
-        } => {
-            if let Some(op) = operand {
-                collect_columns(op, out);
-            }
-            for (w, t) in arms {
-                collect_columns(w, out);
-                collect_columns(t, out);
-            }
-            if let Some(el) = else_branch {
-                collect_columns(el, out);
-            }
-        }
-        _ => {}
     }
 }
 
@@ -299,10 +187,12 @@ pub fn analyze_mechanism_call(
         // Pruning eligibility (RQL209): a WHERE clause with no direct
         // column-vs-constant conjunct gives the zone-map/bloom sidecars
         // nothing to refute — every page is fetched and filtered row by
-        // row no matter how selective the predicate is.
+        // row no matter how selective the predicate is. Asked of the
+        // conjuncts the loop compiles, `current_snapshot()` substituted.
         if let Some(w) = &parsed.where_clause {
-            if !prunable_where(w) {
-                let why = if crate::memoize::expr_calls_udf(w) {
+            let (bound, _) = resolve::bind(&rewrite_select(parsed, 0), snap_env);
+            if bound.errors.is_empty() && !prunable(&bound) {
+                let why = if bound.conjuncts.iter().any(CExpr::calls_udf) {
                     "it filters through a UDF call"
                 } else {
                     "no conjunct compares a bare column to a constant"
@@ -318,15 +208,24 @@ pub fn analyze_mechanism_call(
                 );
                 // When only arithmetic identities (`+ 0`, `* 1`, …) hide
                 // the column, strip them and offer the rewritten Qq.
-                // Machine-applicable only when every column in the
-                // rewritten WHERE is numerically typed — on text columns
+                // Machine-applicable only when every column the rewritten
+                // conjuncts read is numerically typed — on text columns
                 // the arithmetic coerced the comparison, so stripping it
                 // could change results.
-                let simplified = strip_arith_identities(w);
-                if simplified != *w && prunable_where(&simplified) {
-                    let mut fixed = parsed.clone();
-                    fixed.where_clause = Some(simplified.clone());
-                    let applicability = if where_columns_numeric(&simplified, parsed, snap_env) {
+                let mut fixed = parsed.clone();
+                fixed.where_clause = Some(strip_arith_identities(w));
+                let (fixed_bound, types) = match fixed.where_clause != parsed.where_clause {
+                    true => resolve::bind(&rewrite_select(&fixed, 0), snap_env),
+                    false => Default::default(),
+                };
+                if prunable(&fixed_bound) {
+                    let mut read = Vec::new();
+                    let conjuncts = fixed_bound.conjuncts.iter();
+                    conjuncts.for_each(|c| c.column_offsets(&mut read));
+                    let numeric = |&o: &usize| {
+                        matches!(types.get(o), Some(ColumnType::Integer | ColumnType::Real))
+                    };
+                    let applicability = if read.iter().all(numeric) {
                         diag::Applicability::MachineApplicable
                     } else {
                         diag::Applicability::MaybeIncorrect

@@ -35,11 +35,12 @@ use crate::analyze::dataflow::{self, DfNode, DfStmt, MechNode, PlainNode};
 use crate::analyze::delta::DeltaExplain;
 use crate::analyze::diag::{dedupe, Applicability, Code, Diagnostic, Fix, Severity, SourceKind};
 use crate::analyze::env::SchemaEnv;
-use crate::analyze::mechspec::{MechanismCall, MechanismKind};
+use crate::analyze::mechspec::MechanismCall;
 use crate::analyze::resolve::check_select;
 use crate::analyze::rewrite_safety;
 use crate::delta::DeltaPolicy;
 use crate::mechanism::MechSpec;
+use crate::mechanism::MechanismKind;
 use crate::report::RqlReport;
 use crate::rewrite::render_select;
 use crate::session::RqlSession;
@@ -373,11 +374,7 @@ fn stmt_names_mechanism(text: &str) -> bool {
 /// Dataflow facts for an extracted mechanism call.
 fn mech_node(call: &ExtractedCall) -> MechNode {
     let qq_parsed = rql_sqlengine::parse_select(&call.qq).ok();
-    let qs_reads = call
-        .qs_select
-        .from
-        .iter()
-        .chain(call.qs_select.joins.iter().map(|j| &j.table))
+    let qs_reads = (call.qs_select.tables())
         .map(|t| t.name.to_ascii_lowercase())
         .collect();
     MechNode {
@@ -404,11 +401,7 @@ fn plain_node(parsed: &Stmt, stmt: &ProgramStmt) -> PlainNode {
         offset: usize,
         reads: &mut Vec<(String, Option<Span>)>,
     ) {
-        for t in select
-            .from
-            .iter()
-            .chain(select.joins.iter().map(|j| &j.table))
-        {
+        for t in select.tables() {
             reads.push((
                 t.name.to_ascii_lowercase(),
                 t.span.map(|s| s.offset(offset)),

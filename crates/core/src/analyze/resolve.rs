@@ -1,15 +1,17 @@
 //! Name/type resolution of a `SELECT` against a [`SchemaEnv`].
 //!
-//! Mirrors the engine's runtime scope rules (`rql_sqlengine::cexpr`):
-//! unqualified names that match more than one FROM binding are ambiguous,
-//! unknown names are errors, non-builtin functions must be registered
-//! UDFs. On top of that it infers the query's output schema — the column
-//! names and affinities a mechanism's result table T would get — so the
-//! mechanism-spec checks can run without executing anything.
+//! The rules are the engine's own: [`rql_sqlengine::exec::bind`] runs the
+//! executor's scope, wildcard, naming, ORDER BY and compile rules clause by
+//! clause. This module turns its errors into diagnostics with spans, and
+//! reads the output columns' affinities off the compiled items — the
+//! column names and affinities a mechanism's result table T would get —
+//! so the mechanism-spec checks can run without executing anything.
 
-use rql_sqlengine::ast::{is_aggregate_name, Expr, SelectItem, SelectStmt, TableRef};
+use rql_sqlengine::ast::{Expr, SelectItem, SelectStmt};
+use rql_sqlengine::cexpr::{AggFunc, AggSpec, BindError, BindKind, CExpr};
+use rql_sqlengine::exec::{self, Bound};
 use rql_sqlengine::lexer::Token;
-use rql_sqlengine::{tokenize_spanned, ColumnType, Span};
+use rql_sqlengine::{tokenize_spanned, ColumnType, Span, Value};
 
 use crate::analyze::diag::{Code, Diagnostic, SourceKind};
 use crate::analyze::env::SchemaEnv;
@@ -27,34 +29,38 @@ pub struct OutputCol {
 /// What resolution learned about a query.
 #[derive(Debug, Clone, Default)]
 pub struct QueryFacts {
-    /// Inferred output columns, `None` when a wildcard expands over a
-    /// table whose schema is unknown.
+    /// Inferred output columns, `None` when FROM names an unknown table or
+    /// a wildcard does not expand.
     pub output: Option<Vec<OutputCol>>,
     /// Tables that resolved against no schema (candidates for the
     /// snapshot-catalog widening retry).
     pub unknown_tables: Vec<String>,
 }
 
-/// One FROM/JOIN binding: alias → schema columns, or `None` when the
-/// table is unknown (already diagnosed; suppresses cascading column
-/// errors).
-struct Binding {
-    name: String,
-    columns: Option<Vec<(String, ColumnType)>>,
-}
-
 /// Find the span of the `idx`-th case-insensitive occurrence of `word`
-/// as an identifier token in `src` (0-based; pass 0 for the first).
+/// as a token in `src` (0-based; pass 0 for the first): an identifier, or
+/// any token spelled `word` (`*`, a number).
 pub fn find_word_span(src: &str, word: &str, idx: usize) -> Option<Span> {
     let toks = tokenize_spanned(src).ok()?;
     toks.iter()
-        .filter(|t| matches!(&t.token, Token::Word(w) if w.eq_ignore_ascii_case(word)))
+        .filter(|t| match &t.token {
+            Token::Word(w) => w.eq_ignore_ascii_case(word),
+            _ => src.get(t.span.start..t.span.end) == Some(word),
+        })
         .nth(idx)
         .map(|t| t.span)
 }
 
-fn table_span(t: &TableRef, src: &str) -> Option<Span> {
-    t.span.or_else(|| find_word_span(src, &t.name, 0))
+/// Bind `select` with the engine's binder against `env`, with the scope's
+/// column affinities by offset (the binder scopes tables in written
+/// order).
+pub(crate) fn bind(select: &SelectStmt, env: &SchemaEnv) -> (Bound, Vec<ColumnType>) {
+    let bound = exec::bind(select, env.tables(), env.udfs());
+    let schemas = select.tables().filter_map(|t| env.table(&t.name));
+    let types = schemas
+        .flat_map(|s| s.columns.iter().map(|c| c.ty))
+        .collect();
+    (bound, types)
 }
 
 /// Resolve `select` against `env`, appending diagnostics. `src` is the
@@ -66,346 +72,92 @@ pub fn check_select(
     source: SourceKind,
     diags: &mut Vec<Diagnostic>,
 ) -> QueryFacts {
+    let (bound, types) = bind(select, env);
     let mut facts = QueryFacts::default();
-    let mut bindings = Vec::new();
-    let refs = select
-        .from
-        .iter()
-        .chain(select.joins.iter().map(|j| &j.table));
-    for t in refs {
-        let columns = match env.table(&t.name) {
-            Some(schema) => Some(
-                schema
-                    .columns
-                    .iter()
-                    .map(|c| (c.name.clone(), c.ty))
-                    .collect(),
-            ),
-            None => {
-                facts.unknown_tables.push(t.name.clone());
-                diags.push(Diagnostic::new(
-                    Code::UnknownTable,
-                    format!("unknown table {}", t.name),
-                    source,
-                    table_span(t, src),
-                ));
-                None
-            }
-        };
-        bindings.push(Binding {
-            name: t.binding().to_ascii_lowercase(),
-            columns,
-        });
-    }
-
-    let mut ck = Checker {
-        env,
-        bindings: &bindings,
-        src,
-        source,
-        diags,
-    };
-    for item in &select.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            ck.visit(expr, 0);
+    for e in &bound.errors {
+        match e.kind {
+            BindKind::UnknownTable => facts.unknown_tables.push(e.name.clone()),
+            // Where current_snapshot() may appear is the rewrite-safety
+            // pass's to report.
+            BindKind::UnknownFunction if e.name == CURRENT_SNAPSHOT => continue,
+            _ => {}
         }
-    }
-    for clause in select
-        .where_clause
-        .iter()
-        .chain(select.group_by.iter())
-        .chain(select.having.iter())
-        .chain(select.limit.iter())
-    {
-        ck.visit(clause, 0);
-    }
-    // ORDER BY also accepts positional indices and output aliases
-    // (`ORDER BY 2`, `ORDER BY cn`) — the engine resolves those against
-    // the projection, not the FROM scope.
-    let out_names: Vec<String> = select
-        .items
-        .iter()
-        .filter_map(|i| match i {
-            SelectItem::Expr { expr, alias } => {
-                Some(alias.clone().unwrap_or_else(|| derive_name(expr)))
-            }
-            _ => None,
-        })
-        .collect();
-    for (e, _) in &select.order_by {
-        match e {
-            Expr::Literal(rql_sqlengine::Value::Integer(_)) => {}
-            Expr::Column { table: None, name }
-                if out_names.iter().any(|c| c.eq_ignore_ascii_case(name)) => {}
-            _ => ck.visit(e, 0),
-        }
-    }
-    for j in &select.joins {
-        ck.visit(&j.on, 0);
+        diags.push(diagnostic(e, select, src, source));
     }
     check_grouping(select, src, source, diags);
-
-    facts.output = infer_output(
-        select,
-        &bindings,
-        &mut Checker {
-            env,
-            bindings: &bindings,
-            src,
-            source,
-            diags,
-        },
-    );
+    facts.output = bound.output.map(|output| {
+        (output.into_iter())
+            .map(|(name, item)| {
+                let ty = affinity(&item, &types, &bound.aggs);
+                OutputCol { name, ty }
+            })
+            .collect()
+    });
     facts
 }
 
-struct Checker<'a> {
-    env: &'a SchemaEnv,
-    bindings: &'a [Binding],
-    src: &'a str,
-    source: SourceKind,
-    diags: &'a mut Vec<Diagnostic>,
+/// One binding error as a diagnostic: its code, message and span, and the
+/// runtime error variant it preempts.
+fn diagnostic(e: &BindError, select: &SelectStmt, src: &str, source: SourceKind) -> Diagnostic {
+    let name = &e.name;
+    let (code, message) = match e.kind {
+        BindKind::UnknownTable => (Code::UnknownTable, format!("unknown table {name}")),
+        BindKind::UnknownColumn => (Code::UnknownColumn, format!("unknown column {name}")),
+        BindKind::UnknownQualifier => (
+            Code::UnknownQualifier,
+            format!("unknown table or alias {name}"),
+        ),
+        BindKind::AmbiguousColumn => (Code::AmbiguousColumn, format!("ambiguous column {name}")),
+        BindKind::UnknownFunction => (Code::UnknownFunction, format!("unknown function {name}")),
+        BindKind::NestedAggregate => (
+            Code::NestedAggregate,
+            format!("aggregate {name}() nested inside another aggregate"),
+        ),
+        BindKind::Arity => (Code::FunctionArity, e.message.clone()),
+        BindKind::MisplacedAggregate | BindKind::Invalid => {
+            (Code::InvalidClause, e.message.clone())
+        }
+    };
+    // A column its qualifier lacks is named `t.col`; point at `col`.
+    let word = name.rsplit('.').next().unwrap_or(name);
+    let table = select
+        .tables()
+        .find(|t| e.kind == BindKind::UnknownTable && t.name == *name);
+    let span = table.and_then(|t| t.span);
+    let span = span.or_else(|| find_word_span(src, word, 0));
+    Diagnostic::new(code, message, source, span).preempting(&e.clone().into())
 }
 
-impl Checker<'_> {
-    fn push(&mut self, code: Code, message: String, span: Option<Span>) {
-        self.diags
-            .push(Diagnostic::new(code, message, self.source, span));
-    }
-
-    /// Resolve one column reference; returns its inferred type.
-    fn resolve_column(&mut self, table: &Option<String>, name: &str) -> ColumnType {
-        let span = || find_word_span(self.src, name, 0);
-        match table {
-            Some(q) => {
-                let q_lower = q.to_ascii_lowercase();
-                let Some(b) = self.bindings.iter().find(|b| b.name == q_lower) else {
-                    self.push(
-                        Code::UnknownQualifier,
-                        format!("unknown table or alias {q} qualifying column {name}"),
-                        find_word_span(self.src, q, 0),
-                    );
-                    return ColumnType::Any;
-                };
-                match &b.columns {
-                    // The table itself was unknown; don't cascade.
-                    None => ColumnType::Any,
-                    Some(cols) => match cols.iter().find(|(c, _)| c.eq_ignore_ascii_case(name)) {
-                        Some((_, ty)) => *ty,
-                        None => {
-                            self.push(
-                                Code::UnknownColumn,
-                                format!("unknown column {q}.{name}"),
-                                span(),
-                            );
-                            ColumnType::Any
-                        }
-                    },
-                }
-            }
-            None => {
-                let mut found: Option<ColumnType> = None;
-                let mut matches = 0usize;
-                let mut any_unknown_table = false;
-                for b in self.bindings {
-                    match &b.columns {
-                        None => any_unknown_table = true,
-                        Some(cols) => {
-                            if let Some((_, ty)) =
-                                cols.iter().find(|(c, _)| c.eq_ignore_ascii_case(name))
-                            {
-                                matches += 1;
-                                found.get_or_insert(*ty);
-                            }
-                        }
-                    }
-                }
-                match matches {
-                    0 if any_unknown_table || self.bindings.is_empty() => ColumnType::Any,
-                    0 => {
-                        self.push(
-                            Code::UnknownColumn,
-                            format!("unknown column {name}"),
-                            span(),
-                        );
-                        ColumnType::Any
-                    }
-                    1 => found.unwrap_or(ColumnType::Any),
-                    _ => {
-                        self.push(
-                            Code::AmbiguousColumn,
-                            format!("ambiguous column {name}"),
-                            span(),
-                        );
-                        found.unwrap_or(ColumnType::Any)
-                    }
-                }
-            }
-        }
-    }
-
-    /// Walk an expression; `agg_depth` counts enclosing aggregate calls.
-    fn visit(&mut self, expr: &Expr, agg_depth: usize) {
-        match expr {
-            Expr::Column { table, name } => {
-                self.resolve_column(table, name);
-            }
-            Expr::Function { name, args, .. } => {
-                // current_snapshot() placement/arity belongs to the
-                // rewrite-safety pass; names always resolve here.
-                if name == CURRENT_SNAPSHOT {
-                    return;
-                }
-                if is_aggregate_name(name) {
-                    if agg_depth > 0 {
-                        self.push(
-                            Code::NestedAggregate,
-                            format!("aggregate {name}() nested inside another aggregate"),
-                            find_word_span(self.src, name, 0),
-                        );
-                    }
-                    for a in args {
-                        if !matches!(a, Expr::Star) {
-                            self.visit(a, agg_depth + 1);
-                        }
-                    }
-                    return;
-                }
-                if let Some(expected) = builtin_arity(name) {
-                    if !expected.contains(&args.len()) {
-                        self.push(
-                            Code::FunctionArity,
-                            format!(
-                                "{name}() expects {} argument(s), got {}",
-                                render_arity(expected),
-                                args.len()
-                            ),
-                            find_word_span(self.src, name, 0),
-                        );
-                    }
-                } else if !self.env.has_function(name) {
-                    self.push(
-                        Code::UnknownFunction,
-                        format!("unknown function {name}"),
-                        find_word_span(self.src, name, 0),
-                    );
-                }
-                for a in args {
-                    self.visit(a, agg_depth);
-                }
-            }
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => self.visit(expr, agg_depth),
-            Expr::Binary { lhs, rhs, .. } => {
-                self.visit(lhs, agg_depth);
-                self.visit(rhs, agg_depth);
-            }
-            Expr::InList { expr, list, .. } => {
-                self.visit(expr, agg_depth);
-                for e in list {
-                    self.visit(e, agg_depth);
-                }
-            }
-            Expr::Between { expr, lo, hi, .. } => {
-                self.visit(expr, agg_depth);
-                self.visit(lo, agg_depth);
-                self.visit(hi, agg_depth);
-            }
-            Expr::Like { expr, pattern, .. } => {
-                self.visit(expr, agg_depth);
-                self.visit(pattern, agg_depth);
-            }
-            Expr::Case {
-                operand,
-                arms,
-                else_branch,
-            } => {
-                if let Some(o) = operand {
-                    self.visit(o, agg_depth);
-                }
-                for (w, t) in arms {
-                    self.visit(w, agg_depth);
-                    self.visit(t, agg_depth);
-                }
-                if let Some(e) = else_branch {
-                    self.visit(e, agg_depth);
-                }
-            }
-            Expr::Literal(_) | Expr::Star => {}
-        }
-    }
-
-    /// Infer an expression's output affinity (best effort; `Any` when
-    /// value-dependent).
-    fn infer_type(&mut self, expr: &Expr) -> ColumnType {
-        use rql_sqlengine::Value;
-        match expr {
-            Expr::Column { table, name } => self.resolve_column_quiet(table, name),
-            Expr::Literal(Value::Integer(_)) => ColumnType::Integer,
-            Expr::Literal(Value::Real(_)) => ColumnType::Real,
-            Expr::Literal(Value::Text(_)) => ColumnType::Text,
-            Expr::Literal(_) => ColumnType::Any,
-            Expr::Function { name, args, .. } => match name.as_str() {
-                "count" | "length" => ColumnType::Integer,
-                "avg" | "round" => ColumnType::Real,
-                "lower" | "upper" | "substr" | "typeof" => ColumnType::Text,
-                "sum" | "min" | "max" | "total" => {
-                    args.first().map_or(ColumnType::Any, |a| self.infer_type(a))
-                }
-                _ if name == CURRENT_SNAPSHOT => ColumnType::Integer,
-                _ => ColumnType::Any,
-            },
-            Expr::IsNull { .. }
-            | Expr::InList { .. }
-            | Expr::Between { .. }
-            | Expr::Like { .. } => ColumnType::Integer,
+/// The affinity an output column gets, read off its compiled item (`Any`
+/// when it depends on the values).
+fn affinity(item: &CExpr, types: &[ColumnType], aggs: &[AggSpec]) -> ColumnType {
+    match item {
+        CExpr::Col(i) => types.get(*i).copied().unwrap_or(ColumnType::Any),
+        CExpr::Const(Value::Integer(_)) => ColumnType::Integer,
+        CExpr::Const(Value::Real(_)) => ColumnType::Real,
+        CExpr::Const(Value::Text(_)) => ColumnType::Text,
+        CExpr::Agg(slot) => match aggs.get(*slot) {
+            Some(AggSpec {
+                func: AggFunc::Count,
+                ..
+            }) => ColumnType::Integer,
+            Some(AggSpec {
+                func: AggFunc::Avg | AggFunc::Total,
+                ..
+            }) => ColumnType::Real,
+            Some(AggSpec { arg: Some(arg), .. }) => affinity(arg, types, aggs),
             _ => ColumnType::Any,
+        },
+        CExpr::Func { name, .. } => match name.as_str() {
+            "length" => ColumnType::Integer,
+            "round" => ColumnType::Real,
+            "lower" | "upper" | "substr" | "typeof" => ColumnType::Text,
+            _ => ColumnType::Any,
+        },
+        CExpr::IsNull(..) | CExpr::InList(..) | CExpr::Between(..) | CExpr::Like(..) => {
+            ColumnType::Integer
         }
-    }
-
-    /// Like [`Self::resolve_column`] but without emitting diagnostics
-    /// (resolution already ran; type inference must not double-report).
-    fn resolve_column_quiet(&self, table: &Option<String>, name: &str) -> ColumnType {
-        let find = |cols: &Vec<(String, ColumnType)>| {
-            cols.iter()
-                .find(|(c, _)| c.eq_ignore_ascii_case(name))
-                .map(|(_, ty)| *ty)
-        };
-        match table {
-            Some(q) => {
-                let q_lower = q.to_ascii_lowercase();
-                self.bindings
-                    .iter()
-                    .find(|b| b.name == q_lower)
-                    .and_then(|b| b.columns.as_ref().and_then(find))
-                    .unwrap_or(ColumnType::Any)
-            }
-            None => self
-                .bindings
-                .iter()
-                .find_map(|b| b.columns.as_ref().and_then(find))
-                .unwrap_or(ColumnType::Any),
-        }
-    }
-}
-
-/// Arity sets of the engine's builtin scalars
-/// (`rql_sqlengine::cexpr::eval_builtin`).
-fn builtin_arity(name: &str) -> Option<std::ops::RangeInclusive<usize>> {
-    match name {
-        "abs" | "length" | "lower" | "upper" | "typeof" => Some(1..=1),
-        "ifnull" | "nullif" => Some(2..=2),
-        "round" => Some(1..=2),
-        "substr" => Some(2..=3),
-        "coalesce" => Some(1..=usize::MAX),
-        _ => None,
-    }
-}
-
-fn render_arity(r: std::ops::RangeInclusive<usize>) -> String {
-    match (r.start(), r.end()) {
-        (a, b) if a == b => a.to_string(),
-        (a, b) if *b == usize::MAX => format!("at least {a}"),
-        (a, b) => format!("{a} to {b}"),
+        _ => ColumnType::Any,
     }
 }
 
@@ -442,55 +194,6 @@ fn check_grouping(select: &SelectStmt, src: &str, source: SourceKind, diags: &mu
                 find_word_span(src, name, 0),
             ));
         }
-    }
-}
-
-/// The output schema the engine would report for this query, mirroring
-/// its wildcard expansion and `derive_name` rules.
-fn infer_output(
-    select: &SelectStmt,
-    bindings: &[Binding],
-    ck: &mut Checker<'_>,
-) -> Option<Vec<OutputCol>> {
-    let mut out = Vec::new();
-    for item in &select.items {
-        match item {
-            SelectItem::Wildcard => {
-                for b in bindings {
-                    let cols = b.columns.as_ref()?;
-                    out.extend(cols.iter().map(|(name, ty)| OutputCol {
-                        name: name.clone(),
-                        ty: *ty,
-                    }));
-                }
-            }
-            SelectItem::TableWildcard(t) => {
-                let t_lower = t.to_ascii_lowercase();
-                let b = bindings.iter().find(|b| b.name == t_lower)?;
-                let cols = b.columns.as_ref()?;
-                out.extend(cols.iter().map(|(name, ty)| OutputCol {
-                    name: name.clone(),
-                    ty: *ty,
-                }));
-            }
-            SelectItem::Expr { expr, alias } => {
-                let name = alias.clone().unwrap_or_else(|| derive_name(expr));
-                let ty = ck.infer_type(expr);
-                out.push(OutputCol { name, ty });
-            }
-        }
-    }
-    Some(out)
-}
-
-/// Mirror of the engine's `derive_name` (exec.rs): the column name an
-/// unaliased projection gets.
-fn derive_name(expr: &Expr) -> String {
-    match expr {
-        Expr::Column { name, .. } => name.to_ascii_lowercase(),
-        Expr::Function { name, .. } => name.clone(),
-        Expr::Literal(v) => v.to_string(),
-        _ => "expr".to_owned(),
     }
 }
 

@@ -83,59 +83,18 @@ pub fn check_outside_loop(
 /// RQL102: `current_snapshot` takes no arguments; the substitution
 /// replaces the whole call, so arguments would be silently discarded.
 fn check_call_arity(expr: &Expr, src: &str, source: SourceKind, diags: &mut Vec<Diagnostic>) {
-    match expr {
-        Expr::Function { name, args, .. } => {
-            if name == CURRENT_SNAPSHOT && !args.is_empty() {
-                diags.push(Diagnostic::new(
-                    Code::CurrentSnapshotArity,
-                    format!("current_snapshot() takes no arguments, got {}", args.len()),
-                    source,
-                    super::resolve::find_word_span(src, CURRENT_SNAPSHOT, 0),
-                ));
-            }
-            for a in args {
-                check_call_arity(a, src, source, diags);
-            }
+    if let Expr::Function { name, args, .. } = expr {
+        if name == CURRENT_SNAPSHOT && !args.is_empty() {
+            diags.push(Diagnostic::new(
+                Code::CurrentSnapshotArity,
+                format!("current_snapshot() takes no arguments, got {}", args.len()),
+                source,
+                super::resolve::find_word_span(src, CURRENT_SNAPSHOT, 0),
+            ));
         }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => {
-            check_call_arity(expr, src, source, diags);
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            check_call_arity(lhs, src, source, diags);
-            check_call_arity(rhs, src, source, diags);
-        }
-        Expr::InList { expr, list, .. } => {
-            check_call_arity(expr, src, source, diags);
-            for e in list {
-                check_call_arity(e, src, source, diags);
-            }
-        }
-        Expr::Between { expr, lo, hi, .. } => {
-            check_call_arity(expr, src, source, diags);
-            check_call_arity(lo, src, source, diags);
-            check_call_arity(hi, src, source, diags);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            check_call_arity(expr, src, source, diags);
-            check_call_arity(pattern, src, source, diags);
-        }
-        Expr::Case {
-            operand,
-            arms,
-            else_branch,
-        } => {
-            for e in operand.iter().map(std::convert::AsRef::as_ref) {
-                check_call_arity(e, src, source, diags);
-            }
-            for (w, t) in arms {
-                check_call_arity(w, src, source, diags);
-                check_call_arity(t, src, source, diags);
-            }
-            for e in else_branch.iter().map(std::convert::AsRef::as_ref) {
-                check_call_arity(e, src, source, diags);
-            }
-        }
-        Expr::Literal(_) | Expr::Column { .. } | Expr::Star => {}
+    }
+    for child in expr.children() {
+        check_call_arity(child, src, source, diags);
     }
 }
 

@@ -40,8 +40,8 @@ use rql_sqlengine::lexer::Token;
 use rql_sqlengine::{parse_select, tokenize_spanned, Database, QueryResult, Result, Row, SqlError};
 
 use crate::analyze::program::extract_call_texts;
-use crate::analyze::MechanismKind;
 use crate::delta::{DeltaPolicy, QqSource};
+use crate::mechanism::MechanismKind;
 use crate::mechanism::{self, Fold, MechSpec};
 use crate::report::RqlReport;
 use crate::session::RqlSession;

@@ -31,7 +31,6 @@ use rql_sqlengine::{
 };
 
 use crate::aggregate::{parse_col_func_pairs, AggOp, AggState};
-use crate::analyze::MechanismKind;
 use crate::delta::{DeltaPolicy, QqSource};
 use crate::maintain::ResultDelta;
 use crate::report::{IterationReport, RqlReport};
@@ -76,20 +75,14 @@ pub(crate) fn table_exists(aux: &Database, table: &str) -> bool {
 
 /// Create the result table, plus — paper §3: "we also create an index on
 /// Result using as key the values in non-aggregating columns" — an index
-/// over `index_on` when non-empty.
+/// over `index_on` when non-empty. The columns come from
+/// [`MechSpec::table_layout`].
 fn create_result_table(
     aux: &Database,
     table: &str,
     columns: &[String],
     index_on: &[String],
 ) -> Result<()> {
-    for (i, c) in columns.iter().enumerate() {
-        if columns[..i].iter().any(|o| o.eq_ignore_ascii_case(c)) {
-            return Err(SqlError::Invalid(format!(
-                "Qq output has duplicate column name {c}"
-            )));
-        }
-    }
     // Quote names so literal-derived columns ("SELECT DISTINCT 1 …"
     // yields a column named "1", as in the paper's §2.2 example) parse.
     let quoted = |cols: &[String], suffix: &str| -> String {
@@ -109,6 +102,49 @@ fn create_result_table(
         ))?;
     }
     Ok(())
+}
+
+/// Which of the paper's four mechanisms a call targets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MechanismKind {
+    /// `CollateData(Qs, Qq, T)` (§2.1).
+    Collate,
+    /// `AggregateDataInVariable(Qs, Qq, T, AggFunc)` (§2.2).
+    AggVar,
+    /// `AggregateDataInTable(Qs, Qq, T, ListOfColFuncPairs)` (§2.3).
+    AggTable,
+    /// `CollateDataIntoIntervals(Qs, Qq, T)` (§2.4).
+    Intervals,
+}
+
+impl MechanismKind {
+    /// Every mechanism, in the paper's order.
+    pub const ALL: [MechanismKind; 4] = [
+        MechanismKind::Collate,
+        MechanismKind::AggVar,
+        MechanismKind::AggTable,
+        MechanismKind::Intervals,
+    ];
+
+    /// The programmer-facing UDF name (lowercase).
+    pub fn udf_name(self) -> &'static str {
+        match self {
+            MechanismKind::Collate => "collatedata",
+            MechanismKind::AggVar => "aggregatedatainvariable",
+            MechanismKind::AggTable => "aggregatedataintable",
+            MechanismKind::Intervals => "collatedataintointervals",
+        }
+    }
+
+    /// Map a UDF name (any case) to its mechanism.
+    pub fn from_udf_name(name: &str) -> Option<MechanismKind> {
+        (Self::ALL.into_iter()).find(|k| k.udf_name().eq_ignore_ascii_case(name))
+    }
+
+    /// Whether this mechanism takes a fourth spec argument.
+    pub fn takes_spec(self) -> bool {
+        matches!(self, MechanismKind::AggVar | MechanismKind::AggTable)
+    }
 }
 
 /// Which mechanism a call names, with its aggregate argument parsed.
@@ -144,6 +180,101 @@ impl MechSpec {
             MechSpec::Intervals => MechanismKind::Intervals,
         }
     }
+
+    /// `T`'s contract for a Qq whose output columns are `qq_columns`: the
+    /// one definition the folds create `T` from and the pre-flight checks
+    /// a call against. `T` has Qq's columns, then each AVG column's
+    /// `(sum, count)` companions (AggregateDataInTable) or the lifetime
+    /// pair (CollateDataIntoIntervals), and no name twice.
+    /// AggregateDataInVariable takes exactly one column;
+    /// AggregateDataInTable aggregates only columns Qq returns and leaves
+    /// at least one to group on.
+    pub(crate) fn table_layout(
+        &self,
+        qq_columns: &[String],
+    ) -> std::result::Result<TableLayout, LayoutError> {
+        let mut layout = TableLayout {
+            group_positions: Vec::new(),
+            agg_columns: Vec::new(),
+            table_columns: qq_columns.to_vec(),
+        };
+        match self {
+            MechSpec::Collate => {}
+            MechSpec::AggVar(op) if qq_columns.len() == 1 => {
+                layout.agg_columns.push((0, *op, None));
+            }
+            MechSpec::AggVar(_) => return Err(LayoutError::NotSingleColumn(qq_columns.len())),
+            MechSpec::AggTable(pairs) => {
+                for (col, op) in pairs {
+                    let pos = (qq_columns.iter())
+                        .position(|c| c.eq_ignore_ascii_case(col))
+                        .ok_or_else(|| LayoutError::NotInQq(col.clone()))?;
+                    let companion = op.needs_companions().then(|| {
+                        layout.table_columns.extend(avg_companions(col));
+                        layout.table_columns.len() - 2
+                    });
+                    layout.agg_columns.push((pos, *op, companion));
+                }
+                layout.group_positions = (0..qq_columns.len())
+                    .filter(|i| !layout.agg_columns.iter().any(|(p, _, _)| p == i))
+                    .collect();
+                if layout.group_positions.is_empty() {
+                    return Err(LayoutError::AllAggregated);
+                }
+            }
+            MechSpec::Intervals => {
+                layout.group_positions = (0..qq_columns.len()).collect();
+                let lifetime = [START_SNAPSHOT_COL, END_SNAPSHOT_COL];
+                layout.table_columns.extend(lifetime.map(str::to_owned));
+            }
+        }
+        let columns = &layout.table_columns;
+        let twice =
+            |(i, c): (usize, &String)| columns[..i].iter().any(|o| o.eq_ignore_ascii_case(c));
+        match columns.iter().enumerate().find(|&ic| twice(ic)) {
+            Some((_, c)) => Err(LayoutError::Duplicate(c.clone())),
+            None => Ok(layout),
+        }
+    }
+}
+
+/// The `(sum, count)` columns that carry an AVG column's running state in
+/// `T`, so a later fold can resume the average.
+fn avg_companions(column: &str) -> [String; 2] {
+    [format!("{column}__avg_sum"), format!("{column}__avg_cnt")]
+}
+
+/// Why a Qq output cannot make `T`: each is the error the fold raises when
+/// it meets that output, and the pre-flight reports it before the loop.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum LayoutError {
+    /// AggregateDataInVariable's Qq returns this many columns, not one.
+    NotSingleColumn(usize),
+    /// A column the pairs list aggregates that Qq does not return.
+    NotInQq(String),
+    /// Every Qq column is aggregated: nothing is left to group on.
+    AllAggregated,
+    /// Two columns of `T` would share this name.
+    Duplicate(String),
+}
+
+impl From<LayoutError> for SqlError {
+    fn from(e: LayoutError) -> SqlError {
+        match e {
+            LayoutError::NotSingleColumn(n) => SqlError::Invalid(format!(
+                "AggregateDataInVariable expects Qq to return one column, got {n}"
+            )),
+            LayoutError::NotInQq(col) => {
+                SqlError::Unknown(format!("aggregated column {col} not in Qq output"))
+            }
+            LayoutError::AllAggregated => SqlError::Invalid(
+                "every Qq column is aggregated; use AggregateDataInVariable instead".into(),
+            ),
+            LayoutError::Duplicate(c) => {
+                SqlError::Invalid(format!("Qq output has duplicate column name {c}"))
+            }
+        }
+    }
 }
 
 /// What one [`Fold::apply`] wrote to the result table.
@@ -163,6 +294,7 @@ fn emit(sink: &mut Option<&mut ResultDelta>, removed: Option<&Row>, added: &Row)
 
 /// One mechanism's fold of per-snapshot Qq outputs into `T`.
 pub(crate) struct Fold {
+    spec: MechSpec,
     table: String,
     /// Whether `T` exists yet; whichever write comes first creates it.
     exists: bool,
@@ -182,17 +314,16 @@ enum FoldState {
 impl Fold {
     /// The empty fold: `T` does not exist yet.
     pub(crate) fn new(spec: MechSpec, table: &str) -> Fold {
-        let state = match spec {
+        let state = match &spec {
             MechSpec::Collate => FoldState::Collate,
-            MechSpec::AggVar(func) => FoldState::AggVar(VarFold {
+            &MechSpec::AggVar(func) => FoldState::AggVar(VarFold {
                 func,
                 state: func.init(),
                 column: None,
                 in_table: false,
                 unnamed: false,
             }),
-            MechSpec::AggTable(pairs) => FoldState::AggTable(AggTableFold {
-                pairs,
+            MechSpec::AggTable(_) => FoldState::AggTable(AggTableFold {
                 layout: None,
                 prev: None,
                 skipped: 0,
@@ -200,6 +331,7 @@ impl Fold {
             MechSpec::Intervals => FoldState::Intervals { prev: None },
         };
         Fold {
+            spec,
             table: table.to_owned(),
             exists: false,
             state,
@@ -274,30 +406,17 @@ impl Fold {
             FoldState::AggVar(var) => {
                 return var.apply(aux, &self.table, &mut self.exists, result, sink)
             }
-            FoldState::AggTable(fold) => fold.init_layout(&result.columns)?,
-            FoldState::Collate | FoldState::Intervals { .. } => {}
+            FoldState::AggTable(fold) if fold.layout.is_none() => {
+                fold.layout = Some(self.spec.table_layout(&result.columns)?);
+            }
+            _ => {}
         }
         if fresh {
-            let (columns, index_on) = match &self.state {
-                FoldState::AggTable(AggTableFold {
-                    layout: Some(layout),
-                    ..
-                }) => {
-                    let group_columns = layout.group_positions.iter();
-                    (
-                        layout.table_columns.clone(),
-                        group_columns.map(|&p| result.columns[p].clone()).collect(),
-                    )
-                }
-                FoldState::Intervals { .. } => {
-                    let mut columns = result.columns.clone();
-                    columns.push(START_SNAPSHOT_COL.to_owned());
-                    columns.push(END_SNAPSHOT_COL.to_owned());
-                    (columns, result.columns.clone())
-                }
-                _ => (result.columns.clone(), Vec::new()),
-            };
-            create_result_table(aux, &self.table, &columns, &index_on)?;
+            let layout = self.spec.table_layout(&result.columns)?;
+            let index_on: Vec<String> = (layout.group_positions.iter())
+                .map(|&p| result.columns[p].clone())
+                .collect();
+            create_result_table(aux, &self.table, &layout.table_columns, &index_on)?;
             self.exists = true;
         }
         let state = &mut self.state;
@@ -402,12 +521,7 @@ impl VarFold {
         result: &QqRows,
         sink: Option<&mut ResultDelta>,
     ) -> Result<Applied> {
-        if result.columns.len() != 1 {
-            return Err(SqlError::Invalid(format!(
-                "AggregateDataInVariable expects Qq to return one column, got {}",
-                result.columns.len()
-            )));
-        }
+        MechSpec::AggVar(self.func).table_layout(&result.columns)?;
         let value = match result.rows.as_slice() {
             [] => None,
             [row] => Some(&row[0]),
@@ -453,10 +567,12 @@ impl VarFold {
         if !*exists {
             self.unnamed = self.column.is_none();
             let column = self.column.clone().unwrap_or_else(|| "value".to_owned());
-            let mut columns = vec![column.clone()];
+            let spec = MechSpec::AggVar(self.func);
+            let mut columns = spec
+                .table_layout(std::slice::from_ref(&column))?
+                .table_columns;
             if companions {
-                columns.push(format!("{column}__avg_sum"));
-                columns.push(format!("{column}__avg_cnt"));
+                columns.extend(avg_companions(&column));
             }
             create_result_table(aux, table, &columns, &[])?;
             *exists = true;
@@ -484,53 +600,20 @@ impl VarFold {
 // AggregateDataInTable — write-skipping in-table fold
 // ======================================================================
 
-/// Internal layout of an `AggregateDataInTable` result table.
-struct AggTableLayout {
-    /// Positions of grouping columns within the Qq output.
+/// `T`'s layout for one Qq output ([`MechSpec::table_layout`]).
+pub(crate) struct TableLayout {
+    /// Positions, within the Qq output, of the columns `T`'s probe index
+    /// keys on: AggregateDataInTable's grouping columns, every column of
+    /// CollateDataIntoIntervals, none otherwise.
     group_positions: Vec<usize>,
     /// `(qq_position, op, companion_base)` per aggregated column;
     /// `companion_base` indexes the `(sum, count)` pair for AVG columns.
-    agg_columns: Vec<(usize, AggOp, Option<usize>)>,
-    /// All result-table column names (Qq columns + AVG companions).
-    table_columns: Vec<String>,
+    pub(crate) agg_columns: Vec<(usize, AggOp, Option<usize>)>,
+    /// All result-table column names.
+    pub(crate) table_columns: Vec<String>,
 }
 
-fn agg_table_layout(qq_columns: &[String], pairs: &[(String, AggOp)]) -> Result<AggTableLayout> {
-    let mut agg_columns = Vec::new();
-    let mut table_columns: Vec<String> = qq_columns.to_vec();
-    for (col, op) in pairs {
-        let pos = qq_columns
-            .iter()
-            .position(|c| c.eq_ignore_ascii_case(col))
-            .ok_or_else(|| {
-                SqlError::Unknown(format!("aggregated column {col} not in Qq output"))
-            })?;
-        let companion = if op.needs_companions() {
-            let base = table_columns.len();
-            table_columns.push(format!("{col}__avg_sum"));
-            table_columns.push(format!("{col}__avg_cnt"));
-            Some(base)
-        } else {
-            None
-        };
-        agg_columns.push((pos, *op, companion));
-    }
-    let group_positions: Vec<usize> = (0..qq_columns.len())
-        .filter(|i| !agg_columns.iter().any(|(p, _, _)| p == i))
-        .collect();
-    if group_positions.is_empty() {
-        return Err(SqlError::Invalid(
-            "every Qq column is aggregated; use AggregateDataInVariable instead".into(),
-        ));
-    }
-    Ok(AggTableLayout {
-        group_positions,
-        agg_columns,
-        table_columns,
-    })
-}
-
-impl AggTableLayout {
+impl TableLayout {
     /// Result-table row for a record's first appearance.
     fn fresh_row(&self, record: &Row) -> Row {
         let mut row = Vec::with_capacity(self.table_columns.len());
@@ -654,10 +737,9 @@ impl AggTableLayout {
 /// rule is: a record equal to the single record its key had in the
 /// previous pass, found by one keyed comparison against that output. SUM,
 /// COUNT and AVG fold every record. What is not skipped replays
-/// [`AggTableLayout::fold`] per record in Qq output order.
+/// [`TableLayout::fold`] per record in Qq output order.
 struct AggTableFold {
-    pairs: Vec<(String, AggOp)>,
-    layout: Option<AggTableLayout>,
+    layout: Option<TableLayout>,
     /// The output the last pass folded.
     prev: Option<Arc<QqRows>>,
     /// Records skipped so far.
@@ -665,14 +747,6 @@ struct AggTableFold {
 }
 
 impl AggTableFold {
-    /// Derive the layout from the first Qq output seen.
-    fn init_layout(&mut self, qq_columns: &[String]) -> Result<()> {
-        if self.layout.is_none() {
-            self.layout = Some(agg_table_layout(qq_columns, &self.pairs)?);
-        }
-        Ok(())
-    }
-
     /// Fold one iteration's Qq output. `blind`: `T` was just created, so
     /// the pass loads it without probing (the Qq output is unique on the
     /// grouping columns).
@@ -683,7 +757,10 @@ impl AggTableFold {
         blind: bool,
         sink: &mut Option<&mut ResultDelta>,
     ) -> Result<()> {
-        let layout = self.layout.as_ref().expect("init_layout() before apply()");
+        let layout = self
+            .layout
+            .as_ref()
+            .expect("Fold::apply derives the layout first");
         let prev = self.prev.take();
         if blind {
             w.load(result.rows.iter().map(|record| {

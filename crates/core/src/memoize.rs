@@ -54,29 +54,14 @@ pub fn qq_fingerprint(parsed: &SelectStmt) -> u64 {
 /// a UDF whose output may vary between invocations.
 pub(crate) fn expr_calls_udf(e: &Expr) -> bool {
     match e {
-        Expr::Function { name, args, .. } => {
-            let engine = is_builtin_scalar(name) || is_aggregate_name(name);
-            (!engine && name != CURRENT_SNAPSHOT) || args.iter().any(expr_calls_udf)
+        Expr::Function { name, .. }
+            if !(is_builtin_scalar(name)
+                || is_aggregate_name(name)
+                || name == CURRENT_SNAPSHOT) =>
+        {
+            true
         }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => expr_calls_udf(expr),
-        Expr::Binary { lhs, rhs, .. } => expr_calls_udf(lhs) || expr_calls_udf(rhs),
-        Expr::InList { expr, list, .. } => expr_calls_udf(expr) || list.iter().any(expr_calls_udf),
-        Expr::Between { expr, lo, hi, .. } => {
-            expr_calls_udf(expr) || expr_calls_udf(lo) || expr_calls_udf(hi)
-        }
-        Expr::Like { expr, pattern, .. } => expr_calls_udf(expr) || expr_calls_udf(pattern),
-        Expr::Case {
-            operand,
-            arms,
-            else_branch,
-        } => {
-            operand.as_deref().is_some_and(expr_calls_udf)
-                || arms
-                    .iter()
-                    .any(|(w, t)| expr_calls_udf(w) || expr_calls_udf(t))
-                || else_branch.as_deref().is_some_and(expr_calls_udf)
-        }
-        Expr::Literal(_) | Expr::Column { .. } | Expr::Star => false,
+        _ => e.children().any(expr_calls_udf),
     }
 }
 
@@ -197,7 +182,7 @@ mod tests {
 
     #[test]
     fn every_engine_builtin_is_memo_eligible() {
-        for name in rql_sqlengine::cexpr::BUILTIN_SCALARS {
+        for (name, ..) in rql_sqlengine::cexpr::BUILTIN_SCALARS {
             let qq = format!("SELECT {name}(a) FROM t WHERE {name}(a) IS NOT NULL");
             assert!(memo_eligible(&parsed(&qq)), "{name} is engine-evaluated");
         }

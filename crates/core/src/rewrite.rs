@@ -124,34 +124,8 @@ fn substitute_current_snapshot(expr: &mut Expr, snap_id: u64) {
 /// the scan filter differs per snapshot, which the per-page row cache of
 /// a delta scan cannot represent.
 pub fn uses_current_snapshot(expr: &Expr) -> bool {
-    match expr {
-        Expr::Function { name, args, .. } => {
-            name == CURRENT_SNAPSHOT || args.iter().any(uses_current_snapshot)
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => uses_current_snapshot(expr),
-        Expr::Binary { lhs, rhs, .. } => uses_current_snapshot(lhs) || uses_current_snapshot(rhs),
-        Expr::InList { expr, list, .. } => {
-            uses_current_snapshot(expr) || list.iter().any(uses_current_snapshot)
-        }
-        Expr::Between { expr, lo, hi, .. } => {
-            uses_current_snapshot(expr) || uses_current_snapshot(lo) || uses_current_snapshot(hi)
-        }
-        Expr::Like { expr, pattern, .. } => {
-            uses_current_snapshot(expr) || uses_current_snapshot(pattern)
-        }
-        Expr::Case {
-            operand,
-            arms,
-            else_branch,
-        } => {
-            operand.as_deref().is_some_and(uses_current_snapshot)
-                || arms
-                    .iter()
-                    .any(|(w, t)| uses_current_snapshot(w) || uses_current_snapshot(t))
-                || else_branch.as_deref().is_some_and(uses_current_snapshot)
-        }
-        Expr::Literal(_) | Expr::Column { .. } | Expr::Star => false,
-    }
+    matches!(expr, Expr::Function { name, .. } if name == CURRENT_SNAPSHOT)
+        || expr.children().any(uses_current_snapshot)
 }
 
 /// Render the rewritten query back to SQL text (the paper's presentation

@@ -18,9 +18,9 @@ use rql_retro::RetroConfig;
 use rql_sqlengine::{CancelCause, Database, ExecOutcome, QueryResult, Result, SqlError, Value};
 
 use crate::aggregate::AggOp;
-use crate::analyze::{self, MechanismCall, MechanismKind, SchemaEnv};
+use crate::analyze::{self, MechanismCall, SchemaEnv};
 use crate::delta::{DeltaPolicy, QqSource};
-use crate::mechanism::{self, Fold, MechSpec};
+use crate::mechanism::{self, Fold, MechSpec, MechanismKind};
 use crate::report::RqlReport;
 use crate::snapids;
 
@@ -421,15 +421,9 @@ impl RqlSession {
     /// that single snapshot id, so the per-row calls accumulate into the
     /// same result table.
     fn register_udfs(self: &Arc<Self>) {
-        let mechanisms: [(&str, MechanismKind); 4] = [
-            ("collatedata", MechanismKind::Collate),
-            ("aggregatedatainvariable", MechanismKind::AggVar),
-            ("aggregatedataintable", MechanismKind::AggTable),
-            ("collatedataintointervals", MechanismKind::Intervals),
-        ];
-        for (name, kind) in mechanisms {
+        for kind in MechanismKind::ALL {
             let session = Arc::downgrade(self);
-            self.aux.register_udf(name, move |args| {
+            self.aux.register_udf(kind.udf_name(), move |args| {
                 let Some(session) = session.upgrade() else {
                     return Err(SqlError::Udf("session gone".into()));
                 };
@@ -462,10 +456,7 @@ impl RqlSession {
             .ok_or_else(|| SqlError::Udf("first argument must be snap_id".into()))?
             as u64;
         let (qq, table) = (text(1, "the Qq string")?, text(2, "the result table")?);
-        let arity = match kind {
-            MechanismKind::Collate | MechanismKind::Intervals => 3,
-            MechanismKind::AggVar | MechanismKind::AggTable => 4,
-        };
+        let arity = if kind.takes_spec() { 4 } else { 3 };
         if args.len() != arity {
             return Err(SqlError::Udf(format!(
                 "{kind:?} expects {arity} arguments, got {}",

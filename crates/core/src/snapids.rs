@@ -11,9 +11,14 @@ use rql_sqlengine::{Database, Result, Value};
 /// Name of the snapshot-id table in the auxiliary database.
 pub const SNAPIDS_TABLE: &str = "snapids";
 
+/// The one definition of `SnapIds` (the analyzer's auxiliary catalog
+/// folds it too).
+pub const SNAPIDS_DDL: &str =
+    "CREATE TABLE IF NOT EXISTS snapids (snap_id INTEGER, snap_ts TEXT, name TEXT)";
+
 /// Create `SnapIds` if missing.
 pub fn ensure_snapids(aux: &Database) -> Result<()> {
-    aux.execute("CREATE TABLE IF NOT EXISTS snapids (snap_id INTEGER, snap_ts TEXT, name TEXT)")?;
+    aux.execute(SNAPIDS_DDL)?;
     Ok(())
 }
 

@@ -122,6 +122,13 @@ pub struct SelectStmt {
     pub limit: Option<Expr>,
 }
 
+impl SelectStmt {
+    /// FROM's tables, then each JOIN's, as written.
+    pub fn tables(&self) -> impl Iterator<Item = &TableRef> + '_ {
+        self.from.iter().chain(self.joins.iter().map(|j| &j.table))
+    }
+}
+
 /// One projection item.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SelectItem {
@@ -307,19 +314,6 @@ impl Expr {
         Expr::Literal(Value::Integer(i))
     }
 
-    /// Text literal helper.
-    pub fn text(s: impl Into<String>) -> Expr {
-        Expr::Literal(Value::Text(s.into()))
-    }
-
-    /// Unqualified column helper.
-    pub fn col(name: impl Into<String>) -> Expr {
-        Expr::Column {
-            table: None,
-            name: name.into(),
-        }
-    }
-
     /// Whether this expression (recursively) contains an aggregate call.
     pub fn contains_aggregate(&self) -> bool {
         self.has_aggregate(&|_| true)
@@ -333,27 +327,40 @@ impl Expr {
     /// Whether it contains an aggregate call whose `DISTINCT` flag
     /// `wanted` accepts (an aggregate's arguments are not searched).
     fn has_aggregate(&self, wanted: &dyn Fn(bool) -> bool) -> bool {
-        let has = |e: &Expr| e.has_aggregate(wanted);
         match self {
             Expr::Function { name, distinct, .. } if is_aggregate_name(name) => wanted(*distinct),
-            Expr::Function { args, .. } => args.iter().any(has),
-            Expr::Unary { expr, .. } => has(expr),
-            Expr::Binary { lhs, rhs, .. } => has(lhs) || has(rhs),
-            Expr::IsNull { expr, .. } => has(expr),
-            Expr::InList { expr, list, .. } => has(expr) || list.iter().any(has),
-            Expr::Between { expr, lo, hi, .. } => has(expr) || has(lo) || has(hi),
-            Expr::Like { expr, pattern, .. } => has(expr) || has(pattern),
+            _ => self.children().any(|e| e.has_aggregate(wanted)),
+        }
+    }
+
+    /// The direct sub-expressions, in source order: the one traversal a
+    /// walk that visits every child goes through.
+    pub fn children(&self) -> impl Iterator<Item = &Expr> + '_ {
+        type Parts<'a> = ([Option<&'a Box<Expr>>; 3], &'a [Expr], &'a [(Expr, Expr)]);
+        let (boxed, list, arms): Parts<'_> = match self {
+            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => {
+                ([Some(expr), None, None], &[], &[])
+            }
+            Expr::Binary { lhs: a, rhs: b, .. }
+            | Expr::Like {
+                expr: a,
+                pattern: b,
+                ..
+            } => ([Some(a), Some(b), None], &[], &[]),
+            Expr::Between { expr, lo, hi, .. } => ([Some(expr), Some(lo), Some(hi)], &[], &[]),
+            Expr::Function { args, .. } => ([None; 3], args, &[]),
+            Expr::InList { expr, list, .. } => ([Some(expr), None, None], list, &[]),
             Expr::Case {
                 operand,
                 arms,
                 else_branch,
-            } => {
-                operand.as_deref().is_some_and(has)
-                    || arms.iter().any(|(w, t)| has(w) || has(t))
-                    || else_branch.as_deref().is_some_and(has)
-            }
-            _ => false,
-        }
+            } => ([operand.as_ref(), None, else_branch.as_ref()], &[], arms),
+            Expr::Literal(_) | Expr::Column { .. } | Expr::Star => ([None; 3], &[], &[]),
+        };
+        // A CASE's ELSE (the last slot) follows its arms.
+        let [first, second, last] = boxed.map(|b| b.map(|b| &**b));
+        let arms = arms.iter().flat_map(|(w, t)| [w, t]);
+        (first.into_iter().chain(second).chain(list).chain(arms)).chain(last)
     }
 }
 
@@ -380,10 +387,14 @@ mod tests {
             rhs: Box::new(agg),
         };
         assert!(nested.contains_aggregate());
-        assert!(!Expr::col("x").contains_aggregate());
+        assert!(!Expr::Column {
+            table: None,
+            name: "x".into()
+        }
+        .contains_aggregate());
         let scalar = Expr::Function {
             name: "abs".into(),
-            args: vec![Expr::col("x")],
+            args: vec![Expr::int(1)],
             distinct: false,
         };
         assert!(!scalar.contains_aggregate());

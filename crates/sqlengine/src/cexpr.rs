@@ -39,7 +39,7 @@ impl Scope {
     }
 
     /// Resolve a possibly qualified column to a row offset.
-    pub fn resolve(&self, table: Option<&str>, name: &str) -> Result<usize> {
+    pub fn resolve(&self, table: Option<&str>, name: &str) -> BindResult<usize> {
         let lname = name.to_ascii_lowercase();
         let ltable = table.map(str::to_ascii_lowercase);
         let mut found = None;
@@ -48,21 +48,28 @@ impl Scope {
             if ltable.as_deref().is_none_or(|t| t == alias) {
                 if let Some(i) = cols.iter().position(|c| *c == lname) {
                     if found.is_some() {
-                        return Err(SqlError::Invalid(format!("ambiguous column {name}")));
+                        let message = format!("ambiguous column {name}");
+                        return Err(BindError::new(BindKind::AmbiguousColumn, name, message));
                     }
                     found = Some(off + i);
                 }
             }
             off += cols.len();
         }
-        found.ok_or_else(|| match table {
-            Some(t) => SqlError::Unknown(format!("column {t}.{name}")),
-            None => SqlError::Unknown(format!("column {name}")),
+        found.ok_or_else(|| {
+            let column = table.map_or(name.to_owned(), |t| format!("{t}.{name}"));
+            let message = format!("column {column}");
+            match table {
+                Some(t) if self.binding_columns(t).is_err() => {
+                    BindError::new(BindKind::UnknownQualifier, t, message)
+                }
+                _ => BindError::new(BindKind::UnknownColumn, column, message),
+            }
         })
     }
 
     /// Offsets of one binding's columns (for `t.*`).
-    pub fn binding_columns(&self, alias: &str) -> Result<(usize, &[String])> {
+    pub fn binding_columns(&self, alias: &str) -> BindResult<(usize, &[String])> {
         let lalias = alias.to_ascii_lowercase();
         let mut off = 0usize;
         for (a, cols) in &self.bindings {
@@ -71,17 +78,8 @@ impl Scope {
             }
             off += cols.len();
         }
-        Err(SqlError::Unknown(format!("table {alias}")))
-    }
-
-    /// All column names in row order (for `*`), qualified only when
-    /// duplicated across bindings.
-    pub fn all_column_names(&self) -> Vec<String> {
-        let mut names = Vec::with_capacity(self.width());
-        for (_, cols) in &self.bindings {
-            names.extend(cols.iter().cloned());
-        }
-        names
+        let message = format!("table {alias}");
+        Err(BindError::new(BindKind::UnknownQualifier, alias, message))
     }
 
     /// Which binding (if exactly one) an expression's columns come from;
@@ -97,6 +95,71 @@ impl Scope {
         usize::MAX
     }
 }
+
+/// Which binding rule an expression broke.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BindKind {
+    /// A FROM table the catalog lacks.
+    UnknownTable,
+    /// A column no binding in scope has.
+    UnknownColumn,
+    /// A `t.col` or `t.*` qualifier that names no FROM binding.
+    UnknownQualifier,
+    /// A column name more than one binding in scope matches.
+    AmbiguousColumn,
+    /// A function that is neither a builtin, an aggregate nor a UDF.
+    UnknownFunction,
+    /// A builtin or aggregate called with the wrong number of arguments.
+    Arity,
+    /// An aggregate call inside another aggregate's argument.
+    NestedAggregate,
+    /// An aggregate call in a clause that takes none.
+    MisplacedAggregate,
+    /// Anything else the compiler rejects: `*` outside `COUNT(*)` and the
+    /// projection, an ORDER BY position out of range, a non-literal LIMIT.
+    Invalid,
+}
+
+/// Why an expression or clause did not bind: the rule, the offending name
+/// and the executor's message.
+#[derive(Debug, Clone)]
+pub struct BindError {
+    /// The rule broken.
+    pub kind: BindKind,
+    /// The offending name (`t.col` for a column its qualifier lacks).
+    pub name: String,
+    /// The executor's message.
+    pub message: String,
+}
+
+impl BindError {
+    /// A binding failure.
+    pub(crate) fn new(kind: BindKind, name: impl Into<String>, message: String) -> BindError {
+        let name = name.into();
+        BindError {
+            kind,
+            name,
+            message,
+        }
+    }
+}
+
+/// The executor's error for a binding failure: a name the catalog or the
+/// UDF registry lacks is `Unknown`, any other broken rule `Invalid`.
+impl From<BindError> for SqlError {
+    fn from(e: BindError) -> SqlError {
+        match e.kind {
+            BindKind::UnknownTable
+            | BindKind::UnknownColumn
+            | BindKind::UnknownQualifier
+            | BindKind::UnknownFunction => SqlError::Unknown(e.message),
+            _ => SqlError::Invalid(e.message),
+        }
+    }
+}
+
+/// Result of a binding step.
+pub type BindResult<T> = std::result::Result<T, BindError>;
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,7 +205,7 @@ pub struct AggSpec {
 }
 
 /// A compiled expression.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub enum CExpr {
     /// Constant.
     Const(Value),
@@ -159,7 +222,7 @@ pub enum CExpr {
         /// Compiled arguments.
         args: Vec<CExpr>,
         /// Resolved UDF, when not a built-in.
-        udf: Option<Arc<UdfFn>>,
+        udf: Option<Udf>,
     },
     /// Aggregate accumulator slot.
     Agg(usize),
@@ -182,27 +245,13 @@ pub enum CExpr {
     },
 }
 
-impl std::fmt::Debug for CExpr {
+/// A resolved UDF; its body is opaque, so it prints as a placeholder.
+#[derive(Clone)]
+pub struct Udf(pub(crate) Arc<UdfFn>);
+
+impl std::fmt::Debug for Udf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CExpr::Const(v) => write!(f, "Const({v:?})"),
-            CExpr::Col(i) => write!(f, "Col({i})"),
-            CExpr::Unary(op, e) => write!(f, "Unary({op:?}, {e:?})"),
-            CExpr::Binary(op, a, b) => write!(f, "Binary({op:?}, {a:?}, {b:?})"),
-            CExpr::Func { name, args, .. } => write!(f, "Func({name}, {args:?})"),
-            CExpr::Agg(i) => write!(f, "Agg({i})"),
-            CExpr::IsNull(e, n) => write!(f, "IsNull({e:?}, negated={n})"),
-            CExpr::InList(e, l, n) => write!(f, "InList({e:?}, {l:?}, negated={n})"),
-            CExpr::Between(e, lo, hi, n) => {
-                write!(f, "Between({e:?}, {lo:?}, {hi:?}, negated={n})")
-            }
-            CExpr::Like(e, p, n) => write!(f, "Like({e:?}, {p:?}, negated={n})"),
-            CExpr::Case {
-                operand,
-                arms,
-                else_branch,
-            } => write!(f, "Case({operand:?}, {arms:?}, else={else_branch:?})"),
-        }
+        f.write_str("<udf>")
     }
 }
 
@@ -210,96 +259,49 @@ impl CExpr {
     /// Whether the expression references any column (false ⇒ constant
     /// foldable per query).
     pub fn references_columns(&self) -> bool {
-        match self {
-            CExpr::Col(_) => true,
-            CExpr::Const(_) | CExpr::Agg(_) => false,
-            CExpr::Unary(_, e) | CExpr::IsNull(e, _) => e.references_columns(),
-            CExpr::Binary(_, a, b) | CExpr::Like(a, b, _) => {
-                a.references_columns() || b.references_columns()
-            }
-            CExpr::Func { args, .. } => args.iter().any(CExpr::references_columns),
-            CExpr::InList(e, list, _) => {
-                e.references_columns() || list.iter().any(CExpr::references_columns)
-            }
-            CExpr::Between(e, lo, hi, _) => {
-                e.references_columns() || lo.references_columns() || hi.references_columns()
-            }
-            CExpr::Case {
-                operand,
-                arms,
-                else_branch,
-            } => {
-                operand.as_deref().is_some_and(CExpr::references_columns)
-                    || arms
-                        .iter()
-                        .any(|(w, t)| w.references_columns() || t.references_columns())
-                    || else_branch
-                        .as_deref()
-                        .is_some_and(CExpr::references_columns)
-            }
-        }
+        matches!(self, CExpr::Col(_)) || self.children().any(CExpr::references_columns)
     }
 
     /// Whether the expression calls a user-defined function anywhere.
     /// UDFs may close over external state (the RQL loop-body pattern), so
     /// rows filtered through one cannot be cached across scans.
     pub fn calls_udf(&self) -> bool {
-        match self {
-            CExpr::Const(_) | CExpr::Col(_) | CExpr::Agg(_) => false,
-            CExpr::Unary(_, e) | CExpr::IsNull(e, _) => e.calls_udf(),
-            CExpr::Binary(_, a, b) | CExpr::Like(a, b, _) => a.calls_udf() || b.calls_udf(),
-            CExpr::Func { udf, args, .. } => udf.is_some() || args.iter().any(CExpr::calls_udf),
-            CExpr::InList(e, list, _) => e.calls_udf() || list.iter().any(CExpr::calls_udf),
-            CExpr::Between(e, lo, hi, _) => e.calls_udf() || lo.calls_udf() || hi.calls_udf(),
-            CExpr::Case {
-                operand,
-                arms,
-                else_branch,
-            } => {
-                operand.as_deref().is_some_and(CExpr::calls_udf)
-                    || arms.iter().any(|(w, t)| w.calls_udf() || t.calls_udf())
-                    || else_branch.as_deref().is_some_and(CExpr::calls_udf)
-            }
-        }
+        matches!(self, CExpr::Func { udf: Some(_), .. }) || self.children().any(CExpr::calls_udf)
     }
 
     /// Offsets of all referenced columns.
     pub fn column_offsets(&self, out: &mut Vec<usize>) {
-        match self {
-            CExpr::Col(i) => out.push(*i),
-            CExpr::Const(_) | CExpr::Agg(_) => {}
-            CExpr::Unary(_, e) | CExpr::IsNull(e, _) => e.column_offsets(out),
-            CExpr::Binary(_, a, b) | CExpr::Like(a, b, _) => {
-                a.column_offsets(out);
-                b.column_offsets(out);
-            }
-            CExpr::Func { args, .. } => args.iter().for_each(|a| a.column_offsets(out)),
-            CExpr::InList(e, list, _) => {
-                e.column_offsets(out);
-                list.iter().for_each(|a| a.column_offsets(out));
-            }
-            CExpr::Between(e, lo, hi, _) => {
-                e.column_offsets(out);
-                lo.column_offsets(out);
-                hi.column_offsets(out);
-            }
+        if let CExpr::Col(i) = self {
+            out.push(*i);
+        }
+        self.children().for_each(|c| c.column_offsets(out));
+    }
+
+    /// The direct sub-expressions, in order (an aggregate slot has none:
+    /// its argument lives in its [`AggSpec`]).
+    pub fn children(&self) -> impl Iterator<Item = &CExpr> + '_ {
+        type Parts<'a> = (
+            [Option<&'a Box<CExpr>>; 3],
+            &'a [CExpr],
+            &'a [(CExpr, CExpr)],
+        );
+        let (boxed, list, arms): Parts<'_> = match self {
+            CExpr::Unary(_, e) | CExpr::IsNull(e, _) => ([Some(e), None, None], &[], &[]),
+            CExpr::Binary(_, a, b) | CExpr::Like(a, b, _) => ([Some(a), Some(b), None], &[], &[]),
+            CExpr::Between(e, lo, hi, _) => ([Some(e), Some(lo), Some(hi)], &[], &[]),
+            CExpr::Func { args, .. } => ([None; 3], args, &[]),
+            CExpr::InList(e, list, _) => ([Some(e), None, None], list, &[]),
             CExpr::Case {
                 operand,
                 arms,
                 else_branch,
-            } => {
-                if let Some(o) = operand {
-                    o.column_offsets(out);
-                }
-                for (w, t) in arms {
-                    w.column_offsets(out);
-                    t.column_offsets(out);
-                }
-                if let Some(e) = else_branch {
-                    e.column_offsets(out);
-                }
-            }
-        }
+            } => ([operand.as_ref(), None, else_branch.as_ref()], &[], arms),
+            CExpr::Const(_) | CExpr::Col(_) | CExpr::Agg(_) => ([None; 3], &[], &[]),
+        };
+        // A CASE's ELSE (the last slot) follows its arms.
+        let [first, second, last] = boxed.map(|b| b.map(|b| &**b));
+        let arms = arms.iter().flat_map(|(w, t)| [w, t]);
+        (first.into_iter().chain(second).chain(list).chain(arms)).chain(last)
     }
 }
 
@@ -312,7 +314,7 @@ pub fn compile(
     scope: &Scope,
     udfs: &UdfRegistry,
     mut aggs: Option<&mut Vec<AggSpec>>,
-) -> Result<CExpr> {
+) -> BindResult<CExpr> {
     compile_inner(expr, scope, udfs, &mut aggs)
 }
 
@@ -321,14 +323,13 @@ fn compile_inner(
     scope: &Scope,
     udfs: &UdfRegistry,
     aggs: &mut Option<&mut Vec<AggSpec>>,
-) -> Result<CExpr> {
+) -> BindResult<CExpr> {
     Ok(match expr {
         Expr::Literal(v) => CExpr::Const(v.clone()),
         Expr::Column { table, name } => CExpr::Col(scope.resolve(table.as_deref(), name)?),
         Expr::Star => {
-            return Err(SqlError::Invalid(
-                "'*' is only valid in COUNT(*) or as a projection".into(),
-            ))
+            let message = "'*' is only valid in COUNT(*) or as a projection".into();
+            return Err(BindError::new(BindKind::Invalid, "*", message));
         }
         Expr::Unary { op, expr } => {
             CExpr::Unary(*op, Box::new(compile_inner(expr, scope, udfs, aggs)?))
@@ -349,7 +350,7 @@ fn compile_inner(
             Box::new(compile_inner(expr, scope, udfs, aggs)?),
             list.iter()
                 .map(|e| compile_inner(e, scope, udfs, aggs))
-                .collect::<Result<_>>()?,
+                .collect::<BindResult<_>>()?,
             *negated,
         ),
         Expr::Between {
@@ -389,7 +390,7 @@ fn compile_inner(
                         compile_inner(t, scope, udfs, aggs)?,
                     ))
                 })
-                .collect::<Result<_>>()?,
+                .collect::<BindResult<_>>()?,
             else_branch: else_branch
                 .as_deref()
                 .map(|e| compile_inner(e, scope, udfs, aggs).map(Box::new))
@@ -400,23 +401,22 @@ fn compile_inner(
             args,
             distinct,
         } => {
+            check_arity(name, args.len())?;
             if is_aggregate_name(name) {
                 let Some(aggs) = aggs.as_deref_mut() else {
-                    return Err(SqlError::Invalid(format!(
-                        "aggregate {name}() not allowed here"
-                    )));
+                    let message = format!("aggregate {name}() not allowed here");
+                    return Err(BindError::new(BindKind::MisplacedAggregate, name, message));
                 };
                 let func = AggFunc::from_name(name).expect("known aggregate");
-                let arg = match args.as_slice() {
-                    [Expr::Star] => {
-                        if func != AggFunc::Count {
-                            return Err(SqlError::Invalid(format!("{name}(*) is not valid")));
-                        }
-                        None
+                let arg = match args.first() {
+                    Some(Expr::Star) if func == AggFunc::Count => None,
+                    Some(Expr::Star) => {
+                        let message = format!("{name}(*) is not valid");
+                        return Err(BindError::new(BindKind::Invalid, name, message));
                     }
-                    [e] => Some(compile(e, scope, udfs, None)?),
-                    [] => return Err(SqlError::Invalid(format!("{name}() needs an argument"))),
-                    _ => return Err(SqlError::Invalid(format!("{name}() takes one argument"))),
+                    arg => arg
+                        .map(|e| compile(e, scope, udfs, None).map_err(nested))
+                        .transpose()?,
                 };
                 let slot = aggs.len();
                 aggs.push(AggSpec {
@@ -429,11 +429,13 @@ fn compile_inner(
                 let compiled: Vec<CExpr> = args
                     .iter()
                     .map(|e| compile_inner(e, scope, udfs, aggs))
-                    .collect::<Result<_>>()?;
-                let udf = if is_builtin_scalar(name) {
-                    None
-                } else {
-                    Some(udfs.require(name)?)
+                    .collect::<BindResult<_>>()?;
+                let udf = match is_builtin_scalar(name) {
+                    true => None,
+                    false => Some(Udf(udfs.get(name).ok_or_else(|| {
+                        let message = format!("function {name}");
+                        BindError::new(BindKind::UnknownFunction, name, message)
+                    })?)),
                 };
                 CExpr::Func {
                     name: name.clone(),
@@ -445,15 +447,48 @@ fn compile_inner(
     })
 }
 
-/// The scalar functions the engine evaluates itself (lower-case). Any
-/// other non-aggregate function name resolves to a registered UDF.
-pub const BUILTIN_SCALARS: &[&str] = &[
-    "abs", "length", "lower", "upper", "substr", "coalesce", "ifnull", "nullif", "typeof", "round",
+/// An aggregate misplaced inside an aggregate's argument is nested.
+fn nested(mut e: BindError) -> BindError {
+    if e.kind == BindKind::MisplacedAggregate {
+        e.kind = BindKind::NestedAggregate;
+    }
+    e
+}
+
+/// The scalar functions the engine evaluates itself (lower-case), with the
+/// fewest and most arguments a call takes. Any other non-aggregate
+/// function name resolves to a registered UDF.
+#[rustfmt::skip]
+pub const BUILTIN_SCALARS: &[(&str, usize, usize)] = &[
+    ("abs", 1, 1), ("length", 1, 1), ("lower", 1, 1), ("upper", 1, 1), ("typeof", 1, 1),
+    ("substr", 2, 3), ("round", 1, 2), ("coalesce", 1, usize::MAX), ("ifnull", 2, 2),
+    ("nullif", 2, 2),
 ];
 
 /// Whether `name` (lower-case) is one of [`BUILTIN_SCALARS`].
 pub fn is_builtin_scalar(name: &str) -> bool {
-    BUILTIN_SCALARS.contains(&name)
+    BUILTIN_SCALARS.iter().any(|(b, ..)| *b == name)
+}
+
+/// The one arity rule, checked when a call compiles (as SQLite's prepare
+/// does): a builtin scalar takes its [`BUILTIN_SCALARS`] range, an
+/// aggregate exactly one argument, a UDF whatever it is given.
+fn check_arity(name: &str, got: usize) -> BindResult<()> {
+    let range = match BUILTIN_SCALARS.iter().find(|(b, ..)| *b == name) {
+        Some(&(_, lo, hi)) => lo..=hi,
+        None if is_aggregate_name(name) => 1..=1,
+        None => return Ok(()),
+    };
+    if range.contains(&got) {
+        return Ok(());
+    }
+    let expected = match (*range.start(), *range.end()) {
+        (lo, hi) if lo == hi => lo.to_string(),
+        (lo, usize::MAX) => format!("at least {lo}"),
+        (lo, hi) => format!("{lo} to {hi}"),
+    };
+    let message = format!("{name}() expects {expected} argument(s), got {got}");
+    Err(BindError::new(BindKind::Arity, name, message))
 }
 
 /// Evaluate a compiled expression against a row and (optionally) finished
@@ -602,7 +637,7 @@ pub fn eval(cexpr: &CExpr, row: &[Value], aggs: &[Value]) -> Result<Value> {
                 vals.push(eval(a, row, aggs)?);
             }
             match udf {
-                Some(f) => f(&vals)?,
+                Some(Udf(f)) => f(&vals)?,
                 None => eval_builtin(name, &vals)?,
             }
         }
@@ -637,107 +672,74 @@ fn cmp_to_value(l: &Value, r: &Value, pred: impl Fn(std::cmp::Ordering) -> bool)
     }
 }
 
+/// A builtin scalar over its evaluated arguments; [`compile`] checked the
+/// argument count.
 fn eval_builtin(name: &str, args: &[Value]) -> Result<Value> {
-    let arity = |n: usize| -> Result<()> {
-        if args.len() == n {
-            Ok(())
-        } else {
-            Err(SqlError::Invalid(format!(
-                "{name}() expects {n} argument(s), got {}",
-                args.len()
-            )))
-        }
-    };
-    Ok(match name {
-        "abs" => {
-            arity(1)?;
-            match &args[0] {
-                Value::Integer(i) => Value::Integer(i.wrapping_abs()),
-                Value::Real(r) => Value::Real(r.abs()),
-                _ => Value::Null,
-            }
-        }
-        "length" => {
-            arity(1)?;
-            match &args[0] {
-                Value::Text(t) => Value::Integer(t.chars().count() as i64),
-                Value::Null => Value::Null,
-                v => Value::Integer(v.to_string().len() as i64),
-            }
-        }
-        "lower" => {
-            arity(1)?;
-            match &args[0] {
-                Value::Text(t) => Value::text(t.to_lowercase()),
-                v => v.clone(),
-            }
-        }
-        "upper" => {
-            arity(1)?;
-            match &args[0] {
-                Value::Text(t) => Value::text(t.to_uppercase()),
-                v => v.clone(),
-            }
-        }
-        "substr" => {
-            if args.len() != 2 && args.len() != 3 {
-                return Err(SqlError::Invalid(
-                    "substr() expects 2 or 3 arguments".into(),
-                ));
-            }
-            let Value::Text(t) = &args[0] else {
+    Ok(match (name, args) {
+        ("abs", [v]) => match v {
+            Value::Integer(i) => Value::Integer(i.wrapping_abs()),
+            Value::Real(r) => Value::Real(r.abs()),
+            _ => Value::Null,
+        },
+        ("length", [v]) => match v {
+            Value::Text(t) => Value::Integer(t.chars().count() as i64),
+            Value::Null => Value::Null,
+            v => Value::Integer(v.to_string().len() as i64),
+        },
+        ("lower", [v]) => match v {
+            Value::Text(t) => Value::text(t.to_lowercase()),
+            v => v.clone(),
+        },
+        ("upper", [v]) => match v {
+            Value::Text(t) => Value::text(t.to_uppercase()),
+            v => v.clone(),
+        },
+        ("substr", [v, start, len @ ..]) => {
+            let Value::Text(t) = v else {
                 return Ok(Value::Null);
             };
-            let start = args[1].as_i64().unwrap_or(1).max(1) as usize - 1;
+            let start = start.as_i64().unwrap_or(1).max(1) as usize - 1;
             let chars: Vec<char> = t.chars().collect();
-            let len = match args.get(2) {
+            let len = match len.first() {
                 Some(v) => v.as_i64().unwrap_or(0).max(0) as usize,
                 None => chars.len().saturating_sub(start),
             };
             Value::text(chars.iter().skip(start).take(len).collect::<String>())
         }
-        "coalesce" => args
+        ("coalesce", _) => args
             .iter()
             .find(|v| !v.is_null())
             .cloned()
             .unwrap_or(Value::Null),
-        "ifnull" => {
-            arity(2)?;
-            if args[0].is_null() {
-                args[1].clone()
+        ("ifnull", [a, b]) => {
+            if a.is_null() {
+                b.clone()
             } else {
-                args[0].clone()
+                a.clone()
             }
         }
-        "nullif" => {
-            arity(2)?;
-            if args[0].sql_cmp(&args[1]) == Some(std::cmp::Ordering::Equal) {
+        ("nullif", [a, b]) => {
+            if a.sql_cmp(b) == Some(std::cmp::Ordering::Equal) {
                 Value::Null
             } else {
-                args[0].clone()
+                a.clone()
             }
         }
-        "typeof" => {
-            arity(1)?;
-            Value::text(match &args[0] {
-                Value::Null => "null",
-                Value::Integer(_) => "integer",
-                Value::Real(_) => "real",
-                Value::Text(_) => "text",
-            })
-        }
-        "round" => {
-            if args.is_empty() || args.len() > 2 {
-                return Err(SqlError::Invalid("round() expects 1 or 2 arguments".into()));
-            }
-            let Some(x) = args[0].as_f64() else {
+        ("typeof", [v]) => Value::text(match v {
+            Value::Null => "null",
+            Value::Integer(_) => "integer",
+            Value::Real(_) => "real",
+            Value::Text(_) => "text",
+        }),
+        ("round", [x, digits @ ..]) => {
+            let Some(x) = x.as_f64() else {
                 return Ok(Value::Null);
             };
-            let digits = args.get(1).and_then(Value::as_i64).unwrap_or(0);
+            let digits = digits.first().and_then(Value::as_i64).unwrap_or(0);
             let factor = 10f64.powi(digits as i32);
             Value::Real((x * factor).round() / factor)
         }
-        other => return Err(SqlError::Unknown(format!("function {other}"))),
+        _ => return Err(SqlError::Unknown(format!("function {name}"))),
     })
 }
 
@@ -852,6 +854,29 @@ mod tests {
         assert!(aggs[0].arg.is_none());
         assert_eq!(aggs[1].func, AggFunc::Sum);
         assert!(aggs[1].arg.is_some());
+    }
+
+    #[test]
+    fn arity_is_checked_when_a_call_compiles() {
+        let cases = [
+            ("SELECT substr(a) FROM t", "substr"),
+            ("SELECT coalesce() FROM t", "coalesce"),
+            ("SELECT COUNT(a, b) FROM t", "count"),
+            ("SELECT SUM() FROM t", "sum"),
+        ];
+        for (sql, name) in cases {
+            let sel = parse_select(sql).unwrap();
+            let crate::ast::SelectItem::Expr { expr, .. } = &sel.items[0] else {
+                panic!()
+            };
+            let mut aggs = Vec::new();
+            let err = compile(expr, &scope(), &UdfRegistry::new(), Some(&mut aggs)).unwrap_err();
+            assert_eq!(
+                (err.kind, err.name.as_str()),
+                (BindKind::Arity, name),
+                "{sql}"
+            );
+        }
     }
 
     #[test]

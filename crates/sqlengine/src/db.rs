@@ -333,11 +333,10 @@ impl Database {
         scanned: Scanned,
         grouped: Option<&mut GroupTable>,
     ) -> Result<QueryResult> {
-        let udfs = self.udfs.read().clone();
         let io_before = self.io_stats().snapshot();
         let mut result = match grouped {
-            Some(groups) => groups.finish(select, scanned, &udfs)?,
-            None => finish_select(select, scanned, &udfs)?,
+            Some(groups) => groups.finish(select, scanned)?,
+            None => finish_select(select, scanned)?,
         };
         let io = self.io_stats().snapshot().delta(&io_before);
         result.stats.io.accumulate(&io);
@@ -795,9 +794,10 @@ impl Database {
             .collect())
     }
 
-    /// Names of all registered scalar UDFs (lowercase).
-    pub fn udf_names(&self) -> Vec<String> {
-        self.udfs.read().names()
+    /// The registered scalar UDFs (a copy of the registry: each entry is
+    /// an `Arc`).
+    pub fn udfs(&self) -> UdfRegistry {
+        self.udfs.read().clone()
     }
 
     /// Time a closure and a counter window together (harness helper).

@@ -29,18 +29,22 @@
 //! callback (the `sqlite3_exec` shape the RQL loop body uses).
 
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use crate::ast::{BinOp, Expr, SelectItem, SelectStmt};
 use crate::cancel::{CancelToken, CHECK_EVERY_ROWS};
 use crate::catalog::{Catalog, IndexInfo, TableInfo};
-use crate::cexpr::{compile, eval, operand, AggFunc, AggSpec, CExpr, Scope};
+use crate::cexpr::{
+    compile, eval, operand, AggFunc, AggSpec, BindError, BindKind, BindResult, CExpr, Scope,
+};
 use crate::delta::{DeltaScan, DeltaTableScanner, ScanPages};
 use crate::error::{Result, SqlError};
 use crate::exec_stats::ExecStats;
 use crate::heap::HeapFile;
 use crate::pagesource::PageSource;
 use crate::record::{decode_row_into, encode_index_key, Cursor, GatedRow, Row, Walk};
+use crate::schema::TableSchema;
 use crate::sidecar::PredSummary;
 use crate::udf::UdfRegistry;
 use crate::value::{GroupKey, KeyMap, KeySet, KeyState, Value};
@@ -123,9 +127,11 @@ pub struct Scanned {
     /// columns some conjunct compares to a constant — what a page sidecar
     /// could refute.
     pub(crate) refutable: Option<(String, Vec<usize>)>,
-    pub(crate) scope: Scope,
-    /// Bindings in the *written* FROM order, for wildcard expansion.
-    pub(crate) written_bindings: Vec<(String, Vec<String>)>,
+    /// The finish stage, compiled once against the scan's scope (or the
+    /// error it fails with).
+    pub(crate) finish: BindResult<AggPlan>,
+    /// Columns in the joined row.
+    pub(crate) width: usize,
 }
 
 /// Run a `SELECT` over `src`. `catalog` must describe the same source
@@ -150,7 +156,7 @@ pub fn run_select_cancellable<S: PageSource>(
     cancel: Option<&CancelToken>,
 ) -> Result<QueryResult> {
     let scanned = scan_select(select, src, catalog, udfs, cancel, None)?;
-    finish_select(select, scanned, udfs)
+    finish_select(select, scanned)
 }
 
 /// The scan stage: bind the tables, compile the conjuncts, compute the
@@ -205,16 +211,9 @@ pub fn scan_select<S: PageSource>(
     }
 
     // ---- compile conjuncts ----------------------------------------------
-    let mut ast_conjuncts: Vec<&Expr> = Vec::new();
-    if let Some(w) = &select.where_clause {
-        collect_conjuncts(w, &mut ast_conjuncts);
-    }
-    for j in &select.joins {
-        collect_conjuncts(&j.on, &mut ast_conjuncts);
-    }
     // (compiled conjunct, bindings needed before it can run)
     let mut conjuncts: Vec<(CExpr, usize)> = Vec::new();
-    for c in ast_conjuncts {
+    for c in scan_conjuncts(select) {
         let compiled = compile(c, &scope, udfs, None)?;
         let mut offs = Vec::new();
         compiled.column_offsets(&mut offs);
@@ -229,10 +228,7 @@ pub fn scan_select<S: PageSource>(
 
     // Wildcards expand in the *written* FROM order, regardless of how the
     // planner reordered execution.
-    let written_bindings: Vec<(String, Vec<String>)> = select
-        .from
-        .iter()
-        .chain(select.joins.iter().map(|j| &j.table))
+    let written_bindings: Vec<(String, Vec<String>)> = (select.tables())
         .map(|tref| {
             let info = catalog.require_table(&tref.name)?;
             Ok((
@@ -241,7 +237,9 @@ pub fn scan_select<S: PageSource>(
             ))
         })
         .collect::<Result<_>>()?;
-    let (read, finish) = read_columns(select, &written_bindings, &conjuncts, &scope, udfs);
+    let finish = expand_items(&select.items, &written_bindings, &scope)
+        .and_then(|items| AggPlan::compile(select, &items, &scope, udfs));
+    let (read, finish_reads) = read_columns(finish.as_ref().ok(), &conjuncts, scope.width());
     // Each binding's slice of the scan set, cut after its last marked
     // column: the decoder finds where its walk ends at once.
     let cols = |k: usize| {
@@ -250,7 +248,7 @@ pub fn scan_select<S: PageSource>(
     };
     // A finish stage that reads no column (COUNT(*), constant items) only
     // counts the rows: each is kept as an empty row.
-    let copy = finish.contains(&true);
+    let copy = finish_reads.contains(&true);
 
     // ---- build the joined row set ----------------------------------------
     // The base table's access path is chosen first, then every joined
@@ -337,46 +335,34 @@ pub fn scan_select<S: PageSource>(
         delta,
         stats,
         refutable,
-        scope,
-        written_bindings,
+        width: scope.width(),
+        finish,
     })
 }
 
-/// The finish stage: wildcard expansion, projection or aggregation,
-/// DISTINCT, ORDER BY and LIMIT (the last two inside the projection
-/// stages, which append their own sort keys) over the scan stage's rows.
-/// The time it takes is added to the scan stage's.
-pub fn finish_select(
-    select: &SelectStmt,
-    scanned: Scanned,
-    udfs: &UdfRegistry,
-) -> Result<QueryResult> {
+/// The finish stage: projection or aggregation, DISTINCT, ORDER BY and
+/// LIMIT (the last two inside the projection stages, which append their
+/// own sort keys) over the scan stage's rows, by the plan the scan stage
+/// compiled. The time it takes is added to the scan stage's.
+pub fn finish_select(select: &SelectStmt, scanned: Scanned) -> Result<QueryResult> {
     let started = Instant::now();
     let Scanned {
         rows,
         plan,
         mut stats,
-        scope,
-        written_bindings,
+        finish,
+        width,
         ..
     } = scanned;
-    let items = expand_items(&select.items, &written_bindings, &scope)?;
-    let is_aggregate = !select.group_by.is_empty()
-        || items.iter().any(|(e, _)| e.contains_aggregate())
-        || select.having.as_ref().is_some_and(Expr::contains_aggregate);
-
+    let finish = finish?;
     let (columns, mut out_rows) = match rows {
-        ScanRows::Owned(rows) if is_aggregate => run_aggregate(
-            select,
-            &items,
-            rows.into_iter().map(Cow::Owned),
-            &scope,
-            udfs,
-        )?,
-        rows if is_aggregate => {
-            run_aggregate(select, &items, rows.iter().map(Cow::Borrowed), &scope, udfs)?
+        ScanRows::Owned(rows) if finish.aggregate => {
+            run_aggregate(select, finish, rows.into_iter().map(Cow::Owned), width)?
         }
-        rows => run_projection(select, &items, &rows, &scope, udfs)?,
+        rows if finish.aggregate => {
+            run_aggregate(select, finish, rows.iter().map(Cow::Borrowed), width)?
+        }
+        rows => run_projection(finish, &rows)?,
     };
 
     if select.distinct {
@@ -390,6 +376,73 @@ pub fn finish_select(
         rows: out_rows,
         stats,
         plan,
+    })
+}
+
+/// What binding a `SELECT` found: its output, its compiled WHERE and ON
+/// conjuncts, and every failing clause's error.
+#[derive(Debug, Default)]
+pub struct Bound {
+    /// Output column names with their compiled items (NULL where an item
+    /// failed); `None` when FROM names an unknown table or a wildcard does
+    /// not expand.
+    pub output: Option<Vec<(String, CExpr)>>,
+    /// The aggregates the items, HAVING and ORDER BY call, by slot.
+    pub aggs: Vec<AggSpec>,
+    /// The WHERE conjuncts, then the ON conjuncts (NULL where one failed).
+    pub conjuncts: Vec<CExpr>,
+    /// Each failing clause's error, in the order the executor meets them.
+    pub errors: Vec<BindError>,
+}
+
+/// Bind `select` against `tables` (keyed by lower-case name) and `udfs`
+/// without reading a row, through the executor's own rules: the WHERE and
+/// ON conjuncts compile as [`scan_select`] compiles them, then the finish
+/// stage's clauses as [`finish_select`] does, each failing clause's error
+/// recorded instead of stopping at the first. When FROM names unknown
+/// tables they are the only errors, since nothing resolves against them.
+/// The scope binds the tables in written order.
+pub fn bind(
+    select: &SelectStmt,
+    tables: &HashMap<String, TableSchema>,
+    udfs: &UdfRegistry,
+) -> Bound {
+    let mut bound = Bound::default();
+    let (mut scope, mut written) = (Scope::empty(), Vec::new());
+    for tref in select.tables() {
+        let Some(schema) = tables.get(&tref.name.to_ascii_lowercase()) else {
+            let message = format!("table {}", tref.name);
+            (bound.errors).push(BindError::new(BindKind::UnknownTable, &tref.name, message));
+            continue;
+        };
+        let columns: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
+        scope.push(tref.binding(), columns.clone());
+        written.push((tref.binding().to_ascii_lowercase(), columns));
+    }
+    if !bound.errors.is_empty() {
+        return bound;
+    }
+    for c in scan_conjuncts(select) {
+        let c = kept(compile(c, &scope, udfs, None), &mut bound.errors);
+        bound.conjuncts.push(c);
+    }
+    match expand_items(&select.items, &written, &scope) {
+        Ok(items) => {
+            let plan = AggPlan::bind(select, &items, &scope, udfs, &mut bound.errors);
+            bound.output = Some(plan.columns.into_iter().zip(plan.items).collect());
+            bound.aggs = plan.aggs;
+        }
+        Err(e) => bound.errors.push(e),
+    }
+    bound
+}
+
+/// `r`'s expression, or NULL with the error recorded: how the binder
+/// compiles on past a failing clause.
+fn kept(r: BindResult<CExpr>, errors: &mut Vec<BindError>) -> CExpr {
+    r.unwrap_or_else(|e| {
+        errors.push(e);
+        CExpr::Const(Value::Null)
     })
 }
 
@@ -456,6 +509,16 @@ fn order_comma_join<'a>(
     unindexed
 }
 
+/// The conjuncts the scan stage compiles: WHERE's, then each ON's.
+fn scan_conjuncts(select: &SelectStmt) -> Vec<&Expr> {
+    let mut out = Vec::new();
+    let ons = select.joins.iter().map(|j| &j.on);
+    for e in select.where_clause.iter().chain(ons) {
+        collect_conjuncts(e, &mut out);
+    }
+    out
+}
+
 /// Split nested ANDs into conjuncts.
 fn collect_conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
     if let Expr::Binary {
@@ -473,43 +536,31 @@ fn collect_conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
 
 /// The columns the statement reads, by joined-row offset, as
 /// `(scan, finish)`. The finish set is what the finish stage reads: the
-/// columns the select items, GROUP BY, HAVING, ORDER BY and aggregate
-/// arguments resolve to through `scope` (`*` names every binding's, `t.*`
-/// one binding's). The conjuncts the scan leaves unapplied belong there
-/// too, but they name no column: the scan applies every conjunct that
-/// does. The scan set adds the conjuncts' columns. An ORDER BY name that
-/// resolves to no column is an output alias and reads nothing; any other
-/// resolve error puts every column in both sets, leaving the error to the
+/// columns its compiled clauses (items, GROUP BY, HAVING, ORDER BY and
+/// aggregate arguments) resolve to (`*` names every binding's, `t.*` one
+/// binding's). The conjuncts the scan leaves unapplied belong there too,
+/// but they name no column: the scan applies every conjunct that does.
+/// The scan set adds the conjuncts' columns. A finish stage that did not
+/// compile puts every column in both sets, leaving its error to the
 /// finish stage. A column outside the scan set decodes as NULL and
 /// nothing evaluates it.
 fn read_columns(
-    select: &SelectStmt,
-    written_bindings: &[(String, Vec<String>)],
+    finish: Option<&AggPlan>,
     conjuncts: &[(CExpr, usize)],
-    scope: &Scope,
-    udfs: &UdfRegistry,
+    width: usize,
 ) -> (Vec<bool>, Vec<bool>) {
     let mut offs = Vec::new();
-    let mut finish_stage = || -> Result<()> {
-        let items = expand_items(&select.items, written_bindings, scope)?;
-        let mut aggs = Vec::new();
-        let named = items.iter().map(|(e, _)| e);
-        for e in named.chain(&select.group_by).chain(&select.having) {
-            compile(e, scope, udfs, Some(&mut aggs))?.column_offsets(&mut offs);
-        }
-        for (e, _) in &select.order_by {
-            match compile(e, scope, udfs, Some(&mut aggs)) {
-                Ok(c) => c.column_offsets(&mut offs),
-                Err(SqlError::Unknown(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        for arg in aggs.iter().filter_map(|a| a.arg.as_ref()) {
-            arg.column_offsets(&mut offs);
-        }
-        Ok(())
-    };
-    let mut finish = vec![finish_stage().is_err(); scope.width()];
+    if let Some(plan) = finish {
+        let order = plan.order.iter().filter_map(|(k, _)| match k {
+            OrderKey::Input(c) => Some(c),
+            OrderKey::Output(_) => None,
+        });
+        let args = plan.aggs.iter().filter_map(|a| a.arg.as_ref());
+        let clauses = plan.items.iter().chain(&plan.group_exprs);
+        (clauses.chain(&plan.having).chain(order).chain(args))
+            .for_each(|c| c.column_offsets(&mut offs));
+    }
+    let mut finish = vec![finish.is_none(); width];
     for &o in &offs {
         finish[o] = true;
     }
@@ -1059,7 +1110,7 @@ pub(crate) fn expand_items(
     items: &[SelectItem],
     written_bindings: &[(String, Vec<String>)],
     scope: &Scope,
-) -> Result<Vec<(Expr, String)>> {
+) -> BindResult<Vec<(Expr, String)>> {
     let mut out = Vec::new();
     for item in items {
         match item {
@@ -1074,9 +1125,6 @@ pub(crate) fn expand_items(
                             name.clone(),
                         ));
                     }
-                }
-                if out.is_empty() && scope.width() > 0 {
-                    return Err(SqlError::Invalid("cannot expand *".into()));
                 }
             }
             SelectItem::TableWildcard(t) => {
@@ -1110,91 +1158,63 @@ fn derive_name(expr: &Expr) -> String {
     }
 }
 
-fn run_projection(
-    select: &SelectStmt,
-    items: &[(Expr, String)],
-    rows: &ScanRows,
-    scope: &Scope,
-    udfs: &UdfRegistry,
-) -> Result<(Vec<String>, Vec<Row>)> {
-    let mut compiled = Vec::with_capacity(items.len());
-    for (expr, _) in items {
-        compiled.push(compile(expr, scope, udfs, None)?);
-    }
-    let columns: Vec<String> = items.iter().map(|(_, n)| n.clone()).collect();
-
-    // ORDER BY keys.
-    let order = compile_order(select, &columns, scope, udfs, None)?;
-
+fn run_projection(plan: AggPlan, rows: &ScanRows) -> Result<(Vec<String>, Vec<Row>)> {
     let mut out: Vec<(Row, Row)> = Vec::with_capacity(rows.len()); // (keys, row)
     for row in rows.iter() {
-        let mut orow = Vec::with_capacity(compiled.len());
-        for c in &compiled {
+        let mut orow = Vec::with_capacity(plan.items.len());
+        for c in &plan.items {
             orow.push(eval(c, row, &[])?);
         }
-        let keys = eval_order_keys(&order, row, &orow, &[])?;
+        let keys = eval_order_keys(&plan.order, row, &orow, &[])?;
         out.push((keys, orow));
     }
-    let rows = finish_rows(select, order.as_ref(), out)?;
-    Ok((columns, rows))
+    let rows = finish_rows(&plan, out);
+    Ok((plan.columns, rows))
 }
 
-enum OrderKeys {
-    /// Keys computed from the input row (compiled expressions) or the
-    /// output row (column index), with per-key descending flags.
-    Keys(Vec<(OrderKey, bool)>),
-}
-
+/// An ORDER BY key: computed from the input row (a compiled expression)
+/// or read from the output row (a column index).
+#[derive(Debug)]
 enum OrderKey {
     Input(CExpr),
     Output(usize),
 }
 
-fn compile_order(
-    select: &SelectStmt,
+/// One ORDER BY key: a 1-based output position, an output column name,
+/// else an expression over the input row.
+fn order_key(
+    expr: &Expr,
     columns: &[String],
     scope: &Scope,
     udfs: &UdfRegistry,
-    mut aggs: Option<&mut Vec<AggSpec>>,
-) -> Result<Option<OrderKeys>> {
-    if select.order_by.is_empty() {
-        return Ok(None);
-    }
-    let mut keys = Vec::new();
-    for (expr, desc) in &select.order_by {
-        // Positional: ORDER BY 2.
-        if let Expr::Literal(Value::Integer(i)) = expr {
-            let idx = *i as usize;
-            if idx == 0 || idx > columns.len() {
-                return Err(SqlError::Invalid(format!("ORDER BY position {i}")));
-            }
-            keys.push((OrderKey::Output(idx - 1), *desc));
-            continue;
+    aggs: Option<&mut Vec<AggSpec>>,
+) -> BindResult<OrderKey> {
+    // Positional: ORDER BY 2.
+    if let Expr::Literal(Value::Integer(i)) = expr {
+        let idx = *i as usize;
+        if idx == 0 || idx > columns.len() {
+            let message = format!("ORDER BY position {i}");
+            return Err(BindError::new(BindKind::Invalid, i.to_string(), message));
         }
-        // Alias reference.
-        if let Expr::Column { table: None, name } = expr {
-            if let Some(idx) = columns.iter().position(|c| c.eq_ignore_ascii_case(name)) {
-                keys.push((OrderKey::Output(idx), *desc));
-                continue;
-            }
-        }
-        let compiled = compile(expr, scope, udfs, aggs.as_deref_mut())?;
-        keys.push((OrderKey::Input(compiled), *desc));
+        return Ok(OrderKey::Output(idx - 1));
     }
-    Ok(Some(OrderKeys::Keys(keys)))
+    // Alias reference.
+    if let Expr::Column { table: None, name } = expr {
+        if let Some(idx) = columns.iter().position(|c| c.eq_ignore_ascii_case(name)) {
+            return Ok(OrderKey::Output(idx));
+        }
+    }
+    compile(expr, scope, udfs, aggs).map(OrderKey::Input)
 }
 
 fn eval_order_keys(
-    order: &Option<OrderKeys>,
+    order: &[(OrderKey, bool)],
     in_row: &[Value],
     out_row: &[Value],
     aggs: &[Value],
 ) -> Result<Row> {
-    let Some(OrderKeys::Keys(keys)) = order else {
-        return Ok(Vec::new());
-    };
-    let mut v = Vec::with_capacity(keys.len());
-    for (k, _) in keys {
+    let mut v = Vec::with_capacity(order.len());
+    for (k, _) in order {
         v.push(match k {
             OrderKey::Input(c) => eval(c, in_row, aggs)?,
             OrderKey::Output(i) => out_row
@@ -1207,14 +1227,10 @@ fn eval_order_keys(
 }
 
 /// Sort by keys, apply LIMIT, strip keys.
-fn finish_rows(
-    select: &SelectStmt,
-    order: Option<&OrderKeys>,
-    mut keyed: Vec<(Row, Row)>,
-) -> Result<Vec<Row>> {
-    if let Some(OrderKeys::Keys(keys)) = order {
+fn finish_rows(plan: &AggPlan, mut keyed: Vec<(Row, Row)>) -> Vec<Row> {
+    if !plan.order.is_empty() {
         keyed.sort_by(|(ka, _), (kb, _)| {
-            for (i, (_, desc)) in keys.iter().enumerate() {
+            for (i, (_, desc)) in plan.order.iter().enumerate() {
                 let ord = ka[i].total_cmp(&kb[i]);
                 let ord = if *desc { ord.reverse() } else { ord };
                 if ord != std::cmp::Ordering::Equal {
@@ -1225,14 +1241,10 @@ fn finish_rows(
         });
     }
     let mut rows: Vec<Row> = keyed.into_iter().map(|(_, r)| r).collect();
-    if let Some(limit_expr) = &select.limit {
-        let v = match limit_expr {
-            Expr::Literal(Value::Integer(i)) => *i,
-            _ => return Err(SqlError::Invalid("LIMIT must be an integer literal".into())),
-        };
-        rows.truncate(v.max(0) as usize);
+    if let Some(n) = plan.limit {
+        rows.truncate(n);
     }
-    Ok(rows)
+    rows
 }
 
 // ---- aggregation ---------------------------------------------------------
@@ -1338,49 +1350,89 @@ pub(crate) struct GroupState {
     pub(crate) representative: Row,
 }
 
-/// The compiled aggregate stage of a statement: grouping keys, aggregate
-/// specs, items, HAVING and ORDER BY.
+/// The compiled finish stage of a statement: its items and ORDER BY and
+/// LIMIT, plus — when it aggregates — grouping keys, aggregate specs and
+/// HAVING.
+#[derive(Debug)]
 pub(crate) struct AggPlan {
+    aggregate: bool,
     aggs: Vec<AggSpec>,
     items: Vec<CExpr>,
     group_exprs: Vec<CExpr>,
     having: Option<CExpr>,
     columns: Vec<String>,
-    order: Option<OrderKeys>,
+    order: Vec<(OrderKey, bool)>,
+    limit: Option<usize>,
 }
 
 impl AggPlan {
+    /// Compile the finish stage, failing with the first clause's error.
     pub(crate) fn compile(
         select: &SelectStmt,
         items: &[(Expr, String)],
         scope: &Scope,
         udfs: &UdfRegistry,
-    ) -> Result<AggPlan> {
-        let mut aggs: Vec<AggSpec> = Vec::new();
+    ) -> BindResult<AggPlan> {
+        let mut errors = Vec::new();
+        let plan = AggPlan::bind(select, items, scope, udfs, &mut errors);
+        errors.into_iter().next().map_or(Ok(plan), Err)
+    }
+
+    /// Compile the finish stage clause by clause — items, GROUP BY,
+    /// HAVING, ORDER BY keys, LIMIT — recording each failing clause's
+    /// error in `errors` and compiling on past a NULL. The statement
+    /// aggregates when it has GROUP BY or an aggregate in an item or
+    /// HAVING; then its items, HAVING and ORDER BY take aggregates, and no
+    /// clause ever does otherwise (a projection ignores HAVING).
+    fn bind(
+        select: &SelectStmt,
+        items: &[(Expr, String)],
+        scope: &Scope,
+        udfs: &UdfRegistry,
+        errors: &mut Vec<BindError>,
+    ) -> AggPlan {
+        let aggregate = !select.group_by.is_empty()
+            || items.iter().any(|(e, _)| e.contains_aggregate())
+            || select.having.as_ref().is_some_and(Expr::contains_aggregate);
+        let mut aggs = aggregate.then(Vec::new);
         let mut compiled_items = Vec::with_capacity(items.len());
-        for (expr, _) in items {
-            compiled_items.push(compile(expr, scope, udfs, Some(&mut aggs))?);
+        for (e, _) in items {
+            compiled_items.push(kept(compile(e, scope, udfs, aggs.as_mut()), errors));
         }
-        let group_exprs: Vec<CExpr> = select
-            .group_by
-            .iter()
-            .map(|e| compile(e, scope, udfs, None))
-            .collect::<Result<_>>()?;
-        let having = select
-            .having
-            .as_ref()
-            .map(|h| compile(h, scope, udfs, Some(&mut aggs)))
-            .transpose()?;
+        let group = select.group_by.iter();
+        let group_exprs = group
+            .map(|e| kept(compile(e, scope, udfs, None), errors))
+            .collect();
+        let having = select.having.as_ref().filter(|_| aggregate);
+        let having = having.map(|h| kept(compile(h, scope, udfs, aggs.as_mut()), errors));
         let columns: Vec<String> = items.iter().map(|(_, n)| n.clone()).collect();
-        let order = compile_order(select, &columns, scope, udfs, Some(&mut aggs))?;
-        Ok(AggPlan {
-            aggs,
+        let mut order = Vec::with_capacity(select.order_by.len());
+        for (e, desc) in &select.order_by {
+            let key = order_key(e, &columns, scope, udfs, aggs.as_mut());
+            order.push((
+                key.unwrap_or_else(|e| OrderKey::Input(kept(Err(e), errors))),
+                *desc,
+            ));
+        }
+        let limit = match &select.limit {
+            Some(Expr::Literal(Value::Integer(i))) => Some((*i).max(0) as usize),
+            Some(_) => {
+                let message = "LIMIT must be an integer literal".into();
+                errors.push(BindError::new(BindKind::Invalid, "LIMIT", message));
+                None
+            }
+            None => None,
+        };
+        AggPlan {
+            aggregate,
+            aggs: aggs.unwrap_or_default(),
             items: compiled_items,
             group_exprs,
             having,
             columns,
             order,
-        })
+            limit,
+        }
     }
 
     /// Output column names.
@@ -1485,12 +1537,10 @@ impl Groups {
 /// representatives, borrowed ones are cloned only for that.
 fn run_aggregate<'r>(
     select: &SelectStmt,
-    items: &[(Expr, String)],
+    plan: AggPlan,
     rows: impl Iterator<Item = Cow<'r, Row>>,
-    scope: &Scope,
-    udfs: &UdfRegistry,
+    width: usize,
 ) -> Result<(Vec<String>, Vec<Row>)> {
-    let plan = AggPlan::compile(select, items, scope, udfs)?;
     let mut groups = Groups::default();
     for row in rows {
         groups.add(&plan, row)?;
@@ -1498,13 +1548,66 @@ fn run_aggregate<'r>(
     // Global aggregate over empty input still yields one group.
     if groups.states.is_empty() && select.group_by.is_empty() {
         let mut state = plan.state();
-        state.representative = vec![Value::Null; scope.width()];
+        state.representative = vec![Value::Null; width];
         groups.states.push(state);
     }
     let mut keyed: Vec<(Row, Row)> = Vec::with_capacity(groups.states.len());
     for state in &groups.states {
         keyed.extend(plan.emit(state)?);
     }
-    let rows = finish_rows(select, plan.order.as_ref(), keyed)?;
+    let rows = finish_rows(&plan, keyed);
     Ok((plan.columns, rows))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parser::parse_select;
+    use crate::schema::ColumnType;
+
+    fn bound(sql: &str) -> Bound {
+        let columns = vec![
+            ("a".into(), ColumnType::Integer),
+            ("b".into(), ColumnType::Text),
+        ];
+        let tables = HashMap::from([("t".to_owned(), TableSchema::new("t", columns))]);
+        bind(&parse_select(sql).unwrap(), &tables, &UdfRegistry::new())
+    }
+
+    fn errors(sql: &str) -> Vec<(BindKind, String)> {
+        let errors = bound(sql).errors.into_iter();
+        errors.map(|e| (e.kind, e.name)).collect()
+    }
+
+    #[test]
+    fn bind_records_each_failing_clause_in_executor_order() {
+        let sql = "SELECT nope, SUM(a) FROM t WHERE zz = 1 GROUP BY COUNT(a) ORDER BY 9 LIMIT b";
+        assert_eq!(
+            errors(sql),
+            vec![
+                (BindKind::UnknownColumn, "zz".to_owned()),
+                (BindKind::UnknownColumn, "nope".to_owned()),
+                (BindKind::MisplacedAggregate, "count".to_owned()),
+                (BindKind::Invalid, "9".to_owned()),
+                (BindKind::Invalid, "LIMIT".to_owned()),
+            ]
+        );
+    }
+
+    #[test]
+    fn bind_reports_unknown_tables_alone() {
+        let got = errors("SELECT nope FROM t, missing WHERE zz = 1");
+        assert_eq!(got, vec![(BindKind::UnknownTable, "missing".to_owned())]);
+        assert!(bound("SELECT a FROM missing").output.is_none());
+    }
+
+    #[test]
+    fn bind_names_the_output_as_the_executor_does() {
+        let bound = bound("SELECT *, a AS x, COUNT(*), 1 FROM t GROUP BY a, b ORDER BY x");
+        assert!(bound.errors.is_empty(), "{:?}", bound.errors);
+        let output = bound.output.unwrap();
+        let names: Vec<&str> = output.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["a", "b", "x", "count", "1"]);
+        assert_eq!(bound.aggs.len(), 1);
+    }
 }

@@ -36,9 +36,8 @@ use std::time::Instant;
 use crate::ast::{Expr, SelectItem, SelectStmt};
 use crate::delta::ScanPages;
 use crate::error::Result;
-use crate::exec::{expand_items, finish_select, AggPlan, Groups, QueryResult, ScanRows, Scanned};
+use crate::exec::{finish_select, AggPlan, Groups, QueryResult, ScanRows, Scanned};
 use crate::record::Row;
-use crate::udf::UdfRegistry;
 use crate::value::{GroupKey, KeyMap};
 
 /// One group of a [`GroupTable`].
@@ -92,22 +91,16 @@ impl GroupTable {
     /// through the table when a scanner served the scan (its pages are the
     /// scan's rows), otherwise `finish_select` itself, and the table is
     /// dropped.
-    pub fn finish(
-        &mut self,
-        select: &SelectStmt,
-        mut scanned: Scanned,
-        udfs: &UdfRegistry,
-    ) -> Result<QueryResult> {
+    pub fn finish(&mut self, select: &SelectStmt, mut scanned: Scanned) -> Result<QueryResult> {
         let started = Instant::now();
         let (pages, rebuilt) = match (&mut scanned.rows, &scanned.delta) {
             (ScanRows::Pages(pages), Some(delta)) => (std::mem::take(pages), delta.rebuilt),
             _ => {
                 self.invalidate();
-                return finish_select(select, scanned, udfs);
+                return finish_select(select, scanned);
             }
         };
-        let items = expand_items(&select.items, &scanned.written_bindings, &scanned.scope)?;
-        let plan = AggPlan::compile(select, &items, &scanned.scope, udfs)?;
+        let plan = scanned.finish?;
         if let Err(e) = self.pass(&plan, pages, rebuilt) {
             self.invalidate();
             return Err(e);

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::error::{Result, SqlError};
+use crate::error::Result;
 use crate::value::Value;
 
 /// A scalar UDF: takes evaluated argument values, returns one value.
@@ -39,12 +39,6 @@ impl UdfRegistry {
     /// Look up a function.
     pub fn get(&self, name: &str) -> Option<Arc<UdfFn>> {
         self.funcs.get(&name.to_ascii_lowercase()).cloned()
-    }
-
-    /// Look up, as a `Result`.
-    pub fn require(&self, name: &str) -> Result<Arc<UdfFn>> {
-        self.get(name)
-            .ok_or_else(|| SqlError::Unknown(format!("function {name}")))
     }
 
     /// Registered function names (sorted).
@@ -77,7 +71,6 @@ mod tests {
         let f = reg.get("DOUBLE").unwrap();
         assert_eq!(f(&[Value::Integer(21)]).unwrap(), Value::Integer(42));
         assert!(reg.get("nope").is_none());
-        assert!(reg.require("nope").is_err());
     }
 
     #[test]

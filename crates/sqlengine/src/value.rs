@@ -37,7 +37,9 @@ impl Value {
     }
 
     /// SQL truthiness: numbers are true when non-zero; NULL is not true;
-    /// text parses as a number where possible (SQLite behaviour).
+    /// text parses as a number where possible (SQLite behaviour). Inline:
+    /// every scan filter calls it per row, from another module.
+    #[inline]
     pub fn is_truthy(&self) -> bool {
         match self {
             Value::Null => false,

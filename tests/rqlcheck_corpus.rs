@@ -10,16 +10,19 @@
 //! Programs under `good/` (and the runnable examples in `examples/rql/`)
 //! must analyze clean — and, differentially, must execute on a live
 //! session without a semantic error: whatever `rqlcheck` accepts, the
-//! runtime accepts too.
+//! runtime accepts too. The reverse differential runs the bad corpus with
+//! the pre-flight off: a program whose errors are all ones the runtime
+//! raises must fail there, with the `SqlError` variant the pre-flight
+//! would have raised for its first.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use rql_repro::rql::analyze::{
     analyze_program, fix_program, parse_program, run_program, run_program_with_reports,
-    Applicability, Code, Diagnostic, SchemaEnv, Severity, SourceKind,
+    Applicability, Code, Diagnostic, MechanismKind, Program, SchemaEnv, Severity, SourceKind,
 };
-use rql_repro::rql::RqlSession;
+use rql_repro::rql::{RqlSession, SqlError};
 
 fn repo_path(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
@@ -129,6 +132,67 @@ fn good_corpus_analyzes_clean_and_executes() {
                 .unwrap_or_else(|e| panic!("{}: runtime rejected: {e:?}", file.display()));
         }
     }
+}
+
+/// Whether a runtime failure corresponds to `code`. The rest are static
+/// findings: RQL014/018/019 are warnings about values the runtime coerces
+/// and folds on; RQL1xx are rewrite-safety findings (the AST rewrite never
+/// reaches a literal, and a misplaced `current_snapshot()` fails, if at
+/// all, only as a UDF error when a row reaches it); RQL2xx explain delta,
+/// memo, pruning and MAINTAIN eligibility, which pick a path rather than
+/// fail a query; RQL3xx are whole-program dataflow findings.
+fn runtime_visible(code: Code) -> bool {
+    let s = code.as_str();
+    s.starts_with("RQL0") && !matches!(s, "RQL014" | "RQL018" | "RQL019")
+}
+
+/// Run `program` a statement at a time, declaring a snapshot before each
+/// mechanism call so that its Qq runs at least once.
+fn run_with_snapshots(session: &RqlSession, program: &Program) -> Result<(), SqlError> {
+    for stmt in &program.statements {
+        let text = stmt.text.to_ascii_lowercase();
+        if MechanismKind::ALL
+            .iter()
+            .any(|k| text.contains(k.udf_name()))
+        {
+            session.declare_snapshot(None)?;
+        }
+        let one = Program {
+            statements: vec![stmt.clone()],
+            ..program.clone()
+        };
+        run_program(session, &one)?;
+    }
+    Ok(())
+}
+
+#[test]
+fn bad_corpus_fails_at_runtime_with_the_preflight_variant() {
+    let mut checked = 0;
+    for file in rql_files(&repo_path("tests/rqlcheck_corpus/bad")) {
+        let src = std::fs::read_to_string(&file).unwrap();
+        let program = parse_program(&src).unwrap_or_else(|d| panic!("{}: {d:?}", file.display()));
+        let analysis = analyze_program(&program, &SchemaEnv::new(), &SchemaEnv::aux_default());
+        // Checked: programs with errors, each one the runtime raises.
+        let mut errors = (analysis.diagnostics.iter()).filter(|d| d.severity == Severity::Error);
+        if !errors.clone().all(|d| runtime_visible(d.code)) {
+            continue;
+        }
+        let Some(first) = errors.next() else { continue };
+        let preflight = first.runtime_error();
+        let session = RqlSession::with_defaults().unwrap();
+        session.set_preflight(false);
+        let runtime = run_with_snapshots(&session, &program)
+            .expect_err(&format!("{}: the runtime accepts it", file.display()));
+        assert_eq!(
+            std::mem::discriminant(&runtime),
+            std::mem::discriminant(&preflight),
+            "{}: the runtime raised {runtime:?}, the pre-flight {preflight:?}",
+            file.display()
+        );
+        checked += 1;
+    }
+    assert!(checked >= 25, "only {checked} programs reached the runtime");
 }
 
 /// `--fix` on the bad corpus must converge: the fixpoint loop is bounded
