@@ -205,7 +205,9 @@ impl Code {
             Code::UnknownQualifier => "column qualifier names no table or alias in FROM",
             Code::NestedAggregate => "aggregate call nested inside another aggregate",
             Code::UngroupedColumn => "non-aggregated column outside GROUP BY",
-            Code::QsNonIntegerColumn => "Qs column is not integer-typed; ids coerce at runtime",
+            Code::QsNonIntegerColumn => {
+                "Qs column is not integer-typed; the call fails at the first non-integer id"
+            }
             Code::MechanismArity => "mechanism UDF called with the wrong number of arguments",
             Code::InvalidClause => {
                 "the engine rejects the clause: an aggregate or '*' where none is allowed, an \

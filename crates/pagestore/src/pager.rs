@@ -209,13 +209,16 @@ impl Pager {
     /// transaction allocated). This is the interposition point Retro uses
     /// for copy-on-write pre-state capture (paper §4: "the extensions
     /// interpose on transaction commit").
+    ///
+    /// A failed capture or WAL append publishes nothing, cuts the WAL back
+    /// to where the commit began, and releases the writer: the store takes
+    /// the next transaction as if this one had aborted.
     pub fn commit(
         &self,
         mut txn: WriteTxn,
         snapshot: Option<u64>,
         mut pre_capture: impl FnMut(PageId, Option<&SharedPage>) -> Result<()>,
     ) -> Result<u64> {
-        txn.finished = true;
         let txn_id = txn.txn_id;
         // Deterministic ordering for the WAL and COW captures.
         let mut writes: Vec<(PageId, SharedPage)> = txn.writes.drain().collect();
@@ -225,15 +228,26 @@ impl Pager {
         // the commit atomically. Capture first (it reads pre-states).
         let mut pages_guard = self.pages.write();
         let mut new_pages: Vec<SharedPage> = (**pages_guard).clone();
+        // An error returns with `txn` unfinished, so dropping it releases
+        // the writer.
         for (pid, _) in &writes {
             let pre = new_pages.get(pid.index());
             pre_capture(*pid, pre)?;
         }
         if let Some(wal) = &self.wal {
-            for (pid, page) in &writes {
-                wal.log_write(txn_id, *pid, page)?;
+            let start = wal.len();
+            let logged = writes
+                .iter()
+                .try_for_each(|(pid, page)| wal.log_write(txn_id, *pid, page))
+                .and_then(|()| wal.log_commit(txn_id, snapshot));
+            if let Err(e) = logged {
+                // Records of a transaction that never committed would be
+                // taken for the next one's by a segment reader
+                // (`next_committed_segment`): remove them. Should the cut
+                // fail too, recovery still skips them (no commit record).
+                let _ = wal.truncate(start);
+                return Err(e);
             }
-            wal.log_commit(txn_id, snapshot)?;
         }
         for (pid, page) in writes {
             if pid.index() >= new_pages.len() {
@@ -245,6 +259,7 @@ impl Pager {
         }
         *pages_guard = Arc::new(new_pages);
         drop(pages_guard);
+        txn.finished = true;
         self.writer_active.store(false, Ordering::Release);
         Ok(txn_id)
     }

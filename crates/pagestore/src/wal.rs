@@ -255,10 +255,10 @@ impl Wal {
         self.storage.sync()
     }
 
-    /// Truncate the log (after a checkpoint has made the pages durable
-    /// elsewhere, or in tests).
-    pub fn truncate(&self) -> Result<()> {
-        self.storage.truncate(0)
+    /// Cut the log back to `len` bytes: the records of a commit that
+    /// failed part-way.
+    pub fn truncate(&self, len: u64) -> Result<()> {
+        self.storage.truncate(len)
     }
 
     /// Bytes currently on the log.

@@ -474,13 +474,14 @@ impl RetroStore {
             let Some(pre_page) = pre else {
                 return Ok(());
             };
-            let mut dirty = self.dirty_since_snapshot.lock();
-            if !dirty.insert(pid) {
+            if self.dirty_since_snapshot.lock().contains(&pid) {
                 return Ok(()); // already archived for the latest snapshot
             }
-            drop(dirty);
             let off = self.pagelog.append(pre_page)?;
             self.maplog.write().append_mapping(pid, off)?;
+            // Only a capture that reached both logs counts: after a failed
+            // append the next commit that writes the page captures it.
+            self.dirty_since_snapshot.lock().insert(pid);
             // Sidecar maintenance, phase 2: the entry displaced from the
             // current map described exactly this pre-state image; key it
             // by the Pagelog offset the SPT will resolve the page

@@ -66,7 +66,13 @@ pub struct Database {
     udfs: RwLock<UdfRegistry>,
     /// Open explicit transaction (`BEGIN` … `COMMIT`).
     open_txn: Mutex<Option<WriteTxn>>,
-    /// Per-table free-space maps (keyed by heap root page id).
+    /// Per-table free-space maps (keyed by heap root page id): one per
+    /// table, kept by SQL DML and lent to every [`TableWriter`]. Each
+    /// describes the published heap plus the open transaction's writes,
+    /// so every path that discards writes — abort, `ROLLBACK`, a failed
+    /// commit — clears them all.
+    ///
+    /// [`TableWriter`]: crate::tablewriter::TableWriter
     fsms: Mutex<HashMap<u64, FreeSpaceMap>>,
     /// Cooperative interrupt flag (the `sqlite3_interrupt` analog):
     /// polled by the executor at scan/join checkpoints. Sticky until
@@ -201,10 +207,10 @@ impl Database {
                     .take()
                     .ok_or_else(|| SqlError::Invalid("no open transaction".into()))?;
                 if *with_snapshot {
-                    let sid = self.store.commit_with_snapshot(txn)?;
-                    Ok(ExecOutcome::SnapshotDeclared(sid))
+                    let sid = self.store.commit_with_snapshot(txn);
+                    Ok(ExecOutcome::SnapshotDeclared(self.committed(sid)?))
                 } else {
-                    self.store.commit(txn)?;
+                    self.committed(self.store.commit(txn))?;
                     Ok(ExecOutcome::Done)
                 }
             }
@@ -433,7 +439,7 @@ impl Database {
                 let mut txn = self.store.begin()?;
                 match f(self, &mut txn) {
                     Ok(v) => {
-                        self.store.commit(txn)?;
+                        self.committed(self.store.commit(txn))?;
                         Ok(v)
                     }
                     Err(e) => {
@@ -446,6 +452,13 @@ impl Database {
         }
     }
 
+    /// A commit's outcome, after clearing the free-space maps if it
+    /// failed: nothing was published, so a map that learned of a page the
+    /// transaction appended would aim the next insert outside the heap.
+    fn committed<T>(&self, outcome: rql_pagestore::Result<T>) -> Result<T> {
+        Ok(outcome.inspect_err(|_| self.fsms.lock().clear())?)
+    }
+
     fn with_fsm<T>(
         &self,
         root: rql_pagestore::PageId,
@@ -454,6 +467,19 @@ impl Database {
         let mut fsms = self.fsms.lock();
         let fsm = fsms.entry(root.0).or_default();
         f(fsm)
+    }
+
+    /// Take the free-space map of the heap rooted at `root` out, to lend
+    /// to a [`crate::tablewriter::TableWriter`] (an unbuilt one if there
+    /// is none). A map not handed back with [`Self::put_fsm`] is rebuilt
+    /// from the chain by its next user.
+    pub(crate) fn take_fsm(&self, root: rql_pagestore::PageId) -> FreeSpaceMap {
+        self.fsms.lock().remove(&root.0).unwrap_or_default()
+    }
+
+    /// Hand back a map taken with [`Self::take_fsm`].
+    pub(crate) fn put_fsm(&self, root: rql_pagestore::PageId, fsm: FreeSpaceMap) {
+        self.fsms.lock().insert(root.0, fsm);
     }
 
     fn execute_write(&self, stmt: &Stmt) -> Result<ExecOutcome> {
@@ -507,13 +533,16 @@ impl Database {
             }),
             Stmt::DropTable { name, if_exists } => self.with_write_txn(|db, txn| {
                 let existing = Catalog::load(&*txn)?;
-                if existing.table(name).is_none() {
+                let Some(info) = existing.table(name) else {
                     if *if_exists {
                         return Ok(ExecOutcome::Done);
                     }
                     return Err(SqlError::Unknown(format!("table {name}")));
-                }
+                };
                 db.with_fsm(Catalog::ROOT, |fsm| Catalog::remove_table(txn, name, fsm))?;
+                // Heap roots are never reused, so the dropped table's map
+                // would never be asked again.
+                db.fsms.lock().remove(&info.root.0);
                 Ok(ExecOutcome::Done)
             }),
             Stmt::Insert {
@@ -603,7 +632,7 @@ impl Database {
             let heap = info.heap();
             let mut count = 0u64;
             let mut buf = Vec::new();
-            for input in &input_rows {
+            for input in input_rows {
                 if input.len() != positions.len() {
                     return Err(SqlError::Invalid(format!(
                         "expected {} values, got {}",
@@ -613,7 +642,7 @@ impl Database {
                 }
                 let mut row = vec![Value::Null; arity];
                 for (pos, v) in positions.iter().zip(input) {
-                    row[*pos] = info.schema.columns[*pos].ty.coerce(v.clone());
+                    row[*pos] = info.schema.columns[*pos].ty.coerce(v);
                 }
                 buf.clear();
                 encode_row(&row, &mut buf);
@@ -844,5 +873,40 @@ impl std::fmt::Debug for Database {
             .field("pages", &self.store.pager().page_count())
             .field("snapshots", &self.store.snapshot_count())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// DROP forgets the dropped heap's free-space map: a table dropped
+    /// and re-created every cycle leaves one map for it, plus the
+    /// catalog's.
+    #[test]
+    fn a_recreated_table_leaves_one_map() {
+        let db = Database::default_in_memory();
+        for cycle in 0..20 {
+            db.execute("CREATE TABLE r (a INTEGER)").unwrap();
+            db.execute(&format!("INSERT INTO r VALUES ({cycle})"))
+                .unwrap();
+            db.with_table_writer("r", |w| w.insert(vec![Value::Integer(cycle)]).map(|_| ()))
+                .unwrap();
+            if cycle < 19 {
+                db.execute("DROP TABLE r").unwrap();
+            }
+        }
+        let root = {
+            let view = db.store().current_view();
+            Catalog::load(&view)
+                .unwrap()
+                .require_table("r")
+                .unwrap()
+                .root
+        };
+        let fsms = db.fsms.lock();
+        let mut roots: Vec<u64> = fsms.keys().copied().collect();
+        roots.sort_unstable();
+        assert_eq!(roots, vec![Catalog::ROOT.0, root.0]);
     }
 }

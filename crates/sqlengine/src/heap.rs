@@ -16,8 +16,11 @@
 //! no longer covers; compaction reclaims it when an insert needs room.
 //! Every edit is made in the transaction's staged copy of the page
 //! ([`WriteTxn::page_mut`]), taken only once the edit is known to fit.
-//! Free space is tracked per table in an in-memory [`FreeSpaceMap`]
-//! (rebuilt lazily after open/abort), so inserts do not walk the chain.
+//! Free space is tracked per table in an in-memory [`FreeSpaceMap`]: a
+//! `Database` builds it from the chain when it first writes the table
+//! (and again after an abort or a failed commit) and keeps it for every
+//! writer of the table, SQL DML and `TableWriter` alike, so an insert
+//! finds its page in O(log pages) without walking the chain.
 //!
 //! Every read of a chain — scans, the page count, the free-space-map
 //! rebuild, the sidecar rebuild, the delta scanner — goes through one
@@ -30,7 +33,7 @@
 //! DELETE/UPDATE victim scan and a SELECT inside a transaction — only the
 //! pages it has not touched, and a current-state view none.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 use rql_pagestore::{Page, PageId, WriteTxn};
 
@@ -77,10 +80,27 @@ pub struct HeapFile {
 }
 
 /// In-memory free-space map for one heap file: page id → usable free
-/// bytes. Rebuilt lazily; never consulted by readers.
+/// bytes, answering "the lowest page id with at least `need` bytes" in
+/// O(log pages). Built from the chain on first use; never consulted by
+/// readers.
+///
+/// Pages are held in id order under a max-tree: leaf `k` of `tree` is
+/// the free space of `pages[k]`, and each inner node the larger of its
+/// two children, so the descent to the leftmost leaf with room is the
+/// lowest such page id. A heap grows only by a page with the largest id
+/// so far (pages come from the end of the file; there is no free list),
+/// so recording a new page is an append; a page id that lands between
+/// known ones — another session's append the map learns of late —
+/// rebuilds the tree.
 #[derive(Debug, Default)]
 pub struct FreeSpaceMap {
-    map: BTreeMap<u64, usize>,
+    /// Known page ids, ascending.
+    pages: Vec<u64>,
+    /// Max-tree over the pages' free bytes: root at 1, the leaves at
+    /// `leaves()..`, unused leaves 0. Empty until the first page.
+    tree: Vec<usize>,
+    /// Page size of the heap, learned when the map is built.
+    page_size: usize,
     loaded: bool,
 }
 
@@ -92,15 +112,68 @@ impl FreeSpaceMap {
 
     /// Drop all knowledge (after an abort, the map may be stale).
     pub fn invalidate(&mut self) {
-        self.map.clear();
+        self.pages.clear();
+        self.tree.clear();
         self.loaded = false;
     }
 
+    /// Number of leaves: the tree's capacity in pages.
+    fn leaves(&self) -> usize {
+        self.tree.len() / 2
+    }
+
+    /// Record that `pid` has `free` usable bytes.
+    fn set(&mut self, pid: PageId, free: usize) {
+        let k = match self.pages.binary_search(&pid.0) {
+            Ok(k) => k,
+            Err(k) if k == self.pages.len() && k < self.leaves() => {
+                self.pages.push(pid.0);
+                k
+            }
+            Err(k) => {
+                let mut frees: Vec<usize> = self.tree[self.leaves()..][..self.pages.len()].to_vec();
+                self.pages.insert(k, pid.0);
+                frees.insert(k, free);
+                self.rebuild(&frees);
+                return;
+            }
+        };
+        let mut at = self.leaves() + k;
+        self.tree[at] = free;
+        while at > 1 {
+            at /= 2;
+            self.tree[at] = self.tree[2 * at].max(self.tree[2 * at + 1]);
+        }
+    }
+
+    /// Lay the tree out afresh over `frees` (one per page, in order),
+    /// with room to append as many pages again.
+    fn rebuild(&mut self, frees: &[usize]) {
+        let leaves = (2 * frees.len()).next_power_of_two();
+        self.tree.clear();
+        self.tree.resize(2 * leaves, 0);
+        self.tree[leaves..][..frees.len()].copy_from_slice(frees);
+        for at in (1..leaves).rev() {
+            self.tree[at] = self.tree[2 * at].max(self.tree[2 * at + 1]);
+        }
+    }
+
+    /// The lowest page id with at least `need` usable bytes.
     fn first_with(&self, need: usize) -> Option<PageId> {
-        self.map
-            .iter()
-            .find(|&(_, &free)| free >= need)
-            .map(|(&pid, _)| PageId(pid))
+        if self.pages.is_empty() || self.tree[1] < need {
+            return None;
+        }
+        let mut at = 1;
+        while at < self.leaves() {
+            at = if self.tree[2 * at] >= need {
+                2 * at
+            } else {
+                2 * at + 1
+            };
+        }
+        // Unused leaves hold 0 and lie right of every page, so the
+        // leftmost leaf with room is always a page's.
+        Some(PageId(self.pages[at - self.leaves()]))
     }
 }
 
@@ -150,14 +223,14 @@ impl HeapFile {
             let Some(fit) = fit(&page, record.len()) else {
                 // Stale hint: record the page's true free space (which is
                 // below `need`) and retry elsewhere.
-                fsm.map.insert(target.0, usable_free(&page).min(need - 1));
+                fsm.set(target, usable_free(&page).min(need - 1));
                 continue;
             };
             // Release the read before editing, or the edit would copy.
             drop(page);
             let page = txn.page_mut(target)?;
             let slot = insert_into_page(page, record, fit);
-            fsm.map.insert(target.0, usable_free(page));
+            fsm.set(target, usable_free(page));
             return Ok(RecordId { page: target, slot });
         }
     }
@@ -171,7 +244,7 @@ impl HeapFile {
         page.write_u16(base, 0);
         page.write_u16(base + 2, 0);
         add_dead(page, len);
-        fsm.map.insert(rid.page.0, usable_free(page));
+        fsm.set(rid.page, usable_free(page));
         Ok(())
     }
 
@@ -199,7 +272,7 @@ impl HeapFile {
         );
         add_dead(page, len - record.len());
         // An unloaded map is rebuilt from the pages before its next use.
-        fsm.map.insert(rid.page.0, usable_free(page));
+        fsm.set(rid.page, usable_free(page));
         Ok(rid)
     }
 
@@ -361,17 +434,22 @@ impl HeapFile {
         Ok(n)
     }
 
-    /// Lazily (re)build the free-space map by walking the chain.
+    /// Build the free-space map by walking the chain, unless it is
+    /// already built; returns the heap's page size.
     fn ensure_fsm(&self, txn: &WriteTxn, fsm: &mut FreeSpaceMap) -> Result<usize> {
-        let page_size = txn.read_page(self.root)?.size();
         if !fsm.loaded {
-            fsm.map.clear();
-            self.for_each_page(txn, |pid, page| {
-                fsm.map.insert(pid.0, usable_free(page));
-            })?;
+            fsm.invalidate();
+            fsm.page_size = txn.read_page(self.root)?.size();
+            let mut free = Vec::new();
+            self.for_each_page(txn, |pid, page| free.push((pid.0, usable_free(page))))?;
+            // Chain order is root, newest, …, oldest: sort into id order.
+            free.sort_unstable_by_key(|&(pid, _)| pid);
+            fsm.pages = free.iter().map(|&(pid, _)| pid).collect();
+            let frees: Vec<usize> = free.iter().map(|&(_, bytes)| bytes).collect();
+            fsm.rebuild(&frees);
             fsm.loaded = true;
         }
-        Ok(page_size)
+        Ok(fsm.page_size)
     }
 
     /// Link a fresh page right after the root (scan order is not
@@ -382,7 +460,7 @@ impl HeapFile {
         let new_page = txn.page_mut(new_pid)?;
         init_heap_page(new_page);
         new_page.write_u64(OFF_NEXT, old_next);
-        fsm.map.insert(new_pid.0, usable_free(new_page));
+        fsm.set(new_pid, usable_free(new_page));
         txn.page_mut(self.root)?.write_u64(OFF_NEXT, new_pid.0);
         Ok(new_pid)
     }
@@ -744,6 +822,72 @@ mod tests {
         heap.insert(&mut txn, &rec(10, "row"), &mut fsm).unwrap();
         assert_eq!(heap.page_count_chain(&txn).unwrap(), pages);
         assert_eq!(heap.all_rows(&txn).unwrap().len(), 11);
+    }
+
+    /// The reference the map must agree with: the lowest page id with
+    /// room, by a scan in id order.
+    fn linear_first_with(
+        reference: &std::collections::BTreeMap<u64, usize>,
+        need: usize,
+    ) -> Option<PageId> {
+        reference
+            .iter()
+            .find(|&(_, &free)| free >= need)
+            .map(|(&pid, _)| PageId(pid))
+    }
+
+    /// The logarithmic map picks exactly the page the linear scan picks,
+    /// over random sequences of appends, ids landing between known ones,
+    /// updates, lookups with varying needs and invalidations.
+    #[test]
+    fn fsm_agrees_with_the_linear_scan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut fsm = FreeSpaceMap::new();
+            let mut reference = std::collections::BTreeMap::new();
+            let mut next_id = rng.random_range(0u64..10);
+            for step in 0..400 {
+                match rng.random_range(0u32..100) {
+                    // A new page with the largest id so far, ids with gaps.
+                    0..=34 => {
+                        next_id += rng.random_range(1u64..5);
+                        let free = rng.random_range(0usize..4096);
+                        fsm.set(PageId(next_id), free);
+                        reference.insert(next_id, free);
+                    }
+                    // An id between known ones (or below them all).
+                    35..=39 => {
+                        let pid = rng.random_range(0..next_id + 1);
+                        let free = rng.random_range(0usize..4096);
+                        fsm.set(PageId(pid), free);
+                        reference.insert(pid, free);
+                    }
+                    // A known page's free space changes.
+                    40..=69 if !reference.is_empty() => {
+                        let k = rng.random_range(0..reference.len());
+                        let pid = *reference.keys().nth(k).unwrap();
+                        let free = rng.random_range(0usize..4096);
+                        fsm.set(PageId(pid), free);
+                        reference.insert(pid, free);
+                    }
+                    70..=71 => {
+                        fsm.invalidate();
+                        reference.clear();
+                    }
+                    _ => {}
+                }
+                for need in [0, 1, rng.random_range(0usize..4200), 4095, 4096] {
+                    assert_eq!(
+                        fsm.first_with(need),
+                        linear_first_with(&reference, need),
+                        "seed {seed} step {step} need {need}"
+                    );
+                }
+            }
+        }
     }
 
     /// A chain linked back onto itself must be an error on every path

@@ -6,9 +6,13 @@
 //! updates (paper §3). At one call per record, going through SQL text
 //! would re-parse and re-resolve the catalog a million times per
 //! iteration; SQLite avoids that with prepared statements. The
-//! [`TableWriter`] is the equivalent: catalog resolution, index handles
-//! and the free-space map are resolved once, then rows are inserted,
-//! probed and updated directly, all inside a single transaction.
+//! [`TableWriter`] is the equivalent: catalog resolution and index
+//! handles are resolved once, then rows are inserted, probed and updated
+//! directly, all inside a single transaction. The free-space map is not
+//! the writer's own: [`Database::with_table_writer`] lends it the
+//! database's map for the table, the one SQL DML keeps, so a writer
+//! neither re-reads the heap to place its first row nor leaves a map
+//! that does not know its rows.
 //!
 //! Many rows go in with one call ([`TableWriter::load`]): to the heap in
 //! order, through the same insert as one at a time, so the heap pages
@@ -113,6 +117,14 @@ impl TableIndexes {
     }
 }
 
+/// Apply `info`'s column affinities to `row` where it lies: each value is
+/// taken out, coerced and put back, so no text is copied.
+fn coerce_in_place(row: &mut Row, info: &TableInfo) {
+    for (v, col) in row.iter_mut().zip(&info.schema.columns) {
+        *v = col.ty.coerce(std::mem::replace(v, Value::Null));
+    }
+}
+
 /// The index key of `row` over columns `cols`, into `out`.
 pub(crate) fn encode_key(cols: &[usize], row: &Row, out: &mut Vec<u8>) {
     out.clear();
@@ -134,8 +146,13 @@ pub struct TableWriter<'a> {
 }
 
 impl<'a> TableWriter<'a> {
-    pub(crate) fn new(txn: &'a mut WriteTxn, catalog: &Catalog, table: &str) -> Result<Self> {
-        let info = catalog.require_table(table)?.clone();
+    /// A writer over `info`'s table that places rows with `fsm`.
+    fn new(
+        txn: &'a mut WriteTxn,
+        catalog: &Catalog,
+        info: TableInfo,
+        fsm: FreeSpaceMap,
+    ) -> Result<Self> {
         let indexes = TableIndexes::resolve(catalog, &info)?;
         let heap = info.heap();
         Ok(TableWriter {
@@ -143,7 +160,7 @@ impl<'a> TableWriter<'a> {
             info,
             heap,
             indexes,
-            fsm: FreeSpaceMap::new(),
+            fsm,
             buf: Vec::new(),
             inserted: 0,
             updated: 0,
@@ -170,12 +187,12 @@ impl<'a> TableWriter<'a> {
     pub fn load(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<()> {
         let mut entries: Vec<Vec<(Vec<u8>, RecordId)>> =
             vec![Vec::new(); self.indexes.indexes.len()];
+        let mut key = Vec::new();
         for mut row in rows {
             let rid = self.insert_heap(&mut row)?;
             for (idx, entries) in self.indexes.indexes.iter().zip(&mut entries) {
-                let mut key = Vec::new();
                 encode_key(&idx.cols, &row, &mut key);
-                entries.push((key, rid));
+                entries.push((key.clone(), rid));
             }
         }
         for (idx, entries) in self.indexes.indexes.iter().zip(entries) {
@@ -200,10 +217,7 @@ impl<'a> TableWriter<'a> {
                 self.info.schema.arity()
             )));
         }
-        for (v, col) in row.iter_mut().zip(&self.info.schema.columns) {
-            let coerced = col.ty.coerce(v.clone());
-            *v = coerced;
-        }
+        coerce_in_place(row, &self.info);
         self.buf.clear();
         encode_row(row, &mut self.buf);
         let rid = self.heap.insert(self.txn, &self.buf, &mut self.fsm)?;
@@ -244,10 +258,7 @@ impl<'a> TableWriter<'a> {
     /// maintaining indexes. Returns the row's new location: `rid` itself
     /// when the new row fits the old one's cell.
     pub fn update(&mut self, rid: RecordId, old_row: &Row, mut new_row: Row) -> Result<RecordId> {
-        for (v, col) in new_row.iter_mut().zip(&self.info.schema.columns) {
-            let coerced = col.ty.coerce(v.clone());
-            *v = coerced;
-        }
+        coerce_in_place(&mut new_row, &self.info);
         self.buf.clear();
         encode_row(&new_row, &mut self.buf);
         let new_rid = self.heap.update(self.txn, rid, &self.buf, &mut self.fsm)?;
@@ -287,16 +298,24 @@ impl<'a> TableWriter<'a> {
 
 impl Database {
     /// Run `f` with a [`TableWriter`] over `table`, inside the open
-    /// transaction if one exists, else an auto-commit transaction.
+    /// transaction if one exists, else an auto-commit transaction. The
+    /// writer places rows with this database's free-space map for the
+    /// table, which it hands back when `f` succeeds; when `f` fails the
+    /// map is dropped (it may describe the failed writes) and the next
+    /// writer rebuilds it.
     pub fn with_table_writer<T>(
         &self,
         table: &str,
         f: impl FnOnce(&mut TableWriter) -> Result<T>,
     ) -> Result<T> {
-        self.with_write_txn_pub(|_, txn| {
+        self.with_write_txn_pub(|db, txn| {
             let catalog = Catalog::load(&*txn)?;
-            let mut writer = TableWriter::new(txn, &catalog, table)?;
-            f(&mut writer)
+            let info = catalog.require_table(table)?.clone();
+            let root = info.root;
+            let mut writer = TableWriter::new(txn, &catalog, info, db.take_fsm(root))?;
+            let out = f(&mut writer)?;
+            db.put_fsm(root, writer.fsm);
+            Ok(out)
         })
     }
 }
@@ -426,6 +445,44 @@ mod tests {
             assert_eq!(result.plan, vec!["r: index scan via r_k"]);
             assert_eq!(result.scalar(), Some(&Value::Integer(12)), "{sql}");
         }
+    }
+
+    /// Every writer of a table places rows with the database's one map
+    /// for it: a second writer adding one row to a heap of hundreds of
+    /// pages reads a handful of pages (catalog, target), not the heap.
+    #[test]
+    fn a_second_writer_does_not_reread_the_heap() {
+        use rql_pagestore::PagerConfig;
+        use rql_retro::RetroConfig;
+
+        let db = Database::in_memory(RetroConfig {
+            pager: PagerConfig {
+                page_size: 512,
+                cache_capacity: 64,
+                wal_sync_on_commit: false,
+            },
+            ..RetroConfig::new()
+        });
+        db.execute("CREATE TABLE r (k INTEGER, v TEXT)").unwrap();
+        let row = |k: i64| {
+            vec![
+                Value::Integer(k),
+                Value::text(format!("value-{k:06}-padding")),
+            ]
+        };
+        db.with_table_writer("r", |w| w.load((0..4000).map(row)))
+            .unwrap();
+        let pages = db.table_size_bytes("r").unwrap() / 512;
+        assert!(pages >= 200, "want a heap of 200+ pages, got {pages}");
+        let before = db.io_stats().snapshot();
+        db.with_table_writer("r", |w| w.insert(row(4000)).map(|_| ()))
+            .unwrap();
+        let reads = db.io_stats().snapshot().delta(&before).db_reads;
+        assert!(
+            reads <= 8,
+            "{reads} page reads to add a row to {pages} pages"
+        );
+        assert_eq!(db.table_row_count("r").unwrap(), 4001);
     }
 
     #[test]

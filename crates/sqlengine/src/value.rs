@@ -32,6 +32,7 @@ impl Value {
     }
 
     /// Whether this is SQL NULL.
+    #[inline]
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
@@ -51,6 +52,7 @@ impl Value {
 
     /// Numeric view (integers widen to float), `None` for NULL/non-numeric
     /// text.
+    #[inline]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Integer(i) => Some(*i as f64),
@@ -77,6 +79,7 @@ impl Value {
 
     /// SQL comparison with three-valued logic: `None` when either side is
     /// NULL, otherwise the total-order comparison.
+    #[inline]
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         if self.is_null() || other.is_null() {
             return None;
@@ -86,6 +89,7 @@ impl Value {
 
     /// Total order used for ORDER BY / MIN / MAX: NULL < numbers < text;
     /// numbers compare numerically across Integer/Real.
+    #[inline]
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::*;
         match (self, other) {

@@ -2,9 +2,10 @@
 //! must surface as errors — never as silent corruption, panics, or a
 //! wedged store.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use rql_pagestore::{FailingStorage, MemStorage, PagerConfig};
+use rql_pagestore::{FailingStorage, LogStorage, MemStorage, PagerConfig, StoreError};
 use rql_retro::{RetroConfig, RetroStore};
 use rql_sqlengine::{Database, Value};
 
@@ -131,4 +132,186 @@ fn store_remains_usable_after_failed_statement() {
     // transaction: counting still works and sees only committed rows.
     let r = db.query("SELECT COUNT(*) FROM t").unwrap();
     assert_eq!(r.rows[0][0], Value::Integer(committed as i64));
+}
+
+/// Log storage that fails one armed append and then works again: a
+/// transient fault, after which the store must carry on.
+struct OnceFailing {
+    inner: MemStorage,
+    /// Appends until the failing one (0: disarmed).
+    countdown: AtomicU64,
+}
+
+impl OnceFailing {
+    fn new() -> Self {
+        OnceFailing {
+            inner: MemStorage::new(),
+            countdown: AtomicU64::new(0),
+        }
+    }
+
+    /// Fail the `nth` append from now (1: the next one).
+    fn arm(&self, nth: u64) {
+        self.countdown.store(nth, Ordering::SeqCst);
+    }
+
+    /// Whether the armed append has not happened yet.
+    fn armed(&self) -> bool {
+        self.countdown.load(Ordering::SeqCst) > 0
+    }
+}
+
+impl LogStorage for OnceFailing {
+    fn append(&self, bytes: &[u8]) -> rql_pagestore::Result<u64> {
+        let hit = self
+            .countdown
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .is_ok_and(|n| n == 1);
+        if hit {
+            return Err(StoreError::Io(std::io::Error::other("injected once")));
+        }
+        self.inner.append(bytes)
+    }
+
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> rql_pagestore::Result<()> {
+        self.inner.read_at(offset, buf)
+    }
+
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+
+    fn truncate(&self, offset: u64) -> rql_pagestore::Result<()> {
+        self.inner.truncate(offset)
+    }
+
+    fn sync(&self) -> rql_pagestore::Result<()> {
+        self.inner.sync()
+    }
+}
+
+struct Logs {
+    wal: Arc<OnceFailing>,
+    pagelog: Arc<OnceFailing>,
+    maplog: Arc<MemStorage>,
+}
+
+impl Logs {
+    fn open(&self) -> Arc<Database> {
+        let store = RetroStore::open(
+            config(),
+            self.wal.clone(),
+            self.pagelog.clone(),
+            self.maplog.clone(),
+        );
+        Database::over_store(store.unwrap_or_else(|e| panic!("open over the logs: {e}")))
+    }
+}
+
+fn padded(from: i64, to: i64) -> String {
+    let rows: Vec<String> = (from..to)
+        .map(|i| format!("({i}, 'padding-padding-{i:04}')"))
+        .collect();
+    format!("INSERT INTO t VALUES {}", rows.join(", "))
+}
+
+/// What every check below expects of `t`: rows `0..100` before the
+/// snapshot, then the rows the later writes added, and none of the
+/// failed write's.
+fn check(db: &Database, sid: u64, later: i64, what: &str) {
+    let count = |sql: &str| {
+        let result = db
+            .query(sql)
+            .unwrap_or_else(|e| panic!("{what}: {sql}: {e}"));
+        result.scalar().cloned()
+    };
+    assert_eq!(
+        count("SELECT COUNT(*) FROM t"),
+        Some(Value::Integer(100 + later)),
+        "{what}: rows"
+    );
+    assert_eq!(
+        count("SELECT COUNT(*) FROM t WHERE a >= 1000 AND a < 2000"),
+        Some(Value::Integer(0)),
+        "{what}: the failed write's rows"
+    );
+    assert_eq!(
+        count("SELECT COUNT(DISTINCT a) FROM t"),
+        Some(Value::Integer(100 + later)),
+        "{what}: distinct rows"
+    );
+    let old = db.query_as_of(sid, "SELECT COUNT(*) FROM t");
+    let old = old.unwrap_or_else(|e| panic!("{what}: snapshot: {e}"));
+    assert_eq!(old.scalar(), Some(&Value::Integer(100)), "{what}: snapshot");
+}
+
+/// A commit that fails on a transient fault — at every WAL append of the
+/// failing write (each page record, then the commit record) and at every
+/// Pagelog capture it makes — leaves no trace of its rows, and the store
+/// takes the next writes: exact counts, a snapshot declared before the
+/// failure still reads its pre-state, and all of it again after a reopen.
+/// The failing write appends heap pages, so a free-space map that kept
+/// them would aim later inserts outside the heap.
+#[test]
+fn a_failed_commit_leaves_the_store_writable() {
+    for log in ["wal", "pagelog"] {
+        for writer in ["sql", "table writer"] {
+            for nth in 1.. {
+                let logs = Logs {
+                    wal: Arc::new(OnceFailing::new()),
+                    pagelog: Arc::new(OnceFailing::new()),
+                    maplog: Arc::new(MemStorage::new()),
+                };
+                let db = logs.open();
+                db.execute("CREATE TABLE t (a INTEGER, b TEXT)").unwrap();
+                db.execute(&padded(0, 50)).unwrap();
+                db.execute(&padded(50, 100)).unwrap();
+                let sid = db.declare_snapshot().unwrap();
+                let armed = if log == "wal" {
+                    &logs.wal
+                } else {
+                    &logs.pagelog
+                };
+                armed.arm(nth);
+                let failed = match writer {
+                    "sql" => db.execute(&padded(1000, 1080)).map(|_| ()),
+                    _ => db.with_table_writer("t", |w| {
+                        w.load((1000..1080).map(|i| {
+                            vec![
+                                Value::Integer(i),
+                                Value::text(format!("padding-padding-{i:04}")),
+                            ]
+                        }))
+                    }),
+                };
+                if armed.armed() {
+                    // The write made fewer than `nth` appends: every
+                    // position has been failed once.
+                    armed.arm(0);
+                    failed.unwrap();
+                    assert!(nth > 1, "{log}/{writer}: the write appended nothing");
+                    break;
+                }
+                let what = format!("{log}/{writer}, append {nth}");
+                let err = failed.expect_err(&what);
+                assert!(err.to_string().contains("injected once"), "{what}: {err}");
+                check(&db, sid, 0, &format!("{what}, after the failure"));
+                for i in 0..10 {
+                    db.execute(&padded(2000 + 20 * i, 2020 + 20 * i))
+                        .unwrap_or_else(|e| panic!("{what}: write {i} after the failure: {e}"));
+                }
+                db.with_table_writer("t", |w| {
+                    w.load((2200..2300).map(|i| vec![Value::Integer(i), Value::text("after")]))
+                })
+                .unwrap_or_else(|e| panic!("{what}: table writer after the failure: {e}"));
+                check(&db, sid, 300, &format!("{what}, after later writes"));
+                drop(db);
+                let reopened = logs.open();
+                check(&reopened, sid, 300, &format!("{what}, reopened"));
+                reopened
+                    .execute(&padded(3000, 3010))
+                    .unwrap_or_else(|e| panic!("{what}: write after reopen: {e}"));
+            }
+        }
+    }
 }
