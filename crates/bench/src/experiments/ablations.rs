@@ -10,7 +10,6 @@ use std::cmp::Ordering;
 use std::time::Instant;
 
 use rql::{AggOp, IterationReport, RqlReport, RqlSession, Value};
-use rql_retro::RetroConfig;
 use rql_sqlengine::ast::Stmt;
 use rql_sqlengine::{Result, Row, SqlError};
 use rql_tpch::{build_history, UW30};
@@ -219,20 +218,14 @@ pub fn run() -> Result<String> {
         } else {
             4 * UW30.overwrite_cycle()
         };
-        let entries = |use_skippy: bool| -> Result<(u64, u64)> {
-            let mut cfg: RetroConfig = bench_config();
-            cfg.use_skippy = use_skippy;
-            let h = build_history(cfg, bench_sf(), UW30, long, false)?;
-            let store = h.session.snap_db().store();
-            store.stats().reset();
-            let reader = store.open_snapshot(1)?;
-            Ok((
-                reader.build_stats().entries_scanned,
-                store.maplog_entries() as u64,
-            ))
-        };
-        let (skippy, total) = entries(true)?;
-        let (linear, _) = entries(false)?;
+        let h = build_history(bench_config(), bench_sf(), UW30, long, false)?;
+        let store = h.session.snap_db().store();
+        store.stats().reset();
+        let skippy = store.open_snapshot(1)?.build_stats().entries_scanned;
+        let total = store.maplog_entries() as u64;
+        // A linear scan touches every raw entry from the snapshot's
+        // boundary to the end of the log.
+        let linear = total - store.boundary(1).map_or(0, |b| b.entry_start as u64);
         out.push_str(&format!(
             "### SPT build for the oldest snapshot (Maplog of {total} raw entries)\n\n\
              | scan | entries touched |\n|---|---|\n\

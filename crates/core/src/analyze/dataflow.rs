@@ -12,8 +12,9 @@
 //! * **RQL311** — a statement reads a result table that only a *later*
 //!   statement defines (fix: reorder, maybe-incorrect);
 //! * **RQL312** — two calls run the same canonical Qq over *different*
-//!   snapshot sets, so memo entries and delta-chain seeds recorded by
-//!   one do not line up with the other (fix: reuse the earlier Qs);
+//!   snapshot sets, so the memo's result entries recorded by one do not
+//!   line up with the other (its page entries do: they are keyed by page
+//!   version, not snapshot) (fix: reuse the earlier Qs);
 //! * **RQL313** — two calls have identical canonical fingerprints (same
 //!   mechanism, Qq, Qs, spec) into different tables (machine-applicable
 //!   fix: copy the earlier result table instead of recomputing).
@@ -26,7 +27,6 @@ use rql_sqlengine::ast::{SelectItem, SelectStmt};
 use rql_sqlengine::Span;
 
 use crate::analyze::diag::{Applicability, Code, Diagnostic, SourceKind};
-use crate::delta::DeltaPolicy;
 use crate::mechanism::MechanismKind;
 use crate::rewrite::render_select;
 
@@ -119,12 +119,7 @@ fn directive_between(src: &str, a: usize, b: usize) -> bool {
 
 /// Run every dataflow pass over the collected statement facts, pushing
 /// findings (program coordinates) onto `diags`.
-pub(crate) fn check_dataflow(
-    src: &str,
-    policy: Option<DeltaPolicy>,
-    stmts: &[DfStmt],
-    diags: &mut Vec<Diagnostic>,
-) {
+pub(crate) fn check_dataflow(src: &str, stmts: &[DfStmt], diags: &mut Vec<Diagnostic>) {
     // A dynamic mechanism call (or unparseable statement) may read or
     // define tables the graph cannot see; liveness passes stand down,
     // fingerprint passes (which only compare literal calls) still run.
@@ -133,7 +128,7 @@ pub(crate) fn check_dataflow(
         dead_result_tables(src, stmts, diags);
         use_before_define(src, stmts, diags);
     }
-    snapshot_set_mismatch(policy, stmts, diags);
+    snapshot_set_mismatch(stmts, diags);
     redundant_recompute(stmts, opaque, diags);
 }
 
@@ -258,18 +253,14 @@ fn use_before_define(src: &str, stmts: &[DfStmt], diags: &mut Vec<Diagnostic>) {
 }
 
 /// RQL312: same canonical Qq, different snapshot set. Only interesting
-/// when cross-call reuse is in play: a delta policy (chain seeds) or a
-/// memo-eligible Qq (shared cache entries).
-fn snapshot_set_mismatch(
-    policy: Option<DeltaPolicy>,
-    stmts: &[DfStmt],
-    diags: &mut Vec<Diagnostic>,
-) {
+/// for a memo-eligible Qq, whose per-snapshot result entries one call
+/// records and the other would reuse; page entries are keyed by page
+/// version and line up across snapshot sets anyway.
+fn snapshot_set_mismatch(stmts: &[DfStmt], diags: &mut Vec<Diagnostic>) {
     let mechs: Vec<(usize, &MechNode)> = mech_nodes(stmts);
     for (jj, &(j_idx, mj)) in mechs.iter().enumerate() {
         let Some(qq_j) = &mj.qq_canon else { continue };
-        let reuse = policy.is_some_and(|p| p != DeltaPolicy::Off) || mj.memo_eligible;
-        if !reuse {
+        if !mj.memo_eligible {
             continue;
         }
         let Some(&(_, mi)) = mechs[..jj]
@@ -287,8 +278,8 @@ fn snapshot_set_mismatch(
                 Code::SnapshotSetMismatch,
                 format!(
                     "this loop runs the same Qq as the earlier call writing '{}' but over a \
-                     different snapshot set ({} vs {}); memo entries and delta-chain seeds \
-                     recorded there do not line up with this enumeration",
+                     different snapshot set ({} vs {}); the memoized results recorded there do \
+                     not line up with this enumeration",
                     mi.table, mi.qs_canon, mj.qs_canon,
                 ),
                 SourceKind::Program,

@@ -2,7 +2,7 @@
 //! compile-time diagnostics.
 //!
 //! The Qq source ([`crate::delta`]) picks per computation whether Qq runs
-//! over a delta chain or sequentially. Under `DeltaPolicy::Auto` the
+//! through the delta scanner or sequentially. Under `DeltaPolicy::Auto` the
 //! sequential choice is silent; under `Forced` it is an error — raised
 //! only after Qs has already run. This pass asks the same function the
 //! source asks ([`crate::delta::static_ineligibility`]), so a `Forced`
@@ -29,7 +29,7 @@ pub enum PredictedPath {
 pub struct DeltaExplain {
     /// Policy the program requested.
     pub policy: DeltaPolicy,
-    /// Why Qq can never be served from a delta chain, if so (an
+    /// Why Qq can never be served by the delta scanner, if so (an
     /// unparsable Qq counts as [`DeltaIneligible::Shape`]).
     pub ineligible: Option<DeltaIneligible>,
     /// The path the computation will take.

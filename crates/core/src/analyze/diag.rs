@@ -255,8 +255,8 @@ impl Code {
                 "a statement reads a result table that is only defined by a later statement"
             }
             Code::SnapshotSetMismatch => {
-                "two mechanism calls run the same Qq over different snapshot sets, so memo/delta \
-                 seeds recorded by one do not line up with the other"
+                "two mechanism calls run the same Qq over different snapshot sets, so the memoized \
+                 results recorded by one do not line up with the other"
             }
             Code::RedundantRecompute => {
                 "two mechanism calls with identical canonical fingerprints recompute the same \

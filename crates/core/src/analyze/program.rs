@@ -330,7 +330,7 @@ pub fn analyze_program(
         };
         apply_statement_ddl(&parsed, stmt, target);
     }
-    dataflow::check_dataflow(&program.src, program.policy, &df, &mut out.diagnostics);
+    dataflow::check_dataflow(&program.src, &df, &mut out.diagnostics);
     attach_policy_fix(program, &mut out);
     dedupe(&mut out.diagnostics);
     out

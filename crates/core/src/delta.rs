@@ -8,25 +8,23 @@
 //!
 //! * **sequential** — rewrite Qq (`AS OF` + `current_snapshot()`) and run
 //!   the ordinary plan; cost proportional to the *table* size.
-//! * **chain delta** — open the snapshot set as a chain
-//!   ([`rql_retro::RetroStore::open_snapshot_chain`]), build each SPT
-//!   incrementally from its predecessor, and run Qq's two executor
+//! * **delta** — open the snapshot's reader and run Qq's two executor
 //!   stages ([`Database::scan_stage`] / [`Database::finish_stage`]) over
-//!   the chain reader with a [`DeltaTableScanner`] kept across
-//!   iterations: the seq scan re-reads only the heap pages in the changed
-//!   set between consecutive snapshots, and the finish stage reads the
-//!   cached filtered base rows on the scanner's pages, copying none. Saves
-//!   the page I/O, pays O(rows) CPU.
+//!   it with a [`DeltaTableScanner`] kept across iterations: the seq
+//!   scan reads only the heap pages whose version (Pagelog offset, or
+//!   current page and publishing stamp) the scanner has not seen — in its
+//!   last scan or, with a memo, in any scan of the same Qq — and the
+//!   finish stage reads the cached filtered base rows on the scanner's
+//!   pages, copying none. Saves the page I/O, pays O(rows) CPU.
 //!   When the planner has no use for the scanner at some snapshot (an
 //!   index appeared), the scan stage's rows are simply the ordinary
 //!   plan's over the same reader, and are finished as such.
 //! * **memo hit** — a [`QqMemo`] entry for `(Qq, snapshot)` skips the
-//!   execution and hands out the recorded rows by reference. On a chain,
-//!   the first scan after a run of hits re-primes the scanner from the
-//!   last hit's memoized scanner seed, so it still reads only changed
-//!   pages; hits that no scan follows import nothing.
-//! * **pruned / unchanged skip** — a chain scan that fetched zero pages
-//!   and lost no cached row reuses the previous output outright.
+//!   execution, opens no reader and hands out the recorded rows by
+//!   reference. The next scan finds its pages in the memo's page entries.
+//! * **pruned / unchanged skip** — a scan whose rows are the previous
+//!   scan's (the same page row vectors, pruned and empty pages aside)
+//!   reuses the previous output outright.
 //! * **grouped delta finish** — when Qq is a `GROUP BY` whose post-scan
 //!   stages may be reused (as for the skip above) and that has no
 //!   DISTINCT, ORDER BY or LIMIT, the finish stage keeps a [`GroupTable`]
@@ -42,7 +40,9 @@
 //! Shapes the scanner can never serve (joins, UDFs in WHERE,
 //! `current_snapshot()` in WHERE — [`static_ineligibility`]) use the
 //! sequential source for the whole run under `Auto` and are an error
-//! under `Forced`; so is a snapshot whose plan left the scanner unused.
+//! under `Forced` (after binding, so a Qq that does not bind fails as it
+//! would at its first snapshot); so is a snapshot whose plan left the
+//! scanner unused.
 
 use std::sync::Arc;
 
@@ -50,7 +50,7 @@ use rql_memo::QqRows;
 use rql_retro::SnapshotReader;
 use rql_sqlengine::ast::{Expr, Stmt};
 use rql_sqlengine::{
-    parse_select, Database, DeltaTableScanner, ExecStats, GroupTable, QueryResult, Result,
+    exec, parse_select, Database, DeltaTableScanner, ExecStats, GroupTable, QueryResult, Result,
     SelectStmt, SkipReason, SqlError,
 };
 
@@ -150,15 +150,14 @@ impl From<QueryResult> for QqOutput {
 /// on whole-snapshot skips, the grouped delta finish and the
 /// `DeltaPolicy::Forced` contract. Batch runs, the per-row UDF form and
 /// the standing-query maintainer all drive this one implementation:
-/// [`open_chain`](Self::open_chain) for a run of snapshot ids, then
-/// [`advance`](Self::advance) once per id in order and read
+/// [`advance`](Self::advance) once per snapshot id and read
 /// [`current`](Self::current).
 pub(crate) struct QqSource {
     parsed: SelectStmt,
     memo: Option<QqMemo>,
-    /// Snapshots are read through a delta chain; `false` runs the
-    /// ordinary plan per snapshot without opening one.
-    chain: bool,
+    /// Snapshots are scanned through the delta scanner; `false` runs the
+    /// ordinary plan per snapshot.
+    delta: bool,
     forced: bool,
     scanner: DeltaTableScanner,
     /// Whether a whole-snapshot skip may reuse the previous output
@@ -168,17 +167,17 @@ pub(crate) struct QqSource {
     /// shape it serves.
     groups: Option<GroupTable>,
     current: Option<QqOutput>,
-    /// The last snapshot evaluated: where the next chain continues from.
-    last_sid: Option<u64>,
-    /// `(sid, version)` of a memo hit on the chain the scanner has not
-    /// caught up with: its state predates `sid`, so the next scan must
-    /// first import the seed memoized there (or rebuild without one).
-    reprime: Option<(u64, u64)>,
 }
 
 impl QqSource {
-    /// Parse Qq and choose its source under `policy` (`None` = `Off`).
-    pub(crate) fn new(qq: &str, policy: Option<DeltaPolicy>, memo: MemoHandle) -> Result<Self> {
+    /// Parse Qq and choose its source under `policy` (`None` = `Off`) for
+    /// snapshots of `snap`'s store.
+    pub(crate) fn new(
+        snap: &Database,
+        qq: &str,
+        policy: Option<DeltaPolicy>,
+        memo: MemoHandle,
+    ) -> Result<Self> {
         let parsed = parse_select(qq)?;
         if parsed.as_of.is_some() {
             return Err(SqlError::Invalid(
@@ -186,11 +185,17 @@ impl QqSource {
             ));
         }
         let forced = policy == Some(DeltaPolicy::Forced);
-        let chain = match (policy, static_ineligibility(&parsed)) {
+        let delta = match (policy, static_ineligibility(&parsed)) {
             (None | Some(DeltaPolicy::Off), _) => false,
             (Some(_), None) => true,
             (Some(_), Some(reason)) => {
                 if forced {
+                    // Bind first, as the pre-flight reports: a Qq that
+                    // does not bind fails as its first snapshot would.
+                    let bound = exec::bind(&parsed, &snap.table_schemas()?, &snap.udfs());
+                    if let Some(error) = bound.errors.into_iter().next() {
+                        return Err(error.into());
+                    }
                     return Err(SqlError::Invalid(format!(
                         "DeltaPolicy::Forced requires a delta-eligible Qq: {}",
                         reason.message()
@@ -209,38 +214,23 @@ impl QqSource {
             as_of: None,
             ..rewrite_select(&parsed, sid)
         };
-        let reusable = chain && crate::memoize::memo_eligible(&parsed) && probe(0) == probe(1);
+        let reusable = delta && crate::memoize::memo_eligible(&parsed) && probe(0) == probe(1);
         let groups = reusable.then(|| GroupTable::for_select(&parsed)).flatten();
+        let memo = QqMemo::attach(memo, &parsed);
+        let scanner = match &memo {
+            Some(m) => DeltaTableScanner::sharing(Box::new(m.pages(snap.store().incarnation()))),
+            None => DeltaTableScanner::new(),
+        };
         Ok(QqSource {
-            memo: QqMemo::attach(memo, &parsed),
+            memo,
             parsed,
-            chain,
+            delta,
             forced,
-            scanner: DeltaTableScanner::new(),
+            scanner,
             reusable,
             groups,
             current: None,
-            last_sid: None,
-            reprime: None,
         })
-    }
-
-    /// Readers for the upcoming run over `ids`, aligned with it; empty
-    /// when this source does not read through a chain. The chain starts
-    /// at the last snapshot evaluated, so a source kept alive across
-    /// runs (a standing query) builds its SPT incrementally and scans
-    /// only the pages changed since.
-    pub(crate) fn open_chain(&self, snap: &Database, ids: &[u64]) -> Result<Vec<SnapshotReader>> {
-        if !self.chain {
-            return Ok(Vec::new());
-        }
-        let Some(last) = self.last_sid else {
-            return Ok(snap.store().open_snapshot_chain(ids)?);
-        };
-        let chain: Vec<u64> = std::iter::once(last).chain(ids.iter().copied()).collect();
-        let mut readers = snap.store().open_snapshot_chain(&chain)?;
-        readers.remove(0);
-        Ok(readers)
     }
 
     /// This snapshot's Qq output (valid after [`advance`](Self::advance)).
@@ -248,15 +238,10 @@ impl QqSource {
         self.current.as_ref().expect("advance() before current()")
     }
 
-    /// Evaluate Qq at `sid` — through `reader`'s chain delta when one was
-    /// opened for it, else the ordinary plan. Returns whether the memo
-    /// served the result.
-    pub(crate) fn advance(
-        &mut self,
-        snap: &Database,
-        reader: Option<&SnapshotReader>,
-        sid: u64,
-    ) -> Result<bool> {
+    /// Evaluate Qq at `sid` — from the memo, through the delta scanner
+    /// over the snapshot's reader, or by the ordinary plan. Returns
+    /// whether the memo served the result.
+    pub(crate) fn advance(&mut self, snap: &Database, sid: u64) -> Result<bool> {
         // Cancellation checkpoint between snapshots: a `CANCEL` that
         // lands mid-loop stops before the next Qq opens its snapshot
         // (row-batch checkpoints inside the executor cover the rest).
@@ -275,42 +260,26 @@ impl QqSource {
         } else if self.memo.is_some() {
             rql_trace::instant_arg(rql_trace::SpanId::MemoMiss, sid);
         }
-        let output = match (cached, reader) {
-            (Some(data), reader) => {
-                if reader.is_some() {
-                    // The chain moved past `sid` without the scanner: the
-                    // seed memoized here is its state as of `sid`, which
-                    // only the next scan needs. The group table cannot
-                    // absorb a skipped iteration, so it goes stale.
-                    self.reprime = version.map(|v| (sid, v));
-                    self.forget_groups();
-                }
+        let output = match cached {
+            Some(data) => {
+                // The output is no longer the scanner's last scan's, so
+                // the next scan must not be compared with that one.
+                self.scanner.invalidate();
                 let stats = ExecStats::default();
                 QqOutput { data, stats }
             }
-            (None, Some(reader)) => self.scan(snap, reader, sid)?,
-            (None, None) => self.execute(snap, sid)?,
+            None if self.delta => {
+                let reader = snap.store().open_snapshot(sid)?;
+                self.scan(snap, &reader, sid)?
+            }
+            None => self.execute(snap, sid)?,
         };
         if let (false, Some((m, v))) = (memo_hit, self.memo.as_ref().zip(version)) {
-            // Share the rows the fold is about to read, and — when a scan
-            // just left the scanner at `sid` — its state, so a future run
-            // whose chain passes through `sid` stays on the delta path.
+            // Share the rows the fold is about to read.
             m.record_result(sid, v, Arc::clone(&output.data));
-            if let Some(seed) = self.scanner.export_seed() {
-                m.record_seed(sid, v, seed);
-            }
         }
         self.current = Some(output);
-        self.last_sid = Some(sid);
         Ok(memo_hit)
-    }
-
-    /// The scanner moved on without the group table kept beside it: it
-    /// starts over at the next scan.
-    fn forget_groups(&mut self) {
-        if let Some(table) = &mut self.groups {
-            table.invalidate();
-        }
     }
 
     /// The ordinary plan at `sid`.
@@ -320,22 +289,15 @@ impl QqSource {
         Ok(outcome.rows().expect("SELECT yields rows").into())
     }
 
-    /// Qq at `sid` over `reader`, the scanner consuming the chain delta
-    /// the reader carries.
+    /// Qq at `sid` over `reader`, through the scanner.
     fn scan(&mut self, snap: &Database, reader: &SnapshotReader, sid: u64) -> Result<QqOutput> {
-        if let Some((hit_sid, hit_version)) = self.reprime.take() {
-            let seed = (self.memo.as_ref()).and_then(|m| m.lookup_seed(hit_sid, hit_version));
-            match seed {
-                Some(seed) => self.scanner.import_seed(&seed),
-                None => self.scanner.invalidate(),
-            }
-        }
         let rewritten = rewrite_select(&self.parsed, sid);
         let mut scanned = snap.scan_stage(reader, &rewritten, Some(&mut self.scanner))?;
         let Some(scan) = scanned.delta.take() else {
             // The planner had no use for the scanner here (it is left
-            // invalidated, so the next served scan rebuilds and re-seeds):
-            // these are the ordinary plan's rows over the chain reader.
+            // invalidated, so the next served scan compares with
+            // nothing): these are the ordinary plan's rows over the
+            // reader.
             if self.forced {
                 return Err(SqlError::Invalid(format!(
                     "DeltaPolicy::Forced, but snapshot {sid} runs the ordinary plan ({})",
@@ -343,7 +305,6 @@ impl QqSource {
                 )));
             }
             rql_trace::instant_arg(rql_trace::SpanId::SeqPath, sid);
-            self.forget_groups();
             return Ok(snap.finish_stage(&rewritten, scanned)?.into());
         };
         rql_trace::instant_arg(rql_trace::SpanId::DeltaPath, sid);
@@ -359,10 +320,9 @@ impl QqSource {
         }
         Ok(match &self.current {
             Some(prev) if self.reusable && skip.is_some() => {
-                // Zero heap fetches and no cached row lost: the filtered
-                // base rows are byte-identical to the previous
-                // iteration's, so its output is this iteration's output —
-                // skip the post-scan stages entirely.
+                // The filtered base rows are byte-identical to the
+                // previous iteration's, so its output is this iteration's
+                // output — skip the post-scan stages entirely.
                 let mut stats = scanned.stats;
                 stats.rows = prev.data.rows.len() as u64;
                 QqOutput {
@@ -408,8 +368,8 @@ mod tests {
         );
     }
 
-    /// A chain snapshot at which nothing changed hands out the previous
-    /// output itself; a Qq that reads `current_snapshot()` outside WHERE
+    /// A snapshot at which nothing changed hands out the previous output
+    /// itself; a Qq that reads `current_snapshot()` outside WHERE
     /// never does.
     #[test]
     fn unchanged_chain_snapshot_reuses_the_previous_output() {
@@ -430,11 +390,10 @@ mod tests {
             ("SELECT g, SUM(v) FROM t GROUP BY g", true),
             ("SELECT current_snapshot() AS s, g FROM t", false),
         ] {
-            let mut source = QqSource::new(qq, Some(DeltaPolicy::Forced), None).unwrap();
-            let readers = source.open_chain(snap, &ids).unwrap();
-            source.advance(snap, readers.first(), ids[0]).unwrap();
+            let mut source = QqSource::new(snap, qq, Some(DeltaPolicy::Forced), None).unwrap();
+            source.advance(snap, ids[0]).unwrap();
             let first = Arc::clone(&source.current().data);
-            source.advance(snap, readers.get(1), ids[1]).unwrap();
+            source.advance(snap, ids[1]).unwrap();
             let second = &source.current().data;
             assert_eq!(Arc::ptr_eq(&first, second), reused, "{qq}");
         }

@@ -13,12 +13,12 @@
 //! Per-commit cost is proportional to changed pages, not database size:
 //! the [`Maintainer`] keeps the batch run's own (source, fold) pair alive
 //! across commits — the [`QqSource`] whose scanner cache holds the
-//! previous snapshot's filtered rows and the mechanism's [`Fold`] — and
-//! drives it through the shared loop ([`mechanism::drive`]) one snapshot
-//! at a time. The source continues its chain from the last snapshot it
-//! evaluated, so the SPT is built incrementally and the scan touches
-//! only the pages that changed; the fold reports each result-table write
-//! as a row effect, which is the [`ResultDelta`] pushed to subscribers.
+//! previous snapshot's filtered rows by page version, and the
+//! mechanism's [`Fold`] — and drives it through the shared loop
+//! ([`mechanism::drive`]) one snapshot at a time. The scan fetches only
+//! the pages whose version the last scan did not hold; the fold reports
+//! each result-table write as a row effect, which is the [`ResultDelta`]
+//! pushed to subscribers.
 //!
 //! Statement form:
 //!
@@ -219,7 +219,7 @@ impl Maintainer {
             )));
         }
         let policy = Some(DeltaPolicy::Auto);
-        let source = QqSource::new(&spec.qq, policy, session.memo())?;
+        let source = QqSource::new(session.snap_db(), &spec.qq, policy, session.memo())?;
         let fold = Fold::new(
             MechSpec::parse(spec.kind, spec.spec.as_deref())?,
             &spec.table,

@@ -6,7 +6,7 @@
 //! the snapshotable database and fold its rows into the result table `T`
 //! in the auxiliary database. The loop is [`drive`]; where a snapshot's
 //! Qq output comes from is [`QqSource`]'s business (sequential plan,
-//! chain delta, memo, …); what happens to it is a [`Fold`]: blind inserts
+//! delta scan, memo, …); what happens to it is a [`Fold`]: blind inserts
 //! for `CollateData`; a running variable for `AggregateDataInVariable`;
 //! probe-then-update for `AggregateDataInTable`; lifetime maintenance
 //! for `CollateDataIntoIntervals`.
@@ -798,12 +798,11 @@ pub(crate) fn drive(
     ids: &[u64],
     mut sink: Option<&mut ResultDelta>,
 ) -> Result<RqlReport> {
-    let readers = source.open_chain(snap, ids)?;
     let mut report = RqlReport::default();
-    for (i, &sid) in ids.iter().enumerate() {
+    for &sid in ids {
         let _qq_span = rql_trace::span_arg(rql_trace::SpanId::QqIteration, sid);
         let iter_started = Instant::now();
-        let memo_hit = source.advance(snap, readers.get(i), sid)?;
+        let memo_hit = source.advance(snap, sid)?;
         let output = source.current();
         let qq_rows = output.data.rows.len() as u64;
         let udf_started = Instant::now();
@@ -845,7 +844,7 @@ pub(crate) fn run(
             "result table {table} already exists (the mechanism creates it)"
         )));
     }
-    let mut source = QqSource::new(qq, policy, memo)?;
+    let mut source = QqSource::new(snap, qq, policy, memo)?;
     let (ids, qs_time) = snapshot_set(aux, qs)?;
     let mut fold = Fold::new(spec, table);
     let mut report = drive(snap, aux, &mut source, &mut fold, &ids, None)?;

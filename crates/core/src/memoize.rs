@@ -26,18 +26,18 @@
 //!   been re-declared over a lost tail. It costs one metadata read: no
 //!   SPT is built and no catalog is loaded to vouch for a hit.
 //! * [`QqMemo`] — the per-computation handle the Qq source uses to look
-//!   up and record results and delta-chain seeds. Values travel as
-//!   `Arc`s: recording shares the rows the fold is about to read, and a
-//!   hit hands them back without copying.
+//!   up and record results, and to hand its delta scanner the memo's
+//!   pages of the Qq's scan. Values travel as `Arc`s: recording shares
+//!   the rows the fold is about to read, and a hit hands them back
+//!   without copying.
 
 use std::sync::Arc;
 
-use rql_memo::{EntryKind, MemoKey, MemoStore, MemoValue, QqRows};
+use rql_memo::{MemoPages, MemoStore, QqRows};
 use rql_pagestore::fnv1a;
 use rql_retro::RetroStore;
 use rql_sqlengine::ast::{is_aggregate_name, Expr, SelectItem, SelectStmt};
 use rql_sqlengine::cexpr::is_builtin_scalar;
-use rql_sqlengine::ScannerSeed;
 
 use crate::rewrite::{render_select, CURRENT_SNAPSHOT};
 
@@ -113,45 +113,20 @@ impl QqMemo {
         })
     }
 
-    fn key(&self, sid: u64, kind: EntryKind) -> MemoKey {
-        MemoKey {
-            fingerprint: self.fingerprint,
-            snap_id: sid,
-            kind,
-        }
-    }
-
     /// The memoized Qq output at `sid`.
     pub(crate) fn lookup_result(&self, sid: u64, version: u64) -> Option<Arc<QqRows>> {
-        match self
-            .store
-            .lookup(&self.key(sid, EntryKind::Result), version)
-        {
-            Some(MemoValue::Result(rows)) => Some(rows),
-            _ => None,
-        }
+        self.store.lookup(self.fingerprint, sid, version)
     }
 
     /// Record the Qq output computed at `sid`.
     pub(crate) fn record_result(&self, sid: u64, version: u64, rows: Arc<QqRows>) {
-        let key = self.key(sid, EntryKind::Result);
-        self.store.insert(key, version, MemoValue::Result(rows));
+        self.store.insert(self.fingerprint, sid, version, rows);
     }
 
-    /// The delta-chain seed exported at `sid`.
-    pub(crate) fn lookup_seed(&self, sid: u64, version: u64) -> Option<Arc<ScannerSeed>> {
-        match self.store.lookup(&self.key(sid, EntryKind::Seed), version) {
-            Some(MemoValue::Seed(seed)) => Some(seed),
-            _ => None,
-        }
-    }
-
-    /// Record the delta scanner's post-scan state at `sid`, so a future
-    /// run whose chain passes through `sid` stays on the delta path.
-    pub(crate) fn record_seed(&self, sid: u64, version: u64, seed: ScannerSeed) {
-        let key = self.key(sid, EntryKind::Seed);
-        self.store
-            .insert(key, version, MemoValue::Seed(Arc::new(seed)));
+    /// The memo's pages of this Qq's scan over the store incarnation
+    /// `incarnation`, for a delta scanner to share.
+    pub(crate) fn pages(&self, incarnation: u64) -> MemoPages {
+        self.store.pages(self.fingerprint, incarnation)
     }
 }
 

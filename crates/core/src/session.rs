@@ -468,7 +468,7 @@ impl RqlSession {
             .transpose()?;
         let prev = self.prev_sids.lock().get(table).copied();
         let mut fold = Fold::resume(MechSpec::parse(kind, spec)?, &self.aux, table, prev)?;
-        let mut source = QqSource::new(qq, None, self.memo())?;
+        let mut source = QqSource::new(&self.snap, qq, None, self.memo())?;
         let (snap, aux) = (&self.snap, &self.aux);
         let report = mechanism::drive(snap, aux, &mut source, &mut fold, &[sid], None)?;
         if let Some(last) = fold.prev_sid() {

@@ -267,37 +267,39 @@ fn delta_degrades_cleanly_on_real_sums() {
 /// and fetch strictly fewer pages than the sequential path does. Two
 /// identically-seeded sessions keep cache warm-up effects from
 /// contaminating the comparison.
+/// A `big` table spanning several heap pages under six snapshots, with
+/// small, localized churn between them.
+fn paged_history() -> Arc<RqlSession> {
+    let session = RqlSession::with_defaults().unwrap();
+    session
+        .execute("CREATE TABLE big (k INTEGER, v INTEGER)")
+        .unwrap();
+    // Enough rows to span several heap pages at the default page size.
+    for chunk in 0..30i64 {
+        let values: Vec<String> = (chunk * 100..(chunk + 1) * 100)
+            .map(|k| format!("({k}, {})", k * 3))
+            .collect();
+        session
+            .execute(&format!("INSERT INTO big VALUES {}", values.join(", ")))
+            .unwrap();
+    }
+    session.execute("BEGIN; COMMIT WITH SNAPSHOT;").unwrap();
+    for s in 1..6i64 {
+        session
+            .execute(&format!("UPDATE big SET v = {s} WHERE k = {}", s * 7))
+            .unwrap();
+        session.execute("BEGIN; COMMIT WITH SNAPSHOT;").unwrap();
+    }
+    session
+}
+
 #[test]
 fn delta_skips_pages_and_fetches_less() {
-    let build = || {
-        let session = RqlSession::with_defaults().unwrap();
-        session
-            .execute("CREATE TABLE big (k INTEGER, v INTEGER)")
-            .unwrap();
-        // Enough rows to span several heap pages at the default page size.
-        for chunk in 0..30i64 {
-            let values: Vec<String> = (chunk * 100..(chunk + 1) * 100)
-                .map(|k| format!("({k}, {})", k * 3))
-                .collect();
-            session
-                .execute(&format!("INSERT INTO big VALUES {}", values.join(", ")))
-                .unwrap();
-        }
-        session.execute("BEGIN; COMMIT WITH SNAPSHOT;").unwrap();
-        // Small, localized churn between snapshots.
-        for s in 1..6i64 {
-            session
-                .execute(&format!("UPDATE big SET v = {s} WHERE k = {}", s * 7))
-                .unwrap();
-            session.execute("BEGIN; COMMIT WITH SNAPSHOT;").unwrap();
-        }
-        session
-    };
     let qq = "SELECT k, v FROM big WHERE v % 2 = 1";
 
-    let seq_session = build();
+    let seq_session = paged_history();
     let seq = seq_session.collate_data(QS, qq, "io_seq").unwrap();
-    let delta_session = build();
+    let delta_session = paged_history();
     let delta = delta_session
         .collate_data_with_policy(QS, qq, "io_delta", DeltaPolicy::Forced)
         .unwrap();
@@ -322,6 +324,62 @@ fn delta_skips_pages_and_fetches_less() {
         delta_stats.io.total_fetches(),
         seq_stats.io.total_fetches()
     );
+}
+
+/// Pages are shared by version, not by adjacency: a Qs in descending
+/// order, with gaps and repeats, leaves every mechanism's table as the
+/// sequential source does, a repeated snapshot is served whole from the
+/// pages of the one before, and a return to an earlier snapshot fetches
+/// only the pages it does not share with the last one scanned.
+#[test]
+fn delta_matches_sequential_on_descending_gapped_repeating_qs() {
+    let session = paged_history();
+    session
+        .aux_db()
+        .execute("CREATE TABLE picks (snap_id INTEGER)")
+        .unwrap();
+    session
+        .aux_db()
+        .execute("INSERT INTO picks VALUES (6), (4), (4), (1), (6), (2)")
+        .unwrap();
+    let qs = "SELECT snap_id FROM picks";
+    let (rows, sum) = (
+        "SELECT k, v FROM big WHERE v % 2 = 1",
+        "SELECT SUM(v) FROM big",
+    );
+    let max = [("v".to_owned(), AggOp::Max)];
+    let mut reports = Vec::new();
+    for (tag, policy) in [("off", DeltaPolicy::Off), ("forced", DeltaPolicy::Forced)] {
+        let c = session.collate_data_with_policy(qs, rows, &format!("c_{tag}"), policy);
+        reports.push(c.unwrap());
+        let a = format!("a_{tag}");
+        (session.aggregate_data_in_variable_with_policy(qs, sum, &a, AggOp::Max, policy)).unwrap();
+        let t = format!("t_{tag}");
+        (session.aggregate_data_in_table_with_policy(qs, rows, &t, &max, policy)).unwrap();
+        let i = format!("i_{tag}");
+        (session.collate_data_into_intervals_with_policy(qs, rows, &i, policy)).unwrap();
+    }
+    for table in ["c", "a", "t", "i"] {
+        assert_tables_identical(
+            &session,
+            &format!("{table}_off"),
+            &format!("{table}_forced"),
+        );
+    }
+    let it = &reports[1].iterations;
+    let ids: Vec<u64> = it.iter().map(|i| i.snap_id).collect();
+    assert_eq!(ids, [6, 4, 4, 1, 6, 2]);
+    assert!(it.iter().all(|i| i.qq_stats.delta_eligible == 1));
+    let io = |n: usize| it[n].qq_stats.io.total_fetches();
+    // The repeat reads its catalog page and no heap page.
+    assert_eq!(io(2), 1, "{:?}", it[2].qq_stats);
+    assert!(
+        io(0) > 3 * io(4).max(1),
+        "6 after 1 shares most pages: {} vs {}",
+        io(0),
+        io(4)
+    );
+    assert!(it[4].qq_stats.pages_skipped_delta > 0);
 }
 
 #[test]
@@ -372,7 +430,7 @@ fn forced_policy_errors_on_ineligible_shapes() {
         )
         .is_err());
     // CollateDataIntoIntervals reads Qq's output like every other fold,
-    // so it runs over the delta chain under Forced too.
+    // so it runs through the delta scanner under Forced too.
     let forced = session
         .collate_data_into_intervals_with_policy(QS, "SELECT grp FROM m", "x5", DeltaPolicy::Forced)
         .unwrap();

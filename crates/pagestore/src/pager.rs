@@ -44,10 +44,20 @@ impl Default for PagerConfig {
     }
 }
 
+/// The published page table: every page, and beside it the id of the
+/// transaction that published its image (0 for an image recovery
+/// restored) — the stamp that tells two images of one page apart within
+/// this open of the store.
+#[derive(Clone, Default)]
+struct Published {
+    pages: Vec<SharedPage>,
+    stamps: Vec<u64>,
+}
+
 /// The current-state page manager.
 pub struct Pager {
     config: PagerConfig,
-    pages: RwLock<Arc<Vec<SharedPage>>>,
+    pages: RwLock<Arc<Published>>,
     stats: Arc<IoStats>,
     cache: Arc<BufferCache>,
     wal: Option<Wal>,
@@ -61,7 +71,7 @@ impl Pager {
         let cache = Arc::new(BufferCache::new(config.cache_capacity));
         Pager {
             config,
-            pages: RwLock::new(Arc::new(Vec::new())),
+            pages: RwLock::new(Arc::default()),
             stats: Arc::new(IoStats::new()),
             cache,
             wal: None,
@@ -98,10 +108,11 @@ impl Pager {
         for (pid, page) in recovered.pages {
             pages[pid.index()] = Arc::new(page);
         }
+        let stamps = vec![0; count];
         let cache = Arc::new(BufferCache::new(config.cache_capacity));
         let pager = Pager {
             config,
-            pages: RwLock::new(Arc::new(pages)),
+            pages: RwLock::new(Arc::new(Published { pages, stamps })),
             stats: Arc::new(IoStats::new()),
             cache,
             wal: Some(wal),
@@ -128,13 +139,13 @@ impl Pager {
 
     /// Number of pages in the current database.
     pub fn page_count(&self) -> u64 {
-        self.pages.read().len() as u64
+        self.pages.read().pages.len() as u64
     }
 
     /// Read a current-state page (counted as an in-memory database read).
     pub fn read_page(&self, pid: PageId) -> Result<SharedPage> {
         let pages = self.pages.read();
-        let page = pages
+        let page = (pages.pages)
             .get(pid.index())
             .cloned()
             .ok_or(StoreError::PageOutOfBounds(pid))?;
@@ -227,12 +238,11 @@ impl Pager {
         // The write lock is held across capture + publish so readers see
         // the commit atomically. Capture first (it reads pre-states).
         let mut pages_guard = self.pages.write();
-        let mut new_pages: Vec<SharedPage> = (**pages_guard).clone();
+        let mut new_pages: Published = (**pages_guard).clone();
         // An error returns with `txn` unfinished, so dropping it releases
         // the writer.
         for (pid, _) in &writes {
-            let pre = new_pages.get(pid.index());
-            pre_capture(*pid, pre)?;
+            pre_capture(*pid, new_pages.pages.get(pid.index()))?;
         }
         if let Some(wal) = &self.wal {
             let start = wal.len();
@@ -250,11 +260,13 @@ impl Pager {
             }
         }
         for (pid, page) in writes {
-            if pid.index() >= new_pages.len() {
+            if pid.index() >= new_pages.pages.len() {
                 let blank = Arc::new(Page::zeroed(self.config.page_size));
-                new_pages.resize(pid.index() + 1, blank);
+                new_pages.pages.resize(pid.index() + 1, blank);
+                new_pages.stamps.resize(pid.index() + 1, txn_id);
             }
-            new_pages[pid.index()] = page;
+            new_pages.pages[pid.index()] = page;
+            new_pages.stamps[pid.index()] = txn_id;
             self.stats.count_page_written();
         }
         *pages_guard = Arc::new(new_pages);
@@ -290,15 +302,14 @@ impl Pager {
 /// concurrent writer can never change what the query sees.
 #[derive(Clone)]
 pub struct DbView {
-    pages: Arc<Vec<SharedPage>>,
+    pages: Arc<Published>,
     stats: Arc<IoStats>,
 }
 
 impl DbView {
     /// Read a page from the pinned view.
     pub fn page(&self, pid: PageId) -> Result<SharedPage> {
-        let page = self
-            .pages
+        let page = (self.pages.pages)
             .get(pid.index())
             .cloned()
             .ok_or(StoreError::PageOutOfBounds(pid))?;
@@ -308,7 +319,15 @@ impl DbView {
 
     /// Number of pages in the view.
     pub fn page_count(&self) -> u64 {
-        self.pages.len() as u64
+        self.pages.pages.len() as u64
+    }
+
+    /// The id of the transaction that published the view's image of
+    /// `pid` (0 for an image recovery restored), without reading the
+    /// page: with the page id it names that exact image for as long as
+    /// the store stays open.
+    pub fn stamp(&self, pid: PageId) -> Option<u64> {
+        self.pages.stamps.get(pid.index()).copied()
     }
 }
 
@@ -377,7 +396,7 @@ impl WriteTxn {
             Entry::Vacant(e) => {
                 // Allocated pages are staged at allocation, so a page not
                 // in the write set is either published or out of bounds.
-                let current = self.pager.pages.read().get(pid.index()).cloned();
+                let current = self.pager.pages.read().pages.get(pid.index()).cloned();
                 e.insert(current.ok_or(StoreError::PageOutOfBounds(pid))?)
             }
         };
@@ -500,6 +519,38 @@ mod tests {
         // Pinned view still sees the old value; fresh reads see the new.
         assert_eq!(view.page(pid).unwrap().read_u32(0), 1);
         assert_eq!(pager.read_page(pid).unwrap().read_u32(0), 2);
+    }
+
+    /// A stamp names one published image: a commit that rewrites the page
+    /// changes it, a pinned view keeps the one it saw, and a reopen
+    /// restores every image under 0.
+    #[test]
+    fn stamps_name_the_published_image() {
+        let storage: Arc<MemStorage> = Arc::new(MemStorage::new());
+        let (pager, _) = Pager::open_with_wal(small_config(), storage.clone()).unwrap();
+        let pager = Arc::new(pager);
+        let mut txn = pager.begin_write().unwrap();
+        let (a, b) = (txn.allocate_page(), txn.allocate_page());
+        let first = commit_noop(&pager, txn);
+        let view = pager.view();
+        let mut txn = pager.begin_write().unwrap();
+        txn.page_mut(a).unwrap().write_u32(0, 1);
+        let second = commit_noop(&pager, txn);
+        assert_ne!(first, second);
+        assert_eq!((view.stamp(a), view.stamp(b)), (Some(first), Some(first)));
+        let now = pager.view();
+        assert_eq!((now.stamp(a), now.stamp(b)), (Some(second), Some(first)));
+        assert_eq!(now.stamp(PageId(2)), None);
+        pager.stats().reset();
+        now.stamp(a);
+        assert_eq!(
+            pager.stats().snapshot().db_reads,
+            0,
+            "a stamp is not a read"
+        );
+        drop((view, now, pager));
+        let (pager, _) = Pager::open_with_wal(small_config(), storage).unwrap();
+        assert_eq!(pager.view().stamp(a), Some(0));
     }
 
     #[test]

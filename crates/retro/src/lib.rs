@@ -29,7 +29,7 @@ pub use maplog::{Boundary, Maplog, SptScan};
 pub use pagelog::{Pagelog, PagelogFormat};
 pub use skippy::{Segment, Skippy};
 pub use snapshot::{FetchSource, SnapshotMeta, SnapshotReader};
-pub use spt::{PageLocation, Spt, SptBuildStats};
+pub use spt::{PageLocation, PageVersion, Spt, SptBuildStats};
 pub use store::{
     CommitHook, ReplCheckpoint, ReplLogs, RetroConfig, RetroStore, SidecarBuilder, SidecarMap,
     SnapshotHook,
@@ -536,42 +536,81 @@ mod tests {
         assert!(reader.page(PageId(5)).is_err());
     }
 
+    /// The store's SPTs (built through the skip levels) against a
+    /// first-occurrence scan of the raw Maplog entries from each
+    /// snapshot's boundary.
     #[test]
     fn skippy_and_linear_stores_agree() {
-        let mk = |use_skippy: bool| {
-            let mut cfg = config(64, 16);
-            cfg.use_skippy = use_skippy;
-            let store = RetroStore::in_memory(cfg);
-            let mut state = 42u64;
-            let mut next = move || {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                state >> 33
-            };
-            for p in 0..6 {
-                write_page(&store, PageId(p), p as u32);
-            }
-            for _ in 0..10 {
-                declare(&store);
-                for _ in 0..3 {
-                    let p = next() % 6;
-                    write_page(&store, PageId(p), next() as u32);
-                }
-            }
-            store
+        let store = RetroStore::in_memory(config(64, 16));
+        let mut state = 42u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            state >> 33
         };
-        let a = mk(true);
-        let b = mk(false);
-        for sid in 1..=10 {
-            let sa = a.build_spt(sid).unwrap();
-            let sb = b.build_spt(sid).unwrap();
-            for p in 0..6 {
-                assert_eq!(
-                    sa.locate(PageId(p)),
-                    sb.locate(PageId(p)),
-                    "snapshot {sid} page {p}"
-                );
+        for p in 0..6 {
+            write_page(&store, PageId(p), p as u32);
+        }
+        for _ in 0..10 {
+            declare(&store);
+            for _ in 0..3 {
+                let p = next() % 6;
+                write_page(&store, PageId(p), next() as u32);
             }
         }
+        let entries = store.maplog.read().entries();
+        for sid in 1..=10 {
+            let b = store.boundary(sid).unwrap();
+            let mut first = std::collections::HashMap::new();
+            for &(pid, off) in &entries[b.entry_start..] {
+                if pid.0 < b.page_count {
+                    first.entry(pid).or_insert(off);
+                }
+            }
+            let spt = store.build_spt(sid).unwrap();
+            for p in 0..6 {
+                let want = match first.get(&PageId(p)) {
+                    Some(&off) => PageLocation::Pagelog(off),
+                    None => PageLocation::SharedWithDb,
+                };
+                assert_eq!(spt.locate(PageId(p)), Some(want), "snapshot {sid} page {p}");
+            }
+        }
+    }
+
+    /// A version names the bytes a read returns: equal versions read equal
+    /// bytes, and a page written twice between two declarations (captured
+    /// once) shows the second image under a version of its own.
+    #[test]
+    fn versions_name_the_bytes_a_reader_serves() {
+        let store = RetroStore::in_memory(config(64, 16));
+        let p = PageId(0);
+        write_page(&store, p, 1);
+        let s1 = declare(&store);
+        let before = store.open_snapshot(s1).unwrap().version(p).unwrap();
+        assert!(matches!(before, PageVersion::Current(q, _) if q == p));
+        write_page(&store, p, 2); // captured: S1's image goes to the Pagelog
+        write_page(&store, p, 3); // not captured
+        let s2 = declare(&store);
+        let (r1, r2) = (
+            store.open_snapshot(s1).unwrap(),
+            store.open_snapshot(s2).unwrap(),
+        );
+        assert!(matches!(r1.version(p), Some(PageVersion::Archived(_))));
+        let after = r2.version(p).unwrap();
+        assert!(matches!(after, PageVersion::Current(q, _) if q == p));
+        assert_ne!(
+            before, after,
+            "the stamp tells the two current images apart"
+        );
+        assert_eq!(
+            (
+                r1.page(p).unwrap().read_u32(0),
+                r2.page(p).unwrap().read_u32(0)
+            ),
+            (1, 3)
+        );
+        assert_eq!(r2.version(p), store.open_snapshot(s2).unwrap().version(p));
+        assert_eq!(r2.version(PageId(1)), None);
     }
 
     #[test]

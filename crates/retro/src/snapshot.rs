@@ -8,12 +8,11 @@
 //! not in the SPT are shared with the current state and served from the
 //! reader's pinned MVCC view of the database.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use rql_pagestore::{CacheKey, DbView, PageId, Result, SharedPage, StoreError};
 
-use crate::spt::{PageLocation, Spt, SptBuildStats};
+use crate::spt::{PageLocation, PageVersion, Spt, SptBuildStats};
 use crate::store::{RetroStore, SidecarMap};
 
 /// Metadata recorded at snapshot declaration.
@@ -45,11 +44,6 @@ pub struct SnapshotReader {
     spt: Spt,
     view: DbView,
     build_stats: SptBuildStats,
-    /// When opened as part of a chain
-    /// ([`RetroStore::open_snapshot_chain`]): pages that may differ from
-    /// the previous snapshot in the chain. `None` = unknown (opened
-    /// standalone), meaning every page must be assumed changed.
-    changed_from_prev: Option<HashSet<PageId>>,
     /// Sidecars for current-state pages, captured *before* the view was
     /// pinned: any page the SPT later resolves as `SharedWithDb` was
     /// unwritten from capture through SPT build, so its entry (when
@@ -63,7 +57,6 @@ impl SnapshotReader {
         spt: Spt,
         view: DbView,
         build_stats: SptBuildStats,
-        changed_from_prev: Option<HashSet<PageId>>,
         sidecars: SidecarMap,
     ) -> Self {
         SnapshotReader {
@@ -71,17 +64,22 @@ impl SnapshotReader {
             spt,
             view,
             build_stats,
-            changed_from_prev,
             sidecars,
         }
     }
 
-    /// Pages that may differ from the previous snapshot in the chain this
-    /// reader was opened with, or `None` when opened standalone (all
-    /// pages must then be assumed changed). The set is a conservative
-    /// superset of truly-differing pages.
-    pub fn changed_from_prev(&self) -> Option<&HashSet<PageId>> {
-        self.changed_from_prev.as_ref()
+    /// The version of the image this reader serves for `pid`, without
+    /// fetching it: the Pagelog offset of an archived page, or the id and
+    /// stamp of a page shared with the current database. `None` outside
+    /// the snapshot. A version is unique within one store incarnation
+    /// ([`RetroStore::incarnation`]): a page written twice between two
+    /// declarations is captured once, but its two current images carry
+    /// different stamps.
+    pub fn version(&self, pid: PageId) -> Option<PageVersion> {
+        Some(match self.spt.locate(pid)? {
+            PageLocation::Pagelog(off) => PageVersion::Archived(off),
+            PageLocation::SharedWithDb => PageVersion::Current(pid, self.view.stamp(pid)?),
+        })
     }
 
     /// The snapshot this reader is pinned to.

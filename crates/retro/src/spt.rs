@@ -21,6 +21,18 @@ pub enum PageLocation {
     SharedWithDb,
 }
 
+/// The identity of the bytes a snapshot read of one page returns: two
+/// reads with the same version, in one open of the store, read the same
+/// bytes (see [`crate::SnapshotReader::version`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PageVersion {
+    /// An archived pre-state: its Pagelog offset, which is never rewritten.
+    Archived(u64),
+    /// A page shared with the current database: its id and the stamp of
+    /// the image ([`rql_pagestore::DbView::stamp`]).
+    Current(PageId, u64),
+}
+
 /// A built snapshot page table.
 #[derive(Debug)]
 pub struct Spt {

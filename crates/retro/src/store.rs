@@ -28,7 +28,7 @@ use rql_pagestore::{
     StoreError, WriteTxn,
 };
 
-use crate::maplog::Maplog;
+use crate::maplog::{Boundary, Maplog};
 use crate::pagelog::{Pagelog, PagelogFormat};
 use crate::snapshot::{SnapshotMeta, SnapshotReader};
 use crate::spt::{Spt, SptBuildStats};
@@ -38,9 +38,6 @@ use crate::spt::{Spt, SptBuildStats};
 pub struct RetroConfig {
     /// Underlying pager configuration.
     pub pager: PagerConfig,
-    /// Build SPTs through the Skippy skip levels (`true`, Retro's
-    /// behaviour) or by linear Maplog scan (ablation baseline).
-    pub use_skippy: bool,
     /// Not read: the Pagelog always archives full page images. Kept only
     /// because the repo benchmark names `PagelogFormat::Raw`; the next
     /// change to the benchmark deletes it and the enum.
@@ -48,11 +45,10 @@ pub struct RetroConfig {
 }
 
 impl RetroConfig {
-    /// Default configuration with Skippy enabled.
+    /// Default configuration.
     pub fn new() -> Self {
         RetroConfig {
             pager: PagerConfig::default(),
-            use_skippy: true,
             pagelog_format: PagelogFormat::Raw,
         }
     }
@@ -153,7 +149,7 @@ pub struct RetroStore {
     incarnation: u64,
     pager: Arc<Pager>,
     pagelog: Pagelog,
-    maplog: RwLock<Maplog>,
+    pub(crate) maplog: RwLock<Maplog>,
     /// Pages already archived since the latest snapshot declaration
     /// (their pre-state for that snapshot is on the Pagelog; later
     /// modifications need no further capture).
@@ -806,7 +802,7 @@ impl RetroStore {
         let start = Instant::now();
         let scan = {
             let _spt = rql_trace::span_arg(rql_trace::SpanId::SptBuild, sid);
-            self.maplog.read().build_spt(sid, self.config.use_skippy)?
+            self.maplog.read().build_spt(sid)?
         };
         let duration = start.elapsed();
         self.stats().count_maplog_scanned(scan.entries_scanned);
@@ -819,78 +815,14 @@ impl RetroStore {
                 entries_scanned: scan.entries_scanned,
                 duration,
             },
-            None,
             sidecars,
         ))
     }
 
-    /// Open readers over a whole set of snapshots at once, building their
-    /// SPTs incrementally (one full Maplog scan for the newest id, interval
-    /// overlays for the rest — see [`Maplog::build_spt_chain`]).
-    ///
-    /// Each reader after the first also carries the set of pages that may
-    /// differ from the *previous id in the input order*
-    /// ([`SnapshotReader::changed_from_prev`]), which is what delta-aware
-    /// scans consume. The same ordering invariant as [`Self::open_snapshot`]
-    /// holds: every view is pinned before any SPT is built.
-    pub fn open_snapshot_chain(self: &Arc<Self>, ids: &[u64]) -> Result<Vec<SnapshotReader>> {
-        let _span = rql_trace::span_arg(rql_trace::SpanId::ChainOpen, ids.len() as u64);
-        let mut metas = Vec::with_capacity(ids.len());
-        for &sid in ids {
-            metas.push(
-                self.snapshot_meta(sid)
-                    .ok_or_else(|| StoreError::Corrupt(format!("unknown snapshot {sid}")))?,
-            );
-        }
-        // Same ordering as `open_snapshot`: sidecars before views.
-        let sidecars = self.current_sidecars();
-        let views: Vec<DbView> = ids.iter().map(|_| self.pager.view()).collect();
-        let maplog = self.maplog.read();
-        let start = Instant::now();
-        let scans = {
-            let _spt = rql_trace::span_arg(rql_trace::SpanId::SptBuild, ids.len() as u64);
-            maplog.build_spt_chain(ids, self.config.use_skippy)?
-        };
-        let duration = start.elapsed();
-        let mut changed: Vec<Option<HashSet<rql_pagestore::PageId>>> =
-            Vec::with_capacity(ids.len());
-        for (i, &sid) in ids.iter().enumerate() {
-            changed.push(if i == 0 {
-                None
-            } else {
-                Some(maplog.changed_pages(ids[i - 1], sid)?)
-            });
-        }
-        drop(maplog);
-        let mut readers = Vec::with_capacity(ids.len());
-        let per_id = if ids.is_empty() {
-            duration
-        } else {
-            duration / ids.len() as u32
-        };
-        for (((scan, meta), view), changed) in scans.into_iter().zip(metas).zip(views).zip(changed)
-        {
-            self.stats().count_maplog_scanned(scan.entries_scanned);
-            readers.push(SnapshotReader::new(
-                Arc::clone(self),
-                Spt::new(meta.id, meta.page_count, scan.map),
-                view,
-                SptBuildStats {
-                    entries_scanned: scan.entries_scanned,
-                    duration: per_id,
-                },
-                changed,
-                sidecars.clone(),
-            ));
-        }
-        Ok(readers)
-    }
-
-    /// Pages whose content may differ between two snapshots — the
-    /// complement of the paper's `shared(S1, S2)`, computed directly from
-    /// the Maplog window between the declarations (no SPT builds).
-    pub fn changed_pages(&self, s1: u64, s2: u64) -> Result<HashSet<rql_pagestore::PageId>> {
-        self.maplog.read().changed_pages(s1, s2)
+    /// The Maplog boundary of snapshot `sid`: where its interval starts
+    /// and its page universe.
+    pub fn boundary(&self, sid: u64) -> Option<Boundary> {
+        self.maplog.read().boundary(sid).copied()
     }
 
     /// Build just the SPT for `sid` (introspection / diff computation).
@@ -898,7 +830,7 @@ impl RetroStore {
         let meta = self
             .snapshot_meta(sid)
             .ok_or_else(|| StoreError::Corrupt(format!("unknown snapshot {sid}")))?;
-        let scan = self.maplog.read().build_spt(sid, self.config.use_skippy)?;
+        let scan = self.maplog.read().build_spt(sid)?;
         Ok(Spt::new(sid, meta.page_count, scan.map))
     }
 

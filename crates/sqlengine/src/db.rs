@@ -293,12 +293,10 @@ impl Database {
 
     /// The scan stage of `select` over `reader` (see
     /// [`crate::exec::scan_select`]): `AS OF` is this with a fresh reader
-    /// and no scanner; the RQL loop passes a reader of its snapshot chain
-    /// and the scanner it keeps across iterations, and reads
+    /// and no scanner; the RQL loop passes a reader of its snapshot and
+    /// the scanner it keeps across iterations, and reads
     /// [`Scanned::delta`] to decide whether [`Self::finish_stage`] has to
-    /// run. A reader from [`rql_retro::RetroStore::open_snapshot_chain`]
-    /// carries a changed-page set; without one the scanner still works
-    /// but rebuilds.
+    /// run.
     pub fn scan_stage(
         &self,
         reader: &SnapshotReader,

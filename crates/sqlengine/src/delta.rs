@@ -1,145 +1,119 @@
-//! Delta-aware heap scanning between closely-spaced snapshots.
+//! Delta-aware heap scanning across snapshots.
 //!
 //! The RQL loop evaluates the same `Qq` against every snapshot in the
-//! set. Consecutive snapshots of a slowly-changing table share most of
-//! their heap pages, so re-reading the whole table per iteration wastes
-//! the dominant cost of the loop (the Pagelog reads of Figure 8). A
-//! [`DeltaTableScanner`] is a per-page cache of filtered rows that the
-//! ordinary seq scan ([`crate::exec`]'s scan stage) consults: it drives
-//! the one chain walk ([`HeapFile::walk`]), supplying the successor of
-//! every page **outside the changed set** reported by
-//! [`PageSource::changed_pages`] (computed from Maplog declarations by
-//! `RetroStore::open_snapshot_chain`) from its cache, so only changed
-//! pages are fetched and re-filtered. What is the scanner's own is the
-//! cache and the portable seed; chain order, the cycle guard, sidecar
-//! pruning and the fetch are the walk's, and which statements may be
-//! served at all is the planner's decision. The delta a scan reports is
-//! its pages: a page whose row `Arc` is the previous scan's did not
-//! change.
+//! set. Snapshots of a slowly-changing table share most of their heap
+//! pages, so re-reading the whole table per iteration wastes the dominant
+//! cost of the loop (the Pagelog reads of Figure 8). A
+//! [`DeltaTableScanner`] is a cache of filtered rows per page *version*
+//! ([`PageSource::version`]: the Pagelog offset of an archived page, or
+//! the id and publishing stamp of a page shared with the current
+//! database) that the ordinary seq scan ([`crate::exec`]'s scan stage)
+//! consults. Two reads under one version read the same bytes, so a page
+//! whose version the scanner — or the [`PageCache`] behind it — has seen
+//! is neither fetched nor re-filtered, whichever snapshot it was seen at.
+//! What is the scanner's own is that cache; chain order, the cycle guard,
+//! sidecar pruning and the fetch are the walk's ([`HeapFile::walk`]), and
+//! which statements may be served at all is the planner's decision. The
+//! delta a scan reports is its pages: a page whose row `Arc` is the
+//! previous scan's did not change.
 //!
 //! Correctness rests on two invariants:
 //!
-//! * the changed set is a *conservative superset* of pages whose bytes
-//!   differ between the two snapshots, so an unchanged page's cached rows
-//!   **and its cached `next` pointer** are still exact;
-//! * heap scan order is chain order × slot order, and the walk never
-//!   reorders surviving pages, so splicing cached per-page row vectors in
-//!   walk order reproduces a full scan's row order byte for byte.
+//! * a version names one image, so a cached page's rows **and its cached
+//!   `next` pointer** are exactly what reading that version yields;
+//! * heap scan order is chain order × slot order, and the walk follows
+//!   the chain, so splicing per-page row vectors in walk order reproduces
+//!   a full scan's row order byte for byte.
 //!
-//! When anything is off — no changed set, different root, prior error —
-//! the same scan runs with the cache cleared and every page counted as
-//! changed, and reports `rebuilt = true` so consumers drop the state
-//! they keep per page.
+//! The scanner itself keeps the pages of its last scan only; a budgeted
+//! store that outlives it (the memo) plugs in as its [`PageCache`].
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rql_pagestore::PageId;
+use rql_retro::PageVersion;
 
 use crate::error::Result;
 use crate::heap::{page_rows, HeapFile, PageVisit};
 use crate::pagesource::PageSource;
 use crate::record::Row;
 use crate::sidecar::PredSummary;
+use crate::value::{KeyMap, KeyState};
 
 /// A scan's pages in walk order: page id and the page's filtered rows,
 /// empty for a pruned page. The row vectors are the scanner cache's own
 /// `Arc`s, so a page served from the cache carries the very `Arc` of the
-/// scan before.
+/// scan that read it.
 pub type ScanPages = Vec<(u64, Arc<Vec<Row>>)>;
 
-/// One scan's delta against the scanner's previous scan (the scan's rows
-/// themselves are its [`ScanPages`]).
+/// What one scan fetched, served and pruned, and whether its rows are
+/// the previous scan's (the scan's rows themselves are its [`ScanPages`]).
 #[derive(Debug, Default)]
 pub struct DeltaScan {
-    /// `true` when the scanner had no usable previous state and read
-    /// every page; consumers must drop the state they keep per page.
-    pub rebuilt: bool,
     /// Heap pages fetched through the source.
     pub pages_read: u64,
-    /// Heap pages served from the scanner's cache without a fetch.
+    /// Heap pages served from a cache without a fetch.
     pub pages_skipped: u64,
     /// Heap pages whose sidecar refuted the filter — skipped without a
     /// fetch *and* without cached rows.
     pub pages_pruned: u64,
-    /// A page pruned now, or no longer reachable, had cached rows: the
-    /// row set shrank without a fetch.
-    lost_rows: bool,
+    /// The scanner's previous scan held the same non-empty row vectors
+    /// in the same order.
+    same_rows: bool,
 }
 
-/// Why a whole snapshot iteration needed no page fetch and lost no cached
-/// row — the consumer may reuse the previous iteration's output verbatim
+/// Why a whole snapshot iteration's rows are the previous iteration's —
+/// the consumer may reuse the previous iteration's output verbatim
 /// instead of re-running the post-scan stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SkipReason {
-    /// Every page was served from the scanner's cache (nothing changed
-    /// since the previous snapshot).
+    /// Every page holding rows is the previous scan's.
     Delta,
-    /// The snapshot's changed pages were all refuted by their sidecars:
-    /// the work set was non-empty but pruning emptied it.
+    /// As `Delta`, with pages refuted by their sidecars among the rest.
     Pruned,
 }
 
 impl DeltaScan {
-    /// `Some(reason)` when this scan read zero heap pages and lost no
-    /// cached row, so its row set is byte-identical to the previous
-    /// iteration's and downstream filtering/projection can be skipped
-    /// outright. `Pruned` wins over `Delta` when sidecar refutation is
-    /// what emptied the fetch list.
+    /// `Some(reason)` when this scan's row set is byte-identical to the
+    /// previous scan's — the same non-empty page row vectors, by `Arc`,
+    /// in the same order; a pruned or emptied page holds nothing either
+    /// way — so downstream filtering/projection can be skipped outright.
+    /// A page served from a cache but not the previous scan's (a memo
+    /// page, say) does not count as the same. `Pruned` wins over `Delta`
+    /// when a sidecar refuted a page.
     pub fn snapshot_skip(&self) -> Option<SkipReason> {
-        if self.rebuilt || self.pages_read != 0 || self.lost_rows {
-            return None;
-        }
-        if self.pages_pruned > 0 {
-            Some(SkipReason::Pruned)
-        } else if self.pages_skipped > 0 {
-            Some(SkipReason::Delta)
+        self.same_rows.then_some(if self.pages_pruned > 0 {
+            SkipReason::Pruned
         } else {
-            None
-        }
+            SkipReason::Delta
+        })
     }
 }
 
-/// Per-page cached state from the previous scan.
-struct CachedPage {
-    /// Chain successor as of the cached read.
-    next: Option<PageId>,
-    /// Filtered rows of the page, in slot order. Immutable once built and
-    /// shared by reference count with every [`ScannerSeed`] exported
-    /// while the page stays unchanged.
-    rows: Arc<Vec<Row>>,
-}
-
-/// One page's worth of exported scanner state (see [`ScannerSeed`]).
+/// One page version as a scan left it: its chain successor and its
+/// filtered rows, in slot order. Immutable once built; cloning shares
+/// the rows.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SeedPage {
-    /// Heap page id.
-    pub page: u64,
-    /// Chain successor as of the seeding scan.
-    pub next: Option<u64>,
-    /// Filtered rows of the page, in slot order, shared with the scanner
-    /// that exported them and with every other seed the page appears in.
+pub struct CachedPage {
+    /// Chain successor in this version.
+    pub next: Option<PageId>,
+    /// Filtered rows of the page.
     pub rows: Arc<Vec<Row>>,
 }
 
-/// A portable snapshot of a [`DeltaTableScanner`]'s cache, keyed by the
-/// (query fingerprint, snapshot) it was exported at. Importing a seed
-/// puts a scanner in exactly the state it had after scanning that
-/// snapshot, so the *next* scan in chain order stays on the delta path
-/// instead of rebuilding — this is what lets a memoized iteration keep
-/// the chain warm without re-reading any heap pages. Exporting and
-/// importing copy no rows: seeds of consecutive snapshots share the row
-/// vector of every page that did not change between them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScannerSeed {
-    /// Heap root page the cache was built from.
-    pub root: u64,
-    /// Per-page cache entries, in no particular order.
-    pub pages: Vec<SeedPage>,
+/// Filtered page rows kept beyond one scanner's last scan, by page
+/// version. An implementation serves one statement (table, filter and
+/// column set) of one store incarnation: the memo keys its entries by
+/// the statement's fingerprint and checks the incarnation.
+pub trait PageCache: Send {
+    /// The page cached under `version`.
+    fn get(&self, version: PageVersion) -> Option<CachedPage>;
+    /// Keep the pages a scan had to read, once the scan is complete.
+    fn put(&self, pages: Vec<(PageVersion, CachedPage)>);
 }
 
-/// A per-page cache of one table's filtered rows, letting a scan re-read
-/// only the pages that changed since the previous one.
+/// A cache of one statement's filtered rows per page version, letting a
+/// scan re-read only the pages it has not seen.
 ///
 /// The cached rows are **post-filter** and decoded with the statement's
 /// column set (unread columns are NULL), so a scanner is only valid for
@@ -148,66 +122,45 @@ pub struct ScannerSeed {
 /// same `Qq` text once per loop).
 #[derive(Default)]
 pub struct DeltaTableScanner {
-    /// Heap root the cache describes; `None` = no usable state.
-    root: Option<PageId>,
-    cache: HashMap<u64, CachedPage>,
+    /// The last scan's pages, in walk order; `None` before the first scan
+    /// and after an invalidation.
+    last: Option<ScanPages>,
+    /// The last scan's pages by version.
+    cache: KeyMap<PageVersion, CachedPage>,
+    /// Where pages the last scan did not hold are looked up, and read
+    /// ones are kept.
+    shared: Option<Box<dyn PageCache>>,
 }
 
 impl DeltaTableScanner {
-    /// Empty scanner; the first scan is always a rebuild.
+    /// Empty scanner of its own.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Drop all cached state; the next scan rebuilds from scratch.
+    /// Empty scanner that looks pages up in `shared` too.
+    pub fn sharing(shared: Box<dyn PageCache>) -> Self {
+        DeltaTableScanner {
+            shared: Some(shared),
+            ..Self::default()
+        }
+    }
+
+    /// Forget the last scan: the next one has nothing to compare with and
+    /// finds pages in the shared cache only.
     pub fn invalidate(&mut self) {
-        self.root = None;
+        self.last = None;
         self.cache.clear();
-    }
-
-    /// Export the cache as a portable seed, or `None` if the scanner has
-    /// no usable state (never scanned, or invalidated).
-    pub fn export_seed(&self) -> Option<ScannerSeed> {
-        let root = self.root?.0;
-        let pages = self
-            .cache
-            .iter()
-            .map(|(&page, entry)| SeedPage {
-                page,
-                next: entry.next.map(|p| p.0),
-                rows: Arc::clone(&entry.rows),
-            })
-            .collect();
-        Some(ScannerSeed { root, pages })
-    }
-
-    /// Replace the scanner's state with an imported seed. The caller
-    /// must guarantee the seed was exported for the same statement — so
-    /// the same table, filter and column set; keying seeds by the
-    /// statement's fingerprint does that — and the snapshot *preceding*
-    /// the next scan in chain order. The scanner itself can only check
-    /// the root.
-    pub fn import_seed(&mut self, seed: &ScannerSeed) {
-        self.root = Some(PageId(seed.root));
-        self.cache = seed
-            .pages
-            .iter()
-            .map(|p| {
-                let next = p.next.map(PageId);
-                let rows = Arc::clone(&p.rows);
-                (p.page, CachedPage { next, rows })
-            })
-            .collect();
     }
 
     /// Scan the heap rooted at `root` through `src`, decoding the columns
     /// `cols` marks: return the pages with the rows passing `keep`, in scan
     /// order — exactly what a full seq scan with the same filter and column
     /// set would produce — and what the scan fetched, served and pruned.
-    /// No row is copied out of the cache.
-    /// Without a usable previous state (never scanned, invalidated, the
-    /// root moved, or `src` reports no changed set) the cache starts
-    /// empty and every page counts as changed.
+    /// No row is copied out of the cache. A page is served from the last
+    /// scan's pages or the shared cache when `src` names its version, else
+    /// pruned or fetched; the scan's pages replace the last scan's, and
+    /// the ones it had to read go to the shared cache.
     ///
     /// `pred` must over-approximate `keep` (every row passing `keep`
     /// satisfies every atom of `pred`); see [`HeapFile::walk`].
@@ -219,38 +172,34 @@ impl DeltaTableScanner {
         cols: &[bool],
         mut keep: impl FnMut(&Row) -> Result<bool>,
     ) -> Result<(DeltaScan, ScanPages)> {
-        let changed = src.changed_pages().filter(|_| self.root == Some(root));
-        let old = match changed {
-            Some(_) => std::mem::take(&mut self.cache),
-            None => HashMap::new(),
-        };
         // The new state is installed only after a complete walk: a
         // partial one must not leave anything a retry could reuse.
-        self.invalidate();
-        let mut cache = HashMap::with_capacity(old.len());
+        let old = std::mem::take(&mut self.cache);
+        let last = self.last.take();
+        let shared = self.shared.as_deref();
+        let mut cache = KeyMap::with_capacity_and_hasher(old.len(), KeyState::default());
         let mut pages = Vec::with_capacity(old.len());
-        let mut scan = DeltaScan {
-            rebuilt: changed.is_none(),
-            ..DeltaScan::default()
-        };
+        let mut read = Vec::new();
+        let mut scan = DeltaScan::default();
         let mut row = Row::new();
         HeapFile::new(root).walk(
             src,
             pred,
-            |pid| match changed {
-                Some(set) if !set.contains(&pid) => old.get(&pid.0).map(|c| c.next),
-                _ => None,
+            |pid| {
+                let version = src.version(pid)?;
+                let hit = (old.get(&version).cloned()).or_else(|| shared?.get(version))?;
+                Some((hit.next, (version, hit)))
             },
             |pid, visit, next| {
-                let was = old.get(&pid.0).map(|c| &c.rows);
-                let now = match visit {
-                    PageVisit::Cached => {
+                let rows = match visit {
+                    PageVisit::Cached((version, hit)) => {
                         scan.pages_skipped += 1;
-                        Arc::clone(was.expect("the walk got this page's successor from `old`"))
+                        pages.push((pid.0, Arc::clone(&hit.rows)));
+                        cache.insert(version, hit);
+                        return Ok(true);
                     }
                     PageVisit::Pruned => {
                         scan.pages_pruned += 1;
-                        scan.lost_rows |= was.is_some_and(|rows| !rows.is_empty());
                         Arc::default()
                     }
                     PageVisit::Fetched(page) => {
@@ -265,20 +214,39 @@ impl DeltaTableScanner {
                         Arc::new(kept)
                     }
                 };
-                pages.push((pid.0, Arc::clone(&now)));
-                cache.insert(pid.0, CachedPage { next, rows: now });
+                pages.push((pid.0, Arc::clone(&rows)));
+                if let Some(version) = src.version(pid) {
+                    let page = CachedPage { next, rows };
+                    if shared.is_some() {
+                        read.push((version, page.clone()));
+                    }
+                    cache.insert(version, page);
+                }
                 Ok(true)
             },
         )?;
-        // Cached pages no longer reachable from the root: their rows
-        // left the scan (defensive — the heap never unlinks pages today,
-        // but a vacuum would).
-        scan.lost_rows |=
-            (old.iter()).any(|(pid, c)| !c.rows.is_empty() && !cache.contains_key(pid));
-        self.root = Some(root);
+        scan.same_rows = last.is_some_and(|last| same_rows(&last, &pages));
+        if let Some(shared) = shared.filter(|_| !read.is_empty()) {
+            shared.put(read);
+        }
+        self.last = Some(pages.clone());
         self.cache = cache;
         Ok((scan, pages))
     }
+}
+
+/// Whether two scans hold the same rows: the same non-empty row vectors,
+/// by `Arc`, in the same order. Both lists keep their vectors alive, so
+/// an address cannot be reused between them.
+fn same_rows(was: &ScanPages, now: &ScanPages) -> bool {
+    fn rows(pages: &ScanPages) -> impl Iterator<Item = &Arc<Vec<Row>>> {
+        pages
+            .iter()
+            .map(|(_, rows)| rows)
+            .filter(|rows| !rows.is_empty())
+    }
+    let mut now = rows(now);
+    rows(was).all(|w| now.next().is_some_and(|n| Arc::ptr_eq(w, n))) && now.next().is_none()
 }
 
 #[cfg(test)]
@@ -304,6 +272,13 @@ mod tests {
 
     fn snapshot(db: &Database) -> u64 {
         db.declare_snapshot().unwrap()
+    }
+
+    /// One reader per snapshot id.
+    fn readers(db: &Database, ids: &[u64]) -> Vec<SnapshotReader> {
+        (ids.iter())
+            .map(|&sid| db.store().open_snapshot(sid).unwrap())
+            .collect()
     }
 
     /// The scan stage of `sql` over `reader`, through the front door.
@@ -352,18 +327,15 @@ mod tests {
         db.execute("UPDATE t SET b = 'CHANGED' WHERE a = 30")
             .unwrap();
         let s2 = snapshot(&db);
-        let readers = db.store().open_snapshot_chain(&[s1, s2]).unwrap();
+        let readers = readers(&db, &[s1, s2]);
         let sql = "SELECT a, b FROM t";
         let mut scanner = DeltaTableScanner::new();
         let first = served_pages(scan_stage(&db, &readers[0], sql, &mut scanner));
         let second = served_pages(scan_stage(&db, &readers[1], sql, &mut scanner));
-        let cache: HashMap<u64, Arc<Vec<Row>>> = (scanner.export_seed().unwrap().pages)
-            .into_iter()
-            .map(|p| (p.page, p.rows))
-            .collect();
-        assert_eq!(second.len(), cache.len());
+        assert_eq!(second.len(), scanner.cache.len());
         for (pid, rows) in &second {
-            assert!(Arc::ptr_eq(rows, &cache[pid]), "page {pid}");
+            let cached = &scanner.cache[&readers[1].version(PageId(*pid)).unwrap()];
+            assert!(Arc::ptr_eq(rows, &cached.rows), "page {pid}");
         }
         let kept = |(pid, rows): &(u64, Arc<Vec<Row>>)| {
             first
@@ -390,13 +362,16 @@ mod tests {
         let sql = "SELECT a, b FROM t WHERE a >= 10";
         let expected = db.query_as_of(sid, sql).unwrap();
 
-        // A lone reader carries no changed set: the scanner rebuilds.
+        // A fresh scanner has seen no page: it reads them all.
         let reader = db.store().open_snapshot(sid).unwrap();
         let mut scanner = DeltaTableScanner::new();
         let scanned = scan_stage(&db, &reader, sql, &mut scanner);
         let delta = scanned.delta.as_ref().expect("seq-scannable shape");
-        assert!(delta.rebuilt);
-        assert_eq!(delta.pages_skipped, 0);
+        assert!(
+            delta.pages_read > 1 && delta.pages_skipped == 0,
+            "{delta:?}"
+        );
+        assert_eq!(delta.snapshot_skip(), None, "nothing to compare with");
         assert_eq!(scanned.plan, vec!["t: delta seq scan"]);
         let result = db
             .finish_stage(&parse_select(sql).unwrap(), scanned)
@@ -432,19 +407,17 @@ mod tests {
             .unwrap();
         let s2 = snapshot(&db);
 
-        let readers = db.store().open_snapshot_chain(&[s1, s2]).unwrap();
+        let readers = readers(&db, &[s1, s2]);
         let sql = "SELECT a, b FROM t";
         let mut scanner = DeltaTableScanner::new();
 
         let mut first = scan_stage(&db, &readers[0], sql, &mut scanner);
         let scan1 = first.delta.take().expect("seq-scannable shape");
-        assert!(scan1.rebuilt);
         let total_pages = scan1.pages_read;
         assert!(total_pages > 3, "want a multi-page heap, got {total_pages}");
 
         let mut second = scan_stage(&db, &readers[1], sql, &mut scanner);
         let scan2 = second.delta.take().expect("seq-scannable shape");
-        assert!(!scan2.rebuilt);
         assert!(
             scan2.pages_skipped > 0,
             "expected unchanged pages to be skipped (read {}, skipped {})",
@@ -478,13 +451,12 @@ mod tests {
         db.execute("DELETE FROM t WHERE a = 5").unwrap();
         let s2 = snapshot(&db);
 
-        let readers = db.store().open_snapshot_chain(&[s1, s2]).unwrap();
+        let readers = readers(&db, &[s1, s2]);
         let sql = "SELECT a FROM t";
         let mut scanner = DeltaTableScanner::new();
         let (_, scan1) = delta_scan(&db, &readers[0], sql, &mut scanner);
         let (rows2, scan2) = delta_scan(&db, &readers[1], sql, &mut scanner);
         // Only the pages the insert and the delete wrote are fetched.
-        assert!(!scan2.rebuilt);
         assert!(scan2.pages_read > 0 && scan2.pages_skipped > 0, "{scan2:?}");
         assert_eq!(scan2.pages_read + scan2.pages_skipped, scan1.pages_read);
         assert_eq!(scan2.snapshot_skip(), None);
@@ -511,18 +483,17 @@ mod tests {
         db.execute("UPDATE t SET a = 30 WHERE a = 3").unwrap();
         let s3 = snapshot(&db);
 
-        let readers = db.store().open_snapshot_chain(&[s1, s2, s3]).unwrap();
+        let readers = readers(&db, &[s1, s2, s3]);
         let sql = "SELECT a FROM t WHERE a >= 0";
         let full = |i: usize| {
             let (rows, scan) = delta_scan(&db, &readers[i], sql, &mut DeltaTableScanner::new());
-            assert!(scan.rebuilt);
+            assert_eq!(scan.pages_skipped, 0);
             rows
         };
         let mut scanner = DeltaTableScanner::new();
         let (rows1, _) = delta_scan(&db, &readers[0], sql, &mut scanner);
 
         let (rows2, scan2) = delta_scan(&db, &readers[1], sql, &mut scanner);
-        assert!(!scan2.rebuilt, "{scan2:?}");
         assert_eq!((scan2.pages_read, scan2.pages_skipped), (1, 0));
         assert_eq!(rows2, full(1));
         assert_eq!(rows2, rows1);
@@ -536,8 +507,26 @@ mod tests {
         assert!(!rows3.contains(&vec![Value::Integer(3), Value::Null]));
     }
 
+    /// A page cache shared by scanners, as the memo is.
+    #[derive(Clone, Default)]
+    struct Shared(Arc<std::sync::Mutex<std::collections::HashMap<PageVersion, CachedPage>>>);
+
+    impl PageCache for Shared {
+        fn get(&self, version: PageVersion) -> Option<CachedPage> {
+            self.0.lock().unwrap().get(&version).cloned()
+        }
+
+        fn put(&self, pages: Vec<(PageVersion, CachedPage)>) {
+            self.0.lock().unwrap().extend(pages);
+        }
+    }
+
+    /// A fresh scanner finds the pages another scanner read in the cache
+    /// they share — at any snapshot holding the same page versions, in
+    /// any order — and a scan served wholly from it is not taken for its
+    /// own previous scan.
     #[test]
-    fn seed_export_import_keeps_chain_delta() {
+    fn a_fresh_scanner_continues_from_shared_pages() {
         let db = small_page_db();
         db.execute("CREATE TABLE t (a INTEGER, b TEXT)").unwrap();
         for i in 0..60 {
@@ -548,24 +537,39 @@ mod tests {
         db.execute("UPDATE t SET b = 'CHANGED' WHERE a = 30")
             .unwrap();
         let s2 = snapshot(&db);
-
-        let readers = db.store().open_snapshot_chain(&[s1, s2]).unwrap();
+        let readers = readers(&db, &[s2, s1]);
         let sql = "SELECT a, b FROM t";
+        let shared = Shared::default();
 
-        // Scan s1, export, and continue on a *fresh* scanner via the seed.
-        let mut seeder = DeltaTableScanner::new();
-        let (_, scan1) = delta_scan(&db, &readers[0], sql, &mut seeder);
-        let seed = seeder.export_seed().expect("seed after scan");
-
-        let mut fresh = DeltaTableScanner::new();
-        assert!(fresh.export_seed().is_none(), "fresh scanner has no seed");
-        fresh.import_seed(&seed);
-        let (rows2, scan2) = delta_scan(&db, &readers[1], sql, &mut fresh);
-        assert!(!scan2.rebuilt, "imported seed must keep the delta path");
-        assert!(scan2.pages_skipped > 0);
-        assert!(scan2.pages_read < scan1.pages_read);
-        let expected = db.query_as_of(s2, sql).unwrap();
-        assert_eq!(rows2, expected.rows);
+        // The newer snapshot first, by one scanner; then the older one by
+        // a fresh scanner over the same cache.
+        let (_, first) = delta_scan(
+            &db,
+            &readers[0],
+            sql,
+            &mut DeltaTableScanner::sharing(Box::new(shared.clone())),
+        );
+        let mut fresh = DeltaTableScanner::sharing(Box::new(shared.clone()));
+        let (rows, scan) = delta_scan(&db, &readers[1], sql, &mut fresh);
+        assert!(
+            scan.pages_skipped > 0 && scan.pages_read < first.pages_read,
+            "{scan:?}"
+        );
+        assert_eq!(scan.snapshot_skip(), None, "no previous scan of its own");
+        assert_eq!(rows, db.query_as_of(s1, sql).unwrap().rows);
+        assert_eq!(
+            shared.0.lock().unwrap().len() as u64,
+            first.pages_read + scan.pages_read
+        );
+        // Back to the newer snapshot: every page comes from the cache, but
+        // the rows are not the previous scan's, so nothing is skipped.
+        let (rows, scan) = delta_scan(&db, &readers[0], sql, &mut fresh);
+        assert_eq!(
+            (scan.pages_read, scan.snapshot_skip()),
+            (0, None),
+            "{scan:?}"
+        );
+        assert_eq!(rows, db.query_as_of(s2, sql).unwrap().rows);
     }
 
     #[test]
@@ -579,7 +583,7 @@ mod tests {
         db.execute("UPDATE t SET a = 200 WHERE a = 2").unwrap();
         let s2 = snapshot(&db);
 
-        let readers = db.store().open_snapshot_chain(&[s1, s2]).unwrap();
+        let readers = readers(&db, &[s1, s2]);
         // The constant conjunct is part of the cached filter too.
         let sql = "SELECT a FROM t WHERE a < 100 AND 1 = 1";
         let mut scanner = DeltaTableScanner::new();
@@ -598,8 +602,7 @@ mod tests {
         delta_scan(&db, &readers[0], sql, &mut scanner);
         let (rows2, _) = delta_scan(&db, &readers[1], sql, &mut scanner);
         assert!(rows2.is_empty());
-        let seed = scanner.export_seed().unwrap();
-        assert!(seed.pages.iter().all(|p| p.rows.is_empty()));
+        assert!(scanner.cache.values().all(|p| p.rows.is_empty()));
     }
 
     /// Sidecar pruning in both directions: a page pruned by a rebuild is
@@ -622,19 +625,17 @@ mod tests {
         db.execute("UPDATE t SET a = 32 WHERE a = 31").unwrap();
         let s4 = snapshot(&db);
 
-        let readers = db.store().open_snapshot_chain(&[s1, s2, s3, s4]).unwrap();
+        let readers = readers(&db, &[s1, s2, s3, s4]);
         let sql = "SELECT a FROM t WHERE a >= 1000";
         let mut scanner = DeltaTableScanner::new();
         // At s1 no page holds a value ≥ 1000: the rebuild prunes pages
         // and caches them as empty.
         let (rows1, scan1) = delta_scan(&db, &readers[0], sql, &mut scanner);
-        assert!(scan1.rebuilt);
         assert!(scan1.pages_pruned > 0, "{scan1:?}");
         assert!(rows1.is_empty());
         // At s2 the rewritten page's sidecar no longer refutes the
         // filter: it is fetched, and its new row shows up.
         let (rows2, scan2) = delta_scan(&db, &readers[1], sql, &mut scanner);
-        assert!(!scan2.rebuilt);
         assert!(scan2.pages_read > 0 && scan2.pages_skipped > 0, "{scan2:?}");
         assert_eq!(rows2, vec![vec![Value::Integer(2000)]]);
         assert_eq!(rows2, db.query_as_of(s2, sql).unwrap().rows);
@@ -672,7 +673,7 @@ mod tests {
         let ranged = "SELECT * FROM t WHERE a > 0";
         let scanned = scan_stage(&db, &reader, ranged, &mut scanner);
         assert_eq!(scanned.plan, vec!["t: delta seq scan"]);
-        assert!(scanned.delta.is_some() && scanner.export_seed().is_some());
+        assert!(scanned.delta.is_some() && scanner.last.is_some());
         assert_eq!(
             finished(ranged, scanned),
             db.query_as_of(sid, ranged).unwrap().rows
@@ -683,7 +684,7 @@ mod tests {
         let probed = "SELECT * FROM t WHERE a = 1";
         let scanned = scan_stage(&db, &reader, probed, &mut scanner);
         assert_eq!(scanned.plan, vec!["t: index scan via idx_a"]);
-        assert!(scanned.delta.is_none() && scanner.export_seed().is_none());
+        assert!(scanned.delta.is_none() && scanner.last.is_none());
         assert_eq!(scanned.stats.delta_eligible, 0);
         assert_eq!(
             finished(probed, scanned),
@@ -697,7 +698,7 @@ mod tests {
             scanned.plan,
             vec!["t: seq scan", "t: nested-loop cross join"]
         );
-        assert!(scanned.delta.is_none() && scanner.export_seed().is_none());
+        assert!(scanned.delta.is_none() && scanner.last.is_none());
         assert_eq!(
             finished(joined, scanned),
             db.query_as_of(sid, joined).unwrap().rows
@@ -716,7 +717,7 @@ mod tests {
         let sql = "SELECT a FROM t WHERE always_true()";
         let scanned = scan_stage(&db, &reader, sql, &mut scanner);
         assert_eq!(scanned.plan, vec!["t: seq scan"]);
-        assert!(scanned.delta.is_none() && scanner.export_seed().is_none());
+        assert!(scanned.delta.is_none() && scanner.last.is_none());
         let result = db.finish_stage(&parse_select(sql).unwrap(), scanned);
         assert_eq!(result.unwrap().rows, db.query_as_of(sid, sql).unwrap().rows);
     }

@@ -166,8 +166,8 @@ pub fn run_select_cancellable<S: PageSource>(
 ///
 /// An offered `scanner` stands in for the base table's heap when — and
 /// only when — the plan is a plain seq scan of a single table whose
-/// conjuncts call no UDF: it then serves the pages that did not change
-/// since its previous scan from its cache, the rows stay on its pages
+/// conjuncts call no UDF: it then serves the page versions it has seen
+/// from its cache, the rows stay on its pages
 /// ([`ScanRows::Pages`]), and [`Scanned::delta`] says what it fetched.
 /// Any other plan (index probe, join, UDF filter) runs exactly as it
 /// would have without one, and the scanner is invalidated because it did

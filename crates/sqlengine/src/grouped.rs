@@ -7,8 +7,8 @@
 //! the page) — and its output row. A pass compares the pages the scan
 //! stage handed over ([`ScanRows::Pages`], the scanner cache's own `Arc`s,
 //! read in place) with the previous pass's: a page whose row vector is the
-//! same `Arc` is unchanged; every other page's old rows leave their groups
-//! and its new rows join theirs. New pages are linked in right after the
+//! same `Arc`, or that is empty both times, is unchanged; every other
+//! page's old rows leave their groups and its new rows join theirs. New pages are linked in right after the
 //! root, so surviving pages move to later ordinals; their members are
 //! remapped.
 //! Only the groups so touched are re-folded, from their members in scan
@@ -24,9 +24,9 @@
 //! the caller vouches are deterministic and the same at every snapshot.
 //! When the scanner serves a scan it applies every conjunct, so the cached
 //! page rows are the finish stage's whole input. A scan the scanner did not
-//! serve runs the ordinary finish; a rebuilt scan, a page that left the
-//! walk, surviving pages that changed order, or an error part-way through
-//! a pass make a full build.
+//! serve runs the ordinary finish; a scan sharing no page with the
+//! previous pass, a page that left the walk, surviving pages that changed
+//! order, or an error part-way through a pass make a full build.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -93,15 +93,15 @@ impl GroupTable {
     /// dropped.
     pub fn finish(&mut self, select: &SelectStmt, mut scanned: Scanned) -> Result<QueryResult> {
         let started = Instant::now();
-        let (pages, rebuilt) = match (&mut scanned.rows, &scanned.delta) {
-            (ScanRows::Pages(pages), Some(delta)) => (std::mem::take(pages), delta.rebuilt),
+        let pages = match (&mut scanned.rows, &scanned.delta) {
+            (ScanRows::Pages(pages), Some(_)) => std::mem::take(pages),
             _ => {
                 self.invalidate();
                 return finish_select(select, scanned);
             }
         };
         let plan = scanned.finish?;
-        if let Err(e) = self.pass(&plan, pages, rebuilt) {
+        if let Err(e) = self.pass(&plan, pages) {
             self.invalidate();
             return Err(e);
         }
@@ -119,8 +119,8 @@ impl GroupTable {
 
     /// Bring the groups up to `pages`: a delta pass when it can, else a
     /// full build.
-    fn pass(&mut self, plan: &AggPlan, pages: ScanPages, rebuilt: bool) -> Result<()> {
-        let delta = !rebuilt && !self.pages.is_empty() && self.delta(plan, &pages)?;
+    fn pass(&mut self, plan: &AggPlan, pages: ScanPages) -> Result<()> {
+        let delta = !self.pages.is_empty() && self.delta(plan, &pages)?;
         // Emptied groups keep their slots; once they outnumber the live
         // ones, start over.
         let live = self.groups.iter().filter(|g| !g.members.is_empty());
@@ -156,7 +156,7 @@ impl GroupTable {
     /// Move the groups from the previous pass's pages to `pages` and
     /// re-fold every group a changed page touches. `false`, with nothing
     /// changed yet, when the previous walk's pages are not all still
-    /// there in the same order.
+    /// there in the same order, or none of them is unchanged.
     fn delta(&mut self, plan: &AggPlan, pages: &ScanPages) -> Result<bool> {
         let now: HashMap<u64, u32> = (pages.iter().enumerate())
             .map(|(o, (pid, _))| (*pid, o as u32))
@@ -174,8 +174,13 @@ impl GroupTable {
             }
         }
         let changed: Vec<bool> = (pages.iter().zip(&was))
-            .map(|((_, rows), was)| !was.is_some_and(|w| Arc::ptr_eq(w, rows)))
+            .map(|((_, rows), was)| {
+                !was.is_some_and(|w| Arc::ptr_eq(w, rows) || w.is_empty() && rows.is_empty())
+            })
             .collect();
+        if changed.iter().all(|&c| c) {
+            return Ok(false);
+        }
         let mut touched = vec![false; self.groups.len()];
         for (was, _) in was.iter().zip(&changed).filter(|(_, c)| **c) {
             for row in was.iter().flat_map(|rows| rows.iter()) {

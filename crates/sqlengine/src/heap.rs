@@ -61,10 +61,10 @@ pub struct RecordId {
 }
 
 /// How [`HeapFile::walk`] got past one page of the chain.
-pub(crate) enum PageVisit<'a> {
-    /// The caller knew the successor; the page was neither looked up nor
-    /// fetched.
-    Cached,
+pub(crate) enum PageVisit<'a, C> {
+    /// The caller had the page cached (with its successor): the page was
+    /// neither looked up nor fetched.
+    Cached(C),
     /// The page's sidecar proved no row of it can pass the predicate:
     /// the same outcome as fetching it and keeping nothing, minus the
     /// fetch.
@@ -175,6 +175,11 @@ impl FreeSpaceMap {
         // leftmost leaf with room is always a page's.
         Some(PageId(self.pages[at - self.leaves()]))
     }
+}
+
+/// The `cached` argument of a [`HeapFile::walk`] that caches nothing.
+fn no_cache(_: PageId) -> Option<(Option<PageId>, ())> {
+    None
 }
 
 impl HeapFile {
@@ -294,8 +299,8 @@ impl HeapFile {
     /// successor (`visit` returning `false` stops the walk). Per page, in
     /// this order:
     ///
-    /// * `cached_next` knows the successor → [`PageVisit::Cached`], the
-    ///   page is not touched at all;
+    /// * `cached` has the page → [`PageVisit::Cached`] with what it keeps
+    ///   for it, successor included; the page is not touched at all;
     /// * `pred` is non-empty and the source's sidecar for the page refutes
     ///   it → [`PageVisit::Pruned`], counted on the source, successor
     ///   taken from the sidecar, body not fetched;
@@ -303,19 +308,19 @@ impl HeapFile {
     ///
     /// `pred` must over-approximate whatever row filter the caller applies.
     /// A page reached twice (a cyclic or self-linked chain, whether the
-    /// link came from a page, a sidecar or `cached_next`) is an error
+    /// link came from a page, a sidecar or `cached`) is an error
     /// naming the page, never a second visit.
     // `#[inline]` here and on `scan`: the visitor holds the caller's
     // per-row loop, and left to its own heuristics the compiler kept it
     // out of line in the executor's seq scan (measured ≈ 30 % slower on a
     // current-state `SELECT COUNT(*) … WHERE`).
     #[inline]
-    pub(crate) fn walk<S: PageSource>(
+    pub(crate) fn walk<S: PageSource, C>(
         &self,
         src: &S,
         pred: &PredSummary,
-        cached_next: impl Fn(PageId) -> Option<Option<PageId>>,
-        mut visit: impl FnMut(PageId, PageVisit<'_>, Option<PageId>) -> Result<bool>,
+        mut cached: impl FnMut(PageId) -> Option<(Option<PageId>, C)>,
+        mut visit: impl FnMut(PageId, PageVisit<'_, C>, Option<PageId>) -> Result<bool>,
     ) -> Result<()> {
         let mut seen: HashSet<u64> = HashSet::new();
         let mut at = Some(self.root);
@@ -334,8 +339,8 @@ impl HeapFile {
                 }
                 src.sidecar_for(pid).filter(|sc| sc.refutes(pred))
             };
-            let (next, more) = if let Some(next) = cached_next(pid) {
-                (next, visit(pid, PageVisit::Cached, next)?)
+            let (next, more) = if let Some((next, kept)) = cached(pid) {
+                (next, visit(pid, PageVisit::Cached(kept), next)?)
             } else if let Some(sidecar) = refuting() {
                 src.count_page_pruned();
                 (sidecar.next, visit(pid, PageVisit::Pruned, sidecar.next)?)
@@ -383,19 +388,14 @@ impl HeapFile {
         mut f: impl FnMut(RecordId, &mut GatedRow<'_>) -> Result<bool>,
     ) -> Result<()> {
         let mut row = Row::new();
-        self.walk(
-            src,
-            pred,
-            |_| None,
-            |pid, visit, _| {
-                let PageVisit::Fetched(page) = visit else {
-                    return Ok(true);
-                };
-                page_rows(page, cols, gate, &mut row, |slot, rec| {
-                    f(RecordId { page: pid, slot }, rec)
-                })
-            },
-        )
+        self.walk(src, pred, no_cache, |pid, visit, _| {
+            let PageVisit::Fetched(page) = visit else {
+                return Ok(true);
+            };
+            page_rows(page, cols, gate, &mut row, |slot, rec| {
+                f(RecordId { page: pid, slot }, rec)
+            })
+        })
     }
 
     /// Collect every row (convenience for small scans and tests).
@@ -414,17 +414,12 @@ impl HeapFile {
         src: &S,
         mut f: impl FnMut(PageId, &Page),
     ) -> Result<()> {
-        self.walk(
-            src,
-            &PredSummary::default(),
-            |_| None,
-            |pid, visit, _| {
-                if let PageVisit::Fetched(page) = visit {
-                    f(pid, page);
-                }
-                Ok(true)
-            },
-        )
+        self.walk(src, &PredSummary::default(), no_cache, |pid, visit, _| {
+            if let PageVisit::Fetched(page) = visit {
+                f(pid, page);
+            }
+            Ok(true)
+        })
     }
 
     /// Number of pages in the chain.

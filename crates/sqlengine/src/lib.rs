@@ -48,7 +48,7 @@ pub use ast::{Expr, SelectStmt, Stmt};
 pub use cancel::{CancelCause, CancelToken};
 pub use catalog::{Catalog, IndexInfo, TableInfo};
 pub use db::{Database, ExecOutcome};
-pub use delta::{DeltaScan, DeltaTableScanner, ScanPages, ScannerSeed, SeedPage, SkipReason};
+pub use delta::{CachedPage, DeltaScan, DeltaTableScanner, PageCache, ScanPages, SkipReason};
 pub use error::{Result, SqlError};
 pub use exec::{QueryResult, ScanRows, Scanned};
 pub use exec_stats::ExecStats;
@@ -58,6 +58,7 @@ pub use lexer::{tokenize_spanned, Span, SpannedToken};
 pub use pagesource::PageSource;
 pub use parser::{parse_select, parse_statement, parse_statements};
 pub use record::Row;
+pub use rql_retro::PageVersion;
 pub use schema::{ColumnDef, ColumnType, IndexSchema, TableSchema};
 pub use sidecar::{build_sidecar, PredAtom, PredSummary, Sidecar, SIDECAR_FORMAT_VERSION};
 pub use tablewriter::TableWriter;

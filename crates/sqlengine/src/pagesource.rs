@@ -8,11 +8,10 @@
 //! nothing more than executing the ordinary plan over a [`SnapshotReader`]
 //! source.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use rql_pagestore::{DbView, IoStats, PageId, Result, SharedPage, WriteTxn};
-use rql_retro::{RetroStore, SidecarMap, SnapshotReader};
+use rql_retro::{PageVersion, RetroStore, SidecarMap, SnapshotReader};
 
 use crate::sidecar::Sidecar;
 
@@ -24,12 +23,13 @@ pub trait PageSource {
     /// Number of pages visible to this source.
     fn page_count(&self) -> u64;
 
-    /// Pages that may differ from the previous source a delta-aware scan
-    /// ran over, or `None` when unknown (every page must then be assumed
-    /// changed). Only snapshot readers opened through
-    /// [`rql_retro::RetroStore::open_snapshot_chain`] report a set; the
-    /// set is a conservative superset of truly-differing pages.
-    fn changed_pages(&self) -> Option<&HashSet<PageId>> {
+    /// The version of the image this source would serve for `pid`, or
+    /// `None` (= do not cache what is read from it). Two reads under one
+    /// version read the same bytes, so a delta scanner may reuse what it
+    /// derived from one for the other. Only snapshot readers answer
+    /// ([`SnapshotReader::version`]): the current state and a write
+    /// transaction's view change under the reader.
+    fn version(&self, _pid: PageId) -> Option<PageVersion> {
         None
     }
 
@@ -70,8 +70,8 @@ impl PageSource for SnapshotReader {
         SnapshotReader::page_count(self)
     }
 
-    fn changed_pages(&self) -> Option<&HashSet<PageId>> {
-        SnapshotReader::changed_from_prev(self)
+    fn version(&self, pid: PageId) -> Option<PageVersion> {
+        SnapshotReader::version(self, pid)
     }
 
     fn sidecar_for(&self, pid: PageId) -> Option<Sidecar> {

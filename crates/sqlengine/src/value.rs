@@ -320,7 +320,8 @@ impl BuildHasher for KeyState {
     }
 }
 
-/// A map keyed by [`GroupKey`] or [`GroupKeyRef`].
+/// A map keyed by [`GroupKey`] or [`GroupKeyRef`] (or another key
+/// hashed a word at a time, such as a page version).
 pub type KeyMap<K, V> = HashMap<K, V, KeyState>;
 /// A set of [`GroupKey`]s or [`GroupKeyRef`]s.
 pub type KeySet<K> = HashSet<K, KeyState>;

@@ -11,6 +11,9 @@
 //!   touch storage.
 //! * **Entries never cross stores or incarnations** — snapshot ids
 //!   restart in every store and can be re-declared after a lost tail.
+//! * **Pages are shared by version** — the delta scanner's page entries
+//!   serve any snapshot holding the same page version, and only that:
+//!   `Forced` with the memo leaves the tables `Off` without it does.
 
 use std::sync::Arc;
 
@@ -256,15 +259,16 @@ fn entries_survive_a_commit_that_archives_shared_pages() {
                 [true, true, true, mi == 2],
                 "mechanism {mi} under {policy:?}"
             );
-            // Collate and AggVar read through the chain under Auto: the
-            // one new snapshot continues from snapshot 3's memoized seed
-            // and fetches only what the commit changed.
+            // Collate and AggVar scan through the delta scanner under
+            // Auto: the one new snapshot finds the pages it shares with
+            // the memoized snapshots among the memo's page entries and
+            // fetches only what the commit changed.
             if policy == DeltaPolicy::Auto && mi < 2 {
                 let new = &report.iterations[3].qq_stats;
                 assert_eq!(new.delta_eligible, 1, "mechanism {mi}");
                 assert!(
                     new.pages_skipped_delta > 0,
-                    "mechanism {mi} rebuilt: {new:?}"
+                    "mechanism {mi} shared no page: {new:?}"
                 );
             }
         }
@@ -430,4 +434,193 @@ fn a_reopened_store_misses_what_its_previous_incarnation_memoized() {
         2,
         "the previous incarnation's entries are counted misses"
     );
+}
+
+// ---- pages are shared by version ----------------------------------------
+
+/// Every mechanism under `Forced` with `memo` attached must leave the
+/// tables `Off` leaves without one, on the same session. Returns the
+/// `Forced` reports.
+fn forced_with_memo_matches_off(
+    session: &Arc<RqlSession>,
+    memo: &Arc<MemoStore>,
+    tag: &str,
+) -> Vec<RqlReport> {
+    session.set_memo(None);
+    let want = run_mechanisms(session, DeltaPolicy::Off, &format!("_off{tag}"));
+    session.set_memo(Some(Arc::clone(memo)));
+    let (got, reports) =
+        run_mechanisms_reported(session, DeltaPolicy::Forced, &format!("_on{tag}"));
+    assert_eq!(got, want, "Forced with the memo diverged from Off ({tag})");
+    reports
+}
+
+/// A page written twice between two declarations is captured once, and
+/// the later snapshot reads the second image — under a stamp of its own,
+/// not the one the memo holds from scanning the page while it was
+/// current.
+#[test]
+fn a_page_written_twice_between_declarations_is_read_again() {
+    let session = RqlSession::new(small_pages()).expect("session");
+    paged_history(&session).expect("history");
+    let memo = Arc::new(MemoStore::new(MemoConfig::default()));
+    forced_with_memo_matches_off(&session, &memo, "0");
+    // k = 110's page is shared by every snapshot and the current state,
+    // so the run above memoized it as a current page.
+    session
+        .execute("UPDATE kv SET v = 7 WHERE k = 110")
+        .expect("captured");
+    session
+        .execute("UPDATE kv SET v = 8 WHERE k = 110")
+        .expect("not captured");
+    session.declare_snapshot(None).expect("s4");
+    let reports = forced_with_memo_matches_off(&session, &memo, "1");
+    let new = &reports[0].iterations[3].qq_stats;
+    assert!(new.pages_skipped_delta > 0, "{new:?}");
+    let rows = session
+        .query_aux("SELECT v FROM c_on1 WHERE k = 110")
+        .expect("read")
+        .rows;
+    assert!(rows.contains(&vec![Value::Integer(8)]), "{rows:?}");
+}
+
+/// Two stores with identical histories have the same Pagelog offsets and
+/// publishing stamps; the memo tells their pages apart by incarnation.
+#[test]
+fn stores_with_identical_page_versions_never_share_pages() {
+    let memo = Arc::new(MemoStore::new(MemoConfig::default()));
+    for v in [1, 2] {
+        let session = RqlSession::new(small_pages()).expect("session");
+        paged_history(&session).expect("history");
+        session
+            .execute(&format!("UPDATE kv SET v = {v} WHERE k = 110"))
+            .expect("differ");
+        session.declare_snapshot(None).expect("s4");
+        forced_with_memo_matches_off(&session, &memo, "");
+    }
+}
+
+/// A reopened store re-declares a lost snapshot over other contents, and
+/// its new transactions reuse the lost ones' ids: the page versions
+/// repeat, the incarnation does not.
+#[test]
+fn a_reopened_store_never_reads_pages_of_its_previous_incarnation() {
+    let memo = Arc::new(MemoStore::new(MemoConfig::default()));
+    let logs: [Arc<MemStorage>; 3] = std::array::from_fn(|_| Arc::new(MemStorage::new()));
+    let open = || {
+        let [wal, pagelog, maplog] = logs.clone();
+        let store = RetroStore::open(small_pages(), wal, pagelog, maplog).expect("open");
+        let snap = Database::over_store(Arc::clone(&store));
+        let aux = Database::in_memory(RetroConfig::new());
+        let session = RqlSession::over_databases(snap, aux).expect("session");
+        for sid in 1..=store.snapshot_count() {
+            snapids::record_snapshot(session.aux_db(), sid, "-", None).expect("snapids");
+        }
+        session
+    };
+    let first = open();
+    paged_history(&first).expect("history");
+    let durable = logs.clone().map(|log| log.len());
+    for v in [50, 60] {
+        if v == 60 {
+            for (log, len) in logs.iter().zip(durable) {
+                log.truncate(len).expect("lose the tail");
+            }
+        }
+        let session = if v == 50 { Arc::clone(&first) } else { open() };
+        session
+            .execute(&format!("UPDATE kv SET v = {v} WHERE k = 110"))
+            .expect("write");
+        session.declare_snapshot(None).expect("s4");
+        forced_with_memo_matches_off(&session, &memo, "");
+    }
+}
+
+/// A fresh computation whose scans are served wholly from memo pages:
+/// its second scan fetches nothing, yet holds other rows than its first,
+/// so the whole-snapshot skip must not hand the first output out again.
+#[test]
+fn a_scan_served_from_memo_pages_is_not_taken_for_the_previous_one() {
+    let session = RqlSession::new(small_pages()).expect("session");
+    session
+        .execute("CREATE TABLE kv (k INTEGER, v INTEGER)")
+        .expect("create");
+    for k in 0..120 {
+        session
+            .execute(&format!("INSERT INTO kv VALUES ({k}, {})", k * 10))
+            .expect("load");
+    }
+    // Snapshots 1 = 2 and 3 = 4 page for page; one page differs between.
+    session.declare_snapshot(None).expect("s1");
+    session.declare_snapshot(None).expect("s2");
+    session
+        .execute("UPDATE kv SET v = -1 WHERE k = 60")
+        .expect("change");
+    session.declare_snapshot(None).expect("s3");
+    session.declare_snapshot(None).expect("s4");
+    let memo = Arc::new(MemoStore::new(MemoConfig::default()));
+    session.set_memo(Some(Arc::clone(&memo)));
+    let qq = "SELECT k, v FROM kv";
+    let odd = "SELECT snap_id FROM SnapIds WHERE snap_id % 2 = 1";
+    let even = "SELECT snap_id FROM SnapIds WHERE snap_id % 2 = 0";
+    let forced = DeltaPolicy::Forced;
+    session
+        .collate_data_with_policy(odd, qq, "odd", forced)
+        .expect("odd");
+    let report = session
+        .collate_data_with_policy(even, qq, "even", forced)
+        .expect("even");
+    assert_eq!(report.memo_hits(), 0);
+    for it in &report.iterations {
+        // Each scan reads its catalog page, and its heap from the memo.
+        assert_eq!(it.qq_stats.io.total_fetches(), 1, "{:?}", it.qq_stats);
+    }
+    session.set_memo(None);
+    session
+        .collate_data_with_policy(even, qq, "even_off", DeltaPolicy::Off)
+        .expect("off");
+    let read = |t: &str| {
+        session
+            .query_aux(&format!("SELECT * FROM {t}"))
+            .expect("read")
+    };
+    let (got, want) = (read("even"), read("even_off"));
+    assert_eq!((got.columns, got.rows), (want.columns, want.rows));
+}
+
+/// A memo of a few pages over a table ten times larger: every scan evicts
+/// as it goes, the evictions are counted, the resident bytes stay within
+/// the budget, and the tables stay those of `Off`.
+#[test]
+fn a_memo_of_a_few_pages_evicts_and_stays_within_budget() {
+    let session = RqlSession::new(small_pages()).expect("session");
+    session
+        .execute("CREATE TABLE kv (k INTEGER, v INTEGER)")
+        .expect("create");
+    for k in 0..1000 {
+        session
+            .execute(&format!("INSERT INTO kv VALUES ({k}, {k})"))
+            .expect("load");
+    }
+    for k in [5, 500, 995] {
+        session.declare_snapshot(None).expect("snapshot");
+        session
+            .execute(&format!("UPDATE kv SET v = -1 WHERE k = {k}"))
+            .expect("churn");
+    }
+    session.declare_snapshot(None).expect("snapshot");
+    let pages = (session.snap_db()).table_size_bytes("kv").expect("size") / 256;
+    // About four page entries of some twenty rows each.
+    let budget = 3400;
+    let memo = Arc::new(MemoStore::new(MemoConfig {
+        byte_budget: budget,
+        ..MemoConfig::default()
+    }));
+    assert!(pages >= 10 * 4, "{pages} pages");
+    for tag in ["0", "1"] {
+        forced_with_memo_matches_off(&session, &memo, tag);
+        let s = memo.stats();
+        assert!(s.evictions > 0, "{s:?}");
+        assert!(s.bytes <= budget as u64, "{s:?}");
+    }
 }

@@ -397,7 +397,7 @@ fn selective_predicate_prunes_pages_and_snapshots() {
     );
     assert!(
         after.snapshots_pruned > before.snapshots_pruned,
-        "fully-refuted changed sets should be counted as pruned snapshots: {after:?}"
+        "snapshots whose changed pages are all refuted should be counted as pruned: {after:?}"
     );
     let rows = session
         .query_aux("SELECT COUNT(*) FROM ctrl")

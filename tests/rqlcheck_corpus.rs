@@ -140,10 +140,13 @@ fn good_corpus_analyzes_clean_and_executes() {
 /// reaches a literal, and a misplaced `current_snapshot()` fails, if at
 /// all, only as a UDF error when a row reaches it); RQL2xx explain delta,
 /// memo, pruning and MAINTAIN eligibility, which pick a path rather than
-/// fail a query; RQL3xx are whole-program dataflow findings.
+/// fail a query — except the `Forced` refusals RQL202/203/205, which the
+/// runtime raises after binding; RQL3xx are whole-program dataflow
+/// findings.
 fn runtime_visible(code: Code) -> bool {
     let s = code.as_str();
-    s.starts_with("RQL0") && !matches!(s, "RQL014" | "RQL018" | "RQL019")
+    (s.starts_with("RQL0") && !matches!(s, "RQL014" | "RQL018" | "RQL019"))
+        || matches!(s, "RQL202" | "RQL203" | "RQL205")
 }
 
 /// Run `program` a statement at a time, declaring a snapshot before each
