@@ -150,8 +150,8 @@ impl From<QueryResult> for QqOutput {
 /// on whole-snapshot skips, the grouped delta finish and the
 /// `DeltaPolicy::Forced` contract. Batch runs, the per-row UDF form and
 /// the standing-query maintainer all drive this one implementation:
-/// [`advance`](Self::advance) once per snapshot id and read
-/// [`current`](Self::current).
+/// [`advance`](Self::advance) once per snapshot id, which returns its
+/// output.
 pub(crate) struct QqSource {
     parsed: SelectStmt,
     memo: Option<QqMemo>,
@@ -233,15 +233,10 @@ impl QqSource {
         })
     }
 
-    /// This snapshot's Qq output (valid after [`advance`](Self::advance)).
-    pub(crate) fn current(&self) -> &QqOutput {
-        self.current.as_ref().expect("advance() before current()")
-    }
-
     /// Evaluate Qq at `sid` — from the memo, through the delta scanner
     /// over the snapshot's reader, or by the ordinary plan. Returns
-    /// whether the memo served the result.
-    pub(crate) fn advance(&mut self, snap: &Database, sid: u64) -> Result<bool> {
+    /// whether the memo served the result, and the output.
+    pub(crate) fn advance(&mut self, snap: &Database, sid: u64) -> Result<(bool, &QqOutput)> {
         // Cancellation checkpoint between snapshots: a `CANCEL` that
         // lands mid-loop stops before the next Qq opens its snapshot
         // (row-batch checkpoints inside the executor cover the rest).
@@ -278,22 +273,24 @@ impl QqSource {
             // Share the rows the fold is about to read.
             m.record_result(sid, v, Arc::clone(&output.data));
         }
-        self.current = Some(output);
-        Ok(memo_hit)
+        Ok((memo_hit, self.current.insert(output)))
     }
 
     /// The ordinary plan at `sid`.
     fn execute(&self, snap: &Database, sid: u64) -> Result<QqOutput> {
         let rewritten = rewrite_select(&self.parsed, sid);
         let outcome = snap.execute_stmt(&Stmt::Select(rewritten))?;
-        Ok(outcome.rows().expect("SELECT yields rows").into())
+        let Some(result) = outcome.rows() else {
+            return Err(SqlError::Invalid("Qq yields no rows".into()));
+        };
+        Ok(result.into())
     }
 
     /// Qq at `sid` over `reader`, through the scanner.
     fn scan(&mut self, snap: &Database, reader: &SnapshotReader, sid: u64) -> Result<QqOutput> {
         let rewritten = rewrite_select(&self.parsed, sid);
         let mut scanned = snap.scan_stage(reader, &rewritten, Some(&mut self.scanner))?;
-        let Some(scan) = scanned.delta.take() else {
+        let Some(skip) = (scanned.delta.as_ref()).map(|(scan, _)| scan.snapshot_skip()) else {
             // The planner had no use for the scanner here (it is left
             // invalidated, so the next served scan compares with
             // nothing): these are the ordinary plan's rows over the
@@ -308,7 +305,6 @@ impl QqSource {
             return Ok(snap.finish_stage(&rewritten, scanned)?.into());
         };
         rql_trace::instant_arg(rql_trace::SpanId::DeltaPath, sid);
-        let skip = scan.snapshot_skip();
         if skip == Some(SkipReason::Pruned) {
             // The store-level counter feeds METRICS; the local snapshot
             // was taken inside the scan stage, before this decision, so
@@ -333,7 +329,6 @@ impl QqSource {
             _ => {
                 // Pipeline: the ordinary finish stage over the cached
                 // base rows.
-                scanned.delta = Some(scan);
                 snap.finish_stage_grouped(&rewritten, scanned, self.groups.as_mut())?
                     .into()
             }
@@ -391,10 +386,8 @@ mod tests {
             ("SELECT current_snapshot() AS s, g FROM t", false),
         ] {
             let mut source = QqSource::new(snap, qq, Some(DeltaPolicy::Forced), None).unwrap();
-            source.advance(snap, ids[0]).unwrap();
-            let first = Arc::clone(&source.current().data);
-            source.advance(snap, ids[1]).unwrap();
-            let second = &source.current().data;
+            let first = Arc::clone(&source.advance(snap, ids[0]).unwrap().1.data);
+            let second = &source.advance(snap, ids[1]).unwrap().1.data;
             assert_eq!(Arc::ptr_eq(&first, second), reused, "{qq}");
         }
     }

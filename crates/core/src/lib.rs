@@ -64,6 +64,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod aggregate;
 pub mod analyze;

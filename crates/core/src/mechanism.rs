@@ -402,14 +402,8 @@ impl Fold {
     ) -> Result<Applied> {
         let result: &QqRows = data;
         let fresh = !self.exists;
-        match &mut self.state {
-            FoldState::AggVar(var) => {
-                return var.apply(aux, &self.table, &mut self.exists, result, sink)
-            }
-            FoldState::AggTable(fold) if fold.layout.is_none() => {
-                fold.layout = Some(self.spec.table_layout(&result.columns)?);
-            }
-            _ => {}
+        if let FoldState::AggVar(var) = &mut self.state {
+            return var.apply(aux, &self.table, &mut self.exists, result, sink);
         }
         if fresh {
             let layout = self.spec.table_layout(&result.columns)?;
@@ -419,7 +413,7 @@ impl Fold {
             create_result_table(aux, &self.table, &layout.table_columns, &index_on)?;
             self.exists = true;
         }
-        let state = &mut self.state;
+        let (state, spec) = (&mut self.state, &self.spec);
         let (inserts, updates) = aux.with_table_writer(&self.table, |w| {
             match state {
                 FoldState::Collate => {
@@ -429,7 +423,7 @@ impl Fold {
                     }
                     w.load(result.rows.iter().cloned())?;
                 }
-                FoldState::AggTable(fold) => fold.apply(w, data, fresh, &mut sink)?,
+                FoldState::AggTable(fold) => fold.apply(w, spec, data, fresh, &mut sink)?,
                 FoldState::Intervals { prev } => {
                     let end = result.columns.len() + 1;
                     // A lifetime row that starts and ends at `sid`.
@@ -747,20 +741,22 @@ struct AggTableFold {
 }
 
 impl AggTableFold {
-    /// Fold one iteration's Qq output. `blind`: `T` was just created, so
-    /// the pass loads it without probing (the Qq output is unique on the
-    /// grouping columns).
+    /// Fold one iteration's Qq output, deriving `T`'s layout from
+    /// `spec` on the first. `blind`: `T` was just created, so the pass
+    /// loads it without probing (the Qq output is unique on the grouping
+    /// columns).
     fn apply(
         &mut self,
         w: &mut TableWriter,
+        spec: &MechSpec,
         result: &Arc<QqRows>,
         blind: bool,
         sink: &mut Option<&mut ResultDelta>,
     ) -> Result<()> {
-        let layout = self
-            .layout
-            .as_ref()
-            .expect("Fold::apply derives the layout first");
+        let layout = match &mut self.layout {
+            Some(layout) => layout,
+            slot => slot.insert(spec.table_layout(&result.columns)?),
+        };
         let prev = self.prev.take();
         if blind {
             w.load(result.rows.iter().map(|record| {
@@ -802,8 +798,7 @@ pub(crate) fn drive(
     for &sid in ids {
         let _qq_span = rql_trace::span_arg(rql_trace::SpanId::QqIteration, sid);
         let iter_started = Instant::now();
-        let memo_hit = source.advance(snap, sid)?;
-        let output = source.current();
+        let (memo_hit, output) = source.advance(snap, sid)?;
         let qq_rows = output.data.rows.len() as u64;
         let udf_started = Instant::now();
         let applied = fold.apply(aux, sid, &output.data, sink.as_deref_mut())?;

@@ -247,15 +247,26 @@ impl BTree {
     /// the indexed columns).
     pub fn scan_prefix<S: PageSource>(&self, src: &S, prefix: &[u8]) -> Result<Vec<RecordId>> {
         let mut out = Vec::new();
-        self.scan_from(src, prefix, |key, rid| {
-            if key.starts_with(prefix) {
-                out.push(rid);
-                Ok(true)
-            } else {
-                Ok(false)
-            }
-        })?;
+        self.scan_prefix_into(src, prefix, &mut out)?;
         Ok(out)
+    }
+
+    /// [`Self::scan_prefix`] into `out`, cleared first: a caller probing
+    /// many keys reuses one buffer.
+    pub fn scan_prefix_into<S: PageSource>(
+        &self,
+        src: &S,
+        prefix: &[u8],
+        out: &mut Vec<RecordId>,
+    ) -> Result<()> {
+        out.clear();
+        self.scan_from(src, prefix, |key, rid| {
+            let hit = key.starts_with(prefix);
+            if hit {
+                out.push(rid);
+            }
+            Ok(hit)
+        })
     }
 
     /// Every entry in key order.

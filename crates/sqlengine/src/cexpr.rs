@@ -402,12 +402,11 @@ fn compile_inner(
             distinct,
         } => {
             check_arity(name, args.len())?;
-            if is_aggregate_name(name) {
+            if let Some(func) = AggFunc::from_name(name) {
                 let Some(aggs) = aggs.as_deref_mut() else {
                     let message = format!("aggregate {name}() not allowed here");
                     return Err(BindError::new(BindKind::MisplacedAggregate, name, message));
                 };
-                let func = AggFunc::from_name(name).expect("known aggregate");
                 let arg = match args.first() {
                     Some(Expr::Star) if func == AggFunc::Count => None,
                     Some(Expr::Star) => {

@@ -24,7 +24,7 @@ use crate::catalog::{Catalog, TableInfo};
 use crate::cexpr::{compile, eval, Scope};
 use crate::delta::DeltaTableScanner;
 use crate::error::{Result, SqlError};
-use crate::exec::{finish_select, run_select_cancellable, scan_select, QueryResult, Scanned};
+use crate::exec::{finish_select, run_select, scan_select, QueryResult, Scanned};
 use crate::exec_stats::ExecStats;
 use crate::grouped::GroupTable;
 use crate::heap::{FreeSpaceMap, RecordId};
@@ -101,7 +101,9 @@ impl Database {
             fsms: Mutex::new(HashMap::new()),
             cancel: CancelToken::new(),
         };
-        db.ensure_catalog();
+        // A store that stays empty reads as an empty catalog, and the
+        // first write retries the bootstrap and returns its error.
+        let _ = db.ensure_catalog();
         Arc::new(db)
     }
 
@@ -113,12 +115,20 @@ impl Database {
         &self.cancel
     }
 
-    fn ensure_catalog(&self) {
+    /// Lay the catalog down in a store that has no page yet.
+    fn ensure_catalog(&self) -> Result<()> {
         if self.store.pager().page_count() == 0 {
-            let mut txn = self.store.begin().expect("no writer during init");
-            Catalog::bootstrap(&mut txn).expect("catalog bootstrap");
-            self.store.commit(txn).expect("catalog commit");
+            let mut txn = self.store.begin()?;
+            Catalog::bootstrap(&mut txn)?;
+            self.store.commit(txn)?;
         }
+        Ok(())
+    }
+
+    /// A write transaction over a store with its catalog laid down.
+    fn begin(&self) -> Result<WriteTxn> {
+        self.ensure_catalog()?;
+        Ok(self.store.begin()?)
     }
 
     /// Whether an explicit transaction (`BEGIN` without a matching
@@ -197,7 +207,7 @@ impl Database {
                 if open.is_some() {
                     return Err(SqlError::Invalid("transaction already open".into()));
                 }
-                *open = Some(self.store.begin()?);
+                *open = Some(self.begin()?);
                 Ok(ExecOutcome::Done)
             }
             Stmt::Commit { with_snapshot } => {
@@ -232,7 +242,7 @@ impl Database {
     /// `COMMIT WITH SNAPSHOT` on an empty transaction — the paper's bare
     /// snapshot declaration (Figure 3 lines 1–2).
     pub fn declare_snapshot(&self) -> Result<u64> {
-        let txn = self.store.begin()?;
+        let txn = self.begin()?;
         Ok(self.store.commit_with_snapshot(txn)?)
     }
 
@@ -263,12 +273,12 @@ impl Database {
                 if let Some(txn) = open.as_ref() {
                     let catalog = Catalog::load(txn)?;
                     let src = TxnSource::new(txn, &self.store);
-                    run_select_cancellable(select, &src, &catalog, &udfs, Some(&self.cancel))?
+                    run_select(select, &src, &catalog, &udfs, Some(&self.cancel))?
                 } else {
                     drop(open);
                     let view = self.store.current_view();
                     let catalog = Catalog::load(&view)?;
-                    run_select_cancellable(select, &view, &catalog, &udfs, Some(&self.cancel))?
+                    run_select(select, &view, &catalog, &udfs, Some(&self.cancel))?
                 }
             }
         };
@@ -434,7 +444,7 @@ impl Database {
             Some(txn) => f(self, txn),
             None => {
                 drop(open);
-                let mut txn = self.store.begin()?;
+                let mut txn = self.begin()?;
                 match f(self, &mut txn) {
                     Ok(v) => {
                         self.committed(self.store.commit(txn))?;

@@ -253,7 +253,7 @@ fn same_rows(was: &ScanPages, now: &ScanPages) -> bool {
 mod tests {
     use super::*;
     use crate::db::Database;
-    use crate::exec::{ScanRows, Scanned};
+    use crate::exec::Scanned;
     use crate::parser::parse_select;
     use crate::value::Value;
     use rql_pagestore::PagerConfig;
@@ -300,16 +300,14 @@ mod tests {
         scanner: &mut DeltaTableScanner,
     ) -> (Vec<Row>, DeltaScan) {
         let scanned = scan_stage(db, reader, sql, scanner);
-        let delta = scanned.delta.expect("seq-scannable shape");
-        (scanned.rows.iter().cloned().collect(), delta)
+        let (delta, pages) = scanned.delta.expect("seq-scannable shape");
+        let rows = pages.iter().flat_map(|(_, rows)| rows.iter());
+        (rows.cloned().collect(), delta)
     }
 
     /// A served scan's pages: the cache's own row vectors.
     fn served_pages(scanned: Scanned) -> ScanPages {
-        match scanned.rows {
-            ScanRows::Pages(pages) => pages,
-            ScanRows::Owned(_) => panic!("a served scan hands over its pages"),
-        }
+        scanned.delta.expect("a served scan hands over its pages").1
     }
 
     /// A served scan hands the finish stage the cache's own row vectors:
@@ -366,7 +364,7 @@ mod tests {
         let reader = db.store().open_snapshot(sid).unwrap();
         let mut scanner = DeltaTableScanner::new();
         let scanned = scan_stage(&db, &reader, sql, &mut scanner);
-        let delta = scanned.delta.as_ref().expect("seq-scannable shape");
+        let (delta, _) = scanned.delta.as_ref().expect("seq-scannable shape");
         assert!(
             delta.pages_read > 1 && delta.pages_skipped == 0,
             "{delta:?}"
@@ -411,13 +409,13 @@ mod tests {
         let sql = "SELECT a, b FROM t";
         let mut scanner = DeltaTableScanner::new();
 
-        let mut first = scan_stage(&db, &readers[0], sql, &mut scanner);
-        let scan1 = first.delta.take().expect("seq-scannable shape");
+        let first = scan_stage(&db, &readers[0], sql, &mut scanner);
+        let (scan1, first) = first.delta.expect("seq-scannable shape");
         let total_pages = scan1.pages_read;
         assert!(total_pages > 3, "want a multi-page heap, got {total_pages}");
 
-        let mut second = scan_stage(&db, &readers[1], sql, &mut scanner);
-        let scan2 = second.delta.take().expect("seq-scannable shape");
+        let second = scan_stage(&db, &readers[1], sql, &mut scanner);
+        let (scan2, second) = second.delta.expect("seq-scannable shape");
         assert!(
             scan2.pages_skipped > 0,
             "expected unchanged pages to be skipped (read {}, skipped {})",
@@ -429,12 +427,14 @@ mod tests {
 
         // Rows must equal a from-scratch AS OF scan, in order.
         let expected = db.query_as_of(s2, sql).unwrap();
-        let rows2: Vec<Row> = second.rows.iter().cloned().collect();
+        let rows2: Vec<Row> = (second.iter().flat_map(|(_, rows)| rows.iter()))
+            .cloned()
+            .collect();
         assert_eq!(rows2, expected.rows);
 
         // The served pages are the previous scan's vectors; of the fetched
         // ones, exactly the updated row's page holds other rows.
-        let (shared, differ) = compare_pages(&served_pages(first), &served_pages(second));
+        let (shared, differ) = compare_pages(&first, &second);
         assert_eq!(shared as u64, scan2.pages_skipped);
         assert_eq!(differ, 1);
     }

@@ -14,21 +14,22 @@
 //!
 //! A `SELECT` runs in two stages, and [`run_select`] is nothing but
 //! their composition: [`scan_select`] binds the tables, compiles the
-//! WHERE/ON conjuncts once, picks the access paths and materializes the
-//! joined, filtered rows; [`finish_select`] projects or aggregates,
-//! de-duplicates, sorts and limits them. The RQL loop calls the stages
-//! separately so it can look at what the scan fetched before deciding
-//! whether the second stage has to run at all — through the same two
-//! functions, so its output is the ordinary plan's, byte for byte.
+//! WHERE/ON conjuncts and the finish stage once, picks the access paths
+//! and pushes each joined, filtered row into the finish stage's
+//! accumulator as the scan yields it; [`finish_select`] emits the groups
+//! or projected rows, de-duplicates, sorts and limits them. The RQL loop
+//! calls the stages separately so it can look at what the scan fetched
+//! before deciding whether the second stage has to run at all — through
+//! the same two functions, so its output is the ordinary plan's, byte for
+//! byte.
 //!
 //! The scan stage decodes only the columns the statement reads and
-//! streams the base scan through prebuilt join sides, so only joined,
-//! filtered rows are materialized — and none when a delta scanner serves
-//! the scan: the finish stage then reads the scanner's cached pages where
-//! they lie ([`ScanRows`]). Result rows are delivered to a per-row
-//! callback (the `sqlite3_exec` shape the RQL loop body uses).
+//! streams the base scan through prebuilt join sides, so no kept row is
+//! copied except into a group it opens. A scan a delta scanner serves
+//! pushes nothing: its rows stay on the scanner's cached pages
+//! ([`Scanned::delta`]), and the finish stage pushes them through the
+//! same accumulator where they lie.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -41,7 +42,7 @@ use crate::cexpr::{
 use crate::delta::{DeltaScan, DeltaTableScanner, ScanPages};
 use crate::error::{Result, SqlError};
 use crate::exec_stats::ExecStats;
-use crate::heap::HeapFile;
+use crate::heap::{HeapFile, RecordId};
 use crate::pagesource::PageSource;
 use crate::record::{decode_row_into, encode_index_key, Cursor, GatedRow, Row, Walk};
 use crate::schema::TableSchema;
@@ -71,84 +72,37 @@ impl QueryResult {
     }
 }
 
-/// The scan stage's rows, in scan order: owned, or where a delta scanner
-/// left them.
-#[derive(Debug)]
-pub enum ScanRows {
-    /// The ordinary plan's fully joined and filtered rows; columns the
-    /// statement does not read are NULL. When the finish stage reads no
-    /// column (`COUNT(*)`, constant items), every row is empty: only
-    /// their number means anything.
-    Owned(Vec<Row>),
-    /// A scanner-served scan's pages, shared with the scanner's cache:
-    /// every row read in place, none copied. The rows hold every column
-    /// the scan decoded, read by the finish stage or not.
-    Pages(ScanPages),
-}
-
-impl ScanRows {
-    /// Every row, in scan order.
-    pub fn iter(&self) -> impl Iterator<Item = &Row> {
-        let (owned, pages) = match self {
-            ScanRows::Owned(rows) => (rows.as_slice(), &[][..]),
-            ScanRows::Pages(pages) => (&[][..], pages.as_slice()),
-        };
-        owned
-            .iter()
-            .chain(pages.iter().flat_map(|(_, rows)| rows.iter()))
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            ScanRows::Owned(rows) => rows.len(),
-            ScanRows::Pages(pages) => pages.iter().map(|(_, rows)| rows.len()).sum(),
-        }
-    }
-}
-
 /// What the scan stage of a `SELECT` produced: the input of
 /// [`finish_select`], plus what the stage decided on the way.
-#[derive(Debug)]
 pub struct Scanned {
-    /// The filtered rows: [`ScanRows::Pages`] exactly when `delta` is
-    /// set, else [`ScanRows::Owned`].
-    pub rows: ScanRows,
     /// Access-path decisions so far (becomes [`QueryResult::plan`]).
     pub plan: Vec<String>,
     /// What the offered scanner fetched, served and pruned against its
-    /// previous scan, when it served as the seq scan's row source. `None`
-    /// when no scanner was offered or the plan had no use for one (it is
-    /// then left invalidated).
-    pub delta: Option<DeltaScan>,
-    /// Cost so far: ad-hoc index builds, evaluation time and, with
-    /// `delta`, the scanner's page counters.
+    /// previous scan, with the scan's pages — its rows, shared with the
+    /// scanner's cache — when it served as the seq scan's row source.
+    /// `None` when no scanner was offered or the plan had no use for one
+    /// (it is then left invalidated): the scan pushed its rows into the
+    /// finish stage.
+    pub delta: Option<(DeltaScan, ScanPages)>,
+    /// Cost so far: ad-hoc index builds, evaluation time (the pushed
+    /// rows' finish work included) and, with `delta`, the scanner's page
+    /// counters.
     pub stats: ExecStats,
     /// For a single-table statement: the table and its (table-local)
     /// columns some conjunct compares to a constant — what a page sidecar
     /// could refute.
     pub(crate) refutable: Option<(String, Vec<usize>)>,
     /// The finish stage, compiled once against the scan's scope (or the
-    /// error it fails with).
-    pub(crate) finish: BindResult<AggPlan>,
-    /// Columns in the joined row.
-    pub(crate) width: usize,
+    /// error it fails with), holding every row the scan pushed.
+    pub(crate) finish: BindResult<Finish>,
 }
 
 /// Run a `SELECT` over `src`. `catalog` must describe the same source
 /// (i.e. be loaded through it, so AS OF sees the snapshot's schema).
+/// `cancel` is polled at scan and join checkpoints (every
+/// [`CHECK_EVERY_ROWS`] rows), so a long scan unwinds with
+/// `SqlError::Cancelled` within one batch of a trip.
 pub fn run_select<S: PageSource>(
-    select: &SelectStmt,
-    src: &S,
-    catalog: &Catalog,
-    udfs: &UdfRegistry,
-) -> Result<QueryResult> {
-    run_select_cancellable(select, src, catalog, udfs, None)
-}
-
-/// [`run_select`] with a cooperative [`CancelToken`] polled at scan and
-/// join checkpoints (every [`CHECK_EVERY_ROWS`] rows), so a long scan
-/// unwinds with `SqlError::Cancelled` within one batch of a trip.
-pub fn run_select_cancellable<S: PageSource>(
     select: &SelectStmt,
     src: &S,
     catalog: &Catalog,
@@ -159,16 +113,16 @@ pub fn run_select_cancellable<S: PageSource>(
     finish_select(select, scanned)
 }
 
-/// The scan stage: bind the tables, compile the conjuncts, compute the
-/// columns the statement reads, pick the access paths and build the
-/// joined, filtered row set. Columns the statement does not read are
-/// NULL in its rows, and a finish stage that reads none gets empty rows.
+/// The scan stage: bind the tables, compile the conjuncts and the finish
+/// stage, compute the columns the statement reads, pick the access paths
+/// and push every joined, filtered row into the finish stage. Columns the
+/// statement does not read are NULL in the pushed rows.
 ///
 /// An offered `scanner` stands in for the base table's heap when — and
 /// only when — the plan is a plain seq scan of a single table whose
 /// conjuncts call no UDF: it then serves the page versions it has seen
-/// from its cache, the rows stay on its pages
-/// ([`ScanRows::Pages`]), and [`Scanned::delta`] says what it fetched.
+/// from its cache, the rows stay on its pages and nothing is pushed, and
+/// [`Scanned::delta`] says what it fetched and holds the pages.
 /// Any other plan (index probe, join, UDF filter) runs exactly as it
 /// would have without one, and the scanner is invalidated because it did
 /// not observe this scan.
@@ -239,27 +193,33 @@ pub fn scan_select<S: PageSource>(
         .collect::<Result<_>>()?;
     let finish = expand_items(&select.items, &written_bindings, &scope)
         .and_then(|items| AggPlan::compile(select, &items, &scope, udfs));
-    let (read, finish_reads) = read_columns(finish.as_ref().ok(), &conjuncts, scope.width());
+    let read = read_columns(finish.as_ref().ok(), &conjuncts, scope.width());
+    let mut finish = finish.map(|plan| Finish::new(plan, scope.width()));
+    // A finish stage that failed to compile takes no row: its error is
+    // the finish stage's, after the scan's own.
+    let mut push = |row: &Row| match &mut finish {
+        Ok(finish) => finish.push(row),
+        Err(_) => Ok(()),
+    };
     // Each binding's slice of the scan set, cut after its last marked
     // column: the decoder finds where its walk ends at once.
     let cols = |k: usize| {
         let c = &read[binding_ranges[k].0..binding_ranges[k].1];
         &c[..c.iter().rposition(|&r| r).map_or(0, |last| last + 1)]
     };
-    // A finish stage that reads no column (COUNT(*), constant items) only
-    // counts the rows: each is kept as an empty row.
-    let copy = finish_reads.contains(&true);
 
-    // ---- build the joined row set ----------------------------------------
+    // ---- push the joined rows --------------------------------------------
     // The base table's access path is chosen first, then every joined
     // table builds its inner side, then the base scan streams each kept
-    // row through the chain of probes: only joined rows are materialized.
+    // row through the chain of probes into the finish stage.
     let single_table = bindings.len() == 1;
-    let mut rows: Vec<Row> = Vec::new();
     let mut served = None;
     let mut refutable = None;
     if bindings.is_empty() {
-        rows.push(Vec::new()); // SELECT without FROM: one empty row
+        // SELECT without FROM: one empty row, kept if every conjunct holds.
+        if all_hold(&conjuncts, 0..conjuncts.len(), &Row::new())? {
+            push(&Row::new())?;
+        }
     } else {
         let base = plan_base_table(
             catalog,
@@ -298,72 +258,52 @@ pub fn scan_select<S: PageSource>(
                 src,
                 &conjuncts,
                 Incoming::Record(rec),
-                copy,
-                &mut rows,
+                &mut push,
             )
         })?;
     }
-    let (rows, delta) = match served {
-        // A served scan applied every conjunct (see `plan_base_table`).
-        Some((delta, pages)) => (ScanRows::Pages(pages), Some(delta)),
-        None => {
-            if let Some(scanner) = scanner {
-                scanner.invalidate();
-            }
-            // Any conjunct not yet applied (e.g. constant predicates).
-            for (i, (c, _)) in conjuncts.iter().enumerate() {
-                if !used[i] {
-                    rows = filter_rows(rows, c)?;
-                    used[i] = true;
-                }
-            }
-            (ScanRows::Owned(rows), None)
-        }
-    };
+    if let (None, Some(scanner)) = (&served, scanner) {
+        scanner.invalidate();
+    }
 
+    let scan = served.as_ref().map(|(scan, _)| scan);
     let stats = ExecStats {
         index_creation,
         eval: started.elapsed().saturating_sub(index_creation),
-        pages_skipped_delta: delta.as_ref().map_or(0, |d| d.pages_skipped),
-        pages_pruned_filter: delta.as_ref().map_or(0, |d| d.pages_pruned),
-        delta_eligible: u64::from(delta.is_some()),
+        pages_skipped_delta: scan.map_or(0, |d| d.pages_skipped),
+        pages_pruned_filter: scan.map_or(0, |d| d.pages_pruned),
+        delta_eligible: u64::from(scan.is_some()),
         ..Default::default()
     };
     Ok(Scanned {
-        rows,
         plan,
-        delta,
+        delta: served,
         stats,
         refutable,
-        width: scope.width(),
         finish,
     })
 }
 
-/// The finish stage: projection or aggregation, DISTINCT, ORDER BY and
-/// LIMIT (the last two inside the projection stages, which append their
-/// own sort keys) over the scan stage's rows, by the plan the scan stage
-/// compiled. The time it takes is added to the scan stage's.
+/// The finish stage: push a served scan's rows through the accumulator
+/// the scan stage compiled (an unserved scan pushed its own), then emit
+/// the groups or projected rows, sorted and limited, and de-duplicate
+/// them. The time it takes is added to the scan stage's.
 pub fn finish_select(select: &SelectStmt, scanned: Scanned) -> Result<QueryResult> {
     let started = Instant::now();
     let Scanned {
-        rows,
         plan,
+        delta,
         mut stats,
         finish,
-        width,
         ..
     } = scanned;
-    let finish = finish?;
-    let (columns, mut out_rows) = match rows {
-        ScanRows::Owned(rows) if finish.aggregate => {
-            run_aggregate(select, finish, rows.into_iter().map(Cow::Owned), width)?
+    let mut finish = finish?;
+    for (_, rows) in delta.iter().flat_map(|(_, pages)| pages) {
+        for row in rows.iter() {
+            finish.push(row)?;
         }
-        rows if finish.aggregate => {
-            run_aggregate(select, finish, rows.iter().map(Cow::Borrowed), width)?
-        }
-        rows => run_projection(finish, &rows)?,
-    };
+    }
+    let (columns, mut out_rows) = finish.rows()?;
 
     if select.distinct {
         let mut seen = KeySet::with_capacity_and_hasher(out_rows.len(), KeyState::default());
@@ -534,21 +474,13 @@ fn collect_conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
     }
 }
 
-/// The columns the statement reads, by joined-row offset, as
-/// `(scan, finish)`. The finish set is what the finish stage reads: the
-/// columns its compiled clauses (items, GROUP BY, HAVING, ORDER BY and
-/// aggregate arguments) resolve to (`*` names every binding's, `t.*` one
-/// binding's). The conjuncts the scan leaves unapplied belong there too,
-/// but they name no column: the scan applies every conjunct that does.
-/// The scan set adds the conjuncts' columns. A finish stage that did not
-/// compile puts every column in both sets, leaving its error to the
-/// finish stage. A column outside the scan set decodes as NULL and
-/// nothing evaluates it.
-fn read_columns(
-    finish: Option<&AggPlan>,
-    conjuncts: &[(CExpr, usize)],
-    width: usize,
-) -> (Vec<bool>, Vec<bool>) {
+/// The columns the statement reads, by joined-row offset: the conjuncts'
+/// and the ones the finish stage's compiled clauses (items, GROUP BY,
+/// HAVING, ORDER BY and aggregate arguments) resolve to (`*` names every
+/// binding's, `t.*` one binding's). A finish stage that did not compile
+/// reads every column, leaving its error to the finish stage. A column
+/// outside the set decodes as NULL and nothing evaluates it.
+fn read_columns(finish: Option<&AggPlan>, conjuncts: &[(CExpr, usize)], width: usize) -> Vec<bool> {
     let mut offs = Vec::new();
     if let Some(plan) = finish {
         let order = plan.order.iter().filter_map(|(k, _)| match k {
@@ -560,19 +492,14 @@ fn read_columns(
         (clauses.chain(&plan.having).chain(order).chain(args))
             .for_each(|c| c.column_offsets(&mut offs));
     }
-    let mut finish = vec![finish.is_none(); width];
-    for &o in &offs {
-        finish[o] = true;
-    }
-    offs.clear();
     for (c, _) in conjuncts {
         c.column_offsets(&mut offs);
     }
-    let mut scan = finish.clone();
+    let mut read = vec![finish.is_none(); width];
     for o in offs {
-        scan[o] = true;
+        read[o] = true;
     }
-    (scan, finish)
+    read
 }
 
 /// The base table's access path, chosen before any joined table builds
@@ -585,10 +512,11 @@ struct BasePlan<'a> {
     scanner: Option<&'a mut DeltaTableScanner>,
 }
 
-/// Plan the first table's scan: its single-table conjuncts, and a native
-/// index for an equality conjunct when possible. `scanner` is offered
-/// only for a single-table statement; the seq-scan arm uses it as its row
-/// source unless a conjunct calls a UDF. The conjuncts it applies are
+/// Plan the first table's scan: its single-table conjuncts and the ones
+/// that name no column, and a native index for an equality conjunct when
+/// possible. `scanner` is offered only for a single-table statement,
+/// whose every conjunct the scan applies; the seq-scan arm uses it as its
+/// row source unless a conjunct calls a UDF. The conjuncts it applies are
 /// marked used.
 fn plan_base_table<'a>(
     catalog: &'a Catalog,
@@ -600,10 +528,10 @@ fn plan_base_table<'a>(
     scanner: Option<&'a mut DeltaTableScanner>,
 ) -> BasePlan<'a> {
     let (_, info) = binding;
-    let mut applicable: Vec<usize> = conjuncts
+    let applicable: Vec<usize> = conjuncts
         .iter()
         .enumerate()
-        .filter(|(i, (c, need))| !used[*i] && *need <= 1 && c.references_columns())
+        .filter(|(i, (_, need))| !used[*i] && *need <= 1)
         .map(|(i, _)| i)
         .collect();
 
@@ -627,12 +555,6 @@ fn plan_base_table<'a>(
     // UDF may answer differently next time.
     let scanner =
         scanner.filter(|_| probe.is_none() && conjuncts.iter().all(|(c, _)| !c.calls_udf()));
-    if scanner.is_some() {
-        // The statement has one table, so every conjunct — constant ones
-        // included — is this scan's: the cached rows are filtered by the
-        // statement's whole WHERE.
-        applicable = (0..conjuncts.len()).collect();
-    }
     let name = &info.schema.name;
     plan.push(match (&probe, &scanner) {
         (Some((idx, _)), _) => format!("{name}: index scan via {}", idx.schema.name),
@@ -695,26 +617,22 @@ impl BasePlan<'_> {
         let mut checkpoint = Checkpoint::new(cancel);
         let mut keep = |row: &Row| -> Result<bool> {
             checkpoint.check()?;
-            for &i in &applicable {
-                if !eval(&conjuncts[i].0, row, &[])?.is_truthy() {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
+            all_hold(conjuncts, applicable.iter().copied(), row)
         };
         match (self.probe, self.scanner) {
             (Some((idx, v)), _) => {
                 let mut key = Vec::new();
                 encode_index_key(std::slice::from_ref(&v), &mut key);
-                let tree = crate::btree::BTree::new(idx.root);
-                let mut row = Row::new();
-                for rid in tree.scan_prefix(src, &key)? {
-                    let bytes = heap.get(src, rid)?;
-                    let mut rec = GatedRow::decode(&bytes, Some(cols), gate, &mut row)?;
-                    if keep(rec.gate())? {
-                        emit(&mut rec)?;
-                    }
-                    rec.check()?;
+                let (mut rids, mut row) = (Vec::new(), Row::new());
+                crate::btree::BTree::new(idx.root).scan_prefix_into(src, &key, &mut rids)?;
+                for &rid in &rids {
+                    heap.read(src, rid, |bytes| {
+                        let mut rec = GatedRow::decode(bytes, Some(cols), gate, &mut row)?;
+                        if keep(rec.gate())? {
+                            emit(&mut rec)?;
+                        }
+                        rec.check()
+                    })?;
                 }
                 Ok(None)
             }
@@ -733,6 +651,20 @@ impl BasePlan<'_> {
             }
         }
     }
+}
+
+/// Whether every conjunct `which` names is true on `row`.
+fn all_hold(
+    conjuncts: &[(CExpr, usize)],
+    which: impl IntoIterator<Item = usize>,
+    row: &Row,
+) -> Result<bool> {
+    for i in which {
+        if !eval(&conjuncts[i].0, row, &[])?.is_truthy() {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 /// `Col(off) = <constant>` (either orientation) → `(off, value)`.
@@ -781,6 +713,8 @@ struct JoinStep<'a> {
     /// Linking conjuncts other than the join key, checked on every joined
     /// row.
     post: Vec<usize>,
+    /// The joined row, rebuilt in place for every match.
+    joined: Row,
     /// Shared by the build and every probe of this table.
     checkpoint: Checkpoint<'a>,
 }
@@ -796,16 +730,17 @@ enum Inner {
         probe_key: GroupKey,
     },
     /// Index nested loop through a native B-tree: each probe key is
-    /// encoded into `encoded`, and each fetched row is decoded into `trow`
-    /// with `cols` and must pass `verify` — the table's local conjuncts,
-    /// then the join key itself, since the index key space conflates 1
-    /// and 1.0.
+    /// encoded into `encoded` and its hits listed in `rids`, and each
+    /// fetched row is decoded where it lies into `trow` with `cols` and
+    /// must pass `verify` — the table's local conjuncts, then the join key
+    /// itself, since the index key space conflates 1 and 1.0.
     Index {
         tree: crate::btree::BTree,
         heap: HeapFile,
         cols: Vec<bool>,
         verify: Vec<usize>,
         encoded: Vec<u8>,
+        rids: Vec<RecordId>,
         trow: Row,
     },
 }
@@ -917,6 +852,7 @@ fn build_join_step<'a, S: PageSource>(
                 cols: cols.to_vec(),
                 verify: local.iter().copied().chain([ci]).collect(),
                 encoded: Vec::new(),
+                rids: Vec::new(),
                 trow: Row::new(),
             }
         }
@@ -936,10 +872,8 @@ fn build_join_step<'a, S: PageSource>(
                 checkpoint.check()?;
                 padded.truncate(prefix_width);
                 padded.extend_from_slice(trow);
-                for &i in &local {
-                    if !eval(&conjuncts[i].0, &padded, &[])?.is_truthy() {
-                        return Ok(true);
-                    }
+                if !all_hold(conjuncts, local.iter().copied(), &padded)? {
+                    return Ok(true);
                 }
                 let key = match &equi {
                     Some((_, this_side, _)) => match eval(this_side, &padded, &[])? {
@@ -972,6 +906,7 @@ fn build_join_step<'a, S: PageSource>(
         key,
         inner,
         post,
+        joined: Row::new(),
         checkpoint,
     })
 }
@@ -1003,47 +938,37 @@ impl Incoming<'_, '_> {
 
 /// Push one row of the bindings before `steps` through them: the first
 /// step joins it with each matching inner row, and every joined row that
-/// passes the step's checks goes on through the rest. Rows that come out
-/// of the last step are appended to `out` — copied, or as empty rows
-/// unless `copy` — in the order a join of the materialized prefix would
-/// have produced them. A hash step looks the key up in its reused key
-/// buffer before the row is whole: a row whose key misses is never
-/// materialized past the key, and one that hits is joined with the bucket
-/// already found.
+/// passes the step's checks goes on through the rest. Each row that comes
+/// out of the last step goes to `push`, in the order a join of the
+/// materialized prefix would have produced them. A hash step looks the
+/// key up in its reused key buffer before the row is whole: a row whose
+/// key misses is never materialized past the key, and one that hits is
+/// joined with the bucket already found.
 fn probe<S: PageSource>(
     steps: &mut [JoinStep<'_>],
     src: &S,
     conjuncts: &[(CExpr, usize)],
     mut row: Incoming<'_, '_>,
-    copy: bool,
-    out: &mut Vec<Row>,
+    push: &mut impl FnMut(&Row) -> Result<()>,
 ) -> Result<()> {
     let Some((step, rest)) = steps.split_first_mut() else {
-        let row = row.whole()?;
-        out.push(if copy { row.clone() } else { Row::new() });
-        return Ok(());
+        return push(row.whole()?);
     };
     let JoinStep {
         key,
         inner,
         post,
+        joined,
         checkpoint,
     } = step;
     let mut join = |row: &Row, trow: &Row, verify: &[usize]| -> Result<()> {
         checkpoint.check()?;
-        let mut joined = Vec::with_capacity(row.len() + trow.len());
+        joined.clear();
         joined.extend_from_slice(row);
         joined.extend_from_slice(trow);
-        for &i in verify.iter().chain(post.iter()) {
-            if !eval(&conjuncts[i].0, &joined, &[])?.is_truthy() {
-                return Ok(());
-            }
-        }
-        if rest.is_empty() {
-            out.push(if copy { joined } else { Row::new() });
-            Ok(())
-        } else {
-            probe(rest, src, conjuncts, Incoming::Joined(&joined), copy, out)
+        match all_hold(conjuncts, verify.iter().chain(post.iter()).copied(), joined)? {
+            true => probe(rest, src, conjuncts, Incoming::Joined(joined), push),
+            false => Ok(()),
         }
     };
     // The key's value, read where it lies; NULL joins nothing.
@@ -1073,6 +998,7 @@ fn probe<S: PageSource>(
             cols,
             verify,
             encoded,
+            rids,
             trow,
         } => {
             encoded.clear();
@@ -1080,24 +1006,16 @@ fn probe<S: PageSource>(
                 encode_index_key(std::slice::from_ref(&*v), encoded);
             }
             let row = row.whole()?;
-            for rid in tree.scan_prefix(src, encoded)? {
-                let bytes = heap.get(src, rid)?;
-                decode_row_into(&bytes, Some(cols), Cursor::START, Walk::ALL, trow)?;
-                join(row, trow, verify)?;
+            tree.scan_prefix_into(src, encoded, rids)?;
+            for &rid in rids.iter() {
+                heap.read(src, rid, |bytes| {
+                    decode_row_into(bytes, Some(cols), Cursor::START, Walk::ALL, trow)?;
+                    join(row, trow, verify)
+                })?;
             }
         }
     }
     Ok(())
-}
-
-fn filter_rows(rows: Vec<Row>, c: &CExpr) -> Result<Vec<Row>> {
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        if eval(c, &row, &[])?.is_truthy() {
-            out.push(row);
-        }
-    }
-    Ok(out)
 }
 
 /// Expand `*` / `t.*` into concrete expressions with output names.
@@ -1156,20 +1074,6 @@ fn derive_name(expr: &Expr) -> String {
         Expr::Literal(v) => v.to_string(),
         _ => "expr".to_owned(),
     }
-}
-
-fn run_projection(plan: AggPlan, rows: &ScanRows) -> Result<(Vec<String>, Vec<Row>)> {
-    let mut out: Vec<(Row, Row)> = Vec::with_capacity(rows.len()); // (keys, row)
-    for row in rows.iter() {
-        let mut orow = Vec::with_capacity(plan.items.len());
-        for c in &plan.items {
-            orow.push(eval(c, row, &[])?);
-        }
-        let keys = eval_order_keys(&plan.order, row, &orow, &[])?;
-        out.push((keys, orow));
-    }
-    let rows = finish_rows(&plan, out);
-    Ok((plan.columns, rows))
 }
 
 /// An ORDER BY key: computed from the input row (a compiled expression)
@@ -1494,9 +1398,9 @@ impl AggPlan {
     }
 }
 
-/// The one group accumulator, shared by [`run_aggregate`] and the grouped
-/// delta finish ([`crate::grouped`]): groups in first-appearance order,
-/// indexed by key.
+/// The one group accumulator, shared by the finish stage ([`Finish`]) and
+/// the grouped delta finish ([`crate::grouped`]): groups in
+/// first-appearance order, indexed by key.
 #[derive(Default)]
 pub(crate) struct Groups {
     pub(crate) index: KeyMap<GroupKey, usize>,
@@ -1504,14 +1408,15 @@ pub(crate) struct Groups {
 }
 
 impl Groups {
-    /// Fold `row` into its group, opening the group with `row` as its
-    /// representative on first appearance; returns the group's position.
-    pub(crate) fn add(&mut self, plan: &AggPlan, row: Cow<'_, Row>) -> Result<usize> {
+    /// Fold `row` into its group, opening the group with a copy of `row`
+    /// as its representative on first appearance; returns the group's
+    /// position.
+    pub(crate) fn add(&mut self, plan: &AggPlan, row: &Row) -> Result<usize> {
         // Without GROUP BY every row is the one group's: nothing to hash.
         let (g, fresh) = match plan.group_exprs.is_empty() {
             true => (0, self.states.is_empty()),
             false => {
-                let key = plan.key(&row)?;
+                let key = plan.key(row)?;
                 match self.index.get(&key) {
                     Some(&g) => (g, false),
                     None => {
@@ -1522,41 +1427,79 @@ impl Groups {
             }
         };
         if fresh {
-            self.states.push(plan.state());
+            let mut state = plan.state();
+            state.representative = row.clone();
+            self.states.push(state);
         }
-        let state = &mut self.states[g];
-        plan.update(state, &row)?;
-        if fresh {
-            state.representative = row.into_owned();
-        }
+        plan.update(&mut self.states[g], row)?;
         Ok(g)
     }
 }
 
-/// The aggregate stage over `rows`: owned rows move into their groups'
-/// representatives, borrowed ones are cloned only for that.
-fn run_aggregate<'r>(
-    select: &SelectStmt,
-    plan: AggPlan,
-    rows: impl Iterator<Item = Cow<'r, Row>>,
+/// The finish stage's row accumulator, compiled once by the scan stage:
+/// its plan and the rows pushed so far, folded into their groups when the
+/// statement aggregates, else projected into `(order keys, output row)`
+/// pairs.
+pub(crate) struct Finish {
+    pub(crate) plan: AggPlan,
+    acc: Acc,
+    /// Columns in the joined row.
     width: usize,
-) -> Result<(Vec<String>, Vec<Row>)> {
-    let mut groups = Groups::default();
-    for row in rows {
-        groups.add(&plan, row)?;
+}
+
+enum Acc {
+    Groups(Groups),
+    Rows(Vec<(Row, Row)>),
+}
+
+impl Finish {
+    fn new(plan: AggPlan, width: usize) -> Finish {
+        let acc = match plan.aggregate {
+            true => Acc::Groups(Groups::default()),
+            false => Acc::Rows(Vec::new()),
+        };
+        Finish { plan, acc, width }
     }
-    // Global aggregate over empty input still yields one group.
-    if groups.states.is_empty() && select.group_by.is_empty() {
-        let mut state = plan.state();
-        state.representative = vec![Value::Null; width];
-        groups.states.push(state);
+
+    /// Fold one kept row in.
+    fn push(&mut self, row: &Row) -> Result<()> {
+        let plan = &self.plan;
+        match &mut self.acc {
+            Acc::Groups(groups) => groups.add(plan, row).map(drop),
+            Acc::Rows(keyed) => {
+                let mut orow = Vec::with_capacity(plan.items.len());
+                for c in &plan.items {
+                    orow.push(eval(c, row, &[])?);
+                }
+                let keys = eval_order_keys(&plan.order, row, &orow, &[])?;
+                keyed.push((keys, orow));
+                Ok(())
+            }
+        }
     }
-    let mut keyed: Vec<(Row, Row)> = Vec::with_capacity(groups.states.len());
-    for state in &groups.states {
-        keyed.extend(plan.emit(state)?);
+
+    /// The output column names and rows, sorted and limited.
+    fn rows(self) -> Result<(Vec<String>, Vec<Row>)> {
+        let Finish { plan, acc, width } = self;
+        let keyed = match acc {
+            Acc::Rows(keyed) => keyed,
+            Acc::Groups(mut groups) => {
+                // Global aggregate over empty input still yields one group.
+                if groups.states.is_empty() && plan.group_exprs.is_empty() {
+                    let mut state = plan.state();
+                    state.representative = vec![Value::Null; width];
+                    groups.states.push(state);
+                }
+                let mut keyed = Vec::with_capacity(groups.states.len());
+                for state in &groups.states {
+                    keyed.extend(plan.emit(state)?);
+                }
+                keyed
+            }
+        };
+        let rows = finish_rows(&plan, keyed);
+        Ok((plan.columns, rows))
     }
-    let rows = finish_rows(&plan, keyed);
-    Ok((plan.columns, rows))
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! [`DeltaTableScanner`](crate::delta::DeltaTableScanner). For every group
 //! it holds its members' positions — (page ordinal in walk order, row on
 //! the page) — and its output row. A pass compares the pages the scan
-//! stage handed over ([`ScanRows::Pages`], the scanner cache's own `Arc`s,
+//! stage handed over ([`Scanned::delta`], the scanner cache's own `Arc`s,
 //! read in place) with the previous pass's: a page whose row vector is the
 //! same `Arc`, or that is empty both times, is unchanged; every other
 //! page's old rows leave their groups and its new rows join theirs. New pages are linked in right after the
@@ -28,7 +28,6 @@
 //! previous pass, a page that left the walk, surviving pages that changed
 //! order, or an error part-way through a pass make a full build.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -36,7 +35,7 @@ use std::time::Instant;
 use crate::ast::{Expr, SelectItem, SelectStmt};
 use crate::delta::ScanPages;
 use crate::error::Result;
-use crate::exec::{finish_select, AggPlan, Groups, QueryResult, ScanRows, Scanned};
+use crate::exec::{finish_select, AggPlan, Groups, QueryResult, Scanned};
 use crate::record::Row;
 use crate::value::{GroupKey, KeyMap};
 
@@ -93,14 +92,11 @@ impl GroupTable {
     /// dropped.
     pub fn finish(&mut self, select: &SelectStmt, mut scanned: Scanned) -> Result<QueryResult> {
         let started = Instant::now();
-        let pages = match (&mut scanned.rows, &scanned.delta) {
-            (ScanRows::Pages(pages), Some(_)) => std::mem::take(pages),
-            _ => {
-                self.invalidate();
-                return finish_select(select, scanned);
-            }
+        let Some((_, pages)) = scanned.delta.take() else {
+            self.invalidate();
+            return finish_select(select, scanned);
         };
-        let plan = scanned.finish?;
+        let plan = scanned.finish?.plan;
         if let Err(e) = self.pass(&plan, pages) {
             self.invalidate();
             return Err(e);
@@ -138,7 +134,7 @@ impl GroupTable {
         let mut members: Vec<Vec<(u32, u32)>> = Vec::new();
         for (o, (_, rows)) in pages.iter().enumerate() {
             for (i, row) in rows.iter().enumerate() {
-                let g = acc.add(plan, Cow::Borrowed(row))?;
+                let g = acc.add(plan, row)?;
                 if g == members.len() {
                     members.push(Vec::new());
                 }

@@ -281,17 +281,21 @@ impl HeapFile {
         Ok(rid)
     }
 
-    /// Read one record's bytes.
-    pub fn get<S: PageSource>(&self, src: &S, rid: RecordId) -> Result<Vec<u8>> {
+    /// Hand one record's bytes to `f` where they lie on their page.
+    pub fn read<S: PageSource, T>(
+        &self,
+        src: &S,
+        rid: RecordId,
+        f: impl FnOnce(&[u8]) -> Result<T>,
+    ) -> Result<T> {
         let page = src.page(rid.page)?;
-        read_cell(&page, rid.slot)
-            .map(<[u8]>::to_vec)
-            .ok_or_else(|| SqlError::Invalid(format!("no record at {rid:?}")))
+        let cell = read_cell(&page, rid.slot);
+        f(cell.ok_or_else(|| SqlError::Invalid(format!("no record at {rid:?}")))?)
     }
 
     /// Read and decode one record.
     pub fn get_row<S: PageSource>(&self, src: &S, rid: RecordId) -> Result<Row> {
-        decode_row(&self.get(src, rid)?)
+        self.read(src, rid, decode_row)
     }
 
     /// The one read walk over the chain: every page from the root in chain

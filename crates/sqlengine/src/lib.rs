@@ -21,6 +21,7 @@
 //!   MVCC views, `AS OF` reads over snapshot readers.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod ast;
 pub mod btree;
@@ -50,7 +51,7 @@ pub use catalog::{Catalog, IndexInfo, TableInfo};
 pub use db::{Database, ExecOutcome};
 pub use delta::{CachedPage, DeltaScan, DeltaTableScanner, PageCache, ScanPages, SkipReason};
 pub use error::{Result, SqlError};
-pub use exec::{QueryResult, ScanRows, Scanned};
+pub use exec::{QueryResult, Scanned};
 pub use exec_stats::ExecStats;
 pub use grouped::GroupTable;
 pub use heap::{FreeSpaceMap, HeapFile, RecordId};

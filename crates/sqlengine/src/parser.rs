@@ -24,10 +24,10 @@ pub fn parse_statements(sql: &str) -> Result<Vec<Stmt>> {
 
 /// Parse exactly one statement.
 pub fn parse_statement(sql: &str) -> Result<Stmt> {
-    let stmts = parse_statements(sql)?;
-    match stmts.len() {
-        1 => Ok(stmts.into_iter().next().unwrap()),
-        n => Err(SqlError::Parse(format!(
+    let mut stmts = parse_statements(sql)?;
+    match (stmts.len(), stmts.pop()) {
+        (1, Some(stmt)) => Ok(stmt),
+        (n, _) => Err(SqlError::Parse(format!(
             "expected one statement, found {n}"
         ))),
     }

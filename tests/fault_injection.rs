@@ -35,6 +35,21 @@ fn store_with(wal_ok: u64, pagelog_ok: u64, fail_reads: bool) -> (Arc<Database>,
 }
 
 #[test]
+fn a_failed_catalog_bootstrap_fails_the_first_write() {
+    // The WAL refuses the catalog's own commit: opening the database must
+    // not panic, the empty store reads as an empty catalog, and every
+    // write retries the bootstrap and returns its fault.
+    let (db, _) = store_with(0, u64::MAX, false);
+    let one = db.query("SELECT 1").unwrap().rows;
+    assert_eq!(one, vec![vec![Value::Integer(1)]]);
+    for _ in 0..2 {
+        let e = db.execute("CREATE TABLE t (a INTEGER)").unwrap_err();
+        assert!(e.to_string().contains("injected"), "{e}");
+    }
+    assert!(db.table_schemas().unwrap().is_empty());
+}
+
+#[test]
 fn wal_append_failure_fails_the_commit() {
     let (db, _) = store_with(12, u64::MAX, false);
     db.execute("CREATE TABLE t (a INTEGER)").unwrap();

@@ -132,6 +132,14 @@ const STATEMENTS: &[&str] = &[
     "SELECT COUNT(*) FROM emp WHERE 1 = 0",
     "SELECT COUNT(*) FROM emp e, dept d WHERE e.dept = d.d_id AND d.budget > 100",
     "SELECT COUNT(*) FROM emp HAVING COUNT(*) > 1",
+    // Conjuncts no table applies, rows from a joined side in a group.
+    "SELECT COUNT(*) FROM emp WHERE twice(1) = 2",
+    "SELECT COUNT(*) FROM emp e, dept d WHERE e.dept = d.d_id AND twice(1) = 2",
+    "SELECT COUNT(*) WHERE 1 = 0",
+    "SELECT e.dept, d.d_name, COUNT(*) FROM emp e, dept d WHERE e.dept = d.d_id GROUP BY e.dept",
+    "SELECT e.name, d.d_name, l.city FROM emp e JOIN dept d ON e.dept = d.d_id \
+     JOIN loc l ON l.l_dept = d.d_id ORDER BY l.city, e.id LIMIT 4",
+    "SELECT SUM(e.salary) FROM emp e, dept d WHERE e.dept = d.d_id AND 2 > 1",
 ];
 
 /// Statements read at the snapshot, before the later UPDATE and DELETE.
