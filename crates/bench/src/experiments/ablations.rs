@@ -9,7 +9,8 @@
 use std::cmp::Ordering;
 use std::time::Instant;
 
-use rql::{AggOp, IterationReport, RqlReport, RqlSession, Value};
+use rql::mechanism::TableLayout;
+use rql::{AggOp, IterationReport, RqlReport, RqlSession};
 use rql_sqlengine::ast::Stmt;
 use rql_sqlengine::{Result, Row, SqlError};
 use rql_tpch::{build_history, UW30};
@@ -25,7 +26,9 @@ use crate::queries::QQ_AGG;
 /// sorts the Qq output by grouping key and merges it against a full
 /// key-ordered scan of the result table. The merge touches every result
 /// row every iteration, which is what makes it lose to the index-probe
-/// plan whenever the result table outgrows the per-snapshot output. It
+/// plan whenever the result table outgrows the per-snapshot output. Only
+/// the lookup differs: `T`'s layout and the fold of a record into its
+/// group's row are the mechanism's ([`TableLayout`]). It
 /// stays memo-free: it exists to measure the costlier alternative, and a
 /// cache would mask that cost.
 pub fn aggregate_data_in_table_sortmerge(
@@ -47,10 +50,7 @@ pub fn aggregate_data_in_table_sortmerge(
         qs_time: qs_started.elapsed(),
         ..Default::default()
     };
-    // `(qq position, op)` per aggregated column, with the AVG columns'
-    // `(sum, count)` companions appended after the Qq columns in order.
-    let mut agg_columns: Vec<(usize, AggOp)> = Vec::new();
-    let mut group_positions: Vec<usize> = Vec::new();
+    let mut layout: Option<TableLayout> = None;
     for id in &ids.rows {
         let sid = id[0]
             .as_i64()
@@ -63,29 +63,20 @@ pub fn aggregate_data_in_table_sortmerge(
             .rows()
             .ok_or_else(|| SqlError::Invalid(format!("Qq returned no rows: {qq}")))?;
         let udf_started = Instant::now();
-        if report.iterations.is_empty() {
-            let mut columns: Vec<String> = result.columns.clone();
-            for (col, op) in pairs {
-                let pos = result
-                    .columns
-                    .iter()
-                    .position(|c| c.eq_ignore_ascii_case(col))
-                    .ok_or_else(|| SqlError::Unknown(format!("aggregated column {col}")))?;
-                agg_columns.push((pos, *op));
-                if op.needs_companions() {
-                    columns.push(format!("{col}__avg_sum"));
-                    columns.push(format!("{col}__avg_cnt"));
-                }
+        // `T` is the mechanism's, without its probe index.
+        let layout = match &mut layout {
+            Some(layout) => layout,
+            slot => {
+                let layout = TableLayout::aggregate_in_table(pairs, &result.columns)?;
+                let columns: Vec<String> = (layout.columns().iter())
+                    .map(|c| format!("\"{c}\" ANY"))
+                    .collect();
+                aux.execute(&format!("CREATE TABLE {table} ({})", columns.join(", ")))?;
+                slot.insert(layout)
             }
-            group_positions = (0..result.columns.len())
-                .filter(|i| !agg_columns.iter().any(|(p, _)| p == i))
-                .collect();
-            let columns: Vec<String> = columns.iter().map(|c| format!("\"{c}\" ANY")).collect();
-            aux.execute(&format!("CREATE TABLE {table} ({})", columns.join(", ")))?;
-        }
+        };
         let cmp_keys = |a: &Row, b: &Row| {
-            group_positions
-                .iter()
+            (layout.group_positions().iter())
                 .map(|&p| a[p].total_cmp(&b[p]))
                 .find(|o| *o != Ordering::Equal)
                 .unwrap_or(Ordering::Equal)
@@ -106,41 +97,13 @@ pub fn aggregate_data_in_table_sortmerge(
                 {}
                 match merge.next_if(|(_, row)| cmp_keys(row, record) == Ordering::Equal) {
                     Some((rid, old)) => {
-                        let mut new_row = old.clone();
-                        let mut companion = result.columns.len();
-                        for (pos, op) in &agg_columns {
-                            if op.needs_companions() {
-                                let mut sum = old[companion].as_f64().unwrap_or(0.0);
-                                let mut cnt = old[companion + 1].as_i64().unwrap_or(0);
-                                if let Some(x) = record[*pos].as_f64() {
-                                    sum += x;
-                                    cnt += 1;
-                                }
-                                new_row[companion] = Value::Real(sum);
-                                new_row[companion + 1] = Value::Integer(cnt);
-                                new_row[*pos] = if cnt == 0 {
-                                    Value::Null
-                                } else {
-                                    Value::Real(sum / cnt as f64)
-                                };
-                                companion += 2;
-                            } else {
-                                new_row[*pos] = op.combine(&old[*pos], &record[*pos]);
-                            }
-                        }
+                        let new_row = layout.fold_row(Some(old), record);
                         if new_row != *old {
                             w.update(*rid, old, new_row)?;
                         }
                     }
                     None => {
-                        let mut row = record.clone();
-                        for (pos, op) in &agg_columns {
-                            if op.needs_companions() {
-                                row.push(Value::Real(record[*pos].as_f64().unwrap_or(0.0)));
-                                row.push(Value::Integer(i64::from(!record[*pos].is_null())));
-                            }
-                        }
-                        w.insert(row)?;
+                        w.insert(layout.fold_row(None, record))?;
                     }
                 }
             }
@@ -278,6 +241,7 @@ mod tests {
             vec![("v".to_string(), AggOp::Sum)],
             vec![("v".to_string(), AggOp::Min)],
             vec![("v".to_string(), AggOp::Avg)],
+            vec![("v".to_string(), AggOp::Count)],
         ] {
             session.drop_result_table("hash_r").unwrap();
             session.drop_result_table("merge_r").unwrap();

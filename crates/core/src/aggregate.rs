@@ -9,13 +9,17 @@
 //! aggregation mechanisms implement a simple extension that supports
 //! average as a special case."
 //!
-//! [`AggOp`] is the monoid operation; [`AggState`] carries the running
-//! value, with AVG represented as a `(sum, count)` pair — the paper's
-//! special case.
+//! This module only names and parses them: [`AggOp`] is the subset of
+//! SQL aggregates the mechanisms accept (TOTAL and DISTINCT forms are
+//! not), and [`AggOp::func`] maps each to the SQL engine's aggregate,
+//! whose accumulator ([`rql_sqlengine::AggAcc`]) is the one
+//! implementation of the monoid and of AVG's `(sum, count)` special case.
+//! How a result table stores that state is [`crate::mechanism`]'s
+//! business.
 
 use std::fmt;
 
-use rql_sqlengine::{SqlError, Value};
+use rql_sqlengine::{AggFunc, SqlError};
 
 /// An RQL aggregate function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,123 +58,15 @@ impl AggOp {
         }
     }
 
-    /// Fresh identity state.
-    pub fn init(self) -> AggState {
+    /// The SQL engine aggregate the mechanisms fold this op with.
+    pub fn func(self) -> AggFunc {
         match self {
-            AggOp::Avg => AggState::Avg { sum: 0.0, count: 0 },
-            AggOp::Count => AggState::Count(0),
-            _ => AggState::Simple(None),
+            AggOp::Min => AggFunc::Min,
+            AggOp::Max => AggFunc::Max,
+            AggOp::Sum => AggFunc::Sum,
+            AggOp::Count => AggFunc::Count,
+            AggOp::Avg => AggFunc::Avg,
         }
-    }
-
-    /// Fold one per-snapshot value into the running state. NULLs are
-    /// skipped (SQL aggregate semantics).
-    pub fn absorb(self, state: &mut AggState, v: &Value) {
-        if v.is_null() {
-            return;
-        }
-        match (self, state) {
-            (AggOp::Min, AggState::Simple(best)) => {
-                if best
-                    .as_ref()
-                    .is_none_or(|b| v.total_cmp(b) == std::cmp::Ordering::Less)
-                {
-                    *best = Some(v.clone());
-                }
-            }
-            (AggOp::Max, AggState::Simple(best)) => {
-                if best
-                    .as_ref()
-                    .is_none_or(|b| v.total_cmp(b) == std::cmp::Ordering::Greater)
-                {
-                    *best = Some(v.clone());
-                }
-            }
-            (AggOp::Sum, AggState::Simple(acc)) => {
-                *acc = Some(match acc.take() {
-                    None => v.clone(),
-                    Some(a) => a.add(v),
-                });
-            }
-            (AggOp::Count, AggState::Count(n)) => *n += 1,
-            (AggOp::Avg, AggState::Avg { sum, count }) => {
-                if let Some(x) = v.as_f64() {
-                    *sum += x;
-                    *count += 1;
-                }
-            }
-            (op, st) => unreachable!("state mismatch: {op:?} with {st:?}"),
-        }
-    }
-
-    /// Combine a value already stored in a result table with a new
-    /// per-snapshot value — the `op` of the monoid, used by
-    /// `AggregateDataInTable` when its index probe hits.
-    pub fn combine(self, stored: &Value, incoming: &Value) -> Value {
-        match self {
-            AggOp::Min => {
-                if incoming.is_null() {
-                    stored.clone()
-                } else if stored.is_null() || incoming.total_cmp(stored) == std::cmp::Ordering::Less
-                {
-                    incoming.clone()
-                } else {
-                    stored.clone()
-                }
-            }
-            AggOp::Max => {
-                if incoming.is_null() {
-                    stored.clone()
-                } else if stored.is_null()
-                    || incoming.total_cmp(stored) == std::cmp::Ordering::Greater
-                {
-                    incoming.clone()
-                } else {
-                    stored.clone()
-                }
-            }
-            AggOp::Sum => {
-                if incoming.is_null() {
-                    stored.clone()
-                } else if stored.is_null() {
-                    incoming.clone()
-                } else {
-                    stored.add(incoming)
-                }
-            }
-            AggOp::Count => {
-                let base = stored.as_i64().unwrap_or(0);
-                if incoming.is_null() {
-                    Value::Integer(base)
-                } else {
-                    Value::Integer(base + 1)
-                }
-            }
-            // AVG cannot be combined value-to-value; the mechanism keeps
-            // (sum, count) companion columns and never calls this.
-            AggOp::Avg => unreachable!("AVG is combined via its (sum, count) pair"),
-        }
-    }
-
-    /// Finish a running state into the reported value.
-    pub fn finish(self, state: &AggState) -> Value {
-        match state {
-            AggState::Simple(v) => v.clone().unwrap_or(Value::Null),
-            AggState::Count(n) => Value::Integer(*n),
-            AggState::Avg { sum, count } => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    Value::Real(sum / *count as f64)
-                }
-            }
-        }
-    }
-
-    /// Whether this op needs `(sum, count)` companion columns in a result
-    /// table (the AVG special case).
-    pub fn needs_companions(self) -> bool {
-        matches!(self, AggOp::Avg)
     }
 }
 
@@ -185,22 +81,6 @@ impl fmt::Display for AggOp {
         };
         write!(f, "{s}")
     }
-}
-
-/// Running state for one aggregate variable.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AggState {
-    /// MIN/MAX/SUM running value (`None` = identity).
-    Simple(Option<Value>),
-    /// COUNT of contributions.
-    Count(i64),
-    /// AVG special case: `(sum, count)`.
-    Avg {
-        /// Running sum.
-        sum: f64,
-        /// Contributions.
-        count: i64,
-    },
 }
 
 /// Parse the `ListOfColFuncPairs` notation the paper uses:
@@ -234,6 +114,7 @@ pub fn parse_col_func_pairs(text: &str) -> Result<Vec<(String, AggOp)>, SqlError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rql_sqlengine::{AggAcc, Value};
 
     #[test]
     fn parse_names() {
@@ -246,63 +127,58 @@ mod tests {
         assert!(err.to_string().contains("CollateData"));
     }
 
+    /// Folds `values` through the engine accumulator `op` maps to.
+    fn fold(op: AggOp, values: &[Value]) -> Value {
+        let mut acc = AggAcc::new(op.func());
+        for v in values {
+            acc.update(Some(v));
+        }
+        acc.finish()
+    }
+
     #[test]
     fn min_max_sum_fold() {
+        // NULL is ignored.
+        let values = [
+            Value::Integer(5),
+            Value::Integer(1),
+            Value::Integer(9),
+            Value::Null,
+        ];
         for (op, expect) in [
             (AggOp::Min, Value::Integer(1)),
             (AggOp::Max, Value::Integer(9)),
             (AggOp::Sum, Value::Integer(15)),
         ] {
-            let mut st = op.init();
-            for v in [5, 1, 9] {
-                op.absorb(&mut st, &Value::Integer(v));
-            }
-            op.absorb(&mut st, &Value::Null); // ignored
-            assert_eq!(op.finish(&st), expect, "{op}");
+            assert_eq!(fold(op, &values), expect, "{op}");
         }
     }
 
     #[test]
     fn count_and_avg_fold() {
-        let op = AggOp::Count;
-        let mut st = op.init();
-        for v in [5, 1, 9] {
-            op.absorb(&mut st, &Value::Integer(v));
-        }
-        assert_eq!(op.finish(&st), Value::Integer(3));
-
-        let op = AggOp::Avg;
-        let mut st = op.init();
-        for v in [2.0, 4.0] {
-            op.absorb(&mut st, &Value::Real(v));
-        }
-        assert_eq!(op.finish(&st), Value::Real(3.0));
-        assert!(op.finish(&op.init()).is_null());
+        let values = [5, 1, 9].map(Value::Integer);
+        assert_eq!(fold(AggOp::Count, &values), Value::Integer(3));
+        assert_eq!(
+            fold(AggOp::Avg, &[2.0, 4.0].map(Value::Real)),
+            Value::Real(3.0)
+        );
+        // A single contribution still averages to a Real.
+        assert_eq!(fold(AggOp::Avg, &[Value::Integer(4)]), Value::Real(4.0));
+        assert!(fold(AggOp::Avg, &[]).is_null());
     }
 
     #[test]
     fn combine_is_commutative_and_associative() {
-        let vals = [Value::Integer(3), Value::Integer(7), Value::Integer(1)];
+        // For MIN/MAX/SUM a finished fold is itself a valid contribution,
+        // so the monoid's `op(x, y)` is `fold(op, [x, y])`.
+        let [a, b, c] = [3, 7, 1].map(Value::Integer);
         for op in [AggOp::Min, AggOp::Max, AggOp::Sum] {
-            let ab = op.combine(&vals[0], &vals[1]);
-            let ba = op.combine(&vals[1], &vals[0]);
-            assert_eq!(ab, ba, "{op} commutative");
-            let ab_c = op.combine(&ab, &vals[2]);
-            let a_bc = op.combine(&vals[0], &op.combine(&vals[1], &vals[2]));
+            let combine = |x: &Value, y: &Value| fold(op, &[x.clone(), y.clone()]);
+            assert_eq!(combine(&a, &b), combine(&b, &a), "{op} commutative");
+            let ab_c = combine(&combine(&a, &b), &c);
+            let a_bc = combine(&a, &combine(&b, &c));
             assert_eq!(ab_c, a_bc, "{op} associative");
         }
-    }
-
-    #[test]
-    fn combine_null_handling() {
-        assert_eq!(
-            AggOp::Min.combine(&Value::Null, &Value::Integer(2)),
-            Value::Integer(2)
-        );
-        assert_eq!(
-            AggOp::Sum.combine(&Value::Integer(2), &Value::Null),
-            Value::Integer(2)
-        );
     }
 
     #[test]

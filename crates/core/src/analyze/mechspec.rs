@@ -195,8 +195,8 @@ fn check_mechanism_spec(
         MechanismKind::AggTable => (spec_text, SourceKind::Spec),
         _ => (call.qq, SourceKind::Qq),
     };
-    for &(pos, op, _) in &layout.agg_columns {
-        let col = &output[pos];
+    for agg in &layout.agg_columns {
+        let (col, op) = (&output[agg.pos], agg.op);
         if matches!(op, AggOp::Sum | AggOp::Avg) && col.ty == ColumnType::Text {
             diags.push(Diagnostic::new(
                 Code::AggTypeMismatch,

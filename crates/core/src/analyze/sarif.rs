@@ -13,6 +13,7 @@
 //! minimal schema in CI.
 
 use rql_sqlengine::Span;
+use rql_trace::json_str;
 
 use crate::analyze::diag::{Code, Diagnostic, Severity, SourceKind};
 
@@ -152,25 +153,6 @@ fn level(sev: Severity) -> &'static str {
         Severity::Warning => "warning",
         Severity::Info => "note",
     }
-}
-
-/// JSON string literal with full escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -302,7 +302,7 @@ impl QqSource {
                 )));
             }
             rql_trace::instant_arg(rql_trace::SpanId::SeqPath, sid);
-            return Ok(snap.finish_stage(&rewritten, scanned)?.into());
+            return Ok(snap.finish_stage(scanned)?.into());
         };
         rql_trace::instant_arg(rql_trace::SpanId::DeltaPath, sid);
         if skip == Some(SkipReason::Pruned) {
@@ -329,7 +329,7 @@ impl QqSource {
             _ => {
                 // Pipeline: the ordinary finish stage over the cached
                 // base rows.
-                snap.finish_stage_grouped(&rewritten, scanned, self.groups.as_mut())?
+                snap.finish_stage_grouped(scanned, self.groups.as_mut())?
                     .into()
             }
         })

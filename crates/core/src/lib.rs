@@ -78,7 +78,7 @@ pub mod rewrite;
 pub mod session;
 pub mod snapids;
 
-pub use aggregate::{parse_col_func_pairs, AggOp, AggState};
+pub use aggregate::{parse_col_func_pairs, AggOp};
 pub use analyze::{
     analyze_mechanism_call, analyze_program, apply_fixes, fix_program, machine_applicable,
     parse_program, render_sarif, run_program, run_program_with_reports, Analysis, Applicability,

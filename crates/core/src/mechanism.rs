@@ -11,6 +11,12 @@
 //! probe-then-update for `AggregateDataInTable`; lifetime maintenance
 //! for `CollateDataIntoIntervals`.
 //!
+//! Both aggregation folds run the SQL engine's accumulator
+//! ([`AggAcc`]), so a mechanism answers what SQL's aggregate answers over
+//! the snapshots CollateData would collect. `AggColumn` is its stored
+//! form in `T`: a running variable or a group's row is loaded, updated
+//! with one contribution and stored back.
+//!
 //! The callers differ only in how long they keep the (source, fold) pair:
 //!
 //! * a batch run ([`run`]) drives a fresh pair over everything Qs
@@ -27,10 +33,11 @@ use std::time::{Duration, Instant};
 
 use rql_memo::{MemoStore, QqRows};
 use rql_sqlengine::{
-    Database, GroupKey, GroupKeyRef, KeyMap, KeyState, Result, Row, SqlError, TableWriter, Value,
+    AggAcc, Database, GroupKey, GroupKeyRef, KeyMap, KeyState, Result, Row, SqlError, TableWriter,
+    Value,
 };
 
-use crate::aggregate::{parse_col_func_pairs, AggOp, AggState};
+use crate::aggregate::{parse_col_func_pairs, AggOp};
 use crate::delta::{DeltaPolicy, QqSource};
 use crate::maintain::ResultDelta;
 use crate::report::{IterationReport, RqlReport};
@@ -200,8 +207,8 @@ impl MechSpec {
         };
         match self {
             MechSpec::Collate => {}
-            MechSpec::AggVar(op) if qq_columns.len() == 1 => {
-                layout.agg_columns.push((0, *op, None));
+            &MechSpec::AggVar(op) if qq_columns.len() == 1 => {
+                layout.agg_columns.push(AggColumn::new(0, op, None));
             }
             MechSpec::AggVar(_) => return Err(LayoutError::NotSingleColumn(qq_columns.len())),
             MechSpec::AggTable(pairs) => {
@@ -209,14 +216,12 @@ impl MechSpec {
                     let pos = (qq_columns.iter())
                         .position(|c| c.eq_ignore_ascii_case(col))
                         .ok_or_else(|| LayoutError::NotInQq(col.clone()))?;
-                    let companion = op.needs_companions().then(|| {
-                        layout.table_columns.extend(avg_companions(col));
-                        layout.table_columns.len() - 2
-                    });
-                    layout.agg_columns.push((pos, *op, companion));
+                    let agg = AggColumn::new(pos, *op, Some(layout.table_columns.len()));
+                    layout.table_columns.extend(agg.companions(col));
+                    layout.agg_columns.push(agg);
                 }
                 layout.group_positions = (0..qq_columns.len())
-                    .filter(|i| !layout.agg_columns.iter().any(|(p, _, _)| p == i))
+                    .filter(|&i| !layout.agg_columns.iter().any(|a| a.pos == i))
                     .collect();
                 if layout.group_positions.is_empty() {
                     return Err(LayoutError::AllAggregated);
@@ -238,10 +243,61 @@ impl MechSpec {
     }
 }
 
-/// The `(sum, count)` columns that carry an AVG column's running state in
-/// `T`, so a later fold can resume the average.
-fn avg_companions(column: &str) -> [String; 2] {
-    [format!("{column}__avg_sum"), format!("{column}__avg_cnt")]
+/// One aggregated column of `T` and the stored form of its running state,
+/// the SQL engine's accumulator ([`AggAcc`]): the column holds the
+/// finished value, which for MIN/MAX/SUM/COUNT is the whole state, and an
+/// AVG column is followed by its `(sum, count)` companions so a later fold
+/// can resume the average. Every write of an aggregate to `T` is new or
+/// loaded state, one update, and a store.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AggColumn {
+    /// The column's position, in the Qq output and in `T`.
+    pub(crate) pos: usize,
+    /// The aggregate it holds.
+    pub(crate) op: AggOp,
+    /// Where AVG's companions start in `T`, if `T` carries them.
+    companion: Option<usize>,
+}
+
+impl AggColumn {
+    /// `op` over column `pos`, with AVG's companions at `next` if given.
+    fn new(pos: usize, op: AggOp, next: Option<usize>) -> AggColumn {
+        let companion = next.filter(|_| op == AggOp::Avg);
+        AggColumn { pos, op, companion }
+    }
+
+    /// The companion column names for a value column named `column`.
+    fn companions(&self, column: &str) -> impl Iterator<Item = String> {
+        let names = |_| [format!("{column}__avg_sum"), format!("{column}__avg_cnt")];
+        self.companion.map(names).into_iter().flatten()
+    }
+
+    /// The state stored in `row` (a stored MIN/MAX/SUM value is its own
+    /// state once folded into the identity).
+    fn load(&self, row: &Row) -> AggAcc {
+        let stored = |i: usize| row.get(i).unwrap_or(&Value::Null);
+        match (self.op, self.companion) {
+            (AggOp::Count, _) => AggAcc::Count(stored(self.pos).as_i64().unwrap_or(0)),
+            (AggOp::Avg, Some(at)) => AggAcc::Avg {
+                sum: stored(at).as_f64().unwrap_or(0.0),
+                count: stored(at + 1).as_i64().unwrap_or(0),
+            },
+            _ => {
+                let mut state = AggAcc::new(self.op.func());
+                state.update(Some(stored(self.pos)));
+                state
+            }
+        }
+    }
+
+    /// Write `acc` into `row`.
+    fn store(&self, acc: AggAcc, row: &mut Row) {
+        if let (Some(at), &AggAcc::Avg { sum, count }) = (self.companion, &acc) {
+            row[at] = Value::Real(sum);
+            row[at + 1] = Value::Integer(count);
+        }
+        row[self.pos] = acc.finish();
+    }
 }
 
 /// Why a Qq output cannot make `T`: each is the error the fold raises when
@@ -316,9 +372,9 @@ impl Fold {
     pub(crate) fn new(spec: MechSpec, table: &str) -> Fold {
         let state = match &spec {
             MechSpec::Collate => FoldState::Collate,
-            &MechSpec::AggVar(func) => FoldState::AggVar(VarFold {
-                func,
-                state: func.init(),
+            &MechSpec::AggVar(op) => FoldState::AggVar(VarFold {
+                agg: AggColumn::new(0, op, None),
+                state: AggAcc::new(op.func()),
                 column: None,
                 in_table: false,
                 unnamed: false,
@@ -353,18 +409,12 @@ impl Fold {
         match &mut fold.state {
             FoldState::AggVar(var) => {
                 var.in_table = true;
+                var.agg = AggColumn::new(0, var.agg.op, Some(1));
                 if fold.exists {
                     let stored = aux.query(&format!("SELECT * FROM {table}"))?;
                     var.column = stored.columns.first().cloned();
                     if let Some(row) = stored.rows.first() {
-                        var.state = match var.func {
-                            AggOp::Avg => AggState::Avg {
-                                sum: row.get(1).and_then(Value::as_f64).unwrap_or(0.0),
-                                count: row.get(2).and_then(Value::as_i64).unwrap_or(0),
-                            },
-                            AggOp::Count => AggState::Count(row[0].as_i64().unwrap_or(0)),
-                            _ => AggState::Simple((!row[0].is_null()).then(|| row[0].clone())),
-                        };
+                        var.state = var.agg.load(row);
                     }
                 }
             }
@@ -492,13 +542,13 @@ impl Fold {
 // ======================================================================
 
 struct VarFold {
-    func: AggOp,
-    state: AggState,
+    /// The variable's column of `T`.
+    agg: AggColumn,
+    state: AggAcc,
     column: Option<String>,
     /// The per-row UDF form keeps the variable in `T` between
-    /// invocations (with `(sum, count)` companions for the AVG special
-    /// case) and writes it through on every contribution; otherwise `T`
-    /// is materialized by [`Fold::finish`].
+    /// invocations (with AVG's companions) and writes it through on every
+    /// contribution; otherwise `T` is materialized by [`Fold::finish`].
     in_table: bool,
     /// `T` was created before any Qq output named its column (an empty
     /// snapshot set); the next write re-creates it properly.
@@ -515,7 +565,7 @@ impl VarFold {
         result: &QqRows,
         sink: Option<&mut ResultDelta>,
     ) -> Result<Applied> {
-        MechSpec::AggVar(self.func).table_layout(&result.columns)?;
+        MechSpec::AggVar(self.agg.op).table_layout(&result.columns)?;
         let value = match result.rows.as_slice() {
             [] => None,
             [row] => Some(&row[0]),
@@ -528,7 +578,7 @@ impl VarFold {
         };
         self.column.get_or_insert_with(|| result.columns[0].clone());
         if let Some(v) = value {
-            self.func.absorb(&mut self.state, v);
+            self.state.update(Some(v));
         }
         if self.in_table && (!*exists || value.is_some()) {
             return self.write(aux, table, exists, sink);
@@ -544,12 +594,11 @@ impl VarFold {
         exists: &mut bool,
         mut sink: Option<&mut ResultDelta>,
     ) -> Result<Applied> {
-        let mut row = vec![self.func.finish(&self.state)];
-        let companions = self.in_table && self.func.needs_companions();
-        if let (true, AggState::Avg { sum, count }) = (companions, &self.state) {
-            row.push(Value::Real(*sum));
-            row.push(Value::Integer(*count));
-        }
+        let column = self.column.clone().unwrap_or_else(|| "value".to_owned());
+        let mut columns = vec![column.clone()];
+        columns.extend(self.agg.companions(&column));
+        let mut row = vec![Value::Null; columns.len()];
+        self.agg.store(self.state.clone(), &mut row);
         if self.unnamed && self.column.is_some() {
             let placeholder = aux.query(&format!("SELECT * FROM {table}"))?;
             if let Some(delta) = &mut sink {
@@ -560,14 +609,6 @@ impl VarFold {
         }
         if !*exists {
             self.unnamed = self.column.is_none();
-            let column = self.column.clone().unwrap_or_else(|| "value".to_owned());
-            let spec = MechSpec::AggVar(self.func);
-            let mut columns = spec
-                .table_layout(std::slice::from_ref(&column))?
-                .table_columns;
-            if companions {
-                columns.extend(avg_companions(&column));
-            }
             create_result_table(aux, table, &columns, &[])?;
             *exists = true;
         }
@@ -594,31 +635,58 @@ impl VarFold {
 // AggregateDataInTable — write-skipping in-table fold
 // ======================================================================
 
-/// `T`'s layout for one Qq output ([`MechSpec::table_layout`]).
-pub(crate) struct TableLayout {
+/// `T`'s layout for one Qq output (`MechSpec::table_layout`).
+pub struct TableLayout {
     /// Positions, within the Qq output, of the columns `T`'s probe index
     /// keys on: AggregateDataInTable's grouping columns, every column of
     /// CollateDataIntoIntervals, none otherwise.
     group_positions: Vec<usize>,
-    /// `(qq_position, op, companion_base)` per aggregated column;
-    /// `companion_base` indexes the `(sum, count)` pair for AVG columns.
-    pub(crate) agg_columns: Vec<(usize, AggOp, Option<usize>)>,
+    /// The aggregated columns.
+    pub(crate) agg_columns: Vec<AggColumn>,
     /// All result-table column names.
     pub(crate) table_columns: Vec<String>,
 }
 
 impl TableLayout {
-    /// Result-table row for a record's first appearance.
-    fn fresh_row(&self, record: &Row) -> Row {
-        let mut row = Vec::with_capacity(self.table_columns.len());
-        row.extend(record.iter().cloned());
-        for (pos, _, companion) in &self.agg_columns {
-            if companion.is_some() {
-                let x = record[*pos].as_f64().unwrap_or(0.0);
-                let present = !record[*pos].is_null();
-                row.push(Value::Real(x));
-                row.push(Value::Integer(i64::from(present)));
+    /// AggregateDataInTable's `T` for `pairs` over a Qq returning
+    /// `qq_columns`, for folds outside the mechanism (the bench's
+    /// sort-merge ablation).
+    pub fn aggregate_in_table(
+        pairs: &[(String, AggOp)],
+        qq_columns: &[String],
+    ) -> Result<TableLayout> {
+        Ok(MechSpec::AggTable(pairs.to_vec()).table_layout(qq_columns)?)
+    }
+
+    /// All result-table column names.
+    pub fn columns(&self) -> &[String] {
+        &self.table_columns
+    }
+
+    /// The grouping columns' positions in a Qq record and in `T`.
+    pub fn group_positions(&self) -> &[usize] {
+        &self.group_positions
+    }
+
+    /// `T`'s row for its group after `record` is folded into `old`, the
+    /// group's row so far (`None`: the group's first record).
+    pub fn fold_row(&self, old: Option<&Row>, record: &Row) -> Row {
+        let mut row = match old {
+            Some(old) => old.clone(),
+            None => {
+                let mut row = Vec::with_capacity(self.table_columns.len());
+                row.extend(record.iter().cloned());
+                row.resize(self.table_columns.len(), Value::Null);
+                row
             }
+        };
+        for agg in &self.agg_columns {
+            let mut state = match old {
+                Some(old) => agg.load(old),
+                None => AggAcc::new(agg.op.func()),
+            };
+            state.update(Some(&record[agg.pos]));
+            agg.store(state, &mut row);
         }
         row
     }
@@ -643,7 +711,7 @@ impl TableLayout {
     ) -> Result<()> {
         let mut hits = w.probe(0, &self.key(record).0)?;
         let Some((rid, old)) = hits.pop() else {
-            let fresh = self.fresh_row(record);
+            let fresh = self.fold_row(None, record);
             emit(sink, None, &fresh);
             w.insert(fresh)?;
             return Ok(());
@@ -655,27 +723,7 @@ impl TableLayout {
                 hits.len() + 1
             )));
         }
-        let mut new_row = old.clone();
-        for (pos, op, companion) in &self.agg_columns {
-            match companion {
-                Some(base) => {
-                    let mut sum = old[*base].as_f64().unwrap_or(0.0);
-                    let mut cnt = old[*base + 1].as_i64().unwrap_or(0);
-                    if let Some(x) = record[*pos].as_f64() {
-                        sum += x;
-                        cnt += 1;
-                    }
-                    new_row[*base] = Value::Real(sum);
-                    new_row[*base + 1] = Value::Integer(cnt);
-                    new_row[*pos] = if cnt == 0 {
-                        Value::Null
-                    } else {
-                        Value::Real(sum / cnt as f64)
-                    };
-                }
-                None => new_row[*pos] = op.combine(&old[*pos], &record[*pos]),
-            }
-        }
+        let new_row = self.fold_row(Some(&old), record);
         // Skip the write when the aggregate did not change (MAX rarely
         // changes; SUM changes on every contribution — the asymmetry of
         // Figure 13's hot iterations).
@@ -690,8 +738,7 @@ impl TableLayout {
     /// the previous pass folded (see [`AggTableFold`]); empty when none
     /// may.
     fn skippable(&self, result: &QqRows, prev: Option<&QqRows>) -> Vec<bool> {
-        let idempotent =
-            (self.agg_columns.iter()).all(|(_, op, _)| matches!(op, AggOp::Min | AggOp::Max));
+        let idempotent = (self.agg_columns.iter()).all(|a| matches!(a.op, AggOp::Min | AggOp::Max));
         let Some(prev) = prev.filter(|_| idempotent) else {
             return Vec::new();
         };
@@ -760,7 +807,7 @@ impl AggTableFold {
         let prev = self.prev.take();
         if blind {
             w.load(result.rows.iter().map(|record| {
-                let fresh = layout.fresh_row(record);
+                let fresh = layout.fold_row(None, record);
                 emit(sink, None, &fresh);
                 fresh
             }))?;

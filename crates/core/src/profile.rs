@@ -236,8 +236,8 @@ impl QueryProfile {
             }
             let _ = write!(
                 out,
-                "{{\"table\":\"{}\",\"qs_micros\":{},\"finalize_micros\":{},\"snapshots\":[",
-                json_escape(&m.table),
+                "{{\"table\":{},\"qs_micros\":{},\"finalize_micros\":{},\"snapshots\":[",
+                rql_trace::json_str(&m.table),
                 us(m.qs_time),
                 us(m.finalize_time),
             );
@@ -268,24 +268,6 @@ impl QueryProfile {
         out.push_str("]}");
         out
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -489,3 +489,68 @@ fn named_snapshots_resolve() {
         .unwrap();
     assert_eq!(r.rows[0][0], Value::Integer(0));
 }
+
+/// Paper §2.3, checked as snapshot reducibility: each aggregation
+/// mechanism answers what plain SQL answers over the snapshots
+/// CollateData collects. For every op, AggregateDataInTable (batch and
+/// per-row UDF form) equals `SELECT g, op(v) … GROUP BY g` over
+/// CollateData's table, and AggregateDataInVariable equals the ungrouped
+/// aggregate — over a group seen in every snapshot, groups seen once,
+/// NULL values, an all-NULL group and mixed Integer/Real values.
+#[test]
+fn aggregation_mechanisms_equal_sql_over_the_collated_snapshots() {
+    let session = RqlSession::with_defaults().unwrap();
+    session
+        .execute("CREATE TABLE m (g INTEGER, v ANY)")
+        .unwrap();
+    // Group 1 is seen three times, once as NULL; groups 2 and 5 once; 3
+    // only as NULL; 4 mixes Integer and Real; 6 never.
+    for rows in [
+        "(1, 5), (2, 4), (3, NULL), (4, 2.5)",
+        "(1, 7), (3, NULL), (4, 3)",
+        "(1, NULL), (4, 1), (5, 0.5)",
+    ] {
+        let script =
+            format!("BEGIN; DELETE FROM m; INSERT INTO m VALUES {rows}; COMMIT WITH SNAPSHOT;");
+        session.execute(&script).unwrap();
+    }
+    let (qs, qq) = ("SELECT snap_id FROM SnapIds", "SELECT g, v FROM m");
+    session.collate_data(qs, qq, "collated").unwrap();
+    let sorted = |sql: &str| {
+        let mut rows = session.query_aux(sql).unwrap().rows;
+        rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
+        rows
+    };
+    let udf = |mechanism: &str, qq: &str, table: &str, spec: &str| {
+        let call = format!("SELECT {mechanism}(snap_id, '{qq}', '{table}', '{spec}') FROM SnapIds");
+        session.query_aux(&call).unwrap();
+    };
+    for op in [AggOp::Min, AggOp::Max, AggOp::Sum, AggOp::Count, AggOp::Avg] {
+        let want = sorted(&format!("SELECT g, {op}(v) FROM collated GROUP BY g"));
+        let batch = format!("t_{op}");
+        let pairs = [("v".to_owned(), op)];
+        session
+            .aggregate_data_in_table(qs, qq, &batch, &pairs)
+            .unwrap();
+        let per_row = format!("u_{op}");
+        udf("AggregateDataInTable", qq, &per_row, &format!("(v,{op})"));
+        for t in [batch, per_row] {
+            let got = sorted(&format!("SELECT g, v FROM {t}"));
+            assert_eq!(got, want, "AggregateDataInTable {op} into {t}");
+        }
+        for g in 1..=6 {
+            let want = sorted(&format!("SELECT {op}(v) FROM collated WHERE g = {g}"));
+            let qq = format!("SELECT v FROM m WHERE g = {g}");
+            let (batch, per_row) = (format!("vt_{op}_{g}"), format!("vu_{op}_{g}"));
+            (session.aggregate_data_in_variable(qs, &qq, &batch, op)).unwrap();
+            udf("AggregateDataInVariable", &qq, &per_row, &op.to_string());
+            for t in [batch, per_row] {
+                let got = sorted(&format!("SELECT v FROM {t}"));
+                assert_eq!(
+                    got, want,
+                    "AggregateDataInVariable {op} of group {g} into {t}"
+                );
+            }
+        }
+    }
+}

@@ -23,6 +23,7 @@
 //!   reproduce the paper's figures.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cache;
 pub mod error;

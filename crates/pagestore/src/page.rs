@@ -80,7 +80,7 @@ impl Page {
     /// Read a little-endian `u16` at `off`.
     #[inline]
     pub fn read_u16(&self, off: usize) -> u16 {
-        u16::from_le_bytes(self.data[off..off + 2].try_into().unwrap())
+        u16::from_le_bytes(array_at(&self.data, off))
     }
 
     /// Write a little-endian `u16` at `off`.
@@ -92,7 +92,7 @@ impl Page {
     /// Read a little-endian `u32` at `off`.
     #[inline]
     pub fn read_u32(&self, off: usize) -> u32 {
-        u32::from_le_bytes(self.data[off..off + 4].try_into().unwrap())
+        u32::from_le_bytes(array_at(&self.data, off))
     }
 
     /// Write a little-endian `u32` at `off`.
@@ -104,7 +104,7 @@ impl Page {
     /// Read a little-endian `u64` at `off`.
     #[inline]
     pub fn read_u64(&self, off: usize) -> u64 {
-        u64::from_le_bytes(self.data[off..off + 8].try_into().unwrap())
+        u64::from_le_bytes(array_at(&self.data, off))
     }
 
     /// Write a little-endian `u64` at `off`.
@@ -140,6 +140,15 @@ impl fmt::Debug for Page {
             .field("checksum", &format_args!("{:#x}", self.checksum()))
             .finish()
     }
+}
+
+/// The `N` bytes of `bytes` at `off`, as an array; panics when they run
+/// past the end, as indexing does.
+#[inline]
+pub(crate) fn array_at<const N: usize>(bytes: &[u8], off: usize) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(&bytes[off..off + N]);
+    out
 }
 
 /// FNV-1a hash of a byte slice.

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::{Result, StoreError};
-use crate::page::{fnv1a, Page, PageId};
+use crate::page::{array_at, fnv1a, Page, PageId};
 use crate::storage::LogStorage;
 
 /// Record kinds on the log.
@@ -56,17 +56,17 @@ pub fn next_committed_segment(
         };
         match kind {
             KIND_PAGE => {
-                let pid = PageId(u64::from_le_bytes(body[8..16].try_into().unwrap()));
-                let plen = u32::from_le_bytes(body[16..20].try_into().unwrap()) as usize;
+                let pid = PageId(u64::from_le_bytes(array_at(&body, 8)));
+                let plen = u32::from_le_bytes(array_at(&body, 16)) as usize;
                 if body.len() != 20 + plen {
                     return Err(StoreError::CorruptWal { offset: off });
                 }
                 pages.push((pid, Page::from_bytes(body[20..].to_vec())));
             }
             KIND_COMMIT => {
-                let txn_id = u64::from_le_bytes(body[0..8].try_into().unwrap());
+                let txn_id = u64::from_le_bytes(array_at(&body, 0));
                 let has_snap = body[8] == 1;
-                let sid = u64::from_le_bytes(body[9..17].try_into().unwrap());
+                let sid = u64::from_le_bytes(array_at(&body, 9));
                 return Ok(Some(CommittedSegment {
                     txn_id,
                     snapshot: has_snap.then_some(sid),
@@ -107,7 +107,7 @@ fn read_record(storage: &dyn LogStorage, off: u64, len: u64) -> Result<Option<(u
     let mut header = vec![0u8; hlen];
     storage.read_at(off + 1, &mut header)?;
     let body_extra = if kind == KIND_PAGE {
-        u32::from_le_bytes(header[16..20].try_into().unwrap()) as usize
+        u32::from_le_bytes(array_at(&header, 16)) as usize
     } else {
         0
     };
@@ -219,9 +219,9 @@ impl Wal {
             };
             match kind {
                 KIND_PAGE => {
-                    let txn_id = u64::from_le_bytes(body[0..8].try_into().unwrap());
-                    let pid = PageId(u64::from_le_bytes(body[8..16].try_into().unwrap()));
-                    let plen = u32::from_le_bytes(body[16..20].try_into().unwrap()) as usize;
+                    let txn_id = u64::from_le_bytes(array_at(&body, 0));
+                    let pid = PageId(u64::from_le_bytes(array_at(&body, 8)));
+                    let plen = u32::from_le_bytes(array_at(&body, 16)) as usize;
                     if body.len() != 20 + plen {
                         return Err(StoreError::CorruptWal { offset: off });
                     }
@@ -229,9 +229,9 @@ impl Wal {
                     pending.entry(txn_id).or_default().push((pid, page));
                 }
                 KIND_COMMIT => {
-                    let txn_id = u64::from_le_bytes(body[0..8].try_into().unwrap());
+                    let txn_id = u64::from_le_bytes(array_at(&body, 0));
                     let has_snap = body[8] == 1;
-                    let sid = u64::from_le_bytes(body[9..17].try_into().unwrap());
+                    let sid = u64::from_le_bytes(array_at(&body, 9));
                     if let Some(writes) = pending.remove(&txn_id) {
                         for (pid, page) in writes {
                             state.pages.insert(pid, page);

@@ -261,7 +261,7 @@ impl Database {
                 };
                 let reader = self.store.open_snapshot(sid as u64)?;
                 let scanned = self.scan_stage(&reader, select, None)?;
-                self.finish_stage(select, scanned)?
+                self.finish_stage(scanned)?
             }
             None => {
                 // Inside an open transaction, read through it (own writes
@@ -334,8 +334,8 @@ impl Database {
 
     /// The finish stage over what [`Self::scan_stage`] produced: the
     /// query's result, with both stages' cost.
-    pub fn finish_stage(&self, select: &SelectStmt, scanned: Scanned) -> Result<QueryResult> {
-        self.finish_stage_grouped(select, scanned, None)
+    pub fn finish_stage(&self, scanned: Scanned) -> Result<QueryResult> {
+        self.finish_stage_grouped(scanned, None)
     }
 
     /// [`Self::finish_stage`], through a group table when given: the
@@ -343,14 +343,13 @@ impl Database {
     /// offered [`Self::scan_stage`] (see [`GroupTable::finish`]).
     pub fn finish_stage_grouped(
         &self,
-        select: &SelectStmt,
         scanned: Scanned,
         grouped: Option<&mut GroupTable>,
     ) -> Result<QueryResult> {
         let io_before = self.io_stats().snapshot();
         let mut result = match grouped {
-            Some(groups) => groups.finish(select, scanned)?,
-            None => finish_select(select, scanned)?,
+            Some(groups) => groups.finish(scanned)?,
+            None => finish_select(scanned)?,
         };
         let io = self.io_stats().snapshot().delta(&io_before);
         result.stats.io.accumulate(&io);

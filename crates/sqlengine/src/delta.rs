@@ -371,9 +371,7 @@ mod tests {
         );
         assert_eq!(delta.snapshot_skip(), None, "nothing to compare with");
         assert_eq!(scanned.plan, vec!["t: delta seq scan"]);
-        let result = db
-            .finish_stage(&parse_select(sql).unwrap(), scanned)
-            .unwrap();
+        let result = db.finish_stage(scanned).unwrap();
         assert_eq!(result.columns, expected.columns);
         assert_eq!(result.rows, expected.rows);
     }
@@ -663,8 +661,8 @@ mod tests {
         let sid = snapshot(&db);
         let reader = db.store().open_snapshot(sid).unwrap();
         let mut scanner = DeltaTableScanner::new();
-        let finished = |sql: &str, scanned: Scanned| {
-            let result = db.finish_stage(&parse_select(sql).unwrap(), scanned);
+        let finished = |scanned: Scanned| {
+            let result = db.finish_stage(scanned);
             result.unwrap().rows
         };
 
@@ -674,10 +672,7 @@ mod tests {
         let scanned = scan_stage(&db, &reader, ranged, &mut scanner);
         assert_eq!(scanned.plan, vec!["t: delta seq scan"]);
         assert!(scanned.delta.is_some() && scanner.last.is_some());
-        assert_eq!(
-            finished(ranged, scanned),
-            db.query_as_of(sid, ranged).unwrap().rows
-        );
+        assert_eq!(finished(scanned), db.query_as_of(sid, ranged).unwrap().rows);
 
         // Equality over the indexed column → the planner uses the index,
         // once; the scanner did not observe the scan and says so.
@@ -686,10 +681,7 @@ mod tests {
         assert_eq!(scanned.plan, vec!["t: index scan via idx_a"]);
         assert!(scanned.delta.is_none() && scanner.last.is_none());
         assert_eq!(scanned.stats.delta_eligible, 0);
-        assert_eq!(
-            finished(probed, scanned),
-            db.query_as_of(sid, probed).unwrap().rows
-        );
+        assert_eq!(finished(scanned), db.query_as_of(sid, probed).unwrap().rows);
 
         // Joins are never served from the scanner.
         let joined = "SELECT * FROM t, t t2";
@@ -699,10 +691,7 @@ mod tests {
             vec!["t: seq scan", "t: nested-loop cross join"]
         );
         assert!(scanned.delta.is_none() && scanner.last.is_none());
-        assert_eq!(
-            finished(joined, scanned),
-            db.query_as_of(sid, joined).unwrap().rows
-        );
+        assert_eq!(finished(scanned), db.query_as_of(sid, joined).unwrap().rows);
     }
 
     #[test]
@@ -718,7 +707,7 @@ mod tests {
         let scanned = scan_stage(&db, &reader, sql, &mut scanner);
         assert_eq!(scanned.plan, vec!["t: seq scan"]);
         assert!(scanned.delta.is_none() && scanner.last.is_none());
-        let result = db.finish_stage(&parse_select(sql).unwrap(), scanned);
+        let result = db.finish_stage(scanned);
         assert_eq!(result.unwrap().rows, db.query_as_of(sid, sql).unwrap().rows);
     }
 }

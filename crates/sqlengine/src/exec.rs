@@ -17,7 +17,7 @@
 //! WHERE/ON conjuncts and the finish stage once, picks the access paths
 //! and pushes each joined, filtered row into the finish stage's
 //! accumulator as the scan yields it; [`finish_select`] emits the groups
-//! or projected rows, de-duplicates, sorts and limits them. The RQL loop
+//! or projected rows, sorts, de-duplicates and limits them. The RQL loop
 //! calls the stages separately so it can look at what the scan fetched
 //! before deciding whether the second stage has to run at all — through
 //! the same two functions, so its output is the ordinary plan's, byte for
@@ -110,7 +110,7 @@ pub fn run_select<S: PageSource>(
     cancel: Option<&CancelToken>,
 ) -> Result<QueryResult> {
     let scanned = scan_select(select, src, catalog, udfs, cancel, None)?;
-    finish_select(select, scanned)
+    finish_select(scanned)
 }
 
 /// The scan stage: bind the tables, compile the conjuncts and the finish
@@ -286,9 +286,9 @@ pub fn scan_select<S: PageSource>(
 
 /// The finish stage: push a served scan's rows through the accumulator
 /// the scan stage compiled (an unserved scan pushed its own), then emit
-/// the groups or projected rows, sorted and limited, and de-duplicate
-/// them. The time it takes is added to the scan stage's.
-pub fn finish_select(select: &SelectStmt, scanned: Scanned) -> Result<QueryResult> {
+/// the groups or projected rows, sorted, de-duplicated and limited. The
+/// time it takes is added to the scan stage's.
+pub fn finish_select(scanned: Scanned) -> Result<QueryResult> {
     let started = Instant::now();
     let Scanned {
         plan,
@@ -303,12 +303,7 @@ pub fn finish_select(select: &SelectStmt, scanned: Scanned) -> Result<QueryResul
             finish.push(row)?;
         }
     }
-    let (columns, mut out_rows) = finish.rows()?;
-
-    if select.distinct {
-        let mut seen = KeySet::with_capacity_and_hasher(out_rows.len(), KeyState::default());
-        out_rows.retain(|r| seen.insert(GroupKey(r.clone())));
-    }
+    let (columns, out_rows) = finish.rows()?;
     stats.eval += started.elapsed();
     stats.rows = out_rows.len() as u64;
     Ok(QueryResult {
@@ -1130,7 +1125,7 @@ fn eval_order_keys(
     Ok(v)
 }
 
-/// Sort by keys, apply LIMIT, strip keys.
+/// Sort by keys, strip keys, drop DISTINCT's duplicates, apply LIMIT.
 fn finish_rows(plan: &AggPlan, mut keyed: Vec<(Row, Row)>) -> Vec<Row> {
     if !plan.order.is_empty() {
         keyed.sort_by(|(ka, _), (kb, _)| {
@@ -1145,6 +1140,10 @@ fn finish_rows(plan: &AggPlan, mut keyed: Vec<(Row, Row)>) -> Vec<Row> {
         });
     }
     let mut rows: Vec<Row> = keyed.into_iter().map(|(_, r)| r).collect();
+    if plan.distinct {
+        let mut seen = KeySet::with_capacity_and_hasher(rows.len(), KeyState::default());
+        rows.retain(|r| seen.insert(GroupKey(r.clone())));
+    }
     if let Some(n) = plan.limit {
         rows.truncate(n);
     }
@@ -1153,18 +1152,36 @@ fn finish_rows(plan: &AggPlan, mut keyed: Vec<(Row, Row)>) -> Vec<Row> {
 
 // ---- aggregation ---------------------------------------------------------
 
-/// One aggregate's running state.
-enum AggAcc {
+/// One aggregate's running state: the one implementation of MIN, MAX,
+/// SUM, COUNT and AVG (and SQLite's TOTAL), shared by SQL's finish stage
+/// and the RQL aggregation mechanisms. MIN/MAX/SUM/COUNT are the paper's
+/// abelian monoids (§2.3): the finished value does not depend on the
+/// order of updates (SUM over integers). AVG is the paper's special case,
+/// carried as its `(sum, count)` pair.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AggAcc {
+    /// Contributions counted (non-NULL inputs, or every `COUNT(*)` row).
     Count(i64),
+    /// Running sum (`None` = no contribution yet: NULL).
     Sum(Option<Value>),
+    /// Running float sum (0.0 on no contribution).
     Total(f64),
+    /// Least input so far under the SQL total order.
     Min(Option<Value>),
+    /// Greatest input so far.
     Max(Option<Value>),
-    Avg { sum: f64, count: i64 },
+    /// AVG's running `(sum, count)` of numeric inputs.
+    Avg {
+        /// Sum of the numeric inputs.
+        sum: f64,
+        /// How many numeric inputs.
+        count: i64,
+    },
 }
 
 impl AggAcc {
-    fn new(func: AggFunc) -> AggAcc {
+    /// The identity state of `func`.
+    pub fn new(func: AggFunc) -> AggAcc {
         match func {
             AggFunc::Count => AggAcc::Count(0),
             AggFunc::Sum => AggAcc::Sum(None),
@@ -1175,53 +1192,37 @@ impl AggAcc {
         }
     }
 
-    /// Update with one input; `None` means COUNT(*) (count every row).
-    fn update(&mut self, v: Option<&Value>) {
+    /// Fold one input in; `None` is a `COUNT(*)` row, which counts and
+    /// which every other function ignores. NULL inputs are skipped.
+    #[inline]
+    pub fn update(&mut self, v: Option<&Value>) {
+        if let AggAcc::Count(n) = self {
+            *n += i64::from(v.is_none_or(|v| !v.is_null()));
+            return;
+        }
+        let Some(v) = v.filter(|v| !v.is_null()) else {
+            return;
+        };
+        let wins = match self {
+            AggAcc::Min(_) => std::cmp::Ordering::Less,
+            _ => std::cmp::Ordering::Greater,
+        };
         match self {
-            AggAcc::Count(n) => {
-                if v.is_none_or(|v| !v.is_null()) {
-                    *n += 1;
-                }
-            }
+            AggAcc::Count(_) => {}
             AggAcc::Sum(acc) => {
-                if let Some(v) = v {
-                    if !v.is_null() {
-                        *acc = Some(match acc.take() {
-                            None => v.clone(),
-                            Some(a) => a.add(v),
-                        });
-                    }
-                }
+                *acc = Some(match acc.take() {
+                    None => v.clone(),
+                    Some(a) => a.add(v),
+                });
             }
-            AggAcc::Total(t) => {
-                if let Some(x) = v.and_then(Value::as_f64) {
-                    *t += x;
-                }
-            }
-            AggAcc::Min(best) => {
-                if let Some(v) = v {
-                    if !v.is_null()
-                        && best
-                            .as_ref()
-                            .is_none_or(|b| v.total_cmp(b) == std::cmp::Ordering::Less)
-                    {
-                        *best = Some(v.clone());
-                    }
-                }
-            }
-            AggAcc::Max(best) => {
-                if let Some(v) = v {
-                    if !v.is_null()
-                        && best
-                            .as_ref()
-                            .is_none_or(|b| v.total_cmp(b) == std::cmp::Ordering::Greater)
-                    {
-                        *best = Some(v.clone());
-                    }
+            AggAcc::Total(t) => *t += v.as_f64().unwrap_or(0.0),
+            AggAcc::Min(best) | AggAcc::Max(best) => {
+                if best.as_ref().is_none_or(|b| v.total_cmp(b) == wins) {
+                    *best = Some(v.clone());
                 }
             }
             AggAcc::Avg { sum, count } => {
-                if let Some(x) = v.and_then(Value::as_f64) {
+                if let Some(x) = v.as_f64() {
                     *sum += x;
                     *count += 1;
                 }
@@ -1229,19 +1230,14 @@ impl AggAcc {
         }
     }
 
-    fn finish(&self) -> Value {
+    /// The aggregate's value.
+    pub fn finish(self) -> Value {
         match self {
-            AggAcc::Count(n) => Value::Integer(*n),
-            AggAcc::Sum(acc) => acc.clone().unwrap_or(Value::Null),
-            AggAcc::Total(t) => Value::Real(*t),
-            AggAcc::Min(b) | AggAcc::Max(b) => b.clone().unwrap_or(Value::Null),
-            AggAcc::Avg { sum, count } => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    Value::Real(sum / *count as f64)
-                }
-            }
+            AggAcc::Count(n) => Value::Integer(n),
+            AggAcc::Total(t) => Value::Real(t),
+            AggAcc::Sum(v) | AggAcc::Min(v) | AggAcc::Max(v) => v.unwrap_or(Value::Null),
+            AggAcc::Avg { count: 0, .. } => Value::Null,
+            AggAcc::Avg { sum, count } => Value::Real(sum / count as f64),
         }
     }
 }
@@ -1260,6 +1256,7 @@ pub(crate) struct GroupState {
 #[derive(Debug)]
 pub(crate) struct AggPlan {
     aggregate: bool,
+    distinct: bool,
     aggs: Vec<AggSpec>,
     items: Vec<CExpr>,
     group_exprs: Vec<CExpr>,
@@ -1329,6 +1326,7 @@ impl AggPlan {
         };
         AggPlan {
             aggregate,
+            distinct: select.distinct,
             aggs: aggs.unwrap_or_default(),
             items: compiled_items,
             group_exprs,
@@ -1382,7 +1380,7 @@ impl AggPlan {
     /// The group's `(order keys, output row)`, or `None` when HAVING
     /// rejects it.
     pub(crate) fn emit(&self, state: &GroupState) -> Result<Option<(Row, Row)>> {
-        let agg_vals: Vec<Value> = state.accs.iter().map(AggAcc::finish).collect();
+        let agg_vals: Vec<Value> = state.accs.iter().cloned().map(AggAcc::finish).collect();
         let rep = &state.representative;
         if let Some(h) = &self.having {
             if !eval(h, rep, &agg_vals)?.is_truthy() {

@@ -86,15 +86,15 @@ impl GroupTable {
         *self = Self::default();
     }
 
-    /// The finish stage of the table's statement `select` over `scanned`:
+    /// The finish stage of the table's statement over `scanned`:
     /// through the table when a scanner served the scan (its pages are the
     /// scan's rows), otherwise `finish_select` itself, and the table is
     /// dropped.
-    pub fn finish(&mut self, select: &SelectStmt, mut scanned: Scanned) -> Result<QueryResult> {
+    pub fn finish(&mut self, mut scanned: Scanned) -> Result<QueryResult> {
         let started = Instant::now();
         let Some((_, pages)) = scanned.delta.take() else {
             self.invalidate();
-            return finish_select(select, scanned);
+            return finish_select(scanned);
         };
         let plan = scanned.finish?.plan;
         if let Err(e) = self.pass(&plan, pages) {

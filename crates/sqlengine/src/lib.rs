@@ -48,10 +48,11 @@ pub mod value;
 pub use ast::{Expr, SelectStmt, Stmt};
 pub use cancel::{CancelCause, CancelToken};
 pub use catalog::{Catalog, IndexInfo, TableInfo};
+pub use cexpr::AggFunc;
 pub use db::{Database, ExecOutcome};
 pub use delta::{CachedPage, DeltaScan, DeltaTableScanner, PageCache, ScanPages, SkipReason};
 pub use error::{Result, SqlError};
-pub use exec::{QueryResult, Scanned};
+pub use exec::{AggAcc, QueryResult, Scanned};
 pub use exec_stats::ExecStats;
 pub use grouped::GroupTable;
 pub use heap::{FreeSpaceMap, HeapFile, RecordId};

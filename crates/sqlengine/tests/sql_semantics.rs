@@ -248,6 +248,23 @@ fn distinct_treats_integral_real_as_equal() {
     assert_eq!(r.rows.len(), 2);
 }
 
+/// DISTINCT drops duplicates before LIMIT counts rows, with and without
+/// ORDER BY.
+#[test]
+fn distinct_applies_before_limit() {
+    let db = db();
+    db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+    db.execute("INSERT INTO t VALUES (1), (1), (2), (3)")
+        .unwrap();
+    let want = vec![vec![Value::Integer(1)], vec![Value::Integer(2)]];
+    for sql in [
+        "SELECT DISTINCT a FROM t ORDER BY a LIMIT 2",
+        "SELECT DISTINCT a FROM t LIMIT 2",
+    ] {
+        assert_eq!(db.query(sql).unwrap().rows, want, "{sql}");
+    }
+}
+
 #[test]
 fn text_dates_compare_lexicographically() {
     let db = db();

@@ -10,7 +10,7 @@
 //!
 //! Hand-rolled serialization: the workspace builds offline, and every
 //! field is a number or a known-clean static string, so no escaping
-//! machinery is needed beyond [`escape`] for labels.
+//! machinery is needed beyond [`json_str`] for labels.
 
 use std::io::{self, Write};
 use std::path::Path;
@@ -18,27 +18,34 @@ use std::path::Path;
 use crate::event::{EventKind, TraceEvent};
 use crate::ring::{global, wall_anchor_micros};
 
-/// Escape a string for a JSON string literal (labels are static Rust
-/// strings — this is belt-and-braces, not a general JSON writer).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// `s` as a JSON string literal, quotes included, with everything JSON
+/// requires escaped: the quote, the backslash, and the control characters
+/// (`\n`, `\r` and `\t` by name, the rest as `\u00XX`). The workspace's
+/// one JSON string escaper.
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }
+    out.push('"');
     out
 }
 
 fn push_event(out: &mut String, e: &TraceEvent, ph: &str) {
     let ts = e.start_nanos as f64 / 1e3; // Chrome trace timestamps are µs
     out.push_str(&format!(
-        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{:.3},",
-        escape(e.span.name()),
-        escape(e.span.category()),
+        "{{\"name\":{},\"cat\":{},\"ph\":\"{}\",\"ts\":{:.3},",
+        json_str(e.span.name()),
+        json_str(e.span.category()),
         ph,
         ts
     ));
@@ -51,7 +58,7 @@ fn push_event(out: &mut String, e: &TraceEvent, ph: &str) {
     out.push_str(&format!("\"pid\":1,\"tid\":{},\"args\":{{", e.tid));
     out.push_str(&format!("\"seq\":{},\"arg\":{}", e.seq, e.arg));
     if let Some(label) = e.label {
-        out.push_str(&format!(",\"label\":\"{}\"", escape(label)));
+        out.push_str(&format!(",\"label\":{}", json_str(label)));
     }
     out.push_str("}}");
 }

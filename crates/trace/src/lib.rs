@@ -41,7 +41,7 @@ pub mod openmetrics;
 pub mod ring;
 pub mod span;
 
-pub use chrome::{chrome_trace_json, export_from_env, export_global};
+pub use chrome::{chrome_trace_json, export_from_env, export_global, json_str};
 pub use counters::{Counter, LatencyHistogram, BUCKET_BOUNDS, HISTOGRAM_BUCKETS};
 pub use event::{EventKind, SpanId, TraceEvent};
 pub use flight::{check_balanced, flight_dump, install_panic_hook, FLIGHT_DUMP_EVENTS};

@@ -38,6 +38,7 @@
 use std::process::ExitCode;
 
 use rql_repro::rqld::{Client, ClientError, SubscriptionEvent, WireResult};
+use rql_trace::json_str;
 
 const USAGE: &str = "usage: rql [--addr ADDR] [--no-memo] [--profile] [--trace-id HEX32] \
                      <run FILE...|exec PROGRAM|check [--json] FILE...|status [--flight]|metrics [--json]\
@@ -367,25 +368,6 @@ fn diag_json(file: &str, d: &rql_repro::rqld::WireDiagnostic, severity: &str) ->
     }
     obj.push('}');
     obj
-}
-
-/// JSON string literal with full escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn print_result(name: &str, result: &WireResult) {

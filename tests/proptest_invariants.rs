@@ -3,9 +3,10 @@
 //! * **Snapshot fidelity** — after an arbitrary sequence of inserts,
 //!   deletes, updates and snapshot declarations, `SELECT AS OF s` returns
 //!   exactly the model state at `s`'s declaration.
-//! * **Monoid laws** — `AggOp::combine` is associative and commutative
-//!   with NULL as identity-ish absorber, and folding with
-//!   `AggregateDataInVariable` semantics equals a direct fold.
+//! * **Monoid laws** — folding MIN/MAX/SUM/COUNT through the SQL
+//!   engine's accumulator (the one the mechanisms use) gives one answer
+//!   whatever the order of updates, NULLs included, and equals a direct
+//!   fold.
 //! * **Interval round-trip** — reconstructing per-snapshot membership
 //!   from `CollateDataIntoIntervals` output equals the original
 //!   membership, for arbitrary membership timelines.
@@ -21,7 +22,7 @@ use proptest::prelude::*;
 
 use rql::{AggOp, RqlSession};
 use rql_sqlengine::record::{decode_row, encode_index_key, encode_row};
-use rql_sqlengine::Value;
+use rql_sqlengine::{AggAcc, Value};
 
 // ---- snapshot fidelity ----------------------------------------------------
 
@@ -165,6 +166,16 @@ fn small_value() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// `values` folded in order through the SQL engine's accumulator for
+/// `op`, the one the mechanisms fold with.
+fn fold(op: AggOp, values: &[&Value]) -> Value {
+    let mut acc = AggAcc::new(op.func());
+    for v in values {
+        acc.update(Some(v));
+    }
+    acc.finish()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -174,44 +185,44 @@ proptest! {
         b in small_value(),
         c in small_value(),
     ) {
-        for op in [AggOp::Min, AggOp::Max] {
-            let ab_c = op.combine(&op.combine(&a, &b), &c);
-            let a_bc = op.combine(&a, &op.combine(&b, &c));
-            prop_assert_eq!(&ab_c, &a_bc, "{} associativity", op);
-            let ab = op.combine(&a, &b);
-            let ba = op.combine(&b, &a);
-            prop_assert_eq!(&ab, &ba, "{} commutativity", op);
-        }
+        // Folding three contributions in any order gives one answer.
+        let orders = [[&a, &b, &c], [&a, &c, &b], [&b, &a, &c], [&b, &c, &a], [&c, &a, &b], [&c, &b, &a]];
+        let mut ops = vec![AggOp::Min, AggOp::Max, AggOp::Count];
         // SUM over integers (floats would need epsilon comparison).
-        if let (Some(x), Some(y), Some(z)) = (a.as_i64(), b.as_i64(), c.as_i64()) {
-            let op = AggOp::Sum;
-            let lhs = op.combine(&op.combine(&Value::Integer(x), &Value::Integer(y)), &Value::Integer(z));
-            let rhs = op.combine(&Value::Integer(x), &op.combine(&Value::Integer(y), &Value::Integer(z)));
-            prop_assert_eq!(lhs, rhs);
+        if !orders[0].iter().any(|v| matches!(v, Value::Real(_))) {
+            ops.push(AggOp::Sum);
+        }
+        for op in ops {
+            let first = fold(op, &orders[0]);
+            for order in &orders[1..] {
+                prop_assert_eq!(&fold(op, order), &first, "{} over {:?}", op, order);
+            }
         }
     }
 
     #[test]
     fn agg_state_fold_matches_direct_fold(values in proptest::collection::vec(-1000i64..1000, 0..30)) {
-        // MIN/MAX/SUM/COUNT folded through AggState equal direct folds.
-        let fold = |op: AggOp| {
-            let mut st = op.init();
-            for v in &values {
-                op.absorb(&mut st, &Value::Integer(*v));
-            }
-            op.finish(&st)
-        };
+        // MIN/MAX/SUM/COUNT folded through the accumulator equal direct
+        // folds, in either order.
+        let values: Vec<Value> = values.into_iter().map(Value::Integer).collect();
+        let forward: Vec<&Value> = values.iter().collect();
+        let backward: Vec<&Value> = values.iter().rev().collect();
+        for op in [AggOp::Min, AggOp::Max, AggOp::Sum, AggOp::Count] {
+            prop_assert_eq!(fold(op, &forward), fold(op, &backward), "{}", op);
+        }
+        let ints = values.iter().filter_map(Value::as_i64);
         if values.is_empty() {
-            prop_assert!(fold(AggOp::Min).is_null());
-            prop_assert!(fold(AggOp::Sum).is_null());
-            prop_assert_eq!(fold(AggOp::Count), Value::Integer(0));
+            prop_assert!(fold(AggOp::Min, &forward).is_null());
+            prop_assert!(fold(AggOp::Sum, &forward).is_null());
+            prop_assert!(fold(AggOp::Avg, &forward).is_null());
+            prop_assert_eq!(fold(AggOp::Count, &forward), Value::Integer(0));
         } else {
-            prop_assert_eq!(fold(AggOp::Min), Value::Integer(*values.iter().min().unwrap()));
-            prop_assert_eq!(fold(AggOp::Max), Value::Integer(*values.iter().max().unwrap()));
-            prop_assert_eq!(fold(AggOp::Sum), Value::Integer(values.iter().sum()));
-            prop_assert_eq!(fold(AggOp::Count), Value::Integer(values.len() as i64));
-            let avg = values.iter().sum::<i64>() as f64 / values.len() as f64;
-            prop_assert_eq!(fold(AggOp::Avg), Value::Real(avg));
+            prop_assert_eq!(fold(AggOp::Min, &forward), Value::Integer(ints.clone().min().unwrap()));
+            prop_assert_eq!(fold(AggOp::Max, &forward), Value::Integer(ints.clone().max().unwrap()));
+            prop_assert_eq!(fold(AggOp::Sum, &forward), Value::Integer(ints.clone().sum()));
+            prop_assert_eq!(fold(AggOp::Count, &forward), Value::Integer(values.len() as i64));
+            let avg = ints.sum::<i64>() as f64 / values.len() as f64;
+            prop_assert_eq!(fold(AggOp::Avg, &forward), Value::Real(avg));
         }
     }
 }
