@@ -201,7 +201,7 @@ fn check_mechanism_spec(
             diags.push(Diagnostic::new(
                 Code::AggTypeMismatch,
                 format!(
-                    "{op}() over text-typed column {}; non-numeric values coerce to 0",
+                    "{op}() over text-typed column {}; non-numeric values are skipped",
                     col.name
                 ),
                 source,

@@ -134,7 +134,7 @@ pub fn parse_program(src: &str) -> std::result::Result<Program, Box<Diagnostic>>
         let on_aux = mechanism
             || aux_marks
                 .iter()
-                .any(|&m| statements_pending(m, start, &statements, src));
+                .any(|&m| statements_pending(m, start, &statements));
         statements.push(ProgramStmt {
             text: src[start..end].to_owned(),
             offset: start,
@@ -161,8 +161,7 @@ pub fn parse_program(src: &str) -> std::result::Result<Program, Box<Diagnostic>>
 /// Whether an `--@aux` mark at byte `mark` governs the statement
 /// starting at `start`: the mark precedes it and no earlier statement
 /// sits between them.
-fn statements_pending(mark: usize, start: usize, done: &[ProgramStmt], src: &str) -> bool {
-    let _ = src;
+fn statements_pending(mark: usize, start: usize, done: &[ProgramStmt]) -> bool {
     mark < start && !done.iter().any(|s| s.offset > mark)
 }
 
@@ -482,7 +481,7 @@ pub fn run_program_with_reports(session: &RqlSession, program: &Program) -> Resu
         // registration, which keeps maintaining afterwards, is the
         // server's job; see `crate::maintain`.)
         if let Some(spec) = crate::maintain::parse_maintain(&stmt.text)? {
-            let report = dispatch_mechanism_parts(
+            let report = dispatch_mechanism(
                 session,
                 spec.kind,
                 &spec.qs,
@@ -497,7 +496,15 @@ pub fn run_program_with_reports(session: &RqlSession, program: &Program) -> Resu
         if let Ok(parsed) = parse_statement(&stmt.text) {
             let mut scratch = Vec::new();
             if let Some(call) = extract_mechanism_call(&parsed, stmt, &mut scratch) {
-                let report = dispatch_mechanism(session, &call, program.policy)?;
+                let report = dispatch_mechanism(
+                    session,
+                    call.kind,
+                    &call.qs_text,
+                    &call.qq,
+                    &call.table,
+                    call.spec.as_deref(),
+                    program.policy,
+                )?;
                 out.reports.push((call.table, report));
                 continue;
             }
@@ -519,27 +526,11 @@ pub fn run_program_with_reports(session: &RqlSession, program: &Program) -> Resu
     Ok(out)
 }
 
-/// Route an extracted literal-argument mechanism call through the
-/// session API form (delta-aware when `policy` is set).
+/// Route a literal-argument mechanism call, given by its textual parts,
+/// through the session API form (delta-aware when `policy` is set) —
+/// shared by the statement form and the `MAINTAIN QUERY` seed-equivalent
+/// batch run.
 fn dispatch_mechanism(
-    session: &RqlSession,
-    call: &ExtractedCall,
-    policy: Option<DeltaPolicy>,
-) -> Result<RqlReport> {
-    dispatch_mechanism_parts(
-        session,
-        call.kind,
-        &call.qs_text,
-        &call.qq,
-        &call.table,
-        call.spec.as_deref(),
-        policy,
-    )
-}
-
-/// The same dispatch from bare textual parts — shared by the statement
-/// form above and the `MAINTAIN QUERY` seed-equivalent batch run.
-fn dispatch_mechanism_parts(
     session: &RqlSession,
     kind: MechanismKind,
     qs: &str,
@@ -732,7 +723,13 @@ fn remap(mut d: Diagnostic, call: &ExtractedCall, stmt: &ProgramStmt) -> Diagnos
         SourceKind::Spec => call.spec.as_deref(),
         SourceKind::Qs | SourceKind::Program => None,
     };
-    let mapped = content.and_then(|c| literal_span(&stmt.text, c, d.span));
+    let mapped = content.and_then(|c| {
+        let (lit, exact) = literal_span(&stmt.text, c)?;
+        Some(match d.span {
+            Some(s) if exact => Span::new(lit.start + 1 + s.start, lit.start + 1 + s.end),
+            _ => lit,
+        })
+    });
     d.span = mapped.map(|s| s.offset(stmt.offset)).or(call.fn_span);
     // A fix inside an argument literal moves with it — provided the
     // literal has no `''` escapes (positions shift) and the replacement
@@ -740,12 +737,13 @@ fn remap(mut d: Diagnostic, call: &ExtractedCall, stmt: &ProgramStmt) -> Diagnos
     // than a wrong one.
     d.fix = d.fix.take().and_then(|f| {
         let content = content?;
-        let lit = exact_literal_span(&stmt.text, content)?;
-        if f.span.end > content.len() || f.span.start > f.span.end {
+        let (lit, exact) = literal_span(&stmt.text, content)?;
+        if !exact || f.span.end > content.len() || f.span.start > f.span.end {
             return None;
         }
+        let start = lit.start + 1;
         Some(crate::analyze::diag::Fix {
-            span: Span::new(lit.start + f.span.start, lit.start + f.span.end).offset(stmt.offset),
+            span: Span::new(start + f.span.start, start + f.span.end).offset(stmt.offset),
             replacement: f.replacement.replace('\'', "''"),
             applicability: f.applicability,
         })
@@ -754,34 +752,17 @@ fn remap(mut d: Diagnostic, call: &ExtractedCall, stmt: &ProgramStmt) -> Diagnos
     d
 }
 
-/// The span of `content` inside its enclosing single-quoted literal in
-/// `text`, only when the raw literal text equals `content` exactly (no
-/// `''` escapes — those shift byte positions).
-fn exact_literal_span(text: &str, content: &str) -> Option<Span> {
+/// The span of the string literal holding `content` in `text`, quotes
+/// included, and whether its raw text equals `content` exactly: `''`
+/// escapes shift byte positions, so only an exact literal maps positions
+/// inside `content` to positions in `text` (one past the opening quote).
+fn literal_span(text: &str, content: &str) -> Option<(Span, bool)> {
     let tokens = tokenize_spanned(text).ok()?;
     let tok = tokens
         .iter()
         .find(|t| matches!(&t.token, Token::Str(s) if s == content))?;
     let raw = text.get(tok.span.start + 1..tok.span.end.saturating_sub(1))?;
-    (raw == content).then(|| Span::new(tok.span.start + 1, tok.span.end.saturating_sub(1)))
-}
-
-/// Find the string literal holding `content` in `text` and map `inner`
-/// (a span within `content`) into `text` coordinates. Escaped literals
-/// (`''`) shift positions, so those map to the whole literal.
-fn literal_span(text: &str, content: &str, inner: Option<Span>) -> Option<Span> {
-    let tokens = tokenize_spanned(text).ok()?;
-    let tok = tokens
-        .iter()
-        .find(|t| matches!(&t.token, Token::Str(s) if s == content))?;
-    let raw = text.get(tok.span.start + 1..tok.span.end.saturating_sub(1))?;
-    match inner {
-        Some(s) if raw == content => Some(Span::new(
-            tok.span.start + 1 + s.start,
-            tok.span.start + 1 + s.end,
-        )),
-        _ => Some(tok.span),
-    }
+    Some((tok.span, raw == content))
 }
 
 /// Checks for a non-mechanism statement: resolve its queries against the

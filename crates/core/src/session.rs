@@ -212,8 +212,6 @@ impl RqlSession {
         if !self.preflight.load(Ordering::Relaxed) {
             return Ok(());
         }
-        let mut snap_env = SchemaEnv::from_database(&self.snap)?;
-        let aux_env = SchemaEnv::from_database(&self.aux)?;
         let call = MechanismCall {
             kind,
             qs,
@@ -221,23 +219,10 @@ impl RqlSession {
             table,
             spec,
         };
-        let mut analysis = analyze::analyze_mechanism_call(&call, &snap_env, &aux_env, policy);
-        if !analysis.qq_unknown_tables.is_empty() {
-            let mut widened = false;
-            for (sid, _, _) in snapids::all_snapshots(&self.aux)?.iter().rev() {
-                if let Ok(tables) = self.snap.table_schemas_as_of(*sid) {
-                    for schema in tables.into_values() {
-                        if !snap_env.has_table(&schema.name) {
-                            snap_env.add_table(schema);
-                            widened = true;
-                        }
-                    }
-                }
-            }
-            if widened {
-                analysis = analyze::analyze_mechanism_call(&call, &snap_env, &aux_env, policy);
-            }
-        }
+        let analysis = self.analyze_widened(
+            |snap, aux| analyze::analyze_mechanism_call(&call, snap, aux, policy),
+            |a| &a.qq_unknown_tables,
+        )?;
         match analysis.first_error() {
             Some(err) => Err(err),
             None => Ok(()),
@@ -254,26 +239,43 @@ impl RqlSession {
     ///
     /// [`analyze_program`]: crate::analyze::analyze_program
     pub fn check_program(&self, program: &analyze::Program) -> Result<analyze::ProgramAnalysis> {
+        self.analyze_widened(
+            |snap, aux| analyze::analyze_program(program, snap, aux),
+            |a| &a.qq_unknown_tables,
+        )
+    }
+
+    /// Run `analyze` against this session's live catalogs. When the
+    /// result names Qq tables the current snapshot lacks (`unknown`), the
+    /// snapshot catalog is widened with every declared snapshot's schema
+    /// and `analyze` runs once more; that second result replaces the first.
+    fn analyze_widened<A>(
+        &self,
+        analyze: impl Fn(&SchemaEnv, &SchemaEnv) -> A,
+        unknown: impl Fn(&A) -> &Vec<String>,
+    ) -> Result<A> {
         let mut snap_env = SchemaEnv::from_database(&self.snap)?;
         let aux_env = SchemaEnv::from_database(&self.aux)?;
-        let mut analysis = analyze::analyze_program(program, &snap_env, &aux_env);
-        if !analysis.qq_unknown_tables.is_empty() {
-            let mut widened = false;
-            for (sid, _, _) in snapids::all_snapshots(&self.aux)?.iter().rev() {
-                if let Ok(tables) = self.snap.table_schemas_as_of(*sid) {
-                    for schema in tables.into_values() {
-                        if !snap_env.has_table(&schema.name) {
-                            snap_env.add_table(schema);
-                            widened = true;
-                        }
+        let analysis = analyze(&snap_env, &aux_env);
+        if unknown(&analysis).is_empty() {
+            return Ok(analysis);
+        }
+        let mut widened = false;
+        for (sid, _, _) in snapids::all_snapshots(&self.aux)?.iter().rev() {
+            if let Ok(tables) = self.snap.table_schemas_as_of(*sid) {
+                for schema in tables.into_values() {
+                    if !snap_env.has_table(&schema.name) {
+                        snap_env.add_table(schema);
+                        widened = true;
                     }
                 }
             }
-            if widened {
-                analysis = analyze::analyze_program(program, &snap_env, &aux_env);
-            }
         }
-        Ok(analysis)
+        Ok(if widened {
+            analyze(&snap_env, &aux_env)
+        } else {
+            analysis
+        })
     }
 
     // ---- the four mechanisms, API form ---------------------------------

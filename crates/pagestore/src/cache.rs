@@ -1,42 +1,31 @@
-//! Shared LRU buffer cache for database and snapshot pages.
+//! Shared LRU buffer cache for snapshot pages.
 //!
 //! Retro "caches snapshot pages in a buffer cache along with the database
-//! pages" (paper §4). The detail that makes RQL hot iterations cheap is the
-//! cache *key*: a snapshot page is keyed by its **Pagelog offset**, not by
-//! `(snapshot, page)`. Two consecutive snapshots S1, S2 map every page in
+//! pages" (paper §4); here the current database is memory-resident, so the
+//! cache holds archived pre-states only. The detail that makes RQL hot
+//! iterations cheap is the cache *key*: a snapshot page is keyed by its
+//! **Pagelog offset**, not by `(snapshot, page)`. Two consecutive snapshots S1, S2 map every page in
 //! `shared(S1,S2)` to the *same* Pagelog pre-state, so a page fetched while
 //! computing on S1 hits in cache when the next iteration computes on S2 —
 //! exactly the sharing effect of Figures 6–8.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
 use parking_lot::Mutex;
 
-use crate::page::{PageId, SharedPage};
-
-/// What a cached page is identified by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CacheKey {
-    /// A current-database page (used only when the DB is file-backed;
-    /// the paper assumes the current DB is memory-resident).
-    Db(PageId),
-    /// A snapshot pre-state, identified by its Pagelog offset. Shared
-    /// between all snapshots whose SPT maps to this offset.
-    Pagelog(u64),
-}
+use crate::page::SharedPage;
 
 const NIL: usize = usize::MAX;
 
 struct Node {
-    key: CacheKey,
+    key: u64,
     page: SharedPage,
     prev: usize,
     next: usize,
 }
 
 struct LruInner {
-    map: HashMap<CacheKey, usize>,
+    map: HashMap<u64, usize>,
     nodes: Vec<Node>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -54,36 +43,28 @@ const SHARD_COUNT: usize = 8;
 
 /// A fixed-capacity LRU page cache, safe to share between threads.
 ///
-/// Internally sharded for large capacities: each shard is an independent
-/// LRU with `capacity / shards` pages, keyed by a hash of the
-/// [`CacheKey`], so the read path's lock hold time covers only a map
-/// lookup and two list splices — never I/O (the fetch path reads the
-/// Pagelog *outside* the cache lock and inserts afterwards).
+/// Pages are keyed by Pagelog offset: one cached pre-state serves every
+/// snapshot whose SPT maps to it. Internally sharded for large
+/// capacities: each shard is an independent LRU with `capacity / shards`
+/// pages, chosen by a hash of the offset, so the read path's lock hold
+/// time covers only a map lookup and two list splices — never I/O (the
+/// fetch path reads the Pagelog *outside* the cache lock and inserts
+/// afterwards).
 pub struct BufferCache {
     shards: Box<[Mutex<LruInner>]>,
 }
 
-/// Which shard a key lives in. FxHash-style multiply-mix over the
-/// discriminant and payload — cheap enough for the hot read path.
-fn shard_index(key: &CacheKey, n: usize) -> usize {
-    struct Mix(u64);
-    impl Hasher for Mix {
-        fn finish(&self) -> u64 {
-            self.0
-        }
-        fn write(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        fn write_u64(&mut self, v: u64) {
-            self.0 = (self.0 ^ v).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    let mut h = Mix(0xcbf2_9ce4_8422_2325);
-    key.hash(&mut h);
+/// The shard hash's starting state: FNV-1a's offset basis folded over the
+/// eight little-endian bytes of the word 1, a fixed tag in front of every
+/// offset.
+const MIX_SEED: u64 = 0x89cd_3129_1d2a_efa4;
+
+/// Which shard the page at Pagelog offset `off` lives in: one FNV-1a
+/// multiply-mix step, cheap enough for the hot read path.
+fn shard_index(off: u64, n: usize) -> usize {
+    let h = (MIX_SEED ^ off).wrapping_mul(0x100_0000_01b3);
     // Fold high bits in: the low bits of a multiply-mix are the weakest.
-    ((h.finish() >> 32) as usize ^ h.finish() as usize) & (n - 1)
+    ((h >> 32) as usize ^ h as usize) & (n - 1)
 }
 
 impl BufferCache {
@@ -112,28 +93,29 @@ impl BufferCache {
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<LruInner> {
-        &self.shards[shard_index(key, self.shards.len())]
+    fn shard(&self, off: u64) -> &Mutex<LruInner> {
+        &self.shards[shard_index(off, self.shards.len())]
     }
 
-    /// Look up `key`, marking it most-recently-used on a hit.
-    pub fn get(&self, key: &CacheKey) -> Option<SharedPage> {
-        let mut inner = self.shard(key).lock();
-        let idx = *inner.map.get(key)?;
+    /// Look up the page at Pagelog offset `off`, marking it
+    /// most-recently-used on a hit.
+    pub fn get(&self, off: u64) -> Option<SharedPage> {
+        let mut inner = self.shard(off).lock();
+        let idx = *inner.map.get(&off)?;
         inner.unlink(idx);
         inner.push_front(idx);
         Some(inner.nodes[idx].page.clone())
     }
 
-    /// Insert `page` under `key`, evicting the least-recently-used entry
-    /// of the key's shard if at capacity. Returns the number of evictions
-    /// performed (0 or 1).
-    pub fn insert(&self, key: CacheKey, page: SharedPage) -> usize {
-        let mut inner = self.shard(&key).lock();
+    /// Insert `page` as the page at Pagelog offset `off`, evicting the
+    /// least-recently-used entry of the offset's shard if at capacity.
+    /// Returns the number of evictions performed (0 or 1).
+    pub fn insert(&self, off: u64, page: SharedPage) -> usize {
+        let mut inner = self.shard(off).lock();
         if inner.capacity == 0 {
             return 0;
         }
-        if let Some(&idx) = inner.map.get(&key) {
+        if let Some(&idx) = inner.map.get(&off) {
             inner.nodes[idx].page = page;
             inner.unlink(idx);
             inner.push_front(idx);
@@ -144,8 +126,8 @@ impl BufferCache {
             inner.evict_lru();
             evictions = 1;
         }
-        let idx = inner.alloc(key, page);
-        inner.map.insert(key, idx);
+        let idx = inner.alloc(off, page);
+        inner.map.insert(off, idx);
         inner.push_front(idx);
         evictions
     }
@@ -202,7 +184,7 @@ impl BufferCache {
 }
 
 impl LruInner {
-    fn alloc(&mut self, key: CacheKey, page: SharedPage) -> usize {
+    fn alloc(&mut self, key: u64, page: SharedPage) -> usize {
         if let Some(idx) = self.free.pop() {
             self.nodes[idx] = Node {
                 key,
@@ -275,86 +257,76 @@ mod tests {
     #[test]
     fn hit_and_miss() {
         let c = BufferCache::new(4);
-        let k = CacheKey::Pagelog(10);
-        assert!(c.get(&k).is_none());
+        let k = 10;
+        assert!(c.get(k).is_none());
         c.insert(k, page(1));
-        assert_eq!(c.get(&k).unwrap().bytes()[0], 1);
+        assert_eq!(c.get(k).unwrap().bytes()[0], 1);
     }
 
     #[test]
     fn evicts_least_recently_used() {
         let c = BufferCache::new(2);
-        c.insert(CacheKey::Pagelog(1), page(1));
-        c.insert(CacheKey::Pagelog(2), page(2));
+        c.insert(1, page(1));
+        c.insert(2, page(2));
         // Touch 1 so 2 becomes LRU.
-        c.get(&CacheKey::Pagelog(1)).unwrap();
-        let evictions = c.insert(CacheKey::Pagelog(3), page(3));
+        c.get(1).unwrap();
+        let evictions = c.insert(3, page(3));
         assert_eq!(evictions, 1);
-        assert!(c.get(&CacheKey::Pagelog(2)).is_none());
-        assert!(c.get(&CacheKey::Pagelog(1)).is_some());
-        assert!(c.get(&CacheKey::Pagelog(3)).is_some());
+        assert!(c.get(2).is_none());
+        assert!(c.get(1).is_some());
+        assert!(c.get(3).is_some());
     }
 
     #[test]
     fn reinsert_updates_value_without_eviction() {
         let c = BufferCache::new(2);
-        c.insert(CacheKey::Pagelog(1), page(1));
-        let evictions = c.insert(CacheKey::Pagelog(1), page(9));
+        c.insert(1, page(1));
+        let evictions = c.insert(1, page(9));
         assert_eq!(evictions, 0);
-        assert_eq!(c.get(&CacheKey::Pagelog(1)).unwrap().bytes()[0], 9);
+        assert_eq!(c.get(1).unwrap().bytes()[0], 9);
         assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn zero_capacity_disables_cache() {
         let c = BufferCache::new(0);
-        c.insert(CacheKey::Pagelog(1), page(1));
-        assert!(c.get(&CacheKey::Pagelog(1)).is_none());
+        c.insert(1, page(1));
+        assert!(c.get(1).is_none());
         assert!(c.is_empty());
     }
 
     #[test]
     fn clear_empties() {
         let c = BufferCache::new(4);
-        c.insert(CacheKey::Pagelog(1), page(1));
-        c.insert(CacheKey::Db(PageId(2)), page(2));
+        c.insert(1, page(1));
+        c.insert(2, page(2));
         c.clear();
         assert!(c.is_empty());
-        assert!(c.get(&CacheKey::Pagelog(1)).is_none());
+        assert!(c.get(1).is_none());
     }
 
     #[test]
     fn shrink_capacity_evicts() {
         let c = BufferCache::new(4);
         for i in 0..4 {
-            c.insert(CacheKey::Pagelog(i), page(i as u8));
+            c.insert(i, page(i as u8));
         }
         let evicted = c.set_capacity(2);
         assert_eq!(evicted, 2);
         assert_eq!(c.len(), 2);
         // The two most recently used (2, 3) survive.
-        assert!(c.get(&CacheKey::Pagelog(3)).is_some());
-        assert!(c.get(&CacheKey::Pagelog(2)).is_some());
-        assert!(c.get(&CacheKey::Pagelog(0)).is_none());
-    }
-
-    #[test]
-    fn distinct_key_kinds_do_not_collide() {
-        let c = BufferCache::new(8);
-        c.insert(CacheKey::Db(PageId(1)), page(1));
-        c.insert(CacheKey::Pagelog(1), page(2));
-        assert_eq!(c.get(&CacheKey::Db(PageId(1))).unwrap().bytes()[0], 1);
-        assert_eq!(c.get(&CacheKey::Pagelog(1)).unwrap().bytes()[0], 2);
-        assert_eq!(c.len(), 2);
+        assert!(c.get(3).is_some());
+        assert!(c.get(2).is_some());
+        assert!(c.get(0).is_none());
     }
 
     #[test]
     fn heavy_churn_is_consistent() {
         let c = BufferCache::new(16);
         for round in 0..1000u64 {
-            c.insert(CacheKey::Pagelog(round % 40), page((round % 251) as u8));
+            c.insert(round % 40, page((round % 251) as u8));
             if round % 3 == 0 {
-                c.get(&CacheKey::Pagelog(round % 17));
+                c.get(round % 17);
             }
         }
         assert!(c.len() <= 16);
@@ -372,16 +344,27 @@ mod tests {
         assert_eq!(big.capacity(), 1 << 10);
     }
 
+    /// Shard assignment decides eviction order in a large cache, and with
+    /// it every Pagelog read count measured through one: pinned.
+    #[test]
+    fn shard_assignment_is_pinned() {
+        let pages = [
+            0u64, 1_000, 5_000, 20_000, 77_777, 123_456, 999_999, 4_000_000,
+        ];
+        let shards: Vec<usize> = pages.iter().map(|p| shard_index(p * 4096, 8)).collect();
+        assert_eq!(shards, [0, 0, 6, 2, 1, 4, 2, 7]);
+    }
+
     #[test]
     fn sharded_cache_round_trips_and_bounds_size() {
         let c = BufferCache::new(8192);
         for i in 0..10_000u64 {
-            c.insert(CacheKey::Pagelog(i), page((i % 251) as u8));
+            c.insert(i, page((i % 251) as u8));
         }
         assert!(c.len() <= 8192);
         // Recent keys should still be resident and byte-correct.
         let hits = (9_000..10_000u64)
-            .filter(|&i| match c.get(&CacheKey::Pagelog(i)) {
+            .filter(|&i| match c.get(i) {
                 Some(p) => {
                     assert_eq!(p.bytes()[0], (i % 251) as u8);
                     true
@@ -402,13 +385,13 @@ mod tests {
                 let c = Arc::clone(&c);
                 s.spawn(move || {
                     for i in 0..2_000u64 {
-                        let k = CacheKey::Pagelog(t * 10_000 + i);
+                        let k = t * 10_000 + i;
                         c.insert(k, page((i % 251) as u8));
-                        if let Some(p) = c.get(&k) {
+                        if let Some(p) = c.get(k) {
                             assert_eq!(p.bytes()[0], (i % 251) as u8);
                         }
                         // Cross-thread reads of a shared hot set.
-                        c.get(&CacheKey::Pagelog(i % 64));
+                        c.get(i % 64);
                     }
                 });
             }

@@ -429,11 +429,22 @@ impl WriteTxn {
         self.writes.iter().map(|(pid, page)| (*pid, &**page))
     }
 
-    /// Whether the transaction staged or allocated `pid`: only an untouched
-    /// page still has the published image, so only its published metadata
-    /// (a pruning sidecar, say) still describes what this transaction reads.
+    /// Whether the transaction staged or allocated `pid`.
     pub fn touched(&self, pid: PageId) -> bool {
         self.writes.contains_key(&pid) || pid.0 >= self.base_count
+    }
+
+    /// The stamp ([`DbView::stamp`]) of the published image this
+    /// transaction reads for `pid`, or `None` for a page it staged or
+    /// allocated: only an untouched page still reads a published image,
+    /// so only its published metadata (a pruning sidecar, say) describes
+    /// what this transaction reads. Nothing publishes while the
+    /// transaction holds the writer token, so the stamp stays valid.
+    pub fn stamp(&self, pid: PageId) -> Option<u64> {
+        if self.touched(pid) {
+            return None;
+        }
+        self.pager.pages.read().stamps.get(pid.index()).copied()
     }
 
     /// Whether the transaction has staged any writes.

@@ -31,8 +31,7 @@ pub use skippy::{Segment, Skippy};
 pub use snapshot::{FetchSource, SnapshotMeta, SnapshotReader};
 pub use spt::{PageLocation, PageVersion, Spt, SptBuildStats};
 pub use store::{
-    CommitHook, ReplCheckpoint, ReplLogs, RetroConfig, RetroStore, SidecarBuilder, SidecarMap,
-    SnapshotHook,
+    CommitHook, ReplCheckpoint, ReplLogs, RetroConfig, RetroStore, SidecarBuilder, SnapshotHook,
 };
 
 #[cfg(test)]
@@ -475,19 +474,20 @@ mod tests {
             write_page(&store, PageId(0), 2); // archives pre-state of P0
             let entries = store.maplog_entries();
             assert_eq!(entries, 1);
-            expected = store.archived_sidecar(0).expect("archived at offset 0");
+            expected = store.sidecar(PageVersion::Archived(0));
+            assert!(expected.is_some(), "archived at offset 0");
             store.flush().unwrap();
         }
         let store = RetroStore::open(cfg, wal, plog, mlog).unwrap();
         assert!(
-            store.archived_sidecar(0).is_none(),
+            store.sidecar(PageVersion::Archived(0)).is_none(),
             "sidecars are in-memory: lost across reopen"
         );
         // Without a builder the rebuild is a no-op.
         assert_eq!(store.rebuild_archived_sidecars().unwrap(), 0);
         store.set_sidecar_builder(builder);
         assert_eq!(store.rebuild_archived_sidecars().unwrap(), 1);
-        assert_eq!(store.archived_sidecar(0).unwrap(), expected);
+        assert_eq!(store.sidecar(PageVersion::Archived(0)), expected);
         // Idempotent: nothing left to build.
         assert_eq!(store.rebuild_archived_sidecars().unwrap(), 0);
     }
@@ -516,13 +516,48 @@ mod tests {
         assert_eq!(learn(&[0]).unwrap(), 0, "nothing new, nothing rebuilt");
         declare(&store);
         write_page(&store, PageId(0), 2); // archives P0 with its [0] sidecar
-        assert_eq!(*store.archived_sidecar(0).unwrap(), vec![0]);
+        let archived = || store.sidecar(PageVersion::Archived(0));
+        assert_eq!(*archived().unwrap(), vec![0]);
         assert_eq!(store.rebuild_archived_sidecars().unwrap(), 0);
         // A grown set reaches both versions of P0, though each had one.
         assert_eq!(learn(&[1]).unwrap(), 1);
-        assert_eq!(*store.current_sidecars()[&0], vec![0, 1]);
-        assert_eq!(*store.archived_sidecar(0).unwrap(), vec![0, 1]);
+        let stamp = store.current_view().stamp(PageId(0)).unwrap();
+        let current = store.sidecar(PageVersion::Current(PageId(0), stamp));
+        assert_eq!(*current.unwrap(), vec![0, 1]);
+        assert_eq!(*archived().unwrap(), vec![0, 1]);
         assert_eq!(store.filter_columns("t"), Some(vec![0, 1]));
+    }
+
+    /// A reader pinned before a commit that rewrites a shared page keeps
+    /// the image it pinned, and never gets the sidecar of the image the
+    /// commit published; once the commit has captured the page, a new
+    /// reader pairs the archived image with its old sidecar.
+    #[test]
+    fn a_reader_never_gets_the_sidecar_of_a_later_image() {
+        let store = RetroStore::in_memory(config(64, 16));
+        // Sidecar = first 4 bytes of the page image (a toy summary).
+        store.set_sidecar_builder(Arc::new(|_pid, page, _cols| {
+            Some(page.bytes()[0..4].to_vec())
+        }));
+        let p = PageId(0);
+        write_page(&store, p, 1);
+        let s = declare(&store);
+        let reader = store.open_snapshot(s).unwrap();
+        let pinned = reader.page(p).unwrap().bytes()[0..4].to_vec();
+        assert_eq!(reader.sidecar_for(p).as_deref(), Some(&pinned));
+        write_page(&store, p, 2); // captures S's image, publishes a new one
+        let stamp = store.current_view().stamp(p).unwrap();
+        let fresh = store.sidecar(PageVersion::Current(p, stamp)).unwrap();
+        assert_ne!(*fresh, pinned);
+        assert!(
+            reader.sidecar_for(p).is_none_or(|side| *side == pinned),
+            "a reader gets the sidecar of the image it reads, or none"
+        );
+        assert_eq!(reader.page(p).unwrap().read_u32(0), 1);
+        let later = store.open_snapshot(s).unwrap();
+        assert!(matches!(later.version(p), Some(PageVersion::Archived(_))));
+        assert_eq!(later.sidecar_for(p).as_deref(), Some(&pinned));
+        assert_eq!(later.page(p).unwrap().read_u32(0), 1);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 
 use std::sync::Arc;
 
-use rql_pagestore::{CacheKey, DbView, PageId, Result, SharedPage, StoreError};
+use rql_pagestore::{DbView, PageId, Result, SharedPage, StoreError};
 
 use crate::spt::{PageLocation, PageVersion, Spt, SptBuildStats};
-use crate::store::{RetroStore, SidecarMap};
+use crate::store::RetroStore;
 
 /// Metadata recorded at snapshot declaration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,11 +44,6 @@ pub struct SnapshotReader {
     spt: Spt,
     view: DbView,
     build_stats: SptBuildStats,
-    /// Sidecars for current-state pages, captured *before* the view was
-    /// pinned: any page the SPT later resolves as `SharedWithDb` was
-    /// unwritten from capture through SPT build, so its entry (when
-    /// present) describes exactly the image this reader sees.
-    sidecars: SidecarMap,
 }
 
 impl SnapshotReader {
@@ -57,14 +52,12 @@ impl SnapshotReader {
         spt: Spt,
         view: DbView,
         build_stats: SptBuildStats,
-        sidecars: SidecarMap,
     ) -> Self {
         SnapshotReader {
             store,
             spt,
             view,
             build_stats,
-            sidecars,
         }
     }
 
@@ -107,16 +100,13 @@ impl SnapshotReader {
         self.page_with_source(pid).map(|(p, _)| p)
     }
 
-    /// The pruning sidecar matching the page *version* this reader
-    /// resolves `pid` to, or `None` (= don't prune). Shared pages use
-    /// the map captured before the view was pinned; archived pages use
-    /// the Pagelog-offset-keyed archive, so every `AS OF` view pairs a
-    /// page with the sidecar built from that exact image.
+    /// The pruning sidecar built from the image this reader serves for
+    /// `pid` — the store's entry under [`SnapshotReader::version`] — or
+    /// `None` (= don't prune). A commit that replaces a shared page after
+    /// the view was pinned drops that version's entry, so the page is
+    /// then read in full.
     pub fn sidecar_for(&self, pid: PageId) -> Option<Arc<Vec<u8>>> {
-        match self.spt.locate(pid)? {
-            PageLocation::SharedWithDb => self.sidecars.get(&pid.0).cloned(),
-            PageLocation::Pagelog(off) => self.store.archived_sidecar(off),
-        }
+        self.store.sidecar(self.version(pid)?)
     }
 
     /// Record a page skipped thanks to its sidecar.
@@ -134,14 +124,13 @@ impl SnapshotReader {
                 Ok((self.view.page(pid)?, FetchSource::Database))
             }
             Some(PageLocation::Pagelog(off)) => {
-                let key = CacheKey::Pagelog(off);
-                if let Some(page) = self.store.cache().get(&key) {
+                if let Some(page) = self.store.cache().get(off) {
                     stats.count_cache_hit();
                     return Ok((page, FetchSource::Cache));
                 }
                 let page: SharedPage = Arc::new(self.store.pagelog().read(off)?);
                 stats.count_pagelog_read();
-                let evictions = self.store.cache().insert(key, page.clone());
+                let evictions = self.store.cache().insert(off, page.clone());
                 for _ in 0..evictions {
                     stats.count_cache_eviction();
                 }

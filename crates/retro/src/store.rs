@@ -31,7 +31,7 @@ use rql_pagestore::{
 use crate::maplog::{Boundary, Maplog};
 use crate::pagelog::{Pagelog, PagelogFormat};
 use crate::snapshot::{SnapshotMeta, SnapshotReader};
-use crate::spt::{Spt, SptBuildStats};
+use crate::spt::{PageVersion, Spt, SptBuildStats};
 
 /// Retro configuration.
 #[derive(Debug, Clone, Default)]
@@ -63,13 +63,9 @@ pub type SidecarBuilder = Arc<
     dyn Fn(rql_pagestore::PageId, &rql_pagestore::Page, &[usize]) -> Option<Vec<u8>> + Send + Sync,
 >;
 
-/// Sidecars for one consistent set of current-page images, shared with
-/// snapshot readers by `Arc` swap.
-pub type SidecarMap = Arc<HashMap<u64, Arc<Vec<u8>>>>;
-
-/// Sidecars of archived pre-states by Pagelog offset, each with the
-/// filter-set generation it was built at.
-type SidecarArchive = HashMap<u64, (u64, Arc<Vec<u8>>)>;
+/// Pruning sidecars by the version of the page image each was built
+/// from, each with the filter-set generation it was built at.
+type Sidecars = HashMap<PageVersion, (u64, Arc<Vec<u8>>)>;
 
 /// The store's pruning filter columns: per table, the columns sidecars
 /// summarize so scans of that table can refute pages. There is one set
@@ -82,8 +78,8 @@ struct FilterSet {
     /// Every table's columns, sorted and deduplicated: the builder sees
     /// bare page images, not tables, so it summarizes all of them.
     union: Arc<Vec<usize>>,
-    /// Bumped whenever `union` changes. Archived sidecars record the
-    /// generation they were built at, and an older one is rebuilt.
+    /// Bumped whenever `union` changes. Sidecars record the generation
+    /// they were built at, and an older archived one is rebuilt.
     generation: u64,
 }
 
@@ -155,23 +151,21 @@ pub struct RetroStore {
     /// modifications need no further capture).
     dirty_since_snapshot: Mutex<HashSet<rql_pagestore::PageId>>,
     metas: RwLock<Vec<SnapshotMeta>>,
-    /// Pruning sidecars describing the *latest published* page images,
-    /// keyed by page id. A commit removes its written pages before
-    /// publishing and re-inserts fresh entries after, so any map a
-    /// reader captures only ever describes pages it can actually see —
-    /// a missing entry just means "no pruning" (a counted full read).
-    current_sidecars: RwLock<SidecarMap>,
-    /// Sidecars for archived pre-states, keyed by Pagelog offset — the
-    /// same address an SPT resolves the page through, so an `AS OF`
-    /// view always pairs a page version with the sidecar built from it —
-    /// each with the filter-set generation it was built at.
-    sidecar_archive: Mutex<SidecarArchive>,
+    /// Pruning sidecars, each under the [`PageVersion`] of the image it
+    /// was built from (an archived pre-state's Pagelog offset, or a
+    /// current page's id and publishing stamp) and with the filter-set
+    /// generation it was built at. A version names one image, so a reader
+    /// looking up the version it reads gets a summary of exactly those
+    /// bytes or nothing — and nothing just means "no pruning" (a counted
+    /// full read). Current entries exist for the latest published images
+    /// only: a commit drops the versions it replaces.
+    sidecars: RwLock<Sidecars>,
     /// `None` until the SQL layer first learns filter columns; sidecar
     /// maintenance is free when pruning is unused.
     sidecar_builder: RwLock<Option<SidecarBuilder>>,
     /// What the builder summarizes. Changed only under `commit_serial`,
-    /// together with the current map, so every current entry was built
-    /// from the union a commit reads.
+    /// together with the current entries, so every current entry was
+    /// built from the union a commit reads.
     filters: RwLock<FilterSet>,
     /// Observers notified after every snapshot declaration, once the
     /// snapshot is fully published (metas pushed, all commit-path locks
@@ -245,8 +239,7 @@ impl RetroStore {
             maplog: RwLock::new(Maplog::new()),
             dirty_since_snapshot: Mutex::new(HashSet::new()),
             metas: RwLock::new(Vec::new()),
-            current_sidecars: RwLock::new(Arc::new(HashMap::new())),
-            sidecar_archive: Mutex::new(HashMap::new()),
+            sidecars: RwLock::new(HashMap::new()),
             sidecar_builder: RwLock::new(None),
             filters: RwLock::new(FilterSet::default()),
             snapshot_hooks: RwLock::new(Vec::new()),
@@ -311,10 +304,9 @@ impl RetroStore {
             // Sidecar state is in-memory: recovery starts with none (absent
             // is always safe — scans just don't prune), and so does the
             // filter set. The SQL layer's first filter columns rebuild
-            // both maps: current entries from the current pages, archive
-            // entries from the Maplog + Pagelog.
-            current_sidecars: RwLock::new(Arc::new(HashMap::new())),
-            sidecar_archive: Mutex::new(HashMap::new()),
+            // both kinds: current entries from the current pages, archived
+            // ones from the Maplog + Pagelog.
+            sidecars: RwLock::new(HashMap::new()),
             sidecar_builder: RwLock::new(None),
             filters: RwLock::new(FilterSet::default()),
             snapshot_hooks: RwLock::new(Vec::new()),
@@ -413,45 +405,29 @@ impl RetroStore {
         let latest_page_count: Option<u64> = self.metas.read().last().map(|m| m.page_count);
         let stats = self.pager.stats().clone();
         let txn_id = txn.id();
-        // Sidecar maintenance, phase 1: invalidate-before-publish.
-        // Build fresh sidecars from the exact images about to land, then
-        // remove this commit's pages from the current map *before* the
-        // pager publishes — a reader racing the commit sees no entry and
-        // falls back to a full read. The entries displaced here describe
-        // the pre-states this commit may archive; `pre_capture` moves
-        // them to the Pagelog-offset-keyed archive below, tagged with the
-        // filter generation every current entry was built at.
+        // The images this commit replaces. Nothing else publishes while
+        // the store holds `commit_serial` and the transaction the writer
+        // token, so a view pinned now holds them.
+        let before = self.pager.view();
+        // Sidecars of the exact images about to land, and the versions
+        // they replace.
         let builder = self.sidecar_builder.read().clone();
         let (union, generation) = {
             let filters = self.filters.read();
             (Arc::clone(&filters.union), filters.generation)
         };
-        let written: Vec<rql_pagestore::PageId> = txn.staged_pages().map(|(pid, _)| pid).collect();
-        let mut fresh: HashMap<u64, Arc<Vec<u8>>> = HashMap::new();
-        if let Some(builder) = &builder {
-            for (pid, page) in txn.staged_pages() {
-                if let Some(bytes) = builder(pid, page, &union) {
-                    stats.count_sidecar_bytes(bytes.len() as u64);
-                    fresh.insert(pid.0, Arc::new(bytes));
-                }
+        let mut replaced = Vec::new();
+        let mut fresh = Vec::new();
+        for (pid, page) in txn.staged_pages() {
+            if let Some(stamp) = before.stamp(pid) {
+                replaced.push(PageVersion::Current(pid, stamp));
+            }
+            if let Some(bytes) = builder.as_ref().and_then(|b| b(pid, page, &union)) {
+                stats.count_sidecar_bytes(bytes.len() as u64);
+                let side = (generation, Arc::new(bytes));
+                fresh.push((PageVersion::Current(pid, txn_id), side));
             }
         }
-        let displaced: HashMap<u64, Arc<Vec<u8>>> = {
-            let mut map = self.current_sidecars.write();
-            let mut displaced = HashMap::new();
-            if !map.is_empty() {
-                let mut next = (**map).clone();
-                for pid in &written {
-                    if let Some(old) = next.remove(&pid.0) {
-                        displaced.insert(pid.0, old);
-                    }
-                }
-                if !displaced.is_empty() {
-                    *map = Arc::new(next);
-                }
-            }
-            displaced
-        };
         // COW capture runs inside the pager's commit critical section, so
         // the archive and the published state change atomically with
         // respect to writers (readers pin views and never block).
@@ -478,40 +454,25 @@ impl RetroStore {
             // Only a capture that reached both logs counts: after a failed
             // append the next commit that writes the page captures it.
             self.dirty_since_snapshot.lock().insert(pid);
-            // Sidecar maintenance, phase 2: the entry displaced from the
-            // current map described exactly this pre-state image; key it
-            // by the Pagelog offset the SPT will resolve the page
-            // through. No entry (builder off, unbuildable page) is fine —
-            // snapshot scans of this version just won't prune it.
-            if let Some(side) = displaced.get(&pid.0) {
-                self.sidecar_archive
-                    .lock()
-                    .insert(off, (generation, Arc::clone(side)));
+            // The pre-state's sidecar, if it has one, is also found under
+            // the version an SPT resolves the page to from now on.
+            if let Some(stamp) = before.stamp(pid) {
+                let mut sidecars = self.sidecars.write();
+                if let Some(entry) = sidecars.get(&PageVersion::Current(pid, stamp)).cloned() {
+                    sidecars.insert(PageVersion::Archived(off), entry);
+                }
             }
             stats.count_cow_capture();
             Ok(())
         })?;
-        // Sidecar maintenance, phase 3: now that the pages are
-        // published, make the map authoritative for every written page —
-        // insert the fresh entry or remove whatever is there.
+        // Published: the replaced images are no longer current, and the
+        // new ones are.
         {
-            let mut map = self.current_sidecars.write();
-            if !fresh.is_empty() || !map.is_empty() {
-                let mut next = (**map).clone();
-                let mut changed = false;
-                for pid in &written {
-                    match fresh.remove(&pid.0) {
-                        Some(side) => {
-                            next.insert(pid.0, side);
-                            changed = true;
-                        }
-                        None => changed |= next.remove(&pid.0).is_some(),
-                    }
-                }
-                if changed {
-                    *map = Arc::new(next);
-                }
+            let mut sidecars = self.sidecars.write();
+            for version in &replaced {
+                sidecars.remove(version);
             }
+            sidecars.extend(fresh);
         }
         if let Some(sid) = snapshot_id {
             let page_count = self.pager.page_count();
@@ -630,8 +591,8 @@ impl RetroStore {
     ///
     /// With a builder installed, this walks every Maplog mapping and
     /// rebuilds, from the archived page image, each sidecar that is
-    /// missing — the archive is in-memory state, empty after recovery or
-    /// a follower seed — or was built before the filter set last grew.
+    /// missing — sidecars are in-memory state, absent after recovery or a
+    /// follower seed — or was built before the filter set last grew.
     /// Entries already at the current generation are skipped, so repeated
     /// calls only pay for what is missing or stale. Returns how many
     /// sidecars were built.
@@ -643,23 +604,25 @@ impl RetroStore {
             let filters = self.filters.read();
             (Arc::clone(&filters.union), filters.generation)
         };
-        let is_current = |archive: &SidecarArchive, off: u64| {
-            archive.get(&off).is_some_and(|(g, _)| *g >= generation)
+        let is_current = |sidecars: &Sidecars, off: u64| {
+            let entry = sidecars.get(&PageVersion::Archived(off));
+            entry.is_some_and(|(g, _)| *g >= generation)
         };
         let entries: Vec<(rql_pagestore::PageId, u64)> = self.maplog.read().entries();
         let stats = self.pager.stats().clone();
         let mut built = 0usize;
         for (pid, off) in entries {
-            if is_current(&self.sidecar_archive.lock(), off) {
+            if is_current(&self.sidecars.read(), off) {
                 continue;
             }
             let page = self.pagelog.read(off)?;
             if let Some(bytes) = builder(pid, &page, &union) {
                 stats.count_sidecar_bytes(bytes.len() as u64);
-                let mut archive = self.sidecar_archive.lock();
+                let mut sidecars = self.sidecars.write();
                 // A racing rebuild of a newer generation wins.
-                if !is_current(&archive, off) {
-                    archive.insert(off, (generation, Arc::new(bytes)));
+                if !is_current(&sidecars, off) {
+                    let side = (generation, Arc::new(bytes));
+                    sidecars.insert(PageVersion::Archived(off), side);
                     built += 1;
                 }
             }
@@ -697,12 +660,12 @@ impl RetroStore {
     ///
     /// `walk(view, tables, page)` hands `page` every current page of the
     /// named tables (those with filter columns) in `view`; the SQL layer
-    /// walks their heap chains. Commits wait while the current map is
-    /// rebuilt, so the rebuild cannot lose a race with one: no commit can
-    /// publish an image the new entries do not describe, or archive an
-    /// entry built from the narrower set under the new generation. The
-    /// new map replaces the old, so every current entry is built from the
-    /// union commits read.
+    /// walks their heap chains. Commits wait while the current entries
+    /// are rebuilt, so the rebuild cannot lose a race with one: every
+    /// walked image is still current when its entry lands, under its
+    /// version in `view`. The new entries replace every current one, so
+    /// each is built from the union commits read and carries its
+    /// generation into the archive.
     pub fn add_filter_columns<E: From<StoreError>>(
         &self,
         table: &str,
@@ -725,7 +688,7 @@ impl RetroStore {
             if !next.apply(&table, cols, declare) {
                 return Ok(0);
             }
-            let mut fresh: HashMap<u64, Arc<Vec<u8>>> = HashMap::new();
+            let mut fresh = HashMap::new();
             if let Some(builder) = self.sidecar_builder.read().clone() {
                 let tables: Vec<String> = next
                     .tables
@@ -734,15 +697,24 @@ impl RetroStore {
                     .map(|(name, _)| name.clone())
                     .collect();
                 let stats = self.pager.stats();
-                walk(&self.pager.view(), &tables, &mut |pid, page| {
+                let view = self.pager.view();
+                walk(&view, &tables, &mut |pid, page| {
+                    let Some(stamp) = view.stamp(pid) else {
+                        return;
+                    };
                     if let Some(bytes) = builder(pid, page, &next.union) {
                         stats.count_sidecar_bytes(bytes.len() as u64);
-                        fresh.insert(pid.0, Arc::new(bytes));
+                        let side = (next.generation, Arc::new(bytes));
+                        fresh.insert(PageVersion::Current(pid, stamp), side);
                     }
                 })?;
             }
             let summarized = fresh.len();
-            *self.current_sidecars.write() = Arc::new(fresh);
+            {
+                let mut sidecars = self.sidecars.write();
+                sidecars.retain(|version, _| matches!(version, PageVersion::Archived(_)));
+                sidecars.extend(fresh);
+            }
             let union_changed = next.generation != generation;
             *self.filters.write() = next;
             (summarized, union_changed)
@@ -753,16 +725,11 @@ impl RetroStore {
         Ok(summarized)
     }
 
-    /// Sidecars describing the latest published page images (cheap
-    /// `Arc` clone; what snapshot readers and write transactions capture).
-    pub fn current_sidecars(&self) -> SidecarMap {
-        self.current_sidecars.read().clone()
-    }
-
-    /// Sidecar for the archived pre-state at Pagelog offset `off`.
-    pub fn archived_sidecar(&self, off: u64) -> Option<Arc<Vec<u8>>> {
-        let archive = self.sidecar_archive.lock();
-        archive.get(&off).map(|(_, side)| Arc::clone(side))
+    /// The pruning sidecar built from the page image `version` names, or
+    /// `None` (= don't prune).
+    pub fn sidecar(&self, version: PageVersion) -> Option<Arc<Vec<u8>>> {
+        let sidecars = self.sidecars.read();
+        sidecars.get(&version).map(|(_, side)| Arc::clone(side))
     }
 
     /// Number of declared snapshots; ids are `1..=snapshot_count()`.
@@ -794,10 +761,6 @@ impl RetroStore {
         let meta = self
             .snapshot_meta(sid)
             .ok_or_else(|| StoreError::Corrupt(format!("unknown snapshot {sid}")))?;
-        // Captured before the view: a page the SPT resolves as shared was
-        // unwritten from here through SPT build, so its entry (if any)
-        // describes the image the reader will see.
-        let sidecars = self.current_sidecars();
         let view = self.pager.view();
         let start = Instant::now();
         let scan = {
@@ -815,7 +778,6 @@ impl RetroStore {
                 entries_scanned: scan.entries_scanned,
                 duration,
             },
-            sidecars,
         ))
     }
 

@@ -1162,7 +1162,7 @@ fn finish_rows(plan: &AggPlan, mut keyed: Vec<(Row, Row)>) -> Vec<Row> {
 pub enum AggAcc {
     /// Contributions counted (non-NULL inputs, or every `COUNT(*)` row).
     Count(i64),
-    /// Running sum (`None` = no contribution yet: NULL).
+    /// Running sum of the numeric inputs (`None` = none yet: NULL).
     Sum(Option<Value>),
     /// Running float sum (0.0 on no contribution).
     Total(f64),
@@ -1209,6 +1209,8 @@ impl AggAcc {
         };
         match self {
             AggAcc::Count(_) => {}
+            // Like AVG, SUM skips what is not a number.
+            AggAcc::Sum(_) if v.as_f64().is_none() => {}
             AggAcc::Sum(acc) => {
                 *acc = Some(match acc.take() {
                     None => v.clone(),

@@ -10,8 +10,8 @@
 
 use std::sync::Arc;
 
-use rql_pagestore::{DbView, IoStats, PageId, Result, SharedPage, WriteTxn};
-use rql_retro::{PageVersion, RetroStore, SidecarMap, SnapshotReader};
+use rql_pagestore::{DbView, PageId, Result, SharedPage, WriteTxn};
+use rql_retro::{PageVersion, RetroStore, SnapshotReader};
 
 use crate::sidecar::Sidecar;
 
@@ -35,13 +35,13 @@ pub trait PageSource {
 
     /// Decoded, validated pruning sidecar for the page *version* this
     /// source would serve for `pid`, or `None` (= don't prune, read the
-    /// page). A page fetch from the memory-resident database costs little,
-    /// but the decode and filter it gates cost per row, so every source
-    /// that can pair a page with the sidecar built from the image it
-    /// serves answers: snapshot readers, and write transactions for the
-    /// pages they have not touched ([`TxnSource`]). A current-state scan
-    /// outside a transaction does not: it would need the map capture and
-    /// the view pin bracketed against commits.
+    /// page): the store's entry under that version
+    /// ([`RetroStore::sidecar`]). A page fetch from the memory-resident
+    /// database costs little, but the decode and filter it gates cost per
+    /// row, so every source that knows the version it serves answers:
+    /// snapshot readers, and write transactions for the pages they have
+    /// not touched ([`TxnSource`]). A current-state scan outside a
+    /// transaction does not.
     fn sidecar_for(&self, _pid: PageId) -> Option<Sidecar> {
         None
     }
@@ -96,29 +96,22 @@ impl PageSource for WriteTxn {
     }
 }
 
-/// A write transaction's view, pruned by the store's current sidecars:
-/// the source of the DELETE/UPDATE victim scan and of a SELECT inside an
-/// open transaction.
+/// A write transaction's view, pruned by the store's sidecars: the
+/// source of the DELETE/UPDATE victim scan and of a SELECT inside an open
+/// transaction.
 ///
-/// A page the transaction staged or allocated is never pruned: its
-/// committed sidecar describes an image the transaction no longer reads.
-/// Every other page is still the published image the map's entry was
-/// built from, because the map only ever describes published images and
-/// nothing can be published while this transaction holds the store's
-/// single writer token.
+/// A page the transaction has not touched reads the published image, so
+/// it looks up that image's version, `Current(pid, stamp)` with the
+/// stamp from [`WriteTxn::stamp`]. A page it staged or allocated has no
+/// version and is never pruned.
 pub(crate) struct TxnSource<'a> {
     txn: &'a WriteTxn,
-    sidecars: SidecarMap,
-    stats: &'a IoStats,
+    store: &'a RetroStore,
 }
 
 impl<'a> TxnSource<'a> {
     pub(crate) fn new(txn: &'a WriteTxn, store: &'a RetroStore) -> Self {
-        TxnSource {
-            txn,
-            sidecars: store.current_sidecars(),
-            stats: store.stats(),
-        }
+        TxnSource { txn, store }
     }
 }
 
@@ -132,13 +125,11 @@ impl PageSource for TxnSource<'_> {
     }
 
     fn sidecar_for(&self, pid: PageId) -> Option<Sidecar> {
-        if self.txn.touched(pid) {
-            return None;
-        }
-        Sidecar::decode(self.sidecars.get(&pid.0)?, pid)
+        let version = PageVersion::Current(pid, self.txn.stamp(pid)?);
+        Sidecar::decode(&self.store.sidecar(version)?, pid)
     }
 
     fn count_page_pruned(&self) {
-        self.stats.count_page_pruned();
+        self.store.stats().count_page_pruned();
     }
 }

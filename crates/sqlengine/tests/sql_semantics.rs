@@ -58,6 +58,29 @@ fn aggregates_skip_nulls() {
     assert_eq!(r.rows[0][5], Value::Integer(4));
 }
 
+/// SUM, like AVG, skips inputs that are not numbers: text never turns
+/// the sum into NULL, and text alone sums to NULL, not to itself.
+#[test]
+fn sum_skips_non_numeric_inputs() {
+    let db = db();
+    db.execute("CREATE TABLE t (g INTEGER, v ANY)").unwrap();
+    db.execute("INSERT INTO t VALUES (1, 'abc'), (1, 'abd'), (1, 2), (2, 'x'), (3, 2), (3, 1.5)")
+        .unwrap();
+    let r = db
+        .query("SELECT g, SUM(v), AVG(v) FROM t GROUP BY g ORDER BY g")
+        .unwrap();
+    assert_eq!(
+        r.rows,
+        vec![
+            vec![Value::Integer(1), Value::Integer(2), Value::Real(2.0)],
+            vec![Value::Integer(2), Value::Null, Value::Null],
+            vec![Value::Integer(3), Value::Real(3.5), Value::Real(1.75)],
+        ]
+    );
+    let r = db.query("SELECT SUM(v) FROM t WHERE g = 2").unwrap();
+    assert_eq!(r.rows[0][0], Value::Null);
+}
+
 #[test]
 fn group_by_nulls_form_one_group() {
     let db = db();

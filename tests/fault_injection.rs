@@ -149,6 +149,46 @@ fn store_remains_usable_after_failed_statement() {
     assert_eq!(r.rows[0][0], Value::Integer(committed as i64));
 }
 
+/// A commit that fails leaves the sidecars of the pages it wrote in place:
+/// those pages still hold their published images, so a later victim scan
+/// prunes them like any other.
+#[test]
+fn a_failed_commit_leaves_its_pages_prunable() {
+    let (db, _) = store_with(40, u64::MAX, false);
+    db.execute("CREATE TABLE t (a INTEGER, b INTEGER)").unwrap();
+    db.declare_filter_columns("t", &["a"]).unwrap();
+    // Fill pages until the WAL runs out: the insert that fails, and every
+    // commit after it, publishes nothing.
+    let mut loaded = 0;
+    loop {
+        let rows: Vec<String> = (loaded..loaded + 100)
+            .map(|a| format!("({a}, {})", a * 7))
+            .collect();
+        match db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", "))) {
+            Ok(_) => loaded += 100,
+            Err(e) => {
+                assert!(e.to_string().contains("injected"), "{e}");
+                break;
+            }
+        }
+    }
+    let page_size = db.store().pager().config().page_size as u64;
+    let pages = db.table_size_bytes("t").unwrap() / page_size;
+    assert!(pages > 2, "want a multi-page heap, got {pages} pages");
+    // A failed rewrite of every page.
+    let e = db.execute("UPDATE t SET b = b + 1").unwrap_err();
+    assert!(e.to_string().contains("injected"), "{e}");
+    let before = db.io_stats().snapshot();
+    let e = db
+        .execute("DELETE FROM t WHERE a >= 0 AND a < 10")
+        .unwrap_err();
+    assert!(e.to_string().contains("injected"), "{e}");
+    let pruned = db.io_stats().snapshot().delta(&before).pages_pruned;
+    assert_eq!(pruned, pages - 1, "all but the page holding 0..10");
+    let count = db.query("SELECT COUNT(*) FROM t").unwrap();
+    assert_eq!(count.rows[0][0], Value::Integer(loaded));
+}
+
 /// Log storage that fails one armed append and then works again: a
 /// transient fault, after which the store must carry on.
 struct OnceFailing {
